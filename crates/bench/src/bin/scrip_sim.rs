@@ -41,14 +41,14 @@ scrip-sim — scenario-driven experiment runner for the scrip reproduction
 USAGE:
     scrip-sim list
     scrip-sim metrics
-    scrip-sim all [--csv] [--threads N] [--shards K]
-    scrip-sim run <NAME|FILE.scn>... [--csv] [--threads N] [--shards K]
+    scrip-sim all [--csv] [--threads N]
+    scrip-sim run <NAME|FILE.scn>... [--csv] [--threads N]
     scrip-sim run <FILE.scn> [--checkpoint-every SECS] [--checkpoint-file PATH] [--resume PATH]
     scrip-sim check <FILE.scn>...
     scrip-sim export <NAME>
     scrip-sim bench [--json] [--out FILE] [--against FILE]
-    scrip-sim record <FILE.scn> [--trace OUT.trc] [--shards K]
-    scrip-sim replay <FILE.scn> [--trace IN.trc] [--shards K]
+    scrip-sim record <FILE.scn> [--trace OUT.trc]
+    scrip-sim replay <FILE.scn> [--trace IN.trc]
     scrip-sim trace-diff <A.trc> <B.trc>
     scrip-sim bisect <FILE.scn> --trace IN.trc
     scrip-sim tail <FILE.trc> [--follow]
@@ -67,8 +67,6 @@ scenario file (grammar: docs/SCENARIOS.md); `metrics` lists every
 registered metric probe selectable via `metrics = [...]` in [run].
 SCRIP_QUICK=1 shrinks the built-in experiments and the bench suite;
 SCRIP_THREADS or --threads caps worker threads (0 = one per core).
---shards K partitions every queue-level run into K execution shards
-(deterministic sharded kernel; output is byte-identical for every K).
 `bench` measures market events/sec single-threaded, `--json` writes
 BENCH_market.json (or --out FILE), and `--against BASELINE.json` exits
 non-zero when any matching case regresses more than 30%.
@@ -79,15 +77,15 @@ restarts such a run from a snapshot. A resumed run's output is
 byte-identical to the uninterrupted run, fault plans included.
 `record` runs a single-case, single-replication scenario and logs every
 applied event plus per-boundary state digests to a SCRIPTRC trace
-(default FILE.scn.trc); the trace is byte-identical for every --shards
-K. `replay` re-executes the scenario against a trace, fail-closed: it
-exits non-zero naming the first divergent (time, seq) on any mismatch,
-and emits the normal run output when the replay verifies. `trace-diff`
-compares two traces frame by frame and reports the first divergence
-with decoded payloads (exit 1) or counts matching frames (exit 0).
+(default FILE.scn.trc). `replay` re-executes the scenario against a
+trace, fail-closed: it exits non-zero naming the first divergent
+(time, seq) on any mismatch, and emits the normal run output when the
+replay verifies. `trace-diff` compares two traces frame by frame and
+reports the first divergence with decoded payloads (exit 1) or counts
+matching frames (exit 0).
 `bisect` binary-searches a trace's digest frames with checkpoint hops
-(requires shards = 1) and pins where a live re-execution departs from
-the recording, down to the exact (time, seq).
+and pins where a live re-execution departs from the recording, down to
+the exact (time, seq).
 `tail` prints a SCRIPTRC file's frames as they land; --follow keeps
 polling until the writer closes the file with its end frame.
 `serve` starts the crash-safe job daemon (protocol and lifecycle:
@@ -107,7 +105,6 @@ struct Options {
     csv: bool,
     json: bool,
     threads: usize,
-    shards: Option<usize>,
     out: Option<String>,
     against: Option<String>,
     checkpoint_every: Option<u64>,
@@ -129,7 +126,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         csv: false,
         json: false,
         threads: RunnerOptions::from_env().threads,
-        shards: None,
         out: None,
         against: None,
         checkpoint_every: None,
@@ -156,16 +152,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("--threads expects a number")?;
-            }
-            "--shards" => {
-                let shards: usize = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--shards expects a number")?;
-                if shards == 0 {
-                    return Err("--shards expects a number >= 1".into());
-                }
-                options.shards = Some(shards);
             }
             "--out" => {
                 options.out = Some(iter.next().ok_or("--out expects a path")?.clone());
@@ -316,11 +302,6 @@ fn run_file_checkpointed(path: &str, options: &Options) -> Result<(), String> {
             scenario.run.replications
         ));
     }
-    if matches!(options.shards, Some(shards) if shards != 1) {
-        return Err(
-            "checkpointed runs require --shards 1 (the sharded kernel cannot snapshot)".into(),
-        );
-    }
     let config = case
         .spec
         .build()
@@ -328,12 +309,6 @@ fn run_file_checkpointed(path: &str, options: &Options) -> Result<(), String> {
     if config.streaming.is_some() {
         return Err(format!(
             "{path}: streaming (chunk-level) scenarios cannot checkpoint"
-        ));
-    }
-    if config.shards != 1 {
-        return Err(format!(
-            "{path}: sharded scenarios (shards = {}) cannot checkpoint; set shards = 1",
-            config.shards
         ));
     }
 
@@ -462,22 +437,18 @@ fn trace_path_for(path: &str, options: &Options) -> String {
         .unwrap_or_else(|| format!("{path}.trc"))
 }
 
-/// `scrip-sim record FILE.scn [--trace OUT.trc] [--shards K]`: run the
-/// scenario once, logging every applied event and per-boundary state
-/// digest to a SCRIPTRC trace. The trace bytes are identical for every
-/// `--shards K`.
+/// `scrip-sim record FILE.scn [--trace OUT.trc]`: run the scenario
+/// once, logging every applied event and per-boundary state digest to a
+/// SCRIPTRC trace.
 fn cmd_record(options: &Options) -> Result<(), String> {
     let [target] = options.targets.as_slice() else {
         return Err("record: expected exactly one scenario file".into());
     };
     let (scenario, case) = load_single_case(target, "record")?;
-    let mut config = case
+    let config = case
         .spec
         .build()
         .map_err(|e| format!("{target}: case {:?}: {e}", case.label))?;
-    if let Some(shards) = options.shards {
-        config.shards = shards;
-    }
     let trace_path = trace_path_for(target, options);
     let start = std::time::Instant::now();
     let mut session =
@@ -497,8 +468,7 @@ fn cmd_record(options: &Options) -> Result<(), String> {
     emit_single_case(target, &scenario, &case, session.finish().0, wall, options)
 }
 
-/// `scrip-sim replay FILE.scn [--trace IN.trc] [--shards K]`:
-/// re-execute the scenario against a recorded trace, fail-closed. On
+/// `scrip-sim replay FILE.scn [--trace IN.trc]`: re-execute the scenario against a recorded trace, fail-closed. On
 /// success the normal run output is emitted (byte-identical to the
 /// recording run's); on the first mismatching event or digest the run
 /// freezes and the divergent `(time, seq)` is reported with exit 1.
@@ -507,13 +477,10 @@ fn cmd_replay(options: &Options) -> Result<(), String> {
         return Err("replay: expected exactly one scenario file".into());
     };
     let (scenario, case) = load_single_case(target, "replay")?;
-    let mut config = case
+    let config = case
         .spec
         .build()
         .map_err(|e| format!("{target}: case {:?}: {e}", case.label))?;
-    if let Some(shards) = options.shards {
-        config.shards = shards;
-    }
     let trace_path = trace_path_for(target, options);
     let start = std::time::Instant::now();
     let mut session =
@@ -613,16 +580,13 @@ fn cmd_trace_diff(options: &Options) -> Result<(), String> {
 }
 
 /// `scrip-sim bisect FILE.scn --trace IN.trc`: binary-search the
-/// trace's digest frames against a live re-execution (checkpoint hops,
-/// shards = 1 only), then replay the bracketed window event-by-event to
-/// pin the exact divergent `(time, seq)`.
+/// trace's digest frames against a live re-execution (checkpoint hops),
+/// then replay the bracketed window event-by-event to pin the exact
+/// divergent `(time, seq)`.
 fn cmd_bisect(options: &Options) -> Result<(), String> {
     let [target] = options.targets.as_slice() else {
         return Err("bisect: expected exactly one scenario file".into());
     };
-    if matches!(options.shards, Some(shards) if shards != 1) {
-        return Err("bisect requires --shards 1 (the search hops via checkpoints)".into());
-    }
     let Some(trace_path) = options.trace.clone() else {
         return Err("bisect: --trace IN.trc is required".into());
     };
@@ -657,19 +621,6 @@ fn cmd_bisect(options: &Options) -> Result<(), String> {
     }
 }
 
-/// Runs `body` with `--shards` applied to every queue-level market run,
-/// restoring the previous override afterwards. Output stays byte-identical
-/// for every shard count; only the execution strategy changes.
-fn with_shard_override(
-    shards: Option<usize>,
-    body: impl FnOnce() -> Result<(), String>,
-) -> Result<(), String> {
-    let previous = scrip_bench::scenario::set_shard_override(shards);
-    let outcome = body();
-    scrip_bench::scenario::set_shard_override(previous);
-    outcome
-}
-
 fn cmd_run(options: &Options) -> Result<(), String> {
     if options.targets.is_empty() {
         return Err("run: no experiment or scenario file given".into());
@@ -689,17 +640,15 @@ fn cmd_run(options: &Options) -> Result<(), String> {
         }
         return run_file_checkpointed(target, options);
     }
-    with_shard_override(options.shards, || {
-        let builtin: Vec<&str> = figures::experiments().iter().map(|&(n, _)| n).collect();
-        for target in &options.targets {
-            if builtin.contains(&target.as_str()) {
-                run_builtin(target, options)?;
-            } else {
-                run_file(target, options)?;
-            }
+    let builtin: Vec<&str> = figures::experiments().iter().map(|&(n, _)| n).collect();
+    for target in &options.targets {
+        if builtin.contains(&target.as_str()) {
+            run_builtin(target, options)?;
+        } else {
+            run_file(target, options)?;
         }
-        Ok(())
-    })
+    }
+    Ok(())
 }
 
 fn cmd_all(options: &Options) -> Result<(), String> {
@@ -710,12 +659,10 @@ fn cmd_all(options: &Options) -> Result<(), String> {
     }
     let scale = RunScale::from_env();
     eprintln!("running all experiments at scale {scale:?}");
-    with_shard_override(options.shards, || {
-        figures::run_all_experiments(scale, options.threads)
-            .map_err(|e| e.to_string())?
-            .print(options.csv);
-        Ok(())
-    })
+    figures::run_all_experiments(scale, options.threads)
+        .map_err(|e| e.to_string())?
+        .print(options.csv);
+    Ok(())
 }
 
 fn cmd_list(options: &Options) -> Result<(), String> {

@@ -35,10 +35,9 @@ pub struct BisectReport {
 /// Bisects the trace at `trace` against a live re-execution of
 /// `config` under `seed`, running to `horizon`.
 ///
-/// Requires a queue-level, unsharded configuration (`shards = 1`, no
-/// streaming): the search advances via checkpoints, which only the
-/// serial kernel supports. The trace itself may have been recorded at
-/// any shard count — traces are execution-strategy independent.
+/// Requires a queue-level configuration (no streaming): the search
+/// advances via checkpoints, which chunk-level sessions do not
+/// support.
 ///
 /// # Errors
 /// Returns a message for unsupported configurations, unreadable or
@@ -52,12 +51,6 @@ pub fn bisect_trace(
 ) -> Result<BisectReport, String> {
     if config.streaming.is_some() {
         return Err("bisect requires a queue-level scenario (streaming cannot checkpoint)".into());
-    }
-    if config.shards != 1 {
-        return Err(format!(
-            "bisect requires shards = 1 (the search hops via checkpoints); got {}",
-            config.shards
-        ));
     }
 
     // Collect the recorded digest schedule.

@@ -7,7 +7,7 @@
 //! and notes; the purely analytic figures (2, 3 and the first two
 //! ablations) evaluate closed-form queueing results directly. The
 //! [`experiments`] registry lists everything in canonical order for
-//! `fig_all` and `scrip-sim`.
+//! `scrip-sim`.
 
 mod ablations;
 mod fig01;
@@ -51,7 +51,7 @@ pub type ExperimentFn = fn(RunScale) -> Result<FigureResult, ScenarioError>;
 pub type ScenarioFn = fn(RunScale) -> Scenario;
 
 /// Every experiment of the paper's evaluation (11 figures, 3 ablations)
-/// in canonical order — the work list of `fig_all` and `scrip-sim all`.
+/// in canonical order — the work list of `scrip-sim all`.
 pub fn experiments() -> Vec<(&'static str, ExperimentFn)> {
     vec![
         ("fig01", fig01_spending_rates as ExperimentFn),
@@ -119,7 +119,7 @@ pub fn print_figure(fig: &FigureResult, dump_csv: bool) {
     }
 }
 
-/// Runs every registered experiment, sharded over up to `threads`
+/// Runs every registered experiment, spread over up to `threads`
 /// worker threads (0 = one per core), and returns the results in
 /// canonical order regardless of completion order.
 ///

@@ -2,14 +2,14 @@
 //!
 //! One regenerator per table/figure of Qiu et al., *"Exploring the
 //! Sustainability of Credit-incentivized Peer-to-Peer Content
-//! Distribution"* (ICDCSW 2012), plus ablation studies and Criterion
-//! performance benches.
+//! Distribution"* (ICDCSW 2012), plus ablation studies and the
+//! `scrip-sim bench` throughput harness ([`perf`]).
 //!
 //! Every figure is implemented as a library function in [`figures`]
-//! returning a typed [`figures::FigureResult`]; the `fig*` binaries
-//! print them as CSV, the `figure_smoke` integration test runs them at
-//! reduced scale, and `fig_all` regenerates the whole evaluation
-//! section in one go.
+//! returning a typed [`figures::FigureResult`]; `scrip-sim run NAME
+//! --csv` prints one as CSV, the `figure_smoke` integration test runs
+//! them at reduced scale, and `scrip-sim all` regenerates the whole
+//! evaluation section in one go.
 //!
 //! Experiments are described declaratively by the [`scenario`] engine: a
 //! [`scenario::Scenario`] bundles a base market, execution parameters,

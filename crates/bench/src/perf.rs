@@ -5,12 +5,9 @@
 //! availability feedback, taxation, churn) at n ∈ {1k, 10k, 100k}, the
 //! fault-injected churn market (`faulted`: 1% drop + 1% defect with
 //! escrowed retries, timing the recovery machinery itself), the
-//! deterministically sharded churn market at 1/2/4 execution shards
-//! (`sharded_s1` is the serial-parity anchor; the report records each
-//! shard count's speedup over it), the chunk-level streaming market's
-//! trade loop, the cost of a wealth Gini sample at large n, and the
-//! observation layer's probe-dispatch overhead (a full probe set
-//! attached vs a detached recorder on the
+//! chunk-level streaming market's trade loop, the cost of a wealth Gini
+//! sample at large n, and the observation layer's probe-dispatch
+//! overhead (a full probe set attached vs a detached recorder on the
 //! n=10k market). Results are written to `BENCH_market.json` (see
 //! [`BenchReport::to_json`] for the schema), seeding the repo's
 //! performance trajectory, and CI replays the quick-scale subset to
@@ -25,9 +22,8 @@ use scrip_core::market::{ChurnConfig, CreditMarket, MarketConfig, MarketEvent};
 use scrip_core::obs::Session;
 use scrip_core::policy::TaxConfig;
 use scrip_core::protocol::build_streaming_market;
-use scrip_core::sharded::ShardedMarket;
 use scrip_core::streaming::{StreamEvent, StreamingConfig};
-use scrip_des::{FaultSpec, ShardedSimulation, SimDuration, SimTime, Simulation};
+use scrip_des::{FaultSpec, SimDuration, SimTime, Simulation};
 
 use crate::scale::RunScale;
 use crate::scenario::{Metric, RunSpec};
@@ -273,51 +269,6 @@ fn run_recorded_case(n: usize, horizon_secs: u64, scale: &str) -> (BenchEntry, B
     )
 }
 
-/// Sharded-execution cases at a scale: `(shards, n, horizon_secs)` —
-/// the churn market partitioned across execution shards. Horizons match
-/// the queue-level event targets so events/sec is comparable with the
-/// serial `churn` regime at the same n. The `sharded_s1` entry is the
-/// serial-parity anchor: `sharded_s2`/`sharded_s4` divided by it give
-/// the recorded speedup (parity within noise is expected on a
-/// single-core runner — the kernel buys determinism first, cores
-/// second).
-fn sharded_cases(scale: RunScale) -> Vec<(usize, usize, u64)> {
-    let (n, horizon): (usize, u64) = match scale {
-        RunScale::Full => (100_000, 20),
-        RunScale::Quick => (1_000, 500),
-    };
-    vec![(1, n, horizon), (2, n, horizon), (4, n, horizon)]
-}
-
-/// Measures the deterministically sharded churn market: the same
-/// workload as the `churn` regime, run through
-/// [`ShardedSimulation`]/[`ShardedMarket`] at `shards` execution
-/// shards. Output is byte-identical to the serial run for every shard
-/// count, so this times pure execution-strategy overhead/speedup.
-/// Build + partition are untimed; event dispatch to the horizon is
-/// timed.
-fn run_sharded_case(shards: usize, n: usize, horizon_secs: u64, scale: &str) -> BenchEntry {
-    let config = regime_config("churn", n).shards(shards);
-    let interval = config.sample_interval;
-    let market = CreditMarket::build(config, 42).expect("bench market builds");
-    let profile = market.queue_profile();
-    let mut sim =
-        ShardedSimulation::with_profile(ShardedMarket::new(market, shards), interval, profile);
-    sim.schedule(SimTime::ZERO, MarketEvent::Bootstrap);
-    let start = Instant::now();
-    let stats = sim.run_until(SimTime::from_secs(horizon_secs));
-    let wall = start.elapsed().as_secs_f64().max(1e-9);
-    BenchEntry {
-        regime: format!("sharded_s{shards}"),
-        n,
-        scale: scale.into(),
-        events: stats.events_processed,
-        wall_secs: wall,
-        events_per_sec: stats.events_processed as f64 / wall,
-        peak_rss_bytes: peak_rss_bytes(),
-    }
-}
-
 /// Chunk-level streaming cases at a scale: `(n, horizon_secs)`. The
 /// trade loop dispatches ~3 events per peer-second under
 /// `market_paced(1.0)`, so these horizons land near the queue-level
@@ -549,17 +500,6 @@ pub fn run_bench(scale: RunScale) -> BenchReport {
             report.entries.push(entry);
         }
     }
-    for (shards, n, horizon) in sharded_cases(scale) {
-        let entry = run_sharded_case(shards, n, horizon, scale_name);
-        eprintln!(
-            "bench {:<22} n={n:<7} {:>12.0} events/s ({} events in {:.2}s)",
-            entry.regime, entry.events_per_sec, entry.events, entry.wall_secs
-        );
-        report.entries.push(entry);
-    }
-    for (label, speedup) in report.sharded_speedups() {
-        eprintln!("bench {label:<22} speedup vs sharded_s1: {speedup:.3}x");
-    }
     for (n, horizon) in streaming_cases(scale) {
         let entry = run_streaming_case(n, horizon, scale_name);
         eprintln!(
@@ -649,39 +589,10 @@ impl BenchEntry {
 }
 
 impl BenchReport {
-    /// Speedup of every `sharded_sK` (K > 1) entry over the
-    /// `sharded_s1` serial-parity anchor at the same `(n, scale)`, as
-    /// `("s4_n100000", ratio)` pairs in entry order.
-    pub fn sharded_speedups(&self) -> Vec<(String, f64)> {
-        self.entries
-            .iter()
-            .filter(|e| e.regime.starts_with("sharded_s") && e.regime != "sharded_s1")
-            .filter_map(|e| {
-                let anchor = self
-                    .entries
-                    .iter()
-                    .find(|a| a.regime == "sharded_s1" && a.n == e.n && a.scale == e.scale)?;
-                (anchor.events_per_sec > 0.0).then(|| {
-                    let kind = e.regime.trim_start_matches("sharded_");
-                    (
-                        format!("{kind}_n{}", e.n),
-                        e.events_per_sec / anchor.events_per_sec,
-                    )
-                })
-            })
-            .collect()
-    }
-
     /// Serializes the report as JSON (the `BENCH_market.json` schema:
-    /// a `schema` tag plus an `entries` array of flat objects; when
-    /// sharded cases are present, flat `"sharded_speedup_*"` keys
-    /// record each shard count's throughput relative to the
-    /// `sharded_s1` anchor).
+    /// a `schema` tag plus an `entries` array of flat objects).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"schema\": \"scrip-bench-market/1\",\n");
-        for (label, speedup) in self.sharded_speedups() {
-            out.push_str(&format!("  \"sharded_speedup_{label}\": {speedup:.3},\n"));
-        }
         out.push_str("  \"entries\": [\n");
         let body: Vec<String> = self.entries.iter().map(BenchEntry::to_json).collect();
         out.push_str(&body.join(",\n"));
@@ -983,44 +894,6 @@ mod tests {
             "probes must not change the event stream"
         );
         assert!(detached.events_per_sec > 0.0 && attached.events_per_sec > 0.0);
-    }
-
-    #[test]
-    fn sharded_speedups_anchor_on_s1() {
-        let report = BenchReport {
-            entries: vec![
-                entry("sharded_s1", 1000.0),
-                entry("sharded_s4", 1100.0),
-                entry("churn", 5.0),
-            ],
-        };
-        let speedups = report.sharded_speedups();
-        assert_eq!(speedups.len(), 1);
-        assert_eq!(speedups[0].0, "s4_n1000");
-        assert!((speedups[0].1 - 1.1).abs() < 1e-9);
-        // The flat speedup keys sit before "entries" so the
-        // schema-specific reader still round-trips the entry list.
-        let json = report.to_json();
-        assert!(
-            json.contains("\"sharded_speedup_s4_n1000\": 1.100"),
-            "{json}"
-        );
-        let parsed = BenchReport::from_json(&json).expect("parses");
-        assert_eq!(parsed.entries.len(), 3);
-    }
-
-    #[test]
-    fn sharded_case_replays_the_serial_event_stream() {
-        // Miniature sizes; the real n=10^5 cases run under
-        // `scrip-sim bench`. Byte-identity means the sharded runner
-        // must dispatch exactly the serial churn event stream.
-        let serial = run_market_case("churn", 100, 20, "test");
-        let sharded = run_sharded_case(4, 100, 20, "test");
-        assert_eq!(
-            serial.events, sharded.events,
-            "sharding must not change the event stream"
-        );
-        assert!(sharded.events_per_sec > 0.0);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! [`Scenario::to_file_string`] serializes any scenario back to the file
 //! format, so every built-in experiment doubles as an example file.
 //!
-//! Execution is handled by [`runner::run_scenario`], which shards the
+//! Execution is handled by [`runner::run_scenario`], which spreads the
 //! `cases × replications` grid over worker threads with deterministic
 //! per-job seeds ([`scrip_des::SeedSequence`]) and merges results in job
 //! order — output is byte-identical for any thread count.
@@ -37,8 +37,8 @@ use scrip_core::CoreError;
 
 pub use parse::ParseError;
 pub use runner::{
-    parallel_map, run_scenario, session_probes, set_shard_override, set_thread_override,
-    CaseResult, ReplicationRun, RunnerOptions, ScenarioResult,
+    parallel_map, run_scenario, session_probes, set_thread_override, CaseResult, ReplicationRun,
+    RunnerOptions, ScenarioResult,
 };
 
 /// Default RNG seed of a scenario that does not specify one.

@@ -570,6 +570,18 @@ credits = [50, 100]
     }
 
     #[test]
+    fn removed_shards_key_fails_closed_with_line_number() {
+        let text = "name = \"x\"\n\n[market]\npeers = 60\nshards = 1\n";
+        let err = parse_scenario(text).expect_err("shards is gone");
+        assert_eq!(err.line, 5);
+        assert!(
+            err.message
+                .contains("`shards` was removed: execution is always serial"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn duplicate_keys_and_sections_are_rejected() {
         for text in [
             "name = \"a\"\nname = \"b\"",

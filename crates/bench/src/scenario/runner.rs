@@ -1,7 +1,7 @@
 //! Multi-threaded scenario execution with deterministic output.
 //!
 //! The runner flattens a scenario's `cases × replications` grid into a
-//! job list, shards it over `std::thread` workers pulling from an atomic
+//! job list, spreads it over `std::thread` workers pulling from an atomic
 //! cursor, and merges results **by job index**, never by completion
 //! order. Each job's RNG seed is a pure function of its coordinates
 //! ([`scrip_des::SeedSequence::replication_seed`]), so the aggregated
@@ -52,25 +52,6 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(usize::MAX);
 pub fn set_thread_override(threads: Option<usize>) -> Option<usize> {
     let raw = threads.unwrap_or(usize::MAX);
     let previous = THREAD_OVERRIDE.swap(raw, Ordering::SeqCst);
-    (previous != usize::MAX).then_some(previous)
-}
-
-/// Process-wide execution-shard override (sentinel `usize::MAX` =
-/// none): when set, every queue-level job runs its market partitioned
-/// into this many execution shards, regardless of the scenario's
-/// `shards` key. This is how a CLI's `--shards` reaches the scenario
-/// runs inside figure modules. Since the sharded kernel's output is
-/// byte-identical to serial execution for any shard count, the
-/// override is a pure execution-strategy knob: CSVs and summaries do
-/// not change. Streaming (chunk-level) jobs ignore it — they always
-/// run serially.
-static SHARD_OVERRIDE: AtomicUsize = AtomicUsize::new(usize::MAX);
-
-/// Sets (or with [`None`] clears) the process-wide execution-shard
-/// override and returns the previous value.
-pub fn set_shard_override(shards: Option<usize>) -> Option<usize> {
-    let raw = shards.unwrap_or(usize::MAX);
-    let previous = SHARD_OVERRIDE.swap(raw, Ordering::SeqCst);
     (previous != usize::MAX).then_some(previous)
 }
 
@@ -578,20 +559,6 @@ fn run_one(
     seed: u64,
     run: &RunSpec,
 ) -> Result<ReplicationRun, ScenarioError> {
-    // Apply the process-wide shard override to queue-level jobs
-    // (byte-identical output; see `set_shard_override`).
-    let overridden;
-    let config = match SHARD_OVERRIDE.load(Ordering::SeqCst) {
-        usize::MAX => config,
-        shards if config.streaming.is_none() => {
-            overridden = MarketConfig {
-                shards: shards.max(1),
-                ..config.clone()
-            };
-            &overridden
-        }
-        _ => config,
-    };
     let mut session = Session::from_config(config, seed)
         .map_err(|e| ScenarioError::Run(format!("seed {seed}: {e}")))?;
     for metric in attached_metrics(&run.metrics) {
@@ -607,7 +574,7 @@ fn run_one(
     Ok(ReplicationRun { seed, record })
 }
 
-/// Runs a scenario's full `cases × replications` grid, sharded across
+/// Runs a scenario's full `cases × replications` grid, spread across
 /// worker threads, and merges the results in deterministic order.
 ///
 /// # Errors

@@ -17,8 +17,8 @@
 //!   that had not reached a terminal state.
 //! * **Periodic checkpoints.** Workers run jobs through the existing
 //!   [`Session`](scrip_core::obs::Session)/scenario runner, snapshotting
-//!   qualifying runs (one case, one replication, queue-level, one
-//!   shard) at interior multiples of the checkpoint interval. A
+//!   qualifying runs (one case, one replication, queue-level) at
+//!   interior multiples of the checkpoint interval. A
 //!   restarted daemon resumes such a job from its latest `SCRIPCKP`
 //!   snapshot — and because resume→finish is byte-identical to an
 //!   uninterrupted run (the PR 8 invariant), the served CSV equals the

@@ -166,9 +166,7 @@ fn execute(shared: &Arc<Shared>, job: &JobRecord) -> Result<JobState, String> {
         && reps == 1
         && configs
             .first()
-            .is_some_and(|c: &scrip_core::market::MarketConfig| {
-                c.streaming.is_none() && c.shards == 1
-            });
+            .is_some_and(|c: &scrip_core::market::MarketConfig| c.streaming.is_none());
     // Truncating on (re)start keeps the sample log consistent with this
     // execution: a resumed job streams only post-resume boundaries.
     let samples = Arc::new(Mutex::new(SampleLog::create(

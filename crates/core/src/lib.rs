@@ -27,8 +27,7 @@
 //!    supported by both the simulators and the analytics. One
 //!    observation layer ([`obs`]) runs either simulator behind a
 //!    unified [`obs::Session`] and measures it through pluggable
-//!    [`obs::Probe`]s. Queue-level runs can be partitioned over
-//!    execution shards ([`sharded`]) with byte-identical output.
+//!    [`obs::Probe`]s.
 //!
 //! ## Quickstart
 //!
@@ -67,7 +66,6 @@ pub mod obs;
 pub mod policy;
 pub mod pricing;
 pub mod protocol;
-pub mod sharded;
 pub(crate) mod snapshot;
 pub mod spec;
 

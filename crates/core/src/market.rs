@@ -141,15 +141,6 @@ pub struct MarketConfig {
     /// `availability_feedback` are queue-level concepts and are ignored
     /// (chunk availability plays their role for real).
     pub streaming: Option<scrip_streaming::StreamingConfig>,
-    /// Number of execution shards the run is partitioned into (≥ 1).
-    /// With `shards > 1` the run executes on the sharded kernel
-    /// ([`crate::sharded`]): the overlay is split into balanced regions,
-    /// per-shard event queues advance in lockstep tick windows, and
-    /// trades whose buyer and seller live on different shards are
-    /// settled through a cross-shard event log at window barriers.
-    /// Output is **byte-identical** to `shards = 1` for any value.
-    /// Queue-level markets only (rejected with streaming).
-    pub shards: usize,
     /// Optional deterministic fault injection with trade recovery
     /// (paper Sec. III-A's unreliable-peer regime, realized as typed
     /// faults: dropped/delayed deliveries, seller defections, peer
@@ -182,7 +173,6 @@ impl MarketConfig {
             sample_interval: SimDuration::from_secs(100),
             availability_feedback: false,
             streaming: None,
-            shards: 1,
             faults: None,
         }
     }
@@ -255,13 +245,6 @@ impl MarketConfig {
         self
     }
 
-    /// Partitions the run over `shards` execution shards (see
-    /// [`MarketConfig::shards`]); output is byte-identical to serial.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Enables deterministic fault injection with escrow-backed trade
     /// recovery (see [`MarketConfig::faults`]).
     pub fn faults(mut self, faults: FaultSpec) -> Self {
@@ -298,16 +281,6 @@ impl MarketConfig {
         if self.sample_interval.is_zero() {
             return Err(CoreError::Config("sample interval must be positive".into()));
         }
-        if self.shards == 0 {
-            return Err(CoreError::Config("shards must be >= 1".into()));
-        }
-        if self.shards > 1 && self.streaming.is_some() {
-            return Err(CoreError::Config(
-                "sharded execution applies to queue-level markets only; \
-                 streaming markets run serially (shards = 1)"
-                    .into(),
-            ));
-        }
         self.pricing.validate()?;
         if let Some(faults) = &self.faults {
             faults.validate().map_err(CoreError::Config)?;
@@ -328,19 +301,6 @@ impl MarketConfig {
             TopologyKind::Regular(d) => Ok(generators::random_regular(self.n, d, rng)?),
         }
     }
-}
-
-/// One settled purchase, as observed by the trade-capture hook (used by
-/// the sharded runner to classify trades as shard-local or
-/// cross-shard).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct TradeRecord {
-    /// The buying peer.
-    pub buyer: NodeId,
-    /// The selling peer (received the credits).
-    pub seller: NodeId,
-    /// Credits transferred.
-    pub price: u64,
 }
 
 /// Events of the market simulator.
@@ -558,10 +518,6 @@ pub struct CreditMarket {
     in_flight_total: u64,
     /// Fault/recovery counters.
     fault_stats: FaultStats,
-    /// When present, every settled purchase is appended here (enabled
-    /// only by the sharded runner; `None` keeps the serial hot path
-    /// free of the recording branch's buffer traffic).
-    trade_capture: Option<Vec<TradeRecord>>,
 }
 
 impl CreditMarket {
@@ -623,7 +579,6 @@ impl CreditMarket {
             in_flight: vec![0; n],
             in_flight_total: 0,
             fault_stats: FaultStats::default(),
-            trade_capture: None,
         })
     }
 
@@ -797,23 +752,6 @@ impl CreditMarket {
             fixed_bytes: self.seller_sampler.heap_bytes()
                 + self.ledger.tracker_heap_bytes()
                 + self.gini_series.heap_bytes(),
-        }
-    }
-
-    /// Turns on trade capture: from now on every settled purchase is
-    /// recorded for [`CreditMarket::take_trades`] to drain.
-    pub(crate) fn enable_trade_capture(&mut self) {
-        if self.trade_capture.is_none() {
-            self.trade_capture = Some(Vec::new());
-        }
-    }
-
-    /// Moves the captured trades into `into` (cleared first), keeping
-    /// the capture buffer's capacity warm.
-    pub(crate) fn take_trades(&mut self, into: &mut Vec<TradeRecord>) {
-        into.clear();
-        if let Some(trades) = &mut self.trade_capture {
-            std::mem::swap(trades, into);
         }
     }
 
@@ -1209,13 +1147,6 @@ impl CreditMarket {
                 self.spent[buyer_slot] += price;
                 self.total_spent += price;
                 self.purchases += 1;
-                if let Some(trades) = &mut self.trade_capture {
-                    trades.push(TradeRecord {
-                        buyer: id,
-                        seller: j,
-                        price,
-                    });
-                }
                 if self.config.availability_feedback {
                     self.bump_activity(id, now);
                 }
@@ -1371,13 +1302,6 @@ impl CreditMarket {
         self.purchases += 1;
         self.fault_stats.delivered += 1;
         self.fault_stats.note_conclusion(attempt);
-        if let Some(trades) = &mut self.trade_capture {
-            trades.push(TradeRecord {
-                buyer,
-                seller,
-                price,
-            });
-        }
         if self.config.availability_feedback {
             self.bump_activity(buyer, now);
         }
@@ -1386,10 +1310,9 @@ impl CreditMarket {
 
     /// The seller takes the escrowed credits and never delivers. The
     /// lost credits count as spent (they left the buyer's wallet for
-    /// good) but not as a purchase, and the trade is not captured for
-    /// shard accounting — the buyer got nothing. Within the retry
-    /// budget, an affordable buyer immediately buys again from another
-    /// seller with fresh credits.
+    /// good) but not as a purchase — the buyer got nothing. Within the
+    /// retry budget, an affordable buyer immediately buys again from
+    /// another seller with fresh credits.
     fn settle_defect(
         &mut self,
         buyer: NodeId,
@@ -1548,8 +1471,7 @@ impl CreditMarket {
         let arrival_delay = self.exp_delay(churn.arrival_rate);
         scheduler.schedule_after(arrival_delay, MarketEvent::Join);
         // Under a fault plan, every joiner rolls its crash die once, in
-        // join order (event-apply order — deterministic at any shard
-        // count).
+        // join order (event-apply order, so deterministic per seed).
         if let Some(plan) = self.fault_plan.as_mut() {
             if let Some(d) = plan.crash_delay(scheduler.now()) {
                 scheduler.schedule_after(d, MarketEvent::Crash(new));

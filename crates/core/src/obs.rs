@@ -60,8 +60,8 @@ use std::path::Path;
 
 use scrip_des::stats::TimeSeries;
 use scrip_des::{
-    RunStats, Scheduled, Scheduler, ShardedSimulation, SimDuration, SimTime, Simulation,
-    TraceError, TraceFrame, TraceHeader, TraceReader, TraceWriter,
+    RunStats, Scheduled, Scheduler, SimDuration, SimTime, Simulation, TraceError, TraceFrame,
+    TraceHeader, TraceReader, TraceWriter,
 };
 use scrip_streaming::{StreamEvent, StreamingSystem};
 
@@ -70,7 +70,6 @@ use crate::error::CoreError;
 use crate::market::{CreditMarket, FaultStats, MarketConfig, MarketEvent};
 use crate::policy::Taxation;
 use crate::protocol::{build_streaming_market, CreditTradePolicy};
-use crate::sharded::ShardedMarket;
 use crate::snapshot;
 
 pub mod probes;
@@ -500,9 +499,6 @@ pub trait Probe: Send {
 enum SessionSim {
     /// The queue-level spend-loop market.
     Queue(Simulation<CreditMarket>),
-    /// The queue-level market partitioned over execution shards
-    /// (`shards > 1`); output is byte-identical to [`SessionSim::Queue`].
-    Sharded(Box<ShardedSimulation<ShardedMarket>>),
     /// The chunk-level streaming market.
     Chunk(Simulation<StreamingSystem<CreditTradePolicy>>),
 }
@@ -562,6 +558,12 @@ impl std::fmt::Display for TraceDivergence {
             self.expected, self.actual
         )
     }
+}
+
+/// The fingerprint checkpoints and trace headers store to tie a file to
+/// the configuration it was taken under.
+fn config_fingerprint(config: &MarketConfig) -> u64 {
+    snapshot::fingerprint(format!("{config:?}").as_bytes())
 }
 
 fn trace_err(e: TraceError) -> CoreError {
@@ -701,7 +703,7 @@ impl Tracer {
                 };
                 scratch.clear();
                 event.encode(scratch);
-                let actual = format!("{event:?}");
+                let actual = || format!("{event:?}");
                 match frame {
                     Some(TraceFrame::Event {
                         time: rt,
@@ -719,7 +721,7 @@ impl Tracer {
                                 describe_payload(&payload),
                                 rt.as_micros()
                             ),
-                            actual,
+                            actual: actual(),
                         });
                         false
                     }
@@ -732,7 +734,7 @@ impl Tracer {
                                 "end of trace (recorded run finished at t={}µs)",
                                 rt.as_micros()
                             ),
-                            actual,
+                            actual: actual(),
                         });
                         false
                     }
@@ -742,7 +744,7 @@ impl Tracer {
                             seq: Some(seq),
                             expected: "end of trace (recorded run produced no further events)"
                                 .into(),
-                            actual,
+                            actual: actual(),
                         });
                         false
                     }
@@ -860,10 +862,7 @@ pub struct Session {
 impl Session {
     /// Builds a session from any market configuration: a config whose
     /// [`MarketConfig::streaming`] is set runs at chunk granularity
-    /// through the protocol stack, one with [`MarketConfig::shards`]
-    /// `> 1` runs the queue-level market on the sharded kernel
-    /// (byte-identical output, sampling boundaries double as window
-    /// barriers), everything else runs the queue-level
+    /// through the protocol stack, everything else runs the queue-level
     /// spend loop. The simulation is pre-sized
     /// (`queue_capacity_hint`) and its bootstrap event scheduled; call
     /// [`Session::attach`] before [`Session::run_until`].
@@ -882,20 +881,6 @@ impl Session {
             let mut sim = Simulation::with_profile(system, profile);
             sim.schedule(SimTime::ZERO, StreamEvent::Bootstrap);
             (SessionSim::Chunk(sim), interval)
-        } else if config.shards > 1 {
-            // Sharded execution: the same market on the windowed
-            // kernel, with the sampling grid as the tick-window width
-            // so sampling boundaries are shard barriers.
-            let market = CreditMarket::build(config.clone(), seed)?;
-            let interval = config.sample_interval;
-            let profile = market.queue_profile();
-            let mut sim = ShardedSimulation::with_profile(
-                ShardedMarket::new(market, config.shards),
-                interval,
-                profile,
-            );
-            sim.schedule(SimTime::ZERO, MarketEvent::Bootstrap);
-            (SessionSim::Sharded(Box::new(sim)), interval)
         } else {
             let market = CreditMarket::build(config.clone(), seed)?;
             let interval = config.sample_interval;
@@ -955,7 +940,6 @@ impl Session {
     pub fn now(&self) -> SimTime {
         match &self.sim {
             SessionSim::Queue(sim) => sim.now(),
-            SessionSim::Sharded(sim) => sim.now(),
             SessionSim::Chunk(sim) => sim.now(),
         }
     }
@@ -964,7 +948,6 @@ impl Session {
     pub fn stats(&self) -> RunStats {
         match &self.sim {
             SessionSim::Queue(sim) => sim.stats(),
-            SessionSim::Sharded(sim) => sim.stats(),
             SessionSim::Chunk(sim) => sim.stats(),
         }
     }
@@ -973,7 +956,6 @@ impl Session {
     pub fn view(&self) -> &dyn MarketView {
         match &self.sim {
             SessionSim::Queue(sim) => sim.model(),
-            SessionSim::Sharded(sim) => sim.model().market(),
             SessionSim::Chunk(sim) => sim.model(),
         }
     }
@@ -982,15 +964,6 @@ impl Session {
         let tracer = self.tracer.as_deref_mut();
         match &mut self.sim {
             SessionSim::Queue(sim) => {
-                if let Some(tracer) = tracer {
-                    sim.run_until_traced(t, &mut |time, seq, event| {
-                        tracer.on_event(time, seq, event)
-                    });
-                } else {
-                    sim.run_until(t);
-                }
-            }
-            SessionSim::Sharded(sim) => {
                 if let Some(tracer) = tracer {
                     sim.run_until_traced(t, &mut |time, seq, event| {
                         tracer.on_event(time, seq, event)
@@ -1031,7 +1004,6 @@ impl Session {
         let events_processed = self.stats().events_processed;
         let view: &dyn MarketView = match &self.sim {
             SessionSim::Queue(sim) => sim.model(),
-            SessionSim::Sharded(sim) => sim.model().market(),
             SessionSim::Chunk(sim) => sim.model(),
         };
         let purchases = view.purchases();
@@ -1064,18 +1036,15 @@ impl Session {
             return;
         }
         self.started = true;
-        // No digest frame at time zero: the serial kernel applies the
-        // bootstrap event inside this call while the sharded kernel
-        // defers it to the first window, so a t = 0 digest would sit at
-        // different stream positions per kernel and break cross-shard
-        // trace identity. Bisection anchors on a fresh session instead.
+        // No digest frame at time zero: the t = 0 state is a function of
+        // the header's configuration fingerprint and seed alone, so
+        // bisection anchors on a fresh session instead.
         self.sim_run_until(SimTime::ZERO);
         if self.trace_halted() {
             return;
         }
         let view: &dyn MarketView = match &self.sim {
             SessionSim::Queue(sim) => sim.model(),
-            SessionSim::Sharded(sim) => sim.model().market(),
             SessionSim::Chunk(sim) => sim.model(),
         };
         self.last_purchases = view.purchases();
@@ -1143,24 +1112,14 @@ impl Session {
         }
     }
 
-    /// The configuration fingerprint stored in trace headers. Unlike
-    /// the checkpoint fingerprint this normalizes `shards` away: the
-    /// event stream is execution-strategy independent (a pinned
-    /// invariant), so a trace recorded at any shard count replays at
-    /// any other.
+    /// The configuration fingerprint stored in trace headers.
     fn trace_config_fingerprint(&self) -> Result<u64, CoreError> {
-        let config = match &self.sim {
-            SessionSim::Queue(sim) => sim.model().config(),
-            SessionSim::Sharded(sim) => sim.model().market().config(),
-            SessionSim::Chunk(_) => {
-                return Err(CoreError::Trace(
-                    "chunk-level (streaming) sessions cannot record or replay event traces".into(),
-                ));
-            }
-        };
-        let mut canonical = config.clone();
-        canonical.shards = 1;
-        Ok(snapshot::fingerprint(format!("{canonical:?}").as_bytes()))
+        match &self.sim {
+            SessionSim::Queue(sim) => Ok(config_fingerprint(sim.model().config())),
+            SessionSim::Chunk(_) => Err(CoreError::Trace(
+                "chunk-level (streaming) sessions cannot record or replay event traces".into(),
+            )),
+        }
     }
 
     /// Starts recording this session's event stream to `path` in the
@@ -1168,8 +1127,8 @@ impl Session {
     /// event, keyed by its `(time, seq)` identity, plus a state-digest
     /// frame at every sampling boundary. Frames are buffered and
     /// flushed at boundaries; [`Session::finish_trace`] completes the
-    /// file. Traces are execution-strategy independent — recording the
-    /// same scenario serially or sharded produces byte-identical files.
+    /// file. Recording the same scenario and seed twice produces
+    /// byte-identical files.
     ///
     /// # Errors
     /// Returns [`CoreError::Trace`] if the session already started, is
@@ -1373,17 +1332,11 @@ impl Session {
     /// call, so no event at or before the clock is still pending.
     ///
     /// # Errors
-    /// Returns [`CoreError::Checkpoint`] for sharded (`shards > 1`) and
-    /// chunk-level (streaming) sessions, which do not support
-    /// checkpointing yet.
+    /// Returns [`CoreError::Checkpoint`] for chunk-level (streaming)
+    /// sessions, which do not support checkpointing yet.
     pub fn checkpoint(&self) -> Result<Vec<u8>, CoreError> {
         let sim = match &self.sim {
             SessionSim::Queue(sim) => sim,
-            SessionSim::Sharded(_) => {
-                return Err(CoreError::Checkpoint(
-                    "sharded sessions (shards > 1) cannot checkpoint; run with shards = 1".into(),
-                ));
-            }
             SessionSim::Chunk(_) => {
                 return Err(CoreError::Checkpoint(
                     "chunk-level (streaming) sessions cannot checkpoint".into(),
@@ -1392,8 +1345,7 @@ impl Session {
         };
         let market = sim.model();
         let mut w = snapshot::Writer::with_header();
-        let config_repr = format!("{:?}", market.config());
-        w.put_u64(snapshot::fingerprint(config_repr.as_bytes()));
+        w.put_u64(config_fingerprint(market.config()));
         w.put_u64(self.seed);
         w.put_u64(sim.now().as_micros());
         w.put_u64(sim.stats().events_processed);
@@ -1441,8 +1393,7 @@ impl Session {
     ) -> Result<Session, CoreError> {
         let mut r = snapshot::Reader::with_header(bytes)?;
         let stored_fingerprint = r.take_u64()?;
-        let config_repr = format!("{config:?}");
-        if stored_fingerprint != snapshot::fingerprint(config_repr.as_bytes()) {
+        if stored_fingerprint != config_fingerprint(config) {
             return Err(CoreError::Checkpoint(
                 "configuration mismatch: snapshot was taken under a different scenario".into(),
             ));
@@ -1518,7 +1469,6 @@ impl Session {
         {
             let view: &dyn MarketView = match &self.sim {
                 SessionSim::Queue(sim) => sim.model(),
-                SessionSim::Sharded(sim) => sim.model().market(),
                 SessionSim::Chunk(sim) => sim.model(),
             };
             recorder.record(ids::PURCHASES, MetricValue::Counter(view.purchases()));
@@ -1542,7 +1492,6 @@ impl Session {
         }
         let model = match self.sim {
             SessionSim::Queue(sim) => SessionModel::Queue(sim.into_model()),
-            SessionSim::Sharded(sim) => SessionModel::Queue(sim.into_model().into_market()),
             SessionSim::Chunk(sim) => SessionModel::Chunk(sim.into_model()),
         };
         (recorder.finish(), model)
@@ -1642,33 +1591,6 @@ mod tests {
         assert_eq!(omarket.balances_sorted(), direct.balances_sorted());
         assert_eq!(omarket.gini_series(), direct.gini_series());
         assert_eq!(orec.counter(ids::PURCHASES), direct.purchases());
-    }
-
-    #[test]
-    fn sharded_sessions_reproduce_serial_sessions_exactly() {
-        let config = MarketConfig::new(40, 20);
-        let horizon = SimTime::from_secs(1_000);
-        let direct = run_market(config.clone(), 9, horizon).expect("runs");
-        for shards in [2, 4] {
-            let sharded_config = config.clone().shards(shards);
-            // Probe-less session.
-            let mut session = Session::from_config(&sharded_config, 9).expect("builds");
-            session.run_until(horizon);
-            let (record, model) = session.finish();
-            let market = model.queue().expect("sharded configs yield queue models");
-            assert_eq!(market.balances_sorted(), direct.balances_sorted());
-            assert_eq!(market.gini_series(), direct.gini_series());
-            assert_eq!(record.counter(ids::PURCHASES), direct.purchases());
-            // Probes attached: boundaries are window barriers; results
-            // stay bit-identical.
-            let mut observed = Session::from_config(&sharded_config, 9).expect("builds");
-            observed.attach(Box::new(CountingProbe::new()));
-            observed.run_until(horizon);
-            let (orec, omodel) = observed.finish();
-            let omarket = omodel.queue().expect("queue model");
-            assert_eq!(omarket.balances_sorted(), direct.balances_sorted());
-            assert_eq!(orec.counter("sample-count"), 11); // 10 ticks + stop at 42
-        }
     }
 
     #[test]
@@ -1831,13 +1753,6 @@ mod tests {
 
     #[test]
     fn checkpoint_rejects_unsupported_sessions_and_bad_snapshots() {
-        // Sharded sessions cannot checkpoint.
-        let sharded = MarketConfig::new(20, 10).shards(2);
-        let session = Session::from_config(&sharded, 3).expect("builds");
-        assert!(matches!(
-            session.checkpoint(),
-            Err(CoreError::Checkpoint(_))
-        ));
         // Streaming sessions cannot checkpoint.
         let streaming = MarketConfig::new(20, 40)
             .streaming_market(scrip_streaming::StreamingConfig::market_paced(1.0));
@@ -1876,6 +1791,23 @@ mod tests {
         assert_eq!(resumed.now(), SimTime::from_secs(100));
     }
 
+    #[test]
+    fn checkpoints_from_the_previous_format_version_are_refused() {
+        let config = MarketConfig::new(20, 10);
+        let mut session = Session::from_config(&config, 3).expect("builds");
+        session.run_until(SimTime::from_secs(100));
+        let mut bytes = session.checkpoint().expect("checkpoints");
+        // The version word follows the 8-byte magic.
+        bytes[8..12].copy_from_slice(&(snapshot::VERSION - 1).to_le_bytes());
+        let err = Session::resume(&config, Vec::new(), &bytes)
+            .err()
+            .expect("old version refused");
+        assert!(
+            err.to_string().contains("unsupported snapshot version 1"),
+            "{err}"
+        );
+    }
+
     /// A unique temp path for trace tests; removed by `TracePath::drop`.
     struct TracePath(std::path::PathBuf);
 
@@ -1902,35 +1834,50 @@ mod tests {
     }
 
     #[test]
-    fn record_replay_round_trip_is_shard_independent() {
+    fn record_replay_round_trip_reproduces_the_run() {
         let config = MarketConfig::new(40, 20)
             .churn(crate::market::ChurnConfig::new(0.4, 300.0, 10).expect("valid"))
             .sample_interval(SimDuration::from_secs(100));
         let horizon = SimTime::from_secs(600);
-        let serial = TracePath::new("serial");
-        let direct = record_run(&config, 23, horizon, &serial.0);
+        let first = TracePath::new("first");
+        let direct = record_run(&config, 23, horizon, &first.0);
 
-        // The same scenario recorded sharded produces the identical
+        // Recording the same scenario again produces the identical
         // trace file, byte for byte.
-        let sharded_path = TracePath::new("sharded");
-        let sharded_record = record_run(&config.clone().shards(2), 23, horizon, &sharded_path.0);
-        assert_eq!(sharded_record, direct);
+        let second = TracePath::new("second");
+        assert_eq!(record_run(&config, 23, horizon, &second.0), direct);
         assert_eq!(
-            std::fs::read(&serial.0).expect("serial trace"),
-            std::fs::read(&sharded_path.0).expect("sharded trace"),
-            "trace bytes differ between serial and sharded recording"
+            std::fs::read(&first.0).expect("first trace"),
+            std::fs::read(&second.0).expect("second trace"),
+            "trace bytes differ between two recordings"
         );
 
-        // The serial trace replays cleanly on both kernels.
-        for shards in [1usize, 2, 8] {
-            let replay_config = config.clone().shards(shards);
-            let mut session = Session::from_config(&replay_config, 23).expect("builds");
-            session.replay_from(&serial.0).expect("attaches replay");
-            session.run_until(horizon);
-            assert!(session.trace_divergence().is_none());
-            session.finish_trace().expect("verifies");
-            assert_eq!(session.finish().0, direct, "replay at shards={shards}");
-        }
+        // The trace replays cleanly and reproduces the run.
+        let mut session = Session::from_config(&config, 23).expect("builds");
+        session.replay_from(&first.0).expect("attaches replay");
+        session.run_until(horizon);
+        assert!(session.trace_divergence().is_none());
+        session.finish_trace().expect("verifies");
+        assert_eq!(session.finish().0, direct);
+    }
+
+    #[test]
+    fn traces_from_the_previous_format_version_are_refused() {
+        let config = MarketConfig::new(20, 10).sample_interval(SimDuration::from_secs(100));
+        let path = TracePath::new("old_version");
+        record_run(&config, 5, SimTime::from_secs(200), &path.0);
+        // The version word follows the 8-byte magic.
+        let mut bytes = std::fs::read(&path.0).expect("trace bytes");
+        bytes[8..12].copy_from_slice(&(scrip_des::trace::TRACE_VERSION - 1).to_le_bytes());
+        std::fs::write(&path.0, &bytes).expect("rewrite");
+        let mut session = Session::from_config(&config, 5).expect("builds");
+        let err = session
+            .replay_from(&path.0)
+            .expect_err("old version refused");
+        assert!(
+            err.to_string().contains("unsupported trace version 2"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::error::CoreError;
 /// Magic prefix of every snapshot ("SCRIPCKP" as bytes).
 pub(crate) const MAGIC: [u8; 8] = *b"SCRIPCKP";
 /// Format version; bump on any layout change.
-pub(crate) const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 2;
 
 /// An append-only snapshot encoder.
 #[derive(Debug, Default)]

@@ -22,7 +22,6 @@
 //! | `topology`              | `scale-free` \| `complete` \| `ring` \| `regular:DEGREE` |
 //! | `sample`                | float > 0 (Gini sampling interval, seconds)    |
 //! | `availability-feedback` | `true` \| `false`                              |
-//! | `shards`                | integer ≥ 1 (execution shards; output identical) |
 //! | `streaming`             | `none` \| `paced:CHUNK_RATE` (chunk-level market) |
 //!
 //! Setting `streaming = paced:CHUNK_RATE` switches the realized market
@@ -100,7 +99,7 @@ use crate::pricing::PricingConfig;
 /// The spec keys, in canonical serialization order. The `streaming`
 /// toggle precedes its sub-keys so serialized specs always re-parse
 /// (sub-keys require streaming to be enabled).
-pub const MARKET_SPEC_KEYS: [&str; 31] = [
+pub const MARKET_SPEC_KEYS: [&str; 30] = [
     "peers",
     "credits",
     "base-rate",
@@ -112,7 +111,6 @@ pub const MARKET_SPEC_KEYS: [&str; 31] = [
     "topology",
     "sample",
     "availability-feedback",
-    "shards",
     "faults",
     "faults.onset",
     "faults.retries",
@@ -339,11 +337,9 @@ impl MarketSpec {
                 };
             }
             "shards" => {
-                let shards = parse_usize(key, value)?;
-                if shards == 0 {
-                    return Err(bad(key, value, "an integer >= 1"));
-                }
-                self.config.shards = shards;
+                return Err(CoreError::Config(
+                    "`shards` was removed: execution is always serial".into(),
+                ))
             }
             "faults" => {
                 self.config.faults = if value == "none" {
@@ -556,7 +552,6 @@ impl MarketSpec {
             },
             "sample" => c.sample_interval.as_secs_f64().to_string(),
             "availability-feedback" => c.availability_feedback.to_string(),
-            "shards" => c.shards.to_string(),
             "faults" => match &c.faults {
                 None => "none".into(),
                 Some(f) => format!(
@@ -659,7 +654,6 @@ mod tests {
             ("sample", "50"),
             ("availability-feedback", "true"),
             ("streaming", "paced:2"),
-            ("shards", "4"),
             ("faults", "0.1:0.05:0.02:0.2"),
             ("faults.onset", "50"),
             ("faults.retries", "5"),
@@ -813,8 +807,6 @@ mod tests {
             ("topology", "torus"),
             ("sample", "0"),
             ("availability-feedback", "yes"),
-            ("shards", "0"),
-            ("shards", "two"),
             ("streaming", "fast"),
             ("streaming", "paced:0"),
             ("streaming.window", "64"),

@@ -173,11 +173,9 @@ impl<E> EventQueue<E> {
     /// Re-enqueues an already-sequenced event, preserving its original
     /// `(time, seq)` identity.
     ///
-    /// This is the routing primitive for kernels that distribute one
-    /// logical event stream over several queues (e.g.
-    /// [`crate::shard::ShardedSimulation`]): because the sequence
-    /// number is kept, merging any set of queues by `(time, seq)`
-    /// reproduces the order a single queue would have popped. The
+    /// This is the restore primitive for snapshots and checkpoints:
+    /// because the sequence number is kept, a queue rebuilt from a
+    /// drained snapshot pops in the order the original would have. The
     /// local counter is bumped past `scheduled.seq` so later
     /// [`EventQueue::push`]es on this queue never collide with it.
     pub fn push_scheduled(&mut self, scheduled: Scheduled<E>) {
@@ -193,18 +191,6 @@ impl<E> EventQueue<E> {
         match &mut self.backend {
             QueueBackend::Heap(h) => h.pop(),
             QueueBackend::Wheel(w) => w.pop(),
-        }
-    }
-
-    /// Removes and returns the earliest pending event if it activates
-    /// at or before `limit`.
-    pub fn pop_due(&mut self, limit: SimTime) -> Option<Scheduled<E>> {
-        match &mut self.backend {
-            QueueBackend::Heap(h) => match h.peek() {
-                Some(s) if s.time <= limit => h.pop(),
-                _ => None,
-            },
-            QueueBackend::Wheel(w) => w.pop_due(limit),
         }
     }
 
@@ -336,14 +322,6 @@ impl<E> Scheduler<E> {
     /// sequencing scheduler, which never runs ahead of this one.
     pub fn enqueue_scheduled(&mut self, scheduled: Scheduled<E>) {
         self.queue.push_scheduled(scheduled);
-    }
-
-    /// Removes and returns the earliest pending event activating at or
-    /// before `limit`, **without** touching the clock. Sharded kernels
-    /// use this to drain a window's events into a staging buffer; the
-    /// clock is advanced separately at the window barrier.
-    pub fn pop_due(&mut self, limit: SimTime) -> Option<Scheduled<E>> {
-        self.queue.pop_due(limit)
     }
 
     /// Pops the next event and advances the clock to its activation time.

@@ -19,11 +19,11 @@
 //! * With faults disabled the plan is never constructed and the global
 //!   stream is untouched, so every fault-free golden stays
 //!   byte-identical.
-//! * Plan draws are consumed in **event-apply order**. The sharded
-//!   kernel ([`crate::ShardedSimulation`]) replays the exact serial
-//!   `(time, seq)` apply order at every shard count, so the fault
-//!   schedule — and everything downstream of it — is byte-identical
-//!   across thread and shard counts.
+//! * Plan draws are consumed in **event-apply order**. The kernel
+//!   applies events in strict `(time, seq)` order — time first, ties
+//!   broken by scheduling order — and that order is a function of the
+//!   seed alone, so the fault schedule, and everything downstream of
+//!   it, is byte-identical across runs and thread counts.
 
 use crate::rng::{SeedSequence, SimRng};
 use crate::time::{SimDuration, SimTime};

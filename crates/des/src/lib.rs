@@ -22,9 +22,6 @@
 //!   seed-derived schedules of peer crashes, delivery drops/delays, and
 //!   defections, drawn from a dedicated RNG stream so fault-free runs
 //!   are byte-identical with the plan absent.
-//! * [`shard`] — a sharded kernel ([`ShardedSimulation`]) that partitions
-//!   one run's event stream over per-shard queues advancing in lockstep
-//!   tick windows, byte-identical to the serial kernel for any shard count.
 //! * [`sampler`] / [`wheel`] — the O(1)-amortized hot-path primitives for
 //!   million-peer runs: a draw-compatible Fenwick weighted sampler
 //!   ([`FenwickSampler`]) and a calendar-queue event store
@@ -74,7 +71,6 @@ pub mod event;
 pub mod fault;
 pub mod rng;
 pub mod sampler;
-pub mod shard;
 pub mod sim;
 pub mod stats;
 pub mod time;
@@ -85,7 +81,6 @@ pub use event::{EventQueue, QueueProfile, Scheduled, Scheduler};
 pub use fault::{DeliveryOutcome, FaultKind, FaultPlan, FaultSpec, FaultStats};
 pub use rng::{SeedSequence, SimRng};
 pub use sampler::FenwickSampler;
-pub use shard::{CrossShardLog, LoggedEffect, ShardCtx, ShardModel, ShardedSimulation};
 pub use sim::{Model, RunStats, Simulation};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceError, TraceFrame, TraceHeader, TraceReader, TraceTailer, TraceWriter};

@@ -118,7 +118,7 @@ impl SimRng {
 ///
 /// Batch experiments run the same model many times — across replications,
 /// grid points, and worker threads — and must stay reproducible no matter
-/// how the work is sharded. `SeedSequence` maps a root seed plus a stream
+/// how the work is split. `SeedSequence` maps a root seed plus a stream
 /// index to a statistically independent 64-bit seed using the SplitMix64
 /// finalizer, so the seed of job `(case, replication)` depends only on
 /// those coordinates, never on scheduling order or thread count.

@@ -47,7 +47,7 @@ use crate::time::SimTime;
 /// Magic prefix of every trace file ("SCRIPTRC" as bytes).
 pub const TRACE_MAGIC: [u8; 8] = *b"SCRIPTRC";
 /// Trace format version; bump on any layout change.
-pub const TRACE_VERSION: u32 = 2;
+pub const TRACE_VERSION: u32 = 3;
 
 /// Frame tag for an applied event.
 const TAG_EVENT: u8 = 0x01;

@@ -236,21 +236,6 @@ impl<E> TimingWheel<E> {
         popped
     }
 
-    /// Removes and returns the earliest pending event if it activates at
-    /// or before `limit`.
-    pub fn pop_due(&mut self, limit: SimTime) -> Option<Scheduled<E>> {
-        if self.live.is_empty() {
-            self.rotate();
-        }
-        match self.live.peek() {
-            Some(s) if s.time <= limit => {
-                self.len -= 1;
-                self.live.pop()
-            }
-            _ => None,
-        }
-    }
-
     /// The activation time of the earliest pending event, without
     /// rotating. O(1) while the live heap is non-empty; at a rotation
     /// boundary it costs one bitmap scan plus one bucket scan.
@@ -345,19 +330,6 @@ mod tests {
         assert_eq!(w.len(), 2);
         assert_eq!(w.pop().map(|s| s.seq), Some(1));
         assert_eq!(w.peek_time(), Some(SimTime::from_micros(5_000_000)));
-    }
-
-    #[test]
-    fn pop_due_respects_limit() {
-        let mut w = TimingWheel::new(8, SimDuration::from_millis(1));
-        w.push(sched(500, 0));
-        w.push(sched(1_500, 1));
-        assert_eq!(
-            w.pop_due(SimTime::from_micros(1_000)).map(|s| s.seq),
-            Some(0)
-        );
-        assert_eq!(w.pop_due(SimTime::from_micros(1_000)), None);
-        assert_eq!(w.len(), 1);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use scrip_des::dist::{AliasTable, Exp, Geometric, Poisson};
 use scrip_des::{
-    CrossShardLog, EventQueue, FenwickSampler, Model, QueueProfile, Scheduler, ShardCtx,
-    ShardModel, ShardedSimulation, SimDuration, SimRng, SimTime, Simulation,
+    EventQueue, FenwickSampler, Model, QueueProfile, Scheduler, SimDuration, SimRng, SimTime,
+    Simulation,
 };
 
 /// The O(deg) cumulative-weight walk `FenwickSampler::pick` replaces,
@@ -38,55 +38,6 @@ impl Model for Recorder {
     type Event = ();
     fn handle(&mut self, now: SimTime, _ev: (), _s: &mut Scheduler<()>) {
         self.seen.push(now);
-    }
-}
-
-/// Records the exact delivery order of keyed events and spawns a
-/// bounded cascade of follow-ups, so both the staged streams and the
-/// intra-window live heap get exercised. The serial [`Model`] and the
-/// [`ShardModel`] impls share one body: any divergence in delivery
-/// order shows up as differing `seen` logs.
-struct KeyedRecorder {
-    shards: usize,
-    seen: Vec<(SimTime, u64)>,
-}
-
-impl KeyedRecorder {
-    fn new(shards: usize) -> Self {
-        KeyedRecorder {
-            shards,
-            seen: Vec::new(),
-        }
-    }
-
-    fn observe(&mut self, now: SimTime, key: u64, scheduler: &mut Scheduler<u64>) {
-        self.seen.push((now, key));
-        // One generation of follow-ups: some land inside the current
-        // window (live heap), some well past it (staged lanes).
-        if key < 1_000 {
-            scheduler.schedule_at(now + SimDuration::from_micros(key % 709 + 1), key + 1_000);
-            scheduler.schedule_at(now + SimDuration::from_secs(key % 3 + 1), key + 2_000);
-        }
-    }
-}
-
-impl Model for KeyedRecorder {
-    type Event = u64;
-    fn handle(&mut self, now: SimTime, key: u64, scheduler: &mut Scheduler<u64>) {
-        self.observe(now, key, scheduler);
-    }
-}
-
-impl ShardModel for KeyedRecorder {
-    type Event = u64;
-    fn shard_count(&self) -> usize {
-        self.shards
-    }
-    fn route(&self, key: &u64) -> usize {
-        *key as usize % self.shards
-    }
-    fn handle(&mut self, now: SimTime, key: u64, _ctx: ShardCtx, scheduler: &mut Scheduler<u64>) {
-        self.observe(now, key, scheduler);
     }
 }
 
@@ -185,78 +136,6 @@ proptest! {
         }
     }
 
-    /// The sharded kernel delivers exactly the serial event stream for
-    /// every shard count, worker count, and window width — arbitrary
-    /// seed events plus cascading follow-ups included.
-    #[test]
-    fn sharded_delivery_matches_serial(
-        times in prop::collection::vec((0u64..4_000_000, 0u64..1_000), 1..80),
-        shards in 1usize..6,
-        workers in 1usize..4,
-        window_micros in 1u64..3_000_000,
-    ) {
-        let mut serial = Simulation::new(KeyedRecorder::new(shards));
-        for &(t, key) in &times {
-            serial.schedule(SimTime::from_micros(t), key);
-        }
-        let horizon = SimTime::from_secs(10);
-        serial.run_until(horizon);
-
-        let mut sharded = ShardedSimulation::new(
-            KeyedRecorder::new(shards),
-            SimDuration::from_micros(window_micros),
-        )
-        .with_workers(workers);
-        for &(t, key) in &times {
-            sharded.schedule(SimTime::from_micros(t), key);
-        }
-        sharded.run_until(horizon);
-
-        prop_assert_eq!(&sharded.model().seen, &serial.model().seen);
-        prop_assert_eq!(sharded.now(), serial.now());
-    }
-
-    /// Settling the cross-shard log applies effects in ascending
-    /// `(tick, source shard, seq)` order no matter the push order —
-    /// i.e. the merge is invariant under worker completion-order
-    /// permutations.
-    #[test]
-    fn cross_shard_settle_order_is_push_order_invariant(
-        raw in prop::collection::vec((0u64..6, 0u32..5, 0u64..500), 1..120),
-        shuffle_seed in 0u64..1_000,
-        through in 0u64..6,
-    ) {
-        // Unique (tick, shard, seq) keys, as the log contract requires.
-        let mut entries = raw;
-        entries.sort_unstable();
-        entries.dedup();
-        // A seeded Fisher–Yates permutation stands in for arbitrary
-        // worker completion order.
-        let mut rng = SimRng::seed_from_u64(shuffle_seed);
-        for i in (1..entries.len()).rev() {
-            entries.swap(i, rng.index(i + 1));
-        }
-
-        let mut log = CrossShardLog::new();
-        for &(tick, shard, seq) in &entries {
-            log.push(tick, shard, seq, (tick, shard, seq));
-        }
-        let mut applied = Vec::new();
-        log.settle_through(through, |effect| applied.push(effect.payload));
-
-        let mut expected: Vec<(u64, u32, u64)> = entries
-            .iter()
-            .copied()
-            .filter(|&(tick, _, _)| tick <= through)
-            .collect();
-        expected.sort_unstable();
-        prop_assert_eq!(applied, expected);
-        prop_assert_eq!(
-            log.len(),
-            entries.iter().filter(|&&(tick, _, _)| tick > through).count()
-        );
-    }
-
     /// `FenwickSampler::pick` selects the same index as the naive linear
     /// cumulative walk for arbitrary weight vectors (zero-weight entries
     /// and single-element vectors included) across the whole target
@@ -315,11 +194,11 @@ proptest! {
 
     /// A wheel-backed `EventQueue` pops the exact `(time, seq)` sequence
     /// the binary-heap backend pops, under random interleavings of
-    /// schedule/pop/pop_due with same-time ties and far-future overflow
+    /// schedule/pop with same-time ties and far-future overflow
     /// events, for arbitrary wheel sizing hints.
     #[test]
     fn wheel_pops_exact_heap_sequence(
-        ops in prop::collection::vec((0u8..5, 0u64..40, 0u64..1_000), 1..250),
+        ops in prop::collection::vec((0u8..4, 0u64..40, 0u64..1_000), 1..250),
         expected_events in 1usize..600,
         delay_micros in 1u64..5_000_000,
     ) {
@@ -348,14 +227,8 @@ proptest! {
                     wheel.push(t, ev);
                     ev += 1;
                 }
-                3 => {
-                    let (a, b) = (heap.pop(), wheel.pop());
-                    prop_assert_eq!(a.as_ref().map(|s| (s.time, s.seq, s.event)),
-                                    b.as_ref().map(|s| (s.time, s.seq, s.event)));
-                }
                 _ => {
-                    let limit = SimTime::from_micros(coarse * 1_000_000 + fine);
-                    let (a, b) = (heap.pop_due(limit), wheel.pop_due(limit));
+                    let (a, b) = (heap.pop(), wheel.pop());
                     prop_assert_eq!(a.as_ref().map(|s| (s.time, s.seq, s.event)),
                                     b.as_ref().map(|s| (s.time, s.seq, s.event)));
                 }

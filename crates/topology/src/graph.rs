@@ -369,7 +369,7 @@ impl Graph {
     ///
     /// Since IDs are handed out densely from zero and never reused,
     /// every ID ever allocated is `< next_raw_id()` — the watermark
-    /// lets layered state (shard maps, wallet mirrors) detect freshly
+    /// lets layered state (such as wallet mirrors) detect freshly
     /// added nodes by comparing watermarks around a mutation.
     pub fn next_raw_id(&self) -> u64 {
         self.next_id

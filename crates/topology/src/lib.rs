@@ -16,8 +16,6 @@
 //! * [`churn`] — join/leave operations that keep the overlay connected.
 //! * [`metrics`] — degree statistics, power-law exponent MLE, clustering
 //!   coefficient and connectivity checks.
-//! * [`partition`] — deterministic balanced edge-cut partitioning of the
-//!   overlay into `k` regions, for sharded execution of a single run.
 //!
 //! ## Example
 //!
@@ -43,8 +41,6 @@ pub mod churn;
 pub mod generators;
 pub mod graph;
 pub mod metrics;
-pub mod partition;
 
 pub use arena::{PeerArena, SlotRemoval};
 pub use graph::{Graph, GraphError, NodeId};
-pub use partition::Partition;

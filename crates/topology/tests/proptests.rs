@@ -5,7 +5,7 @@ use scrip_des::SimRng;
 use scrip_topology::churn::ChurnTopology;
 use scrip_topology::generators::{self, ScaleFreeConfig};
 use scrip_topology::metrics;
-use scrip_topology::{Graph, Partition};
+use scrip_topology::Graph;
 
 proptest! {
     /// The handshake lemma holds under arbitrary edit sequences.
@@ -76,78 +76,5 @@ proptest! {
         let g = generators::erdos_renyi(n, p, &mut rng).expect("generated");
         let expected = 2.0 * g.edge_count() as f64 / n as f64;
         prop_assert!((metrics::mean_degree(&g) - expected).abs() < 1e-12);
-    }
-
-    /// `Partition::regions(k)` is a true partition on arbitrary graphs
-    /// — including disconnected ones and graphs with ID gaps from
-    /// churn: every node lands in exactly one region, region sizes hit
-    /// the exact `n/k + (s < n % k)` balance targets, `shard_of` agrees
-    /// with region membership, and the result is deterministic.
-    #[test]
-    fn partition_regions_is_a_true_partition(
-        n in 1usize..80,
-        p in 0.0f64..1.0,
-        k in 1usize..10,
-        departures in 0usize..10,
-        seed in 0u64..30,
-    ) {
-        let mut rng = SimRng::seed_from_u64(seed);
-        let mut g = generators::erdos_renyi(n, p, &mut rng).expect("generated");
-        // Remove a few nodes so raw IDs have gaps (the post-churn shape
-        // the sharded market partitions).
-        let churn = ChurnTopology::new(3);
-        for _ in 0..departures {
-            if g.node_count() <= 1 {
-                break;
-            }
-            let ids: Vec<_> = g.node_ids().collect();
-            churn.leave(&mut g, ids[rng.index(ids.len())]).expect("live");
-        }
-
-        let part = Partition::regions(&g, k);
-        prop_assert_eq!(part.shard_count(), k);
-        prop_assert_eq!(part.node_count(), g.node_count());
-
-        // Every node in exactly one region, and shard_of agrees.
-        let mut assigned: Vec<_> = (0..k).flat_map(|s| part.region(s).iter().copied()).collect();
-        assigned.sort_unstable();
-        let mut expected: Vec<_> = g.node_ids().collect();
-        expected.sort_unstable();
-        prop_assert_eq!(&assigned, &expected);
-        for s in 0..k {
-            for &id in part.region(s) {
-                prop_assert_eq!(part.shard_of(id), Some(s));
-            }
-        }
-
-        // Exact balance targets: sizes differ by at most one.
-        let nodes = g.node_count();
-        for s in 0..k {
-            prop_assert_eq!(part.region(s).len(), nodes / k + usize::from(s < nodes % k));
-        }
-
-        // Frontier nodes are exactly the members with a cross-shard
-        // neighbor; the edge cut counts each cross edge once.
-        let mut cut = 0usize;
-        for id in g.node_ids() {
-            let s = part.shard_of(id).expect("member");
-            let crossing = g
-                .neighbor_slice(id)
-                .unwrap_or(&[])
-                .iter()
-                .filter(|&&nb| part.shard_of(nb) != Some(s))
-                .count();
-            cut += crossing;
-            let on_frontier = part.frontier(s).contains(&id);
-            prop_assert_eq!(on_frontier, crossing > 0);
-        }
-        prop_assert_eq!(part.edge_cut(), cut / 2);
-
-        // RNG-free and ascending-ID: recomputing gives the identical
-        // assignment.
-        let again = Partition::regions(&g, k);
-        for id in g.node_ids() {
-            prop_assert_eq!(again.shard_of(id), part.shard_of(id));
-        }
     }
 }

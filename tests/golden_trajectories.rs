@@ -65,35 +65,6 @@ fn config_b() -> (MarketConfig, u64, u64) {
 fn render(label: &str, config: MarketConfig, seed: u64, horizon_secs: u64) -> String {
     let market = scrip_core::market::run_market(config, seed, SimTime::from_secs(horizon_secs))
         .expect("market runs");
-    render_market(label, seed, horizon_secs, &market)
-}
-
-/// Renders the same run executed through the sharded kernel at `shards`
-/// execution shards. Byte-identity means the block must match
-/// [`render`]'s exactly, so the *unmodified* blessed fixtures also pin
-/// the sharded runner bit-for-bit.
-fn render_sharded(
-    label: &str,
-    config: MarketConfig,
-    seed: u64,
-    horizon_secs: u64,
-    shards: usize,
-) -> String {
-    let market = scrip_core::sharded::run_sharded_market(
-        config.shards(shards),
-        seed,
-        SimTime::from_secs(horizon_secs),
-    )
-    .expect("sharded market runs");
-    render_market(label, seed, horizon_secs, &market)
-}
-
-fn render_market(
-    label: &str,
-    seed: u64,
-    horizon_secs: u64,
-    market: &scrip_core::market::CreditMarket,
-) -> String {
     let mut out = String::new();
     writeln!(out, "[{label} seed={seed} horizon={horizon_secs}]").unwrap();
     writeln!(out, "balances={:?}", market.ledger().balances_vec()).unwrap();
@@ -196,28 +167,4 @@ fn market_trajectories_match_pre_refactor_goldens() {
         "seeded market trajectories drifted from the pre-refactor goldens \
          (regenerate with SCRIP_BLESS=1 only for intentional changes)"
     );
-}
-
-/// The sharded kernel must reproduce the *unmodified* blessed fixtures
-/// bit for bit at every shard count — the same golden file pins both
-/// runners, with no sharded-specific regeneration.
-#[test]
-fn sharded_runner_reproduces_blessed_goldens() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
-    for shards in [1, 2, 8] {
-        let (ca, seed_a, horizon_a) = config_a();
-        let block = render_sharded("availability-feedback", ca, seed_a, horizon_a, shards);
-        assert!(
-            golden.contains(&block),
-            "config A at shards={shards} drifted from the blessed golden:\n{block}"
-        );
-        let (cb, seed_b, horizon_b) = config_b();
-        let block = render_sharded("tax-churn-dynamic", cb, seed_b, horizon_b, shards);
-        assert!(
-            golden.contains(&block),
-            "config B at shards={shards} drifted from the blessed golden:\n{block}"
-        );
-    }
 }

@@ -1,10 +1,8 @@
 //! Differential-replay harness for the `SCRIPTRC` event-trace stack.
 //!
-//! The tentpole claim is that a recorded trace is a complete,
-//! execution-strategy-independent transcript of a run: recording at any
-//! shard count produces byte-identical traces, and replay-verifying the
-//! trace under any shard count or queue profile reproduces the recorded
-//! run bit-for-bit — every event `(time, seq, payload)` identity, every
+//! The claim is that a recorded trace is a complete transcript of a
+//! run: replay-verifying the trace reproduces the recorded run
+//! bit-for-bit — every event `(time, seq, payload)` identity, every
 //! boundary state digest, and the final `RunRecord`. These tests pin
 //! that claim over *arbitrary* configurations (churn × faults × tax ×
 //! queue profile) via proptest, and pin the bisection search to the
@@ -113,56 +111,28 @@ fn replay_run(config: &MarketConfig, seed: u64, horizon: SimTime, path: &Path) -
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// For arbitrary configurations, a trace recorded at any shard
-    /// count is byte-identical to the serial recording, and replaying
-    /// it under shards 1/2/8 reproduces the recorded run bit-for-bit
-    /// (every event identity, every boundary digest, and the final
-    /// `RunRecord`).
+    /// For arbitrary configurations, replaying a recorded trace
+    /// reproduces the recorded run bit-for-bit (every event identity,
+    /// every boundary digest, and the final `RunRecord`).
     #[test]
-    fn replay_reproduces_arbitrary_runs_at_every_shard_count(
+    fn replay_reproduces_arbitrary_runs(
         n in 30usize..70,
         asymmetric in proptest::bool::ANY,
         churn in proptest::bool::ANY,
         faults in proptest::bool::ANY,
         tax in proptest::bool::ANY,
-        record_shards_ix in 0usize..3,
         seed in 0u64..1_000,
     ) {
-        let record_shards = [1usize, 2, 8][record_shards_ix];
         let horizon = SimTime::from_secs(500);
         let config = arbitrary_config(n, asymmetric, churn, faults, tax);
         let trace = TracePath::new(&format!("prop_{seed}_{n}"));
-        let recorded = record_run(&config.clone().shards(record_shards), seed, horizon, trace.path());
+        let recorded = record_run(&config, seed, horizon, trace.path());
         let bytes = std::fs::read(trace.path()).expect("trace readable");
         prop_assert!(bytes.len() > 28, "trace must hold frames beyond the header");
 
-        // Recording is execution-strategy independent: every other
-        // shard count emits the same bytes — same event stream, same
-        // digest frames, bit for bit.
-        for shards in [1usize, 2, 8] {
-            if shards == record_shards {
-                continue;
-            }
-            let other = TracePath::new(&format!("prop_{seed}_{n}_s{shards}"));
-            record_run(&config.clone().shards(shards), seed, horizon, other.path());
-            let other_bytes = std::fs::read(other.path()).expect("trace readable");
-            prop_assert_eq!(
-                &bytes, &other_bytes,
-                "trace bytes diverged between shards={} and shards={}",
-                record_shards, shards
-            );
-        }
-
-        // Replay-verification passes at every shard count and yields
-        // the identical run record.
-        for shards in [1usize, 2, 8] {
-            let replayed = replay_run(&config.clone().shards(shards), seed, horizon, trace.path());
-            prop_assert_eq!(
-                &recorded, &replayed,
-                "RunRecord diverged on replay at shards={}",
-                shards
-            );
-        }
+        // Replay-verification passes and yields the identical run record.
+        let replayed = replay_run(&config, seed, horizon, trace.path());
+        prop_assert_eq!(&recorded, &replayed, "RunRecord diverged on replay");
     }
 }
 
