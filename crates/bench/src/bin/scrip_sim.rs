@@ -27,13 +27,13 @@ use std::process::ExitCode;
 use scrip_bench::figures;
 use scrip_bench::scale::RunScale;
 use scrip_bench::scenario::{
-    run_scenario, session_probes, CaseResult, Metric, ReplicationRun, ResolvedCase, RunnerOptions,
-    Scenario, ScenarioResult,
+    cadence, checkpoint_to, run_driven, run_scenario, Driver, Metric, Replication, RunnerOptions,
+    Scenario, ScenarioError, ScenarioResult,
 };
 use scrip_bench::serve::{Client, ServeOptions, Server};
 use scrip_core::des::{SimTime, TraceFrame, TraceReader, TraceTailer};
-use scrip_core::market::MarketEvent;
-use scrip_core::obs::{ids, RunRecord, Session};
+use scrip_core::market::{MarketConfig, MarketEvent};
+use scrip_core::obs::Session;
 
 const USAGE: &str = "\
 scrip-sim — scenario-driven experiment runner for the scrip reproduction
@@ -237,10 +237,42 @@ fn run_builtin(name: &str, options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn run_file(path: &str, options: &Options) -> Result<(), String> {
+/// Reads and parses a scenario file.
+fn load_scenario(path: &str) -> Result<Scenario, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let scenario = Scenario::parse_str(&text).map_err(|e| format!("{path}: {e}"))?;
+    Scenario::parse_str(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Loads a scenario file that runs exactly one replication — the shape
+/// checkpointed runs, `record`, `replay` and `bisect` need — with its
+/// market.
+fn load_single(path: &str, verb: &str) -> Result<(Scenario, MarketConfig), String> {
+    let scenario = load_scenario(path)?;
+    let config = scenario
+        .single_config()
+        .map_err(|e| format!("{path}: {verb}: {e}"))?;
+    Ok((scenario, config))
+}
+
+fn run_file(path: &str, options: &Options) -> Result<(), String> {
+    let scenario = load_scenario(path)?;
     let result = run_scenario(&scenario, &RunnerOptions::with_threads(options.threads))
+        .map_err(|e| format!("{path}: {e}"))?;
+    emit_result(&result, options);
+    Ok(())
+}
+
+/// Runs a single-replication scenario file through `driver` and prints
+/// it in the `run` output format — byte-identical to a plain run, since
+/// the driver only pauses, snapshots or traces the one execution path.
+fn run_single(
+    path: &str,
+    verb: &str,
+    driver: &dyn Driver,
+    options: &Options,
+) -> Result<(), String> {
+    let (scenario, _) = load_single(path, verb)?;
+    let result = run_driven(&scenario, &RunnerOptions::with_threads(1), driver)
         .map_err(|e| format!("{path}: {e}"))?;
     emit_result(&result, options);
     Ok(())
@@ -272,161 +304,92 @@ fn emit_result(result: &ScenarioResult, options: &Options) {
     }
 }
 
-/// Writes `bytes` to `path` via a temp file + rename, so an interrupted
-/// write can never leave a truncated checkpoint behind.
-fn write_atomic(path: &str, bytes: &[u8]) -> Result<(), String> {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, bytes).map_err(|e| format!("{tmp}: {e}"))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("{path}: {e}"))
+/// `run --checkpoint-every/--resume`: resumes from a snapshot when asked
+/// and writes a crash-safe one at every interior multiple of the
+/// interval (the final state needs none: its output is already emitted).
+struct Checkpointing {
+    resume: Option<String>,
+    every_secs: Option<u64>,
+    path: String,
 }
 
-/// Runs one scenario file through a directly-driven [`Session`],
-/// writing periodic on-disk checkpoints and/or resuming from a prior
-/// snapshot. The probe set and output format match the batch runner
-/// exactly, and chunked `run_until` calls do not change probe dispatch,
-/// so summary and CSV output are byte-identical to a plain
+impl Driver for Checkpointing {
+    fn open(&self, rep: &Replication<'_>) -> Result<Session, ScenarioError> {
+        if rep.config.streaming.is_some() {
+            return Err(ScenarioError::Config(
+                "streaming (chunk-level) scenarios cannot checkpoint".into(),
+            ));
+        }
+        let Some(snapshot) = &self.resume else {
+            return rep.fresh();
+        };
+        std::fs::read(snapshot)
+            .map_err(|e| e.to_string())
+            .and_then(|bytes| rep.resume(&bytes).map_err(|e| e.to_string()))
+            .map_err(|e| ScenarioError::Run(format!("{snapshot}: {e}")))
+    }
+
+    fn pauses(&self, rep: &Replication<'_>) -> Vec<SimTime> {
+        self.every_secs.map_or_else(Vec::new, |secs| {
+            cadence(secs.saturating_mul(1_000_000), rep.horizon())
+        })
+    }
+
+    fn at_pause(&self, _rep: &Replication<'_>, session: &Session) -> Result<(), ScenarioError> {
+        checkpoint_to(session, Path::new(&self.path))
+    }
+}
+
+/// Runs one scenario file with on-disk checkpoints and/or resuming from
+/// a prior snapshot; the output is byte-identical to a plain
 /// `scrip-sim run` of the same file — resumed or not.
 fn run_file_checkpointed(path: &str, options: &Options) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let scenario = Scenario::parse_str(&text).map_err(|e| format!("{path}: {e}"))?;
-    let cases = scenario.expand().map_err(|e| format!("{path}: {e}"))?;
-    let [case] = cases.as_slice() else {
-        return Err(format!(
-            "{path}: checkpointed runs support exactly one case (this scenario expands to {})",
-            cases.len()
-        ));
-    };
-    if scenario.run.replications != 1 {
-        return Err(format!(
-            "{path}: checkpointed runs support exactly one replication (got {})",
-            scenario.run.replications
-        ));
-    }
-    let config = case
-        .spec
-        .build()
-        .map_err(|e| format!("{path}: case {:?}: {e}", case.label))?;
-    if config.streaming.is_some() {
-        return Err(format!(
-            "{path}: streaming (chunk-level) scenarios cannot checkpoint"
-        ));
-    }
-
-    let seed = scenario.run.seed;
-    let probes = session_probes(&scenario.run);
-    let start = std::time::Instant::now();
-    let mut session = match &options.resume {
-        Some(snapshot) => {
-            let bytes = std::fs::read(snapshot).map_err(|e| format!("{snapshot}: {e}"))?;
-            Session::resume(&config, probes, &bytes).map_err(|e| format!("{snapshot}: {e}"))?
-        }
-        None => {
-            let mut session =
-                Session::from_config(&config, seed).map_err(|e| format!("{path}: {e}"))?;
-            for probe in probes {
-                session.attach(probe);
-            }
-            session
-        }
-    };
-
-    // Checkpoints land at interior multiples of the interval; the final
-    // state needs no snapshot because its output is already emitted.
-    if let Some(step) = options.checkpoint_every {
-        let checkpoint_path = options
+    let driver = Checkpointing {
+        resume: options.resume.clone(),
+        every_secs: options.checkpoint_every,
+        path: options
             .checkpoint_file
             .clone()
             .or_else(|| options.resume.clone())
-            .unwrap_or_else(|| format!("{path}.ckpt"));
-        let mut t = step;
-        while t < scenario.run.horizon_secs {
-            let boundary = SimTime::from_secs(t);
-            if boundary > session.now() {
-                session.run_until(boundary);
-                let bytes = session.checkpoint().map_err(|e| format!("{path}: {e}"))?;
-                write_atomic(&checkpoint_path, &bytes)?;
-            }
-            t = match t.checked_add(step) {
-                Some(next) => next,
-                None => break,
-            };
-        }
-    }
-    session.run_until(SimTime::from_secs(scenario.run.horizon_secs));
-    let wall = start.elapsed();
-
-    let (record, _model) = session.finish();
-    if record.get(ids::WEALTH_GINI).is_none() {
-        return Err(format!(
-            "{path}: seed {seed}: market has no peers at the horizon"
-        ));
-    }
-    let result = ScenarioResult {
-        scenario: scenario.clone(),
-        cases: vec![CaseResult {
-            label: case.label.clone(),
-            spec: case.spec.clone(),
-            reps: vec![ReplicationRun { seed, record }],
-            wall,
-        }],
-        wall,
+            .unwrap_or_else(|| format!("{path}.ckpt")),
     };
-    emit_result(&result, options);
-    Ok(())
+    run_single(path, "checkpointed run", &driver, options)
 }
 
-/// Loads a scenario file and requires it to expand to exactly one case
-/// with one replication — the shape `record`/`replay`/`bisect` drive
-/// through a directly-owned [`Session`].
-fn load_single_case(path: &str, verb: &str) -> Result<(Scenario, ResolvedCase), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let scenario = Scenario::parse_str(&text).map_err(|e| format!("{path}: {e}"))?;
-    let cases = scenario.expand().map_err(|e| format!("{path}: {e}"))?;
-    if cases.len() != 1 {
-        return Err(format!(
-            "{path}: {verb} supports exactly one case (this scenario expands to {})",
-            cases.len()
-        ));
-    }
-    if scenario.run.replications != 1 {
-        return Err(format!(
-            "{path}: {verb} supports exactly one replication (got {})",
-            scenario.run.replications
-        ));
-    }
-    let case = cases.into_iter().next().expect("length checked");
-    Ok((scenario, case))
+/// `record`/`replay`: a trace attached before the first event and
+/// completed at the horizon — for a replay, that is also where a
+/// recorded run that went on longer is caught.
+struct Tracing {
+    path: String,
+    replay: bool,
 }
 
-/// Formats a finished single-case session in the standard `run` output
-/// shape (so record/replay output is comparable byte-for-byte with a
-/// plain run and with each other).
-fn emit_single_case(
-    path: &str,
-    scenario: &Scenario,
-    case: &ResolvedCase,
-    record: RunRecord,
-    wall: std::time::Duration,
-    options: &Options,
-) -> Result<(), String> {
-    let seed = scenario.run.seed;
-    if record.get(ids::WEALTH_GINI).is_none() {
-        return Err(format!(
-            "{path}: seed {seed}: market has no peers at the horizon"
-        ));
+impl Tracing {
+    fn fail(&self, e: impl std::fmt::Display) -> ScenarioError {
+        ScenarioError::Run(format!("{}: {e}", self.path))
     }
-    let result = ScenarioResult {
-        scenario: scenario.clone(),
-        cases: vec![CaseResult {
-            label: case.label.clone(),
-            spec: case.spec.clone(),
-            reps: vec![ReplicationRun { seed, record }],
-            wall,
-        }],
-        wall,
-    };
-    emit_result(&result, options);
-    Ok(())
+}
+
+impl Driver for Tracing {
+    fn open(&self, rep: &Replication<'_>) -> Result<Session, ScenarioError> {
+        let mut session = rep.fresh()?;
+        let path = Path::new(&self.path);
+        let attached = if self.replay {
+            session.replay_from(path)
+        } else {
+            session.record_to(path)
+        };
+        attached.map_err(|e| self.fail(e))?;
+        Ok(session)
+    }
+
+    fn at_horizon(
+        &self,
+        _rep: &Replication<'_>,
+        session: &mut Session,
+    ) -> Result<(), ScenarioError> {
+        session.finish_trace().map_err(|e| self.fail(e))
+    }
 }
 
 /// The trace path for a scenario file: `--trace PATH` or `FILE.scn.trc`.
@@ -444,28 +407,14 @@ fn cmd_record(options: &Options) -> Result<(), String> {
     let [target] = options.targets.as_slice() else {
         return Err("record: expected exactly one scenario file".into());
     };
-    let (scenario, case) = load_single_case(target, "record")?;
-    let config = case
-        .spec
-        .build()
-        .map_err(|e| format!("{target}: case {:?}: {e}", case.label))?;
-    let trace_path = trace_path_for(target, options);
-    let start = std::time::Instant::now();
-    let mut session =
-        Session::from_config(&config, scenario.run.seed).map_err(|e| format!("{target}: {e}"))?;
-    session
-        .record_to(Path::new(&trace_path))
-        .map_err(|e| format!("{trace_path}: {e}"))?;
-    for probe in session_probes(&scenario.run) {
-        session.attach(probe);
-    }
-    session.run_until(SimTime::from_secs(scenario.run.horizon_secs));
-    session
-        .finish_trace()
-        .map_err(|e| format!("{trace_path}: {e}"))?;
-    let wall = start.elapsed();
-    eprintln!("recorded {trace_path}");
-    emit_single_case(target, &scenario, &case, session.finish().0, wall, options)
+    let path = trace_path_for(target, options);
+    let driver = Tracing {
+        path: path.clone(),
+        replay: false,
+    };
+    run_single(target, "record", &driver, options)?;
+    eprintln!("recorded {path}");
+    Ok(())
 }
 
 /// `scrip-sim replay FILE.scn [--trace IN.trc]`: re-execute the scenario against a recorded trace, fail-closed. On
@@ -476,28 +425,14 @@ fn cmd_replay(options: &Options) -> Result<(), String> {
     let [target] = options.targets.as_slice() else {
         return Err("replay: expected exactly one scenario file".into());
     };
-    let (scenario, case) = load_single_case(target, "replay")?;
-    let config = case
-        .spec
-        .build()
-        .map_err(|e| format!("{target}: case {:?}: {e}", case.label))?;
-    let trace_path = trace_path_for(target, options);
-    let start = std::time::Instant::now();
-    let mut session =
-        Session::from_config(&config, scenario.run.seed).map_err(|e| format!("{target}: {e}"))?;
-    session
-        .replay_from(Path::new(&trace_path))
-        .map_err(|e| format!("{trace_path}: {e}"))?;
-    for probe in session_probes(&scenario.run) {
-        session.attach(probe);
-    }
-    session.run_until(SimTime::from_secs(scenario.run.horizon_secs));
-    session
-        .finish_trace()
-        .map_err(|e| format!("{trace_path}: {e}"))?;
-    let wall = start.elapsed();
-    eprintln!("replay verified against {trace_path}");
-    emit_single_case(target, &scenario, &case, session.finish().0, wall, options)
+    let path = trace_path_for(target, options);
+    let driver = Tracing {
+        path: path.clone(),
+        replay: true,
+    };
+    run_single(target, "replay", &driver, options)?;
+    eprintln!("replay verified against {path}");
+    Ok(())
 }
 
 /// Renders one decoded frame for `trace-diff` output.
@@ -590,11 +525,7 @@ fn cmd_bisect(options: &Options) -> Result<(), String> {
     let Some(trace_path) = options.trace.clone() else {
         return Err("bisect: --trace IN.trc is required".into());
     };
-    let (scenario, case) = load_single_case(target, "bisect")?;
-    let config = case
-        .spec
-        .build()
-        .map_err(|e| format!("{target}: case {:?}: {e}", case.label))?;
+    let (scenario, config) = load_single(target, "bisect")?;
     let report = scrip_bench::bisect::bisect_trace(
         &config,
         scenario.run.seed,
@@ -707,8 +638,7 @@ fn cmd_check(options: &Options) -> Result<(), String> {
         return Err("check: no scenario file given".into());
     }
     for path in &options.targets {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let scenario = Scenario::parse_str(&text).map_err(|e| format!("{path}: {e}"))?;
+        let scenario = load_scenario(path)?;
         scenario.validate().map_err(|e| format!("{path}: {e}"))?;
         let cases = scenario.expand().map_err(|e| format!("{path}: {e}"))?;
         let jobs = cases.len() * scenario.run.replications;

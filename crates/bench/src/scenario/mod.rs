@@ -24,21 +24,24 @@
 //! Execution is handled by [`runner::run_scenario`], which spreads the
 //! `cases × replications` grid over worker threads with deterministic
 //! per-job seeds ([`scrip_des::SeedSequence`]) and merges results in job
-//! order — output is byte-identical for any thread count.
+//! order — output is byte-identical for any thread count. Callers that
+//! checkpoint, trace or serve a run steer the same path through
+//! [`runner::run_driven`] and a [`runner::Driver`].
 
 mod parse;
 pub mod runner;
 
 use std::fmt;
 
+use scrip_core::market::MarketConfig;
 use scrip_core::obs::{probes as obs_probes, Probe};
 use scrip_core::spec::MarketSpec;
 use scrip_core::CoreError;
 
 pub use parse::ParseError;
 pub use runner::{
-    parallel_map, run_scenario, session_probes, set_thread_override, CaseResult, ReplicationRun,
-    RunnerOptions, ScenarioResult,
+    cadence, checkpoint_to, parallel_map, run_driven, run_scenario, set_thread_override,
+    write_atomic, CaseResult, Driver, Replication, ReplicationRun, RunnerOptions, ScenarioResult,
 };
 
 /// Default RNG seed of a scenario that does not specify one.
@@ -537,6 +540,32 @@ impl Scenario {
         Ok(())
     }
 
+    /// The market of a scenario that runs exactly one replication — one
+    /// case and `replications = 1` — the shape checkpointing, trace
+    /// recording and bisection drive.
+    ///
+    /// # Errors
+    /// Returns [`ScenarioError::Config`] for any other shape or an
+    /// invalid market.
+    pub fn single_config(&self) -> Result<MarketConfig, ScenarioError> {
+        let cases = self.expand()?;
+        let [case] = cases.as_slice() else {
+            return Err(ScenarioError::Config(format!(
+                "expected exactly one case, this scenario expands to {}",
+                cases.len()
+            )));
+        };
+        if self.run.replications != 1 {
+            return Err(ScenarioError::Config(format!(
+                "expected exactly one replication, got {}",
+                self.run.replications
+            )));
+        }
+        case.spec
+            .build()
+            .map_err(|e| ScenarioError::Config(format!("case {:?}: {e}", case.label)))
+    }
+
     /// Checks the scenario end to end: run parameters, snapshot times,
     /// grammar-representable names/labels, and that every expanded case
     /// builds a valid market.
@@ -656,6 +685,16 @@ mod tests {
         let mut sc = demo();
         sc.cases[0].label = "my case".into();
         assert!(sc.validate().is_err(), "non-identifier label");
+    }
+
+    #[test]
+    fn single_config_requires_one_case_and_one_replication() {
+        assert!(demo().single_config().is_err(), "four cases");
+        let mut sc = Scenario::new("one", MarketSpec::new(40, 20));
+        assert_eq!(sc.single_config().expect("one job").initial_credits, 20);
+        sc.run.replications = 2;
+        let err = sc.single_config().expect_err("two replications");
+        assert!(err.to_string().contains("exactly one replication"), "{err}");
     }
 
     #[test]

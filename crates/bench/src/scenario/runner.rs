@@ -20,15 +20,26 @@
 //! which makes single-replication batch runs reproduce direct
 //! [`scrip_core::market::run_market`]-style calls exactly and reduces
 //! variance when comparing grid points.
+//!
+//! Every way of executing a scenario goes through this one recipe: the
+//! plain batch ([`run_scenario`]) as well as the checkpointing, recording
+//! and replaying CLI verbs and the job daemon's workers, which only
+//! supply a [`Driver`] — where a replication's session comes from, where
+//! it pauses, and what happens at a pause and at the horizon. Pauses
+//! split `run_until` into chunks, which the session contract makes
+//! output-neutral, so a driven run's CSV is the plain batch's byte for
+//! byte.
 
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use scrip_core::des::{SeedSequence, SimTime};
 use scrip_core::market::MarketConfig;
-use scrip_core::obs::{ids, RunRecord, Session};
+use scrip_core::obs::{ids, Probe, RunRecord, Session};
 use scrip_core::spec::MarketSpec;
+use scrip_core::CoreError;
 use scrip_econ::aggregate::{aggregate_rows, SummaryStats};
 
 use super::{Metric, RunSpec, Scenario, ScenarioError};
@@ -523,55 +534,179 @@ impl ScenarioResult {
     }
 }
 
-/// The probes one job attaches: every always-on registry metric (they
-/// back [`ReplicationRun`]'s accessors and the summary lines) plus any
-/// additionally requested ones, deduplicated.
-fn attached_metrics(requested: &[Metric]) -> Vec<Metric> {
-    let mut out: Vec<Metric> = Metric::registry()
+/// The probes one replication attaches, in attach order: every
+/// always-on registry metric (they back [`ReplicationRun`]'s accessors
+/// and the summary lines) plus any additionally requested ones,
+/// deduplicated.
+fn probes(run: &RunSpec) -> Vec<Box<dyn Probe>> {
+    let mut metrics: Vec<Metric> = Metric::registry()
         .into_iter()
         .filter(Metric::always_on)
         .collect();
-    for &metric in requested {
-        if !out.contains(&metric) {
-            out.push(metric);
+    for &metric in &run.metrics {
+        if !metrics.contains(&metric) {
+            metrics.push(metric);
         }
     }
-    out
+    metrics.iter().map(|m| m.make_probe(run)).collect()
 }
 
-/// The probe set one scenario job attaches, in attach order: always-on
-/// registry metrics plus `run.metrics` extras. Exposed so a CLI driving
-/// a [`Session`] directly (e.g. the checkpointed `scrip-sim run` path)
-/// builds byte-identically the same probes as [`run_scenario`].
-pub fn session_probes(run: &RunSpec) -> Vec<Box<dyn scrip_core::obs::Probe>> {
-    attached_metrics(&run.metrics)
-        .iter()
-        .map(|m| m.make_probe(run))
+/// One replication of a scenario, as a [`Driver`] sees it.
+pub struct Replication<'a> {
+    /// The label of its case.
+    pub label: &'a str,
+    /// The case's market.
+    pub config: &'a MarketConfig,
+    /// The replication's seed.
+    pub seed: u64,
+    /// The scenario's run parameters.
+    pub run: &'a RunSpec,
+}
+
+impl Replication<'_> {
+    /// The simulated horizon.
+    pub fn horizon(&self) -> SimTime {
+        SimTime::from_secs(self.run.horizon_secs)
+    }
+
+    /// A fresh session of this replication with the scenario's probe
+    /// set attached.
+    ///
+    /// # Errors
+    /// Returns [`ScenarioError::Run`] when the market cannot be built.
+    pub fn fresh(&self) -> Result<Session, ScenarioError> {
+        let mut session = Session::from_config(self.config, self.seed)
+            .map_err(|e| ScenarioError::Run(format!("seed {}: {e}", self.seed)))?;
+        for probe in probes(self.run) {
+            session.attach(probe);
+        }
+        Ok(session)
+    }
+
+    /// Resumes this replication from a [`Session::checkpoint`] snapshot,
+    /// restoring the same probe set.
+    ///
+    /// # Errors
+    /// Returns the snapshot's decode or configuration-mismatch error.
+    pub fn resume(&self, snapshot: &[u8]) -> Result<Session, CoreError> {
+        Session::resume(self.config, probes(self.run), snapshot)
+    }
+}
+
+/// How a caller steers each replication of [`run_driven`]. Every method
+/// has a default; a driver that overrides none runs the plain batch.
+pub trait Driver: Sync {
+    /// The session the replication runs: [`Replication::fresh`] by
+    /// default. Override to resume a snapshot or attach a trace or a
+    /// sample sink.
+    ///
+    /// # Errors
+    /// An error fails the replication.
+    fn open(&self, rep: &Replication<'_>) -> Result<Session, ScenarioError> {
+        rep.fresh()
+    }
+
+    /// Ascending simulated times strictly inside the horizon at which
+    /// the run stops for [`Driver::at_pause`]; a resumed session skips
+    /// those at or before its clock. None by default.
+    fn pauses(&self, _rep: &Replication<'_>) -> Vec<SimTime> {
+        Vec::new()
+    }
+
+    /// Called at each pause.
+    ///
+    /// # Errors
+    /// An error stops and fails the replication.
+    fn at_pause(&self, _rep: &Replication<'_>, _session: &Session) -> Result<(), ScenarioError> {
+        Ok(())
+    }
+
+    /// Called once the session reached the horizon, before it finishes.
+    ///
+    /// # Errors
+    /// An error fails the replication.
+    fn at_horizon(
+        &self,
+        _rep: &Replication<'_>,
+        _session: &mut Session,
+    ) -> Result<(), ScenarioError> {
+        Ok(())
+    }
+}
+
+/// The plain batch: every [`Driver`] default.
+struct Straight;
+
+impl Driver for Straight {}
+
+/// The multiples of `step_us` microseconds strictly inside `horizon`,
+/// ascending; empty for a zero step. Pause schedules are built from it.
+pub fn cadence(step_us: u64, horizon: SimTime) -> Vec<SimTime> {
+    if step_us == 0 {
+        return Vec::new();
+    }
+    (1u64..)
+        .map_while(|k| k.checked_mul(step_us))
+        .take_while(|&t| t < horizon.as_micros())
+        .map(SimTime::from_micros)
         .collect()
 }
 
-/// Simulates one market to the horizon through a unified
-/// [`Session`]: a config whose `streaming` is set runs at chunk
-/// granularity, everything else runs the queue-level spend loop — the
-/// attached probes observe either one identically.
-fn run_one(
-    config: &MarketConfig,
-    seed: u64,
-    run: &RunSpec,
+/// Writes `bytes` to `path` through `PATH.tmp` and a rename, so a reader
+/// never observes a partial file.
+///
+/// # Errors
+/// Returns [`ScenarioError::Run`] naming the file that failed.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), ScenarioError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    std::fs::write(&tmp, bytes)
+        .map_err(|e| ScenarioError::Run(format!("{}: {e}", tmp.display())))?;
+    std::fs::rename(&tmp, path).map_err(|e| ScenarioError::Run(format!("{}: {e}", path.display())))
+}
+
+/// Snapshots `session` ([`Session::checkpoint`]) to `path` with
+/// [`write_atomic`], so a run resuming after a crash never reads a
+/// partial snapshot.
+///
+/// # Errors
+/// Returns [`ScenarioError::Run`] when the session cannot checkpoint or
+/// the file cannot be written.
+pub fn checkpoint_to(session: &Session, path: &Path) -> Result<(), ScenarioError> {
+    let bytes = session
+        .checkpoint()
+        .map_err(|e| ScenarioError::Run(e.to_string()))?;
+    write_atomic(path, &bytes)
+}
+
+/// One replication through `driver`: open, advance pause by pause, run
+/// to the horizon, finish. A market with no peers left at the horizon
+/// fails, since its wealth statistics are undefined.
+fn run_replication(
+    rep: &Replication<'_>,
+    driver: &dyn Driver,
 ) -> Result<ReplicationRun, ScenarioError> {
-    let mut session = Session::from_config(config, seed)
-        .map_err(|e| ScenarioError::Run(format!("seed {seed}: {e}")))?;
-    for metric in attached_metrics(&run.metrics) {
-        session.attach(metric.make_probe(run));
+    let mut session = driver.open(rep)?;
+    for pause in driver.pauses(rep) {
+        if pause > session.now() {
+            session.run_until(pause);
+            driver.at_pause(rep, &session)?;
+        }
     }
-    session.run_until(SimTime::from_secs(run.horizon_secs));
+    session.run_until(rep.horizon());
+    driver.at_horizon(rep, &mut session)?;
     let (record, _model) = session.finish();
     if record.get(ids::WEALTH_GINI).is_none() {
         return Err(ScenarioError::Run(format!(
-            "seed {seed}: market has no peers at the horizon"
+            "seed {}: market has no peers at the horizon",
+            rep.seed
         )));
     }
-    Ok(ReplicationRun { seed, record })
+    Ok(ReplicationRun {
+        seed: rep.seed,
+        record,
+    })
 }
 
 /// Runs a scenario's full `cases × replications` grid, spread across
@@ -584,6 +719,18 @@ fn run_one(
 pub fn run_scenario(
     scenario: &Scenario,
     options: &RunnerOptions,
+) -> Result<ScenarioResult, ScenarioError> {
+    run_driven(scenario, options, &Straight)
+}
+
+/// [`run_scenario`] with `driver` steering every replication.
+///
+/// # Errors
+/// As [`run_scenario`]; an error from the driver fails its replication.
+pub fn run_driven(
+    scenario: &Scenario,
+    options: &RunnerOptions,
+    driver: &dyn Driver,
 ) -> Result<ScenarioResult, ScenarioError> {
     scenario.validate_params()?;
     let cases = scenario.expand()?;
@@ -601,14 +748,30 @@ pub fn run_scenario(
         .flat_map(|case| (0..reps as u64).map(move |rep| (case, rep)))
         .collect();
     let threads = options.effective_threads(jobs.len());
+    // Lowest index of a failed job so far. Jobs after it are skipped:
+    // the batch reports the first failure in job order, and that job is
+    // never skipped since no earlier job failed.
+    let first_failure = AtomicUsize::new(usize::MAX);
 
     let start = Instant::now();
     let outcomes: Vec<(Result<ReplicationRun, ScenarioError>, Duration)> =
         parallel_map(jobs.len(), threads, |i| {
+            if i > first_failure.load(Ordering::SeqCst) {
+                let skipped = ScenarioError::Run("skipped after an earlier failure".into());
+                return (Err(skipped), Duration::ZERO);
+            }
             let (case, rep) = jobs[i];
-            let seed = seq.replication_seed(rep);
+            let replication = Replication {
+                label: &cases[case].label,
+                config: &configs[case],
+                seed: seq.replication_seed(rep),
+                run: &scenario.run,
+            };
             let t0 = Instant::now();
-            let run = run_one(&configs[case], seed, &scenario.run);
+            let run = run_replication(&replication, driver);
+            if run.is_err() {
+                first_failure.fetch_min(i, Ordering::SeqCst);
+            }
             (run, t0.elapsed())
         });
     let wall = start.elapsed();
@@ -787,6 +950,87 @@ mod tests {
         let queue = run_scenario(&tiny_scenario(), &RunnerOptions::default()).expect("runs");
         assert!(queue.cases[0].single().stalls().is_empty());
         assert!(!queue.summary_lines()[0].contains("stall="));
+    }
+
+    /// Pauses at an odd cadence and resumes every replication from a
+    /// mid-run snapshot of itself.
+    struct Hopping;
+
+    impl Driver for Hopping {
+        fn open(&self, rep: &Replication<'_>) -> Result<Session, ScenarioError> {
+            let mut session = rep.fresh()?;
+            session.run_until(SimTime::from_secs(130));
+            let bytes = session
+                .checkpoint()
+                .expect("queue-level sessions checkpoint");
+            rep.resume(&bytes)
+                .map_err(|e| ScenarioError::Run(e.to_string()))
+        }
+
+        fn pauses(&self, rep: &Replication<'_>) -> Vec<SimTime> {
+            cadence(37_000_000, rep.horizon())
+        }
+    }
+
+    #[test]
+    fn driven_runs_match_the_plain_batch() {
+        let sc = tiny_scenario();
+        let plain = run_scenario(&sc, &RunnerOptions::with_threads(1)).expect("runs");
+        let driven = run_driven(&sc, &RunnerOptions::with_threads(2), &Hopping).expect("runs");
+        assert_eq!(plain.to_csv(), driven.to_csv());
+    }
+
+    /// Fails every replication at its first pause, counting openings.
+    struct Failing(AtomicUsize);
+
+    impl Driver for Failing {
+        fn open(&self, rep: &Replication<'_>) -> Result<Session, ScenarioError> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            rep.fresh()
+        }
+
+        fn pauses(&self, rep: &Replication<'_>) -> Vec<SimTime> {
+            cadence(100_000_000, rep.horizon())
+        }
+
+        fn at_pause(&self, rep: &Replication<'_>, _session: &Session) -> Result<(), ScenarioError> {
+            Err(ScenarioError::Run(format!("halted seed {}", rep.seed)))
+        }
+    }
+
+    #[test]
+    fn the_first_failure_in_job_order_stops_the_batch() {
+        let sc = tiny_scenario();
+        for threads in [1, 4] {
+            let driver = Failing(AtomicUsize::new(0));
+            let err =
+                run_driven(&sc, &RunnerOptions::with_threads(threads), &driver).expect_err("fails");
+            assert_eq!(
+                err,
+                ScenarioError::Run(format!("halted seed {}", sc.run.seed))
+            );
+            if threads == 1 {
+                assert_eq!(driver.0.load(Ordering::SeqCst), 1, "later jobs are skipped");
+            }
+        }
+    }
+
+    #[test]
+    fn cadence_lists_interior_multiples() {
+        let secs = |v: Vec<SimTime>| {
+            v.iter()
+                .map(|t| t.as_micros() / 1_000_000)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            secs(cadence(100_000_000, SimTime::from_secs(300))),
+            [100, 200]
+        );
+        assert!(cadence(0, SimTime::from_secs(300)).is_empty());
+        assert_eq!(
+            cadence(u64::MAX, SimTime::from_secs(300)),
+            Vec::<SimTime>::new()
+        );
     }
 
     #[test]

@@ -289,25 +289,14 @@ fn handle_submit(
         return refuse(writer, "scenario must be UTF-8");
     };
     // Validate up front so a bad scenario is the submitter's error, not
-    // a failed job: parse, parameter checks, expansion, config builds.
+    // a failed job: `validate` checks the parameters and builds every
+    // expanded case.
     let scenario = match Scenario::parse_str(&text) {
         Ok(scenario) => scenario,
         Err(e) => return refuse(writer, &one_line(&format!("bad scenario: {e}"))),
     };
     if let Err(e) = scenario.validate() {
         return refuse(writer, &one_line(&format!("bad scenario: {e}")));
-    }
-    let cases = match scenario.expand() {
-        Ok(cases) => cases,
-        Err(e) => return refuse(writer, &one_line(&format!("bad scenario: {e}"))),
-    };
-    for case in &cases {
-        if let Err(e) = case.spec.build() {
-            return refuse(
-                writer,
-                &one_line(&format!("bad scenario: case {:?}: {e}", case.label)),
-            );
-        }
     }
     let name = sanitize_token(name.as_deref().unwrap_or(&scenario.name));
     // Default checkpoint cadence: a tenth of the horizon, at least 1s.
@@ -526,7 +515,7 @@ fn handle_drain(shared: &Arc<Shared>, writer: &mut TcpStream) -> Result<(), Stri
 }
 
 /// Collapses a multi-line message into one protocol-safe line.
-fn one_line(msg: &str) -> String {
+pub(super) fn one_line(msg: &str) -> String {
     msg.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 

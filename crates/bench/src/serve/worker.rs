@@ -1,18 +1,16 @@
-//! The worker pool: claims jobs off the shared queue and runs them
-//! through the scenario runner's exact execution recipe, with periodic
-//! checkpoints, live sample streaming, cancel-at-boundary, and
-//! wall-clock timeouts.
+//! The worker pool: claims jobs off the shared queue and runs each one
+//! through the scenario runner ([`run_driven`]), whose [`Driver`] hooks
+//! add periodic checkpoints, live sample streaming, cancel-at-boundary,
+//! and wall-clock timeouts.
 //!
-//! **Determinism.** A worker reproduces [`run_scenario`]'s output byte
-//! for byte: same case expansion order, same per-replication seed
-//! derivation (`SeedSequence::new(seed).replication_seed(rep)`), same
-//! probe set ([`session_probes`]), same `WEALTH_GINI` guard — only the
-//! CSV bytes are persisted, and the CSV contains no wall-clock values.
-//! Chunked `run_until` calls at checkpoint/sample boundaries are
-//! output-neutral (the session contract), and a resumed checkpoint
-//! finishes byte-identically to an uninterrupted run (the PR 8
-//! invariant), so a served CSV equals `scrip-sim run`'s even across a
-//! daemon kill.
+//! **Determinism.** The runner is the batch runner itself, so case
+//! expansion, seed derivation, probe set and the horizon guard are
+//! [`run_scenario`](crate::scenario::run_scenario)'s by construction —
+//! only the CSV bytes are persisted, and the CSV contains no wall-clock
+//! values. The pauses at checkpoint/sample boundaries split `run_until`
+//! into chunks, which is output-neutral (the session contract), and a
+//! resumed checkpoint finishes byte-identically to an uninterrupted run,
+//! so a served CSV equals `scrip-sim run`'s even across a daemon kill.
 
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
@@ -20,13 +18,17 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use scrip_core::des::trace::{TraceHeader, TraceWriter};
-use scrip_core::des::{SeedSequence, SimTime};
-use scrip_core::obs::{ids, LiveSample, Session};
+use scrip_core::des::SimTime;
+use scrip_core::market::MarketConfig;
+use scrip_core::obs::{LiveSample, Session};
 
 use super::journal::{JobRecord, JobState};
-use super::server::Shared;
+use super::server::{one_line, Shared};
 use super::THROTTLE_ENV;
-use crate::scenario::{session_probes, CaseResult, ReplicationRun, Scenario, ScenarioResult};
+use crate::scenario::{
+    cadence, checkpoint_to, run_driven, write_atomic, Driver, Replication, RunnerOptions, Scenario,
+    ScenarioError,
+};
 
 /// Claims and runs jobs until shutdown.
 pub(super) fn worker_loop(shared: &Arc<Shared>) {
@@ -77,6 +79,12 @@ pub(super) fn worker_loop(shared: &Arc<Shared>) {
 struct SampleLog {
     writer: TraceWriter<BufWriter<std::fs::File>>,
     seq: u64,
+    /// Events of the job's finished replications.
+    done_events: u64,
+    /// How far the job has run — clock and total events at the last
+    /// pause or horizon — for the end frame.
+    clock: SimTime,
+    events: u64,
 }
 
 impl SampleLog {
@@ -92,7 +100,13 @@ impl SampleLog {
         // Flush the header immediately so subscribers can validate it
         // before the first boundary lands.
         writer.flush().map_err(|e| e.to_string())?;
-        Ok(SampleLog { writer, seq: 0 })
+        Ok(SampleLog {
+            writer,
+            seq: 0,
+            done_events: 0,
+            clock: SimTime::ZERO,
+            events: 0,
+        })
     }
 
     /// Appends one boundary sample. Telemetry is best-effort: I/O
@@ -120,234 +134,183 @@ impl SampleLog {
             .and_then(|()| self.writer.flush());
     }
 
-    /// Closes the log with the format's end frame (written on every
-    /// terminal state, so subscribers always see an explicit end).
-    fn end(&mut self, time: SimTime, events: u64) {
+    /// Notes how far `session` has run; `finished` marks its
+    /// replication done.
+    fn progress(&mut self, session: &Session, finished: bool) {
+        self.clock = session.now();
+        self.events = self.done_events + session.stats().events_processed;
+        if finished {
+            self.done_events = self.events;
+        }
+    }
+
+    /// Closes the log with the format's end frame.
+    fn end(&mut self) {
         let _ = self
             .writer
-            .end(time, events)
+            .end(self.clock, self.events)
             .and_then(|()| self.writer.flush());
+    }
+}
+
+/// The runner hooks of one job.
+struct JobDriver<'a> {
+    shared: &'a Shared,
+    job: &'a JobRecord,
+    ckpt_path: PathBuf,
+    /// Whether the job has the one shape `Session::checkpoint` supports
+    /// (one case, one replication, queue-level). Any other job restarts
+    /// from scratch after a daemon kill, which is merely slower, not
+    /// wrong.
+    checkpointed: bool,
+    samples: Arc<Mutex<SampleLog>>,
+    throttle: Option<Duration>,
+    deadline: Option<Instant>,
+}
+
+impl Driver for JobDriver<'_> {
+    fn open(&self, rep: &Replication<'_>) -> Result<Session, ScenarioError> {
+        let resumed = if self.checkpointed {
+            std::fs::read(&self.ckpt_path)
+                .ok()
+                .and_then(|bytes| rep.resume(&bytes).ok())
+        } else {
+            None
+        };
+        let mut session = match resumed {
+            Some(session) => session,
+            None => {
+                // No usable snapshot (none yet, stale, or damaged): a
+                // clean start is slower but just as deterministic.
+                let _ = std::fs::remove_file(&self.ckpt_path);
+                rep.fresh()?
+            }
+        };
+        let log = Arc::clone(&self.samples);
+        let (label, seed) = (rep.label.to_string(), rep.seed);
+        session.stream_samples_to(Box::new(move |sample: &LiveSample| {
+            log.lock()
+                .expect("sample log lock")
+                .push(&label, seed, sample);
+        }));
+        Ok(session)
+    }
+
+    fn pauses(&self, rep: &Replication<'_>) -> Vec<SimTime> {
+        stop_schedule(rep.config, self.job.checkpoint_every, rep.horizon())
+    }
+
+    fn at_pause(&self, _rep: &Replication<'_>, session: &Session) -> Result<(), ScenarioError> {
+        if let Some(pause) = self.throttle {
+            std::thread::sleep(pause);
+        }
+        self.samples
+            .lock()
+            .expect("sample log lock")
+            .progress(session, false);
+        let every_us = self.job.checkpoint_every.saturating_mul(1_000_000);
+        if self.checkpointed && every_us > 0 && session.now().as_micros() % every_us == 0 {
+            checkpoint_to(session, &self.ckpt_path)?;
+        }
+        if self.shared.cancel_requested(&self.job.id) {
+            // Stop at this boundary, keeping a final snapshot of
+            // qualifying jobs; `run_job` reports the job cancelled, not
+            // failed.
+            if self.checkpointed {
+                checkpoint_to(session, &self.ckpt_path)?;
+            }
+            return Err(ScenarioError::Run("cancelled".into()));
+        }
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(ScenarioError::Run(format!(
+                "timed out after {}s",
+                self.job.timeout_secs
+            )));
+        }
+        Ok(())
+    }
+
+    fn at_horizon(
+        &self,
+        _rep: &Replication<'_>,
+        session: &mut Session,
+    ) -> Result<(), ScenarioError> {
+        self.samples
+            .lock()
+            .expect("sample log lock")
+            .progress(session, true);
+        Ok(())
     }
 }
 
 /// Runs one job to a terminal state. Never panics the worker: every
 /// failure becomes `JobState::Failed`.
-fn run_job(shared: &Arc<Shared>, job: &JobRecord) -> JobState {
-    match execute(shared, job) {
-        Ok(state) => state,
-        Err(msg) => JobState::Failed(one_line(&msg)),
-    }
+fn run_job(shared: &Shared, job: &JobRecord) -> JobState {
+    let (scenario, driver) = match prepare(shared, job) {
+        Ok(prepared) => prepared,
+        Err(msg) => return JobState::Failed(one_line(&msg)),
+    };
+    let csv_path = shared.state_dir.join(format!("job-{}.csv", job.id));
+    let outcome = run_driven(&scenario, &RunnerOptions::with_threads(1), &driver)
+        .and_then(|result| write_atomic(&csv_path, result.to_csv().as_bytes()));
+    let state = match outcome {
+        Ok(()) => {
+            let _ = std::fs::remove_file(&driver.ckpt_path);
+            JobState::Completed
+        }
+        Err(_) if shared.cancel_requested(&job.id) => JobState::Cancelled,
+        Err(e) => JobState::Failed(one_line(&e.to_string())),
+    };
+    // Every terminal state closes the sample log, so subscribers always
+    // see an explicit end.
+    driver.samples.lock().expect("sample log lock").end();
+    state
 }
 
-fn execute(shared: &Arc<Shared>, job: &JobRecord) -> Result<JobState, String> {
+/// Loads a job's scenario and builds its driver. The sample log is
+/// truncated so it matches this execution: a resumed job streams only
+/// post-resume boundaries.
+fn prepare<'a>(
+    shared: &'a Shared,
+    job: &'a JobRecord,
+) -> Result<(Scenario, JobDriver<'a>), String> {
     let dir = &shared.state_dir;
     let scn_path = dir.join(format!("job-{}.scn", job.id));
-    let ckpt_path = dir.join(format!("job-{}.ckpt", job.id));
-    let samples_path = dir.join(format!("job-{}.samples.trc", job.id));
-
     let text =
         std::fs::read_to_string(&scn_path).map_err(|e| format!("{}: {e}", scn_path.display()))?;
     let scenario = Scenario::parse_str(&text).map_err(|e| e.to_string())?;
-    let cases = scenario.expand().map_err(|e| e.to_string())?;
-    let configs: Vec<_> = cases
-        .iter()
-        .map(|c| {
-            c.spec
-                .build()
-                .map_err(|e| format!("case {:?}: {e}", c.label))
-        })
-        .collect::<Result<_, _>>()?;
-    let reps = scenario.run.replications;
-    let horizon = SimTime::from_secs(scenario.run.horizon_secs);
-    // Only this shape can checkpoint (Session::checkpoint's contract);
-    // anything else restarts from scratch after a daemon kill, which is
-    // merely slower, not wrong.
-    let qualifying = cases.len() == 1
-        && reps == 1
-        && configs
-            .first()
-            .is_some_and(|c: &scrip_core::market::MarketConfig| c.streaming.is_none());
-    // Truncating on (re)start keeps the sample log consistent with this
-    // execution: a resumed job streams only post-resume boundaries.
-    let samples = Arc::new(Mutex::new(SampleLog::create(
-        &samples_path,
+    let samples = SampleLog::create(
+        &dir.join(format!("job-{}.samples.trc", job.id)),
         &job.name,
         scenario.run.seed,
-    )?));
-    let throttle = std::env::var(THROTTLE_ENV)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_millis);
-    let deadline =
-        (job.timeout_secs > 0).then(|| Instant::now() + Duration::from_secs(job.timeout_secs));
-    let seq = SeedSequence::new(scenario.run.seed);
-    let start = Instant::now();
-
-    let mut case_results: Vec<CaseResult> = cases
-        .iter()
-        .map(|c| CaseResult {
-            label: c.label.clone(),
-            spec: c.spec.clone(),
-            reps: Vec::with_capacity(reps),
-            wall: Duration::ZERO,
-        })
-        .collect();
-    let mut total_events = 0u64;
-    let mut clock = SimTime::ZERO;
-
-    for (ci, case) in cases.iter().enumerate() {
-        for rep in 0..reps as u64 {
-            let seed = seq.replication_seed(rep);
-            let probes = session_probes(&scenario.run);
-            let rep_start = Instant::now();
-            let mut session = if qualifying && ckpt_path.exists() {
-                let bytes = std::fs::read(&ckpt_path)
-                    .map_err(|e| format!("{}: {e}", ckpt_path.display()))?;
-                match Session::resume(&configs[ci], probes, &bytes) {
-                    Ok(session) => session,
-                    Err(_) => {
-                        // A stale or damaged snapshot falls back to a
-                        // clean start — slower, still deterministic.
-                        let _ = std::fs::remove_file(&ckpt_path);
-                        fresh_session(&configs[ci], seed, &scenario)?
-                    }
-                }
-            } else {
-                fresh_session(&configs[ci], seed, &scenario)?
-            };
-            let label = case.label.clone();
-            let log = Arc::clone(&samples);
-            session.stream_samples_to(Box::new(move |sample: &LiveSample| {
-                log.lock()
-                    .expect("sample log lock")
-                    .push(&label, seed, sample);
-            }));
-
-            // Advance in chunks so cancel/timeout are honored at
-            // boundaries and checkpoints land at their cadence.
-            for stop in stop_schedule(&configs[ci], job.checkpoint_every, horizon) {
-                if stop <= session.now() {
-                    continue;
-                }
-                session.run_until(stop);
-                if let Some(pause) = throttle {
-                    std::thread::sleep(pause);
-                }
-                let at_ckpt = qualifying
-                    && job.checkpoint_every > 0
-                    && stop.as_micros() % (job.checkpoint_every * 1_000_000) == 0
-                    && stop < horizon;
-                if at_ckpt {
-                    let bytes = session.checkpoint().map_err(|e| e.to_string())?;
-                    write_atomic(&ckpt_path, &bytes)?;
-                }
-                if shared.cancel_requested(&job.id) {
-                    // Stop at this boundary: persist a final snapshot
-                    // (qualifying jobs), close the sample log, report
-                    // cancelled — not failed.
-                    if qualifying {
-                        let bytes = session.checkpoint().map_err(|e| e.to_string())?;
-                        write_atomic(&ckpt_path, &bytes)?;
-                    }
-                    let events = session.stats().events_processed;
-                    samples
-                        .lock()
-                        .expect("sample log lock")
-                        .end(session.now(), total_events + events);
-                    return Ok(JobState::Cancelled);
-                }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    let events = session.stats().events_processed;
-                    samples
-                        .lock()
-                        .expect("sample log lock")
-                        .end(session.now(), total_events + events);
-                    return Ok(JobState::Failed(format!(
-                        "timed out after {}s",
-                        job.timeout_secs
-                    )));
-                }
-            }
-            session.run_until(horizon);
-            total_events += session.stats().events_processed;
-            clock = session.now();
-            let (record, _model) = session.finish();
-            if record.get(ids::WEALTH_GINI).is_none() {
-                return Ok(JobState::Failed(format!(
-                    "seed {seed}: market has no peers at the horizon"
-                )));
-            }
-            case_results[ci].reps.push(ReplicationRun { seed, record });
-            case_results[ci].wall += rep_start.elapsed();
-        }
-    }
-
-    let result = ScenarioResult {
-        scenario: scenario.clone(),
-        cases: case_results,
-        wall: start.elapsed(),
-    };
-    write_atomic(
-        &dir.join(format!("job-{}.csv", job.id)),
-        result.to_csv().as_bytes(),
     )?;
-    let _ = std::fs::remove_file(&ckpt_path);
-    samples
-        .lock()
-        .expect("sample log lock")
-        .end(clock, total_events);
-    Ok(JobState::Completed)
-}
-
-fn fresh_session(
-    config: &scrip_core::market::MarketConfig,
-    seed: u64,
-    scenario: &Scenario,
-) -> Result<Session, String> {
-    let mut session = Session::from_config(config, seed).map_err(|e| e.to_string())?;
-    for probe in session_probes(&scenario.run) {
-        session.attach(probe);
-    }
-    Ok(session)
+    let driver = JobDriver {
+        shared,
+        job,
+        ckpt_path: dir.join(format!("job-{}.ckpt", job.id)),
+        checkpointed: scenario
+            .single_config()
+            .is_ok_and(|config| config.streaming.is_none()),
+        samples: Arc::new(Mutex::new(samples)),
+        throttle: std::env::var(THROTTLE_ENV)
+            .ok()
+            .and_then(|v| v.parse::<u64>().ok())
+            .map(Duration::from_millis),
+        deadline: (job.timeout_secs > 0)
+            .then(|| Instant::now() + Duration::from_secs(job.timeout_secs)),
+    };
+    Ok((scenario, driver))
 }
 
 /// The ascending union of sampling-grid and checkpoint-cadence
 /// boundaries strictly inside the horizon: where the worker pauses to
 /// honor cancels/timeouts and to snapshot.
-fn stop_schedule(
-    config: &scrip_core::market::MarketConfig,
-    checkpoint_every: u64,
-    horizon: SimTime,
-) -> Vec<SimTime> {
-    let mut stops: Vec<u64> = Vec::new();
-    let horizon_us = horizon.as_micros();
-    let interval_us = config.sample_interval.as_micros();
-    if interval_us > 0 {
-        let mut t = interval_us;
-        while t < horizon_us {
-            stops.push(t);
-            t += interval_us;
-        }
-    }
-    let ckpt_us = checkpoint_every.saturating_mul(1_000_000);
-    if ckpt_us > 0 {
-        let mut t = ckpt_us;
-        while t < horizon_us {
-            stops.push(t);
-            t += ckpt_us;
-        }
-    }
+fn stop_schedule(config: &MarketConfig, checkpoint_every: u64, horizon: SimTime) -> Vec<SimTime> {
+    let mut stops = cadence(config.sample_interval.as_micros(), horizon);
+    stops.extend(cadence(checkpoint_every.saturating_mul(1_000_000), horizon));
     stops.sort_unstable();
     stops.dedup();
-    stops.into_iter().map(SimTime::from_micros).collect()
-}
-
-/// Writes via a temp file + rename so readers (and a resuming daemon)
-/// never observe a partial file.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
-    let tmp: PathBuf = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes).map_err(|e| format!("{}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("{}: {e}", path.display()))
+    stops
 }
 
 /// FNV-1a over bytes — the sample-log header fingerprint (job-name
@@ -361,15 +324,10 @@ fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Collapses a multi-line failure into one journal/protocol-safe line.
-fn one_line(msg: &str) -> String {
-    msg.split_whitespace().collect::<Vec<_>>().join(" ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{run_scenario, RunnerOptions};
+    use crate::scenario::run_scenario;
     use crate::serve::{Client, ServeOptions, Server};
 
     fn temp_dir(tag: &str) -> PathBuf {
