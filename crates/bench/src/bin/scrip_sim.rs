@@ -46,7 +46,7 @@ USAGE:
     scrip-sim run <FILE.scn> [--checkpoint-every SECS] [--checkpoint-file PATH] [--resume PATH]
     scrip-sim check <FILE.scn>...
     scrip-sim export <NAME>
-    scrip-sim bench [--json] [--out FILE] [--against FILE]
+    scrip-sim bench [--json] [--out FILE] [--against FILE] [--only REGIME[,REGIME...]]
     scrip-sim record <FILE.scn> [--trace OUT.trc]
     scrip-sim replay <FILE.scn> [--trace IN.trc]
     scrip-sim trace-diff <A.trc> <B.trc>
@@ -69,7 +69,9 @@ SCRIP_QUICK=1 shrinks the built-in experiments and the bench suite;
 SCRIP_THREADS or --threads caps worker threads (0 = one per core).
 `bench` measures market events/sec single-threaded, `--json` writes
 BENCH_market.json (or --out FILE), and `--against BASELINE.json` exits
-non-zero when any matching case regresses more than 30%.
+non-zero when any matching case regresses more than 30%. `--only`
+re-measures just the named row families (e.g. `--only churn,faulted`);
+a partial run is written only to an explicit --out FILE.
 --checkpoint-every SECS writes a crash-safe snapshot of a single-case,
 single-replication, queue-level scenario run every SECS simulated
 seconds (to FILE.scn.ckpt, or --checkpoint-file PATH); --resume PATH
@@ -107,6 +109,7 @@ struct Options {
     threads: usize,
     out: Option<String>,
     against: Option<String>,
+    only: Vec<String>,
     checkpoint_every: Option<u64>,
     checkpoint_file: Option<String>,
     resume: Option<String>,
@@ -128,6 +131,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         threads: RunnerOptions::from_env().threads,
         out: None,
         against: None,
+        only: Vec::new(),
         checkpoint_every: None,
         checkpoint_file: None,
         resume: None,
@@ -158,6 +162,18 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--against" => {
                 options.against = Some(iter.next().ok_or("--against expects a path")?.clone());
+            }
+            "--only" => {
+                let list = iter.next().ok_or("--only expects a regime list")?;
+                for regime in list.split(',') {
+                    if !scrip_bench::perf::BENCH_REGIMES.contains(&regime) {
+                        return Err(format!(
+                            "--only: unknown regime {regime:?} (one of {})",
+                            scrip_bench::perf::BENCH_REGIMES.join(", ")
+                        ));
+                    }
+                    options.only.push(regime.to_string());
+                }
             }
             "--checkpoint-every" => {
                 let secs: u64 = iter
@@ -661,9 +677,14 @@ fn cmd_bench(options: &Options) -> Result<(), String> {
             "bench takes no positional arguments (got {stray:?})"
         ));
     }
+    if !options.only.is_empty() && options.json && options.out.is_none() {
+        return Err("bench --only writes a partial report: pass --out FILE \
+                    instead of overwriting BENCH_market.json"
+            .into());
+    }
     let scale = RunScale::from_env();
     eprintln!("running market bench at scale {scale:?} (single-threaded)");
-    let report = scrip_bench::perf::run_bench(scale);
+    let report = scrip_bench::perf::run_bench(scale, &options.only);
     // --out implies writing the file even without --json.
     if options.json || options.out.is_some() {
         let path = options.out.as_deref().unwrap_or("BENCH_market.json");

@@ -6,9 +6,11 @@
 //! fault-injected churn market (`faulted`: 1% drop + 1% defect with
 //! escrowed retries, timing the recovery machinery itself), the
 //! chunk-level streaming market's trade loop, the cost of a wealth Gini
-//! sample at large n, and the observation layer's probe-dispatch
+//! sample at large n, the observation layer's probe-dispatch
 //! overhead (a full probe set attached vs a detached recorder on the
-//! n=10k market). Results are written to `BENCH_market.json` (see
+//! n=10k market), and churn's topology layer alone (`graph_join`:
+//! join+leave pairs on a scale-free overlay). Results are written to
+//! `BENCH_market.json` (see
 //! [`BenchReport::to_json`] for the schema), seeding the repo's
 //! performance trajectory, and CI replays the quick-scale subset to
 //! catch throughput regressions (see [`compare_against`]).
@@ -23,7 +25,10 @@ use scrip_core::obs::Session;
 use scrip_core::policy::TaxConfig;
 use scrip_core::protocol::build_streaming_market;
 use scrip_core::streaming::{StreamEvent, StreamingConfig};
-use scrip_des::{FaultSpec, SimDuration, SimTime, Simulation};
+use scrip_des::{FaultSpec, SimDuration, SimRng, SimTime, Simulation};
+use scrip_topology::churn::ChurnTopology;
+use scrip_topology::generators::{scale_free, ScaleFreeConfig};
+use scrip_topology::NodeId;
 
 use crate::scale::RunScale;
 use crate::scenario::{Metric, RunSpec};
@@ -31,16 +36,14 @@ use crate::scenario::{Metric, RunSpec};
 /// One measured bench case.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchEntry {
-    /// Which hot path this case exercises (`asymmetric`,
-    /// `availability_feedback`, `tax`, `churn`, the paired
-    /// `churn_session`/`churn_recorded` overhead rows, or
-    /// `gini_sample`).
+    /// Which hot path this case exercises: one of [`BENCH_REGIMES`].
     pub regime: String,
     /// Number of peers.
     pub n: usize,
     /// Scale the case ran at (`quick` or `full`).
     pub scale: String,
-    /// Dispatched simulator events (Gini samples for `gini_sample`).
+    /// Dispatched simulator events (Gini samples for `gini_sample`,
+    /// join+leave pairs for `graph_join`).
     pub events: u64,
     /// Wall-clock seconds for the measured section.
     pub wall_secs: f64,
@@ -86,6 +89,24 @@ fn regime_config(regime: &str, n: usize) -> MarketConfig {
 }
 
 const REGIMES: [&str; 4] = ["asymmetric", "availability_feedback", "tax", "churn"];
+
+/// Every row family `scrip-sim bench` measures, by `regime` name — the
+/// values `--only` accepts.
+pub const BENCH_REGIMES: [&str; 13] = [
+    "asymmetric",
+    "availability_feedback",
+    "tax",
+    "churn",
+    "faulted",
+    "churn_session",
+    "churn_recorded",
+    "streaming",
+    "serve_stream",
+    "probe_detached",
+    "probe_attached",
+    "gini_sample",
+    "graph_join",
+];
 
 /// Case list at a scale: (regime, n, horizon_secs). Horizons shrink with
 /// n so every case dispatches a comparable number of events (~2M full,
@@ -466,15 +487,68 @@ fn run_gini_case(n: usize, samples: u64, scale: &str) -> BenchEntry {
     }
 }
 
-/// Runs the full bench suite at `scale`, printing one progress line per
-/// case to stderr.
-pub fn run_bench(scale: RunScale) -> BenchReport {
+/// Churn's topology layer alone at size `n`: `pairs` rounds of one
+/// preferential join (20 attachments, the churn regime's setting) and
+/// one departure of a uniformly random live peer, on a scale-free
+/// overlay. Generation is untimed; the first join's O(n) index build
+/// is timed with the rest. Comparing the rate across n shows how the
+/// join's cost grows with the overlay (O(log n) operations, plus cache
+/// misses once the overlay outgrows the caches).
+fn run_graph_join_case(n: usize, pairs: u64, scale: &str) -> BenchEntry {
+    let mut rng = SimRng::seed_from_u64(42);
+    let config = ScaleFreeConfig::new(n).expect("valid overlay size");
+    let mut graph = scale_free(&config, &mut rng).expect("overlay generates");
+    let churn = ChurnTopology::default();
+    let start = Instant::now();
+    for _ in 0..pairs {
+        churn.join(&mut graph, &mut rng);
+        // Rejection-sample a live id: at most half the ids are dead.
+        let victim = loop {
+            let id = NodeId::from_raw(rng.index(graph.next_raw_id() as usize) as u64);
+            if graph.has_node(id) {
+                break id;
+            }
+        };
+        churn.leave(&mut graph, victim).expect("live peer leaves");
+    }
+    let wall = start.elapsed().as_secs_f64().max(1e-9);
+    assert_eq!(graph.node_count(), n, "pairs keep the population");
+    BenchEntry {
+        regime: "graph_join".into(),
+        n,
+        scale: scale.into(),
+        events: pairs,
+        wall_secs: wall,
+        events_per_sec: pairs as f64 / wall,
+        peak_rss_bytes: peak_rss_bytes(),
+    }
+}
+
+/// `graph_join` cases at a scale: `(n, pairs)`.
+fn graph_join_cases(scale: RunScale) -> Vec<(usize, u64)> {
+    match scale {
+        RunScale::Full => vec![(10_000, 20_000), (100_000, 20_000)],
+        RunScale::Quick => vec![(10_000, 10_000)],
+    }
+}
+
+/// Runs the bench suite at `scale`, printing one progress line per case
+/// to stderr. A non-empty `only` restricts the run to the row families
+/// it names (values from [`BENCH_REGIMES`]); either row of a paired
+/// measurement (`churn_session`/`churn_recorded`,
+/// `probe_detached`/`probe_attached`) selects the pair.
+pub fn run_bench(scale: RunScale, only: &[String]) -> BenchReport {
     let scale_name = match scale {
         RunScale::Full => "full",
         RunScale::Quick => "quick",
     };
+    let wanted =
+        |regimes: &[&str]| only.is_empty() || only.iter().any(|o| regimes.contains(&o.as_str()));
     let mut report = BenchReport::default();
     for (regime, n, horizon) in cases(scale) {
+        if !wanted(&[regime]) {
+            continue;
+        }
         let entry = run_market_case(regime, n, horizon, scale_name);
         eprintln!(
             "bench {regime:<22} n={n:<7} {:>12.0} events/s ({} events in {:.2}s)",
@@ -483,6 +557,9 @@ pub fn run_bench(scale: RunScale) -> BenchReport {
         report.entries.push(entry);
     }
     for (n, horizon) in faulted_cases(scale) {
+        if !wanted(&["faulted"]) {
+            continue;
+        }
         let entry = run_faulted_case(n, horizon, scale_name);
         eprintln!(
             "bench {:<22} n={n:<7} {:>12.0} events/s ({} events in {:.2}s)",
@@ -491,6 +568,9 @@ pub fn run_bench(scale: RunScale) -> BenchReport {
         report.entries.push(entry);
     }
     for (n, horizon) in recorded_cases(scale) {
+        if !wanted(&["churn_session", "churn_recorded"]) {
+            continue;
+        }
         let (anchor, recorded) = run_recorded_case(n, horizon, scale_name);
         for entry in [anchor, recorded] {
             eprintln!(
@@ -501,6 +581,9 @@ pub fn run_bench(scale: RunScale) -> BenchReport {
         }
     }
     for (n, horizon) in streaming_cases(scale) {
+        if !wanted(&["streaming"]) {
+            continue;
+        }
         let entry = run_streaming_case(n, horizon, scale_name);
         eprintln!(
             "bench {:<22} n={n:<7} {:>12.0} events/s ({} events in {:.2}s)",
@@ -509,6 +592,9 @@ pub fn run_bench(scale: RunScale) -> BenchReport {
         report.entries.push(entry);
     }
     for (n, horizon) in serve_cases(scale) {
+        if !wanted(&["serve_stream"]) {
+            continue;
+        }
         let entry = run_serve_case(n, horizon, scale_name);
         eprintln!(
             "bench {:<22} n={n:<7} {:>12.0} events/s ({} events in {:.2}s)",
@@ -530,6 +616,9 @@ pub fn run_bench(scale: RunScale) -> BenchReport {
         report.entries.push(entry);
     }
     for (attached, n, horizon) in probe_cases(scale) {
+        if !wanted(&["probe_detached", "probe_attached"]) {
+            continue;
+        }
         let entry = run_probe_case(attached, n, horizon, scale_name);
         eprintln!(
             "bench {:<22} n={n:<7} {:>12.0} events/s ({} events in {:.2}s)",
@@ -547,9 +636,23 @@ pub fn run_bench(scale: RunScale) -> BenchReport {
         RunScale::Quick => &[(10_000, 1_000_000)],
     };
     for &(n, samples) in gini_sizes {
+        if !wanted(&["gini_sample"]) {
+            continue;
+        }
         let entry = run_gini_case(n, samples, scale_name);
         eprintln!(
             "bench {:<22} n={n:<7} {:>12.0} samples/s ({} samples in {:.4}s)",
+            entry.regime, entry.events_per_sec, entry.events, entry.wall_secs
+        );
+        report.entries.push(entry);
+    }
+    for (n, pairs) in graph_join_cases(scale) {
+        if !wanted(&["graph_join"]) {
+            continue;
+        }
+        let entry = run_graph_join_case(n, pairs, scale_name);
+        eprintln!(
+            "bench {:<22} n={n:<7} {:>12.0} pairs/s ({} join+leave pairs in {:.4}s)",
             entry.regime, entry.events_per_sec, entry.events, entry.wall_secs
         );
         report.entries.push(entry);
@@ -964,6 +1067,32 @@ mod tests {
         assert!(entry.events > 0 && entry.events_per_sec > 0.0);
         let scenario = serve_scenario(100, 50);
         scenario.validate().expect("serve scenario is valid");
+    }
+
+    #[test]
+    fn graph_join_pairs_keep_the_overlay_size() {
+        let entry = run_graph_join_case(500, 200, "quick");
+        assert_eq!(entry.regime, "graph_join");
+        assert_eq!(entry.events, 200);
+        assert!(entry.events_per_sec > 0.0);
+    }
+
+    #[test]
+    fn only_runs_the_named_families() {
+        let report = run_bench(RunScale::Quick, &["graph_join".to_string()]);
+        assert!(!report.entries.is_empty());
+        assert!(report.entries.iter().all(|e| e.regime == "graph_join"));
+    }
+
+    #[test]
+    fn every_bench_family_has_a_known_name() {
+        let mut names: Vec<&str> = cases(RunScale::Quick).iter().map(|c| c.0).collect();
+        names.extend(["faulted", "churn_session", "churn_recorded", "streaming"]);
+        names.extend(["serve_stream", "probe_detached", "probe_attached"]);
+        names.extend(["gini_sample", "graph_join"]);
+        for name in names {
+            assert!(BENCH_REGIMES.contains(&name), "{name} missing");
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@ use crate::error::CoreError;
 use crate::model::{joiner_spending_rate, spending_rates, UtilizationProfile};
 use crate::policy::{SpendingPolicy, TaxConfig, Taxation};
 use crate::pricing::{PricingConfig, PricingModel};
+use crate::snapshot::Put;
 
 /// Churn (peer dynamics) configuration — paper Sec. VI-E.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -338,7 +339,7 @@ pub enum MarketEvent {
 
 impl MarketEvent {
     /// Serializes the event for a checkpoint's queue section.
-    pub(crate) fn encode(&self, w: &mut crate::snapshot::Writer) {
+    pub(crate) fn encode(&self, w: &mut impl Put) {
         match self {
             MarketEvent::Bootstrap => w.put_u8(0),
             MarketEvent::Spend(id) => {
@@ -760,7 +761,7 @@ impl CreditMarket {
     /// (config, churn topology, fault spec) are rebuilt from
     /// configuration on restore; everything else round-trips exactly,
     /// including slot layouts, so the continuation is byte-identical.
-    pub(crate) fn write_state(&self, w: &mut crate::snapshot::Writer) {
+    pub(crate) fn write_state(&self, w: &mut impl Put) {
         for word in self.rng.state() {
             w.put_u64(word);
         }
@@ -773,14 +774,12 @@ impl CreditMarket {
         }
         // Overlay: id watermark, live ids (ascending), edges.
         w.put_u64(self.graph.next_raw_id());
-        let live: Vec<NodeId> = self.graph.node_ids().collect();
-        w.put_u64(live.len() as u64);
-        for id in &live {
+        w.put_u64(self.graph.node_count() as u64);
+        for id in self.graph.node_ids() {
             w.put_u64(id.raw());
         }
-        let edges: Vec<(NodeId, NodeId)> = self.graph.edges().collect();
-        w.put_u64(edges.len() as u64);
-        for (a, b) in &edges {
+        w.put_u64(self.graph.edge_count() as u64);
+        for (a, b) in self.graph.edges() {
             w.put_u64(a.raw());
             w.put_u64(b.raw());
         }
@@ -854,9 +853,9 @@ impl CreditMarket {
     /// frames pin this value at every sampling boundary, and
     /// `tests/fixture_guard.rs` pins it for the golden configurations.
     pub fn state_digest(&self) -> u64 {
-        let mut w = crate::snapshot::Writer::default();
-        self.write_state(&mut w);
-        crate::snapshot::fingerprint(w.as_slice())
+        let mut digest = crate::snapshot::Fingerprint::default();
+        self.write_state(&mut digest);
+        digest.value()
     }
 
     /// Restores the state captured by [`CreditMarket::write_state`]

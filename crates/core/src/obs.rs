@@ -70,7 +70,7 @@ use crate::error::CoreError;
 use crate::market::{CreditMarket, FaultStats, MarketConfig, MarketEvent};
 use crate::policy::Taxation;
 use crate::protocol::{build_streaming_market, CreditTradePolicy};
-use crate::snapshot;
+use crate::snapshot::{self, Put};
 
 pub mod probes;
 
@@ -321,7 +321,7 @@ pub trait MarketView {
     /// the full sorted wealth distribution — for views without a
     /// checkpoint codec.
     fn state_digest(&self) -> u64 {
-        let mut w = snapshot::Writer::default();
+        let mut w = snapshot::Fingerprint::default();
         w.put_u64(self.peer_count() as u64);
         w.put_u64(self.purchases());
         w.put_u64(self.denied());
@@ -334,7 +334,7 @@ pub trait MarketView {
         for balance in self.balances_sorted() {
             w.put_u64(balance);
         }
-        snapshot::fingerprint(w.as_slice())
+        w.value()
     }
 }
 
@@ -625,8 +625,6 @@ enum Tracer {
     /// boundary a digest frame followed by a flush.
     Record {
         writer: TraceWriter<BufWriter<std::fs::File>>,
-        /// Reused per-event encode buffer (no per-event allocation).
-        scratch: snapshot::Writer,
         error: Option<TraceError>,
     },
     /// Verifying: each applied event must match the next recorded
@@ -656,14 +654,8 @@ impl Tracer {
     /// and freezes the simulation at the pre-event state.
     fn on_event(&mut self, time: SimTime, seq: u64, event: &MarketEvent) -> bool {
         match self {
-            Tracer::Record {
-                writer,
-                scratch,
-                error,
-            } => {
-                scratch.clear();
-                event.encode(scratch);
-                if let Err(e) = writer.event(time, seq, scratch.as_slice()) {
+            Tracer::Record { writer, error } => {
+                if let Err(e) = writer.event_with(time, seq, |buf| event.encode(buf)) {
                     *error = Some(e);
                     return false;
                 }
@@ -1157,7 +1149,6 @@ impl Session {
         );
         self.tracer = Some(Box::new(Tracer::Record {
             writer,
-            scratch: snapshot::Writer::default(),
             error: None,
         }));
         Ok(())
@@ -1721,6 +1712,43 @@ mod tests {
             assert_eq!(resumed, direct, "diverged after resume at {stop_secs}s");
             assert_eq!(rbalances, balances);
         }
+    }
+
+    /// The graph's join index is derived state: a checkpoint does not
+    /// carry it, the resumed overlay is rebuilt without it, and the
+    /// first join after the resume rebuilds it from the overlay. The
+    /// joins after that must match the straight run's, peer for peer.
+    #[test]
+    fn resumed_market_joins_like_the_straight_run() {
+        let config = MarketConfig::new(200, 20)
+            .churn(crate::market::ChurnConfig::new(2.0, 100.0, 8).expect("valid"))
+            .sample_interval(SimDuration::from_secs(50));
+        let (stop, horizon) = (SimTime::from_secs(150), SimTime::from_secs(400));
+        let market = |session: Session| session.finish().1.queue().expect("queue config");
+
+        let mut straight = Session::from_config(&config, 5).expect("builds");
+        straight.run_until(horizon);
+        let expected = market(straight);
+        let mut first = Session::from_config(&config, 5).expect("builds");
+        first.run_until(stop);
+        let bytes = first.checkpoint().expect("checkpoints");
+        let at_stop = market(first);
+        assert!(
+            expected.graph().next_raw_id() > at_stop.graph().next_raw_id() + 100,
+            "peers joined after the stop"
+        );
+
+        let mut resumed = Session::resume(&config, Vec::new(), &bytes).expect("resumes");
+        resumed.run_until(horizon);
+        let got = market(resumed);
+        assert_eq!(got.graph(), expected.graph());
+        for id in expected.graph().node_ids() {
+            assert_eq!(
+                got.graph().neighbor_slice(id),
+                expected.graph().neighbor_slice(id)
+            );
+        }
+        assert_eq!(got.state_digest(), expected.state_digest());
     }
 
     #[test]

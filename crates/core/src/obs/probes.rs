@@ -12,7 +12,7 @@ use scrip_econ::LorenzCurve;
 
 use super::{ids, MarketView, MetricValue, Probe, Recorder};
 use crate::error::CoreError;
-use crate::snapshot::{Reader, Writer};
+use crate::snapshot::{Put, Reader, Writer};
 
 /// Converts an internal [`TimeSeries`] to `(secs, value)` points.
 fn to_points(series: &TimeSeries) -> Vec<(f64, f64)> {

@@ -14,10 +14,57 @@ pub(crate) const MAGIC: [u8; 8] = *b"SCRIPCKP";
 /// Format version; bump on any layout change.
 pub(crate) const VERSION: u32 = 2;
 
+/// Little-endian encoding of fixed-width scalars and length-prefixed
+/// blocks into any byte sink: a snapshot [`Writer`], a trace writer's
+/// staging buffer (`Vec<u8>`), or a [`Fingerprint`] fold. One encoder
+/// per state, whichever sink it ends up in.
+pub(crate) trait Put {
+    /// Appends raw bytes.
+    fn put_raw(&mut self, bytes: &[u8]);
+
+    fn put_u8(&mut self, v: u8) {
+        self.put_raw(&[v]);
+    }
+
+    fn put_bool(&mut self, v: bool) {
+        self.put_u8(u8::from(v));
+    }
+
+    fn put_u32(&mut self, v: u32) {
+        self.put_raw(&v.to_le_bytes());
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.put_raw(&v.to_le_bytes());
+    }
+
+    fn put_f64(&mut self, v: f64) {
+        self.put_raw(&v.to_le_bytes());
+    }
+
+    /// Length-prefixed opaque block (probe state, nested sections).
+    fn put_bytes(&mut self, v: &[u8]) {
+        self.put_u64(v.len() as u64);
+        self.put_raw(v);
+    }
+}
+
+impl Put for Vec<u8> {
+    fn put_raw(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
 /// An append-only snapshot encoder.
 #[derive(Debug, Default)]
 pub(crate) struct Writer {
     buf: Vec<u8>,
+}
+
+impl Put for Writer {
+    fn put_raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
 }
 
 impl Writer {
@@ -29,47 +76,56 @@ impl Writer {
         w
     }
 
-    pub(crate) fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn put_bool(&mut self, v: bool) {
-        self.put_u8(u8::from(v));
-    }
-
-    pub(crate) fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Length-prefixed opaque block (probe state, nested sections).
-    pub(crate) fn put_bytes(&mut self, v: &[u8]) {
-        self.put_u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
-    }
-
     pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
-    /// The bytes encoded so far (trace payloads hash and copy these
+    /// The bytes encoded so far (the replay verifier compares these
     /// without consuming the writer).
     pub(crate) fn as_slice(&self) -> &[u8] {
         &self.buf
     }
 
     /// Empties the buffer so a long-lived writer can re-encode without
-    /// reallocating (the per-event trace hot path).
+    /// reallocating (the replay verifier's per-event re-encode).
     pub(crate) fn clear(&mut self) {
         self.buf.clear();
     }
+}
+
+/// [`fingerprint`] computed on the fly: folding puts into the hash as
+/// they arrive gives the value `fingerprint` gives for the bytes the same
+/// puts would have written, with no buffer (a market's state digest
+/// would otherwise serialize tens of MB first).
+pub(crate) struct Fingerprint(u64);
+
+impl Default for Fingerprint {
+    fn default() -> Self {
+        Fingerprint(FNV_OFFSET)
+    }
+}
+
+impl Fingerprint {
+    /// The digest of everything put so far.
+    pub(crate) fn value(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Put for Fingerprint {
+    fn put_raw(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a_fold(self.0, bytes);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// A fail-closed snapshot decoder over a byte slice.
@@ -148,7 +204,7 @@ impl<'a> Reader<'a> {
         ))
     }
 
-    /// A length-prefixed block written by [`Writer::put_bytes`].
+    /// A length-prefixed block written by [`Put::put_bytes`].
     pub(crate) fn take_bytes(&mut self) -> Result<&'a [u8], CoreError> {
         let len = self.take_u64()?;
         let len = usize::try_from(len)
@@ -172,12 +228,7 @@ impl<'a> Reader<'a> {
 /// every snapshot so a resume against a different scenario fails loudly
 /// instead of silently diverging.
 pub(crate) fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_fold(FNV_OFFSET, bytes)
 }
 
 #[cfg(test)]
@@ -223,5 +274,23 @@ mod tests {
     fn fingerprint_is_stable_and_discriminating() {
         assert_eq!(fingerprint(b"abc"), fingerprint(b"abc"));
         assert_ne!(fingerprint(b"abc"), fingerprint(b"abd"));
+    }
+
+    #[test]
+    fn streamed_fingerprint_equals_the_buffered_one() {
+        fn encode(p: &mut impl Put) {
+            p.put_u8(3);
+            p.put_bool(false);
+            p.put_u32(77);
+            p.put_u64(u64::MAX - 5);
+            p.put_f64(0.1);
+            p.put_bytes(b"block");
+        }
+        let mut w = Writer::default();
+        encode(&mut w);
+        let mut f = Fingerprint::default();
+        encode(&mut f);
+        assert_eq!(f.value(), fingerprint(w.as_slice()));
+        assert_eq!(Fingerprint::default().value(), fingerprint(&[]));
     }
 }

@@ -159,6 +159,32 @@ impl FenwickSampler {
         }
     }
 
+    /// Appends a weight to a built sampler in O(log n), keeping it ready
+    /// for [`FenwickSampler::pick`] without a rebuild. The new node
+    /// `i` covers the leaves `(i - lowbit(i), i]`: the weight itself
+    /// plus its child nodes `i - lowbit(i)/2, …, i - 2, i - 1`, added in
+    /// that order so the node is bit-identical to what
+    /// [`FenwickSampler::build`] computes.
+    ///
+    /// # Panics
+    /// Panics if called before [`FenwickSampler::build`].
+    pub fn append(&mut self, weight: f64) {
+        assert!(
+            self.tree.len() == self.weights.len() + 1,
+            "append() requires build() first"
+        );
+        let i = self.tree.len();
+        let mut node = weight;
+        let mut k = (i & i.wrapping_neg()) >> 1;
+        while k > 0 {
+            node += self.tree[i - k];
+            k >>= 1;
+        }
+        self.tree.push(node);
+        self.weights.push(weight);
+        self.total += weight;
+    }
+
     /// Returns the index the linear cumulative walk would select for
     /// `target`: the first `k` with `prefix(k + 1) > target`, clamped to
     /// the last index when `target` reaches or exceeds the total (the
@@ -281,6 +307,24 @@ mod tests {
         for t in [0.0, 0.5, 1.0, 9.5, 10.0, 14.9, 15.0, 16.0] {
             assert_eq!(s.pick(t), fresh.pick(t), "target {t}");
         }
+    }
+
+    #[test]
+    fn append_matches_rebuild() {
+        let weights = [
+            0.3, 0.0, 4.0, 0.1, 5.0, 9.0, 0.2, 6.0, 5.0, 3.0, 0.7, 8.0, 9.0,
+        ];
+        let mut s = built(&weights[..1]);
+        for (len, &w) in weights.iter().enumerate().skip(1) {
+            s.append(w);
+            let fresh = built(&weights[..=len]);
+            // Bit-identical even for inexact weights: same summation order.
+            assert_eq!(s.tree, fresh.tree, "after {} weights", len + 1);
+            assert_eq!(s.total().to_bits(), fresh.total().to_bits());
+        }
+        let mut empty = built(&[]);
+        empty.append(2.0);
+        assert_eq!(empty.pick(1.5), 0);
     }
 
     #[test]

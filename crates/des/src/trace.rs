@@ -222,13 +222,28 @@ impl<W: Write> TraceWriter<W> {
 
     /// Appends an event frame.
     pub fn event(&mut self, time: SimTime, seq: u64, payload: &[u8]) -> Result<(), TraceError> {
+        self.event_with(time, seq, |buf| buf.extend_from_slice(payload))
+    }
+
+    /// Appends an event frame whose payload `encode` appends straight
+    /// into the staging buffer — the recording hot path, which thereby
+    /// skips encoding into a scratch buffer and copying it over.
+    /// `encode` must only append.
+    pub fn event_with(
+        &mut self,
+        time: SimTime,
+        seq: u64,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), TraceError> {
         let start = self.buf.len();
         self.buf.push(TAG_EVENT);
         self.buf.extend_from_slice(&time.as_micros().to_le_bytes());
         self.buf.extend_from_slice(&seq.to_le_bytes());
-        self.buf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(payload);
+        let len_at = self.buf.len();
+        self.buf.extend_from_slice(&[0; 4]);
+        encode(&mut self.buf);
+        let len = (self.buf.len() - len_at - 4) as u32;
+        self.buf[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
         let check = fnv1a(&self.buf[start..]);
         self.buf.extend_from_slice(&check.to_le_bytes());
         self.frames += 1;

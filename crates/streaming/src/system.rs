@@ -587,15 +587,16 @@ impl<T: TradePolicy> StreamingSystem<T> {
         now: SimTime,
         scheduler: &mut Scheduler<StreamEvent>,
     ) {
-        let existing: Vec<NodeId> = self.graph.node_ids().collect();
+        // A partial Fisher–Yates shuffle of the ascending live ids, drawn
+        // through the join index in O(want · log n).
+        let want = attach_degree.min(self.graph.node_count());
+        let rng = &mut self.rng;
+        let chosen = self
+            .graph
+            .join_index()
+            .shuffled_prefix(want, |i, len| rng.index(len - i) + i);
         let new = self.graph.add_node();
-        let want = attach_degree.min(existing.len());
-        let mut pool = existing;
-        for i in 0..want {
-            let j = self.rng.index(pool.len() - i) + i;
-            pool.swap(i, j);
-        }
-        for &nb in pool.iter().take(want) {
+        for nb in chosen {
             self.graph.add_edge(new, nb).expect("distinct live nodes");
         }
         self.arena.insert(new);

@@ -56,54 +56,40 @@ impl ChurnTopology {
     /// Adds a node to the overlay and wires it to up to
     /// [`ChurnTopology::attach_degree`] existing nodes per the attachment
     /// rule. Returns the new node's ID.
+    ///
+    /// Neighbors are drawn from the overlay as it stood before the join,
+    /// through the graph's [`crate::JoinIndex`], in O(want · log n). The
+    /// draws are those of a partial Fisher–Yates shuffle of the
+    /// ascending live ids (`Uniform`) and of a cumulative `degree + 1`
+    /// walk over them (`Preferential`).
     pub fn join<R: Rng + ?Sized>(&self, graph: &mut Graph, rng: &mut R) -> NodeId {
-        let existing: Vec<NodeId> = graph.node_ids().collect();
-        let new = graph.add_node();
-        if existing.is_empty() {
-            return new;
+        let live = graph.node_count();
+        if live == 0 {
+            return graph.add_node();
         }
-        let want = self.attach_degree.min(existing.len()).max(1);
-        match self.rule {
-            AttachmentRule::Uniform => {
-                let mut pool = existing;
-                // Partial Fisher–Yates: first `want` entries become the sample.
-                for i in 0..want {
-                    let j = rng.gen_range(i..pool.len());
-                    pool.swap(i, j);
-                }
-                for &nb in &pool[..want] {
-                    graph.add_edge(new, nb).expect("distinct live nodes");
-                }
-            }
+        let want = self.attach_degree.min(live).max(1);
+        let index = graph.join_index();
+        let chosen = match self.rule {
+            AttachmentRule::Uniform => index.shuffled_prefix(want, |i, len| rng.gen_range(i..len)),
             AttachmentRule::Preferential => {
                 // Degree-proportional sampling with +1 smoothing so isolated
                 // nodes remain reachable.
-                let weights: Vec<f64> = existing
-                    .iter()
-                    .map(|&id| (graph.degree(id).unwrap_or(0) + 1) as f64)
-                    .collect();
-                let total: f64 = weights.iter().sum();
+                let total = index.degree_total();
                 let mut chosen: Vec<NodeId> = Vec::with_capacity(want);
                 let mut guard = 0usize;
                 while chosen.len() < want && guard < 1000 * want {
                     guard += 1;
-                    let mut target = rng.gen::<f64>() * total;
-                    let mut pick = existing[existing.len() - 1];
-                    for (i, &w) in weights.iter().enumerate() {
-                        if target < w {
-                            pick = existing[i];
-                            break;
-                        }
-                        target -= w;
-                    }
+                    let pick = index.pick_by_degree(rng.gen::<f64>() * total);
                     if !chosen.contains(&pick) {
                         chosen.push(pick);
                     }
                 }
-                for &nb in &chosen {
-                    graph.add_edge(new, nb).expect("distinct live nodes");
-                }
+                chosen
             }
+        };
+        let new = graph.add_node();
+        for nb in chosen {
+            graph.add_edge(new, nb).expect("distinct live nodes");
         }
         new
     }

@@ -11,6 +11,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::error::Error;
 use std::fmt;
 
+use crate::join_index::JoinIndex;
+
 /// A stable identifier for an overlay node.
 ///
 /// IDs are allocated by [`Graph::add_node`] and are **never reused**, so a
@@ -102,6 +104,10 @@ pub struct Graph {
     dead_sorted: usize,
     next_id: u64,
     edge_count: usize,
+    /// Degree and liveness index for joins, built by the first
+    /// [`Graph::join_index`] call and kept current by every mutator
+    /// after that. Derived state: equality and checkpoints ignore it.
+    join_index: Option<JoinIndex>,
 }
 
 /// Slot sentinel for IDs that are not (or no longer) in the graph.
@@ -110,7 +116,8 @@ const ABSENT: u32 = u32::MAX;
 /// Equality is semantic: same node set and same edges, plus the same ID
 /// allocation cursor — independent of slot layout, so graphs that went
 /// through different churn histories but describe the same overlay (and
-/// would allocate the same next ID) compare equal.
+/// would allocate the same next ID) compare equal. Whether the join
+/// index has been built does not matter either.
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
         self.next_id == other.next_id
@@ -140,6 +147,7 @@ impl Graph {
             dead_sorted: 0,
             next_id: 0,
             edge_count: 0,
+            join_index: None,
         };
         for _ in 0..n {
             g.add_node();
@@ -165,6 +173,9 @@ impl Graph {
         self.adjacency.push(Vec::new());
         // Fresh IDs are the largest ever allocated: push keeps the order.
         self.sorted_ids.push(id);
+        if let Some(index) = &mut self.join_index {
+            index.push_node();
+        }
         id
     }
 
@@ -182,6 +193,12 @@ impl Graph {
             if let Ok(pos) = row.binary_search(&id) {
                 row.remove(pos);
             }
+            if let Some(index) = &mut self.join_index {
+                index.set_degree(nb, row.len());
+            }
+        }
+        if let Some(index) = &mut self.join_index {
+            index.remove_node(id);
         }
         self.edge_count -= neighbors.len();
         // Swap-remove the slot and repoint the node that moved into it.
@@ -223,6 +240,7 @@ impl Graph {
             .expect_err("adjacency symmetric");
         self.adjacency[slot_b].insert(pos_b, a);
         self.edge_count += 1;
+        self.index_degrees(a, slot_a, b, slot_b);
         Ok(true)
     }
 
@@ -242,7 +260,28 @@ impl Graph {
             .expect("adjacency symmetric");
         self.adjacency[slot_b].remove(pos_b);
         self.edge_count -= 1;
+        self.index_degrees(a, slot_a, b, slot_b);
         Ok(true)
+    }
+
+    /// Brings the join index (if built) up to date with the degrees of
+    /// both endpoints of a changed edge.
+    fn index_degrees(&mut self, a: NodeId, slot_a: usize, b: NodeId, slot_b: usize) {
+        if let Some(index) = &mut self.join_index {
+            index.set_degree(a, self.adjacency[slot_a].len());
+            index.set_degree(b, self.adjacency[slot_b].len());
+        }
+    }
+
+    /// The join index over the current overlay (see [`JoinIndex`]),
+    /// built in O(n) on the first call and maintained in O(log n) per
+    /// mutation from then on. Graphs that never call this pay nothing.
+    pub fn join_index(&mut self) -> &JoinIndex {
+        if self.join_index.is_none() {
+            let degrees = (0..self.next_id as usize).map(|raw| self.degree(NodeId(raw as u64)));
+            self.join_index = Some(JoinIndex::build(degrees));
+        }
+        self.join_index.as_ref().expect("built above")
     }
 
     /// Whether the node exists.
@@ -285,14 +324,15 @@ impl Graph {
         self.edge_count
     }
 
-    /// Heap bytes reserved by the slot bookkeeping (slot ↔ ID maps and
-    /// the sorted live-ID list), excluding adjacency rows. Capacities,
-    /// not lengths — the allocator's view. See
-    /// [`Graph::adjacency_heap_bytes`] for the row storage.
+    /// Heap bytes reserved by the slot bookkeeping (slot ↔ ID maps, the
+    /// sorted live-ID list and, once built, the join index), excluding
+    /// adjacency rows. Capacities, not lengths — the allocator's view.
+    /// See [`Graph::adjacency_heap_bytes`] for the row storage.
     pub fn slot_map_heap_bytes(&self) -> usize {
         self.slot_ids.capacity() * std::mem::size_of::<NodeId>()
             + self.id_to_slot.capacity() * std::mem::size_of::<u32>()
             + self.sorted_ids.capacity() * std::mem::size_of::<NodeId>()
+            + self.join_index.as_ref().map_or(0, JoinIndex::heap_bytes)
     }
 
     /// Heap bytes reserved by the CSR-style adjacency rows: each row's
@@ -660,6 +700,51 @@ mod tests {
             compact.edges().collect::<Vec<_>>()
         );
         assert_eq!(churned.dense_index(), compact.dense_index());
+    }
+
+    #[test]
+    fn join_index_is_invisible_to_clone_and_equality() {
+        let (mut indexed, ids) = path_graph(6);
+        let mut plain = indexed.clone();
+        let before = indexed.slot_map_heap_bytes();
+        indexed.join_index();
+        assert!(indexed.slot_map_heap_bytes() > before, "index is counted");
+        assert_eq!(indexed, plain);
+        // A clone carries the built index; the same edits keep all three
+        // equal, and the carried index agrees with a lazily built one.
+        let mut copy = indexed.clone();
+        for g in [&mut indexed, &mut copy, &mut plain] {
+            g.remove_node(ids[2]).expect("live");
+            let fresh = g.add_node();
+            g.add_edge(fresh, ids[5]).expect("ok");
+            g.remove_edge(ids[0], ids[1]).expect("ok");
+        }
+        assert_eq!(indexed, plain);
+        assert_eq!(copy, plain);
+        let carried = copy.join_index().clone();
+        let rebuilt = plain.join_index();
+        assert_eq!(carried.len(), rebuilt.len());
+        assert_eq!(carried.degree_total(), rebuilt.degree_total());
+        assert_eq!(rebuilt.degree_total(), (6 + 2 * 3) as f64);
+        for rank in 0..rebuilt.len() {
+            assert_eq!(carried.nth(rank), rebuilt.nth(rank));
+        }
+    }
+
+    #[test]
+    fn degree_pick_falls_back_to_the_largest_live_id() {
+        // The largest raw id is dead: a target at or past the total must
+        // select the largest *live* id, as the linear walk did.
+        let (mut g, ids) = path_graph(5);
+        g.remove_node(ids[4]).expect("live");
+        let index = g.join_index();
+        let total = index.degree_total();
+        assert_eq!(total, (4 + 2 * 3) as f64);
+        assert_eq!(index.pick_by_degree(0.0), ids[0]);
+        assert_eq!(index.pick_by_degree(2.0), ids[1]); // boundary moves right
+        assert_eq!(index.pick_by_degree(total - 0.5), ids[3]);
+        assert_eq!(index.pick_by_degree(total), ids[3]);
+        assert_eq!(index.pick_by_degree(total * 4.0), ids[3]);
     }
 
     #[test]

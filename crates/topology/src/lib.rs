@@ -13,7 +13,8 @@
 //!   churn (IDs are never reused).
 //! * [`generators`] — scale-free (configuration model and preferential
 //!   attachment), Erdős–Rényi, random-regular, complete and ring graphs.
-//! * [`churn`] — join/leave operations that keep the overlay connected.
+//! * [`churn`] — join/leave operations that keep the overlay connected,
+//!   in O(log n) per join through the graph's [`JoinIndex`].
 //! * [`metrics`] — degree statistics, power-law exponent MLE, clustering
 //!   coefficient and connectivity checks.
 //!
@@ -40,7 +41,9 @@ pub mod arena;
 pub mod churn;
 pub mod generators;
 pub mod graph;
+pub mod join_index;
 pub mod metrics;
 
 pub use arena::{PeerArena, SlotRemoval};
 pub use graph::{Graph, GraphError, NodeId};
+pub use join_index::JoinIndex;
