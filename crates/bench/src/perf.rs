@@ -8,8 +8,10 @@
 //! chunk-level streaming market's trade loop, the cost of a wealth Gini
 //! sample at large n, the observation layer's probe-dispatch
 //! overhead (a full probe set attached vs a detached recorder on the
-//! n=10k market), and churn's topology layer alone (`graph_join`:
-//! join+leave pairs on a scale-free overlay). Results are written to
+//! n=10k market), churn's topology layer alone (`graph_join`:
+//! join+leave pairs on a scale-free overlay), and market set-up
+//! (`overlay_build`: scale-free generation plus the rest of
+//! `CreditMarket::build`). Results are written to
 //! `BENCH_market.json` (see
 //! [`BenchReport::to_json`] for the schema), seeding the repo's
 //! performance trajectory, and CI replays the quick-scale subset to
@@ -43,7 +45,8 @@ pub struct BenchEntry {
     /// Scale the case ran at (`quick` or `full`).
     pub scale: String,
     /// Dispatched simulator events (Gini samples for `gini_sample`,
-    /// join+leave pairs for `graph_join`).
+    /// join+leave pairs for `graph_join`, peers built for
+    /// `overlay_build`).
     pub events: u64,
     /// Wall-clock seconds for the measured section.
     pub wall_secs: f64,
@@ -92,7 +95,7 @@ const REGIMES: [&str; 4] = ["asymmetric", "availability_feedback", "tax", "churn
 
 /// Every row family `scrip-sim bench` measures, by `regime` name — the
 /// values `--only` accepts.
-pub const BENCH_REGIMES: [&str; 13] = [
+pub const BENCH_REGIMES: [&str; 14] = [
     "asymmetric",
     "availability_feedback",
     "tax",
@@ -106,6 +109,7 @@ pub const BENCH_REGIMES: [&str; 13] = [
     "probe_attached",
     "gini_sample",
     "graph_join",
+    "overlay_build",
 ];
 
 /// Case list at a scale: (regime, n, horizon_secs). Horizons shrink with
@@ -532,6 +536,53 @@ fn graph_join_cases(scale: RunScale) -> Vec<(usize, u64)> {
     }
 }
 
+/// Market set-up at size `n`: `reps` timed [`CreditMarket::build`]s of
+/// the asymmetric market (the set-up every scenario replication and
+/// the `static`/`churn` benchmark workloads pay), each followed by a
+/// timed [`scale_free`] alone on the same seed, the part of the build
+/// that dominates. Returns the entry — peers built per second of whole
+/// builds — and the median build and `scale_free` seconds.
+fn run_overlay_build_case(n: usize, reps: u64, scale: &str) -> (BenchEntry, f64, f64) {
+    let config = regime_config("asymmetric", n);
+    let overlay = ScaleFreeConfig::new(n).expect("valid overlay size");
+    let (mut builds, mut generates) = (Vec::new(), Vec::new());
+    for rep in 0..reps {
+        let start = Instant::now();
+        let market = CreditMarket::build(config.clone(), rep).expect("market builds");
+        builds.push(start.elapsed().as_secs_f64());
+        drop(std::hint::black_box(market));
+        let start = Instant::now();
+        let graph = scale_free(&overlay, &mut SimRng::seed_from_u64(rep)).expect("generates");
+        generates.push(start.elapsed().as_secs_f64());
+        drop(std::hint::black_box(graph));
+    }
+    let wall = builds.iter().sum::<f64>().max(1e-9);
+    let entry = BenchEntry {
+        regime: "overlay_build".into(),
+        n,
+        scale: scale.into(),
+        events: n as u64 * reps,
+        wall_secs: wall,
+        events_per_sec: (n as u64 * reps) as f64 / wall,
+        peak_rss_bytes: peak_rss_bytes(),
+    };
+    (entry, median(&mut builds), median(&mut generates))
+}
+
+/// The middle value (upper middle for even counts).
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// `overlay_build` cases at a scale: `(n, builds)`.
+fn overlay_build_cases(scale: RunScale) -> Vec<(usize, u64)> {
+    match scale {
+        RunScale::Full => vec![(100_000, 3), (1_000_000, 2)],
+        RunScale::Quick => vec![(10_000, 5)],
+    }
+}
+
 /// Runs the bench suite at `scale`, printing one progress line per case
 /// to stderr. A non-empty `only` restricts the run to the row families
 /// it names (values from [`BENCH_REGIMES`]); either row of a paired
@@ -654,6 +705,18 @@ pub fn run_bench(scale: RunScale, only: &[String]) -> BenchReport {
         eprintln!(
             "bench {:<22} n={n:<7} {:>12.0} pairs/s ({} join+leave pairs in {:.4}s)",
             entry.regime, entry.events_per_sec, entry.events, entry.wall_secs
+        );
+        report.entries.push(entry);
+    }
+    for (n, reps) in overlay_build_cases(scale) {
+        if !wanted(&["overlay_build"]) {
+            continue;
+        }
+        let (entry, build, generate) = run_overlay_build_case(n, reps, scale_name);
+        eprintln!(
+            "bench {:<22} n={n:<7} {:>12.0} peers/s ({reps} builds in {:.4}s; median \
+             build {build:.4}s, scale_free alone {generate:.4}s)",
+            entry.regime, entry.events_per_sec, entry.wall_secs
         );
         report.entries.push(entry);
     }
@@ -1078,6 +1141,15 @@ mod tests {
     }
 
     #[test]
+    fn overlay_build_times_whole_builds() {
+        let (entry, build, generate) = run_overlay_build_case(500, 2, "quick");
+        assert_eq!(entry.regime, "overlay_build");
+        assert_eq!(entry.events, 1_000);
+        assert!(entry.events_per_sec > 0.0);
+        assert!(build > 0.0 && generate > 0.0);
+    }
+
+    #[test]
     fn only_runs_the_named_families() {
         let report = run_bench(RunScale::Quick, &["graph_join".to_string()]);
         assert!(!report.entries.is_empty());
@@ -1089,7 +1161,7 @@ mod tests {
         let mut names: Vec<&str> = cases(RunScale::Quick).iter().map(|c| c.0).collect();
         names.extend(["faulted", "churn_session", "churn_recorded", "streaming"]);
         names.extend(["serve_stream", "probe_detached", "probe_attached"]);
-        names.extend(["gini_sample", "graph_join"]);
+        names.extend(["gini_sample", "graph_join", "overlay_build"]);
         for name in names {
             assert!(BENCH_REGIMES.contains(&name), "{name} missing");
         }

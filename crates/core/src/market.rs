@@ -547,7 +547,8 @@ impl CreditMarket {
         let peer_ids: Vec<NodeId> = graph.node_ids().collect();
         let pricing = PricingModel::realize(config.pricing, &peer_ids, &mut rng)?;
         let taxation = config.tax.map(Taxation::new);
-        let mu = peer_ids.iter().map(|id| mu_map[id]).collect();
+        // The rate map is keyed by exactly `peer_ids`, and both ascend.
+        let mu = mu_map.into_values().collect();
         let n = peer_ids.len();
         let attach = config.churn.map(|c| c.attach_degree).unwrap_or(20);
         // An all-zero spec builds no plan at all: the fault stream is
@@ -893,41 +894,29 @@ impl CreditMarket {
                 )));
             }
         }
-        // Overlay rebuild through the public graph API: allocate the
-        // full id watermark, drop the dead ids, relink the edges. All
-        // market-visible graph reads (sorted ids, sorted neighbor
-        // slices) are layout-independent, so this reproduces them
-        // exactly.
+        // Overlay rebuild in one pass from the id watermark, the live
+        // ids and the edge list. All market-visible graph reads (sorted
+        // ids, sorted neighbor slices) are layout-independent, so this
+        // reproduces them exactly. Counts are checked against the unread
+        // bytes before they size anything.
         let watermark = r.take_u64()?;
-        let live_count = r.take_u64()?;
-        let mut live = Vec::with_capacity(live_count as usize);
+        let live_count = r.take_count(8)?;
+        let mut live = Vec::with_capacity(live_count);
         for _ in 0..live_count {
             live.push(NodeId::from_raw(r.take_u64()?));
         }
-        let edge_count = r.take_u64()?;
-        let mut edges = Vec::with_capacity(edge_count as usize);
+        let edge_count = r.take_count(16)?;
+        let mut edges = Vec::with_capacity(edge_count);
         for _ in 0..edge_count {
             let a = NodeId::from_raw(r.take_u64()?);
             let b = NodeId::from_raw(r.take_u64()?);
             edges.push((a, b));
         }
-        let mut graph = Graph::with_nodes(watermark as usize);
-        for raw in 0..watermark {
-            let id = NodeId::from_raw(raw);
-            if live.binary_search(&id).is_err() {
-                graph
-                    .remove_node(id)
-                    .map_err(|e| CoreError::Checkpoint(format!("graph rebuild: {e}")))?;
-            }
-        }
-        for (a, b) in edges {
-            graph
-                .add_edge(a, b)
-                .map_err(|e| CoreError::Checkpoint(format!("graph rebuild: {e}")))?;
-        }
+        let graph = Graph::from_edges(watermark, live, edges)
+            .map_err(|e| CoreError::Checkpoint(format!("graph rebuild: {e}")))?;
         self.graph = graph;
         // Arena and slot-parallel vectors, in the captured slot order.
-        let n = r.take_u64()? as usize;
+        let n = r.take_count(48)?;
         let mut ids = Vec::with_capacity(n);
         self.mu.clear();
         self.spent.clear();
@@ -943,7 +932,7 @@ impl CreditMarket {
             self.in_flight.push(r.take_u64()?);
         }
         self.arena = PeerArena::from_ids(&ids);
-        let entry_count = r.take_u64()? as usize;
+        let entry_count = r.take_count(16)?;
         let mut entries = Vec::with_capacity(entry_count);
         for _ in 0..entry_count {
             let id = NodeId::from_raw(r.take_u64()?);
@@ -986,7 +975,7 @@ impl CreditMarket {
                 )));
             }
         }
-        let seller_count = r.take_u64()? as usize;
+        let seller_count = r.take_count(16)?;
         let mut sellers = Vec::with_capacity(seller_count);
         for _ in 0..seller_count {
             let id = NodeId::from_raw(r.take_u64()?);

@@ -1392,8 +1392,9 @@ impl Session {
         let seed = r.take_u64()?;
         let clock = SimTime::from_micros(r.take_u64()?);
         let events_processed = r.take_u64()?;
-        let pending_len = r.take_u64()?;
-        let mut pending = Vec::with_capacity(pending_len as usize);
+        // Each pending event: time, seq and at least a tag byte.
+        let pending_len = r.take_count(17)?;
+        let mut pending = Vec::with_capacity(pending_len);
         for _ in 0..pending_len {
             let time = SimTime::from_micros(r.take_u64()?);
             let seq = r.take_u64()?;
@@ -1404,8 +1405,8 @@ impl Session {
         market.read_state(&mut r)?;
         let interval = SimDuration::from_micros(r.take_u64()?);
         let next_tick = SimTime::from_micros(r.take_u64()?);
-        let stops_len = r.take_u64()?;
-        let mut stops = Vec::with_capacity(stops_len as usize);
+        let stops_len = r.take_count(8)?;
+        let mut stops = Vec::with_capacity(stops_len);
         for _ in 0..stops_len {
             stops.push(SimTime::from_micros(r.take_u64()?));
         }
@@ -1817,6 +1818,56 @@ mod tests {
         // The pristine snapshot still resumes.
         let resumed = Session::resume(&config, Vec::new(), &bytes).expect("resumes");
         assert_eq!(resumed.now(), SimTime::from_secs(100));
+    }
+
+    #[test]
+    fn corrupt_overlay_counts_and_dead_edge_ids_fail_closed() {
+        let config = MarketConfig::new(60, 10)
+            .churn(crate::market::ChurnConfig::new(0.5, 200.0, 8).expect("valid"));
+        let mut session = Session::from_config(&config, 9).expect("builds");
+        session.run_until(SimTime::from_secs(600));
+        let bytes = session.checkpoint().expect("checkpoints");
+        let SessionSim::Queue(sim) = &session.sim else {
+            unreachable!("queue-level config")
+        };
+        let market = sim.model();
+        let mut state = Vec::new();
+        market.write_state(&mut state);
+        let base = bytes
+            .windows(state.len())
+            .position(|w| w == state)
+            .expect("the market state is embedded verbatim");
+        // The overlay follows the four RNG words and the (false)
+        // fault-plan flag: watermark, live count, live ids, edge count,
+        // edges.
+        let graph = market.graph();
+        let live_count_at = base + 33 + 8;
+        let edge_count_at = live_count_at + 8 + 8 * graph.node_count();
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        assert_eq!(word(live_count_at), graph.node_count() as u64);
+        assert_eq!(word(edge_count_at), graph.edge_count() as u64);
+        let resume = |bytes: &[u8]| Session::resume(&config, Vec::new(), bytes);
+        // A count of u64::MAX is refused before it sizes an allocation.
+        for at in [live_count_at, edge_count_at] {
+            let mut corrupt = bytes.clone();
+            corrupt[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            let err = resume(&corrupt).err().expect("oversized count rejected");
+            assert!(err.to_string().contains("overruns"), "{err}");
+        }
+        // An edge naming a departed peer is refused by the graph build.
+        let dead = (0..graph.next_raw_id())
+            .map(scrip_topology::NodeId::from_raw)
+            .find(|&id| !graph.has_node(id))
+            .expect("churn left dead ids");
+        let mut corrupt = bytes.clone();
+        corrupt[edge_count_at + 8..edge_count_at + 16].copy_from_slice(&dead.raw().to_le_bytes());
+        let err = resume(&corrupt).err().expect("dead edge endpoint rejected");
+        assert!(err.to_string().contains("no such node"), "{err}");
+        // The pristine snapshot still resumes.
+        assert_eq!(
+            resume(&bytes).expect("resumes").now(),
+            SimTime::from_secs(600)
+        );
     }
 
     #[test]

@@ -204,6 +204,29 @@ impl<'a> Reader<'a> {
         ))
     }
 
+    /// Bytes not yet consumed.
+    pub(crate) fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
+    /// An element count for a sequence whose elements encode to at
+    /// least `min_bytes` each. Fails unless the unread bytes could hold
+    /// that many, so a corrupted count is an error before it can size
+    /// an allocation.
+    pub(crate) fn take_count(&mut self, min_bytes: usize) -> Result<usize, CoreError> {
+        let count = self.take_u64()?;
+        let fits = usize::try_from(count).ok().filter(|&c| {
+            c.checked_mul(min_bytes)
+                .is_some_and(|b| b <= self.remaining())
+        });
+        fits.ok_or_else(|| {
+            CoreError::Checkpoint(format!(
+                "count {count} of {min_bytes}-byte elements overruns the {} bytes left",
+                self.remaining()
+            ))
+        })
+    }
+
     /// A length-prefixed block written by [`Put::put_bytes`].
     pub(crate) fn take_bytes(&mut self) -> Result<&'a [u8], CoreError> {
         let len = self.take_u64()?;
@@ -268,6 +291,26 @@ mod tests {
         // Trailing garbage.
         let r = Reader::with_header(&bytes).expect("header ok");
         assert!(r.finish().is_err());
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_unread_bytes() {
+        let mut w = Writer::default();
+        w.put_u64(2);
+        w.put_u64(10);
+        w.put_u64(20);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.take_count(8).expect("two u64s follow"), 2);
+        assert_eq!(r.remaining(), 16);
+        let mut r = Reader::new(&bytes);
+        assert!(r.take_count(9).is_err(), "two 9-byte elements do not fit");
+        for huge in [u64::MAX, u64::MAX / 8 + 1, 1 << 40] {
+            let mut w = Writer::default();
+            w.put_u64(huge);
+            let bytes = w.into_bytes();
+            assert!(Reader::new(&bytes).take_count(8).is_err(), "{huge}");
+        }
     }
 
     #[test]

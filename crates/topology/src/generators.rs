@@ -141,9 +141,6 @@ pub fn scale_free<R: Rng + ?Sized>(
     let max = config.max_degree.min(config.n as u64 - 1);
     let degree_dist = DiscretePowerLaw::new(config.min_degree, max, config.exponent)?;
 
-    let mut graph = Graph::with_nodes(config.n);
-    let ids: Vec<NodeId> = graph.node_ids().collect();
-
     // Degree sequence, capped at n-1 and with an even stub total.
     let cap = (config.n - 1) as u64;
     let mut degrees: Vec<u64> = (0..config.n)
@@ -159,9 +156,10 @@ pub fn scale_free<R: Rng + ?Sized>(
         };
     }
 
-    // Stub list: node index repeated degree-many times.
-    let mut stubs: Vec<usize> = Vec::with_capacity(degrees.iter().sum::<u64>() as usize);
-    for (i, &d) in degrees.iter().enumerate() {
+    // Stub list: node index repeated degree-many times (u32 halves the
+    // list; slots are u32 in the graph anyway).
+    let mut stubs: Vec<u32> = Vec::with_capacity(degrees.iter().sum::<u64>() as usize);
+    for (i, &d) in (0u32..).zip(&degrees) {
         stubs.extend(std::iter::repeat(i).take(d as usize));
     }
     // Fisher–Yates shuffle, then pair adjacent stubs.
@@ -169,13 +167,12 @@ pub fn scale_free<R: Rng + ?Sized>(
         let j = rng.gen_range(0..=i);
         stubs.swap(i, j);
     }
-    for pair in stubs.chunks_exact(2) {
-        let (a, b) = (ids[pair[0]], ids[pair[1]]);
-        if a != b {
-            // Parallel edges collapse silently (add_edge is idempotent).
-            let _ = graph.add_edge(a, b);
-        }
-    }
+    // Self-pairs are dropped; parallel edges collapse in the build.
+    let pairs = stubs
+        .chunks_exact(2)
+        .filter(|pair| pair[0] != pair[1])
+        .map(|pair| (node(pair[0] as usize), node(pair[1] as usize)));
+    let mut graph = overlay(config.n, pairs);
 
     connect_components(&mut graph, rng);
     Ok(graph)
@@ -197,15 +194,11 @@ pub fn barabasi_albert<R: Rng + ?Sized>(
             "Barabási–Albert requires 1 <= m < n (m = {m}, n = {n})"
         )));
     }
-    let mut graph = Graph::new();
-    let ids: Vec<NodeId> = (0..n).map(|_| graph.add_node()).collect();
-
     // Seed clique over the first m+1 nodes.
+    let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(m * (m + 1) / 2 + (n - m - 1) * m);
     for i in 0..=m {
         for j in (i + 1)..=m {
-            graph
-                .add_edge(ids[i], ids[j])
-                .expect("seed clique edges are valid");
+            edges.push((node(i), node(j)));
         }
     }
 
@@ -234,14 +227,12 @@ pub fn barabasi_albert<R: Rng + ?Sized>(
             }
         }
         for &t in &targets {
-            graph
-                .add_edge(ids[new], ids[t])
-                .expect("preferential edges are valid");
+            edges.push((node(new), node(t)));
             endpoints.push(t);
             endpoints.push(new);
         }
     }
-    Ok(graph)
+    Ok(overlay(n, edges))
 }
 
 /// Generates an Erdős–Rényi `G(n, p)` graph (not necessarily connected).
@@ -321,14 +312,8 @@ pub fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Resul
 /// Generates the complete graph `K_n` (the topology of Dandekar et al.'s
 /// credit-network model, useful for baselines).
 pub fn complete(n: usize) -> Graph {
-    let mut graph = Graph::with_nodes(n);
-    let ids: Vec<NodeId> = graph.node_ids().collect();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            graph.add_edge(ids[i], ids[j]).expect("distinct live nodes");
-        }
-    }
-    graph
+    let edges = (0..n).flat_map(move |i| ((i + 1)..n).map(move |j| (node(i), node(j))));
+    overlay(n, edges)
 }
 
 /// Generates a ring (cycle) of `n >= 3` nodes.
@@ -341,14 +326,24 @@ pub fn ring(n: usize) -> Result<Graph, GenError> {
             "ring needs n >= 3, got {n}"
         )));
     }
-    let mut graph = Graph::with_nodes(n);
-    let ids: Vec<NodeId> = graph.node_ids().collect();
-    for i in 0..n {
-        graph
-            .add_edge(ids[i], ids[(i + 1) % n])
-            .expect("distinct live nodes");
-    }
-    Ok(graph)
+    let edges = (0..n).map(move |i| (node(i), node((i + 1) % n)));
+    Ok(overlay(n, edges))
+}
+
+/// The ID of generated node `i` (generated overlays number from zero).
+fn node(i: usize) -> NodeId {
+    NodeId::from_raw(i as u64)
+}
+
+/// The `n`-node overlay with the given edges between distinct nodes
+/// `0..n`, built in one pass.
+fn overlay<I>(n: usize, edges: I) -> Graph
+where
+    I: IntoIterator<Item = (NodeId, NodeId)>,
+    I::IntoIter: Clone,
+{
+    Graph::from_edges(n as u64, (0..n).map(node).collect(), edges)
+        .expect("generated edges join distinct live nodes")
 }
 
 /// Links connected components into one by adding one edge between a random

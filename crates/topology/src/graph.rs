@@ -3,11 +3,20 @@
 //! Storage is CSR-style: each live node occupies a dense *slot* and its
 //! neighbors live in one sorted `Vec<NodeId>`, exposed as a stable
 //! [`Graph::neighbor_slice`]. Hot simulation loops borrow that slice
-//! directly (no per-event clone, no tree walk); churn updates it
-//! incrementally (binary-search insert/remove) instead of rebuilding
-//! neighborhoods.
+//! directly (no per-event clone, no tree walk).
+//!
+//! A graph is built in one of two ways. Whole overlays — the
+//! generators' edge lists and checkpoint decode — go through
+//! [`Graph::from_edges`] in one pass: count degrees, allocate every row
+//! at its exact size, push both directions, then sort and deduplicate
+//! each row, O(E log d) in all. Churn and the generators that must
+//! query the graph while they build it ([`crate::generators::random_regular`])
+//! mutate it incrementally: [`Graph::add_edge`] and
+//! [`Graph::remove_edge`] binary-search insert into or remove from the
+//! two sorted rows, O(d) each, so neighborhoods are never rebuilt.
+//! Both routes give equal graphs for the same edge list.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 
@@ -50,6 +59,9 @@ pub enum GraphError {
     NoSuchNode(NodeId),
     /// Self-loops are not allowed in an overlay.
     SelfLoop(NodeId),
+    /// A bulk-built node list was not strictly ascending below the ID
+    /// watermark at this node (see [`Graph::from_edges`]).
+    UnorderedNode(NodeId),
 }
 
 impl fmt::Display for GraphError {
@@ -57,6 +69,10 @@ impl fmt::Display for GraphError {
         match self {
             GraphError::NoSuchNode(id) => write!(f, "no such node: {id}"),
             GraphError::SelfLoop(id) => write!(f, "self-loop rejected at {id}"),
+            GraphError::UnorderedNode(id) => write!(
+                f,
+                "node list not strictly ascending below the ID watermark at {id}"
+            ),
         }
     }
 }
@@ -139,20 +155,92 @@ impl Graph {
 
     /// Creates a graph with `n` isolated nodes (IDs `0..n`).
     pub fn with_nodes(n: usize) -> Self {
-        let mut g = Graph {
-            slot_ids: Vec::with_capacity(n),
-            id_to_slot: Vec::with_capacity(n),
-            adjacency: Vec::with_capacity(n),
-            sorted_ids: Vec::with_capacity(n),
-            dead_sorted: 0,
-            next_id: 0,
-            edge_count: 0,
-            join_index: None,
-        };
-        for _ in 0..n {
-            g.add_node();
+        let ids = (0..n as u64).map(NodeId).collect();
+        Graph::from_edges(n as u64, ids, []).expect("ascending ids, no edges")
+    }
+
+    /// Builds a whole overlay in one pass: nodes `live` (strictly
+    /// ascending, every raw value below `watermark`) joined by `edges`,
+    /// with the ID watermark — the next ID [`Graph::add_node`] will
+    /// allocate — at `watermark`. IDs below the watermark that `live`
+    /// omits are dead, as if removed.
+    ///
+    /// The result equals folding [`Graph::add_edge`] over `edges` on a
+    /// graph holding exactly those nodes: parallel edges (in either
+    /// orientation) collapse into one. It is built without any sorted
+    /// insert — degrees are counted first, each row is allocated once
+    /// and filled, then sorted and deduplicated — so the cost is
+    /// O(E log d) rather than the O(E · d) of per-edge inserts into hub
+    /// rows. `edges` is walked twice, hence the `Clone` bound.
+    ///
+    /// # Errors
+    /// Returns [`GraphError::UnorderedNode`] at the first node of `live`
+    /// that is not above its predecessor or not below `watermark`, and
+    /// otherwise the error the first offending [`Graph::add_edge`] call
+    /// would return: [`GraphError::SelfLoop`] when an edge joins a node
+    /// to itself, [`GraphError::NoSuchNode`] when it names a dead or
+    /// unknown ID.
+    ///
+    /// ```
+    /// use scrip_topology::{Graph, NodeId};
+    ///
+    /// # fn main() -> Result<(), scrip_topology::GraphError> {
+    /// let id = NodeId::from_raw;
+    /// // Nodes 0, 2, 3 live, node 1 dead; the duplicate edge collapses.
+    /// let edges = [(id(0), id(2)), (id(3), id(0)), (id(2), id(0))];
+    /// let g = Graph::from_edges(4, vec![id(0), id(2), id(3)], edges)?;
+    /// assert_eq!(g.edge_count(), 2);
+    /// assert_eq!(g.neighbor_slice(id(0)), Some(&[id(2), id(3)][..]));
+    /// assert_eq!(g.next_raw_id(), 4);
+    /// assert!(Graph::from_edges(4, vec![id(0)], [(id(0), id(1))]).is_err());
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn from_edges<I>(watermark: u64, live: Vec<NodeId>, edges: I) -> Result<Graph, GraphError>
+    where
+        I: IntoIterator<Item = (NodeId, NodeId)>,
+        I::IntoIter: Clone,
+    {
+        let mut id_to_slot = Vec::new();
+        let mut previous = None;
+        for (slot, &id) in live.iter().enumerate() {
+            if id.0 >= watermark || previous.is_some_and(|p| p >= id) {
+                return Err(GraphError::UnorderedNode(id));
+            }
+            id_to_slot.resize(id.0 as usize, ABSENT);
+            id_to_slot.push(slot as u32);
+            previous = Some(id);
         }
-        g
+        id_to_slot.resize(watermark as usize, ABSENT);
+        let mut graph = Graph {
+            sorted_ids: live.clone(),
+            slot_ids: live,
+            id_to_slot,
+            next_id: watermark,
+            ..Graph::default()
+        };
+        let slot = |id| graph.slot(id).ok_or(GraphError::NoSuchNode(id));
+        let edges = edges.into_iter();
+        let mut degrees = vec![0usize; graph.node_count()];
+        for (a, b) in edges.clone() {
+            if a == b {
+                return Err(GraphError::SelfLoop(a));
+            }
+            degrees[slot(a)?] += 1;
+            degrees[slot(b)?] += 1;
+        }
+        let mut adjacency: Vec<Vec<NodeId>> = degrees.into_iter().map(Vec::with_capacity).collect();
+        for (a, b) in edges {
+            adjacency[slot(a)?].push(b);
+            adjacency[slot(b)?].push(a);
+        }
+        for row in &mut adjacency {
+            row.sort_unstable();
+            row.dedup();
+        }
+        graph.edge_count = adjacency.iter().map(Vec::len).sum::<usize>() / 2;
+        graph.adjacency = adjacency;
+        Ok(graph)
     }
 
     /// The slot of a live node, if any.
@@ -380,22 +468,22 @@ impl Graph {
     /// The connected components, each a sorted vector of node IDs; the
     /// components themselves are sorted by their smallest member.
     pub fn connected_components(&self) -> Vec<Vec<NodeId>> {
-        let mut visited: BTreeSet<NodeId> = BTreeSet::new();
+        // Visited flags by raw ID: O(1) probes where a set would cost a
+        // tree walk per neighbor.
+        let mut visited = vec![false; self.next_id as usize];
         let mut components = Vec::new();
+        let mut queue = VecDeque::new();
         for start in self.node_ids() {
-            if visited.contains(&start) {
+            if std::mem::replace(&mut visited[start.0 as usize], true) {
                 continue;
             }
             let mut component = Vec::new();
-            let mut queue = VecDeque::from([start]);
-            visited.insert(start);
+            queue.push_back(start);
             while let Some(node) = queue.pop_front() {
                 component.push(node);
-                if let Some(nbrs) = self.neighbors(node) {
-                    for nb in nbrs {
-                        if visited.insert(nb) {
-                            queue.push_back(nb);
-                        }
+                for &nb in self.neighbor_slice(node).unwrap_or(&[]) {
+                    if !std::mem::replace(&mut visited[nb.0 as usize], true) {
+                        queue.push_back(nb);
                     }
                 }
             }

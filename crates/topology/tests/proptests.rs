@@ -1,7 +1,10 @@
 //! Property-based tests for overlay graphs and generators.
 
+use std::collections::{BTreeSet, VecDeque};
+
 use proptest::prelude::*;
 use rand::Rng;
+use scrip_des::dist::DiscretePowerLaw;
 use scrip_des::SimRng;
 use scrip_topology::churn::{AttachmentRule, ChurnTopology};
 use scrip_topology::generators::{self, ScaleFreeConfig};
@@ -308,5 +311,321 @@ proptest! {
             );
         }
         prop_assert_eq!(index.pick_by_degree(total), *existing.last().expect("non-empty"));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Bulk-build equivalence. `Graph::from_edges` replaced per-edge
+// `add_edge` folds in the generators and checkpoint decode, and a
+// `Vec<bool>` visited set replaced the `BTreeSet` in
+// `connected_components`. The functions below are the replaced code,
+// kept verbatim as references.
+// ---------------------------------------------------------------------
+
+/// The incremental build: `watermark` nodes, the ones `live` omits
+/// removed, then `add_edge` folded over `edges`, stopping at the first
+/// error.
+fn reference_build(
+    watermark: u64,
+    live: &[NodeId],
+    edges: &[(NodeId, NodeId)],
+) -> Result<Graph, scrip_topology::GraphError> {
+    let mut graph = Graph::with_nodes(watermark as usize);
+    for raw in 0..watermark {
+        let id = NodeId::from_raw(raw);
+        if live.binary_search(&id).is_err() {
+            graph.remove_node(id)?;
+        }
+    }
+    for &(a, b) in edges {
+        graph.add_edge(a, b)?;
+    }
+    Ok(graph)
+}
+
+/// The `BTreeSet`-visited breadth-first component labelling.
+fn reference_components(graph: &Graph) -> Vec<Vec<NodeId>> {
+    let mut visited: BTreeSet<NodeId> = BTreeSet::new();
+    let mut components = Vec::new();
+    for start in graph.node_ids() {
+        if visited.contains(&start) {
+            continue;
+        }
+        let mut component = Vec::new();
+        let mut queue = VecDeque::from([start]);
+        visited.insert(start);
+        while let Some(node) = queue.pop_front() {
+            component.push(node);
+            if let Some(nbrs) = graph.neighbors(node) {
+                for nb in nbrs {
+                    if visited.insert(nb) {
+                        queue.push_back(nb);
+                    }
+                }
+            }
+        }
+        component.sort_unstable();
+        components.push(component);
+    }
+    components
+}
+
+/// The configuration-model generator as an `add_edge` loop over
+/// `usize` stubs, with its component patch.
+fn reference_scale_free(config: &ScaleFreeConfig, rng: &mut SimRng) -> Graph {
+    let max = config.max_degree.min(config.n as u64 - 1);
+    let degree_dist =
+        DiscretePowerLaw::new(config.min_degree, max, config.exponent).expect("valid");
+    let mut graph = Graph::with_nodes(config.n);
+    let ids: Vec<NodeId> = graph.node_ids().collect();
+    let cap = (config.n - 1) as u64;
+    let mut degrees: Vec<u64> = (0..config.n)
+        .map(|_| degree_dist.sample(rng).min(cap))
+        .collect();
+    if degrees.iter().sum::<u64>() % 2 == 1 {
+        let i = rng.gen_range(0..config.n);
+        degrees[i] = if degrees[i] < cap {
+            degrees[i] + 1
+        } else {
+            degrees[i] - 1
+        };
+    }
+    let mut stubs: Vec<usize> = Vec::with_capacity(degrees.iter().sum::<u64>() as usize);
+    for (i, &d) in degrees.iter().enumerate() {
+        stubs.extend(std::iter::repeat(i).take(d as usize));
+    }
+    for i in (1..stubs.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        stubs.swap(i, j);
+    }
+    for pair in stubs.chunks_exact(2) {
+        let (a, b) = (ids[pair[0]], ids[pair[1]]);
+        if a != b {
+            let _ = graph.add_edge(a, b);
+        }
+    }
+    let components = reference_components(&graph);
+    if components.len() > 1 {
+        let anchor_component = &components[0];
+        for comp in &components[1..] {
+            let a = anchor_component[rng.gen_range(0..anchor_component.len())];
+            let b = comp[rng.gen_range(0..comp.len())];
+            graph.add_edge(a, b).expect("distinct components");
+        }
+    }
+    graph
+}
+
+/// Barabási–Albert as an `add_edge` loop.
+fn reference_barabasi_albert(n: usize, m: usize, rng: &mut SimRng) -> Graph {
+    let mut graph = Graph::new();
+    let ids: Vec<NodeId> = (0..n).map(|_| graph.add_node()).collect();
+    for i in 0..=m {
+        for j in (i + 1)..=m {
+            graph.add_edge(ids[i], ids[j]).expect("valid");
+        }
+    }
+    let mut endpoints: Vec<usize> = Vec::new();
+    for i in 0..=m {
+        endpoints.extend(std::iter::repeat(i).take(m));
+    }
+    for new in (m + 1)..n {
+        let mut targets: Vec<usize> = Vec::with_capacity(m);
+        let mut guard = 0usize;
+        while targets.len() < m {
+            let pick = endpoints[rng.gen_range(0..endpoints.len())];
+            if pick != new && !targets.contains(&pick) {
+                targets.push(pick);
+            }
+            guard += 1;
+            if guard > 100 * (m + 1) {
+                let pick = rng.gen_range(0..new);
+                if !targets.contains(&pick) {
+                    targets.push(pick);
+                }
+            }
+        }
+        for &t in &targets {
+            graph.add_edge(ids[new], ids[t]).expect("valid");
+            endpoints.push(t);
+            endpoints.push(new);
+        }
+    }
+    graph
+}
+
+/// A live set with gaps: `alive[i]` says whether ID `i` lives, and the
+/// watermark sits `tail` IDs past the flags (those IDs are dead too).
+fn live_set(alive: &[bool], tail: u64) -> (u64, Vec<NodeId>) {
+    let live = (0u64..)
+        .zip(alive)
+        .filter(|&(_, &on)| on)
+        .map(|(raw, _)| NodeId::from_raw(raw))
+        .collect();
+    (alive.len() as u64 + tail, live)
+}
+
+/// Everything observable about a graph, plus its behaviour under the
+/// same follow-up mutations (which exercise the slot bookkeeping the
+/// two builds set up differently).
+fn assert_same_graph(bulk: &Graph, folded: &Graph) -> Result<(), TestCaseError> {
+    prop_assert!(bulk == folded);
+    prop_assert_eq!(bulk.edge_count(), folded.edge_count());
+    prop_assert_eq!(bulk.next_raw_id(), folded.next_raw_id());
+    prop_assert_eq!(neighbor_lists(bulk), neighbor_lists(folded));
+    prop_assert_eq!(
+        bulk.edges().collect::<Vec<_>>(),
+        folded.edges().collect::<Vec<_>>()
+    );
+    let (mut bulk, mut folded) = (bulk.clone(), folded.clone());
+    let live: Vec<NodeId> = folded.node_ids().collect();
+    for (i, &id) in live.iter().enumerate().step_by(3) {
+        prop_assert_eq!(bulk.remove_node(id), folded.remove_node(id));
+        let fresh = (bulk.add_node(), folded.add_node());
+        prop_assert_eq!(fresh.0, fresh.1);
+        if let Some(&other) = live.get(i + 1) {
+            prop_assert_eq!(
+                bulk.add_edge(fresh.0, other),
+                folded.add_edge(fresh.1, other)
+            );
+        }
+    }
+    prop_assert!(bulk == folded);
+    prop_assert_eq!(neighbor_lists(&bulk), neighbor_lists(&folded));
+    Ok(())
+}
+
+proptest! {
+    /// The bulk build equals folding `add_edge` over the same list: live
+    /// sets with gaps (and dead IDs past the last live one), pair lists
+    /// with duplicates in both orientations.
+    #[test]
+    fn bulk_build_equals_the_add_edge_fold(
+        alive in prop::collection::vec(proptest::bool::ANY, 0..200),
+        tail in 0u64..4,
+        pairs in prop::collection::vec((0usize..256, 0usize..256, 0u8..4), 0..400),
+    ) {
+        let (watermark, live) = live_set(&alive, tail);
+        let mut edges = Vec::new();
+        if !live.is_empty() {
+            for (a, b, flags) in pairs {
+                let (a, b) = (live[a % live.len()], live[b % live.len()]);
+                if a == b {
+                    continue;
+                }
+                let edge = if flags & 1 == 1 { (b, a) } else { (a, b) };
+                edges.push(edge);
+                if flags & 2 == 2 {
+                    edges.push((edge.1, edge.0));
+                }
+            }
+        }
+        let folded = reference_build(watermark, &live, &edges).expect("valid edges");
+        let bulk = Graph::from_edges(watermark, live, edges.iter().copied()).expect("valid edges");
+        assert_same_graph(&bulk, &folded)?;
+    }
+
+    /// Self-loops and dead or unknown IDs fail the bulk build with the
+    /// error the first offending `add_edge` returns; clean lists build
+    /// the same graph.
+    #[test]
+    fn bulk_build_fails_like_the_first_bad_add_edge(
+        alive in prop::collection::vec(proptest::bool::ANY, 1..60),
+        tail in 0u64..3,
+        pairs in prop::collection::vec((0u64..70, 0u64..70), 0..40),
+    ) {
+        let (watermark, live) = live_set(&alive, tail);
+        let edges: Vec<(NodeId, NodeId)> = pairs
+            .into_iter()
+            .map(|(a, b)| (NodeId::from_raw(a), NodeId::from_raw(b)))
+            .collect();
+        let folded = reference_build(watermark, &live, &edges);
+        let bulk = Graph::from_edges(watermark, live, edges.iter().copied());
+        match (bulk, folded) {
+            (Ok(bulk), Ok(folded)) => assert_same_graph(&bulk, &folded)?,
+            (bulk, folded) => prop_assert_eq!(bulk.err(), folded.err()),
+        }
+    }
+
+    /// Live lists out of order, repeated or at/over the watermark are
+    /// rejected at the first offending ID.
+    #[test]
+    fn bulk_build_rejects_bad_node_lists(
+        raws in prop::collection::vec(0u64..40, 1..20),
+        watermark in 0u64..40,
+    ) {
+        let live: Vec<NodeId> = raws.iter().copied().map(NodeId::from_raw).collect();
+        let first_bad = raws
+            .iter()
+            .enumerate()
+            .find(|&(i, &raw)| raw >= watermark || (i > 0 && raws[i - 1] >= raw))
+            .map(|(_, &raw)| NodeId::from_raw(raw));
+        let built = Graph::from_edges(watermark, live, []);
+        match first_bad {
+            Some(id) => prop_assert_eq!(built.err(), Some(scrip_topology::GraphError::UnorderedNode(id))),
+            None => prop_assert_eq!(built.expect("ordered").node_count(), raws.len()),
+        }
+    }
+
+    /// `scale_free` through the bulk build equals the `add_edge`-loop
+    /// generator, draw for draw: same graph, same RNG state afterwards.
+    /// Low minimum degrees leave several components, exercising the
+    /// connectivity patch.
+    #[test]
+    fn scale_free_equals_the_add_edge_generator(
+        n in 2usize..400,
+        seed in 0u64..10_000,
+        min_degree in 1u64..9,
+    ) {
+        prop_assume!((min_degree as usize) < n);
+        let config = ScaleFreeConfig::new(n).expect("n >= 2").min_degree(min_degree);
+        let mut rng_fast = SimRng::seed_from_u64(seed);
+        let mut rng_slow = rng_fast.clone();
+        let fast = generators::scale_free(&config, &mut rng_fast).expect("generates");
+        let slow = reference_scale_free(&config, &mut rng_slow);
+        prop_assert_eq!(rng_fast.state(), rng_slow.state());
+        assert_same_graph(&fast, &slow)?;
+    }
+
+    /// Barabási–Albert, `complete` and `ring` through the bulk build
+    /// equal their `add_edge` loops.
+    #[test]
+    fn small_generators_equal_their_add_edge_loops(
+        n in 3usize..120,
+        m in 1usize..6,
+        seed in 0u64..10_000,
+    ) {
+        prop_assume!(m < n);
+        let mut rng_fast = SimRng::seed_from_u64(seed);
+        let mut rng_slow = rng_fast.clone();
+        let fast = generators::barabasi_albert(n, m, &mut rng_fast).expect("generates");
+        let slow = reference_barabasi_albert(n, m, &mut rng_slow);
+        prop_assert_eq!(rng_fast.state(), rng_slow.state());
+        assert_same_graph(&fast, &slow)?;
+
+        let ids: Vec<NodeId> = (0..n as u64).map(NodeId::from_raw).collect();
+        let ring: Vec<_> = (0..n).map(|i| (ids[i], ids[(i + 1) % n])).collect();
+        let folded = reference_build(n as u64, &ids, &ring).expect("valid");
+        assert_same_graph(&generators::ring(n).expect("n >= 3"), &folded)?;
+        let clique: Vec<_> = (0..n)
+            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+            .map(|(i, j)| (ids[i], ids[j]))
+            .collect();
+        let folded = reference_build(n as u64, &ids, &clique).expect("valid");
+        assert_same_graph(&generators::complete(n), &folded)?;
+    }
+
+    /// Component labelling equals the `BTreeSet` BFS on churned graphs
+    /// with tombstones, isolated nodes and many components.
+    #[test]
+    fn components_equal_the_btreeset_bfs(
+        n in 0usize..80,
+        p in 0.0f64..0.08,
+        seed in 0u64..1_000,
+        ops in prop::collection::vec((0u8..4, 0usize..128, 0usize..128), 0..150),
+    ) {
+        let g = churned_graph(n, p, seed, &ops);
+        prop_assert_eq!(g.connected_components(), reference_components(&g));
+        prop_assert_eq!(g.is_connected(), reference_components(&g).len() <= 1);
     }
 }
