@@ -20,6 +20,11 @@ impl Client {
     /// Returns a message when the connection cannot be established.
     pub fn connect(addr: &str) -> Result<Client, String> {
         let writer = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        // Every request goes out in one write; without this, Nagle's
+        // algorithm could still hold it back for the daemon's delayed ACK.
+        writer
+            .set_nodelay(true)
+            .map_err(|e| format!("connect {addr}: {e}"))?;
         let read_half = writer
             .try_clone()
             .map_err(|e| format!("connect {addr}: {e}"))?;
@@ -30,8 +35,13 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) -> Result<(), String> {
+        self.send_message(&format!("{line}\n"))
+    }
+
+    /// Sends one whole message with a single write.
+    fn send_message(&mut self, message: &str) -> Result<(), String> {
         self.writer
-            .write_all(format!("{line}\n").as_bytes())
+            .write_all(message.as_bytes())
             .map_err(|e| format!("send: {e}"))
     }
 
@@ -76,20 +86,20 @@ impl Client {
         timeout_secs: Option<u64>,
         checkpoint_every: Option<u64>,
     ) -> Result<String, String> {
-        let mut line = format!("submit {}", scenario_text.len());
+        let mut message = format!("submit {}", scenario_text.len());
         if let Some(name) = name {
-            line.push_str(&format!(" name={name}"));
+            message.push_str(&format!(" name={name}"));
         }
         if let Some(t) = timeout_secs {
-            line.push_str(&format!(" timeout={t}"));
+            message.push_str(&format!(" timeout={t}"));
         }
         if let Some(c) = checkpoint_every {
-            line.push_str(&format!(" ckpt={c}"));
+            message.push_str(&format!(" ckpt={c}"));
         }
-        self.send(&line)?;
-        self.writer
-            .write_all(scenario_text.as_bytes())
-            .map_err(|e| format!("send: {e}"))?;
+        // Header and body in one write.
+        message.push('\n');
+        message.push_str(scenario_text);
+        self.send_message(&message)?;
         let reply = self.read_reply()?;
         reply
             .strip_prefix("submitted ")
@@ -222,5 +232,19 @@ impl Client {
         } else {
             Err(reply)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn connect_turns_off_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("bound").to_string();
+        let client = Client::connect(&addr).expect("connects");
+        assert_eq!(client.writer.nodelay().ok(), Some(true));
     }
 }

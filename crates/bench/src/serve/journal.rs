@@ -21,7 +21,6 @@
 //! non-terminal job with a pending cancel request is finalized as
 //! cancelled.
 
-use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::Path;
 
@@ -83,6 +82,69 @@ pub struct JobRecord {
     pub cancel_requested: bool,
 }
 
+/// Every job a daemon has accepted, in one `Vec` sorted by job number
+/// (`j<n>`), which is acceptance order. The daemon keeps a record for
+/// every job it ever accepted, so the table stores each record once,
+/// with no per-entry key or tree node, and lookups binary-search it.
+#[derive(Debug, Default)]
+pub struct JobTable {
+    jobs: Vec<JobRecord>,
+}
+
+/// The number of a job id `j<n>`, written as the daemon writes it (so
+/// `j01` and `j+1` are not `j1`).
+fn job_number(id: &str) -> Option<u64> {
+    let digits = id.strip_prefix('j')?;
+    if digits.starts_with(['0', '+']) {
+        return None;
+    }
+    digits.parse().ok()
+}
+
+impl JobTable {
+    /// Where the record for `id` is (`Ok`) or would go (`Err`); `None`
+    /// for an id that is not `j<n>`.
+    fn slot(&self, id: &str) -> Option<Result<usize, usize>> {
+        let n = job_number(id)?;
+        Some(
+            self.jobs
+                .binary_search_by_key(&n, |j| job_number(&j.id).unwrap_or(u64::MAX)),
+        )
+    }
+
+    /// The record for job `id`.
+    pub fn get(&self, id: &str) -> Option<&JobRecord> {
+        let i = self.slot(id)?.ok()?;
+        Some(&self.jobs[i])
+    }
+
+    /// The record for job `id`, for update.
+    pub fn get_mut(&mut self, id: &str) -> Option<&mut JobRecord> {
+        let i = self.slot(id)?.ok()?;
+        Some(&mut self.jobs[i])
+    }
+
+    /// Adds `record`, replacing any record with the same id. A record
+    /// whose id is not `j<n>` is dropped.
+    pub fn insert(&mut self, record: JobRecord) {
+        match self.slot(&record.id) {
+            Some(Ok(i)) => self.jobs[i] = record,
+            Some(Err(i)) => self.jobs.insert(i, record),
+            None => {}
+        }
+    }
+
+    /// Every record, in acceptance order.
+    pub fn iter(&self) -> impl Iterator<Item = &JobRecord> {
+        self.jobs.iter()
+    }
+
+    /// How many jobs the table holds.
+    pub fn len(&self) -> usize {
+        self.jobs.len()
+    }
+}
+
 /// The append side of the journal plus the replayed state.
 #[derive(Debug)]
 pub struct Journal {
@@ -91,16 +153,16 @@ pub struct Journal {
 
 impl Journal {
     /// Opens (creating if absent) the journal in `state_dir` and replays
-    /// it. Returns the journal handle, every job keyed by id, and the
-    /// next unused numeric job id.
+    /// it. Returns the journal handle, every job, and the next unused
+    /// numeric job id.
     ///
     /// # Errors
     /// Returns a message when the state directory or journal cannot be
     /// opened. Malformed lines (at most one, from an interrupted final
     /// write) are skipped, not fatal.
-    pub fn open(state_dir: &Path) -> Result<(Journal, BTreeMap<String, JobRecord>, u64), String> {
+    pub fn open(state_dir: &Path) -> Result<(Journal, JobTable, u64), String> {
         let path = state_dir.join(JOURNAL_FILE);
-        let mut jobs: BTreeMap<String, JobRecord> = BTreeMap::new();
+        let mut jobs = JobTable::default();
         let mut next_id = 1u64;
         let text = std::fs::read_to_string(&path).unwrap_or_default();
         {
@@ -123,20 +185,17 @@ impl Journal {
                                 checkpoint_every = v.parse().unwrap_or(0);
                             }
                         }
-                        if let Some(n) = id.strip_prefix('j').and_then(|n| n.parse::<u64>().ok()) {
+                        if let Some(n) = job_number(id) {
                             next_id = next_id.max(n + 1);
                         }
-                        jobs.insert(
-                            id.to_string(),
-                            JobRecord {
-                                id: id.to_string(),
-                                name,
-                                timeout_secs,
-                                checkpoint_every,
-                                state: JobState::Queued,
-                                cancel_requested: false,
-                            },
-                        );
+                        jobs.insert(JobRecord {
+                            id: id.to_string(),
+                            name,
+                            timeout_secs,
+                            checkpoint_every,
+                            state: JobState::Queued,
+                            cancel_requested: false,
+                        });
                     }
                     "running" | "completed" | "failed" | "cancelled" | "cancel-requested" => {
                         let Some(job) = jobs.get_mut(id) else {
@@ -170,7 +229,7 @@ impl Journal {
         }
         // Finalize cancels interrupted by a crash: the request is
         // durable, the worker that would honor it is gone.
-        for job in jobs.values_mut() {
+        for job in &mut jobs.jobs {
             if job.cancel_requested && !job.state.terminal() {
                 job.state = JobState::Cancelled;
                 job.cancel_requested = false;
@@ -193,14 +252,11 @@ impl Journal {
 
 /// Ids of replayed jobs that need a worker, in acceptance order:
 /// queued jobs plus jobs a dead daemon left running.
-pub fn recoverable(jobs: &BTreeMap<String, JobRecord>) -> Vec<String> {
-    let mut ids: Vec<&JobRecord> = jobs.values().filter(|j| !j.state.terminal()).collect();
-    ids.sort_by_key(|j| {
-        j.id.strip_prefix('j')
-            .and_then(|n| n.parse::<u64>().ok())
-            .unwrap_or(u64::MAX)
-    });
-    ids.into_iter().map(|j| j.id.clone()).collect()
+pub fn recoverable(jobs: &JobTable) -> Vec<String> {
+    jobs.iter()
+        .filter(|j| !j.state.terminal())
+        .map(|j| j.id.clone())
+        .collect()
 }
 
 #[cfg(test)]
@@ -223,7 +279,7 @@ mod tests {
         let dir = temp_state_dir("replay");
         {
             let (mut journal, jobs, next) = Journal::open(&dir).expect("opens");
-            assert!(jobs.is_empty());
+            assert_eq!(jobs.len(), 0);
             assert_eq!(next, 1);
             journal
                 .append("accepted j1 alpha timeout=0 ckpt=100")
@@ -240,11 +296,11 @@ mod tests {
         }
         let (_journal, jobs, next) = Journal::open(&dir).expect("replays");
         assert_eq!(next, 4);
-        assert_eq!(jobs["j1"].state, JobState::Completed);
-        assert_eq!(jobs["j2"].state, JobState::Running);
-        assert_eq!(jobs["j2"].timeout_secs, 30);
-        assert_eq!(jobs["j3"].state, JobState::Queued);
-        assert_eq!(jobs["j1"].checkpoint_every, 100);
+        assert_eq!(jobs.get("j1").expect("replayed").state, JobState::Completed);
+        assert_eq!(jobs.get("j2").expect("replayed").state, JobState::Running);
+        assert_eq!(jobs.get("j2").expect("replayed").timeout_secs, 30);
+        assert_eq!(jobs.get("j3").expect("replayed").state, JobState::Queued);
+        assert_eq!(jobs.get("j1").expect("replayed").checkpoint_every, 100);
         assert_eq!(recoverable(&jobs), vec!["j2", "j3"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -261,12 +317,12 @@ mod tests {
             journal.append("cancel-requested j1").expect("append");
         }
         let (_journal, jobs, _) = Journal::open(&dir).expect("replays");
-        assert_eq!(jobs["j1"].state, JobState::Cancelled);
-        assert!(!jobs["j1"].cancel_requested);
+        assert_eq!(jobs.get("j1").expect("replayed").state, JobState::Cancelled);
+        assert!(!jobs.get("j1").expect("replayed").cancel_requested);
         assert!(recoverable(&jobs).is_empty());
         // The finalization is itself journaled: a third replay agrees.
         let (_journal, jobs, _) = Journal::open(&dir).expect("replays again");
-        assert_eq!(jobs["j1"].state, JobState::Cancelled);
+        assert_eq!(jobs.get("j1").expect("replayed").state, JobState::Cancelled);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -287,8 +343,30 @@ mod tests {
             .expect("open");
         file.write_all(b"runni").expect("torn write");
         let (_journal, jobs, next) = Journal::open(&dir).expect("replays");
-        assert_eq!(jobs["j1"].state, JobState::Queued);
+        assert_eq!(jobs.get("j1").expect("replayed").state, JobState::Queued);
         assert_eq!(next, 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn job_table_orders_by_job_number_and_matches_ids_exactly() {
+        let record = |id: &str, name: &str| JobRecord {
+            id: id.to_string(),
+            name: name.to_string(),
+            timeout_secs: 0,
+            checkpoint_every: 0,
+            state: JobState::Queued,
+            cancel_requested: false,
+        };
+        let mut jobs = JobTable::default();
+        for id in ["j10", "j9", "j2", "x", "j02"] {
+            jobs.insert(record(id, "a"));
+        }
+        jobs.insert(record("j9", "b"));
+        let ids: Vec<&str> = jobs.iter().map(|j| j.id.as_str()).collect();
+        assert_eq!(ids, ["j2", "j9", "j10"]);
+        assert_eq!(jobs.get("j9").expect("present").name, "b");
+        assert!(jobs.get("j09").is_none() && jobs.get("j+9").is_none());
+        assert_eq!(recoverable(&jobs), ["j2", "j9", "j10"]);
     }
 }

@@ -34,6 +34,14 @@
 //! The daemon never re-simulates inside the protocol layer: results are
 //! whatever the worker wrote, so a served run's output is the scenario
 //! runner's output, byte for byte.
+//!
+//! **Write discipline.** Both ends of the socket set `TCP_NODELAY`, and
+//! every message leaves in one write: the client sends a `submit`
+//! header and its scenario bytes together, and the server buffers each
+//! reply (a `result` header with its CSV included) and flushes once per
+//! request; `subscribe` flushes once per poll of the sample log. A
+//! message split over several small writes would otherwise wait on the
+//! peer's delayed ACK under Nagle's algorithm, ~40 ms per reply.
 
 mod client;
 mod journal;

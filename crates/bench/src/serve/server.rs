@@ -1,8 +1,8 @@
 //! The daemon: listener, connection handlers, and the shared state the
 //! worker pool drains.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::collections::VecDeque;
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use scrip_core::des::trace::{TraceFrame, TraceTailer};
 
-use super::journal::{recoverable, JobRecord, JobState, Journal};
+use super::journal::{recoverable, JobRecord, JobState, JobTable, Journal};
 use super::protocol::Request;
 use super::{worker, ADDR_FILE};
 use crate::scenario::Scenario;
@@ -75,7 +75,7 @@ pub(super) struct Shared {
 /// The daemon's mutable state, guarded by one mutex.
 pub(super) struct Inner {
     /// Every job ever journaled, keyed by id.
-    pub(super) jobs: BTreeMap<String, JobRecord>,
+    pub(super) jobs: JobTable,
     /// Ids waiting for a worker, in acceptance order.
     pub(super) queue: VecDeque<String>,
     /// The append side of the persistent queue.
@@ -200,14 +200,24 @@ impl Server {
     }
 }
 
+/// The write half of a client connection, flushed once per reply.
+type Writer = BufWriter<TcpStream>;
+
 /// Serves one client connection until EOF, error, or a terminating verb
 /// (`subscribe` after its stream, `drain` after shutdown).
+///
+/// Replies are buffered and flushed once per request, so each reply
+/// leaves in one write; with `TCP_NODELAY` set it is sent at once
+/// instead of waiting on the client's delayed ACK.
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
+    let mut writer = BufWriter::new(stream);
     loop {
         let mut line = String::new();
         match reader.read_line(&mut line) {
@@ -218,23 +228,17 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         if trimmed.is_empty() {
             continue;
         }
-        let request = match Request::parse(trimmed) {
-            Ok(request) => request,
-            Err(e) => {
-                if writeln!(writer, "err {e}").is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
+        let request = Request::parse(trimmed);
+        let last = matches!(request, Ok(Request::Subscribe { .. } | Request::Drain));
         let outcome = match request {
-            Request::Ping => writeln!(writer, "ok pong").map_err(|e| e.to_string()),
-            Request::Submit {
+            Err(e) => refuse(&mut writer, &e),
+            Ok(Request::Ping) => writeln!(writer, "ok pong").map_err(|e| e.to_string()),
+            Ok(Request::Submit {
                 nbytes,
                 name,
                 timeout_secs,
                 checkpoint_every,
-            } => handle_submit(
+            }) => handle_submit(
                 shared,
                 &mut reader,
                 &mut writer,
@@ -243,28 +247,27 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
                 timeout_secs,
                 checkpoint_every,
             ),
-            Request::Status { job } => handle_status(shared, &mut writer, &job),
-            Request::Result { job } => handle_result(shared, &mut writer, &job),
-            Request::Cancel { job } => handle_cancel(shared, &mut writer, &job),
-            Request::Stats => handle_stats(shared, &mut writer),
-            Request::Subscribe { job } => {
-                let _ = handle_subscribe(shared, &mut writer, &job);
-                return;
-            }
-            Request::Drain => {
-                let _ = handle_drain(shared, &mut writer);
-                return;
-            }
+            Ok(Request::Status { job }) => handle_status(shared, &mut writer, &job),
+            Ok(Request::Result { job }) => handle_result(shared, &mut writer, &job),
+            Ok(Request::Cancel { job }) => handle_cancel(shared, &mut writer, &job),
+            Ok(Request::Stats) => handle_stats(shared, &mut writer),
+            Ok(Request::Subscribe { job }) => handle_subscribe(shared, &mut writer, &job),
+            Ok(Request::Drain) => handle_drain(shared, &mut writer),
         };
-        if outcome.is_err() {
+        if outcome.and_then(|()| flush(&mut writer)).is_err() || last {
             return;
         }
     }
 }
 
+/// Sends everything buffered for the client.
+fn flush(writer: &mut Writer) -> Result<(), String> {
+    writer.flush().map_err(|e| e.to_string())
+}
+
 /// Reports a protocol-level error to the client; connection-level I/O
 /// failures bubble as `Err`.
-fn refuse(writer: &mut TcpStream, msg: &str) -> Result<(), String> {
+fn refuse(writer: &mut Writer, msg: &str) -> Result<(), String> {
     writeln!(writer, "err {msg}").map_err(|e| e.to_string())
 }
 
@@ -272,7 +275,7 @@ fn refuse(writer: &mut TcpStream, msg: &str) -> Result<(), String> {
 fn handle_submit(
     shared: &Arc<Shared>,
     reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
+    writer: &mut Writer,
     nbytes: usize,
     name: Option<String>,
     timeout_secs: Option<u64>,
@@ -324,24 +327,21 @@ fn handle_submit(
             "accepted {id} {name} timeout={timeout_secs} ckpt={checkpoint_every}"
         ))
         .map_err(|e| e.to_string())?;
-    inner.jobs.insert(
-        id.clone(),
-        JobRecord {
-            id: id.clone(),
-            name,
-            timeout_secs,
-            checkpoint_every,
-            state: JobState::Queued,
-            cancel_requested: false,
-        },
-    );
+    inner.jobs.insert(JobRecord {
+        id: id.clone(),
+        name,
+        timeout_secs,
+        checkpoint_every,
+        state: JobState::Queued,
+        cancel_requested: false,
+    });
     inner.queue.push_back(id.clone());
     drop(inner);
     shared.work.notify_all();
     writeln!(writer, "ok submitted {id}").map_err(|e| e.to_string())
 }
 
-fn handle_status(shared: &Arc<Shared>, writer: &mut TcpStream, job: &str) -> Result<(), String> {
+fn handle_status(shared: &Arc<Shared>, writer: &mut Writer, job: &str) -> Result<(), String> {
     let inner = shared.inner.lock().expect("serve lock");
     let Some(record) = inner.jobs.get(job) else {
         drop(inner);
@@ -357,7 +357,7 @@ fn handle_status(shared: &Arc<Shared>, writer: &mut TcpStream, job: &str) -> Res
     writeln!(writer, "{line}").map_err(|e| e.to_string())
 }
 
-fn handle_result(shared: &Arc<Shared>, writer: &mut TcpStream, job: &str) -> Result<(), String> {
+fn handle_result(shared: &Arc<Shared>, writer: &mut Writer, job: &str) -> Result<(), String> {
     let state = {
         let inner = shared.inner.lock().expect("serve lock");
         match inner.jobs.get(job) {
@@ -376,11 +376,14 @@ fn handle_result(shared: &Arc<Shared>, writer: &mut TcpStream, job: &str) -> Res
     }
     let path = shared.state_dir.join(format!("job-{job}.csv"));
     let csv = std::fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    writeln!(writer, "ok result {job} {}", csv.len()).map_err(|e| e.to_string())?;
-    writer.write_all(&csv).map_err(|e| e.to_string())
+    // Header and body in one buffer: a CSV larger than the writer's
+    // buffer would otherwise bypass it and leave as a second write.
+    let mut reply = format!("ok result {job} {}\n", csv.len()).into_bytes();
+    reply.extend_from_slice(&csv);
+    writer.write_all(&reply).map_err(|e| e.to_string())
 }
 
-fn handle_cancel(shared: &Arc<Shared>, writer: &mut TcpStream, job: &str) -> Result<(), String> {
+fn handle_cancel(shared: &Arc<Shared>, writer: &mut Writer, job: &str) -> Result<(), String> {
     let mut inner = shared.inner.lock().expect("serve lock");
     let Some(record) = inner.jobs.get(job).cloned() else {
         drop(inner);
@@ -420,12 +423,12 @@ fn handle_cancel(shared: &Arc<Shared>, writer: &mut TcpStream, job: &str) -> Res
     writeln!(writer, "{line}").map_err(|e| e.to_string())
 }
 
-fn handle_stats(shared: &Arc<Shared>, writer: &mut TcpStream) -> Result<(), String> {
+fn handle_stats(shared: &Arc<Shared>, writer: &mut Writer) -> Result<(), String> {
     let inner = shared.inner.lock().expect("serve lock");
     let mut completed = 0u64;
     let mut failed = 0u64;
     let mut cancelled = 0u64;
-    for job in inner.jobs.values() {
+    for job in inner.jobs.iter() {
         match job.state {
             JobState::Completed => completed += 1,
             JobState::Failed(_) => failed += 1,
@@ -452,10 +455,10 @@ fn handle_stats(shared: &Arc<Shared>, writer: &mut TcpStream) -> Result<(), Stri
 /// every boundary and closes it with an end frame *before* journaling
 /// the terminal state, so a subscriber observing a terminal job only
 /// needs a short grace period for the tail of the file.
-fn handle_subscribe(shared: &Arc<Shared>, writer: &mut TcpStream, job: &str) -> Result<(), String> {
+fn handle_subscribe(shared: &Arc<Shared>, writer: &mut Writer, job: &str) -> Result<(), String> {
     {
         let inner = shared.inner.lock().expect("serve lock");
-        if !inner.jobs.contains_key(job) {
+        if inner.jobs.get(job).is_none() {
             drop(inner);
             return refuse(writer, &format!("no such job {job}"));
         }
@@ -492,13 +495,16 @@ fn handle_subscribe(shared: &Arc<Shared>, writer: &mut TcpStream, job: &str) -> 
         if terminal {
             grace -= 1;
         }
+        // One flush per poll batch: the samples (and, on the first
+        // poll, the `subscribed` line) leave together.
+        flush(writer)?;
         std::thread::sleep(SUBSCRIBE_POLL);
     }
 }
 
 /// Refuses further submissions, waits for the queue and workers to go
 /// idle, acknowledges, then shuts the daemon down.
-fn handle_drain(shared: &Arc<Shared>, writer: &mut TcpStream) -> Result<(), String> {
+fn handle_drain(shared: &Arc<Shared>, writer: &mut Writer) -> Result<(), String> {
     let mut inner = shared.inner.lock().expect("serve lock");
     inner.draining = true;
     while !(inner.queue.is_empty() && inner.running == 0) {
@@ -507,11 +513,15 @@ fn handle_drain(shared: &Arc<Shared>, writer: &mut TcpStream) -> Result<(), Stri
     inner.shutdown = true;
     drop(inner);
     shared.work.notify_all();
-    writeln!(writer, "ok drained").map_err(|e| e.to_string())?;
+    // The reply is flushed before the self-connect below, which can let
+    // the daemon exit.
+    let acked = writeln!(writer, "ok drained")
+        .map_err(|e| e.to_string())
+        .and_then(|()| flush(writer));
     // Unblock the accept loop so the listener thread can observe the
-    // shutdown flag and exit.
+    // shutdown flag and exit, whether or not the client is still there.
     let _ = TcpStream::connect(shared.local_addr);
-    Ok(())
+    acked
 }
 
 /// Collapses a multi-line message into one protocol-safe line.

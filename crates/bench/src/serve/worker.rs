@@ -353,26 +353,67 @@ mod tests {
         let dir = temp_dir("match");
         let server = Server::start(&ServeOptions::new("127.0.0.1:0", &dir)).expect("server starts");
         let addr = server.local_addr().to_string();
-        let text = tiny_scenario_text();
 
         let mut client = Client::connect(&addr).expect("connects");
         assert_eq!(client.ping().as_deref(), Ok("pong"));
-        let job = client
-            .submit(&text, Some("tiny"), None, None)
-            .expect("submits");
-        assert_eq!(job, "j1");
-        let state = client.wait_terminal(&job, 60).expect("finishes");
-        assert_eq!(state, "completed");
-        let served = client.result_csv(&job).expect("result");
+        // A sample every 2s makes the second CSV ~9 KB, larger than the
+        // daemon's 8 KiB reply buffer.
+        let mut dense = Scenario::parse_str(&tiny_scenario_text()).expect("parses");
+        dense.base.set("sample", "2").expect("valid");
+        let mut served = String::new();
+        for (n, text) in [tiny_scenario_text(), dense.to_file_string()]
+            .iter()
+            .enumerate()
+        {
+            let job = client
+                .submit(text, Some("tiny"), None, None)
+                .expect("submits");
+            assert_eq!(job, format!("j{}", n + 1));
+            let state = client.wait_terminal(&job, 60).expect("finishes");
+            assert_eq!(state, "completed");
+            served = client.result_csv(&job).expect("result");
 
-        let scenario = Scenario::parse_str(&text).expect("parses");
-        let batch = run_scenario(&scenario, &RunnerOptions::with_threads(1))
-            .expect("runs")
-            .to_csv();
-        assert_eq!(served, batch, "served CSV must equal the batch CSV");
+            let scenario = Scenario::parse_str(text).expect("parses");
+            let batch = run_scenario(&scenario, &RunnerOptions::with_threads(1))
+                .expect("runs")
+                .to_csv();
+            assert_eq!(served, batch, "served CSV must equal the batch CSV");
+        }
+        assert!(served.len() > 8 << 10, "CSV of {} bytes", served.len());
 
         let stats = client.stats().expect("stats");
-        assert!(stats.contains("completed=1"), "stats: {stats}");
+        assert!(stats.contains("completed=2"), "stats: {stats}");
+        client.drain().expect("drains");
+        server.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn status_round_trips_are_not_held_back_by_delayed_acks() {
+        // A reply that leaves in two writes without TCP_NODELAY waits
+        // for the client's delayed ACK (~40 ms on Linux): 50 round
+        // trips would take over 2 s.
+        let dir = temp_dir("round-trips");
+        let server = Server::start(&ServeOptions::new("127.0.0.1:0", &dir)).expect("server starts");
+        let addr = server.local_addr().to_string();
+        let mut client = Client::connect(&addr).expect("connects");
+        let job = client
+            .submit(&tiny_scenario_text(), None, None, None)
+            .expect("submits");
+        assert_eq!(
+            client.wait_terminal(&job, 60).expect("finishes"),
+            "completed"
+        );
+
+        let start = Instant::now();
+        for _ in 0..50 {
+            assert_eq!(client.status(&job).expect("status"), "completed");
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "50 round trips took {elapsed:?}"
+        );
         client.drain().expect("drains");
         server.join();
         let _ = std::fs::remove_dir_all(&dir);

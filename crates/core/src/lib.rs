@@ -56,7 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod auction;
 pub mod credits;
 mod error;
 pub mod mapping;

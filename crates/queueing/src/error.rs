@@ -23,8 +23,6 @@ pub enum QueueingError {
         /// Residual at the last iteration.
         residual: f64,
     },
-    /// The open network is unstable (some utilization ≥ 1).
-    Unstable(String),
 }
 
 impl fmt::Display for QueueingError {
@@ -41,7 +39,6 @@ impl fmt::Display for QueueingError {
                 f,
                 "no convergence after {iterations} iterations (residual {residual:.3e})"
             ),
-            QueueingError::Unstable(msg) => write!(f, "unstable network: {msg}"),
         }
     }
 }
@@ -66,8 +63,5 @@ mod tests {
         }
         .to_string()
         .contains("10 iterations"));
-        assert!(QueueingError::Unstable("rho".into())
-            .to_string()
-            .contains("unstable"));
     }
 }

@@ -18,7 +18,6 @@
 //!   the product-form equilibrium (Eq. 3) evaluated with **Buzen's
 //!   convolution algorithm**, exact marginal credit distributions, mean
 //!   wealth per peer, and Mean Value Analysis as a cross-check.
-//! * [`open`] — open Jackson networks for churn scenarios (Sec. VI-E).
 //! * [`condensation`] — the condensation threshold `T` of Eq. (4) and the
 //!   classification of Theorems 2–3 (condensation occurs iff the average
 //!   wealth `c` exceeds `T`).
@@ -56,7 +55,6 @@ pub mod closed;
 pub mod condensation;
 mod error;
 pub mod matrix;
-pub mod open;
 pub mod stationary;
 
 pub use error::QueueingError;

@@ -132,7 +132,7 @@ pub fn direct_solve(p: &TransferMatrix) -> Result<Vec<f64>, QueueingError> {
 
 /// In-place dense linear solve `A x = b` (row-major `a`, overwriting `b`
 /// with the solution) via Gaussian elimination with partial pivoting.
-pub(crate) fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) -> Result<(), QueueingError> {
+fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) -> Result<(), QueueingError> {
     debug_assert_eq!(a.len(), n * n);
     debug_assert_eq!(b.len(), n);
     for col in 0..n {
