@@ -52,9 +52,11 @@ pub struct BenchEntry {
     pub wall_secs: f64,
     /// `events / wall_secs` — the headline throughput number.
     pub events_per_sec: f64,
-    /// Process resident-set high-water mark (bytes) after this case, if
-    /// the platform exposes it (Linux `VmHWM`). Monotone across cases in
-    /// one process, so attribute growth to the case that caused it.
+    /// Resident-set high-water mark (bytes) of this case, if the
+    /// platform exposes it (Linux `VmHWM`). [`run_bench`] resets the
+    /// mark before every case ([`reset_peak_rss`]), so this is the
+    /// case's own peak; where the reset is refused it is the process
+    /// high-water mark, monotone across cases.
     pub peak_rss_bytes: Option<u64>,
 }
 
@@ -71,6 +73,14 @@ pub fn peak_rss_bytes() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
+}
+
+/// Resets the kernel's resident-set high-water mark (`VmHWM`) to the
+/// current resident set by writing `5` to `/proc/self/clear_refs`, so
+/// the next [`peak_rss_bytes`] is the peak since this call. Returns
+/// whether the kernel took the reset.
+pub fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 /// The benched market configuration for a regime at size `n`.
@@ -595,11 +605,18 @@ pub fn run_bench(scale: RunScale, only: &[String]) -> BenchReport {
     };
     let wanted =
         |regimes: &[&str]| only.is_empty() || only.iter().any(|o| regimes.contains(&o.as_str()));
+    if !reset_peak_rss() {
+        eprintln!(
+            "bench: /proc/self/clear_refs refused the VmHWM reset, so peak_rss_bytes is the \
+             process high-water mark, monotone across rows"
+        );
+    }
     let mut report = BenchReport::default();
     for (regime, n, horizon) in cases(scale) {
         if !wanted(&[regime]) {
             continue;
         }
+        reset_peak_rss();
         let entry = run_market_case(regime, n, horizon, scale_name);
         eprintln!(
             "bench {regime:<22} n={n:<7} {:>12.0} events/s ({} events in {:.2}s)",
@@ -611,6 +628,7 @@ pub fn run_bench(scale: RunScale, only: &[String]) -> BenchReport {
         if !wanted(&["faulted"]) {
             continue;
         }
+        reset_peak_rss();
         let entry = run_faulted_case(n, horizon, scale_name);
         eprintln!(
             "bench {:<22} n={n:<7} {:>12.0} events/s ({} events in {:.2}s)",
@@ -622,6 +640,7 @@ pub fn run_bench(scale: RunScale, only: &[String]) -> BenchReport {
         if !wanted(&["churn_session", "churn_recorded"]) {
             continue;
         }
+        reset_peak_rss();
         let (anchor, recorded) = run_recorded_case(n, horizon, scale_name);
         for entry in [anchor, recorded] {
             eprintln!(
@@ -635,6 +654,7 @@ pub fn run_bench(scale: RunScale, only: &[String]) -> BenchReport {
         if !wanted(&["streaming"]) {
             continue;
         }
+        reset_peak_rss();
         let entry = run_streaming_case(n, horizon, scale_name);
         eprintln!(
             "bench {:<22} n={n:<7} {:>12.0} events/s ({} events in {:.2}s)",
@@ -646,6 +666,7 @@ pub fn run_bench(scale: RunScale, only: &[String]) -> BenchReport {
         if !wanted(&["serve_stream"]) {
             continue;
         }
+        reset_peak_rss();
         let entry = run_serve_case(n, horizon, scale_name);
         eprintln!(
             "bench {:<22} n={n:<7} {:>12.0} events/s ({} events in {:.2}s)",
@@ -670,6 +691,7 @@ pub fn run_bench(scale: RunScale, only: &[String]) -> BenchReport {
         if !wanted(&["probe_detached", "probe_attached"]) {
             continue;
         }
+        reset_peak_rss();
         let entry = run_probe_case(attached, n, horizon, scale_name);
         eprintln!(
             "bench {:<22} n={n:<7} {:>12.0} events/s ({} events in {:.2}s)",
@@ -690,6 +712,7 @@ pub fn run_bench(scale: RunScale, only: &[String]) -> BenchReport {
         if !wanted(&["gini_sample"]) {
             continue;
         }
+        reset_peak_rss();
         let entry = run_gini_case(n, samples, scale_name);
         eprintln!(
             "bench {:<22} n={n:<7} {:>12.0} samples/s ({} samples in {:.4}s)",
@@ -701,6 +724,7 @@ pub fn run_bench(scale: RunScale, only: &[String]) -> BenchReport {
         if !wanted(&["graph_join"]) {
             continue;
         }
+        reset_peak_rss();
         let entry = run_graph_join_case(n, pairs, scale_name);
         eprintln!(
             "bench {:<22} n={n:<7} {:>12.0} pairs/s ({} join+leave pairs in {:.4}s)",
@@ -712,6 +736,7 @@ pub fn run_bench(scale: RunScale, only: &[String]) -> BenchReport {
         if !wanted(&["overlay_build"]) {
             continue;
         }
+        reset_peak_rss();
         let (entry, build, generate) = run_overlay_build_case(n, reps, scale_name);
         eprintln!(
             "bench {:<22} n={n:<7} {:>12.0} peers/s ({reps} builds in {:.4}s; median \
@@ -902,9 +927,11 @@ pub fn record_overhead_failures(report: &BenchReport) -> Vec<String> {
 
 /// The peak-RSS budget for a bench run at `scale`, in bytes.
 ///
-/// `peak_rss_bytes` is the *process* high-water mark (`VmHWM`), so it
-/// is monotone across cases within one run — the budget bounds the
-/// whole suite, sized by its largest case. Full scale runs the four
+/// `peak_rss_bytes` is each case's own high-water mark (`VmHWM`, reset
+/// before the case by [`reset_peak_rss`]), so the budget bounds every
+/// case separately; where the kernel refuses the reset it is the
+/// process mark, and the budget bounds the whole suite instead. Either
+/// way it is sized by the largest case. Full scale runs the four
 /// market regimes at n=10⁶ (arena state ≈ 100 B/peer + scale-free
 /// adjacency ≈ 8 B × ~20 neighbors + the timing wheel's pre-sized
 /// buckets), which lands well under 4 GiB; quick tops out at the
@@ -1019,6 +1046,30 @@ mod tests {
                 .iter()
                 .any(|&(_, n, _)| n == 1_000_000),
             "full scale must include the million-peer rows"
+        );
+    }
+
+    #[test]
+    fn peak_rss_reset_forgets_a_freed_allocation() {
+        const BIG: u64 = 128 << 20;
+        if !reset_peak_rss() {
+            return; // no clear_refs here: rows carry the process mark
+        }
+        let Some(base) = peak_rss_bytes() else {
+            return;
+        };
+        // Large enough to be mapped on its own and unmapped on drop.
+        drop(std::hint::black_box(vec![1u8; BIG as usize]));
+        let high = peak_rss_bytes().expect("VmHWM");
+        assert!(
+            high >= base + BIG * 3 / 4,
+            "allocation not seen: {base} -> {high}"
+        );
+        assert!(reset_peak_rss());
+        let after = peak_rss_bytes().expect("VmHWM");
+        assert!(
+            after + BIG / 2 <= high,
+            "reset kept the freed peak: {high} -> {after}"
         );
     }
 

@@ -82,23 +82,15 @@ impl Ledger {
 
     /// Starts maintaining an [`IncrementalGini`] accumulator over the
     /// wallet balances, so [`Ledger::tracked_gini`] is O(1) per sample.
-    /// Seeds the accumulator with the current balances and pre-sizes its
-    /// wealth histogram for the current supply (the upper bound on any
-    /// single wallet in a closed market), capped at 2¹⁶ values (1 MiB)
-    /// so a huge supply does not preallocate a huge table. Whenever a
-    /// wallet later exceeds the reserved range, the histogram doubles —
-    /// a rare, amortized reallocation (at most log₂(max wealth) times
-    /// per run). Idempotent.
+    /// Seeds the accumulator from the current balances in one O(n + C)
+    /// pass, C the largest balance. Whenever a wallet later exceeds the
+    /// tracked value range, the range at least doubles — a rare,
+    /// amortized reallocation (at most log₂(max wealth) times per run).
+    /// Idempotent.
     pub fn enable_wealth_tracking(&mut self) {
-        if self.tracker.is_some() {
-            return;
+        if self.tracker.is_none() {
+            self.tracker = Some(IncrementalGini::from_values(&self.balances));
         }
-        let mut tracker = IncrementalGini::new();
-        tracker.reserve_values(self.total.min(1 << 16));
-        for &b in &self.balances {
-            tracker.insert(b);
-        }
-        self.tracker = Some(tracker);
     }
 
     /// The Gini index of the current balances from the online
@@ -272,15 +264,15 @@ impl Ledger {
 
     /// Heap bytes reserved by per-wallet storage: the slot map plus the
     /// balance vector (capacities, the allocator's view). The optional
-    /// wealth tracker is excluded — its Fenwick tree is sized by the
+    /// wealth tracker is excluded — its rank array is sized by the
     /// maximum wealth value, not the wallet count; see
     /// [`Ledger::tracker_heap_bytes`].
     pub fn heap_bytes(&self) -> usize {
         self.arena.heap_bytes() + self.balances.capacity() * std::mem::size_of::<u64>()
     }
 
-    /// Heap bytes reserved by the online Gini tracker's wealth
-    /// histogram (0 when tracking is disabled).
+    /// Heap bytes reserved by the online Gini tracker's rank array
+    /// (0 when tracking is disabled).
     pub fn tracker_heap_bytes(&self) -> usize {
         self.tracker.as_ref().map_or(0, |t| t.heap_bytes())
     }

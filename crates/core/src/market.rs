@@ -431,7 +431,7 @@ pub struct MemoryAudit {
     /// peer), accounted apart from the flat per-peer state.
     pub adjacency_bytes: usize,
     /// Population-independent costs: the Fenwick seller-sampling
-    /// scratch (sized by max degree), the wealth-histogram Gini tracker
+    /// scratch (sized by max degree), the Gini tracker's rank array
     /// (sized by max wealth), and the Gini sample series (sized by
     /// horizon).
     pub fixed_bytes: usize,
@@ -1871,7 +1871,7 @@ mod tests {
             adjacency_per_peer <= 16 * 50 + 64,
             "adjacency out of budget: {adjacency_per_peer} B/peer"
         );
-        // Fixed costs (sampler scratch, wealth histogram, sample
+        // Fixed costs (sampler scratch, Gini rank array, sample
         // series) are sized by max degree / max wealth / horizon, not
         // the population — a few MB here regardless of n. An absolute
         // cap catches anything that started scaling with n².

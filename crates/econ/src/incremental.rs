@@ -1,87 +1,56 @@
-//! Incremental Gini: O(log C) per wealth update, O(1) per sample.
+//! Incremental Gini: O(|Δ|) per wealth move, O(1) per sample.
 //!
 //! The market simulators used to recompute the Gini index from a freshly
 //! allocated, freshly sorted balance vector at every sample — O(n log n)
 //! with n the population. [`IncrementalGini`] instead maintains the Gini
-//! index *online* under single-wallet updates:
+//! index *online* under single-wallet updates. With `c(t)` the number of
+//! wallets holding at most `t`, the total pairwise absolute difference is
 //!
-//! * a Fenwick (binary indexed) tree over the **wealth histogram**
-//!   (value → count, value → mass) answers "how many wallets hold ≤ v,
-//!   and how much do they hold" in O(log C), C = largest tracked wealth;
-//! * the total pairwise absolute difference `D = Σᵢⱼ |xᵢ − xⱼ|` is kept
-//!   exactly in a `u128` and adjusted per update from those prefix
-//!   queries;
-//! * a sample is then pure arithmetic: `G = D / (2 n Σx)`.
+//! ```text
+//! D = Σᵢⱼ |xᵢ − xⱼ| = 2 · Σ_t c(t) · (n − c(t)),
+//! ```
 //!
-//! All bookkeeping is exact integer arithmetic (u64 histogram sums,
-//! u128 difference total), so [`IncrementalGini::gini`] reproduces the
+//! so moving one wallet down from `a` to `b` changes `D` by
+//! `2 · Σ_{t=b}^{a−1} (n − 1 − 2c(t))` and then raises `c` by one on
+//! `[b, a)`; moving it up is the mirror case. A unit-price transfer thus
+//! reads and writes one counter per side.
+//!
+//! `c` is stored as a **blocked rank array**: values are grouped into
+//! blocks of [`IncrementalGini::BLOCK`], each block carries an additive
+//! offset and the exact sum of its counts, and `c(t)` is the block's
+//! offset plus a per-value rank. Adding ±1 to `c` over a range touches
+//! the per-value ranks only at the range's two ragged ends (which lie
+//! inside the range) and one block record per whole block in between,
+//! and reading `Σ c(t)` over the range costs the same. So a move of
+//! `p` credits costs `O(min(p, C/B + B))`, and an insert or remove —
+//! a range reaching to the top of the tracked values `C` — costs
+//! `O(C/B + B)`. Ranks and offsets are kept modulo 2³²; only their sum
+//! has to be exact, and it always lies in `0..=n`.
+//!
+//! All bookkeeping is exact integer arithmetic (u64 block sums, u128
+//! difference total), so [`IncrementalGini::gini`] reproduces the
 //! reference [`crate::gini_u64`] *bit for bit* whenever the rank-weighted
 //! sum `Σ rank·x` stays below 2⁵³ (the f64 integer range) — which holds
 //! for every market in this repo by orders of magnitude; beyond that the
 //! two differ only in final-ulp rounding. The proptest suite pins the
 //! equivalence under random mint/burn/transfer sequences.
 //!
-//! The ledger drives the accumulator through [`IncrementalGini::insert`],
-//! [`IncrementalGini::remove`], and [`IncrementalGini::update`]; the
-//! histogram grows geometrically when a wallet first exceeds the current
-//! capacity (amortized O(1), and never during steady-state trading, whose
-//! balances are bounded by the credit supply reserved up front).
+//! The ledger seeds the accumulator in one pass with
+//! [`IncrementalGini::from_values`] and then drives it through
+//! [`IncrementalGini::insert`], [`IncrementalGini::remove`], and
+//! [`IncrementalGini::update`]. The value range at least doubles when a
+//! wallet first exceeds it, so growth is amortized O(1) per credit of
+//! new maximum wealth. Its new part is a zeroed allocation that is only
+//! paged in where wallets land, and the range tracks the wealth actually
+//! held rather than the credit supply.
 
-/// A Fenwick tree over the wealth histogram: per value `v`, the number
-/// of wallets holding exactly `v` and their combined wealth.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct WealthFenwick {
-    /// Interleaved `(count, mass)` Fenwick nodes — one cache line per
-    /// tree level. Index `i` corresponds to value `i − 1`.
-    nodes: Vec<(u64, u64)>,
-}
-
-impl WealthFenwick {
-    /// Capacity in representable values (0 ..= cap-1).
-    fn cap(&self) -> u64 {
-        self.nodes.len() as u64
-    }
-
-    fn grow_to(&mut self, cap: u64) {
-        let old = WealthFenwick {
-            nodes: std::mem::take(&mut self.nodes),
-        };
-        self.nodes = vec![(0, 0); cap as usize];
-        // Re-insert per stored value: recover point counts from the old
-        // tree by prefix differencing.
-        let (mut prev_c, mut prev_m) = (0u64, 0u64);
-        for v in 0..old.cap() {
-            let (c, m) = old.prefix(v);
-            if c > prev_c {
-                self.add(v, (c - prev_c) as i64, (m - prev_m) as i64);
-            }
-            (prev_c, prev_m) = (c, m);
-        }
-    }
-
-    /// Point update at `value`: `dc` wallets, `dm` wealth mass.
-    fn add(&mut self, value: u64, dc: i64, dm: i64) {
-        let mut i = value as usize + 1;
-        while i <= self.nodes.len() {
-            let node = &mut self.nodes[i - 1];
-            node.0 = (node.0 as i64 + dc) as u64;
-            node.1 = (node.1 as i64 + dm) as u64;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// `(wallets with value ≤ v, their combined wealth)`.
-    fn prefix(&self, value: u64) -> (u64, u64) {
-        let mut i = (value as usize + 1).min(self.nodes.len());
-        let (mut c, mut m) = (0u64, 0u64);
-        while i > 0 {
-            let node = self.nodes[i - 1];
-            c += node.0;
-            m += node.1;
-            i -= i & i.wrapping_neg();
-        }
-        (c, m)
-    }
+/// Per-block part of the count function `c`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Block {
+    /// Added (mod 2³²) to every rank in the block to give `c(t)`.
+    offset: u32,
+    /// Exact `Σ c(t)` over the block's values.
+    sum: u64,
 }
 
 /// Online Gini index over a multiset of u64 wealth values.
@@ -97,9 +66,12 @@ impl WealthFenwick {
 /// acc.update(1, 4); // the poorest wallet earns 3 credits
 /// assert_eq!(acc.gini(), Some(gini_u64(&[4, 2, 3, 4]).unwrap()));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 pub struct IncrementalGini {
-    hist: WealthFenwick,
+    /// Per value `t`: `c(t)` minus its block's offset, mod 2³².
+    rank: Vec<u32>,
+    /// One record per `BLOCK` values of `rank`.
+    blocks: Vec<Block>,
     /// Number of tracked wallets.
     n: u64,
     /// Total tracked wealth `Σ x`.
@@ -108,20 +80,115 @@ pub struct IncrementalGini {
     diff_sum: u128,
 }
 
+/// Equality is semantic: the same multiset of values, independent of
+/// the reserved value range and of how counts split between ranks and
+/// block offsets.
+impl PartialEq for IncrementalGini {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && self.total == other.total
+            && self.diff_sum == other.diff_sum
+            && (0..self.cap().max(other.cap())).all(|t| self.count_le(t) == other.count_le(t))
+    }
+}
+
+impl Eq for IncrementalGini {}
+
 impl IncrementalGini {
+    /// Values per block of the rank array: a power of two near the
+    /// square root of the value range long runs reach (wealth up to
+    /// ~2¹⁶), balancing the per-value and per-block halves of an insert
+    /// or remove.
+    pub const BLOCK: usize = 256;
+
     /// An empty accumulator.
     pub fn new() -> Self {
         IncrementalGini::default()
     }
 
-    /// Pre-sizes the histogram for values up to `max_value` so later
+    /// An accumulator over `values`, sized for their largest value: one
+    /// O(n + C) histogram pass instead of n inserts.
+    ///
+    /// # Panics
+    /// Panics if `values` holds 2³² − 1 or more entries.
+    pub fn from_values(values: &[u64]) -> Self {
+        assert!(values.len() < u32::MAX as usize, "too many wallets");
+        let max = values.iter().copied().max().unwrap_or(0);
+        let mut acc = IncrementalGini::new();
+        acc.reserve_values(max);
+        for &v in values {
+            acc.rank[v as usize] += 1;
+            acc.total += v;
+        }
+        let n = values.len() as u64;
+        // Blocks up to the one holding `max` get prefix counts; above
+        // it `c` is `n`, carried by the block offsets alone so that
+        // part of the rank array stays untouched (and unpaged).
+        let top = max as usize / Self::BLOCK + 1;
+        let mut c = 0u64;
+        let mut pairs = 0u128;
+        for (block, ranks) in acc.blocks[..top]
+            .iter_mut()
+            .zip(acc.rank.chunks_exact_mut(Self::BLOCK))
+        {
+            for r in ranks {
+                c += u64::from(*r);
+                *r = c as u32;
+                block.sum += c;
+                pairs += u128::from(c * (n - c));
+            }
+        }
+        for block in &mut acc.blocks[top..] {
+            *block = Block {
+                offset: n as u32,
+                sum: n * Self::BLOCK as u64,
+            };
+        }
+        acc.n = n;
+        acc.diff_sum = 2 * pairs;
+        acc
+    }
+
+    /// Number of representable values (0 ..= cap − 1).
+    fn cap(&self) -> usize {
+        self.rank.len()
+    }
+
+    /// `c(t)`: wallets holding at most `t`.
+    #[inline]
+    fn count_le(&self, t: usize) -> u32 {
+        match self.rank.get(t) {
+            Some(&r) => self.blocks[t / Self::BLOCK].offset.wrapping_add(r),
+            None => self.n as u32,
+        }
+    }
+
+    /// Pre-sizes the value range for values up to `max_value` so later
     /// updates below that bound never reallocate. In a closed market the
     /// natural bound is the total credit supply.
+    #[inline]
     pub fn reserve_values(&mut self, max_value: u64) {
-        let needed = max_value + 1;
-        if needed > self.hist.cap() {
-            self.hist.grow_to(needed.next_power_of_two());
+        if max_value as usize >= self.cap() {
+            self.grow_to(max_value as usize + 1);
         }
+    }
+
+    #[cold]
+    fn grow_to(&mut self, needed: usize) {
+        let cap = needed.next_multiple_of(Self::BLOCK).max(2 * self.cap());
+        // Every tracked wallet lies below the old range, so `c` is `n`
+        // throughout the new values: their ranks are zero, which a
+        // zeroed allocation provides without touching its pages.
+        let mut rank = vec![0; cap];
+        rank[..self.rank.len()].copy_from_slice(&self.rank);
+        self.rank = rank;
+        self.blocks.resize(
+            cap / Self::BLOCK,
+            Block {
+                offset: self.n as u32,
+                sum: self.n * Self::BLOCK as u64,
+            },
+        );
     }
 
     /// Number of tracked wallets.
@@ -139,28 +206,83 @@ impl IncrementalGini {
         self.total
     }
 
-    /// Heap bytes reserved by the wealth-histogram Fenwick tree. The
-    /// tree is sized by the *maximum wealth value ever seen*, not by
-    /// the number of wallets, so the arena layout audit reports it as a
-    /// fixed cost rather than a per-peer one.
+    /// Heap bytes reserved by the rank array and its block records.
+    /// They are sized by the *maximum wealth value ever seen*, not by
+    /// the number of wallets, so the arena layout audit reports them as
+    /// a fixed cost rather than a per-peer one.
     pub fn heap_bytes(&self) -> usize {
-        self.hist.nodes.capacity() * std::mem::size_of::<(u64, u64)>()
+        self.rank.capacity() * std::mem::size_of::<u32>()
+            + self.blocks.capacity() * std::mem::size_of::<Block>()
     }
 
-    /// `Σ_x |v − x|` over the currently tracked multiset.
-    fn abs_distance_sum(&self, v: u64) -> u128 {
-        let (c_le, m_le) = self.hist.prefix(v);
-        let c_gt = self.n - c_le;
-        let m_gt = self.total - m_le;
-        // Wallets at or below v contribute v−x each; above contribute x−v.
-        (v as u128 * c_le as u128 - m_le as u128) + (m_gt as u128 - v as u128 * c_gt as u128)
+    /// Adds one (`up`) or minus one to `c(t)` for every `t` in
+    /// `[lo, hi)` (`lo < hi ≤ cap`), and returns `Σ c(t)` over that
+    /// range as it was before the change.
+    #[inline]
+    fn shift(&mut self, lo: usize, hi: usize, up: bool) -> u64 {
+        let k = lo / Self::BLOCK;
+        if (hi - 1) / Self::BLOCK == k {
+            // The spend path's case: a move inside one block.
+            self.shift_ranks(k, lo, hi, up)
+        } else {
+            self.shift_blocks(lo, hi, up)
+        }
+    }
+
+    /// [`Self::shift`] over a range inside block `k`.
+    #[inline]
+    fn shift_ranks(&mut self, k: usize, lo: usize, hi: usize, up: bool) -> u64 {
+        let step = if up { 1 } else { u32::MAX };
+        let block = &mut self.blocks[k];
+        let mut before = 0u64;
+        for r in &mut self.rank[lo..hi] {
+            before += u64::from(block.offset.wrapping_add(*r));
+            *r = r.wrapping_add(step);
+        }
+        let len = (hi - lo) as u64;
+        block.sum = if up { block.sum + len } else { block.sum - len };
+        before
+    }
+
+    /// [`Self::shift`] over a range that crosses a block edge: the
+    /// ragged ends through their ranks, each whole block in between
+    /// through its record.
+    fn shift_blocks(&mut self, lo: usize, hi: usize, up: bool) -> u64 {
+        let (whole_lo, whole_hi) = (lo.div_ceil(Self::BLOCK), hi / Self::BLOCK);
+        let mut before = 0u64;
+        if lo < whole_lo * Self::BLOCK {
+            before += self.shift_ranks(lo / Self::BLOCK, lo, whole_lo * Self::BLOCK, up);
+        }
+        let (step, len) = (if up { 1 } else { u32::MAX }, Self::BLOCK as u64);
+        for block in &mut self.blocks[whole_lo..whole_hi] {
+            before += block.sum;
+            block.offset = block.offset.wrapping_add(step);
+            block.sum = if up { block.sum + len } else { block.sum - len };
+        }
+        if whole_hi * Self::BLOCK < hi {
+            before += self.shift_ranks(whole_hi, whole_hi * Self::BLOCK, hi, up);
+        }
+        before
+    }
+
+    /// `Σ_x |v − x|` over the tracked multiset, from `above` =
+    /// `Σ c(t)` over `[v, cap)`: the wallets at or below `v` contribute
+    /// `Σ_{t<v} c(t) = n·cap − total − above` (as `Σ_{t<cap} c(t) =
+    /// Σ_x (cap − x)`), the ones above `Σ_{t≥v} (n − c(t))`.
+    fn abs_distance_sum(&self, v: u64, above: u64) -> u128 {
+        let (n, cap, above) = (self.n as u128, self.cap() as u128, above as u128);
+        (n * cap - self.total as u128 - above) + (n * (cap - v as u128) - above)
     }
 
     /// Starts tracking a wallet holding `value`.
+    ///
+    /// # Panics
+    /// Panics if 2³² − 1 wallets are already tracked.
     pub fn insert(&mut self, value: u64) {
+        assert!(self.n < u64::from(u32::MAX - 1), "too many wallets");
         self.reserve_values(value);
-        self.diff_sum += 2 * self.abs_distance_sum(value);
-        self.hist.add(value, 1, value as i64);
+        let above = self.shift(value as usize, self.cap(), true);
+        self.diff_sum += 2 * self.abs_distance_sum(value, above);
         self.n += 1;
         self.total += value;
     }
@@ -168,18 +290,13 @@ impl IncrementalGini {
     /// Debug-build check that at least one wallet holding exactly
     /// `value` is tracked (callers own the wallet ↔ accumulator
     /// correspondence; a mismatched remove would silently corrupt the
-    /// histogram in release builds).
-    fn debug_assert_tracked(&self, _value: u64) {
-        #[cfg(debug_assertions)]
-        {
-            let value = _value;
-            let below = if value == 0 {
-                0
-            } else {
-                self.hist.prefix(value - 1).0
-            };
-            debug_assert!(
-                self.hist.prefix(value).0 > below,
+    /// counts in release builds).
+    fn debug_assert_tracked(&self, value: u64) {
+        if cfg!(debug_assertions) {
+            let v = value as usize;
+            let below = if v == 0 { 0 } else { self.count_le(v - 1) };
+            assert!(
+                v < self.cap() && self.count_le(v) > below,
                 "no tracked wallet holds {value}"
             );
         }
@@ -193,30 +310,37 @@ impl IncrementalGini {
     pub fn remove(&mut self, value: u64) {
         debug_assert!(self.n > 0, "remove from empty accumulator");
         self.debug_assert_tracked(value);
-        self.hist.add(value, -1, -(value as i64));
+        // The removed wallet is at distance 0 from itself, so the
+        // distance sum over the multiset before removal is the one to
+        // take out.
+        let above = self.shift(value as usize, self.cap(), false);
+        self.diff_sum -= 2 * self.abs_distance_sum(value, above);
         self.n -= 1;
         self.total -= value;
-        self.diff_sum -= 2 * self.abs_distance_sum(value);
     }
 
     /// Adjusts one wallet from `old` to `new` (a transfer touches two
     /// wallets → two `update` calls).
+    #[inline]
     pub fn update(&mut self, old: u64, new: u64) {
         if old == new {
             return;
         }
         self.reserve_values(new);
         self.debug_assert_tracked(old);
-        // Take the wallet out so the distance sums exclude it.
-        self.hist.add(old, -1, -(old as i64));
-        self.n -= 1;
-        self.total -= old;
-        let gained = self.abs_distance_sum(new);
-        let lost = self.abs_distance_sum(old);
-        self.diff_sum = self.diff_sum + 2 * gained - 2 * lost;
-        self.hist.add(new, 1, new as i64);
-        self.n += 1;
-        self.total += new;
+        let n = u128::from(self.n);
+        if new < old {
+            // Down: c(t) += 1 on [new, old), each t adding n − 1 − 2c(t).
+            let len = u128::from(old - new);
+            let sum = u128::from(self.shift(new as usize, old as usize, true));
+            self.diff_sum = self.diff_sum + 2 * (n - 1) * len - 4 * sum;
+        } else {
+            // Up: c(t) −= 1 on [old, new), each t taking n + 1 − 2c(t).
+            let len = u128::from(new - old);
+            let sum = u128::from(self.shift(old as usize, new as usize, false));
+            self.diff_sum = self.diff_sum + 4 * sum - 2 * (n + 1) * len;
+        }
+        self.total = self.total - old + new;
     }
 
     /// The Gini index of the tracked wealth values, or [`None`] when no
@@ -310,9 +434,9 @@ mod tests {
         let values = [1u64, 2, 3, 100_000];
         assert_eq!(acc.gini(), Some(reference(&values)));
         // reserve_values is idempotent and never shrinks.
-        let cap_before = acc.hist.cap();
+        let cap_before = acc.cap();
         acc.reserve_values(10);
-        assert_eq!(acc.hist.cap(), cap_before);
+        assert_eq!(acc.cap(), cap_before);
     }
 
     #[test]
@@ -325,5 +449,34 @@ mod tests {
         acc.remove(9);
         acc.insert(9);
         assert_eq!(acc, snapshot);
+    }
+
+    #[test]
+    fn block_offsets_and_ranks_may_drift_apart_but_counts_stay_exact() {
+        // A cycle x → y → z → x with y inside a block moves that block's
+        // counts between its offset and its ranks every lap.
+        let b = IncrementalGini::BLOCK as u64;
+        let (x, y, z) = (3, b + 7, 3 * b + 1);
+        let mut acc = IncrementalGini::from_values(&[x, 5, 2 * b]);
+        acc.reserve_values(4 * b);
+        let start = acc.clone();
+        for _ in 0..3 {
+            acc.update(x, y);
+            acc.update(y, z);
+            acc.update(z, x);
+        }
+        assert_eq!(acc, start);
+        assert_ne!(acc.blocks[1].offset, start.blocks[1].offset);
+        assert_eq!(acc.gini(), Some(reference(&[x, 5, 2 * b])));
+    }
+
+    #[test]
+    fn equality_ignores_the_reserved_range() {
+        let small = IncrementalGini::from_values(&[1, 2, 3]);
+        let mut large = IncrementalGini::from_values(&[3, 2, 1]);
+        large.reserve_values(1 << 12);
+        assert!(large.cap() > small.cap());
+        assert_eq!(small, large);
+        assert_ne!(small, IncrementalGini::from_values(&[1, 2, 4]));
     }
 }

@@ -93,7 +93,7 @@ proptest! {
         prop_assert!(hoover(&v).expect("valid") < 1e-12);
     }
 
-    /// The incremental (Fenwick-histogram) Gini stays equivalent to the
+    /// The incremental Gini stays equivalent to the
     /// sort-based `gini_u64` oracle under arbitrary interleaved
     /// mint/burn/transfer sequences — the exact mutation mix the ledger
     /// drives it with. Tolerance 1e-12; in practice the two are
