@@ -7,11 +7,15 @@
 //! `Σ balances + escrow = minted − burned` is checkable at any time —
 //! the market simulators assert it in tests.
 //!
-//! Wallets live in a dense [`PeerArena`]-indexed `Vec` (one array load
-//! per balance access, no tree walk), the wallet total is a cached
-//! running sum so [`Ledger::total`] and [`Ledger::conserved`] are O(1),
-//! and an optional [`IncrementalGini`] accumulator is kept in sync by
-//! every mutation so a wealth-Gini sample is O(1) too
+//! The ledger's [`PeerArena`] is its owner's one peer registry: the
+//! market's per-peer columns are indexed by [`Ledger::slot`], push on
+//! [`Ledger::mint`] of a new account and `swap_remove(slot)` on
+//! [`Ledger::burn_at`]. Hot paths resolve a slot once and call the
+//! `*_at` methods; [`Ledger::balance`] and [`Ledger::transfer`] are
+//! `NodeId` facades over them. The wallet total is a cached running sum
+//! so [`Ledger::total`] and [`Ledger::conserved`] are O(1), and an
+//! optional [`IncrementalGini`] accumulator is kept in sync by every
+//! mutation so a wealth-Gini sample is O(1) too
 //! ([`Ledger::enable_wealth_tracking`]).
 
 use scrip_econ::IncrementalGini;
@@ -41,6 +45,8 @@ use crate::error::CoreError;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Ledger {
+    /// The peer registry: `NodeId ↔ slot` for the balances below and
+    /// for every per-peer column of the market that owns this ledger.
     arena: PeerArena,
     /// Slot-indexed balances (parallel to `arena`).
     balances: Vec<u64>,
@@ -64,11 +70,8 @@ impl PartialEq for Ledger {
             && self.escrow == other.escrow
             && self.accounts() == other.accounts()
             && self
-                .arena
-                .ids()
-                .iter()
-                .zip(&self.balances)
-                .all(|(&id, &b)| other.arena.slot(id).map(|s| other.balances[s]) == Some(b))
+                .slot_entries()
+                .all(|(id, b)| other.slot(id).map(|s| other.balances[s]) == Some(b))
     }
 }
 
@@ -110,41 +113,51 @@ impl Ledger {
         }
     }
 
+    /// The slot of `peer`'s account, or [`None`] if it has none. Every
+    /// per-peer column of the owning market is indexed by this slot.
+    #[inline]
+    pub fn slot(&self, peer: NodeId) -> Option<usize> {
+        self.arena.slot(peer)
+    }
+
+    /// The account holders in slot order (index = slot).
+    #[inline]
+    pub fn ids(&self) -> &[NodeId] {
+        self.arena.ids()
+    }
+
     /// Creates an account (if absent) and mints `amount` fresh credits
-    /// into it.
+    /// into it. Returns the account's slot; a new account takes the
+    /// next slot, so per-peer columns push one entry.
     ///
     /// Account storage is slot-indexed for densely allocated IDs (as
     /// handed out by [`scrip_topology::Graph::add_node`]): creating an
     /// account grows the reverse map to `peer.raw() + 1` entries (see
     /// [`crate::arena::PeerArena::insert`]). Reads on arbitrary IDs are
     /// always safe.
-    pub fn mint(&mut self, peer: NodeId, amount: u64) {
-        match self.arena.slot(peer) {
-            Some(slot) => {
-                let old = self.balances[slot];
-                self.balances[slot] = old + amount;
-                self.on_change(old, old + amount);
-            }
-            None => {
-                self.arena.insert(peer);
-                self.balances.push(amount);
-                self.total += amount;
-                if let Some(tracker) = &mut self.tracker {
-                    tracker.insert(amount);
-                }
-            }
-        }
+    pub fn mint(&mut self, peer: NodeId, amount: u64) -> usize {
         self.minted += amount;
+        if let Some(slot) = self.arena.slot(peer) {
+            let old = self.balances[slot];
+            self.balances[slot] = old + amount;
+            self.on_change(old, old + amount);
+            return slot;
+        }
+        self.balances.push(amount);
+        self.total += amount;
+        if let Some(tracker) = &mut self.tracker {
+            tracker.insert(amount);
+        }
+        self.arena.insert(peer)
     }
 
-    /// Removes a peer's account, burning its remaining balance (the
-    /// departing peer "takes away its credits in possession").
-    /// Returns the burned amount (0 if the account did not exist).
-    pub fn burn_account(&mut self, peer: NodeId) -> u64 {
-        let Some(removal) = self.arena.remove(peer) else {
-            return 0;
-        };
-        let amount = self.balances.swap_remove(removal.slot);
+    /// Removes the account in `slot`, burning its remaining balance
+    /// (the departing peer "takes away its credits in possession"), and
+    /// returns the burned amount. The last slot's account moves into
+    /// `slot`: mirror `swap_remove(slot)` on every per-peer column.
+    pub fn burn_at(&mut self, slot: usize) -> u64 {
+        self.arena.remove(self.arena.ids()[slot]);
+        let amount = self.balances.swap_remove(slot);
         self.total -= amount;
         self.burned += amount;
         if let Some(tracker) = &mut self.tracker {
@@ -153,39 +166,35 @@ impl Ledger {
         amount
     }
 
+    /// The balance of the account in `slot`.
+    #[inline]
+    pub fn balance_at(&self, slot: usize) -> u64 {
+        self.balances[slot]
+    }
+
     /// The balance of `peer` (0 for unknown accounts).
     #[inline]
     pub fn balance(&self, peer: NodeId) -> u64 {
-        self.arena.slot(peer).map_or(0, |s| self.balances[s])
+        self.slot(peer).map_or(0, |s| self.balances[s])
     }
 
-    /// Whether the account exists.
-    #[inline]
-    pub fn has_account(&self, peer: NodeId) -> bool {
-        self.arena.contains(peer)
-    }
-
-    /// Moves `amount` credits from `from` to `to`.
+    /// Moves `amount` credits from the account in slot `from` to the
+    /// one in slot `to`.
     ///
     /// # Errors
-    /// Returns [`CoreError::Ledger`] if either account is missing or the
-    /// sender's balance is insufficient. No partial transfer occurs.
-    pub fn transfer(&mut self, from: NodeId, to: NodeId, amount: u64) -> Result<(), CoreError> {
-        let Some(to_slot) = self.arena.slot(to) else {
-            return Err(CoreError::Ledger(format!("unknown payee {to}")));
-        };
-        let Some(from_slot) = self.arena.slot(from) else {
-            return Err(CoreError::Ledger(format!("unknown payer {from}")));
-        };
-        let src = self.balances[from_slot];
+    /// Returns [`CoreError::Ledger`] if the sender's balance is
+    /// insufficient. No partial transfer occurs.
+    pub fn transfer_at(&mut self, from: usize, to: usize, amount: u64) -> Result<(), CoreError> {
+        let src = self.balances[from];
         if src < amount {
             return Err(CoreError::Ledger(format!(
-                "insufficient funds: {from} has {src}, needs {amount}"
+                "insufficient funds: {} has {src}, needs {amount}",
+                self.arena.ids()[from]
             )));
         }
-        self.balances[from_slot] = src - amount;
-        let dst = self.balances[to_slot];
-        self.balances[to_slot] = dst + amount;
+        self.balances[from] = src - amount;
+        let dst = self.balances[to];
+        self.balances[to] = dst + amount;
         // Wallet total is unchanged; only the tracker needs the moves.
         if let Some(tracker) = &mut self.tracker {
             tracker.update(src, src - amount);
@@ -194,13 +203,25 @@ impl Ledger {
         Ok(())
     }
 
-    /// Withholds `amount` from a peer's balance into the system escrow
-    /// (taxation). Returns the amount actually withheld (capped by the
-    /// balance).
-    pub fn withhold_to_escrow(&mut self, peer: NodeId, amount: u64) -> u64 {
-        let Some(slot) = self.arena.slot(peer) else {
-            return 0;
-        };
+    /// Moves `amount` credits from `from` to `to`.
+    ///
+    /// # Errors
+    /// Returns [`CoreError::Ledger`] if either account is missing or the
+    /// sender's balance is insufficient. No partial transfer occurs.
+    pub fn transfer(&mut self, from: NodeId, to: NodeId, amount: u64) -> Result<(), CoreError> {
+        let to_slot = self
+            .slot(to)
+            .ok_or_else(|| CoreError::Ledger(format!("unknown payee {to}")))?;
+        let from_slot = self
+            .slot(from)
+            .ok_or_else(|| CoreError::Ledger(format!("unknown payer {from}")))?;
+        self.transfer_at(from_slot, to_slot, amount)
+    }
+
+    /// Withholds `amount` from the balance in `slot` into the system
+    /// escrow (taxation, trade escrow). Returns the amount actually
+    /// withheld (capped by the balance).
+    pub fn withhold_at(&mut self, slot: usize, amount: u64) -> u64 {
         let old = self.balances[slot];
         let take = amount.min(old);
         self.balances[slot] = old - take;
@@ -209,12 +230,9 @@ impl Ledger {
         take
     }
 
-    /// Pays `amount` from the escrow to a peer. Returns the amount paid
-    /// (capped by the escrow and zero for unknown accounts).
-    pub fn pay_from_escrow(&mut self, peer: NodeId, amount: u64) -> u64 {
-        let Some(slot) = self.arena.slot(peer) else {
-            return 0;
-        };
+    /// Pays `amount` from the escrow to the account in `slot`. Returns
+    /// the amount paid (capped by the escrow).
+    pub fn pay_from_escrow_at(&mut self, slot: usize, amount: u64) -> u64 {
         let pay = amount.min(self.escrow);
         self.escrow -= pay;
         let old = self.balances[slot];
@@ -289,13 +307,7 @@ impl Ledger {
 
     /// Iterates `(peer, balance)` in ascending peer order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        let mut pairs: Vec<(NodeId, u64)> = self
-            .arena
-            .ids()
-            .iter()
-            .zip(&self.balances)
-            .map(|(&id, &b)| (id, b))
-            .collect();
+        let mut pairs: Vec<(NodeId, u64)> = self.slot_entries().collect();
         pairs.sort_unstable_by_key(|&(id, _)| id);
         pairs.into_iter()
     }
@@ -359,6 +371,11 @@ mod tests {
         NodeId::from_raw(n)
     }
 
+    /// The slot of `id(n)`'s account.
+    fn at(l: &Ledger, n: u64) -> usize {
+        l.slot(id(n)).expect("account exists")
+    }
+
     #[test]
     fn mint_and_balance() {
         let mut l = Ledger::new();
@@ -397,12 +414,11 @@ mod tests {
     fn burn_account_removes_and_counts() {
         let mut l = Ledger::new();
         l.mint(id(1), 7);
-        assert_eq!(l.burn_account(id(1)), 7);
-        assert!(!l.has_account(id(1)));
+        assert_eq!(l.burn_at(at(&l, 1)), 7);
+        assert_eq!(l.slot(id(1)), None);
         assert_eq!(l.burned(), 7);
         assert_eq!(l.total(), 0);
         assert!(l.conserved());
-        assert_eq!(l.burn_account(id(1)), 0, "double burn is a no-op");
     }
 
     #[test]
@@ -410,16 +426,16 @@ mod tests {
         let mut l = Ledger::new();
         l.mint(id(1), 10);
         l.mint(id(2), 0);
-        assert_eq!(l.withhold_to_escrow(id(1), 4), 4);
+        assert_eq!(l.withhold_at(at(&l, 1), 4), 4);
         assert_eq!(l.escrow(), 4);
         assert_eq!(l.balance(id(1)), 6);
         assert!(l.conserved());
-        assert_eq!(l.pay_from_escrow(id(2), 3), 3);
+        assert_eq!(l.pay_from_escrow_at(at(&l, 2), 3), 3);
         assert_eq!(l.balance(id(2)), 3);
         assert_eq!(l.escrow(), 1);
         assert!(l.conserved());
         // Capped by escrow.
-        assert_eq!(l.pay_from_escrow(id(2), 100), 1);
+        assert_eq!(l.pay_from_escrow_at(at(&l, 2), 100), 1);
         assert_eq!(l.escrow(), 0);
     }
 
@@ -427,9 +443,8 @@ mod tests {
     fn withhold_caps_at_balance() {
         let mut l = Ledger::new();
         l.mint(id(1), 3);
-        assert_eq!(l.withhold_to_escrow(id(1), 10), 3);
+        assert_eq!(l.withhold_at(at(&l, 1), 10), 3);
         assert_eq!(l.balance(id(1)), 0);
-        assert_eq!(l.withhold_to_escrow(id(9), 5), 0, "unknown account");
         assert!(l.conserved());
     }
 
@@ -451,7 +466,7 @@ mod tests {
         for i in 0..4 {
             l.mint(id(i), 10);
         }
-        l.withhold_to_escrow(id(0), 6);
+        l.withhold_at(at(&l, 0), 6);
         assert_eq!(l.pay_each_from_escrow(1), 4);
         assert_eq!(l.escrow(), 2);
         assert!(l.conserved());
@@ -470,8 +485,8 @@ mod tests {
         for i in 0..5 {
             l.mint(id(i), 10 * (i + 1));
         }
-        l.burn_account(id(1)); // perturb slot order via swap-remove
-        l.withhold_to_escrow(id(0), 3);
+        l.burn_at(at(&l, 1)); // perturb slot order via swap-remove
+        l.withhold_at(at(&l, 0), 3);
         let entries: Vec<(NodeId, u64)> = l.slot_entries().collect();
         let r = Ledger::restore(&entries, l.escrow(), l.minted(), l.burned());
         assert_eq!(r, l);
@@ -510,10 +525,10 @@ mod tests {
         assert_eq!(l.tracked_gini(), Some(0.0));
         l.transfer(id(0), id(1), 10).expect("funded");
         l.mint(id(5), 3);
-        l.withhold_to_escrow(id(1), 4);
-        l.pay_from_escrow(id(2), 2);
+        l.withhold_at(at(&l, 1), 4);
+        l.pay_from_escrow_at(at(&l, 2), 2);
         l.pay_each_from_escrow(1);
-        l.burn_account(id(3));
+        l.burn_at(at(&l, 3));
         let reference = gini_u64(&l.balances_vec()).expect("non-empty");
         assert_eq!(l.tracked_gini(), Some(reference), "bit-exact vs oracle");
         // Total stays consistent through all of the above.

@@ -11,8 +11,11 @@
 //! For the *protocol-level* market — where purchases are real chunk
 //! transfers inside a live-streaming swarm (Fig. 1) — see
 //! [`crate::protocol`].
-
-use std::collections::BTreeMap;
+//!
+//! The market's one peer registry is the [`Ledger`]'s: the per-peer
+//! columns are indexed by its slots, and a spend resolves the buyer's
+//! and the seller's slot once. The [`Graph`] keeps its own slot table,
+//! because checkpoint decode rebuilds its layout.
 
 use scrip_des::stats::TimeSeries;
 pub use scrip_des::FaultStats;
@@ -25,7 +28,6 @@ use scrip_topology::churn::ChurnTopology;
 use scrip_topology::generators::{self, ScaleFreeConfig};
 use scrip_topology::{Graph, NodeId};
 
-use crate::arena::PeerArena;
 use crate::credits::Ledger;
 use crate::error::CoreError;
 use crate::model::{joiner_spending_rate, spending_rates, UtilizationProfile};
@@ -418,10 +420,11 @@ impl MarketEvent {
 pub struct MemoryAudit {
     /// Live peers the per-peer figures are divided by.
     pub peers: usize,
-    /// Slot bookkeeping: the market's `NodeId ↔ slot` arena plus the
-    /// graph's slot/sorted-ID maps (not adjacency rows).
+    /// Slot bookkeeping outside the ledger: the graph's slot and
+    /// sorted-ID maps (not adjacency rows). The market's peer registry
+    /// is the ledger's and is counted in `ledger_bytes`.
     pub arena_bytes: usize,
-    /// Ledger wallets: balance slot map + balance vector.
+    /// Ledger wallets: the peer registry (slot map) + balance vector.
     pub ledger_bytes: usize,
     /// Posted-price storage (0 under uniform pricing).
     pub pricing_bytes: usize,
@@ -441,8 +444,8 @@ impl MemoryAudit {
     /// Flat per-peer *state* bytes: everything that scales linearly
     /// with the live population (slot maps, wallets, prices, rates,
     /// counters, activity), excluding adjacency and fixed costs. The
-    /// ≈100–150 B/peer budget from the performance model applies to
-    /// this number.
+    /// performance model's per-peer budget (≈ 87 B measured, pinned at
+    /// ≤ 97 B at n = 10⁴) applies to this number.
     pub fn state_bytes_per_peer(&self) -> usize {
         if self.peers == 0 {
             return 0;
@@ -464,12 +467,12 @@ impl MemoryAudit {
 /// The running credit market: a [`Model`] for the
 /// [`scrip_des::Simulation`] kernel.
 ///
-/// All per-peer state is slot-indexed through one [`PeerArena`] (see
-/// [`crate::arena`]), the overlay is borrowed as sorted neighbor slices
-/// straight from the [`Graph`], and the wealth Gini is maintained online
-/// by the ledger — so a spend event is allocation-free and O(1), and a
-/// Gini sample is O(1). See the "Performance model" section of
-/// `docs/ARCHITECTURE.md`.
+/// All per-peer state is indexed by the ledger's slots (its slot map is
+/// the market's one peer registry, see [`Ledger::slot`]), the overlay
+/// is borrowed as sorted neighbor slices straight from the [`Graph`],
+/// and the wealth Gini is maintained online by the ledger — so a spend
+/// event is allocation-free and O(1), and a Gini sample is O(1). See the
+/// "Performance model" section of `docs/ARCHITECTURE.md`.
 ///
 /// See the [crate-level quickstart](crate) for an end-to-end example.
 #[derive(Clone, Debug)]
@@ -481,11 +484,10 @@ pub struct CreditMarket {
     taxation: Option<Taxation>,
     churn_topology: ChurnTopology,
     rng: SimRng,
-    /// Live peers; `arena.ids()` doubles as the dense peer vector for
-    /// O(1) complete-mixing sampling. The vectors below are parallel to
-    /// it (index = slot).
-    arena: PeerArena,
-    /// Per-peer maximum spending rates `μ_i`.
+    /// Per-peer maximum spending rates `μ_i`. This and the other
+    /// per-peer vectors below are indexed by ledger slot; the ledger's
+    /// `ids()` doubles as the dense peer vector for O(1)
+    /// complete-mixing sampling.
     mu: Vec<f64>,
     /// Credits spent so far per peer.
     spent: Vec<u64>,
@@ -511,8 +513,8 @@ pub struct CreditMarket {
     /// [`MarketConfig::faults`] has at least one positive rate, so the
     /// fault-free hot path pays a single `is_some` branch.
     fault_plan: Option<FaultPlan>,
-    /// Credits escrowed for in-flight trades, per live buyer (parallel
-    /// to the arena; all zero when faults are off).
+    /// Credits escrowed for in-flight trades, per live buyer (by ledger
+    /// slot; all zero when faults are off).
     in_flight: Vec<u64>,
     /// Σ `in_flight`, maintained incrementally so the escrow-in-transit
     /// probe read is O(1).
@@ -544,12 +546,12 @@ impl CreditMarket {
         }
         ledger.enable_wealth_tracking();
         let mu_map = spending_rates(&graph, config.profile, config.base_rate, &mut rng)?;
-        let peer_ids: Vec<NodeId> = graph.node_ids().collect();
-        let pricing = PricingModel::realize(config.pricing, &peer_ids, &mut rng)?;
+        let pricing = PricingModel::realize(config.pricing, ledger.ids(), &mut rng)?;
         let taxation = config.tax.map(Taxation::new);
-        // The rate map is keyed by exactly `peer_ids`, and both ascend.
+        // The rate map is keyed by exactly the ledger's ids, and both
+        // ascend.
         let mu = mu_map.into_values().collect();
-        let n = peer_ids.len();
+        let n = ledger.accounts();
         let attach = config.churn.map(|c| c.attach_degree).unwrap_or(20);
         // An all-zero spec builds no plan at all: the fault stream is
         // never derived and the run is byte-identical to `faults: None`.
@@ -567,7 +569,6 @@ impl CreditMarket {
             taxation,
             churn_topology: ChurnTopology::new(attach),
             rng,
-            arena: PeerArena::from_ids(&peer_ids),
             mu,
             spent: vec![0; n],
             total_spent: 0,
@@ -599,15 +600,10 @@ impl CreditMarket {
         &self.ledger
     }
 
-    /// The per-peer maximum spending rates `μ_i`, keyed by peer
-    /// (assembled on demand; the hot path uses the slot-indexed arena).
-    pub fn service_rates(&self) -> BTreeMap<NodeId, f64> {
-        self.arena
-            .ids()
-            .iter()
-            .zip(&self.mu)
-            .map(|(&id, &rate)| (id, rate))
-            .collect()
+    /// The per-peer maximum spending rates `μ_i`, indexed by ledger
+    /// slot (parallel to [`Ledger::ids`]).
+    pub(crate) fn mu(&self) -> &[f64] {
+        &self.mu
     }
 
     /// The realized pricing model.
@@ -646,20 +642,8 @@ impl CreditMarket {
         v
     }
 
-    /// Credits spent so far, per live peer (assembled on demand; the hot
-    /// path uses the slot-indexed arena).
-    pub fn spent_per_peer(&self) -> BTreeMap<NodeId, u64> {
-        self.arena
-            .ids()
-            .iter()
-            .zip(&self.spent)
-            .map(|(&id, &s)| (id, s))
-            .collect()
-    }
-
     /// Total credits spent by live peers. O(1): maintained incrementally
-    /// alongside the per-peer counters (equal to
-    /// `spent_per_peer().values().sum()`, without assembling the map).
+    /// alongside the per-peer counters.
     pub fn total_spent(&self) -> u64 {
         self.total_spent
     }
@@ -714,7 +698,7 @@ impl CreditMarket {
         // Under faults, each peer may add a crash timer plus in-flight
         // delivery completions (short-lived, at most a few per peer).
         let faulted = usize::from(self.fault_plan.is_some());
-        self.arena.len() * (1 + usize::from(self.config.churn.is_some()) + 2 * faulted) + 2
+        self.ledger.accounts() * (1 + usize::from(self.config.churn.is_some()) + 2 * faulted) + 2
     }
 
     /// The event-queue backend this market wants: a timing wheel sized
@@ -743,8 +727,8 @@ impl CreditMarket {
     /// separately.
     pub fn memory_audit(&self) -> MemoryAudit {
         MemoryAudit {
-            peers: self.arena.len(),
-            arena_bytes: self.arena.heap_bytes() + self.graph.slot_map_heap_bytes(),
+            peers: self.ledger.accounts(),
+            arena_bytes: self.graph.slot_map_heap_bytes(),
             ledger_bytes: self.ledger.heap_bytes(),
             pricing_bytes: self.pricing.heap_bytes(),
             rates_bytes: self.mu.capacity() * std::mem::size_of::<f64>()
@@ -784,11 +768,11 @@ impl CreditMarket {
             w.put_u64(a.raw());
             w.put_u64(b.raw());
         }
-        // Arena slot order plus every slot-parallel vector. The order
+        // Registry slot order plus every slot-parallel vector. The order
         // matters: swap-removes made it churn-history-dependent, and
         // escrow sweeps iterate it.
-        w.put_u64(self.arena.len() as u64);
-        for (i, &id) in self.arena.ids().iter().enumerate() {
+        w.put_u64(self.ledger.accounts() as u64);
+        for (i, &id) in self.ledger.ids().iter().enumerate() {
             w.put_u64(id.raw());
             w.put_f64(self.mu[i]);
             w.put_u64(self.spent[i]);
@@ -796,12 +780,11 @@ impl CreditMarket {
             w.put_u64(self.activity[i].1.as_micros());
             w.put_u64(self.in_flight[i]);
         }
-        // Ledger: slot entries in its own slot order, plus pools.
-        let entries: Vec<(NodeId, u64)> = self.ledger.slot_entries().collect();
-        w.put_u64(entries.len() as u64);
-        for (id, balance) in &entries {
+        // Ledger: balances in the same slot order, plus pools.
+        w.put_u64(self.ledger.accounts() as u64);
+        for (id, balance) in self.ledger.slot_entries() {
             w.put_u64(id.raw());
-            w.put_u64(*balance);
+            w.put_u64(balance);
         }
         w.put_u64(self.ledger.escrow());
         w.put_u64(self.ledger.minted());
@@ -830,7 +813,7 @@ impl CreditMarket {
             w.put_u64(tax.redistributed);
         }
         // Pricing: slot-ordered posted prices and the chunk-hash seed.
-        let (sellers, price_seed) = self.pricing.snapshot_state();
+        let (sellers, price_seed) = self.pricing.snapshot_state(self.ledger.ids());
         w.put_u64(sellers.len() as u64);
         for (id, price) in &sellers {
             w.put_u64(id.raw());
@@ -848,7 +831,7 @@ impl CreditMarket {
 
     /// FNV-1a digest of the complete mutable market state — a fold over
     /// the exact bytes `CreditMarket::write_state` would checkpoint
-    /// (RNG streams, fault plan, graph, arena, ledger, escrow, pricing,
+    /// (RNG streams, fault plan, graph, registry, ledger, escrow, pricing,
     /// Gini trajectory). Two markets with equal digests at a quiescent
     /// boundary are byte-identical for resume purposes; trace digest
     /// frames pin this value at every sampling boundary, and
@@ -865,7 +848,9 @@ impl CreditMarket {
     ///
     /// # Errors
     /// Returns [`CoreError::Checkpoint`] for truncated or inconsistent
-    /// snapshots.
+    /// snapshots: among others, a registry that is not a permutation of
+    /// the rebuilt overlay's live ids, and ledger or posted-price
+    /// entries that are not the registry's ids in slot order.
     pub(crate) fn read_state(
         &mut self,
         r: &mut crate::snapshot::Reader<'_>,
@@ -915,7 +900,7 @@ impl CreditMarket {
         let graph = Graph::from_edges(watermark, live, edges)
             .map_err(|e| CoreError::Checkpoint(format!("graph rebuild: {e}")))?;
         self.graph = graph;
-        // Arena and slot-parallel vectors, in the captured slot order.
+        // Registry and slot-parallel vectors, in the captured slot order.
         let n = r.take_count(48)?;
         let mut ids = Vec::with_capacity(n);
         self.mu.clear();
@@ -931,7 +916,13 @@ impl CreditMarket {
             self.activity.push((value, last));
             self.in_flight.push(r.take_u64()?);
         }
-        self.arena = PeerArena::from_ids(&ids);
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        if !sorted.into_iter().eq(self.graph.node_ids()) {
+            return Err(CoreError::Checkpoint(
+                "peer registry is not a permutation of the overlay's live ids".into(),
+            ));
+        }
         let entry_count = r.take_count(16)?;
         let mut entries = Vec::with_capacity(entry_count);
         for _ in 0..entry_count {
@@ -942,6 +933,11 @@ impl CreditMarket {
         let escrow = r.take_u64()?;
         let minted = r.take_u64()?;
         let burned = r.take_u64()?;
+        if !entries.iter().map(|&(id, _)| id).eq(ids.iter().copied()) {
+            return Err(CoreError::Checkpoint(
+                "ledger entries are not the peer registry's ids in slot order".into(),
+            ));
+        }
         self.ledger = Ledger::restore(&entries, escrow, minted, burned);
         self.ledger.enable_wealth_tracking();
         self.total_spent = r.take_u64()?;
@@ -983,7 +979,8 @@ impl CreditMarket {
             sellers.push((id, price));
         }
         let price_seed = r.take_u64()?;
-        self.pricing = PricingModel::restore_state(self.config.pricing, &sellers, price_seed)?;
+        self.pricing =
+            PricingModel::restore_state(self.config.pricing, &ids, &sellers, price_seed)?;
         let sample_count = r.take_u64()? as usize;
         let mut series = TimeSeries::new();
         for _ in 0..sample_count {
@@ -1006,16 +1003,13 @@ impl CreditMarket {
         SimDuration::from_secs_f64(-u.ln() / rate.max(1e-12))
     }
 
-    fn schedule_spend(&mut self, id: NodeId, scheduler: &mut Scheduler<MarketEvent>) {
-        let base = self
-            .arena
-            .slot(id)
-            .map_or(self.config.base_rate, |s| self.mu[s]);
-        let wealth = self.ledger.balance(id);
-        let rate = self.config.spending.effective_rate(base, wealth);
+    /// Schedules the next purchase attempt of the peer in `slot`.
+    fn schedule_spend(&mut self, slot: usize, scheduler: &mut Scheduler<MarketEvent>) {
+        let wealth = self.ledger.balance_at(slot);
+        let rate = self.config.spending.effective_rate(self.mu[slot], wealth);
         let attempt_rate = rate / self.pricing.mean_price();
         let delay = self.exp_delay(attempt_rate);
-        scheduler.schedule_after(delay, MarketEvent::Spend(id));
+        scheduler.schedule_after(delay, MarketEvent::Spend(self.ledger.ids()[slot]));
     }
 
     /// Time constant (in units of mean inter-purchase intervals) for the
@@ -1027,17 +1021,17 @@ impl CreditMarket {
     }
 
     /// Reads a peer's decayed recent-purchase activity. A free function
-    /// over the arena-parallel state so the hot loop can hold disjoint
+    /// over the slot-parallel state so the hot loop can hold disjoint
     /// borrows (graph slice + scratch buffer) while it runs.
     #[inline]
     fn activity_weight(
-        arena: &PeerArena,
+        ledger: &Ledger,
         activity: &[(f64, SimTime)],
         tau: f64,
         id: NodeId,
         now: SimTime,
     ) -> f64 {
-        let Some(slot) = arena.slot(id) else {
+        let Some(slot) = ledger.slot(id) else {
             return 0.0;
         };
         let (value, last) = activity[slot];
@@ -1045,13 +1039,10 @@ impl CreditMarket {
         value * (-dt / tau).exp()
     }
 
-    /// Bumps a peer's activity after a successful purchase.
-    fn bump_activity(&mut self, id: NodeId, now: SimTime) {
+    /// Bumps the activity of the peer in `slot` after a successful
+    /// purchase.
+    fn bump_activity(&mut self, slot: usize, now: SimTime) {
         let tau = self.activity_time_constant();
-        let Some(slot) = self.arena.slot(id) else {
-            debug_assert!(false, "activity bump for departed {id}");
-            return;
-        };
         let entry = &mut self.activity[slot];
         let dt = now.saturating_duration_since(entry.1).as_secs_f64();
         entry.0 = entry.0 * (-dt / tau).exp() + 1.0;
@@ -1060,18 +1051,18 @@ impl CreditMarket {
 
     /// One purchase attempt — the market hot path. Allocation-free on
     /// the non-tax paths: the seller pick borrows the graph's neighbor
-    /// slice (or the arena's dense peer list), availability weights go
-    /// through a reused Fenwick sampler (O(log deg) inversion), and all
-    /// per-peer state is slot-indexed.
+    /// slice (or the ledger's dense peer list), availability weights go
+    /// through a reused Fenwick sampler (O(log deg) inversion), and the
+    /// buyer's and seller's slots are resolved once each.
     fn handle_spend(&mut self, id: NodeId, now: SimTime, scheduler: &mut Scheduler<MarketEvent>) {
-        if !self.ledger.has_account(id) {
+        let Some(buyer) = self.ledger.slot(id) else {
             return; // departed
-        }
+        };
         let j = if self.config.profile.complete_mixing() {
             // Paper Sec. V-C: p_ij = (1 - p_ii)/(N - 1) over all peers.
-            let peers = self.arena.ids();
+            let peers = self.ledger.ids();
             if peers.len() < 2 {
-                self.schedule_spend(id, scheduler);
+                self.schedule_spend(buyer, scheduler);
                 return;
             }
             let mut pick;
@@ -1086,7 +1077,7 @@ impl CreditMarket {
             let neighbors = match self.graph.neighbor_slice(id) {
                 Some(n) if !n.is_empty() => n,
                 _ => {
-                    self.schedule_spend(id, scheduler);
+                    self.schedule_spend(buyer, scheduler);
                     return;
                 }
             };
@@ -1101,7 +1092,8 @@ impl CreditMarket {
                 let mut sampler = std::mem::take(&mut self.seller_sampler);
                 sampler.clear();
                 for &nb in neighbors {
-                    let w = Self::activity_weight(&self.arena, &self.activity, tau, nb, now) + 0.01;
+                    let w =
+                        Self::activity_weight(&self.ledger, &self.activity, tau, nb, now) + 0.01;
                     sampler.push(w);
                 }
                 sampler.build();
@@ -1115,8 +1107,7 @@ impl CreditMarket {
         };
         let chunk = self.purchases + self.denied; // synthetic chunk id
         let price = self.pricing.price(j, chunk);
-        let wealth = self.ledger.balance(id);
-        if wealth >= price {
+        if self.ledger.balance_at(buyer) >= price {
             if self.fault_plan.is_some() {
                 // Recovery contract: the payment moves to per-trade
                 // escrow now and settles only when the delivery
@@ -1126,36 +1117,36 @@ impl CreditMarket {
                     .as_mut()
                     .expect("checked above")
                     .delivery_latency();
-                self.begin_trade(id, j, price, 1, delay, scheduler);
+                self.begin_trade(buyer, j, price, 1, delay, scheduler);
             } else {
+                let seller = self.ledger.slot(j).expect("seller is live");
                 self.ledger
-                    .transfer(id, j, price)
+                    .transfer_at(buyer, seller, price)
                     .expect("balance checked above");
-                let buyer_slot = self.arena.slot(id).expect("buyer is live");
-                self.spent[buyer_slot] += price;
+                self.spent[buyer] += price;
                 self.total_spent += price;
                 self.purchases += 1;
                 if self.config.availability_feedback {
-                    self.bump_activity(id, now);
+                    self.bump_activity(buyer, now);
                 }
-                self.settle_tax(j, price);
+                self.settle_tax(seller, price);
             }
         } else {
             self.denied += 1;
         }
-        self.schedule_spend(id, scheduler);
+        self.schedule_spend(buyer, scheduler);
     }
 
-    /// Income tax on the seller, if enabled and the seller is wealthy
-    /// enough — shared by the direct settle in
+    /// Income tax on the seller in `seller` (a ledger slot), if enabled
+    /// and the seller is wealthy enough — shared by the direct settle in
     /// [`CreditMarket::handle_spend`] and the escrow settle in
     /// [`CreditMarket::settle_delivery`].
-    fn settle_tax(&mut self, seller: NodeId, price: u64) {
+    fn settle_tax(&mut self, seller: usize, price: u64) {
         if let Some(tax) = &mut self.taxation {
-            let seller_wealth = self.ledger.balance(seller);
+            let seller_wealth = self.ledger.balance_at(seller);
             let due = tax.assess(price, seller_wealth, &mut self.rng);
             if due > 0 {
-                let withheld = self.ledger.withhold_to_escrow(seller, due);
+                let withheld = self.ledger.withhold_at(seller, due);
                 tax.record_collection(withheld);
             }
             // Redistribute one credit to every peer whenever the
@@ -1176,22 +1167,23 @@ impl CreditMarket {
     }
 
     /// Opens one escrow-backed trade: withholds `price` from the buyer
-    /// and schedules the delivery completion after `delay`. `attempt`
-    /// is 1 for fresh trades and grows across retries.
+    /// in slot `buyer_slot` and schedules the delivery completion after
+    /// `delay`. `attempt` is 1 for fresh trades and grows across
+    /// retries.
     fn begin_trade(
         &mut self,
-        buyer: NodeId,
+        buyer_slot: usize,
         seller: NodeId,
         price: u64,
         attempt: u32,
         delay: SimDuration,
         scheduler: &mut Scheduler<MarketEvent>,
     ) {
-        let withheld = self.ledger.withhold_to_escrow(buyer, price);
+        let withheld = self.ledger.withhold_at(buyer_slot, price);
         debug_assert_eq!(withheld, price, "caller checked the balance");
-        let slot = self.arena.slot(buyer).expect("buyer is live");
-        self.in_flight[slot] += price;
+        self.in_flight[buyer_slot] += price;
         self.in_flight_total += price;
+        let buyer = self.ledger.ids()[buyer_slot];
         scheduler.schedule_after(
             delay,
             MarketEvent::Deliver {
@@ -1218,20 +1210,19 @@ impl CreditMarket {
         now: SimTime,
         scheduler: &mut Scheduler<MarketEvent>,
     ) {
-        if !self.ledger.has_account(buyer) {
+        let Some(buyer_slot) = self.ledger.slot(buyer) else {
             // The buyer departed (or crashed) while the delivery was
             // in transit; its escrow was already refunded at departure
             // and the trade no longer exists. No outcome draw.
             return;
-        }
+        };
         let outcome = self
             .fault_plan
             .as_mut()
             .expect("Deliver events only exist under a fault plan")
             .delivery_outcome(now);
-        let seller_live = self.ledger.has_account(seller);
-        match outcome {
-            DeliveryOutcome::Delayed => {
+        match (outcome, self.ledger.slot(seller)) {
+            (DeliveryOutcome::Delayed, _) => {
                 self.fault_stats.delayed += 1;
                 let penalty = self
                     .fault_plan
@@ -1250,18 +1241,18 @@ impl CreditMarket {
                     },
                 );
             }
-            DeliveryOutcome::Delivered if seller_live => {
-                self.settle_delivery(buyer, seller, price, attempt, now);
+            (DeliveryOutcome::Delivered, Some(seller_slot)) => {
+                self.settle_delivery(buyer_slot, seller_slot, price, attempt, now);
             }
-            DeliveryOutcome::Defected if seller_live => {
-                self.settle_defect(buyer, seller, price, attempt, scheduler);
+            (DeliveryOutcome::Defected, Some(seller_slot)) => {
+                self.settle_defect(buyer_slot, seller_slot, price, attempt, scheduler);
             }
             _ => {
                 // Dropped — or delivered/defected against a seller
                 // that departed mid-flight, which the buyer observes
                 // as a drop.
                 self.fault_stats.dropped += 1;
-                self.retry_or_refund(buyer, seller, price, attempt, scheduler);
+                self.retry_or_refund(buyer_slot, seller, price, attempt, scheduler);
             }
         }
         assert!(
@@ -1270,22 +1261,22 @@ impl CreditMarket {
         );
     }
 
-    /// Settles a completed escrow trade: pays the seller from escrow
-    /// and applies the same side effects as a fault-free purchase.
+    /// Settles a completed escrow trade between the ledger slots `buyer`
+    /// and `seller`: pays the seller from escrow and applies the same
+    /// side effects as a fault-free purchase.
     fn settle_delivery(
         &mut self,
-        buyer: NodeId,
-        seller: NodeId,
+        buyer: usize,
+        seller: usize,
         price: u64,
         attempt: u32,
         now: SimTime,
     ) {
-        let slot = self.arena.slot(buyer).expect("buyer is live");
-        self.in_flight[slot] -= price;
+        self.in_flight[buyer] -= price;
         self.in_flight_total -= price;
-        let paid = self.ledger.pay_from_escrow(seller, price);
+        let paid = self.ledger.pay_from_escrow_at(seller, price);
         debug_assert_eq!(paid, price, "trade escrow fully funds the settle");
-        self.spent[slot] += price;
+        self.spent[buyer] += price;
         self.total_spent += price;
         self.purchases += 1;
         self.fault_stats.delivered += 1;
@@ -1303,18 +1294,17 @@ impl CreditMarket {
     /// another seller with fresh credits.
     fn settle_defect(
         &mut self,
-        buyer: NodeId,
-        seller: NodeId,
+        buyer: usize,
+        seller: usize,
         price: u64,
         attempt: u32,
         scheduler: &mut Scheduler<MarketEvent>,
     ) {
-        let slot = self.arena.slot(buyer).expect("buyer is live");
-        self.in_flight[slot] -= price;
+        self.in_flight[buyer] -= price;
         self.in_flight_total -= price;
-        let paid = self.ledger.pay_from_escrow(seller, price);
+        let paid = self.ledger.pay_from_escrow_at(seller, price);
         debug_assert_eq!(paid, price, "trade escrow fully funds the defection");
-        self.spent[slot] += price;
+        self.spent[buyer] += price;
         self.total_spent += price;
         self.fault_stats.defected += 1;
         let max_retries = self
@@ -1326,10 +1316,11 @@ impl CreditMarket {
         if attempt > max_retries {
             // Retry budget exhausted: the buyer gives up on the chunk.
             self.fault_stats.note_conclusion(attempt);
-        } else if self.ledger.balance(buyer) >= price {
+        } else if self.ledger.balance_at(buyer) >= price {
             self.fault_stats.retries += 1;
             let jitter = self.rng.uniform_f64();
-            let next_seller = self.pick_retry_seller(buyer, seller);
+            let ids = self.ledger.ids();
+            let next_seller = self.pick_retry_seller(ids[buyer], ids[seller]);
             let plan = self.fault_plan.as_mut().expect("plan present");
             let delay = plan.backoff(attempt, jitter) + plan.delivery_latency();
             self.begin_trade(buyer, next_seller, price, attempt + 1, delay, scheduler);
@@ -1347,7 +1338,7 @@ impl CreditMarket {
     /// credits are committed to the trade until it settles or refunds.
     fn retry_or_refund(
         &mut self,
-        buyer: NodeId,
+        buyer_slot: usize,
         failed_seller: NodeId,
         price: u64,
         attempt: u32,
@@ -1359,11 +1350,11 @@ impl CreditMarket {
             .expect("plan present")
             .spec()
             .max_retries;
+        let buyer = self.ledger.ids()[buyer_slot];
         if attempt > max_retries {
-            let slot = self.arena.slot(buyer).expect("buyer is live");
-            self.in_flight[slot] -= price;
+            self.in_flight[buyer_slot] -= price;
             self.in_flight_total -= price;
-            let refunded = self.ledger.pay_from_escrow(buyer, price);
+            let refunded = self.ledger.pay_from_escrow_at(buyer_slot, price);
             debug_assert_eq!(refunded, price, "trade escrow funds the refund");
             self.fault_stats.refunded += 1;
             self.fault_stats.note_conclusion(attempt);
@@ -1392,7 +1383,7 @@ impl CreditMarket {
     /// draw.
     fn pick_retry_seller(&mut self, buyer: NodeId, failed: NodeId) -> NodeId {
         if self.config.profile.complete_mixing() {
-            let peers = self.arena.ids();
+            let peers = self.ledger.ids();
             // Bounded resampling: fall back to the failed seller when
             // the population offers no alternative (the retry then
             // fails again and eventually refunds).
@@ -1445,15 +1436,15 @@ impl CreditMarket {
             return;
         };
         let new = self.churn_topology.join(&mut self.graph, &mut self.rng);
-        self.ledger.mint(new, self.config.initial_credits);
+        let slot = self.ledger.mint(new, self.config.initial_credits);
+        debug_assert_eq!(slot, self.mu.len(), "joiner {new} already had an account");
         self.pricing.on_join(new, &mut self.rng);
         let rate = joiner_spending_rate(self.config.profile, self.config.base_rate, &mut self.rng);
-        self.arena.insert(new);
         self.mu.push(rate);
         self.spent.push(0);
         self.activity.push((1.0, scheduler.now()));
         self.in_flight.push(0);
-        self.schedule_spend(new, scheduler);
+        self.schedule_spend(slot, scheduler);
         let lifespan_delay = self.exp_delay(1.0 / churn.mean_lifespan);
         scheduler.schedule_after(lifespan_delay, MarketEvent::Leave(new));
         let arrival_delay = self.exp_delay(churn.arrival_rate);
@@ -1471,36 +1462,33 @@ impl CreditMarket {
         if !self.graph.has_node(id) {
             return;
         }
+        let slot = self.ledger.slot(id).expect("graph and ledger agree");
         // Refund the departing peer's in-flight escrow into its wallet
         // first, so the departure burn below takes those credits out
         // of circulation instead of leaking them in escrow forever.
         // (Always zero when faults are off.)
-        if let Some(slot) = self.arena.slot(id) {
-            let holding = self.in_flight[slot];
-            if holding > 0 {
-                let refunded = self.ledger.pay_from_escrow(id, holding);
-                debug_assert_eq!(refunded, holding, "escrow under-funded for {id}");
-                self.in_flight[slot] = 0;
-                self.in_flight_total -= holding;
-                assert!(
-                    self.ledger.conserved(),
-                    "departure escrow refund broke conservation (peer {id})"
-                );
-            }
+        let holding = self.in_flight[slot];
+        if holding > 0 {
+            let refunded = self.ledger.pay_from_escrow_at(slot, holding);
+            debug_assert_eq!(refunded, holding, "escrow under-funded for {id}");
+            self.in_flight_total -= holding;
+            assert!(
+                self.ledger.conserved(),
+                "departure escrow refund broke conservation (peer {id})"
+            );
         }
         // The graph unlinks the departing peer from its neighbors
         // incrementally; no neighbor cache to rebuild.
         self.graph.remove_node(id).expect("checked live");
-        self.ledger.burn_account(id);
+        self.ledger.burn_at(slot);
         self.pricing.on_leave(id);
-        let removal = self.arena.remove(id).expect("graph and arena agree");
-        self.mu.swap_remove(removal.slot);
-        // A departing peer takes its spending history with it, exactly
-        // as `spent_per_peer()` (live peers only) always reported.
-        self.total_spent -= self.spent[removal.slot];
-        self.spent.swap_remove(removal.slot);
-        self.activity.swap_remove(removal.slot);
-        self.in_flight.swap_remove(removal.slot);
+        self.mu.swap_remove(slot);
+        // A departing peer takes its spending history with it: the
+        // spent total covers live peers only.
+        self.total_spent -= self.spent[slot];
+        self.spent.swap_remove(slot);
+        self.activity.swap_remove(slot);
+        self.in_flight.swap_remove(slot);
     }
 
     fn handle_sample(&mut self, now: SimTime, scheduler: &mut Scheduler<MarketEvent>) {
@@ -1541,8 +1529,9 @@ impl Model for CreditMarket {
                 // once so steady-state scheduling never reallocates.
                 let churning = self.config.churn.is_some();
                 scheduler.reserve(ids.len() * (1 + usize::from(churning)) + 2);
-                for id in &ids {
-                    self.schedule_spend(*id, scheduler);
+                for &id in &ids {
+                    let slot = self.ledger.slot(id).expect("every peer has an account");
+                    self.schedule_spend(slot, scheduler);
                 }
                 scheduler.schedule_after(self.config.sample_interval, MarketEvent::Sample);
                 if let Some(churn) = self.config.churn {
@@ -1847,10 +1836,11 @@ mod tests {
 
     /// The arena layout audit's budget: flat per-peer market state
     /// (slot maps, wallets, prices, rates, counters, activity traces)
-    /// stays within ≈100–150 B/peer at a population large enough that
-    /// constant overheads vanish. Adjacency (≈ 8 B × degree) and
-    /// population-independent scratch are accounted — and bounded —
-    /// separately.
+    /// stays within 97 B/peer at a population large enough that
+    /// constant overheads vanish: 87 B measured with one peer registry,
+    /// plus 10 B of headroom (a second registry would add ≈ 14 B).
+    /// Adjacency (≈ 8 B × degree) and population-independent scratch
+    /// are accounted — and bounded — separately.
     #[test]
     fn arena_layout_stays_within_per_peer_budget() {
         let config = MarketConfig::new(10_000, 50)
@@ -1861,7 +1851,7 @@ mod tests {
         assert_eq!(audit.peers, 10_000);
         let per_peer = audit.state_bytes_per_peer();
         assert!(
-            (40..=150).contains(&per_peer),
+            (40..=97).contains(&per_peer),
             "per-peer state out of budget: {per_peer} B/peer ({audit:?})"
         );
         // Adjacency dominates at ~8 B × degree + row headers; make sure
@@ -1879,6 +1869,131 @@ mod tests {
             audit.fixed_bytes < 16 << 20,
             "fixed costs blew up: {audit:?}"
         );
+    }
+
+    /// A churned market (so dead ids exist) under `pricing`, and the
+    /// bytes `write_state` emits for it.
+    fn churned_state(pricing: PricingConfig) -> (CreditMarket, Vec<u8>) {
+        let config = MarketConfig::new(60, 10)
+            .churn(ChurnConfig::new(0.5, 200.0, 8).expect("valid"))
+            .pricing(pricing);
+        let market = run(config, 9, 600);
+        let mut bytes = Vec::new();
+        market.write_state(&mut bytes);
+        (market, bytes)
+    }
+
+    /// Decodes `bytes` into a fresh market of `market`'s configuration.
+    fn decode(market: &CreditMarket, bytes: &[u8]) -> Result<CreditMarket, CoreError> {
+        let mut fresh = CreditMarket::build(market.config().clone(), 9).expect("builds");
+        let mut r = crate::snapshot::Reader::new(bytes);
+        fresh.read_state(&mut r)?;
+        r.finish()?;
+        Ok(fresh)
+    }
+
+    fn word(bytes: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+    }
+
+    /// Offsets of the registry, ledger and posted-price counts in the
+    /// state of a fault-free, tax-free market, checked against the
+    /// counts they must hold.
+    fn section_offsets(market: &CreditMarket, bytes: &[u8]) -> (usize, usize, usize) {
+        let graph = market.graph();
+        let n = market.peer_count();
+        // Four RNG words and the (false) fault-plan flag, then the
+        // overlay: watermark, live ids, edges.
+        let registry = 33 + 16 + 8 * graph.node_count() + 8 + 16 * graph.edge_count();
+        // Registry entries are 48 bytes; ledger entries 16, then three
+        // pools, four counters, seven fault counters, an empty retry
+        // histogram and the (false) taxation flag.
+        let ledger = registry + 8 + 48 * n;
+        let sellers = ledger + 8 + 16 * n + 8 * (3 + 4 + 7 + 1) + 1;
+        assert_eq!(word(bytes, registry), n as u64);
+        assert_eq!(word(bytes, ledger), n as u64);
+        let posted = matches!(market.config().pricing, PricingConfig::SellerPoisson { .. });
+        assert_eq!(word(bytes, sellers), if posted { n as u64 } else { 0 });
+        let round_trip = decode(market, bytes).expect("pristine state decodes");
+        assert_eq!(round_trip.state_digest(), market.state_digest());
+        (registry, ledger, sellers)
+    }
+
+    fn assert_refused(result: Result<CreditMarket, CoreError>, needle: &str) {
+        match result {
+            Err(CoreError::Checkpoint(msg)) => assert!(msg.contains(needle), "{msg}"),
+            Err(other) => panic!("expected a checkpoint error, got {other}"),
+            Ok(_) => panic!("corrupt state decoded without error"),
+        }
+    }
+
+    #[test]
+    fn registry_id_not_live_in_the_overlay_fails_closed() {
+        let (market, mut bytes) = churned_state(PricingConfig::default());
+        let (registry, _, _) = section_offsets(&market, &bytes);
+        let dead = (0..market.graph().next_raw_id())
+            .find(|&raw| !market.graph().has_node(NodeId::from_raw(raw)))
+            .expect("churn left dead ids");
+        bytes[registry + 8..registry + 16].copy_from_slice(&dead.to_le_bytes());
+        assert_refused(decode(&market, &bytes), "not a permutation");
+    }
+
+    #[test]
+    fn duplicate_registry_id_fails_closed() {
+        let (market, mut bytes) = churned_state(PricingConfig::default());
+        let (registry, _, _) = section_offsets(&market, &bytes);
+        let first = word(&bytes, registry + 8);
+        bytes[registry + 56..registry + 64].copy_from_slice(&first.to_le_bytes());
+        assert_refused(decode(&market, &bytes), "not a permutation");
+    }
+
+    #[test]
+    fn registry_count_unlike_the_overlay_fails_closed() {
+        // A well-formed registry section one peer short.
+        let (market, mut bytes) = churned_state(PricingConfig::default());
+        let (registry, ledger, _) = section_offsets(&market, &bytes);
+        let n = market.peer_count() as u64;
+        bytes[registry..registry + 8].copy_from_slice(&(n - 1).to_le_bytes());
+        bytes.drain(ledger - 48..ledger);
+        assert_refused(decode(&market, &bytes), "not a permutation");
+    }
+
+    #[test]
+    fn ledger_entries_out_of_registry_order_fail_closed() {
+        let (market, mut bytes) = churned_state(PricingConfig::default());
+        let (_, ledger, _) = section_offsets(&market, &bytes);
+        let (first, second) = bytes[ledger + 8..ledger + 40].split_at_mut(16);
+        first.swap_with_slice(second);
+        assert_refused(decode(&market, &bytes), "ledger entries");
+    }
+
+    #[test]
+    fn posted_prices_out_of_registry_order_fail_closed() {
+        let (market, mut bytes) = churned_state(PricingConfig::SellerPoisson { mean: 2.0 });
+        let (_, _, sellers) = section_offsets(&market, &bytes);
+        let (first, second) = bytes[sellers + 8..sellers + 40].split_at_mut(16);
+        first.swap_with_slice(second);
+        assert_refused(decode(&market, &bytes), "posted prices");
+    }
+
+    #[test]
+    fn zero_posted_price_fails_closed() {
+        let (market, mut bytes) = churned_state(PricingConfig::SellerPoisson { mean: 2.0 });
+        let (_, _, sellers) = section_offsets(&market, &bytes);
+        bytes[sellers + 16..sellers + 24].copy_from_slice(&0u64.to_le_bytes());
+        assert_refused(decode(&market, &bytes), "zero price");
+    }
+
+    #[test]
+    fn posted_prices_under_uniform_pricing_fail_closed() {
+        let (market, mut bytes) = churned_state(PricingConfig::default());
+        let (registry, _, sellers) = section_offsets(&market, &bytes);
+        let first = word(&bytes, registry + 8);
+        let mut entry = first.to_le_bytes().to_vec();
+        entry.extend_from_slice(&3u64.to_le_bytes());
+        bytes[sellers..sellers + 8].copy_from_slice(&1u64.to_le_bytes());
+        bytes.splice(sellers + 8..sellers + 8, entry);
+        assert_refused(decode(&market, &bytes), "posts none");
     }
 
     #[test]

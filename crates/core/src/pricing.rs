@@ -15,12 +15,15 @@
 //! mean to `mean + e^(−mean)`). [`PricingModel::mean_price`] reports the
 //! clamped mean, which the market simulator uses to convert credit
 //! spending rates into purchase-attempt rates.
+//!
+//! Posted prices sit in a table indexed by raw [`NodeId`], not behind a
+//! slot map: a price never moves once drawn, and ids are dense and never
+//! reused, so nothing needs swap-remove bookkeeping.
 
 use scrip_des::dist::Poisson;
 use scrip_des::SimRng;
 use scrip_topology::NodeId;
 
-use crate::arena::PeerArena;
 use crate::error::CoreError;
 
 /// Declarative description of a pricing scheme.
@@ -80,41 +83,20 @@ impl PricingConfig {
 
 /// A realized pricing scheme ready to quote prices.
 ///
-/// Per-seller state is slot-indexed through a [`PeerArena`], so a
-/// [`PricingModel::price`] quote on the market hot path is one array
-/// load rather than a tree lookup.
+/// A [`PricingModel::price`] quote on the market hot path is one array
+/// load (per-seller prices) or one hash (per-chunk prices).
 #[derive(Clone, Debug)]
 pub struct PricingModel {
     config: PricingConfig,
-    /// Sellers with posted prices ([`PricingConfig::SellerPoisson`]).
-    sellers: PeerArena,
-    /// Slot-indexed posted prices (parallel to `sellers`).
-    seller_prices: Vec<u64>,
+    /// Posted prices ([`PricingConfig::SellerPoisson`]) indexed by raw
+    /// id; 0 means "no posted price" (prices are clamped ≥ 1). Empty
+    /// under the other schemes.
+    posted: Vec<u64>,
     /// Hash seed for [`PricingConfig::ChunkPoisson`].
     seed: u64,
     /// Precomputed CDF of the clamped Poisson, for O(log k) hashing-based
     /// quotes.
     chunk_cdf: Vec<f64>,
-}
-
-/// Equality is semantic: same scheme, same hash seed/CDF, and the same
-/// seller → price mapping — independent of slot layout, so models that
-/// reached the same posted prices through different churn histories
-/// compare equal (mirroring [`crate::Ledger`]'s and
-/// [`scrip_topology::Graph`]'s layout-independent equality).
-impl PartialEq for PricingModel {
-    fn eq(&self, other: &Self) -> bool {
-        self.config == other.config
-            && self.seed == other.seed
-            && self.chunk_cdf == other.chunk_cdf
-            && self.sellers.len() == other.sellers.len()
-            && self
-                .sellers
-                .ids()
-                .iter()
-                .zip(&self.seller_prices)
-                .all(|(&id, &p)| other.seller_price(id) == Some(p))
-    }
 }
 
 impl PricingModel {
@@ -130,8 +112,7 @@ impl PricingModel {
         config.validate()?;
         let mut model = PricingModel {
             config,
-            sellers: PeerArena::new(),
-            seller_prices: Vec::new(),
+            posted: Vec::new(),
             seed: 0,
             chunk_cdf: Vec::new(),
         };
@@ -141,8 +122,7 @@ impl PricingModel {
                 let dist = Poisson::new(mean)
                     .map_err(|e| CoreError::Config(format!("price distribution: {e}")))?;
                 for &p in peers {
-                    model.sellers.insert(p);
-                    model.seller_prices.push(dist.sample(rng).max(1));
+                    model.post(p, dist.sample(rng).max(1));
                 }
             }
             PricingConfig::ChunkPoisson { mean } => {
@@ -163,10 +143,7 @@ impl PricingModel {
     pub fn price(&self, seller: NodeId, chunk: u64) -> u64 {
         match self.config {
             PricingConfig::Uniform { price } => price,
-            PricingConfig::SellerPoisson { .. } => self
-                .sellers
-                .slot(seller)
-                .map_or(1, |s| self.seller_prices[s]),
+            PricingConfig::SellerPoisson { .. } => self.seller_price(seller).unwrap_or(1),
             PricingConfig::ChunkPoisson { .. } => {
                 let h = splitmix64(
                     self.seed ^ seller.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ chunk,
@@ -189,13 +166,23 @@ impl PricingModel {
         }
     }
 
-    /// Heap bytes reserved by per-seller storage (posted-price slot map
-    /// and price vector; capacities) plus the fixed-size chunk CDF.
-    /// Uniform pricing holds no per-peer state, so this is 0 there.
+    /// Heap bytes reserved by the posted-price table (8 B per id ever
+    /// posted; capacity) plus the fixed-size chunk CDF. Uniform pricing
+    /// holds no per-peer state, so this is 0 there.
     pub fn heap_bytes(&self) -> usize {
-        self.sellers.heap_bytes()
-            + self.seller_prices.capacity() * std::mem::size_of::<u64>()
+        self.posted.capacity() * std::mem::size_of::<u64>()
             + self.chunk_cdf.capacity() * std::mem::size_of::<f64>()
+    }
+
+    /// Records `peer`'s posted price, growing the table to its id. Ids
+    /// are dense ([`scrip_topology::Graph::add_node`]), so the table
+    /// stays ≈ 8 B per id ever minted.
+    fn post(&mut self, peer: NodeId, price: u64) {
+        let raw = peer.raw() as usize;
+        if raw >= self.posted.len() {
+            self.posted.resize(raw + 1, 0);
+        }
+        self.posted[raw] = price;
     }
 
     /// Registers a newly joined seller (samples its posted price when the
@@ -203,67 +190,85 @@ impl PricingModel {
     pub fn on_join(&mut self, peer: NodeId, rng: &mut SimRng) {
         if let PricingConfig::SellerPoisson { mean } = self.config {
             let dist = Poisson::new(mean).expect("validated at realize time");
-            self.sellers.insert(peer);
-            self.seller_prices.push(dist.sample(rng).max(1));
+            self.post(peer, dist.sample(rng).max(1));
         }
     }
 
     /// Removes a departed seller's posted price.
     pub fn on_leave(&mut self, peer: NodeId) {
-        if let Some(removal) = self.sellers.remove(peer) {
-            self.seller_prices.swap_remove(removal.slot);
+        if let Some(price) = self.posted.get_mut(peer.raw() as usize) {
+            *price = 0;
         }
     }
 
     /// The posted per-seller price, when the scheme is per-seller.
+    #[inline]
     pub fn seller_price(&self, peer: NodeId) -> Option<u64> {
-        self.sellers.slot(peer).map(|s| self.seller_prices[s])
+        match self.posted.get(peer.raw() as usize) {
+            Some(&price) if price != 0 => Some(price),
+            _ => None,
+        }
     }
 
-    /// Checkpoint view of the realized state: the seller → price
-    /// entries **in slot order** (so a restore reproduces the exact
-    /// arena layout, which quote lookups depend on after churn) plus
-    /// the chunk-hash seed. The CDF is recomputed from configuration.
-    pub(crate) fn snapshot_state(&self) -> (Vec<(NodeId, u64)>, u64) {
-        let entries = self
-            .sellers
-            .ids()
+    /// Checkpoint view of the realized state: the posted prices of
+    /// `order`'s peers **in that order** (the owning market's registry
+    /// slot order, which the checkpoint layout records) plus the
+    /// chunk-hash seed. Empty under schemes without posted prices. The
+    /// CDF is recomputed from configuration.
+    pub(crate) fn snapshot_state(&self, order: &[NodeId]) -> (Vec<(NodeId, u64)>, u64) {
+        let entries = order
             .iter()
-            .zip(&self.seller_prices)
-            .map(|(&id, &p)| (id, p))
+            .filter_map(|&id| self.seller_price(id).map(|p| (id, p)))
             .collect();
         (entries, self.seed)
     }
 
     /// Rebuilds a realized model from a checkpoint taken with
-    /// [`PricingModel::snapshot_state`]: `sellers` must be the
-    /// slot-ordered entries and `seed` the chunk-hash seed. No RNG is
-    /// consumed — the realized draws are already in the entries.
+    /// [`PricingModel::snapshot_state`]: `sellers` must be the entries
+    /// for exactly the peers of `order`, in that order, and `seed` the
+    /// chunk-hash seed. No RNG is consumed — the realized draws are
+    /// already in the entries.
+    ///
+    /// # Errors
+    /// Returns [`CoreError::Checkpoint`] if per-seller entries are not
+    /// `order`'s peers in order or post a zero price, or if a scheme
+    /// without posted prices comes with entries.
     pub(crate) fn restore_state(
         config: PricingConfig,
+        order: &[NodeId],
         sellers: &[(NodeId, u64)],
         seed: u64,
     ) -> Result<Self, CoreError> {
         config.validate()?;
         let mut model = PricingModel {
             config,
-            sellers: PeerArena::new(),
-            seller_prices: Vec::with_capacity(sellers.len()),
+            posted: Vec::new(),
             seed: 0,
             chunk_cdf: Vec::new(),
         };
-        match config {
-            PricingConfig::Uniform { .. } => {}
-            PricingConfig::SellerPoisson { .. } => {
-                for &(id, price) in sellers {
-                    model.sellers.insert(id);
-                    model.seller_prices.push(price);
+        if let PricingConfig::SellerPoisson { .. } = config {
+            if !sellers.iter().map(|&(id, _)| id).eq(order.iter().copied()) {
+                return Err(CoreError::Checkpoint(
+                    "posted prices are not the peer registry's ids in slot order".into(),
+                ));
+            }
+            for &(id, price) in sellers {
+                if price == 0 {
+                    return Err(CoreError::Checkpoint(format!(
+                        "seller {id} posts a zero price"
+                    )));
                 }
+                model.post(id, price);
             }
-            PricingConfig::ChunkPoisson { mean } => {
-                model.seed = seed;
-                model.chunk_cdf = clamped_poisson_cdf(mean);
-            }
+        } else if !sellers.is_empty() {
+            return Err(CoreError::Checkpoint(format!(
+                "{} posted prices under {config:?}, which posts none",
+                sellers.len()
+            )));
+        }
+        if let PricingConfig::ChunkPoisson { mean } = config {
+            model.seed = seed;
+            model.chunk_cdf = clamped_poisson_cdf(mean);
         }
         Ok(model)
     }
@@ -426,12 +431,19 @@ mod tests {
             // Perturb the slot layout the way churn does.
             m.on_leave(NodeId::from_raw(3));
             m.on_join(NodeId::from_raw(77), &mut rng);
-            let (entries, seed) = m.snapshot_state();
-            let restored = PricingModel::restore_state(config, &entries, seed).expect("valid");
-            assert_eq!(restored, m, "{config:?}");
-            // Layout-exact, not just semantically equal: quotes agree
-            // for every seller and chunk probed.
+            let order: Vec<NodeId> = ids(30)
+                .into_iter()
+                .filter(|id| id.raw() != 3)
+                .chain([NodeId::from_raw(77)])
+                .collect();
+            let (entries, seed) = m.snapshot_state(&order);
+            let restored =
+                PricingModel::restore_state(config, &order, &entries, seed).expect("valid");
+            assert_eq!(restored.config(), config);
+            // Posted prices and quotes agree for every seller and chunk
+            // probed.
             for s in ids(30).into_iter().chain([NodeId::from_raw(77)]) {
+                assert_eq!(restored.seller_price(s), m.seller_price(s));
                 for c in [0u64, 5, 99] {
                     assert_eq!(restored.price(s, c), m.price(s, c));
                 }

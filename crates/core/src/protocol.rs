@@ -4,11 +4,13 @@
 //! [`CreditTradePolicy`] implements [`scrip_streaming::TradePolicy`]:
 //! every peer-to-peer chunk transfer is authorized against the buyer's
 //! wallet and settled by transferring the seller's quoted price, with
-//! optional income taxation. All per-peer accounting is slot-indexed
-//! through a [`PeerArena`] and the ledger maintains its wealth Gini
-//! online, so a settlement on the chunk-trade hot path is
-//! allocation-free (see the "Performance model" section of
-//! `docs/ARCHITECTURE.md`).
+//! optional income taxation. The ledger's slot map is the policy's one
+//! peer registry: the `spent`/`earned` columns are indexed by
+//! [`Ledger::slot`], and the ledger maintains its wealth Gini online, so
+//! a settlement on the chunk-trade hot path is allocation-free (see the
+//! "Performance model" section of `docs/ARCHITECTURE.md`). The streaming
+//! system keeps a registry of its own: [`TradePolicy`] calls cross the
+//! crate boundary by [`NodeId`].
 //!
 //! Two entry points build the combined system:
 //!
@@ -25,7 +27,7 @@ use std::collections::BTreeMap;
 use scrip_des::stats::TimeSeries;
 use scrip_des::{FaultSpec, SimRng, SimTime, Simulation};
 use scrip_streaming::{StreamEvent, StreamingChurn, StreamingConfig, StreamingSystem, TradePolicy};
-use scrip_topology::{Graph, NodeId, PeerArena};
+use scrip_topology::{Graph, NodeId};
 
 use crate::credits::Ledger;
 use crate::error::CoreError;
@@ -47,15 +49,13 @@ pub struct CreditTradePolicy {
     pricing: PricingModel,
     taxation: Option<Taxation>,
     rng: SimRng,
-    /// Live peers; `spent`/`earned` below are slot-indexed through it.
-    arena: PeerArena,
-    /// Credits spent per peer (slot-indexed).
+    /// Credits spent per peer (indexed by ledger slot).
     spent: Vec<u64>,
     /// Σ `spent` over live peers, maintained incrementally (bumped per
     /// settlement, reduced on departure) so
     /// [`CreditTradePolicy::total_spent`] is O(1).
     total_spent: u64,
-    /// Credits earned per peer (slot-indexed).
+    /// Credits earned per peer (indexed by ledger slot).
     earned: Vec<u64>,
     /// Wallet endowment for churn joiners (the paper's `c`).
     initial_credits: u64,
@@ -99,7 +99,6 @@ impl CreditTradePolicy {
             pricing,
             taxation: tax.map(Taxation::new),
             rng,
-            arena: PeerArena::from_ids(peers),
             spent: vec![0; peers.len()],
             total_spent: 0,
             earned: vec![0; peers.len()],
@@ -145,13 +144,13 @@ impl CreditTradePolicy {
     }
 
     /// Credits spent per live peer (assembled on demand; the hot path
-    /// uses the slot-indexed arena).
+    /// uses the slot-indexed column).
     pub fn spent(&self) -> BTreeMap<NodeId, u64> {
-        self.arena
+        self.ledger
             .ids()
             .iter()
-            .zip(&self.spent)
-            .map(|(&id, &s)| (id, s))
+            .copied()
+            .zip(self.spent.iter().copied())
             .collect()
     }
 
@@ -164,11 +163,11 @@ impl CreditTradePolicy {
 
     /// Credits earned per live peer (assembled on demand).
     pub fn earned(&self) -> BTreeMap<NodeId, u64> {
-        self.arena
+        self.ledger
             .ids()
             .iter()
-            .zip(&self.earned)
-            .map(|(&id, &e)| (id, e))
+            .copied()
+            .zip(self.earned.iter().copied())
             .collect()
     }
 
@@ -220,26 +219,24 @@ impl TradePolicy for CreditTradePolicy {
 
     fn settle(&mut self, buyer: NodeId, seller: NodeId, chunk: u64, _now: SimTime) {
         let price = self.pricing.price(seller, chunk);
-        let afford = self.ledger.balance(buyer).min(price);
+        let buyer_slot = self.ledger.slot(buyer);
+        let afford = buyer_slot.map_or(0, |b| self.ledger.balance_at(b).min(price));
         if afford < price {
             self.shortfalls += 1;
         }
-        if afford > 0 && self.ledger.transfer(buyer, seller, afford).is_ok() {
-            // The transfer succeeded, so both accounts are live and
-            // slotted (the seller could have departed mid-flight, in
-            // which case the transfer above already refused).
-            if let Some(slot) = self.arena.slot(buyer) {
-                self.spent[slot] += afford;
-                self.total_spent += afford;
-            }
-            if let Some(slot) = self.arena.slot(seller) {
-                self.earned[slot] += afford;
-            }
+        // The seller may have departed mid-flight; then nothing moves.
+        if let (true, Some(b), Some(s)) = (afford > 0, buyer_slot, self.ledger.slot(seller)) {
+            self.ledger
+                .transfer_at(b, s, afford)
+                .expect("capped at the balance");
+            self.spent[b] += afford;
+            self.total_spent += afford;
+            self.earned[s] += afford;
             if let Some(tax) = &mut self.taxation {
-                let wealth = self.ledger.balance(seller);
+                let wealth = self.ledger.balance_at(s);
                 let due = tax.assess(afford, wealth, &mut self.rng);
                 if due > 0 {
-                    let withheld = self.ledger.withhold_to_escrow(seller, due);
+                    let withheld = self.ledger.withhold_at(s, due);
                     tax.record_collection(withheld);
                 }
             }
@@ -268,12 +265,13 @@ impl TradePolicy for CreditTradePolicy {
         // income is recycled uniformly — the source is neither a credit
         // source nor a sink, keeping the economy closed as in the
         // paper's model.
-        let paid = self.ledger.withhold_to_escrow(buyer, self.source_price);
+        let buyer_slot = self.ledger.slot(buyer);
+        let paid = buyer_slot.map_or(0, |b| self.ledger.withhold_at(b, self.source_price));
         if paid < self.source_price {
             self.shortfalls += 1;
         }
-        if let Some(slot) = self.arena.slot(buyer) {
-            self.spent[slot] += paid;
+        if let Some(b) = buyer_slot {
+            self.spent[b] += paid;
             self.total_spent += paid;
         }
         self.source_income += paid;
@@ -281,23 +279,27 @@ impl TradePolicy for CreditTradePolicy {
     }
 
     fn on_join(&mut self, peer: NodeId, _now: SimTime) {
-        self.ledger.mint(peer, self.initial_credits);
+        let slot = self.ledger.mint(peer, self.initial_credits);
+        debug_assert_eq!(
+            slot,
+            self.spent.len(),
+            "joiner {peer} already had an account"
+        );
         self.pricing.on_join(peer, &mut self.rng);
-        self.arena.insert(peer);
         self.spent.push(0);
         self.earned.push(0);
     }
 
     fn on_leave(&mut self, peer: NodeId, _now: SimTime) {
-        self.ledger.burn_account(peer);
-        self.pricing.on_leave(peer);
-        if let Some(removal) = self.arena.remove(peer) {
+        if let Some(slot) = self.ledger.slot(peer) {
+            self.ledger.burn_at(slot);
             // A departing peer takes its spending history with it,
             // exactly as `spent()` (live peers only) always reported.
-            self.total_spent -= self.spent[removal.slot];
-            self.spent.swap_remove(removal.slot);
-            self.earned.swap_remove(removal.slot);
+            self.total_spent -= self.spent[slot];
+            self.spent.swap_remove(slot);
+            self.earned.swap_remove(slot);
         }
+        self.pricing.on_leave(peer);
     }
 
     fn sample(&mut self, now: SimTime) {

@@ -194,6 +194,7 @@ proptest! {
         drop_rate in 0.0f64..0.15,
         crash_fraction in 0.0f64..0.15,
         seed in 0u64..50,
+        pricing in 0u8..3,
     ) {
         let spec = FaultSpec {
             drop_rate,
@@ -203,8 +204,16 @@ proptest! {
             onset: SimTime::from_secs(50),
             ..FaultSpec::default()
         };
+        // Seller-Poisson prices are checkpointed per peer in slot order,
+        // so churn's swap-removes reach the posted-price section too.
+        let pricing = match pricing {
+            0 => PricingConfig::Uniform { price: 1 },
+            1 => PricingConfig::SellerPoisson { mean: 2.0 },
+            _ => PricingConfig::ChunkPoisson { mean: 1.0 },
+        };
         let config = MarketConfig::new(30, 20)
             .topology(TopologyKind::Complete)
+            .pricing(pricing)
             .faults(spec)
             .churn(ChurnConfig::new(0.3, 250.0, 8).expect("valid"))
             .sample_interval(SimDuration::from_secs(100));

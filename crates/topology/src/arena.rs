@@ -1,16 +1,21 @@
 //! The dense peer arena: `NodeId → u32` slot map with swap-remove.
 //!
-//! All per-peer market state (wallets, spending rates, spent counters,
-//! activity traces, posted prices) lives in slot-indexed `Vec`s instead
-//! of `BTreeMap<NodeId, _>`s: a lookup is one array load instead of an
-//! O(log n) pointer chase, and iteration is a linear scan. [`PeerArena`]
-//! owns the `NodeId ↔ slot` correspondence; parallel `Vec`s mirror its
-//! insert/swap-remove discipline (push on insert, `swap_remove(slot)` on
-//! removal) so a peer's slot indexes every structure at once.
+//! Per-peer market state (wallets, spending rates, spent counters,
+//! activity traces, in-flight escrow) lives in slot-indexed `Vec`s
+//! instead of `BTreeMap<NodeId, _>`s: a lookup is one array load instead
+//! of an O(log n) pointer chase, and iteration is a linear scan.
+//! [`PeerArena`] owns the `NodeId ↔ slot` correspondence; parallel
+//! `Vec`s mirror its insert/swap-remove discipline (push on insert,
+//! `swap_remove(slot)` on removal) so a peer's slot indexes every
+//! structure at once.
+//!
+//! A market keeps one arena, its ledger's (`scrip_core::Ledger::slot`);
+//! the streaming swarm keeps its own, because its trade-policy calls
+//! cross the crate boundary by [`NodeId`].
 //!
 //! Slot order is insertion order perturbed by swap-removes — exactly the
 //! order the market's old `peers_vec` maintained, so uniform peer picks
-//! (`slots()[rng.index(len)]`) reproduce the pre-arena RNG trajectories
+//! (`ids()[rng.index(len)]`) reproduce the pre-arena RNG trajectories
 //! bit for bit.
 //!
 //! The reverse map is a flat `Vec<u32>` indexed by raw [`NodeId`] value:
@@ -74,12 +79,6 @@ impl PeerArena {
         }
     }
 
-    /// Whether `id` is live.
-    #[inline]
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.slot(id).is_some()
-    }
-
     /// The live IDs in slot order (the dense view: index = slot).
     #[inline]
     pub fn ids(&self) -> &[NodeId] {
@@ -112,8 +111,7 @@ impl PeerArena {
     /// *densely allocated* IDs (as handed out by
     /// [`crate::Graph::add_node`]); inserting an arbitrary
     /// huge `NodeId::from_raw` value would allocate proportional
-    /// memory. Lookups ([`PeerArena::slot`], [`PeerArena::contains`])
-    /// are safe for any ID.
+    /// memory. Lookups ([`PeerArena::slot`]) are safe for any ID.
     ///
     /// # Panics
     /// Panics if `id` is already live (a slot leak otherwise).
@@ -162,8 +160,7 @@ mod tests {
         assert_eq!(a.slot(id(7)), None);
         assert_eq!(a.ids(), &[id(5), id(2), id(9)]);
         assert_eq!(a.len(), 3);
-        assert!(a.contains(id(9)));
-        assert!(!a.contains(id(10_000)), "out-of-range probe is safe");
+        assert_eq!(a.slot(id(10_000)), None, "out-of-range probe is safe");
     }
 
     #[test]

@@ -73,6 +73,7 @@ fn golden_fixtures_are_byte_identical_to_pinned_hashes() {
 const DIGEST_PINS: &[(&str, u64)] = &[
     ("availability-feedback", 0xfe16_a9d2_1e66_310c),
     ("tax-churn-dynamic", 0xe74a_01e9_b280_6e2e),
+    ("seller-poisson-churn", 0x0e57_e51c_a598_dff7),
 ];
 
 /// Golden config A of `golden_trajectories.rs`.
@@ -98,12 +99,25 @@ fn digest_config_b() -> (MarketConfig, u64, u64) {
     (config, 23, 2_000)
 }
 
+/// Seller-Poisson prices under churn: the only pin whose posted-price
+/// section is written after swap-removes (config A has no churn, config
+/// B quotes per-chunk prices and posts none).
+fn digest_config_c() -> (MarketConfig, u64, u64) {
+    let config = MarketConfig::new(60, 40)
+        .asymmetric()
+        .churn(ChurnConfig::new(0.3, 200.0, 8).expect("valid churn"))
+        .pricing(PricingConfig::SellerPoisson { mean: 2.0 })
+        .sample_interval(SimDuration::from_secs(100));
+    (config, 31, 2_000)
+}
+
 #[test]
 fn state_digests_match_pinned_values_for_golden_configs() {
     for (label, pinned) in DIGEST_PINS {
         let (config, seed, horizon_secs) = match *label {
             "availability-feedback" => digest_config_a(),
             "tax-churn-dynamic" => digest_config_b(),
+            "seller-poisson-churn" => digest_config_c(),
             other => panic!("unknown digest pin label {other:?}"),
         };
         let mut session = Session::from_config(&config, seed).expect("builds");
