@@ -428,7 +428,8 @@ pub struct MemoryAudit {
     pub ledger_bytes: usize,
     /// Posted-price storage (0 under uniform pricing).
     pub pricing_bytes: usize,
-    /// Spending rates `μ`, spent counters, and activity traces.
+    /// Spending rates `μ`, spent counters, activity traces, and the
+    /// in-flight escrow column (allocated with or without faults).
     pub rates_bytes: usize,
     /// CSR adjacency rows — degree-proportional (≈ 8 B × degree per
     /// peer), accounted apart from the flat per-peer state.
@@ -444,7 +445,7 @@ impl MemoryAudit {
     /// Flat per-peer *state* bytes: everything that scales linearly
     /// with the live population (slot maps, wallets, prices, rates,
     /// counters, activity), excluding adjacency and fixed costs. The
-    /// performance model's per-peer budget (≈ 87 B measured, pinned at
+    /// performance model's per-peer budget (≈ 95 B measured, pinned at
     /// ≤ 97 B at n = 10⁴) applies to this number.
     pub fn state_bytes_per_peer(&self) -> usize {
         if self.peers == 0 {
@@ -705,9 +706,10 @@ impl CreditMarket {
     /// for the steady-state population from
     /// [`CreditMarket::queue_capacity_hint`], with the mean
     /// inter-attempt interval (`mean price / base rate`) as the typical
-    /// scheduling lookahead. Spend timers land in the wheel's O(1)
-    /// buckets; rarer far-future events (churn lifespans, sample
-    /// boundaries) take its overflow heap.
+    /// scheduling lookahead. The wheel window spans four such intervals,
+    /// so all but ≈ e⁻⁴ ≈ 2% of the exponential spend timers land in its
+    /// O(1) buckets; the tail and rarer far-future events (churn
+    /// lifespans, sample boundaries) take its overflow heap.
     pub fn queue_profile(&self) -> QueueProfile {
         QueueProfile::Wheel {
             expected_events: self.queue_capacity_hint(),
@@ -733,7 +735,8 @@ impl CreditMarket {
             pricing_bytes: self.pricing.heap_bytes(),
             rates_bytes: self.mu.capacity() * std::mem::size_of::<f64>()
                 + self.spent.capacity() * std::mem::size_of::<u64>()
-                + self.activity.capacity() * std::mem::size_of::<(f64, SimTime)>(),
+                + self.activity.capacity() * std::mem::size_of::<(f64, SimTime)>()
+                + self.in_flight.capacity() * std::mem::size_of::<u64>(),
             adjacency_bytes: self.graph.adjacency_heap_bytes(),
             fixed_bytes: self.seller_sampler.heap_bytes()
                 + self.ledger.tracker_heap_bytes()
@@ -1793,14 +1796,16 @@ mod tests {
     }
 
     /// The steady-state claim on the timing-wheel backend the runners
-    /// select via `queue_profile()`. Exponential spend delays have
-    /// unbounded tails, so a bucket vector can always meet a
-    /// first-ever occupancy high-water mark — exact capacity equality
-    /// (the heap backend's guarantee above) is unattainable. The honest
-    /// wheel invariant is that the amortized allocation rate decays to
-    /// zero: across tens of thousands of post-warmup events, total
-    /// wheel storage grows by at most a few percent, and a second
-    /// equally long window grows strictly less than the first.
+    /// select via `queue_profile()`. The wheel's node slab never holds
+    /// more nodes than the pending population, but exponential spend
+    /// delays have unbounded tails, so the live and overflow heaps can
+    /// always meet a first-ever occupancy high-water mark — exact
+    /// capacity equality (the heap backend's guarantee above) is
+    /// unattainable. The honest wheel invariant is that the amortized
+    /// allocation rate decays to zero: across tens of thousands of
+    /// post-warmup events, total wheel storage grows by at most a few
+    /// percent, and a second equally long window grows strictly less
+    /// than the first.
     #[test]
     fn wheel_backed_spend_loop_stops_growing_after_warmup() {
         let config = MarketConfig::new(40, 50)
@@ -1837,8 +1842,9 @@ mod tests {
     /// The arena layout audit's budget: flat per-peer market state
     /// (slot maps, wallets, prices, rates, counters, activity traces)
     /// stays within 97 B/peer at a population large enough that
-    /// constant overheads vanish: 87 B measured with one peer registry,
-    /// plus 10 B of headroom (a second registry would add ≈ 14 B).
+    /// constant overheads vanish: 95 B measured with one peer registry
+    /// (87 B plus the 8 B in-flight escrow column), plus 2 B of
+    /// headroom (a second registry would add ≈ 14 B).
     /// Adjacency (≈ 8 B × degree) and population-independent scratch
     /// are accounted — and bounded — separately.
     #[test]

@@ -5,7 +5,7 @@
 //! every peer-to-peer chunk transfer is authorized against the buyer's
 //! wallet and settled by transferring the seller's quoted price, with
 //! optional income taxation. The ledger's slot map is the policy's one
-//! peer registry: the `spent`/`earned` columns are indexed by
+//! peer registry: the `spent` column is indexed by
 //! [`Ledger::slot`], and the ledger maintains its wealth Gini online, so
 //! a settlement on the chunk-trade hot path is allocation-free (see the
 //! "Performance model" section of `docs/ARCHITECTURE.md`). The streaming
@@ -55,8 +55,6 @@ pub struct CreditTradePolicy {
     /// settlement, reduced on departure) so
     /// [`CreditTradePolicy::total_spent`] is O(1).
     total_spent: u64,
-    /// Credits earned per peer (indexed by ledger slot).
-    earned: Vec<u64>,
     /// Wallet endowment for churn joiners (the paper's `c`).
     initial_credits: u64,
     /// `(t, wealth Gini)` samples recorded by [`TradePolicy::sample`].
@@ -101,7 +99,6 @@ impl CreditTradePolicy {
             rng,
             spent: vec![0; peers.len()],
             total_spent: 0,
-            earned: vec![0; peers.len()],
             initial_credits,
             gini_series: TimeSeries::new(),
             denials: 0,
@@ -159,16 +156,6 @@ impl CreditTradePolicy {
     /// `spent().values().sum()`, without assembling the map).
     pub fn total_spent(&self) -> u64 {
         self.total_spent
-    }
-
-    /// Credits earned per live peer (assembled on demand).
-    pub fn earned(&self) -> BTreeMap<NodeId, u64> {
-        self.ledger
-            .ids()
-            .iter()
-            .copied()
-            .zip(self.earned.iter().copied())
-            .collect()
     }
 
     /// The recorded `(t, wealth Gini)` trajectory — one sample per
@@ -231,7 +218,6 @@ impl TradePolicy for CreditTradePolicy {
                 .expect("capped at the balance");
             self.spent[b] += afford;
             self.total_spent += afford;
-            self.earned[s] += afford;
             if let Some(tax) = &mut self.taxation {
                 let wealth = self.ledger.balance_at(s);
                 let due = tax.assess(afford, wealth, &mut self.rng);
@@ -287,7 +273,6 @@ impl TradePolicy for CreditTradePolicy {
         );
         self.pricing.on_join(peer, &mut self.rng);
         self.spent.push(0);
-        self.earned.push(0);
     }
 
     fn on_leave(&mut self, peer: NodeId, _now: SimTime) {
@@ -297,7 +282,6 @@ impl TradePolicy for CreditTradePolicy {
             // exactly as `spent()` (live peers only) always reported.
             self.total_spent -= self.spent[slot];
             self.spent.swap_remove(slot);
-            self.earned.swap_remove(slot);
         }
         self.pricing.on_leave(peer);
     }
@@ -539,7 +523,6 @@ mod tests {
         assert_eq!(p.shortfalls, 1);
         assert_eq!(p.settlements, 2);
         assert_eq!(p.spent()[&peers[0]], 3);
-        assert_eq!(p.earned()[&peers[1]], 3);
         assert!(p.ledger().conserved());
     }
 

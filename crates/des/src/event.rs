@@ -65,8 +65,9 @@ pub enum QueueProfile {
         /// Expected steady-state number of concurrently pending events.
         expected_events: usize,
         /// Typical scheduling lookahead (how far ahead of `now` most
-        /// events are pushed). Events far past this take a slow-path
-        /// overflow heap, which is correct but O(log n).
+        /// events are pushed). The wheel window spans four typical
+        /// delays; events pushed past it take a slow-path overflow
+        /// heap, which is correct but O(log n).
         typical_delay: SimDuration,
     },
 }
@@ -141,8 +142,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Reserves capacity for at least `additional` further events (heap
-    /// capacity for the heap backend; spread across the bucket ring
-    /// plus live-region headroom for the wheel).
+    /// capacity for the heap backend; node-slab capacity plus
+    /// live-region headroom for the wheel).
     pub fn reserve(&mut self, additional: usize) {
         match &mut self.backend {
             QueueBackend::Heap(h) => h.reserve(additional),

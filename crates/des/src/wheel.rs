@@ -12,12 +12,16 @@
 //! bucket is at or before the wheel's `floor` live in a small **live**
 //! binary heap (the only place ordering comparisons happen); events
 //! within the wheel's lookahead window live in unordered per-bucket
-//! `Vec`s; events past the window sit in an **overflow** min-heap.
+//! lists; events past the window sit in an **overflow** min-heap.
+//! The bucket lists are intrusive: every wheel event occupies one node
+//! of a single slab, each bucket keeps the `u32` index of its first
+//! node, and each node the index of the next. Freed nodes form a LIFO
+//! free list, so a push reuses the node the last pop just freed.
 //! Popping drains the live heap; when it empties, the wheel *rotates*:
 //! the floor advances to the earliest non-empty bucket — considering
 //! both the wheel window (via an occupancy bitmap, scanned 64 buckets
 //! per word) and the overflow heap's peek — and every event of that
-//! bucket (from the bucket `Vec` *and* any overflow stragglers whose
+//! bucket (from its node list *and* any overflow stragglers whose
 //! bucket now matches) is merged into the live heap, which restores
 //! exact `(time, seq)` order within the bucket.
 //!
@@ -27,8 +31,11 @@
 //!   holds the global minimum;
 //! - the floor only advances (rotation picks the minimum candidate
 //!   bucket, so no event is ever left behind it);
-//! - bucket `Vec`s and both heaps retain capacity across drains, so a
-//!   steady-state schedule/pop cycle stops allocating after warmup.
+//! - the slab never holds more nodes than the largest number of events
+//!   the window has held at once, which is at most the largest pending
+//!   population; the slab and both heaps retain capacity across
+//!   drains, so a steady-state schedule/pop cycle stops allocating
+//!   after warmup.
 
 use std::collections::BinaryHeap;
 
@@ -36,10 +43,26 @@ use crate::event::Scheduled;
 use crate::time::{SimDuration, SimTime};
 
 /// Bounds on the bucket count: at least one word of occupancy bitmap,
-/// at most 2^16 buckets (~1.5 MiB of empty `Vec` headers), past which
+/// at most 2^17 buckets (512 KiB of `u32` list heads), past which
 /// extra buckets stop paying for themselves.
 const MIN_BUCKETS: usize = 64;
-const MAX_BUCKETS: usize = 1 << 16;
+const MAX_BUCKETS: usize = 1 << 17;
+
+/// How many typical delays the wheel window spans. For exponential
+/// delays, the share of events pushed past the window (into the
+/// O(log n) overflow heap) is `e^-WINDOW_DELAYS` ≈ 2%.
+const WINDOW_DELAYS: u64 = 4;
+
+/// The end of a bucket list, and of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a wheel event and the next node of its bucket list,
+/// or (while free) `None` and the next free node.
+#[derive(Clone, Debug)]
+struct Node<E> {
+    item: Option<Scheduled<E>>,
+    next: u32,
+}
 
 /// A pending-event store that pops in exact `(time, seq)` order like a
 /// binary heap, with O(1) amortized schedule/pop for bounded-lookahead
@@ -48,9 +71,14 @@ const MAX_BUCKETS: usize = 1 << 16;
 pub struct TimingWheel<E> {
     /// Events at or below the floor bucket, ordered by `(time, seq)`.
     live: BinaryHeap<Scheduled<E>>,
-    /// Unordered event lists for buckets `(floor, floor + nbuckets)`.
-    buckets: Vec<Vec<Scheduled<E>>>,
-    /// One bit per bucket slot: set while the slot's `Vec` is non-empty.
+    /// Node slab shared by every bucket list and the free list.
+    nodes: Vec<Node<E>>,
+    /// First node of each bucket slot's list in `(floor, floor +
+    /// nbuckets)`, or `NIL` when the slot is empty.
+    heads: Vec<u32>,
+    /// First node of the free list, or `NIL`.
+    free: u32,
+    /// One bit per bucket slot: set while the slot's list is non-empty.
     occupancy: Vec<u64>,
     /// Events whose bucket falls past the wheel window.
     overflow: BinaryHeap<Scheduled<E>>,
@@ -67,23 +95,29 @@ impl<E> TimingWheel<E> {
     /// events with a typical scheduling lookahead of `typical_delay`.
     ///
     /// The bucket count is the power of two nearest `expected_events`
-    /// (clamped to `[64, 65536]`) and the bucket width is chosen so the
-    /// wheel window covers at least twice the typical delay; events
-    /// scheduled further ahead (churn lifetimes, far sample boundaries)
-    /// take the overflow heap, which is correct but O(log n).
+    /// (clamped to `[64, 131072]`) and the bucket width is chosen so the
+    /// wheel window covers at least four typical delays; events
+    /// scheduled further ahead (exponential tails, churn lifetimes, far
+    /// sample boundaries) take the overflow heap, which is correct but
+    /// O(log n).
     pub fn new(expected_events: usize, typical_delay: SimDuration) -> Self {
         let nbuckets = expected_events
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        let span_micros = typical_delay.as_micros().max(1).saturating_mul(2);
+        let span_micros = typical_delay
+            .as_micros()
+            .max(1)
+            .saturating_mul(WINDOW_DELAYS);
         let mut shift = 0u32;
-        while (nbuckets as u64) << shift < span_micros && shift < 47 {
+        while (nbuckets as u64) << shift < span_micros && shift < 46 {
             shift += 1;
         }
         let per_bucket = (expected_events / nbuckets).max(4);
         TimingWheel {
             live: BinaryHeap::with_capacity(2 * per_bucket),
-            buckets: (0..nbuckets).map(|_| Vec::new()).collect(),
+            nodes: Vec::new(),
+            heads: vec![NIL; nbuckets],
+            free: NIL,
             occupancy: vec![0u64; nbuckets / 64],
             overflow: BinaryHeap::new(),
             bucket_shift: shift,
@@ -94,7 +128,13 @@ impl<E> TimingWheel<E> {
 
     /// Number of buckets in the wheel window.
     fn nbuckets(&self) -> u64 {
-        self.buckets.len() as u64
+        self.heads.len() as u64
+    }
+
+    /// The ring slot of absolute bucket `bucket` (the bucket count is a
+    /// power of two).
+    fn slot_of(&self, bucket: u64) -> usize {
+        (bucket & (self.nbuckets() - 1)) as usize
     }
 
     /// The absolute bucket index of `time`.
@@ -120,29 +160,22 @@ impl<E> TimingWheel<E> {
         self.len == 0
     }
 
-    /// Pre-sizes the wheel for `additional` more pending events, spread
-    /// evenly across the bucket ring (which is where a steady-state
-    /// population actually sits), plus a few buckets' worth of live-heap
-    /// headroom for the rotation merges.
+    /// Pre-sizes the wheel so `additional` more pending events fit in
+    /// the node slab without reallocating (the slab never needs more
+    /// nodes than there are pending events), plus a few buckets' worth
+    /// of live-heap headroom for the rotation merges.
     pub fn reserve(&mut self, additional: usize) {
-        let per_bucket = additional / self.buckets.len();
-        if per_bucket > 0 {
-            for bucket in &mut self.buckets {
-                if bucket.capacity() < per_bucket {
-                    bucket.reserve(per_bucket - bucket.capacity());
-                }
-            }
-        }
+        let nodes = (self.len + additional).saturating_sub(self.nodes.len());
+        self.nodes.reserve(nodes);
+        let per_bucket = additional / self.heads.len();
         self.live.reserve(2 * per_bucket + 64);
     }
 
     /// Total events the wheel can hold without any structure
-    /// reallocating: the sum of live, overflow, and bucket capacities.
-    /// O(nbuckets); used by steady-state allocation tests, not hot code.
+    /// reallocating: the sum of live, overflow, and node-slab
+    /// capacities.
     pub fn capacity(&self) -> usize {
-        self.live.capacity()
-            + self.overflow.capacity()
-            + self.buckets.iter().map(Vec::capacity).sum::<usize>()
+        self.live.capacity() + self.overflow.capacity() + self.nodes.capacity()
     }
 
     /// Inserts an already-sequenced event.
@@ -152,8 +185,24 @@ impl<E> TimingWheel<E> {
         if b <= self.floor {
             self.live.push(scheduled);
         } else if b < self.floor + self.nbuckets() {
-            let slot = (b % self.nbuckets()) as usize;
-            self.buckets[slot].push(scheduled);
+            let slot = self.slot_of(b);
+            let next = self.heads[slot];
+            let node = Node {
+                item: Some(scheduled),
+                next,
+            };
+            self.heads[slot] = if self.free == NIL {
+                let index = u32::try_from(self.nodes.len())
+                    .ok()
+                    .filter(|&i| i != NIL)
+                    .expect("timing wheel holds fewer than 2^32 - 1 events");
+                self.nodes.push(node);
+                index
+            } else {
+                let index = self.free;
+                self.free = std::mem::replace(&mut self.nodes[index as usize], node).next;
+                index
+            };
             self.set_occupied(slot);
         } else {
             self.overflow.push(scheduled);
@@ -164,7 +213,7 @@ impl<E> TimingWheel<E> {
     /// wheel window, as an absolute bucket index.
     fn next_occupied_bucket(&self) -> Option<u64> {
         let nbuckets = self.nbuckets();
-        let start = ((self.floor + 1) % nbuckets) as usize;
+        let start = self.slot_of(self.floor + 1);
         let words = self.occupancy.len();
         // Scan the bitmap circularly from `start`, one word at a time.
         let mut word_idx = start / 64;
@@ -174,7 +223,7 @@ impl<E> TimingWheel<E> {
                 let slot = word_idx * 64 + word.trailing_zeros() as usize;
                 // Map the slot back to its absolute bucket in
                 // (floor, floor + nbuckets).
-                let offset = (slot as u64 + nbuckets - (self.floor + 1) % nbuckets) % nbuckets;
+                let offset = (slot as u64 + nbuckets - start as u64) & (nbuckets - 1);
                 return Some(self.floor + 1 + offset);
             }
             word_idx = (word_idx + 1) % words;
@@ -189,9 +238,10 @@ impl<E> TimingWheel<E> {
     }
 
     /// Advances the floor to the earliest non-empty bucket and merges
-    /// that bucket's events (wheel `Vec` and overflow stragglers alike)
-    /// into the live heap. No-op if anything is already live or nothing
-    /// is pending.
+    /// that bucket's events (its node list and overflow stragglers
+    /// alike) into the live heap, returning the list's nodes to the
+    /// free list. No-op if anything is already live or nothing is
+    /// pending.
     fn rotate(&mut self) {
         if !self.live.is_empty() {
             return;
@@ -207,12 +257,20 @@ impl<E> TimingWheel<E> {
         debug_assert!(target > self.floor, "wheel floor went backwards");
         self.floor = target;
         if wheel_next == Some(target) {
-            let slot = (target % self.nbuckets()) as usize;
-            // Move the Vec out so the borrow checker allows pushing into
-            // the live heap; swap it back to keep its capacity.
-            let mut drained = std::mem::take(&mut self.buckets[slot]);
-            self.live.extend(drained.drain(..));
-            self.buckets[slot] = drained;
+            let slot = self.slot_of(target);
+            let mut cursor = std::mem::replace(&mut self.heads[slot], NIL);
+            let (nodes, free) = (&mut self.nodes, &mut self.free);
+            self.live.extend(std::iter::from_fn(|| {
+                if cursor == NIL {
+                    return None;
+                }
+                let node = &mut nodes[cursor as usize];
+                let item = node.item.take().expect("listed node holds an event");
+                let next = std::mem::replace(&mut node.next, *free);
+                *free = cursor;
+                cursor = next;
+                Some(item)
+            }));
             self.clear_occupied(slot);
         }
         while let Some(s) = self.overflow.peek() {
@@ -238,14 +296,22 @@ impl<E> TimingWheel<E> {
 
     /// The activation time of the earliest pending event, without
     /// rotating. O(1) while the live heap is non-empty; at a rotation
-    /// boundary it costs one bitmap scan plus one bucket scan.
+    /// boundary it costs one bitmap scan plus one bucket-list walk.
     pub fn peek_time(&self) -> Option<SimTime> {
         if let Some(s) = self.live.peek() {
             return Some(s.time);
         }
         let wheel_min = self.next_occupied_bucket().and_then(|b| {
-            let slot = (b % self.nbuckets()) as usize;
-            self.buckets[slot].iter().map(|s| s.time).min()
+            let mut cursor = self.heads[self.slot_of(b)];
+            std::iter::from_fn(|| {
+                if cursor == NIL {
+                    return None;
+                }
+                let node = &self.nodes[cursor as usize];
+                cursor = node.next;
+                node.item.as_ref().map(|s| s.time)
+            })
+            .min()
         });
         let overflow_min = self.overflow.peek().map(|s| s.time);
         // Buckets partition time monotonically, so the raw minimum over
@@ -258,14 +324,15 @@ impl<E> TimingWheel<E> {
         }
     }
 
-    /// Removes all pending events, retaining capacity. The floor is kept
-    /// (simulation clocks never run backwards).
+    /// Removes all pending events, retaining capacity: the slab empties
+    /// and the free list restarts. The floor is kept (simulation clocks
+    /// never run backwards).
     pub fn clear(&mut self) {
         self.live.clear();
         self.overflow.clear();
-        for slot in 0..self.buckets.len() {
-            self.buckets[slot].clear();
-        }
+        self.nodes.clear();
+        self.heads.fill(NIL);
+        self.free = NIL;
         self.occupancy.fill(0);
         self.len = 0;
     }
@@ -274,6 +341,8 @@ impl<E> TimingWheel<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::Exp;
+    use crate::rng::SimRng;
 
     fn sched(micros: u64, seq: u64) -> Scheduled<u64> {
         Scheduled {
@@ -343,8 +412,8 @@ mod tests {
             w.push(sched(delay(seq), seq));
             seq += 1;
         }
-        // Warm up many full wheel revolutions so every recycled bucket
-        // Vec has grown to its working size.
+        // Warm up many full wheel revolutions so the slab and both
+        // heaps have grown to their working size.
         for _ in 0..300_000 {
             let s = w.pop().expect("event");
             w.push(sched(s.time.as_micros() + delay(seq), seq));
@@ -357,6 +426,37 @@ mod tests {
             seq += 1;
         }
         assert_eq!(w.capacity(), cap, "steady-state cycling reallocated");
+    }
+
+    /// The memory bound of the slab layout: under exponential delays
+    /// (unbounded tails, the market's spend timers) a pre-sized wheel
+    /// holds at most twice its pending population plus the live heap's
+    /// fixed headroom. Storage that keeps each bucket's own high-water
+    /// occupancy reaches 8–15× the population at these sizes.
+    #[test]
+    fn exponential_cycle_capacity_stays_within_twice_the_population() {
+        for n in [256usize, 4_096] {
+            let mean = SimDuration::from_millis(10);
+            let mut w = TimingWheel::new(n, mean);
+            w.reserve(n);
+            let headroom = w.live.capacity();
+            let exp = Exp::new(1.0 / mean.as_micros() as f64).expect("positive rate");
+            let mut rng = SimRng::seed_from_u64(n as u64);
+            let mut delay = || exp.sample(&mut rng) as u64;
+            for seq in 0..n as u64 {
+                w.push(sched(delay(), seq));
+            }
+            for seq in n as u64..200 * n as u64 {
+                let s = w.pop().expect("event");
+                w.push(sched(s.time.as_micros() + delay(), seq));
+            }
+            assert_eq!(w.len(), n);
+            assert!(
+                w.capacity() <= 2 * n + headroom,
+                "{n} pending events hold capacity {} (> 2 × {n} + {headroom})",
+                w.capacity()
+            );
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use scrip_des::dist::{AliasTable, Exp, Geometric, Poisson};
 use scrip_des::{
-    EventQueue, FenwickSampler, Model, QueueProfile, Scheduler, SimDuration, SimRng, SimTime,
-    Simulation,
+    EventQueue, FenwickSampler, Model, QueueProfile, Scheduled, Scheduler, SimDuration, SimRng,
+    SimTime, Simulation,
 };
 
 /// The O(deg) cumulative-weight walk `FenwickSampler::pick` replaces,
@@ -39,6 +39,11 @@ impl Model for Recorder {
     fn handle(&mut self, now: SimTime, _ev: (), _s: &mut Scheduler<()>) {
         self.seen.push(now);
     }
+}
+
+/// Pops `queue` dry, as `(time, seq, event)` triples.
+fn drain(mut queue: EventQueue<u64>) -> Vec<(SimTime, u64, u64)> {
+    std::iter::from_fn(|| queue.pop().map(|s| (s.time, s.seq, s.event))).collect()
 }
 
 proptest! {
@@ -195,15 +200,21 @@ proptest! {
     /// A wheel-backed `EventQueue` pops the exact `(time, seq)` sequence
     /// the binary-heap backend pops, under random interleavings of
     /// schedule/pop with same-time ties and far-future overflow
-    /// events, for arbitrary wheel sizing hints.
+    /// events, for arbitrary wheel sizing hints up to and past the
+    /// largest bucket count. Pushes outnumber pops 3:1, so a long case
+    /// ends with about a hundred pending events. Rare ops mix in
+    /// `clear()` followed by reuse, clone-then-drain (the
+    /// `Scheduler::snapshot_events` path), and a rebuild through
+    /// `push_scheduled` with restored seqs.
     #[test]
     fn wheel_pops_exact_heap_sequence(
-        ops in prop::collection::vec((0u8..4, 0u64..40, 0u64..1_000), 1..250),
-        expected_events in 1usize..600,
+        ops in prop::collection::vec((0u16..1_000, 0u64..40, 0u64..1_000), 1..250),
+        sizing in (0u32..20, 0usize..600),
         delay_micros in 1u64..5_000_000,
     ) {
+        let (log2_events, jitter) = sizing;
         let profile = QueueProfile::Wheel {
-            expected_events,
+            expected_events: (1usize << log2_events) + jitter,
             typical_delay: SimDuration::from_micros(delay_micros),
         };
         let mut heap: EventQueue<u64> = EventQueue::new();
@@ -211,38 +222,59 @@ proptest! {
         let mut ev = 0u64;
         for &(op, coarse, fine) in &ops {
             match op {
-                // Push within a narrow window: coarse in seconds forces
-                // bucket collisions, fine-only times force (time, seq)
-                // ties.
-                0 | 1 => {
-                    let t = SimTime::from_micros(coarse * 1_000_000 + (op as u64) * fine);
-                    heap.push(t, ev);
-                    wheel.push(t, ev);
-                    ev += 1;
+                // 0.2%: clear both and keep going on the emptied queues.
+                0..=1 => {
+                    heap.clear();
+                    wheel.clear();
                 }
-                // Far-future push: lands in the wheel's overflow heap.
-                2 => {
-                    let t = SimTime::from_secs(3_600 + coarse);
-                    heap.push(t, ev);
-                    wheel.push(t, ev);
-                    ev += 1;
+                // 1%: clone-then-drain. The clones pop the same
+                // sequence, and the originals are untouched.
+                2..=11 => {
+                    prop_assert_eq!(drain(heap.clone()), drain(wheel.clone()));
                 }
-                _ => {
-                    let (a, b) = (heap.pop(), wheel.pop());
-                    prop_assert_eq!(a.as_ref().map(|s| (s.time, s.seq, s.event)),
-                                    b.as_ref().map(|s| (s.time, s.seq, s.event)));
+                // 1%: snapshot and restore. Both queues are drained and
+                // compared, then rebuilt from that sequence through
+                // `push_scheduled`, in reverse order, into a fresh queue
+                // of the same backend.
+                12..=21 => {
+                    let pending = drain(std::mem::take(&mut heap));
+                    let from_wheel = drain(std::mem::replace(
+                        &mut wheel,
+                        EventQueue::with_profile(profile),
+                    ));
+                    prop_assert_eq!(&pending, &from_wheel);
+                    for &(time, seq, event) in pending.iter().rev() {
+                        heap.push_scheduled(Scheduled { time, seq, event });
+                        wheel.push_scheduled(Scheduled { time, seq, event });
+                    }
                 }
+                _ => match op % 4 {
+                    // Push within a narrow window: coarse in seconds
+                    // forces bucket collisions, fine-only times force
+                    // (time, seq) ties.
+                    kind @ (0 | 1) => {
+                        let t = SimTime::from_micros(coarse * 1_000_000 + u64::from(kind) * fine);
+                        heap.push(t, ev);
+                        wheel.push(t, ev);
+                        ev += 1;
+                    }
+                    // Far-future push: lands in the wheel's overflow heap.
+                    2 => {
+                        let t = SimTime::from_secs(3_600 + coarse);
+                        heap.push(t, ev);
+                        wheel.push(t, ev);
+                        ev += 1;
+                    }
+                    _ => {
+                        let (a, b) = (heap.pop(), wheel.pop());
+                        prop_assert_eq!(a.as_ref().map(|s| (s.time, s.seq, s.event)),
+                                        b.as_ref().map(|s| (s.time, s.seq, s.event)));
+                    }
+                },
             }
             prop_assert_eq!(heap.len(), wheel.len());
             prop_assert_eq!(heap.peek_time(), wheel.peek_time());
         }
-        loop {
-            let (a, b) = (heap.pop(), wheel.pop());
-            prop_assert_eq!(a.as_ref().map(|s| (s.time, s.seq, s.event)),
-                            b.as_ref().map(|s| (s.time, s.seq, s.event)));
-            if a.is_none() {
-                break;
-            }
-        }
+        prop_assert_eq!(drain(heap), drain(wheel));
     }
 }
