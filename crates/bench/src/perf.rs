@@ -6,12 +6,9 @@
 //! fault-injected churn market (`faulted`: 1% drop + 1% defect with
 //! escrowed retries, timing the recovery machinery itself), the
 //! chunk-level streaming market's trade loop, the cost of a wealth Gini
-//! sample at large n, the observation layer's probe-dispatch
+//! sample at large n, and the observation layer's probe-dispatch
 //! overhead (a full probe set attached vs a detached recorder on the
-//! n=10k market), churn's topology layer alone (`graph_join`:
-//! join+leave pairs on a scale-free overlay), and market set-up
-//! (`overlay_build`: scale-free generation plus the rest of
-//! `CreditMarket::build`). Results are written to
+//! n=10k market). Results are written to
 //! `BENCH_market.json` (see
 //! [`BenchReport::to_json`] for the schema), seeding the repo's
 //! performance trajectory, and CI replays the quick-scale subset to
@@ -27,10 +24,7 @@ use scrip_core::obs::Session;
 use scrip_core::policy::TaxConfig;
 use scrip_core::protocol::build_streaming_market;
 use scrip_core::streaming::{StreamEvent, StreamingConfig};
-use scrip_des::{FaultSpec, SimDuration, SimRng, SimTime, Simulation};
-use scrip_topology::churn::ChurnTopology;
-use scrip_topology::generators::{scale_free, ScaleFreeConfig};
-use scrip_topology::NodeId;
+use scrip_des::{FaultSpec, SimDuration, SimTime, Simulation};
 
 use crate::scale::RunScale;
 use crate::scenario::{Metric, RunSpec};
@@ -44,9 +38,7 @@ pub struct BenchEntry {
     pub n: usize,
     /// Scale the case ran at (`quick` or `full`).
     pub scale: String,
-    /// Dispatched simulator events (Gini samples for `gini_sample`,
-    /// join+leave pairs for `graph_join`, peers built for
-    /// `overlay_build`).
+    /// Dispatched simulator events (Gini samples for `gini_sample`).
     pub events: u64,
     /// Wall-clock seconds for the measured section.
     pub wall_secs: f64,
@@ -105,7 +97,7 @@ const REGIMES: [&str; 4] = ["asymmetric", "availability_feedback", "tax", "churn
 
 /// Every row family `scrip-sim bench` measures, by `regime` name — the
 /// values `--only` accepts.
-pub const BENCH_REGIMES: [&str; 14] = [
+pub const BENCH_REGIMES: [&str; 12] = [
     "asymmetric",
     "availability_feedback",
     "tax",
@@ -118,8 +110,6 @@ pub const BENCH_REGIMES: [&str; 14] = [
     "probe_detached",
     "probe_attached",
     "gini_sample",
-    "graph_join",
-    "overlay_build",
 ];
 
 /// Case list at a scale: (regime, n, horizon_secs). Horizons shrink with
@@ -501,98 +491,6 @@ fn run_gini_case(n: usize, samples: u64, scale: &str) -> BenchEntry {
     }
 }
 
-/// Churn's topology layer alone at size `n`: `pairs` rounds of one
-/// preferential join (20 attachments, the churn regime's setting) and
-/// one departure of a uniformly random live peer, on a scale-free
-/// overlay. Generation is untimed; the first join's O(n) index build
-/// is timed with the rest. Comparing the rate across n shows how the
-/// join's cost grows with the overlay (O(log n) operations, plus cache
-/// misses once the overlay outgrows the caches).
-fn run_graph_join_case(n: usize, pairs: u64, scale: &str) -> BenchEntry {
-    let mut rng = SimRng::seed_from_u64(42);
-    let config = ScaleFreeConfig::new(n).expect("valid overlay size");
-    let mut graph = scale_free(&config, &mut rng).expect("overlay generates");
-    let churn = ChurnTopology::default();
-    let start = Instant::now();
-    for _ in 0..pairs {
-        churn.join(&mut graph, &mut rng);
-        // Rejection-sample a live id: at most half the ids are dead.
-        let victim = loop {
-            let id = NodeId::from_raw(rng.index(graph.next_raw_id() as usize) as u64);
-            if graph.has_node(id) {
-                break id;
-            }
-        };
-        churn.leave(&mut graph, victim).expect("live peer leaves");
-    }
-    let wall = start.elapsed().as_secs_f64().max(1e-9);
-    assert_eq!(graph.node_count(), n, "pairs keep the population");
-    BenchEntry {
-        regime: "graph_join".into(),
-        n,
-        scale: scale.into(),
-        events: pairs,
-        wall_secs: wall,
-        events_per_sec: pairs as f64 / wall,
-        peak_rss_bytes: peak_rss_bytes(),
-    }
-}
-
-/// `graph_join` cases at a scale: `(n, pairs)`.
-fn graph_join_cases(scale: RunScale) -> Vec<(usize, u64)> {
-    match scale {
-        RunScale::Full => vec![(10_000, 20_000), (100_000, 20_000)],
-        RunScale::Quick => vec![(10_000, 10_000)],
-    }
-}
-
-/// Market set-up at size `n`: `reps` timed [`CreditMarket::build`]s of
-/// the asymmetric market (the set-up every scenario replication and
-/// the `static`/`churn` benchmark workloads pay), each followed by a
-/// timed [`scale_free`] alone on the same seed, the part of the build
-/// that dominates. Returns the entry — peers built per second of whole
-/// builds — and the median build and `scale_free` seconds.
-fn run_overlay_build_case(n: usize, reps: u64, scale: &str) -> (BenchEntry, f64, f64) {
-    let config = regime_config("asymmetric", n);
-    let overlay = ScaleFreeConfig::new(n).expect("valid overlay size");
-    let (mut builds, mut generates) = (Vec::new(), Vec::new());
-    for rep in 0..reps {
-        let start = Instant::now();
-        let market = CreditMarket::build(config.clone(), rep).expect("market builds");
-        builds.push(start.elapsed().as_secs_f64());
-        drop(std::hint::black_box(market));
-        let start = Instant::now();
-        let graph = scale_free(&overlay, &mut SimRng::seed_from_u64(rep)).expect("generates");
-        generates.push(start.elapsed().as_secs_f64());
-        drop(std::hint::black_box(graph));
-    }
-    let wall = builds.iter().sum::<f64>().max(1e-9);
-    let entry = BenchEntry {
-        regime: "overlay_build".into(),
-        n,
-        scale: scale.into(),
-        events: n as u64 * reps,
-        wall_secs: wall,
-        events_per_sec: (n as u64 * reps) as f64 / wall,
-        peak_rss_bytes: peak_rss_bytes(),
-    };
-    (entry, median(&mut builds), median(&mut generates))
-}
-
-/// The middle value (upper middle for even counts).
-fn median(values: &mut [f64]) -> f64 {
-    values.sort_by(f64::total_cmp);
-    values[values.len() / 2]
-}
-
-/// `overlay_build` cases at a scale: `(n, builds)`.
-fn overlay_build_cases(scale: RunScale) -> Vec<(usize, u64)> {
-    match scale {
-        RunScale::Full => vec![(100_000, 3), (1_000_000, 2)],
-        RunScale::Quick => vec![(10_000, 5)],
-    }
-}
-
 /// Runs the bench suite at `scale`, printing one progress line per case
 /// to stderr. A non-empty `only` restricts the run to the row families
 /// it names (values from [`BENCH_REGIMES`]); either row of a paired
@@ -717,31 +615,6 @@ pub fn run_bench(scale: RunScale, only: &[String]) -> BenchReport {
         eprintln!(
             "bench {:<22} n={n:<7} {:>12.0} samples/s ({} samples in {:.4}s)",
             entry.regime, entry.events_per_sec, entry.events, entry.wall_secs
-        );
-        report.entries.push(entry);
-    }
-    for (n, pairs) in graph_join_cases(scale) {
-        if !wanted(&["graph_join"]) {
-            continue;
-        }
-        reset_peak_rss();
-        let entry = run_graph_join_case(n, pairs, scale_name);
-        eprintln!(
-            "bench {:<22} n={n:<7} {:>12.0} pairs/s ({} join+leave pairs in {:.4}s)",
-            entry.regime, entry.events_per_sec, entry.events, entry.wall_secs
-        );
-        report.entries.push(entry);
-    }
-    for (n, reps) in overlay_build_cases(scale) {
-        if !wanted(&["overlay_build"]) {
-            continue;
-        }
-        reset_peak_rss();
-        let (entry, build, generate) = run_overlay_build_case(n, reps, scale_name);
-        eprintln!(
-            "bench {:<22} n={n:<7} {:>12.0} peers/s ({reps} builds in {:.4}s; median \
-             build {build:.4}s, scale_free alone {generate:.4}s)",
-            entry.regime, entry.events_per_sec, entry.wall_secs
         );
         report.entries.push(entry);
     }
@@ -1184,27 +1057,10 @@ mod tests {
     }
 
     #[test]
-    fn graph_join_pairs_keep_the_overlay_size() {
-        let entry = run_graph_join_case(500, 200, "quick");
-        assert_eq!(entry.regime, "graph_join");
-        assert_eq!(entry.events, 200);
-        assert!(entry.events_per_sec > 0.0);
-    }
-
-    #[test]
-    fn overlay_build_times_whole_builds() {
-        let (entry, build, generate) = run_overlay_build_case(500, 2, "quick");
-        assert_eq!(entry.regime, "overlay_build");
-        assert_eq!(entry.events, 1_000);
-        assert!(entry.events_per_sec > 0.0);
-        assert!(build > 0.0 && generate > 0.0);
-    }
-
-    #[test]
     fn only_runs_the_named_families() {
-        let report = run_bench(RunScale::Quick, &["graph_join".to_string()]);
+        let report = run_bench(RunScale::Quick, &["gini_sample".to_string()]);
         assert!(!report.entries.is_empty());
-        assert!(report.entries.iter().all(|e| e.regime == "graph_join"));
+        assert!(report.entries.iter().all(|e| e.regime == "gini_sample"));
     }
 
     #[test]
@@ -1212,7 +1068,7 @@ mod tests {
         let mut names: Vec<&str> = cases(RunScale::Quick).iter().map(|c| c.0).collect();
         names.extend(["faulted", "churn_session", "churn_recorded", "streaming"]);
         names.extend(["serve_stream", "probe_detached", "probe_attached"]);
-        names.extend(["gini_sample", "graph_join", "overlay_build"]);
+        names.push("gini_sample");
         for name in names {
             assert!(BENCH_REGIMES.contains(&name), "{name} missing");
         }

@@ -14,8 +14,8 @@
 //!
 //! The market's one peer registry is the [`Ledger`]'s: the per-peer
 //! columns are indexed by its slots, and a spend resolves the buyer's
-//! and the seller's slot once. The [`Graph`] keeps its own slot table,
-//! because checkpoint decode rebuilds its layout.
+//! and the seller's slot once. The [`Graph`] needs no slot map: its
+//! rows are indexed by raw id.
 
 use scrip_des::stats::TimeSeries;
 pub use scrip_des::FaultStats;
@@ -420,9 +420,11 @@ impl MarketEvent {
 pub struct MemoryAudit {
     /// Live peers the per-peer figures are divided by.
     pub peers: usize,
-    /// Slot bookkeeping outside the ledger: the graph's slot and
-    /// sorted-ID maps (not adjacency rows). The market's peer registry
-    /// is the ledger's and is counted in `ledger_bytes`.
+    /// Per-peer bookkeeping outside the ledger: the overlay's join
+    /// index, built on the first churn join (0 without churn). The
+    /// overlay has no slot map of its own (its rows are indexed by raw
+    /// ID and counted in `adjacency_bytes`), and the market's peer
+    /// registry is the ledger's, counted in `ledger_bytes`.
     pub arena_bytes: usize,
     /// Ledger wallets: the peer registry (slot map) + balance vector.
     pub ledger_bytes: usize,
@@ -431,8 +433,9 @@ pub struct MemoryAudit {
     /// Spending rates `μ`, spent counters, activity traces, and the
     /// in-flight escrow column (allocated with or without faults).
     pub rates_bytes: usize,
-    /// CSR adjacency rows — degree-proportional (≈ 8 B × degree per
-    /// peer), accounted apart from the flat per-peer state.
+    /// Adjacency rows and their per-ID row headers — degree-proportional
+    /// (≈ 8 B × degree per peer), accounted apart from the flat per-peer
+    /// state.
     pub adjacency_bytes: usize,
     /// Population-independent costs: the Fenwick seller-sampling
     /// scratch (sized by max degree), the Gini tracker's rank array
@@ -443,10 +446,11 @@ pub struct MemoryAudit {
 
 impl MemoryAudit {
     /// Flat per-peer *state* bytes: everything that scales linearly
-    /// with the live population (slot maps, wallets, prices, rates,
-    /// counters, activity), excluding adjacency and fixed costs. The
-    /// performance model's per-peer budget (≈ 95 B measured, pinned at
-    /// ≤ 97 B at n = 10⁴) applies to this number.
+    /// with the live population (the ledger's registry, wallets, prices,
+    /// rates, counters, activity and, under churn, the join index),
+    /// excluding adjacency and fixed costs. The performance model's
+    /// per-peer budget (≈ 72 B measured, pinned at ≤ 75 B at n = 10⁴)
+    /// applies to this number.
     pub fn state_bytes_per_peer(&self) -> usize {
         if self.peers == 0 {
             return 0;
@@ -722,7 +726,7 @@ impl CreditMarket {
     /// Accounts the market's heap footprint component by component (the
     /// arena layout audit). Capacities, not lengths — the allocator's
     /// view. [`MemoryAudit::state_bytes_per_peer`] is the headline
-    /// number: per-peer *state* (slot maps, balances, rates, spend
+    /// number: per-peer *state* (the registry, balances, rates, spend
     /// counters, activity traces, posted prices), excluding the
     /// degree-proportional adjacency rows and the population-independent
     /// scratch/series/histogram costs, which the audit itemizes
@@ -730,7 +734,7 @@ impl CreditMarket {
     pub fn memory_audit(&self) -> MemoryAudit {
         MemoryAudit {
             peers: self.ledger.accounts(),
-            arena_bytes: self.graph.slot_map_heap_bytes(),
+            arena_bytes: self.graph.index_heap_bytes(),
             ledger_bytes: self.ledger.heap_bytes(),
             pricing_bytes: self.pricing.heap_bytes(),
             rates_bytes: self.mu.capacity() * std::mem::size_of::<f64>()
@@ -847,16 +851,19 @@ impl CreditMarket {
 
     /// Restores the state captured by [`CreditMarket::write_state`]
     /// into a market freshly built from the same configuration and
-    /// seed.
+    /// seed, `events_processed` events after that build.
     ///
     /// # Errors
     /// Returns [`CoreError::Checkpoint`] for truncated or inconsistent
-    /// snapshots: among others, a registry that is not a permutation of
-    /// the rebuilt overlay's live ids, and ledger or posted-price
-    /// entries that are not the registry's ids in slot order.
+    /// snapshots: among others, an overlay id watermark below the live
+    /// count or above the build's watermark plus `events_processed`, a
+    /// registry that is not a permutation of the rebuilt overlay's live
+    /// ids, and ledger or posted-price entries that are not the
+    /// registry's ids in slot order.
     pub(crate) fn read_state(
         &mut self,
         r: &mut crate::snapshot::Reader<'_>,
+        events_processed: u64,
     ) -> Result<(), CoreError> {
         let mut rng_state = [0u64; 4];
         for word in &mut rng_state {
@@ -883,12 +890,21 @@ impl CreditMarket {
             }
         }
         // Overlay rebuild in one pass from the id watermark, the live
-        // ids and the edge list. All market-visible graph reads (sorted
-        // ids, sorted neighbor slices) are layout-independent, so this
-        // reproduces them exactly. Counts are checked against the unread
-        // bytes before they size anything.
+        // ids and the edge list: the graph is exactly its rows by raw id,
+        // so this reproduces it. Counts are checked against the unread
+        // bytes before they size anything. The watermark sizes a per-id
+        // table but has no bytes behind it, so it is bounded instead:
+        // every id below it was allocated by the build or by one `Join`
+        // event since.
         let watermark = r.take_u64()?;
         let live_count = r.take_count(8)?;
+        let ceiling = self.graph.next_raw_id().saturating_add(events_processed);
+        if watermark < live_count as u64 || watermark > ceiling {
+            return Err(CoreError::Checkpoint(format!(
+                "overlay id watermark {watermark} outside {live_count}..={ceiling} \
+                 (live peers up to build watermark plus events processed)"
+            )));
+        }
         let mut live = Vec::with_capacity(live_count);
         for _ in 0..live_count {
             live.push(NodeId::from_raw(r.take_u64()?));
@@ -1840,11 +1856,11 @@ mod tests {
     }
 
     /// The arena layout audit's budget: flat per-peer market state
-    /// (slot maps, wallets, prices, rates, counters, activity traces)
-    /// stays within 97 B/peer at a population large enough that
-    /// constant overheads vanish: 95 B measured with one peer registry
-    /// (87 B plus the 8 B in-flight escrow column), plus 2 B of
-    /// headroom (a second registry would add ≈ 14 B).
+    /// (registry, wallets, prices, rates, counters, activity traces)
+    /// stays within 75 B/peer at a population large enough that
+    /// constant overheads vanish: 72 B measured with one peer registry
+    /// and an overlay indexed by raw id, plus 3 B of headroom (a slot
+    /// map and sorted-id list beside the overlay rows added ≈ 23 B).
     /// Adjacency (≈ 8 B × degree) and population-independent scratch
     /// are accounted — and bounded — separately.
     #[test]
@@ -1857,7 +1873,7 @@ mod tests {
         assert_eq!(audit.peers, 10_000);
         let per_peer = audit.state_bytes_per_peer();
         assert!(
-            (40..=97).contains(&per_peer),
+            (40..=75).contains(&per_peer),
             "per-peer state out of budget: {per_peer} B/peer ({audit:?})"
         );
         // Adjacency dominates at ~8 B × degree + row headers; make sure
@@ -1889,11 +1905,14 @@ mod tests {
         (market, bytes)
     }
 
-    /// Decodes `bytes` into a fresh market of `market`'s configuration.
+    /// Decodes `bytes` into a fresh market of `market`'s configuration,
+    /// crediting it with one event per id `market` allocated since its
+    /// build: the fewest events that could have produced its overlay.
     fn decode(market: &CreditMarket, bytes: &[u8]) -> Result<CreditMarket, CoreError> {
         let mut fresh = CreditMarket::build(market.config().clone(), 9).expect("builds");
+        let joins = market.graph().next_raw_id() - fresh.graph().next_raw_id();
         let mut r = crate::snapshot::Reader::new(bytes);
-        fresh.read_state(&mut r)?;
+        fresh.read_state(&mut r, joins)?;
         r.finish()?;
         Ok(fresh)
     }
@@ -1930,6 +1949,23 @@ mod tests {
             Err(CoreError::Checkpoint(msg)) => assert!(msg.contains(needle), "{msg}"),
             Err(other) => panic!("expected a checkpoint error, got {other}"),
             Ok(_) => panic!("corrupt state decoded without error"),
+        }
+    }
+
+    #[test]
+    fn overlay_watermark_outside_its_bounds_fails_closed() {
+        // Byte 33 (after four RNG words and the fault-plan flag) holds
+        // the overlay's id watermark. `decode` allows exactly the ids the
+        // run allocated, so one more is out of bounds, as is one fewer
+        // than the live peers.
+        let (market, bytes) = churned_state(PricingConfig::default());
+        let watermark = market.graph().next_raw_id();
+        assert_eq!(word(&bytes, 33), watermark);
+        let live = market.peer_count() as u64;
+        for corrupt in [watermark + 1, live - 1] {
+            let mut bytes = bytes.clone();
+            bytes[33..41].copy_from_slice(&corrupt.to_le_bytes());
+            assert_refused(decode(&market, &bytes), "watermark");
         }
     }
 

@@ -1402,7 +1402,9 @@ impl Session {
             pending.push(Scheduled { time, seq, event });
         }
         let mut market = CreditMarket::build(config.clone(), seed)?;
-        market.read_state(&mut r)?;
+        // Only a `Join` event allocates an overlay id, so the events
+        // processed bound the watermark the market state may carry.
+        market.read_state(&mut r, events_processed)?;
         let interval = SimDuration::from_micros(r.take_u64()?);
         let next_tick = SimTime::from_micros(r.take_u64()?);
         let stops_len = r.take_count(8)?;
@@ -1853,6 +1855,17 @@ mod tests {
             corrupt[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
             let err = resume(&corrupt).err().expect("oversized count rejected");
             assert!(err.to_string().contains("overruns"), "{err}");
+        }
+        // An id watermark of 2^40 or u64::MAX is refused before it sizes
+        // the overlay's per-id table, where 2^40 rows would abort the
+        // process on allocation.
+        for watermark in [1u64 << 40, u64::MAX] {
+            let mut corrupt = bytes.clone();
+            corrupt[base + 33..base + 41].copy_from_slice(&watermark.to_le_bytes());
+            match resume(&corrupt) {
+                Err(CoreError::Checkpoint(msg)) => assert!(msg.contains("watermark"), "{msg}"),
+                other => panic!("watermark {watermark} not refused: {:?}", other.err()),
+            }
         }
         // An edge naming a departed peer is refused by the graph build.
         let dead = (0..graph.next_raw_id())

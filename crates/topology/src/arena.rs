@@ -21,10 +21,6 @@
 //! The reverse map is a flat `Vec<u32>` indexed by raw [`NodeId`] value:
 //! IDs are allocated densely from 0 by [`crate::Graph`] and
 //! never reused, so the map stays small ( ≈ 4 bytes × IDs ever minted).
-//!
-//! [`crate::Graph`] applies the same slot-map discipline internally
-//! (interleaved with its adjacency rows and sorted-id list); a change
-//! to the swap-remove bookkeeping here likely applies there too.
 
 use crate::NodeId;
 

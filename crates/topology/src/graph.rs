@@ -1,9 +1,12 @@
 //! The overlay graph: undirected, with stable node identities.
 //!
-//! Storage is CSR-style: each live node occupies a dense *slot* and its
-//! neighbors live in one sorted `Vec<NodeId>`, exposed as a stable
-//! [`Graph::neighbor_slice`]. Hot simulation loops borrow that slice
-//! directly (no per-event clone, no tree walk).
+//! Storage is one table indexed by raw [`NodeId`]: IDs are handed out
+//! densely from zero and never reused, so the table's length is the ID
+//! watermark, and each entry is either the node's neighbors as one
+//! sorted `Vec<NodeId>` or `None` for a removed ID. The row is exposed
+//! as a stable [`Graph::neighbor_slice`], one load away from the ID;
+//! hot simulation loops borrow it directly (no per-event clone, no tree
+//! walk). Node and edge iteration are ascending scans of the table.
 //!
 //! A graph is built in one of two ways. Whole overlays — the
 //! generators' edge lists and checkpoint decode — go through
@@ -82,7 +85,9 @@ impl Error for GraphError {}
 /// An undirected overlay graph with deterministic iteration order.
 ///
 /// Node and neighbor iteration follow ascending [`NodeId`] order, so every
-/// algorithm that walks the graph is reproducible.
+/// algorithm that walks the graph is reproducible. Rows live in one table
+/// indexed by raw ID (see the module docs): a lookup is one index, and a
+/// removed ID keeps a `None` entry, since IDs are never reused.
 ///
 /// ```
 /// use scrip_topology::Graph;
@@ -99,26 +104,10 @@ impl Error for GraphError {}
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Graph {
-    // The slot-map discipline below (id_to_slot + swap-remove with
-    // moved-slot repointing) mirrors scrip-core's PeerArena; a fix to
-    // the bookkeeping in one likely applies to the other.
-    /// Dense slot → node ID (swap-removed on node removal).
-    slot_ids: Vec<NodeId>,
-    /// Raw node ID → slot; [`ABSENT`] marks removed/unknown IDs.
-    id_to_slot: Vec<u32>,
-    /// Slot → sorted neighbor IDs (the CSR-style row).
-    adjacency: Vec<Vec<NodeId>>,
-    /// Ascending ID list backing [`Graph::node_ids`]. May contain
-    /// tombstones — IDs whose `id_to_slot` entry is [`ABSENT`] — left
-    /// behind by [`Graph::remove_node`], which marks instead of
-    /// memmoving the tail (a removal near the front of a million-node
-    /// list would otherwise shift the whole suffix). Compacted once
-    /// tombstones outnumber live entries, so removal is O(log n)
-    /// amortized and iteration stays within 2× the live count.
-    sorted_ids: Vec<NodeId>,
-    /// Number of tombstones currently in `sorted_ids`.
-    dead_sorted: usize,
-    next_id: u64,
+    /// Raw node ID → sorted neighbor IDs (the CSR-style row), or `None`
+    /// for a removed ID. The length is the ID watermark.
+    rows: Vec<Option<Vec<NodeId>>>,
+    node_count: usize,
     edge_count: usize,
     /// Degree and liveness index for joins, built by the first
     /// [`Graph::join_index`] call and kept current by every mutator
@@ -126,22 +115,14 @@ pub struct Graph {
     join_index: Option<JoinIndex>,
 }
 
-/// Slot sentinel for IDs that are not (or no longer) in the graph.
-const ABSENT: u32 = u32::MAX;
-
 /// Equality is semantic: same node set and same edges, plus the same ID
-/// allocation cursor — independent of slot layout, so graphs that went
-/// through different churn histories but describe the same overlay (and
-/// would allocate the same next ID) compare equal. Whether the join
-/// index has been built does not matter either.
+/// allocation cursor — so graphs that went through different churn
+/// histories but describe the same overlay (and would allocate the same
+/// next ID) compare equal, whatever spare capacity their rows hold.
+/// Whether the join index has been built does not matter either.
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
-        self.next_id == other.next_id
-            && self.edge_count == other.edge_count
-            && self.node_ids().eq(other.node_ids())
-            && self
-                .node_ids()
-                .all(|id| self.neighbor_slice(id) == other.neighbor_slice(id))
+        self.rows == other.rows
     }
 }
 
@@ -163,7 +144,8 @@ impl Graph {
     /// ascending, every raw value below `watermark`) joined by `edges`,
     /// with the ID watermark — the next ID [`Graph::add_node`] will
     /// allocate — at `watermark`. IDs below the watermark that `live`
-    /// omits are dead, as if removed.
+    /// omits are dead, as if removed. The watermark sizes a per-ID
+    /// table, so callers decoding untrusted input must bound it first.
     ///
     /// The result equals folding [`Graph::add_edge`] over `edges` on a
     /// graph holding exactly those nodes: parallel edges (in either
@@ -201,66 +183,70 @@ impl Graph {
         I: IntoIterator<Item = (NodeId, NodeId)>,
         I::IntoIter: Clone,
     {
-        let mut id_to_slot = Vec::new();
         let mut previous = None;
-        for (slot, &id) in live.iter().enumerate() {
+        for &id in &live {
             if id.0 >= watermark || previous.is_some_and(|p| p >= id) {
                 return Err(GraphError::UnorderedNode(id));
             }
-            id_to_slot.resize(id.0 as usize, ABSENT);
-            id_to_slot.push(slot as u32);
             previous = Some(id);
         }
-        id_to_slot.resize(watermark as usize, ABSENT);
-        let mut graph = Graph {
-            sorted_ids: live.clone(),
-            slot_ids: live,
-            id_to_slot,
-            next_id: watermark,
-            ..Graph::default()
-        };
-        let slot = |id| graph.slot(id).ok_or(GraphError::NoSuchNode(id));
+        // Raw ID → degree so far, `None` for a dead ID.
+        let mut degrees: Vec<Option<usize>> = vec![None; watermark as usize];
+        for id in &live {
+            degrees[id.0 as usize] = Some(0);
+        }
         let edges = edges.into_iter();
-        let mut degrees = vec![0usize; graph.node_count()];
         for (a, b) in edges.clone() {
             if a == b {
                 return Err(GraphError::SelfLoop(a));
             }
-            degrees[slot(a)?] += 1;
-            degrees[slot(b)?] += 1;
+            for id in [a, b] {
+                *degrees
+                    .get_mut(id.0 as usize)
+                    .and_then(Option::as_mut)
+                    .ok_or(GraphError::NoSuchNode(id))? += 1;
+            }
         }
-        let mut adjacency: Vec<Vec<NodeId>> = degrees.into_iter().map(Vec::with_capacity).collect();
+        let mut rows: Vec<Option<Vec<NodeId>>> = degrees
+            .into_iter()
+            .map(|degree| degree.map(Vec::with_capacity))
+            .collect();
         for (a, b) in edges {
-            adjacency[slot(a)?].push(b);
-            adjacency[slot(b)?].push(a);
+            rows[a.0 as usize].as_mut().expect("counted").push(b);
+            rows[b.0 as usize].as_mut().expect("counted").push(a);
         }
-        for row in &mut adjacency {
+        let mut ends = 0;
+        for row in rows.iter_mut().flatten() {
             row.sort_unstable();
             row.dedup();
+            ends += row.len();
         }
-        graph.edge_count = adjacency.iter().map(Vec::len).sum::<usize>() / 2;
-        graph.adjacency = adjacency;
-        Ok(graph)
+        Ok(Graph {
+            rows,
+            node_count: live.len(),
+            edge_count: ends / 2,
+            join_index: None,
+        })
     }
 
-    /// The slot of a live node, if any.
-    fn slot(&self, id: NodeId) -> Option<usize> {
-        match self.id_to_slot.get(id.0 as usize) {
-            Some(&s) if s != ABSENT => Some(s as usize),
-            _ => None,
+    /// Checks that both endpoints of an edge are live, `a` first.
+    fn check_endpoints(&self, a: NodeId, b: NodeId) -> Result<(), GraphError> {
+        match [a, b].into_iter().find(|&id| !self.has_node(id)) {
+            Some(id) => Err(GraphError::NoSuchNode(id)),
+            None => Ok(()),
         }
+    }
+
+    /// The row of a live node.
+    fn row_mut(&mut self, id: NodeId) -> &mut Vec<NodeId> {
+        self.rows[id.0 as usize].as_mut().expect("live row")
     }
 
     /// Adds a node and returns its fresh, never-reused ID.
     pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId(self.next_id);
-        self.next_id += 1;
-        debug_assert_eq!(self.id_to_slot.len() as u64, id.0);
-        self.id_to_slot.push(self.slot_ids.len() as u32);
-        self.slot_ids.push(id);
-        self.adjacency.push(Vec::new());
-        // Fresh IDs are the largest ever allocated: push keeps the order.
-        self.sorted_ids.push(id);
+        let id = NodeId(self.rows.len() as u64);
+        self.rows.push(Some(Vec::new()));
+        self.node_count += 1;
         if let Some(index) = &mut self.join_index {
             index.push_node();
         }
@@ -273,38 +259,26 @@ impl Graph {
     /// # Errors
     /// Returns [`GraphError::NoSuchNode`] if the node is absent.
     pub fn remove_node(&mut self, id: NodeId) -> Result<Vec<NodeId>, GraphError> {
-        let slot = self.slot(id).ok_or(GraphError::NoSuchNode(id))?;
-        let neighbors = std::mem::take(&mut self.adjacency[slot]);
+        let neighbors = self
+            .rows
+            .get_mut(id.0 as usize)
+            .and_then(Option::take)
+            .ok_or(GraphError::NoSuchNode(id))?;
         for &nb in &neighbors {
-            let nb_slot = self.slot(nb).expect("adjacency symmetric");
-            let row = &mut self.adjacency[nb_slot];
+            let row = self.row_mut(nb);
             if let Ok(pos) = row.binary_search(&id) {
                 row.remove(pos);
             }
+            let degree = row.len();
             if let Some(index) = &mut self.join_index {
-                index.set_degree(nb, row.len());
+                index.set_degree(nb, degree);
             }
         }
         if let Some(index) = &mut self.join_index {
             index.remove_node(id);
         }
+        self.node_count -= 1;
         self.edge_count -= neighbors.len();
-        // Swap-remove the slot and repoint the node that moved into it.
-        self.adjacency.swap_remove(slot);
-        self.slot_ids.swap_remove(slot);
-        if let Some(&moved) = self.slot_ids.get(slot) {
-            self.id_to_slot[moved.0 as usize] = slot as u32;
-        }
-        self.id_to_slot[id.0 as usize] = ABSENT;
-        // Tombstone the sorted-ID entry instead of memmoving the tail;
-        // compact once the dead outnumber the living.
-        self.dead_sorted += 1;
-        if self.dead_sorted * 2 > self.sorted_ids.len() {
-            let id_to_slot = &self.id_to_slot;
-            self.sorted_ids
-                .retain(|nid| id_to_slot[nid.0 as usize] != ABSENT);
-            self.dead_sorted = 0;
-        }
         Ok(neighbors)
     }
 
@@ -317,18 +291,16 @@ impl Graph {
         if a == b {
             return Err(GraphError::SelfLoop(a));
         }
-        let slot_a = self.slot(a).ok_or(GraphError::NoSuchNode(a))?;
-        let slot_b = self.slot(b).ok_or(GraphError::NoSuchNode(b))?;
-        let Err(pos_a) = self.adjacency[slot_a].binary_search(&b) else {
+        self.check_endpoints(a, b)?;
+        let Err(pos_a) = self.row_mut(a).binary_search(&b) else {
             return Ok(false);
         };
-        self.adjacency[slot_a].insert(pos_a, b);
-        let pos_b = self.adjacency[slot_b]
-            .binary_search(&a)
-            .expect_err("adjacency symmetric");
-        self.adjacency[slot_b].insert(pos_b, a);
+        self.row_mut(a).insert(pos_a, b);
+        let row_b = self.row_mut(b);
+        let pos_b = row_b.binary_search(&a).expect_err("adjacency symmetric");
+        row_b.insert(pos_b, a);
         self.edge_count += 1;
-        self.index_degrees(a, slot_a, b, slot_b);
+        self.index_degrees(a, b);
         Ok(true)
     }
 
@@ -337,27 +309,27 @@ impl Graph {
     /// # Errors
     /// Returns [`GraphError::NoSuchNode`] when either endpoint is absent.
     pub fn remove_edge(&mut self, a: NodeId, b: NodeId) -> Result<bool, GraphError> {
-        let slot_a = self.slot(a).ok_or(GraphError::NoSuchNode(a))?;
-        let slot_b = self.slot(b).ok_or(GraphError::NoSuchNode(b))?;
-        let Ok(pos_a) = self.adjacency[slot_a].binary_search(&b) else {
+        self.check_endpoints(a, b)?;
+        let Ok(pos_a) = self.row_mut(a).binary_search(&b) else {
             return Ok(false);
         };
-        self.adjacency[slot_a].remove(pos_a);
-        let pos_b = self.adjacency[slot_b]
-            .binary_search(&a)
-            .expect("adjacency symmetric");
-        self.adjacency[slot_b].remove(pos_b);
+        self.row_mut(a).remove(pos_a);
+        let row_b = self.row_mut(b);
+        let pos_b = row_b.binary_search(&a).expect("adjacency symmetric");
+        row_b.remove(pos_b);
         self.edge_count -= 1;
-        self.index_degrees(a, slot_a, b, slot_b);
+        self.index_degrees(a, b);
         Ok(true)
     }
 
     /// Brings the join index (if built) up to date with the degrees of
     /// both endpoints of a changed edge.
-    fn index_degrees(&mut self, a: NodeId, slot_a: usize, b: NodeId, slot_b: usize) {
+    fn index_degrees(&mut self, a: NodeId, b: NodeId) {
         if let Some(index) = &mut self.join_index {
-            index.set_degree(a, self.adjacency[slot_a].len());
-            index.set_degree(b, self.adjacency[slot_b].len());
+            for id in [a, b] {
+                let row = self.rows[id.0 as usize].as_ref().expect("live row");
+                index.set_degree(id, row.len());
+            }
         }
     }
 
@@ -366,7 +338,7 @@ impl Graph {
     /// mutation from then on. Graphs that never call this pay nothing.
     pub fn join_index(&mut self) -> &JoinIndex {
         if self.join_index.is_none() {
-            let degrees = (0..self.next_id as usize).map(|raw| self.degree(NodeId(raw as u64)));
+            let degrees = self.rows.iter().map(|row| row.as_ref().map(Vec::len));
             self.join_index = Some(JoinIndex::build(degrees));
         }
         self.join_index.as_ref().expect("built above")
@@ -374,21 +346,20 @@ impl Graph {
 
     /// Whether the node exists.
     pub fn has_node(&self, id: NodeId) -> bool {
-        self.slot(id).is_some()
+        self.neighbor_slice(id).is_some()
     }
 
     /// Whether an edge exists between `a` and `b`.
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.slot(a)
-            .map(|s| self.adjacency[s].binary_search(&b).is_ok())
-            .unwrap_or(false)
+        self.neighbor_slice(a)
+            .is_some_and(|row| row.binary_search(&b).is_ok())
     }
 
     /// The neighbors of `id` as a stable sorted slice, or [`None`] if the
     /// node is absent. This is the zero-copy view the simulation hot
     /// paths borrow; it stays valid until the next graph mutation.
     pub fn neighbor_slice(&self, id: NodeId) -> Option<&[NodeId]> {
-        self.slot(id).map(|s| self.adjacency[s].as_slice())
+        self.rows.get(id.0 as usize)?.as_deref()
     }
 
     /// The neighbors of `id` in ascending ID order, or [`None`] if the node
@@ -399,12 +370,12 @@ impl Graph {
 
     /// The degree of `id`, or [`None`] if absent.
     pub fn degree(&self, id: NodeId) -> Option<usize> {
-        self.slot(id).map(|s| self.adjacency[s].len())
+        self.neighbor_slice(id).map(<[NodeId]>::len)
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.slot_ids.len()
+        self.node_count
     }
 
     /// Number of undirected edges.
@@ -412,47 +383,42 @@ impl Graph {
         self.edge_count
     }
 
-    /// Heap bytes reserved by the slot bookkeeping (slot ↔ ID maps, the
-    /// sorted live-ID list and, once built, the join index), excluding
-    /// adjacency rows. Capacities, not lengths — the allocator's view.
-    /// See [`Graph::adjacency_heap_bytes`] for the row storage.
-    pub fn slot_map_heap_bytes(&self) -> usize {
-        self.slot_ids.capacity() * std::mem::size_of::<NodeId>()
-            + self.id_to_slot.capacity() * std::mem::size_of::<u32>()
-            + self.sorted_ids.capacity() * std::mem::size_of::<NodeId>()
-            + self.join_index.as_ref().map_or(0, JoinIndex::heap_bytes)
+    /// Heap bytes reserved by the join index once built (≈ 32 B per ID
+    /// ever allocated), and 0 before. The rows need no other index:
+    /// see [`Graph::adjacency_heap_bytes`] for the row storage.
+    pub fn index_heap_bytes(&self) -> usize {
+        self.join_index.as_ref().map_or(0, JoinIndex::heap_bytes)
     }
 
-    /// Heap bytes reserved by the CSR-style adjacency rows: each row's
-    /// capacity × ID width, plus the outer `Vec`'s row headers. This is
-    /// the degree-proportional part of the footprint (≈ `8 × degree`
-    /// per peer) that the per-peer *state* budget in the arena layout
-    /// audit accounts separately.
+    /// Heap bytes reserved by the adjacency rows: each live row's
+    /// capacity × ID width, plus the per-ID table of row headers (dead
+    /// IDs included). This is the degree-proportional part of the
+    /// footprint (≈ `8 × degree` per peer) that the per-peer *state*
+    /// budget in the arena layout audit accounts separately.
+    /// Capacities, not lengths — the allocator's view.
     pub fn adjacency_heap_bytes(&self) -> usize {
         let rows: usize = self
-            .adjacency
+            .rows
             .iter()
+            .flatten()
             .map(|row| row.capacity() * std::mem::size_of::<NodeId>())
             .sum();
-        rows + self.adjacency.capacity() * std::mem::size_of::<Vec<NodeId>>()
+        rows + self.rows.capacity() * std::mem::size_of::<Option<Vec<NodeId>>>()
     }
 
     /// All node IDs in ascending order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.sorted_ids
-            .iter()
-            .copied()
-            .filter(|&id| self.slot(id).is_some())
+        (0..)
+            .zip(&self.rows)
+            .filter_map(|(raw, row)| row.as_ref().map(|_| NodeId(raw)))
     }
 
     /// All edges as `(low, high)` pairs in deterministic order.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        // Tombstoned IDs have no neighbor slice, so they contribute
-        // nothing without an explicit liveness filter.
-        self.sorted_ids.iter().flat_map(move |&a| {
-            self.neighbor_slice(a)
-                .unwrap_or(&[])
-                .iter()
+        (0..).zip(&self.rows).flat_map(|(raw, row)| {
+            let a = NodeId(raw);
+            row.iter()
+                .flatten()
                 .copied()
                 .filter(move |&b| a < b)
                 .map(move |b| (a, b))
@@ -470,7 +436,7 @@ impl Graph {
     pub fn connected_components(&self) -> Vec<Vec<NodeId>> {
         // Visited flags by raw ID: O(1) probes where a set would cost a
         // tree walk per neighbor.
-        let mut visited = vec![false; self.next_id as usize];
+        let mut visited = vec![false; self.rows.len()];
         let mut components = Vec::new();
         let mut queue = VecDeque::new();
         for start in self.node_ids() {
@@ -500,7 +466,7 @@ impl Graph {
     /// lets layered state (such as wallet mirrors) detect freshly
     /// added nodes by comparing watermarks around a mutation.
     pub fn next_raw_id(&self) -> u64 {
-        self.next_id
+        self.rows.len() as u64
     }
 
     /// A dense index for the current node set: maps each live [`NodeId`] to
@@ -680,8 +646,7 @@ mod tests {
         for w in ids.windows(2) {
             g.add_edge(w[0], w[1]).expect("ok");
         }
-        // Remove from the middle (exercises swap-remove repointing), then
-        // keep mutating through the moved slots.
+        // Remove from the middle, then keep mutating around the dead IDs.
         g.remove_node(ids[1]).expect("live");
         g.remove_node(ids[4]).expect("live");
         let fresh = g.add_node();
@@ -706,7 +671,7 @@ mod tests {
 
     #[test]
     fn equality_is_layout_independent() {
-        // Same final overlay reached through different slot histories.
+        // Same final overlay reached through different edit histories.
         let mut a = Graph::with_nodes(4);
         let ids: Vec<NodeId> = a.node_ids().collect();
         a.add_edge(ids[0], ids[2]).expect("ok");
@@ -724,43 +689,10 @@ mod tests {
     }
 
     #[test]
-    fn removal_tombstones_instead_of_memmoving() {
-        // Pin of the churn-leave cost model: `remove_node` must not
-        // shift the sorted-ID suffix on every call (O(n) per leave).
-        // Structurally that means the backing list keeps its length —
-        // tombstones in place — until the amortized compaction point,
-        // where it snaps back to exactly the live count.
-        let n = 1_000;
-        let mut g = Graph::with_nodes(n);
-        let ids: Vec<NodeId> = g.node_ids().collect();
-        // Remove nodes from the *front* — the worst case for a
-        // memmove-based list — while staying under the compaction
-        // threshold (dead ≤ half).
-        for &id in ids.iter().take(n / 2) {
-            g.remove_node(id).expect("live");
-            assert_eq!(
-                g.sorted_ids.len(),
-                n,
-                "a removal memmoved the sorted-ID list"
-            );
-        }
-        assert_eq!(g.dead_sorted, n / 2);
-        assert_eq!(g.node_count(), n - n / 2);
-        // One more removal tips the balance and compacts to live-only.
-        g.remove_node(ids[n / 2]).expect("live");
-        assert_eq!(g.sorted_ids.len(), g.node_count());
-        assert_eq!(g.dead_sorted, 0);
-        // Iteration and lookups see only the living, in order.
-        let live: Vec<NodeId> = g.node_ids().collect();
-        assert_eq!(live, ids[n / 2 + 1..].to_vec());
-        assert!(!g.has_node(ids[0]));
-        assert!(g.has_node(ids[n - 1]));
-    }
-
-    #[test]
     fn tombstoned_graph_behaves_like_a_compact_one() {
-        // Interleave removals (leaving tombstones) with edge mutations
-        // and equality checks against a graph built compactly.
+        // A graph whose removals left dead IDs behind equals the one-pass
+        // build of its surviving nodes and edges, and the two stay equal
+        // through the same removals from the front, joins and edge edits.
         let mut churned = Graph::with_nodes(8);
         let ids: Vec<NodeId> = churned.node_ids().collect();
         for w in ids.windows(2) {
@@ -768,35 +700,43 @@ mod tests {
         }
         churned.remove_node(ids[2]).expect("live");
         churned.remove_node(ids[5]).expect("live");
-        assert!(churned.dead_sorted > 0, "tombstones present");
-
-        let mut compact = Graph::with_nodes(8);
-        for w in ids.windows(2) {
-            compact.add_edge(w[0], w[1]).expect("ok");
-        }
-        compact.remove_node(ids[5]).expect("live");
-        compact.remove_node(ids[2]).expect("live");
-        // Force the compact twin through its compaction point too.
-        while compact.dead_sorted > 0 {
+        let edges: Vec<(NodeId, NodeId)> = churned.edges().collect();
+        let mut compact =
+            Graph::from_edges(churned.next_raw_id(), churned.node_ids().collect(), edges)
+                .expect("valid overlay");
+        assert_eq!(churned, compact);
+        for _ in 0..4 {
             let victim = compact.node_ids().next().expect("live");
-            compact.remove_node(victim).expect("live");
-            churned.remove_node(victim).expect("live");
+            assert_eq!(churned.remove_node(victim), compact.remove_node(victim));
+            let fresh = churned.add_node();
+            assert_eq!(compact.add_node(), fresh);
+            let last = ids[7];
+            assert_eq!(churned.add_edge(fresh, last), compact.add_edge(fresh, last));
+            assert_eq!(
+                churned.remove_edge(ids[6], last),
+                compact.remove_edge(ids[6], last)
+            );
         }
         assert_eq!(churned, compact);
+        assert_eq!(churned.node_count(), 6);
         assert_eq!(
             churned.edges().collect::<Vec<_>>(),
             compact.edges().collect::<Vec<_>>()
         );
         assert_eq!(churned.dense_index(), compact.dense_index());
+        for raw in 0..churned.next_raw_id() + 2 {
+            let id = NodeId(raw);
+            assert_eq!(churned.neighbor_slice(id), compact.neighbor_slice(id));
+        }
     }
 
     #[test]
     fn join_index_is_invisible_to_clone_and_equality() {
         let (mut indexed, ids) = path_graph(6);
         let mut plain = indexed.clone();
-        let before = indexed.slot_map_heap_bytes();
+        let before = indexed.index_heap_bytes();
         indexed.join_index();
-        assert!(indexed.slot_map_heap_bytes() > before, "index is counted");
+        assert!(indexed.index_heap_bytes() > before, "index is counted");
         assert_eq!(indexed, plain);
         // A clone carries the built index; the same edits keep all three
         // equal, and the carried index agrees with a lazily built one.

@@ -1,6 +1,6 @@
 //! Property-based tests for overlay graphs and generators.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -9,7 +9,7 @@ use scrip_des::SimRng;
 use scrip_topology::churn::{AttachmentRule, ChurnTopology};
 use scrip_topology::generators::{self, ScaleFreeConfig};
 use scrip_topology::metrics;
-use scrip_topology::{Graph, NodeId};
+use scrip_topology::{Graph, GraphError, NodeId};
 
 proptest! {
     /// The handshake lemma holds under arbitrary edit sequences.
@@ -161,8 +161,8 @@ fn reference_streaming_pick(graph: &Graph, attach: usize, rng: &mut SimRng) -> V
     pool
 }
 
-/// A random overlay with isolated nodes, tombstones and (often) a
-/// compacted sorted-id list: an Erdős–Rényi graph edited by `ops`.
+/// A random overlay with isolated nodes and dead ids: an Erdős–Rényi
+/// graph edited by `ops`.
 fn churned_graph(n: usize, p: f64, seed: u64, ops: &[(u8, usize, usize)]) -> Graph {
     let mut rng = SimRng::seed_from_u64(seed);
     let mut g = generators::erdos_renyi(n, p, &mut rng).expect("generated");
@@ -206,8 +206,8 @@ proptest! {
     /// Joins through the index equal the O(n) joins under churn, for
     /// both attachment rules: same joiner, same neighbor lists, same RNG
     /// state afterwards. The index is built lazily at a random point and
-    /// then maintained through node removals (tombstones, compaction),
-    /// edge edits and isolated additions.
+    /// then maintained through node removals, edge edits and isolated
+    /// additions.
     #[test]
     fn indexed_joins_match_the_linear_joins(
         n in 1usize..40,
@@ -466,8 +466,8 @@ fn live_set(alive: &[bool], tail: u64) -> (u64, Vec<NodeId>) {
 }
 
 /// Everything observable about a graph, plus its behaviour under the
-/// same follow-up mutations (which exercise the slot bookkeeping the
-/// two builds set up differently).
+/// same follow-up mutations (which exercise rows the two builds sized
+/// differently).
 fn assert_same_graph(bulk: &Graph, folded: &Graph) -> Result<(), TestCaseError> {
     prop_assert!(bulk == folded);
     prop_assert_eq!(bulk.edge_count(), folded.edge_count());
@@ -562,7 +562,7 @@ proptest! {
             .map(|(_, &raw)| NodeId::from_raw(raw));
         let built = Graph::from_edges(watermark, live, []);
         match first_bad {
-            Some(id) => prop_assert_eq!(built.err(), Some(scrip_topology::GraphError::UnorderedNode(id))),
+            Some(id) => prop_assert_eq!(built.err(), Some(GraphError::UnorderedNode(id))),
             None => prop_assert_eq!(built.expect("ordered").node_count(), raws.len()),
         }
     }
@@ -616,7 +616,7 @@ proptest! {
     }
 
     /// Component labelling equals the `BTreeSet` BFS on churned graphs
-    /// with tombstones, isolated nodes and many components.
+    /// with dead ids, isolated nodes and many components.
     #[test]
     fn components_equal_the_btreeset_bfs(
         n in 0usize..80,
@@ -627,5 +627,124 @@ proptest! {
         let g = churned_graph(n, p, seed, &ops);
         prop_assert_eq!(g.connected_components(), reference_components(&g));
         prop_assert_eq!(g.is_connected(), reference_components(&g).len() <= 1);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Model check. `Graph` against a map of neighbor sets under random
+// edits, including dead ids, ids past the watermark and self-loops.
+// ---------------------------------------------------------------------
+
+/// The reference overlay: live id → neighbor set, plus the next id.
+#[derive(Default)]
+struct Model {
+    nodes: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    next: u64,
+}
+
+impl Model {
+    fn add_node(&mut self) -> NodeId {
+        let id = NodeId::from_raw(self.next);
+        self.next += 1;
+        self.nodes.insert(id, BTreeSet::new());
+        id
+    }
+
+    fn remove_node(&mut self, id: NodeId) -> Result<Vec<NodeId>, GraphError> {
+        let neighbors = self.nodes.remove(&id).ok_or(GraphError::NoSuchNode(id))?;
+        for nb in &neighbors {
+            self.nodes.get_mut(nb).expect("symmetric").remove(&id);
+        }
+        Ok(neighbors.into_iter().collect())
+    }
+
+    fn live(&self, a: NodeId, b: NodeId) -> Result<(), GraphError> {
+        match [a, b].into_iter().find(|id| !self.nodes.contains_key(id)) {
+            Some(id) => Err(GraphError::NoSuchNode(id)),
+            None => Ok(()),
+        }
+    }
+
+    fn add_edge(&mut self, a: NodeId, b: NodeId) -> Result<bool, GraphError> {
+        if a == b {
+            return Err(GraphError::SelfLoop(a));
+        }
+        self.live(a, b)?;
+        self.nodes.get_mut(&b).expect("live").insert(a);
+        Ok(self.nodes.get_mut(&a).expect("live").insert(b))
+    }
+
+    fn remove_edge(&mut self, a: NodeId, b: NodeId) -> Result<bool, GraphError> {
+        self.live(a, b)?;
+        self.nodes.get_mut(&b).expect("live").remove(&a);
+        Ok(self.nodes.get_mut(&a).expect("live").remove(&b))
+    }
+
+    fn edges(&self) -> Vec<(NodeId, NodeId)> {
+        self.nodes
+            .iter()
+            .flat_map(|(&a, set)| set.range(a..).map(move |&b| (a, b)))
+            .collect()
+    }
+}
+
+/// Every read of `g` against `model`, and `g` against the one-pass
+/// build of the same overlay.
+fn assert_matches_model(g: &Graph, model: &Model) -> Result<(), TestCaseError> {
+    let ids: Vec<NodeId> = model.nodes.keys().copied().collect();
+    let edges = model.edges();
+    prop_assert_eq!(g.next_raw_id(), model.next);
+    prop_assert_eq!(g.node_ids().collect::<Vec<_>>(), ids.clone());
+    prop_assert_eq!(g.node_count(), ids.len());
+    prop_assert_eq!(g.edge_count(), edges.len());
+    prop_assert_eq!(g.edges().collect::<Vec<_>>(), edges.clone());
+    for raw in 0..model.next + 2 {
+        let id = NodeId::from_raw(raw);
+        let row = model
+            .nodes
+            .get(&id)
+            .map(|set| set.iter().copied().collect::<Vec<_>>());
+        prop_assert_eq!(g.neighbor_slice(id).map(<[NodeId]>::to_vec), row.clone());
+        prop_assert_eq!(g.degree(id), row.as_ref().map(Vec::len));
+        prop_assert_eq!(g.has_node(id), row.is_some());
+    }
+    let bulk = Graph::from_edges(model.next, ids, edges).expect("a valid overlay");
+    prop_assert!(g == &bulk);
+    Ok(())
+}
+
+proptest! {
+    /// Random edit sequences give the results, errors and reads of the
+    /// map model after every step. Ids are drawn up to two past the
+    /// watermark, so dead and never-allocated ids and self-loops all
+    /// come up. When `indexed`, the join index is built first and every
+    /// edit must keep its live count and degree total in step too.
+    #[test]
+    fn graph_matches_the_map_model(
+        indexed in proptest::bool::ANY,
+        ops in prop::collection::vec((0u8..8, 0u64..1024, 0u64..1024), 0..200),
+    ) {
+        let mut g = Graph::new();
+        let mut model = Model::default();
+        if indexed {
+            g.join_index();
+        }
+        for (op, a, b) in ops {
+            let span = model.next + 2;
+            let (a, b) = (NodeId::from_raw(a % span), NodeId::from_raw(b % span));
+            match op {
+                0 | 1 => prop_assert_eq!(g.add_node(), model.add_node()),
+                2 => prop_assert_eq!(g.remove_node(a), model.remove_node(a)),
+                3..=5 => prop_assert_eq!(g.add_edge(a, b), model.add_edge(a, b)),
+                _ => prop_assert_eq!(g.remove_edge(a, b), model.remove_edge(a, b)),
+            }
+            assert_matches_model(&g, &model)?;
+            if indexed {
+                let index = g.join_index();
+                prop_assert_eq!(index.len(), model.nodes.len());
+                let weights: usize = model.nodes.values().map(|set| set.len() + 1).sum();
+                prop_assert_eq!(index.degree_total(), weights as f64);
+            }
+        }
     }
 }
