@@ -93,7 +93,8 @@ impl SampleLog {
         let mut writer = TraceWriter::new(
             BufWriter::new(file),
             TraceHeader {
-                fingerprint: fnv64(name.as_bytes()),
+                // Job-name derived; informational, not a replay key.
+                fingerprint: scrip_core::fingerprint(name.as_bytes()),
                 seed,
             },
         );
@@ -311,17 +312,6 @@ fn stop_schedule(config: &MarketConfig, checkpoint_every: u64, horizon: SimTime)
     stops.sort_unstable();
     stops.dedup();
     stops
-}
-
-/// FNV-1a over bytes — the sample-log header fingerprint (job-name
-/// derived; informational, not a replay key).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -7,13 +7,15 @@
 //! `Σ balances + escrow = minted − burned` is checkable at any time —
 //! the market simulators assert it in tests.
 //!
-//! The ledger's [`PeerArena`] is its owner's one peer registry: the
-//! market's per-peer columns are indexed by [`Ledger::slot`], push on
-//! [`Ledger::mint`] of a new account and `swap_remove(slot)` on
-//! [`Ledger::burn_at`]. Hot paths resolve a slot once and call the
-//! `*_at` methods; [`Ledger::balance`] and [`Ledger::transfer`] are
-//! `NodeId` facades over them. The wallet total is a cached running sum
-//! so [`Ledger::total`] and [`Ledger::conserved`] are O(1), and an
+//! Balances sit in a table indexed by raw [`NodeId`], like the
+//! overlay's rows and the posted prices: IDs are dense and never
+//! reused, so a departed peer keeps a zeroed entry and nothing moves on
+//! departure. The ledger's [`PeerArena`] holds the account holders in
+//! *pick order* ([`Ledger::ids`]), which is its owner's one peer
+//! registry: uniform peer picks, escrow sweeps and checkpoints iterate
+//! it, so RNG draws and checkpoint bytes do not depend on raw-id
+//! layout. The wallet total is a cached running sum so
+//! [`Ledger::total`] and [`Ledger::conserved`] are O(1), and an
 //! optional [`IncrementalGini`] accumulator is kept in sync by every
 //! mutation so a wealth-Gini sample is O(1) too
 //! ([`Ledger::enable_wealth_tracking`]).
@@ -45,10 +47,10 @@ use crate::error::CoreError;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Ledger {
-    /// The peer registry: `NodeId ↔ slot` for the balances below and
-    /// for every per-peer column of the market that owns this ledger.
+    /// The account holders in pick order: the peer registry of the
+    /// market that owns this ledger.
     arena: PeerArena,
-    /// Slot-indexed balances (parallel to `arena`).
+    /// Balances by raw id (0 for departed and never-seen ids).
     balances: Vec<u64>,
     /// Cached `Σ balances` (wallets only, excluding escrow).
     total: u64,
@@ -61,8 +63,8 @@ pub struct Ledger {
 }
 
 /// Equality is semantic: same accounts with the same balances and the
-/// same accounting counters, independent of slot layout and of whether
-/// wealth tracking is enabled.
+/// same accounting counters, independent of pick order, table size and
+/// whether wealth tracking is enabled.
 impl PartialEq for Ledger {
     fn eq(&self, other: &Self) -> bool {
         self.minted == other.minted
@@ -71,7 +73,7 @@ impl PartialEq for Ledger {
             && self.accounts() == other.accounts()
             && self
                 .slot_entries()
-                .all(|(id, b)| other.slot(id).map(|s| other.balances[s]) == Some(b))
+                .all(|(id, b)| other.has_account(id) && other.balance(id) == b)
     }
 }
 
@@ -85,14 +87,16 @@ impl Ledger {
 
     /// Starts maintaining an [`IncrementalGini`] accumulator over the
     /// wallet balances, so [`Ledger::tracked_gini`] is O(1) per sample.
-    /// Seeds the accumulator from the current balances in one O(n + C)
+    /// Seeds the accumulator from the live balances in one O(n + C)
     /// pass, C the largest balance. Whenever a wallet later exceeds the
     /// tracked value range, the range at least doubles — a rare,
     /// amortized reallocation (at most log₂(max wealth) times per run).
     /// Idempotent.
     pub fn enable_wealth_tracking(&mut self) {
         if self.tracker.is_none() {
-            self.tracker = Some(IncrementalGini::from_values(&self.balances));
+            // The live balances only: a departed id's zero is no wallet.
+            let live: Vec<u64> = self.slot_entries().map(|(_, b)| b).collect();
+            self.tracker = Some(IncrementalGini::from_values(&live));
         }
     }
 
@@ -104,60 +108,75 @@ impl Ledger {
         self.tracker.as_ref().and_then(IncrementalGini::gini)
     }
 
-    /// Applies a balance change to the cached total and the tracker.
+    /// Sets `peer`'s balance to `new` and applies the change to the
+    /// cached total and the tracker.
     #[inline]
-    fn on_change(&mut self, old: u64, new: u64) {
+    fn set(&mut self, peer: NodeId, new: u64) {
+        let old = std::mem::replace(&mut self.balances[peer.index()], new);
         self.total = self.total - old + new;
         if let Some(tracker) = &mut self.tracker {
             tracker.update(old, new);
         }
     }
 
-    /// The slot of `peer`'s account, or [`None`] if it has none. Every
-    /// per-peer column of the owning market is indexed by this slot.
+    /// Whether `peer` holds an account. Safe for any id.
     #[inline]
-    pub fn slot(&self, peer: NodeId) -> Option<usize> {
-        self.arena.slot(peer)
+    pub fn has_account(&self, peer: NodeId) -> bool {
+        self.arena.contains(peer)
     }
 
-    /// The account holders in slot order (index = slot).
+    /// The account holders in pick order.
     #[inline]
     pub fn ids(&self) -> &[NodeId] {
         self.arena.ids()
     }
 
     /// Creates an account (if absent) and mints `amount` fresh credits
-    /// into it. Returns the account's slot; a new account takes the
-    /// next slot, so per-peer columns push one entry.
+    /// into it. A new account goes last in pick order.
     ///
-    /// Account storage is slot-indexed for densely allocated IDs (as
-    /// handed out by [`scrip_topology::Graph::add_node`]): creating an
-    /// account grows the reverse map to `peer.raw() + 1` entries (see
-    /// [`crate::arena::PeerArena::insert`]). Reads on arbitrary IDs are
+    /// The balance table grows to `peer.index() + 1` entries, so this is
+    /// for densely allocated IDs (as handed out by
+    /// [`scrip_topology::Graph::add_node`]). Reads on arbitrary IDs are
     /// always safe.
-    pub fn mint(&mut self, peer: NodeId, amount: u64) -> usize {
+    pub fn mint(&mut self, peer: NodeId, amount: u64) {
         self.minted += amount;
-        if let Some(slot) = self.arena.slot(peer) {
-            let old = self.balances[slot];
-            self.balances[slot] = old + amount;
-            self.on_change(old, old + amount);
-            return slot;
+        if self.has_account(peer) {
+            self.set(peer, self.balance(peer) + amount);
+        } else {
+            self.open(peer, amount);
         }
-        self.balances.push(amount);
+    }
+
+    /// Opens an account for `peer` holding `amount`, last in pick
+    /// order.
+    ///
+    /// # Panics
+    /// Panics if `peer` already has an account.
+    fn open(&mut self, peer: NodeId, amount: u64) {
+        // Grow the balance table before the pick order: in the reverse
+        // order glibc's heap fragmented over perfbench's repeated
+        // 10⁵-peer builds, and `churn`'s peak RSS rose from 50 to 59 MB.
+        let raw = peer.index();
+        if raw >= self.balances.len() {
+            self.balances.resize(raw + 1, 0);
+        }
+        self.balances[raw] = amount;
+        self.arena.insert(peer);
         self.total += amount;
         if let Some(tracker) = &mut self.tracker {
             tracker.insert(amount);
         }
-        self.arena.insert(peer)
     }
 
-    /// Removes the account in `slot`, burning its remaining balance
-    /// (the departing peer "takes away its credits in possession"), and
-    /// returns the burned amount. The last slot's account moves into
-    /// `slot`: mirror `swap_remove(slot)` on every per-peer column.
-    pub fn burn_at(&mut self, slot: usize) -> u64 {
-        self.arena.remove(self.arena.ids()[slot]);
-        let amount = self.balances.swap_remove(slot);
+    /// Removes `peer`'s account, burning its remaining balance (the
+    /// departing peer "takes away its credits in possession"), and
+    /// returns the burned amount (0 without an account). The last
+    /// account in pick order takes its place.
+    pub fn burn(&mut self, peer: NodeId) -> u64 {
+        if !self.arena.remove(peer) {
+            return 0;
+        }
+        let amount = std::mem::take(&mut self.balances[peer.index()]);
         self.total -= amount;
         self.burned += amount;
         if let Some(tracker) = &mut self.tracker {
@@ -166,41 +185,10 @@ impl Ledger {
         amount
     }
 
-    /// The balance of the account in `slot`.
-    #[inline]
-    pub fn balance_at(&self, slot: usize) -> u64 {
-        self.balances[slot]
-    }
-
-    /// The balance of `peer` (0 for unknown accounts).
+    /// The balance of `peer` (0 for unknown and departed accounts).
     #[inline]
     pub fn balance(&self, peer: NodeId) -> u64 {
-        self.slot(peer).map_or(0, |s| self.balances[s])
-    }
-
-    /// Moves `amount` credits from the account in slot `from` to the
-    /// one in slot `to`.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::Ledger`] if the sender's balance is
-    /// insufficient. No partial transfer occurs.
-    pub fn transfer_at(&mut self, from: usize, to: usize, amount: u64) -> Result<(), CoreError> {
-        let src = self.balances[from];
-        if src < amount {
-            return Err(CoreError::Ledger(format!(
-                "insufficient funds: {} has {src}, needs {amount}",
-                self.arena.ids()[from]
-            )));
-        }
-        self.balances[from] = src - amount;
-        let dst = self.balances[to];
-        self.balances[to] = dst + amount;
-        // Wallet total is unchanged; only the tracker needs the moves.
-        if let Some(tracker) = &mut self.tracker {
-            tracker.update(src, src - amount);
-            tracker.update(dst, dst + amount);
-        }
-        Ok(())
+        self.balances.get(peer.index()).copied().unwrap_or(0)
     }
 
     /// Moves `amount` credits from `from` to `to`.
@@ -209,56 +197,64 @@ impl Ledger {
     /// Returns [`CoreError::Ledger`] if either account is missing or the
     /// sender's balance is insufficient. No partial transfer occurs.
     pub fn transfer(&mut self, from: NodeId, to: NodeId, amount: u64) -> Result<(), CoreError> {
-        let to_slot = self
-            .slot(to)
-            .ok_or_else(|| CoreError::Ledger(format!("unknown payee {to}")))?;
-        let from_slot = self
-            .slot(from)
-            .ok_or_else(|| CoreError::Ledger(format!("unknown payer {from}")))?;
-        self.transfer_at(from_slot, to_slot, amount)
+        if !self.has_account(to) {
+            return Err(CoreError::Ledger(format!("unknown payee {to}")));
+        }
+        if !self.has_account(from) {
+            return Err(CoreError::Ledger(format!("unknown payer {from}")));
+        }
+        let src = self.balance(from);
+        if src < amount {
+            return Err(CoreError::Ledger(format!(
+                "insufficient funds: {from} has {src}, needs {amount}"
+            )));
+        }
+        self.set(from, src - amount);
+        // Read after the debit, so a self-transfer nets to zero.
+        self.set(to, self.balance(to) + amount);
+        Ok(())
     }
 
-    /// Withholds `amount` from the balance in `slot` into the system
-    /// escrow (taxation, trade escrow). Returns the amount actually
-    /// withheld (capped by the balance).
-    pub fn withhold_at(&mut self, slot: usize, amount: u64) -> u64 {
-        let old = self.balances[slot];
+    /// Withholds `amount` from `peer`'s balance into the system escrow
+    /// (taxation, trade escrow). Returns the amount actually withheld
+    /// (capped by the balance; 0 without an account).
+    pub fn withhold(&mut self, peer: NodeId, amount: u64) -> u64 {
+        if !self.has_account(peer) {
+            return 0;
+        }
+        let old = self.balance(peer);
         let take = amount.min(old);
-        self.balances[slot] = old - take;
         self.escrow += take;
-        self.on_change(old, old - take);
+        self.set(peer, old - take);
         take
     }
 
-    /// Pays `amount` from the escrow to the account in `slot`. Returns
-    /// the amount paid (capped by the escrow).
-    pub fn pay_from_escrow_at(&mut self, slot: usize, amount: u64) -> u64 {
+    /// Pays `amount` from the escrow to `peer`. Returns the amount paid
+    /// (capped by the escrow; 0 without an account).
+    pub fn pay_from_escrow(&mut self, peer: NodeId, amount: u64) -> u64 {
+        if !self.has_account(peer) {
+            return 0;
+        }
         let pay = amount.min(self.escrow);
         self.escrow -= pay;
-        let old = self.balances[slot];
-        self.balances[slot] = old + pay;
-        self.on_change(old, old + pay);
+        self.set(peer, self.balance(peer) + pay);
         pay
     }
 
-    /// Pays up to `amount` from the escrow to *every* account (the
-    /// taxation sweep "returns a unit to each peer") without any
-    /// per-sweep allocation. Returns the total paid; stops early when
-    /// the escrow runs dry.
+    /// Pays up to `amount` from the escrow to *every* account, in pick
+    /// order (the taxation sweep "returns a unit to each peer"), without
+    /// any per-sweep allocation. Returns the total paid; stops early
+    /// when the escrow runs dry.
     pub fn pay_each_from_escrow(&mut self, amount: u64) -> u64 {
         let mut paid = 0;
-        for slot in 0..self.balances.len() {
+        for i in 0..self.arena.len() {
             if self.escrow == 0 {
                 break;
             }
+            let id = self.arena.ids()[i];
             let pay = amount.min(self.escrow);
             self.escrow -= pay;
-            let old = self.balances[slot];
-            self.balances[slot] = old + pay;
-            self.total += pay;
-            if let Some(tracker) = &mut self.tracker {
-                tracker.update(old, old + pay);
-            }
+            self.set(id, self.balance(id) + pay);
             paid += pay;
         }
         paid
@@ -280,11 +276,11 @@ impl Ledger {
         self.minted
     }
 
-    /// Heap bytes reserved by per-wallet storage: the slot map plus the
-    /// balance vector (capacities, the allocator's view). The optional
-    /// wealth tracker is excluded — its rank array is sized by the
-    /// maximum wealth value, not the wallet count; see
-    /// [`Ledger::tracker_heap_bytes`].
+    /// Heap bytes reserved by per-wallet storage: the pick-order list
+    /// and its position table plus the balance table (capacities, the
+    /// allocator's view). The optional wealth tracker is excluded — its
+    /// rank array is sized by the maximum wealth value, not the wallet
+    /// count; see [`Ledger::tracker_heap_bytes`].
     pub fn heap_bytes(&self) -> usize {
         self.arena.heap_bytes() + self.balances.capacity() * std::mem::size_of::<u64>()
     }
@@ -307,9 +303,10 @@ impl Ledger {
 
     /// Iterates `(peer, balance)` in ascending peer order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        let mut pairs: Vec<(NodeId, u64)> = self.slot_entries().collect();
-        pairs.sort_unstable_by_key(|&(id, _)| id);
-        pairs.into_iter()
+        (0..)
+            .zip(&self.balances)
+            .map(|(raw, &b)| (NodeId::from_raw(raw), b))
+            .filter(|&(id, _)| self.has_account(id))
     }
 
     /// The balances as a vector in ascending peer order (for Gini etc.).
@@ -317,42 +314,37 @@ impl Ledger {
         self.iter().map(|(_, b)| b).collect()
     }
 
-    /// `(peer, balance)` pairs in *slot* order — the dense internal
-    /// layout, not ascending-ID order. Checkpoints capture this order so
-    /// a restored ledger reproduces slot-sensitive trajectories (escrow
-    /// sweeps, seller sampling) bit for bit.
+    /// `(peer, balance)` pairs in *pick* order, not ascending-ID order.
+    /// Checkpoints capture this order so a restored ledger reproduces
+    /// order-sensitive trajectories (escrow sweeps, seller sampling) bit
+    /// for bit.
     pub fn slot_entries(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
         self.arena
             .ids()
             .iter()
-            .zip(&self.balances)
-            .map(|(&id, &b)| (id, b))
+            .map(|&id| (id, self.balances[id.index()]))
     }
 
     /// Rebuilds a ledger from checkpointed parts: `entries` must be in
-    /// slot order (as produced by [`Ledger::slot_entries`]) so the dense
-    /// layout — and everything whose iteration order depends on it —
-    /// comes back identical. Wealth tracking starts disabled; call
+    /// pick order (as produced by [`Ledger::slot_entries`]) so the order
+    /// — and everything whose iteration depends on it — comes back
+    /// identical. Wealth tracking starts disabled; call
     /// [`Ledger::enable_wealth_tracking`] afterwards if the original had
     /// it (the accumulator is a pure function of the balance multiset).
+    ///
+    /// # Panics
+    /// Panics if an id appears twice in `entries`.
     pub fn restore(entries: &[(NodeId, u64)], escrow: u64, minted: u64, burned: u64) -> Self {
-        let mut arena = PeerArena::new();
-        let mut balances = Vec::with_capacity(entries.len());
-        let mut total = 0u64;
-        for &(id, b) in entries {
-            arena.insert(id);
-            balances.push(b);
-            total += b;
-        }
-        Ledger {
-            arena,
-            balances,
-            total,
+        let mut ledger = Ledger {
+            escrow,
             minted,
             burned,
-            escrow,
-            tracker: None,
+            ..Ledger::default()
+        };
+        for &(id, b) in entries {
+            ledger.open(id, b);
         }
+        ledger
     }
 
     /// Checks the conservation invariant
@@ -369,11 +361,6 @@ mod tests {
 
     fn id(n: u64) -> NodeId {
         NodeId::from_raw(n)
-    }
-
-    /// The slot of `id(n)`'s account.
-    fn at(l: &Ledger, n: u64) -> usize {
-        l.slot(id(n)).expect("account exists")
     }
 
     #[test]
@@ -414,8 +401,8 @@ mod tests {
     fn burn_account_removes_and_counts() {
         let mut l = Ledger::new();
         l.mint(id(1), 7);
-        assert_eq!(l.burn_at(at(&l, 1)), 7);
-        assert_eq!(l.slot(id(1)), None);
+        assert_eq!(l.burn(id(1)), 7);
+        assert!(!l.has_account(id(1)));
         assert_eq!(l.burned(), 7);
         assert_eq!(l.total(), 0);
         assert!(l.conserved());
@@ -426,16 +413,16 @@ mod tests {
         let mut l = Ledger::new();
         l.mint(id(1), 10);
         l.mint(id(2), 0);
-        assert_eq!(l.withhold_at(at(&l, 1), 4), 4);
+        assert_eq!(l.withhold(id(1), 4), 4);
         assert_eq!(l.escrow(), 4);
         assert_eq!(l.balance(id(1)), 6);
         assert!(l.conserved());
-        assert_eq!(l.pay_from_escrow_at(at(&l, 2), 3), 3);
+        assert_eq!(l.pay_from_escrow(id(2), 3), 3);
         assert_eq!(l.balance(id(2)), 3);
         assert_eq!(l.escrow(), 1);
         assert!(l.conserved());
         // Capped by escrow.
-        assert_eq!(l.pay_from_escrow_at(at(&l, 2), 100), 1);
+        assert_eq!(l.pay_from_escrow(id(2), 100), 1);
         assert_eq!(l.escrow(), 0);
     }
 
@@ -443,7 +430,7 @@ mod tests {
     fn withhold_caps_at_balance() {
         let mut l = Ledger::new();
         l.mint(id(1), 3);
-        assert_eq!(l.withhold_at(at(&l, 1), 10), 3);
+        assert_eq!(l.withhold(id(1), 10), 3);
         assert_eq!(l.balance(id(1)), 0);
         assert!(l.conserved());
     }
@@ -466,7 +453,7 @@ mod tests {
         for i in 0..4 {
             l.mint(id(i), 10);
         }
-        l.withhold_at(at(&l, 0), 6);
+        l.withhold(id(0), 6);
         assert_eq!(l.pay_each_from_escrow(1), 4);
         assert_eq!(l.escrow(), 2);
         assert!(l.conserved());
@@ -485,13 +472,13 @@ mod tests {
         for i in 0..5 {
             l.mint(id(i), 10 * (i + 1));
         }
-        l.burn_at(at(&l, 1)); // perturb slot order via swap-remove
-        l.withhold_at(at(&l, 0), 3);
+        l.burn(id(1)); // perturb pick order via swap-remove
+        l.withhold(id(0), 3);
         let entries: Vec<(NodeId, u64)> = l.slot_entries().collect();
         let r = Ledger::restore(&entries, l.escrow(), l.minted(), l.burned());
         assert_eq!(r, l);
         assert!(r.conserved());
-        // Slot layout (not just semantic content) must round-trip.
+        // The pick order (not just semantic content) must round-trip.
         let again: Vec<(NodeId, u64)> = r.slot_entries().collect();
         assert_eq!(again, entries);
     }
@@ -525,10 +512,10 @@ mod tests {
         assert_eq!(l.tracked_gini(), Some(0.0));
         l.transfer(id(0), id(1), 10).expect("funded");
         l.mint(id(5), 3);
-        l.withhold_at(at(&l, 1), 4);
-        l.pay_from_escrow_at(at(&l, 2), 2);
+        l.withhold(id(1), 4);
+        l.pay_from_escrow(id(2), 2);
         l.pay_each_from_escrow(1);
-        l.burn_at(at(&l, 3));
+        l.burn(id(3));
         let reference = gini_u64(&l.balances_vec()).expect("non-empty");
         assert_eq!(l.tracked_gini(), Some(reference), "bit-exact vs oracle");
         // Total stays consistent through all of the above.

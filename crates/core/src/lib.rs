@@ -70,9 +70,10 @@ pub mod spec;
 
 pub use credits::Ledger;
 pub use error::CoreError;
+pub use snapshot::fingerprint;
 
-// The dense slot map lives in `scrip-topology` (next to the graph that
-// shares its discipline) so the streaming crate can use it too; the old
+// The pick-order peer list lives in `scrip-topology` (next to the graph
+// whose ids it holds) so the streaming crate can use it too; the
 // `scrip_core::arena` path keeps working through this re-export.
 pub use scrip_topology::arena;
 

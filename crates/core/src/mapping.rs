@@ -138,8 +138,12 @@ impl MarketAnalysis {
 /// Returns [`CoreError`] if the market's overlay is reducible (e.g.
 /// disconnected after churn).
 pub fn analyze_market(market: &CreditMarket) -> Result<MarketAnalysis, CoreError> {
-    let ids = market.ledger().ids().iter().copied();
-    let service_rates: BTreeMap<NodeId, f64> = ids.zip(market.mu().iter().copied()).collect();
+    let service_rates: BTreeMap<NodeId, f64> = market
+        .ledger()
+        .ids()
+        .iter()
+        .map(|&id| (id, market.mu()[id.index()]))
+        .collect();
     if market.config().profile.complete_mixing() {
         let peers: Vec<NodeId> = market.graph().node_ids().collect();
         let matrix = crate::model::complete_mixing_routing(peers.len())?;

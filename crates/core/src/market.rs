@@ -12,10 +12,13 @@
 //! transfers inside a live-streaming swarm (Fig. 1) — see
 //! [`crate::protocol`].
 //!
-//! The market's one peer registry is the [`Ledger`]'s: the per-peer
-//! columns are indexed by its slots, and a spend resolves the buyer's
-//! and the seller's slot once. The [`Graph`] needs no slot map: its
-//! rows are indexed by raw id.
+//! Every per-peer column (balances, spending rates, spent counters,
+//! activity, in-flight escrow) is indexed by raw [`NodeId`], like the
+//! [`Graph`]'s rows and the posted prices: a joiner pushes one entry and
+//! a departure zeroes its entries, so a spend reads each column with no
+//! lookup in between. The [`Ledger`]'s pick-order list is the market's
+//! one peer registry; everything whose outcome depends on peer order
+//! (the complete-mixing pick, checkpoints, escrow sweeps) iterates it.
 
 use scrip_des::stats::TimeSeries;
 pub use scrip_des::FaultStats;
@@ -420,13 +423,12 @@ impl MarketEvent {
 pub struct MemoryAudit {
     /// Live peers the per-peer figures are divided by.
     pub peers: usize,
-    /// Per-peer bookkeeping outside the ledger: the overlay's join
-    /// index, built on the first churn join (0 without churn). The
-    /// overlay has no slot map of its own (its rows are indexed by raw
-    /// ID and counted in `adjacency_bytes`), and the market's peer
-    /// registry is the ledger's, counted in `ledger_bytes`.
-    pub arena_bytes: usize,
-    /// Ledger wallets: the peer registry (slot map) + balance vector.
+    /// The overlay's join index, built on the first churn join (0
+    /// without churn). The overlay's rows are indexed by raw ID and
+    /// counted in `adjacency_bytes`; the market's peer registry is the
+    /// ledger's, counted in `ledger_bytes`.
+    pub join_index_bytes: usize,
+    /// Ledger wallets: the pick-order registry + the balance table.
     pub ledger_bytes: usize,
     /// Posted-price storage (0 under uniform pricing).
     pub pricing_bytes: usize,
@@ -445,22 +447,25 @@ pub struct MemoryAudit {
 }
 
 impl MemoryAudit {
-    /// Flat per-peer *state* bytes: everything that scales linearly
-    /// with the live population (the ledger's registry, wallets, prices,
-    /// rates, counters, activity and, under churn, the join index),
-    /// excluding adjacency and fixed costs. The performance model's
+    /// Flat *state* bytes per live peer: everything that scales
+    /// linearly with the ids ever allocated (the ledger's registry,
+    /// wallets, prices, rates, counters, activity and, under churn, the
+    /// join index), excluding adjacency and fixed costs. Under churn the
+    /// tables keep every id ever allocated, so the figure grows as dead
+    /// ids outnumber live peers. The performance model's
     /// per-peer budget (≈ 72 B measured, pinned at ≤ 75 B at n = 10⁴)
     /// applies to this number.
     pub fn state_bytes_per_peer(&self) -> usize {
         if self.peers == 0 {
             return 0;
         }
-        (self.arena_bytes + self.ledger_bytes + self.pricing_bytes + self.rates_bytes) / self.peers
+        (self.join_index_bytes + self.ledger_bytes + self.pricing_bytes + self.rates_bytes)
+            / self.peers
     }
 
     /// Total audited heap bytes across all components.
     pub fn total_bytes(&self) -> usize {
-        self.arena_bytes
+        self.join_index_bytes
             + self.ledger_bytes
             + self.pricing_bytes
             + self.rates_bytes
@@ -472,9 +477,10 @@ impl MemoryAudit {
 /// The running credit market: a [`Model`] for the
 /// [`scrip_des::Simulation`] kernel.
 ///
-/// All per-peer state is indexed by the ledger's slots (its slot map is
-/// the market's one peer registry, see [`Ledger::slot`]), the overlay
-/// is borrowed as sorted neighbor slices straight from the [`Graph`],
+/// All per-peer state is indexed by raw id (the ledger's pick-order
+/// list is the market's one peer registry, see [`Ledger::ids`]), the
+/// overlay is borrowed as sorted neighbor slices straight from the
+/// [`Graph`],
 /// and the wealth Gini is maintained online by the ledger — so a spend
 /// event is allocation-free and O(1), and a Gini sample is O(1). See the
 /// "Performance model" section of `docs/ARCHITECTURE.md`.
@@ -490,8 +496,8 @@ pub struct CreditMarket {
     churn_topology: ChurnTopology,
     rng: SimRng,
     /// Per-peer maximum spending rates `μ_i`. This and the other
-    /// per-peer vectors below are indexed by ledger slot; the ledger's
-    /// `ids()` doubles as the dense peer vector for O(1)
+    /// per-peer vectors below are indexed by raw id (zero for departed
+    /// ids); the ledger's `ids()` is the dense peer vector for O(1)
     /// complete-mixing sampling.
     mu: Vec<f64>,
     /// Credits spent so far per peer.
@@ -518,8 +524,8 @@ pub struct CreditMarket {
     /// [`MarketConfig::faults`] has at least one positive rate, so the
     /// fault-free hot path pays a single `is_some` branch.
     fault_plan: Option<FaultPlan>,
-    /// Credits escrowed for in-flight trades, per live buyer (by ledger
-    /// slot; all zero when faults are off).
+    /// Credits escrowed for in-flight trades, per buyer (by raw id; all
+    /// zero when faults are off).
     in_flight: Vec<u64>,
     /// Σ `in_flight`, maintained incrementally so the escrow-in-transit
     /// probe read is O(1).
@@ -553,10 +559,10 @@ impl CreditMarket {
         let mu_map = spending_rates(&graph, config.profile, config.base_rate, &mut rng)?;
         let pricing = PricingModel::realize(config.pricing, ledger.ids(), &mut rng)?;
         let taxation = config.tax.map(Taxation::new);
-        // The rate map is keyed by exactly the ledger's ids, and both
-        // ascend.
+        // The rate map is keyed by the overlay's ids, which a fresh build
+        // allocates densely from 0: its values are `mu` by raw id.
         let mu = mu_map.into_values().collect();
-        let n = ledger.accounts();
+        let n = graph.next_raw_id() as usize;
         let attach = config.churn.map(|c| c.attach_degree).unwrap_or(20);
         // An all-zero spec builds no plan at all: the fault stream is
         // never derived and the run is byte-identical to `faults: None`.
@@ -605,8 +611,8 @@ impl CreditMarket {
         &self.ledger
     }
 
-    /// The per-peer maximum spending rates `μ_i`, indexed by ledger
-    /// slot (parallel to [`Ledger::ids`]).
+    /// The per-peer maximum spending rates `μ_i`, indexed by raw id
+    /// (0 for departed ids).
     pub(crate) fn mu(&self) -> &[f64] {
         &self.mu
     }
@@ -657,7 +663,12 @@ impl CreditMarket {
     /// — the series plotted in the paper's Fig. 1.
     pub fn spending_rates_sorted(&self, now: SimTime) -> Vec<f64> {
         let elapsed = now.as_secs_f64().max(1e-9);
-        let mut rates: Vec<f64> = self.spent.iter().map(|&s| s as f64 / elapsed).collect();
+        let mut rates: Vec<f64> = self
+            .ledger
+            .ids()
+            .iter()
+            .map(|id| self.spent[id.index()] as f64 / elapsed)
+            .collect();
         rates.sort_by(|a, b| a.partial_cmp(b).expect("finite rates"));
         rates
     }
@@ -734,7 +745,7 @@ impl CreditMarket {
     pub fn memory_audit(&self) -> MemoryAudit {
         MemoryAudit {
             peers: self.ledger.accounts(),
-            arena_bytes: self.graph.index_heap_bytes(),
+            join_index_bytes: self.graph.index_heap_bytes(),
             ledger_bytes: self.ledger.heap_bytes(),
             pricing_bytes: self.pricing.heap_bytes(),
             rates_bytes: self.mu.capacity() * std::mem::size_of::<f64>()
@@ -752,7 +763,7 @@ impl CreditMarket {
     /// of a [`crate::obs::Session`] checkpoint. Immutable inputs
     /// (config, churn topology, fault spec) are rebuilt from
     /// configuration on restore; everything else round-trips exactly,
-    /// including slot layouts, so the continuation is byte-identical.
+    /// including the pick order, so the continuation is byte-identical.
     pub(crate) fn write_state(&self, w: &mut impl Put) {
         for word in self.rng.state() {
             w.put_u64(word);
@@ -775,11 +786,12 @@ impl CreditMarket {
             w.put_u64(a.raw());
             w.put_u64(b.raw());
         }
-        // Registry slot order plus every slot-parallel vector. The order
-        // matters: swap-removes made it churn-history-dependent, and
-        // escrow sweeps iterate it.
+        // Registry pick order plus every per-peer column, in that order.
+        // The order matters: swap-removes made it churn-history-dependent,
+        // and peer picks and escrow sweeps iterate it.
         w.put_u64(self.ledger.accounts() as u64);
-        for (i, &id) in self.ledger.ids().iter().enumerate() {
+        for &id in self.ledger.ids() {
+            let i = id.index();
             w.put_u64(id.raw());
             w.put_f64(self.mu[i]);
             w.put_u64(self.spent[i]);
@@ -787,7 +799,7 @@ impl CreditMarket {
             w.put_u64(self.activity[i].1.as_micros());
             w.put_u64(self.in_flight[i]);
         }
-        // Ledger: balances in the same slot order, plus pools.
+        // Ledger: balances in the same pick order, plus pools.
         w.put_u64(self.ledger.accounts() as u64);
         for (id, balance) in self.ledger.slot_entries() {
             w.put_u64(id.raw());
@@ -819,7 +831,7 @@ impl CreditMarket {
             w.put_u64(tax.collected);
             w.put_u64(tax.redistributed);
         }
-        // Pricing: slot-ordered posted prices and the chunk-hash seed.
+        // Pricing: posted prices in pick order and the chunk-hash seed.
         let (sellers, price_seed) = self.pricing.snapshot_state(self.ledger.ids());
         w.put_u64(sellers.len() as u64);
         for (id, price) in &sellers {
@@ -859,7 +871,7 @@ impl CreditMarket {
     /// count or above the build's watermark plus `events_processed`, a
     /// registry that is not a permutation of the rebuilt overlay's live
     /// ids, and ledger or posted-price entries that are not the
-    /// registry's ids in slot order.
+    /// registry's ids in pick order.
     pub(crate) fn read_state(
         &mut self,
         r: &mut crate::snapshot::Reader<'_>,
@@ -919,28 +931,33 @@ impl CreditMarket {
         let graph = Graph::from_edges(watermark, live, edges)
             .map_err(|e| CoreError::Checkpoint(format!("graph rebuild: {e}")))?;
         self.graph = graph;
-        // Registry and slot-parallel vectors, in the captured slot order.
+        // Registry pick order, with the per-peer columns filled by raw
+        // id. Every id below the watermark gets an entry; a departed
+        // id's stays zero, as on a leave.
+        let not_live = "peer registry is not a permutation of the overlay's live ids";
         let n = r.take_count(48)?;
+        let table = watermark as usize;
+        self.mu = vec![0.0; table];
+        self.spent = vec![0; table];
+        self.activity = vec![(0.0, SimTime::ZERO); table];
+        self.in_flight = vec![0; table];
         let mut ids = Vec::with_capacity(n);
-        self.mu.clear();
-        self.spent.clear();
-        self.activity.clear();
-        self.in_flight.clear();
         for _ in 0..n {
-            ids.push(NodeId::from_raw(r.take_u64()?));
-            self.mu.push(r.take_f64()?);
-            self.spent.push(r.take_u64()?);
-            let value = r.take_f64()?;
-            let last = SimTime::from_micros(r.take_u64()?);
-            self.activity.push((value, last));
-            self.in_flight.push(r.take_u64()?);
+            let id = NodeId::from_raw(r.take_u64()?);
+            if !self.graph.has_node(id) {
+                return Err(CoreError::Checkpoint(not_live.into()));
+            }
+            let i = id.index();
+            self.mu[i] = r.take_f64()?;
+            self.spent[i] = r.take_u64()?;
+            self.activity[i] = (r.take_f64()?, SimTime::from_micros(r.take_u64()?));
+            self.in_flight[i] = r.take_u64()?;
+            ids.push(id);
         }
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         if !sorted.into_iter().eq(self.graph.node_ids()) {
-            return Err(CoreError::Checkpoint(
-                "peer registry is not a permutation of the overlay's live ids".into(),
-            ));
+            return Err(CoreError::Checkpoint(not_live.into()));
         }
         let entry_count = r.take_count(16)?;
         let mut entries = Vec::with_capacity(entry_count);
@@ -954,7 +971,7 @@ impl CreditMarket {
         let burned = r.take_u64()?;
         if !entries.iter().map(|&(id, _)| id).eq(ids.iter().copied()) {
             return Err(CoreError::Checkpoint(
-                "ledger entries are not the peer registry's ids in slot order".into(),
+                "ledger entries are not the peer registry's ids in pick order".into(),
             ));
         }
         self.ledger = Ledger::restore(&entries, escrow, minted, burned);
@@ -1022,13 +1039,14 @@ impl CreditMarket {
         SimDuration::from_secs_f64(-u.ln() / rate.max(1e-12))
     }
 
-    /// Schedules the next purchase attempt of the peer in `slot`.
-    fn schedule_spend(&mut self, slot: usize, scheduler: &mut Scheduler<MarketEvent>) {
-        let wealth = self.ledger.balance_at(slot);
-        let rate = self.config.spending.effective_rate(self.mu[slot], wealth);
+    /// Schedules the next purchase attempt of `id`.
+    fn schedule_spend(&mut self, id: NodeId, scheduler: &mut Scheduler<MarketEvent>) {
+        let wealth = self.ledger.balance(id);
+        let mu = self.mu[id.index()];
+        let rate = self.config.spending.effective_rate(mu, wealth);
         let attempt_rate = rate / self.pricing.mean_price();
         let delay = self.exp_delay(attempt_rate);
-        scheduler.schedule_after(delay, MarketEvent::Spend(self.ledger.ids()[slot]));
+        scheduler.schedule_after(delay, MarketEvent::Spend(id));
     }
 
     /// Time constant (in units of mean inter-purchase intervals) for the
@@ -1039,30 +1057,21 @@ impl CreditMarket {
         Self::ACTIVITY_DECAY_INTERVALS * self.pricing.mean_price() / self.config.base_rate
     }
 
-    /// Reads a peer's decayed recent-purchase activity. A free function
-    /// over the slot-parallel state so the hot loop can hold disjoint
-    /// borrows (graph slice + scratch buffer) while it runs.
+    /// Reads a peer's decayed recent-purchase activity (0 for a
+    /// departed id, whose entry is zeroed). A free function over the
+    /// activity column so the hot loop can hold disjoint borrows (graph
+    /// slice + scratch buffer) while it runs.
     #[inline]
-    fn activity_weight(
-        ledger: &Ledger,
-        activity: &[(f64, SimTime)],
-        tau: f64,
-        id: NodeId,
-        now: SimTime,
-    ) -> f64 {
-        let Some(slot) = ledger.slot(id) else {
-            return 0.0;
-        };
-        let (value, last) = activity[slot];
+    fn activity_weight(activity: &[(f64, SimTime)], tau: f64, id: NodeId, now: SimTime) -> f64 {
+        let (value, last) = activity[id.index()];
         let dt = now.saturating_duration_since(last).as_secs_f64();
         value * (-dt / tau).exp()
     }
 
-    /// Bumps the activity of the peer in `slot` after a successful
-    /// purchase.
-    fn bump_activity(&mut self, slot: usize, now: SimTime) {
+    /// Bumps the activity of `id` after a successful purchase.
+    fn bump_activity(&mut self, id: NodeId, now: SimTime) {
         let tau = self.activity_time_constant();
-        let entry = &mut self.activity[slot];
+        let entry = &mut self.activity[id.index()];
         let dt = now.saturating_duration_since(entry.1).as_secs_f64();
         entry.0 = entry.0 * (-dt / tau).exp() + 1.0;
         entry.1 = now;
@@ -1071,17 +1080,17 @@ impl CreditMarket {
     /// One purchase attempt — the market hot path. Allocation-free on
     /// the non-tax paths: the seller pick borrows the graph's neighbor
     /// slice (or the ledger's dense peer list), availability weights go
-    /// through a reused Fenwick sampler (O(log deg) inversion), and the
-    /// buyer's and seller's slots are resolved once each.
+    /// through a reused Fenwick sampler (O(log deg) inversion), and
+    /// every per-peer column is read by raw id.
     fn handle_spend(&mut self, id: NodeId, now: SimTime, scheduler: &mut Scheduler<MarketEvent>) {
-        let Some(buyer) = self.ledger.slot(id) else {
+        if !self.ledger.has_account(id) {
             return; // departed
-        };
+        }
         let j = if self.config.profile.complete_mixing() {
             // Paper Sec. V-C: p_ij = (1 - p_ii)/(N - 1) over all peers.
             let peers = self.ledger.ids();
             if peers.len() < 2 {
-                self.schedule_spend(buyer, scheduler);
+                self.schedule_spend(id, scheduler);
                 return;
             }
             let mut pick;
@@ -1096,7 +1105,7 @@ impl CreditMarket {
             let neighbors = match self.graph.neighbor_slice(id) {
                 Some(n) if !n.is_empty() => n,
                 _ => {
-                    self.schedule_spend(buyer, scheduler);
+                    self.schedule_spend(id, scheduler);
                     return;
                 }
             };
@@ -1111,8 +1120,7 @@ impl CreditMarket {
                 let mut sampler = std::mem::take(&mut self.seller_sampler);
                 sampler.clear();
                 for &nb in neighbors {
-                    let w =
-                        Self::activity_weight(&self.ledger, &self.activity, tau, nb, now) + 0.01;
+                    let w = Self::activity_weight(&self.activity, tau, nb, now) + 0.01;
                     sampler.push(w);
                 }
                 sampler.build();
@@ -1126,7 +1134,7 @@ impl CreditMarket {
         };
         let chunk = self.purchases + self.denied; // synthetic chunk id
         let price = self.pricing.price(j, chunk);
-        if self.ledger.balance_at(buyer) >= price {
+        if self.ledger.balance(id) >= price {
             if self.fault_plan.is_some() {
                 // Recovery contract: the payment moves to per-trade
                 // escrow now and settles only when the delivery
@@ -1136,36 +1144,35 @@ impl CreditMarket {
                     .as_mut()
                     .expect("checked above")
                     .delivery_latency();
-                self.begin_trade(buyer, j, price, 1, delay, scheduler);
+                self.begin_trade(id, j, price, 1, delay, scheduler);
             } else {
-                let seller = self.ledger.slot(j).expect("seller is live");
                 self.ledger
-                    .transfer_at(buyer, seller, price)
-                    .expect("balance checked above");
-                self.spent[buyer] += price;
+                    .transfer(id, j, price)
+                    .expect("balance checked above, seller is live");
+                self.spent[id.index()] += price;
                 self.total_spent += price;
                 self.purchases += 1;
                 if self.config.availability_feedback {
-                    self.bump_activity(buyer, now);
+                    self.bump_activity(id, now);
                 }
-                self.settle_tax(seller, price);
+                self.settle_tax(j, price);
             }
         } else {
             self.denied += 1;
         }
-        self.schedule_spend(buyer, scheduler);
+        self.schedule_spend(id, scheduler);
     }
 
-    /// Income tax on the seller in `seller` (a ledger slot), if enabled
+    /// Income tax on `seller`, if enabled
     /// and the seller is wealthy enough — shared by the direct settle in
     /// [`CreditMarket::handle_spend`] and the escrow settle in
     /// [`CreditMarket::settle_delivery`].
-    fn settle_tax(&mut self, seller: usize, price: u64) {
+    fn settle_tax(&mut self, seller: NodeId, price: u64) {
         if let Some(tax) = &mut self.taxation {
-            let seller_wealth = self.ledger.balance_at(seller);
+            let seller_wealth = self.ledger.balance(seller);
             let due = tax.assess(price, seller_wealth, &mut self.rng);
             if due > 0 {
-                let withheld = self.ledger.withhold_at(seller, due);
+                let withheld = self.ledger.withhold(seller, due);
                 tax.record_collection(withheld);
             }
             // Redistribute one credit to every peer whenever the
@@ -1185,24 +1192,22 @@ impl CreditMarket {
         }
     }
 
-    /// Opens one escrow-backed trade: withholds `price` from the buyer
-    /// in slot `buyer_slot` and schedules the delivery completion after
-    /// `delay`. `attempt` is 1 for fresh trades and grows across
-    /// retries.
+    /// Opens one escrow-backed trade: withholds `price` from `buyer`
+    /// and schedules the delivery completion after `delay`. `attempt`
+    /// is 1 for fresh trades and grows across retries.
     fn begin_trade(
         &mut self,
-        buyer_slot: usize,
+        buyer: NodeId,
         seller: NodeId,
         price: u64,
         attempt: u32,
         delay: SimDuration,
         scheduler: &mut Scheduler<MarketEvent>,
     ) {
-        let withheld = self.ledger.withhold_at(buyer_slot, price);
+        let withheld = self.ledger.withhold(buyer, price);
         debug_assert_eq!(withheld, price, "caller checked the balance");
-        self.in_flight[buyer_slot] += price;
+        self.in_flight[buyer.index()] += price;
         self.in_flight_total += price;
-        let buyer = self.ledger.ids()[buyer_slot];
         scheduler.schedule_after(
             delay,
             MarketEvent::Deliver {
@@ -1229,18 +1234,18 @@ impl CreditMarket {
         now: SimTime,
         scheduler: &mut Scheduler<MarketEvent>,
     ) {
-        let Some(buyer_slot) = self.ledger.slot(buyer) else {
+        if !self.ledger.has_account(buyer) {
             // The buyer departed (or crashed) while the delivery was
             // in transit; its escrow was already refunded at departure
             // and the trade no longer exists. No outcome draw.
             return;
-        };
+        }
         let outcome = self
             .fault_plan
             .as_mut()
             .expect("Deliver events only exist under a fault plan")
             .delivery_outcome(now);
-        match (outcome, self.ledger.slot(seller)) {
+        match (outcome, self.ledger.has_account(seller)) {
             (DeliveryOutcome::Delayed, _) => {
                 self.fault_stats.delayed += 1;
                 let penalty = self
@@ -1260,18 +1265,18 @@ impl CreditMarket {
                     },
                 );
             }
-            (DeliveryOutcome::Delivered, Some(seller_slot)) => {
-                self.settle_delivery(buyer_slot, seller_slot, price, attempt, now);
+            (DeliveryOutcome::Delivered, true) => {
+                self.settle_delivery(buyer, seller, price, attempt, now);
             }
-            (DeliveryOutcome::Defected, Some(seller_slot)) => {
-                self.settle_defect(buyer_slot, seller_slot, price, attempt, scheduler);
+            (DeliveryOutcome::Defected, true) => {
+                self.settle_defect(buyer, seller, price, attempt, scheduler);
             }
             _ => {
                 // Dropped — or delivered/defected against a seller
                 // that departed mid-flight, which the buyer observes
                 // as a drop.
                 self.fault_stats.dropped += 1;
-                self.retry_or_refund(buyer_slot, seller, price, attempt, scheduler);
+                self.retry_or_refund(buyer, seller, price, attempt, scheduler);
             }
         }
         assert!(
@@ -1280,22 +1285,22 @@ impl CreditMarket {
         );
     }
 
-    /// Settles a completed escrow trade between the ledger slots `buyer`
-    /// and `seller`: pays the seller from escrow and applies the same
-    /// side effects as a fault-free purchase.
+    /// Settles a completed escrow trade between `buyer` and `seller`:
+    /// pays the seller from escrow and applies the same side effects as
+    /// a fault-free purchase.
     fn settle_delivery(
         &mut self,
-        buyer: usize,
-        seller: usize,
+        buyer: NodeId,
+        seller: NodeId,
         price: u64,
         attempt: u32,
         now: SimTime,
     ) {
-        self.in_flight[buyer] -= price;
+        self.in_flight[buyer.index()] -= price;
         self.in_flight_total -= price;
-        let paid = self.ledger.pay_from_escrow_at(seller, price);
+        let paid = self.ledger.pay_from_escrow(seller, price);
         debug_assert_eq!(paid, price, "trade escrow fully funds the settle");
-        self.spent[buyer] += price;
+        self.spent[buyer.index()] += price;
         self.total_spent += price;
         self.purchases += 1;
         self.fault_stats.delivered += 1;
@@ -1313,17 +1318,17 @@ impl CreditMarket {
     /// another seller with fresh credits.
     fn settle_defect(
         &mut self,
-        buyer: usize,
-        seller: usize,
+        buyer: NodeId,
+        seller: NodeId,
         price: u64,
         attempt: u32,
         scheduler: &mut Scheduler<MarketEvent>,
     ) {
-        self.in_flight[buyer] -= price;
+        self.in_flight[buyer.index()] -= price;
         self.in_flight_total -= price;
-        let paid = self.ledger.pay_from_escrow_at(seller, price);
+        let paid = self.ledger.pay_from_escrow(seller, price);
         debug_assert_eq!(paid, price, "trade escrow fully funds the defection");
-        self.spent[buyer] += price;
+        self.spent[buyer.index()] += price;
         self.total_spent += price;
         self.fault_stats.defected += 1;
         let max_retries = self
@@ -1335,11 +1340,10 @@ impl CreditMarket {
         if attempt > max_retries {
             // Retry budget exhausted: the buyer gives up on the chunk.
             self.fault_stats.note_conclusion(attempt);
-        } else if self.ledger.balance_at(buyer) >= price {
+        } else if self.ledger.balance(buyer) >= price {
             self.fault_stats.retries += 1;
             let jitter = self.rng.uniform_f64();
-            let ids = self.ledger.ids();
-            let next_seller = self.pick_retry_seller(ids[buyer], ids[seller]);
+            let next_seller = self.pick_retry_seller(buyer, seller);
             let plan = self.fault_plan.as_mut().expect("plan present");
             let delay = plan.backoff(attempt, jitter) + plan.delivery_latency();
             self.begin_trade(buyer, next_seller, price, attempt + 1, delay, scheduler);
@@ -1357,7 +1361,7 @@ impl CreditMarket {
     /// credits are committed to the trade until it settles or refunds.
     fn retry_or_refund(
         &mut self,
-        buyer_slot: usize,
+        buyer: NodeId,
         failed_seller: NodeId,
         price: u64,
         attempt: u32,
@@ -1369,11 +1373,10 @@ impl CreditMarket {
             .expect("plan present")
             .spec()
             .max_retries;
-        let buyer = self.ledger.ids()[buyer_slot];
         if attempt > max_retries {
-            self.in_flight[buyer_slot] -= price;
+            self.in_flight[buyer.index()] -= price;
             self.in_flight_total -= price;
-            let refunded = self.ledger.pay_from_escrow_at(buyer_slot, price);
+            let refunded = self.ledger.pay_from_escrow(buyer, price);
             debug_assert_eq!(refunded, price, "trade escrow funds the refund");
             self.fault_stats.refunded += 1;
             self.fault_stats.note_conclusion(attempt);
@@ -1455,15 +1458,17 @@ impl CreditMarket {
             return;
         };
         let new = self.churn_topology.join(&mut self.graph, &mut self.rng);
-        let slot = self.ledger.mint(new, self.config.initial_credits);
-        debug_assert_eq!(slot, self.mu.len(), "joiner {new} already had an account");
+        self.ledger.mint(new, self.config.initial_credits);
         self.pricing.on_join(new, &mut self.rng);
         let rate = joiner_spending_rate(self.config.profile, self.config.base_rate, &mut self.rng);
+        // Ids are dense: the joiner's entry is the next one of every
+        // column.
+        debug_assert_eq!(new.index(), self.mu.len(), "ids are dense");
         self.mu.push(rate);
         self.spent.push(0);
         self.activity.push((1.0, scheduler.now()));
         self.in_flight.push(0);
-        self.schedule_spend(slot, scheduler);
+        self.schedule_spend(new, scheduler);
         let lifespan_delay = self.exp_delay(1.0 / churn.mean_lifespan);
         scheduler.schedule_after(lifespan_delay, MarketEvent::Leave(new));
         let arrival_delay = self.exp_delay(churn.arrival_rate);
@@ -1481,14 +1486,14 @@ impl CreditMarket {
         if !self.graph.has_node(id) {
             return;
         }
-        let slot = self.ledger.slot(id).expect("graph and ledger agree");
+        let i = id.index();
         // Refund the departing peer's in-flight escrow into its wallet
         // first, so the departure burn below takes those credits out
         // of circulation instead of leaking them in escrow forever.
         // (Always zero when faults are off.)
-        let holding = self.in_flight[slot];
+        let holding = std::mem::take(&mut self.in_flight[i]);
         if holding > 0 {
-            let refunded = self.ledger.pay_from_escrow_at(slot, holding);
+            let refunded = self.ledger.pay_from_escrow(id, holding);
             debug_assert_eq!(refunded, holding, "escrow under-funded for {id}");
             self.in_flight_total -= holding;
             assert!(
@@ -1499,15 +1504,14 @@ impl CreditMarket {
         // The graph unlinks the departing peer from its neighbors
         // incrementally; no neighbor cache to rebuild.
         self.graph.remove_node(id).expect("checked live");
-        self.ledger.burn_at(slot);
+        self.ledger.burn(id);
         self.pricing.on_leave(id);
-        self.mu.swap_remove(slot);
         // A departing peer takes its spending history with it: the
-        // spent total covers live peers only.
-        self.total_spent -= self.spent[slot];
-        self.spent.swap_remove(slot);
-        self.activity.swap_remove(slot);
-        self.in_flight.swap_remove(slot);
+        // spent total covers live peers only. Its entries are zeroed,
+        // as a restored checkpoint holds them.
+        self.total_spent -= std::mem::take(&mut self.spent[i]);
+        self.mu[i] = 0.0;
+        self.activity[i] = (0.0, SimTime::ZERO);
     }
 
     fn handle_sample(&mut self, now: SimTime, scheduler: &mut Scheduler<MarketEvent>) {
@@ -1549,8 +1553,7 @@ impl Model for CreditMarket {
                 let churning = self.config.churn.is_some();
                 scheduler.reserve(ids.len() * (1 + usize::from(churning)) + 2);
                 for &id in &ids {
-                    let slot = self.ledger.slot(id).expect("every peer has an account");
-                    self.schedule_spend(slot, scheduler);
+                    self.schedule_spend(id, scheduler);
                 }
                 scheduler.schedule_after(self.config.sample_interval, MarketEvent::Sample);
                 if let Some(churn) = self.config.churn {
@@ -1775,7 +1778,7 @@ mod tests {
 
     /// The zero-alloc claim for the spend loop, observed from the
     /// outside: every buffer the hot path touches (event heap, scratch
-    /// weights, slot vectors) reaches a fixed capacity during warmup and
+    /// weights, per-peer columns) reaches a fixed capacity during warmup and
     /// never grows again, over tens of thousands of further events.
     /// (The workspace forbids `unsafe`, so a counting global allocator
     /// is out; `docs/ARCHITECTURE.md` documents the per-event allocation

@@ -178,7 +178,7 @@ impl PricingModel {
     /// are dense ([`scrip_topology::Graph::add_node`]), so the table
     /// stays ≈ 8 B per id ever minted.
     fn post(&mut self, peer: NodeId, price: u64) {
-        let raw = peer.raw() as usize;
+        let raw = peer.index();
         if raw >= self.posted.len() {
             self.posted.resize(raw + 1, 0);
         }
@@ -196,7 +196,7 @@ impl PricingModel {
 
     /// Removes a departed seller's posted price.
     pub fn on_leave(&mut self, peer: NodeId) {
-        if let Some(price) = self.posted.get_mut(peer.raw() as usize) {
+        if let Some(price) = self.posted.get_mut(peer.index()) {
             *price = 0;
         }
     }
@@ -204,7 +204,7 @@ impl PricingModel {
     /// The posted per-seller price, when the scheme is per-seller.
     #[inline]
     pub fn seller_price(&self, peer: NodeId) -> Option<u64> {
-        match self.posted.get(peer.raw() as usize) {
+        match self.posted.get(peer.index()) {
             Some(&price) if price != 0 => Some(price),
             _ => None,
         }
@@ -212,7 +212,7 @@ impl PricingModel {
 
     /// Checkpoint view of the realized state: the posted prices of
     /// `order`'s peers **in that order** (the owning market's registry
-    /// slot order, which the checkpoint layout records) plus the
+    /// pick order, which the checkpoint layout records) plus the
     /// chunk-hash seed. Empty under schemes without posted prices. The
     /// CDF is recomputed from configuration.
     pub(crate) fn snapshot_state(&self, order: &[NodeId]) -> (Vec<(NodeId, u64)>, u64) {
@@ -249,7 +249,7 @@ impl PricingModel {
         if let PricingConfig::SellerPoisson { .. } = config {
             if !sellers.iter().map(|&(id, _)| id).eq(order.iter().copied()) {
                 return Err(CoreError::Checkpoint(
-                    "posted prices are not the peer registry's ids in slot order".into(),
+                    "posted prices are not the peer registry's ids in pick order".into(),
                 ));
             }
             for &(id, price) in sellers {
@@ -428,7 +428,7 @@ mod tests {
             PricingConfig::ChunkPoisson { mean: 1.0 },
         ] {
             let mut m = PricingModel::realize(config, &ids(30), &mut rng).expect("valid");
-            // Perturb the slot layout the way churn does.
+            // Perturb the pick order the way churn does.
             m.on_leave(NodeId::from_raw(3));
             m.on_join(NodeId::from_raw(77), &mut rng);
             let order: Vec<NodeId> = ids(30)

@@ -4,13 +4,12 @@
 //! [`CreditTradePolicy`] implements [`scrip_streaming::TradePolicy`]:
 //! every peer-to-peer chunk transfer is authorized against the buyer's
 //! wallet and settled by transferring the seller's quoted price, with
-//! optional income taxation. The ledger's slot map is the policy's one
-//! peer registry: the `spent` column is indexed by
-//! [`Ledger::slot`], and the ledger maintains its wealth Gini online, so
-//! a settlement on the chunk-trade hot path is allocation-free (see the
-//! "Performance model" section of `docs/ARCHITECTURE.md`). The streaming
-//! system keeps a registry of its own: [`TradePolicy`] calls cross the
-//! crate boundary by [`NodeId`].
+//! optional income taxation. The `spent` column is indexed by raw
+//! [`NodeId`], like the ledger's balances, and the ledger maintains its
+//! wealth Gini online, so a settlement on the chunk-trade hot path is
+//! allocation-free (see the "Performance model" section of
+//! `docs/ARCHITECTURE.md`). The ledger's pick-order list is the policy's
+//! one peer registry.
 //!
 //! Two entry points build the combined system:
 //!
@@ -49,7 +48,7 @@ pub struct CreditTradePolicy {
     pricing: PricingModel,
     taxation: Option<Taxation>,
     rng: SimRng,
-    /// Credits spent per peer (indexed by ledger slot).
+    /// Credits spent per peer (indexed by raw id; 0 for departed ids).
     spent: Vec<u64>,
     /// Σ `spent` over live peers, maintained incrementally (bumped per
     /// settlement, reduced on departure) so
@@ -92,12 +91,13 @@ impl CreditTradePolicy {
         ledger.enable_wealth_tracking();
         let pricing = PricingModel::realize(pricing, peers, &mut rng)?;
         let source_price = (pricing.mean_price().round() as u64).max(1);
+        let table = peers.iter().map(|p| p.index() + 1).max().unwrap_or(0);
         Ok(CreditTradePolicy {
             ledger,
             pricing,
             taxation: tax.map(Taxation::new),
             rng,
-            spent: vec![0; peers.len()],
+            spent: vec![0; table],
             total_spent: 0,
             initial_credits,
             gini_series: TimeSeries::new(),
@@ -141,13 +141,12 @@ impl CreditTradePolicy {
     }
 
     /// Credits spent per live peer (assembled on demand; the hot path
-    /// uses the slot-indexed column).
+    /// uses the raw-id column).
     pub fn spent(&self) -> BTreeMap<NodeId, u64> {
         self.ledger
             .ids()
             .iter()
-            .copied()
-            .zip(self.spent.iter().copied())
+            .map(|&id| (id, self.spent[id.index()]))
             .collect()
     }
 
@@ -187,7 +186,12 @@ impl CreditTradePolicy {
     /// the series of the paper's Fig. 1.
     pub fn spending_rates_sorted(&self, now: SimTime) -> Vec<f64> {
         let elapsed = now.as_secs_f64().max(1e-9);
-        let mut rates: Vec<f64> = self.spent.iter().map(|&s| s as f64 / elapsed).collect();
+        let mut rates: Vec<f64> = self
+            .ledger
+            .ids()
+            .iter()
+            .map(|id| self.spent[id.index()] as f64 / elapsed)
+            .collect();
         rates.sort_by(|a, b| a.partial_cmp(b).expect("finite rates"));
         rates
     }
@@ -206,23 +210,23 @@ impl TradePolicy for CreditTradePolicy {
 
     fn settle(&mut self, buyer: NodeId, seller: NodeId, chunk: u64, _now: SimTime) {
         let price = self.pricing.price(seller, chunk);
-        let buyer_slot = self.ledger.slot(buyer);
-        let afford = buyer_slot.map_or(0, |b| self.ledger.balance_at(b).min(price));
+        // A departed buyer's balance reads 0, so it affords nothing.
+        let afford = self.ledger.balance(buyer).min(price);
         if afford < price {
             self.shortfalls += 1;
         }
         // The seller may have departed mid-flight; then nothing moves.
-        if let (true, Some(b), Some(s)) = (afford > 0, buyer_slot, self.ledger.slot(seller)) {
+        if afford > 0 && self.ledger.has_account(seller) {
             self.ledger
-                .transfer_at(b, s, afford)
+                .transfer(buyer, seller, afford)
                 .expect("capped at the balance");
-            self.spent[b] += afford;
+            self.spent[buyer.index()] += afford;
             self.total_spent += afford;
             if let Some(tax) = &mut self.taxation {
-                let wealth = self.ledger.balance_at(s);
+                let wealth = self.ledger.balance(seller);
                 let due = tax.assess(afford, wealth, &mut self.rng);
                 if due > 0 {
-                    let withheld = self.ledger.withhold_at(s, due);
+                    let withheld = self.ledger.withhold(seller, due);
                     tax.record_collection(withheld);
                 }
             }
@@ -251,13 +255,12 @@ impl TradePolicy for CreditTradePolicy {
         // income is recycled uniformly — the source is neither a credit
         // source nor a sink, keeping the economy closed as in the
         // paper's model.
-        let buyer_slot = self.ledger.slot(buyer);
-        let paid = buyer_slot.map_or(0, |b| self.ledger.withhold_at(b, self.source_price));
+        let paid = self.ledger.withhold(buyer, self.source_price);
         if paid < self.source_price {
             self.shortfalls += 1;
         }
-        if let Some(b) = buyer_slot {
-            self.spent[b] += paid;
+        if paid > 0 {
+            self.spent[buyer.index()] += paid;
             self.total_spent += paid;
         }
         self.source_income += paid;
@@ -265,23 +268,18 @@ impl TradePolicy for CreditTradePolicy {
     }
 
     fn on_join(&mut self, peer: NodeId, _now: SimTime) {
-        let slot = self.ledger.mint(peer, self.initial_credits);
-        debug_assert_eq!(
-            slot,
-            self.spent.len(),
-            "joiner {peer} already had an account"
-        );
+        self.ledger.mint(peer, self.initial_credits);
         self.pricing.on_join(peer, &mut self.rng);
-        self.spent.push(0);
+        let table = self.spent.len().max(peer.index() + 1);
+        self.spent.resize(table, 0);
     }
 
     fn on_leave(&mut self, peer: NodeId, _now: SimTime) {
-        if let Some(slot) = self.ledger.slot(peer) {
-            self.ledger.burn_at(slot);
-            // A departing peer takes its spending history with it,
-            // exactly as `spent()` (live peers only) always reported.
-            self.total_spent -= self.spent[slot];
-            self.spent.swap_remove(slot);
+        self.ledger.burn(peer);
+        // A departing peer takes its spending history with it, exactly
+        // as `spent()` (live peers only) always reported.
+        if let Some(spent) = self.spent.get_mut(peer.index()) {
+            self.total_spent -= std::mem::take(spent);
         }
         self.pricing.on_leave(peer);
     }

@@ -249,8 +249,9 @@ impl<'a> Reader<'a> {
 
 /// FNV-1a over a byte string — the configuration fingerprint stored in
 /// every snapshot so a resume against a different scenario fails loudly
-/// instead of silently diverging.
-pub(crate) fn fingerprint(bytes: &[u8]) -> u64 {
+/// instead of silently diverging, and the job-name fingerprint in the
+/// daemon's sample-log headers.
+pub fn fingerprint(bytes: &[u8]) -> u64 {
     fnv1a_fold(FNV_OFFSET, bytes)
 }
 

@@ -10,11 +10,9 @@ use scrip_core::pricing::{PricingConfig, PricingModel};
 use scrip_core::topology::NodeId;
 
 /// The arena-backed pricing model: posted prices in a slot-indexed
-/// `Vec` parallel to a [`PeerArena`] of their own, swap-removed on
-/// leave.
+/// `Vec` of `(seller, price)` pairs, swap-removed on leave.
 mod reference {
     use rand::RngCore;
-    use scrip_core::arena::PeerArena;
     use scrip_core::des::dist::Poisson;
     use scrip_core::des::SimRng;
     use scrip_core::pricing::PricingConfig;
@@ -22,8 +20,7 @@ mod reference {
 
     pub struct ArenaPricing {
         config: PricingConfig,
-        sellers: PeerArena,
-        seller_prices: Vec<u64>,
+        sellers: Vec<(NodeId, u64)>,
         seed: u64,
         chunk_cdf: Vec<f64>,
     }
@@ -32,8 +29,7 @@ mod reference {
         pub fn realize(config: PricingConfig, peers: &[NodeId], rng: &mut SimRng) -> Self {
             let mut model = ArenaPricing {
                 config,
-                sellers: PeerArena::new(),
-                seller_prices: Vec::new(),
+                sellers: Vec::new(),
                 seed: 0,
                 chunk_cdf: Vec::new(),
             };
@@ -42,8 +38,7 @@ mod reference {
                 PricingConfig::SellerPoisson { mean } => {
                     let dist = Poisson::new(mean).expect("valid mean");
                     for &p in peers {
-                        model.sellers.insert(p);
-                        model.seller_prices.push(dist.sample(rng).max(1));
+                        model.sellers.push((p, dist.sample(rng).max(1)));
                     }
                 }
                 PricingConfig::ChunkPoisson { mean } => {
@@ -57,10 +52,7 @@ mod reference {
         pub fn price(&self, seller: NodeId, chunk: u64) -> u64 {
             match self.config {
                 PricingConfig::Uniform { price } => price,
-                PricingConfig::SellerPoisson { .. } => self
-                    .sellers
-                    .slot(seller)
-                    .map_or(1, |s| self.seller_prices[s]),
+                PricingConfig::SellerPoisson { .. } => self.seller_price(seller).unwrap_or(1),
                 PricingConfig::ChunkPoisson { .. } => {
                     let h = splitmix64(
                         self.seed ^ seller.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ chunk,
@@ -75,19 +67,21 @@ mod reference {
         pub fn on_join(&mut self, peer: NodeId, rng: &mut SimRng) {
             if let PricingConfig::SellerPoisson { mean } = self.config {
                 let dist = Poisson::new(mean).expect("valid mean");
-                self.sellers.insert(peer);
-                self.seller_prices.push(dist.sample(rng).max(1));
+                self.sellers.push((peer, dist.sample(rng).max(1)));
             }
         }
 
         pub fn on_leave(&mut self, peer: NodeId) {
-            if let Some(removal) = self.sellers.remove(peer) {
-                self.seller_prices.swap_remove(removal.slot);
+            if let Some(slot) = self.sellers.iter().position(|&(id, _)| id == peer) {
+                self.sellers.swap_remove(slot);
             }
         }
 
         pub fn seller_price(&self, peer: NodeId) -> Option<u64> {
-            self.sellers.slot(peer).map(|s| self.seller_prices[s])
+            self.sellers
+                .iter()
+                .find(|&&(id, _)| id == peer)
+                .map(|&(_, price)| price)
         }
     }
 

@@ -298,7 +298,7 @@ impl FaultPlan {
     /// Decides whether a peer (first seen at `now`) crashes, and if so
     /// when: a Bernoulli draw at [`FaultSpec::crash_fraction`], then an
     /// exponential spread past the onset. Call once per peer, in
-    /// event-apply order (bootstrap slot order for the initial
+    /// event-apply order (bootstrap pick order for the initial
     /// population, join order for churned-in peers).
     pub fn crash_delay(&mut self, now: SimTime) -> Option<SimDuration> {
         if self.spec.crash_fraction <= 0.0 {

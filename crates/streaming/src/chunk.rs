@@ -121,14 +121,6 @@ impl BufferMap {
             .map(move |(i, _)| self.base + i as u64)
     }
 
-    /// The chunks in `[from, to)` that the peer does **not** hold (only
-    /// positions inside the window are reported).
-    pub fn missing_in(&self, from: u64, to: u64) -> Vec<u64> {
-        let lo = from.max(self.base);
-        let hi = to.min(self.head());
-        (lo..hi).filter(|&c| !self.has(c)).collect()
-    }
-
     /// Number of chunks in `other`'s buffer that this map lacks and that
     /// fall within this map's window — the "useful chunks" measure that
     /// drives credit-routing probabilities in the paper ("credit transfer
@@ -144,17 +136,6 @@ impl BufferMap {
     /// Lowest held chunk id, if any.
     pub fn first_held(&self) -> Option<u64> {
         self.iter().next()
-    }
-
-    /// Length of the contiguous run of held chunks starting at `from`.
-    pub fn contiguous_from(&self, from: u64) -> usize {
-        let mut count = 0;
-        let mut c = from;
-        while self.has(c) {
-            count += 1;
-            c += 1;
-        }
-        count
     }
 }
 
@@ -234,16 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn missing_in_range() {
-        let mut m = BufferMap::new(10);
-        m.insert(2);
-        m.insert(4);
-        assert_eq!(m.missing_in(0, 6), vec![0, 1, 3, 5]);
-        // Clamped to the window.
-        assert_eq!(m.missing_in(0, 100).len(), 8);
-    }
-
-    #[test]
     fn useful_from_counts_gaps() {
         let mut a = BufferMap::new(10);
         a.insert(1);
@@ -261,8 +232,6 @@ mod tests {
         for c in [3u64, 4, 5, 7] {
             m.insert(c);
         }
-        assert_eq!(m.contiguous_from(3), 3);
-        assert_eq!(m.contiguous_from(6), 0);
         assert_eq!(m.first_held(), Some(3));
     }
 }

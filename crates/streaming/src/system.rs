@@ -2,16 +2,22 @@
 //!
 //! ## Hot-path layout
 //!
-//! All per-peer protocol state is slot-indexed through one
-//! [`PeerArena`] (`NodeId → u32` flat slot map, swap-remove on leave):
-//! the [`PeerState`] vector and the source-fed flags are parallel `Vec`s
-//! mirroring its insert/swap-remove discipline, neighbor sets are
-//! borrowed straight from the graph's CSR rows
-//! ([`Graph::neighbor_slice`]), and the per-round work lists (wanted
-//! chunks, rarest-first keys, candidate providers) go through scratch
-//! buffers kept warm across events — a steady-state chunk trade
-//! allocates nothing. This mirrors the market simulator's architecture
-//! (see the "Performance model" section of `docs/ARCHITECTURE.md`).
+//! All per-peer protocol state is indexed by raw [`NodeId`], like the
+//! graph's rows: the [`PeerState`] table holds `None` for a departed id
+//! and the source-fed flags hold `false`, so a join pushes one entry and
+//! a leave moves nothing. Neighbor sets are borrowed straight from the
+//! graph's rows ([`Graph::neighbor_slice`]), and the per-round work
+//! lists (wanted chunks, rarest-first keys, candidate providers) go
+//! through scratch buffers kept warm across events — a steady-state
+//! chunk trade allocates nothing. This mirrors the market simulator's
+//! architecture (see the "Performance model" section of
+//! `docs/ARCHITECTURE.md`).
+//!
+//! A [`PeerArena`] keeps the live peers in pick order (join order
+//! perturbed by swap-removes) for the two loops whose result depends on
+//! order: the bootstrap draws and the stall average, a float sum.
+//! Summing the stall in ascending-id order instead changes the
+//! `streaming-tax-churn` golden in its last bits.
 
 use std::collections::BTreeMap;
 
@@ -85,11 +91,11 @@ pub enum StreamEvent {
 pub struct StreamingSystem<T: TradePolicy> {
     config: StreamingConfig,
     graph: Graph,
-    /// Live peers; parallel `Vec`s below are slot-indexed through it.
+    /// The live peers in pick order (see the [module docs](self)).
     arena: PeerArena,
-    /// Slot-indexed protocol state.
-    peers: Vec<PeerState>,
-    /// Slot-indexed "directly fed by the source" flags.
+    /// Protocol state by raw id (`None` for departed ids).
+    peers: Vec<Option<PeerState>>,
+    /// "Directly fed by the source" flags by raw id.
     source_fed: Vec<bool>,
     source_active_uploads: usize,
     next_chunk: u64,
@@ -142,14 +148,19 @@ impl<T: TradePolicy> StreamingSystem<T> {
             return Err("streaming needs at least one peer".into());
         }
         let ids: Vec<NodeId> = graph.node_ids().collect();
-        let arena = PeerArena::from_ids(&ids);
-        let peers: Vec<PeerState> = ids.iter().map(|_| PeerState::new(config.window)).collect();
+        let mut arena = PeerArena::default();
+        let mut peers = Vec::new();
+        peers.resize_with(graph.next_raw_id() as usize, || None);
+        for &id in &ids {
+            arena.insert(id);
+            peers[id.index()] = Some(PeerState::new(config.window));
+        }
         // The source feeds a random subset of peers.
         let mut shuffled = ids;
         rng.shuffle(&mut shuffled);
-        let mut source_fed = vec![false; peers.len()];
-        for &id in shuffled.iter().take(config.source_degree.min(peers.len())) {
-            source_fed[arena.slot(id).expect("freshly slotted")] = true;
+        let mut source_fed = vec![false; graph.next_raw_id() as usize];
+        for &id in shuffled.iter().take(config.source_degree) {
+            source_fed[id.index()] = true;
         }
         let transfer_time = Exp::new(1.0 / config.transfer_time_mean)
             .map_err(|e| format!("transfer time distribution: {e}"))?;
@@ -222,30 +233,17 @@ impl<T: TradePolicy> StreamingSystem<T> {
         &self.policy
     }
 
-    /// Mutable access to the trade policy.
-    pub fn policy_mut(&mut self) -> &mut T {
-        &mut self.policy
-    }
-
     /// One peer's protocol state, if the peer is (still) in the overlay.
     pub fn peer(&self, id: NodeId) -> Option<&PeerState> {
-        self.arena.slot(id).map(|slot| &self.peers[slot])
+        live(&self.peers, id)
     }
 
     /// Iterates over `(id, state)` for all live peers in ascending ID
-    /// order (assembled on demand; the hot path uses slot indexing).
+    /// order.
     pub fn peers(&self) -> impl Iterator<Item = (NodeId, &PeerState)> {
-        let mut pairs: Vec<(NodeId, usize)> = self
-            .arena
-            .ids()
-            .iter()
-            .enumerate()
-            .map(|(slot, &id)| (id, slot))
-            .collect();
-        pairs.sort_unstable_by_key(|&(id, _)| id);
-        pairs
-            .into_iter()
-            .map(move |(id, slot)| (id, &self.peers[slot]))
+        (0..)
+            .zip(&self.peers)
+            .filter_map(|(raw, state)| Some((NodeId::from_raw(raw), state.as_ref()?)))
     }
 
     /// Number of live peers.
@@ -258,26 +256,10 @@ impl<T: TradePolicy> StreamingSystem<T> {
         self.next_chunk
     }
 
-    /// Whether `id` is directly fed by the source.
+    /// Whether `id` is directly fed by the source (`false` once it
+    /// departed).
     pub fn is_source_fed(&self, id: NodeId) -> bool {
-        self.arena
-            .slot(id)
-            .is_some_and(|slot| self.source_fed[slot])
-    }
-
-    /// The peers directly fed by the source, ascending (assembled on
-    /// demand).
-    pub fn source_neighbors(&self) -> Vec<NodeId> {
-        let mut fed: Vec<NodeId> = self
-            .arena
-            .ids()
-            .iter()
-            .zip(&self.source_fed)
-            .filter(|&(_, &fed)| fed)
-            .map(|(&id, _)| id)
-            .collect();
-        fed.sort_unstable();
-        fed
+        self.source_fed.get(id.index()).copied().unwrap_or(false)
     }
 
     /// The recorded `(t, stall rate)` series — one sample per
@@ -291,19 +273,18 @@ impl<T: TradePolicy> StreamingSystem<T> {
     }
 
     /// Visits every `(peer, neighbor, useful chunks the neighbor offers
-    /// the peer)` triple with positive weight, straight off the arena's
-    /// slot-indexed state — no per-call allocation. This is the paper's
+    /// the peer)` triple with positive weight, straight off the raw-id
+    /// state table — no per-call allocation. This is the paper's
     /// rule that "credit transfer probabilities to neighbors are decided
     /// by their data chunks availability during streaming"; the
     /// in-protocol weighted pick
     /// ([`crate::config::ProviderSelection::AvailabilityWeighted`])
     /// applies the same weights per candidate set on the hot path.
     pub fn for_each_availability_weight(&self, mut visit: impl FnMut(NodeId, NodeId, f64)) {
-        for (slot, &id) in self.arena.ids().iter().enumerate() {
-            let state = &self.peers[slot];
+        for (id, state) in self.peers() {
             for &nb in self.graph.neighbor_slice(id).unwrap_or(&[]) {
-                if let Some(nb_slot) = self.arena.slot(nb) {
-                    let useful = state.buffer.useful_from(&self.peers[nb_slot].buffer);
+                if let Some(nb_state) = live(&self.peers, nb) {
+                    let useful = state.buffer.useful_from(&nb_state.buffer);
                     if useful > 0 {
                         visit(id, nb, useful as f64);
                     }
@@ -378,7 +359,7 @@ impl<T: TradePolicy> StreamingSystem<T> {
 
     /// One pull-scheduling round — the streaming hot path. All borrows
     /// are split at field level so the graph's neighbor slice, the
-    /// slot-indexed peer states, the RNG, and the scratch buffers can
+    /// raw-id peer states, the RNG, and the scratch buffers can
     /// be used together without any per-round allocation.
     fn handle_schedule(
         &mut self,
@@ -389,7 +370,6 @@ impl<T: TradePolicy> StreamingSystem<T> {
         let StreamingSystem {
             config,
             graph,
-            arena,
             peers,
             source_fed,
             source_active_uploads,
@@ -403,20 +383,16 @@ impl<T: TradePolicy> StreamingSystem<T> {
             scratch_sampler: sampler,
             ..
         } = self;
-        let Some(slot) = arena.slot(id) else {
+        let Some(state) = live(peers, id) else {
             return; // departed
         };
-        let (from, to) = Self::desired_range(config, *next_chunk, &peers[slot]);
-        let is_source_fed = source_fed[slot];
+        let (from, to) = Self::desired_range(config, *next_chunk, state);
+        let is_source_fed = source_fed[id.index()];
 
         // Missing, not-in-flight chunks in the desired range.
         wanted.clear();
-        {
-            let state = &peers[slot];
-            wanted
-                .extend((from..to).filter(|&c| !state.buffer.has(c) && !state.pending.contains(c)));
-        }
-        let capacity = config.max_pending.saturating_sub(peers[slot].pending.len());
+        wanted.extend((from..to).filter(|&c| !state.buffer.has(c) && !state.pending.contains(c)));
+        let capacity = config.max_pending.saturating_sub(state.pending.len());
         if capacity == 0 || wanted.is_empty() {
             scheduler.schedule_after(config.schedule_interval, StreamEvent::Schedule(id));
             return;
@@ -429,12 +405,7 @@ impl<T: TradePolicy> StreamingSystem<T> {
             keyed.extend(wanted.iter().map(|&c| {
                 let providers = neighbors
                     .iter()
-                    .filter(|&&nb| {
-                        arena
-                            .slot(nb)
-                            .map(|s| peers[s].buffer.has(c))
-                            .unwrap_or(false)
-                    })
+                    .filter(|&&nb| live(peers, nb).is_some_and(|s| s.buffer.has(c)))
                     .count();
                 (providers, c)
             }));
@@ -451,10 +422,8 @@ impl<T: TradePolicy> StreamingSystem<T> {
             // Candidate peer providers with a free upload slot.
             providers.clear();
             providers.extend(neighbors.iter().copied().filter(|&nb| {
-                arena
-                    .slot(nb)
-                    .map(|s| peers[s].buffer.has(chunk) && peers[s].can_upload(config.max_uploads))
-                    .unwrap_or(false)
+                live(peers, nb)
+                    .is_some_and(|s| s.buffer.has(chunk) && s.can_upload(config.max_uploads))
             }));
             rng.shuffle(providers);
             match config.provider_selection {
@@ -462,9 +431,7 @@ impl<T: TradePolicy> StreamingSystem<T> {
                 ProviderSelection::LeastUploads => {
                     // Fair rotation: least-served provider first (shuffle
                     // above breaks ties randomly thanks to stable sorting).
-                    providers.sort_by_key(|&nb| {
-                        arena.slot(nb).map(|s| peers[s].stats.uploaded).unwrap_or(0)
-                    });
+                    providers.sort_by_key(|&nb| live(peers, nb).map_or(0, |s| s.stats.uploaded));
                 }
                 ProviderSelection::AvailabilityWeighted => {
                     // Paper Sec. III: "credit transfer probabilities to
@@ -478,11 +445,9 @@ impl<T: TradePolicy> StreamingSystem<T> {
                     // fallbacks.
                     if providers.len() > 1 {
                         sampler.clear();
+                        let own = &live(peers, id).expect("checked live").buffer;
                         for &nb in providers.iter() {
-                            let useful = arena
-                                .slot(nb)
-                                .map(|s| peers[slot].buffer.useful_from(&peers[s].buffer))
-                                .unwrap_or(0);
+                            let useful = live(peers, nb).map_or(0, |s| own.useful_from(&s.buffer));
                             sampler.push(useful as f64 + 1.0);
                         }
                         sampler.build();
@@ -497,9 +462,8 @@ impl<T: TradePolicy> StreamingSystem<T> {
             let mut denied_any = false;
             for &provider in providers.iter() {
                 if policy.authorize(id, provider, chunk, now) {
-                    let provider_slot = arena.slot(provider).expect("provider is live");
-                    peers[provider_slot].active_uploads += 1;
-                    peers[slot].pending.insert(chunk);
+                    live_mut(peers, provider).active_uploads += 1;
+                    live_mut(peers, id).pending.insert(chunk);
                     let delay = SimDuration::from_secs_f64(transfer_time.sample(rng));
                     scheduler.schedule_after(
                         delay,
@@ -519,7 +483,7 @@ impl<T: TradePolicy> StreamingSystem<T> {
                 continue;
             }
             if denied_any {
-                peers[slot].stats.denied += 1;
+                live_mut(peers, id).stats.denied += 1;
             }
             // Fall back to the source when directly fed by it.
             if is_source_fed
@@ -528,25 +492,24 @@ impl<T: TradePolicy> StreamingSystem<T> {
             {
                 if policy.authorize_source(id, chunk, now) {
                     *source_active_uploads += 1;
-                    peers[slot].pending.insert(chunk);
+                    live_mut(peers, id).pending.insert(chunk);
                     let delay = SimDuration::from_secs_f64(transfer_time.sample(rng));
                     scheduler.schedule_after(delay, StreamEvent::SourceDelivery { to: id, chunk });
                     issued += 1;
                 } else {
-                    peers[slot].stats.denied += 1;
+                    live_mut(peers, id).stats.denied += 1;
                 }
             }
         }
         scheduler.schedule_after(config.schedule_interval, StreamEvent::Schedule(id));
     }
 
-    fn maybe_start_playback(&mut self, slot: usize, scheduler: &mut Scheduler<StreamEvent>) {
+    fn maybe_start_playback(&mut self, id: NodeId, scheduler: &mut Scheduler<StreamEvent>) {
         let period = self.config.playback_period();
         let startup = self.config.startup_buffer;
-        let state = &mut self.peers[slot];
+        let state = live_mut(&mut self.peers, id);
         if !state.started() && state.buffer.held() >= startup {
             state.playback_pos = state.buffer.first_held();
-            let id = self.arena.ids()[slot];
             scheduler.schedule_after(period, StreamEvent::Playback(id));
         }
     }
@@ -555,10 +518,9 @@ impl<T: TradePolicy> StreamingSystem<T> {
         let serve_behind = self.config.serve_behind as u64;
         let next_chunk = self.next_chunk;
         let period = self.config.playback_period();
-        let Some(slot) = self.arena.slot(id) else {
+        let Some(Some(state)) = self.peers.get_mut(id.index()) else {
             return; // departed
         };
-        let state = &mut self.peers[slot];
         let Some(pos) = state.playback_pos else {
             return;
         };
@@ -599,8 +561,11 @@ impl<T: TradePolicy> StreamingSystem<T> {
         for nb in chosen {
             self.graph.add_edge(new, nb).expect("distinct live nodes");
         }
+        // Ids are dense: the joiner's entry is the next one of each
+        // table.
+        debug_assert_eq!(new.index(), self.peers.len(), "ids are dense");
         self.arena.insert(new);
-        self.peers.push(PeerState::new(self.config.window));
+        self.peers.push(Some(PeerState::new(self.config.window)));
         self.source_fed.push(false);
         self.policy.on_join(new, now);
         if let Some(plan) = &mut self.fault_plan {
@@ -627,9 +592,9 @@ impl<T: TradePolicy> StreamingSystem<T> {
             return;
         }
         self.graph.remove_node(id).expect("checked live");
-        let removal = self.arena.remove(id).expect("graph and arena agree");
-        self.peers.swap_remove(removal.slot);
-        self.source_fed.swap_remove(removal.slot);
+        self.arena.remove(id);
+        self.peers[id.index()] = None;
+        self.source_fed[id.index()] = false;
         self.policy.on_leave(id, now);
         // In-flight deliveries to/from this peer are dropped on arrival by
         // the liveness guards in the delivery handlers.
@@ -639,16 +604,19 @@ impl<T: TradePolicy> StreamingSystem<T> {
         let Some(interval) = self.config.sample_interval else {
             return;
         };
-        let n = self.peers.len();
+        let n = self.arena.len();
         if n > 0 {
             // A peer that has not started playback is fully stalled (it
             // is stuck at the startup screen — exactly the fate of a
             // broke peer in a credit-starved swarm); a started peer
-            // contributes its missed-deadline fraction.
+            // contributes its missed-deadline fraction. Summed in pick
+            // order (see the module docs).
             let mean_stall: f64 = self
-                .peers
+                .arena
+                .ids()
                 .iter()
-                .map(|s| {
+                .map(|&id| {
+                    let s = live(&self.peers, id).expect("arena ids are live");
                     if s.started() {
                         1.0 - s.stats.continuity()
                     } else {
@@ -677,8 +645,7 @@ impl<T: TradePolicy> Model for StreamingSystem<T> {
                 scheduler.reserve(self.queue_capacity_hint());
                 scheduler.schedule_after(SimDuration::ZERO, StreamEvent::SourceChunk);
                 // Stagger peers' scheduling phases to avoid a thundering
-                // herd. Slot order == graph construction order here (no
-                // churn can have happened before bootstrap).
+                // herd, drawing in pick order.
                 let ids: Vec<NodeId> = self.arena.ids().to_vec();
                 let interval_us = self.config.schedule_interval.as_micros();
                 for &id in &ids {
@@ -690,7 +657,7 @@ impl<T: TradePolicy> Model for StreamingSystem<T> {
                     scheduler.schedule_after(SimDuration::ZERO, StreamEvent::Sample);
                 }
                 if let Some(plan) = &mut self.fault_plan {
-                    // Crash draws in slot order (== construction order at
+                    // Crash draws in pick order (== construction order at
                     // bootstrap), one per peer, per the plan's contract.
                     for &id in &ids {
                         if let Some(d) = plan.crash_delay(now) {
@@ -738,15 +705,13 @@ impl<T: TradePolicy> Model for StreamingSystem<T> {
                         .schedule_after(penalty, StreamEvent::PeerDelivery { to, from, chunk });
                     return;
                 }
-                if let Some(provider_slot) = self.arena.slot(from) {
-                    let provider = &mut self.peers[provider_slot];
+                if let Some(Some(provider)) = self.peers.get_mut(from.index()) {
                     provider.active_uploads = provider.active_uploads.saturating_sub(1);
                     if outcome == DeliveryOutcome::Delivered {
                         provider.stats.uploaded += 1;
                     }
                 }
-                if let Some(slot) = self.arena.slot(to) {
-                    let state = &mut self.peers[slot];
+                if let Some(Some(state)) = self.peers.get_mut(to.index()) {
                     state.pending.remove(chunk);
                     match outcome {
                         DeliveryOutcome::Delivered => {
@@ -756,7 +721,7 @@ impl<T: TradePolicy> Model for StreamingSystem<T> {
                             if self.fault_plan.is_some() {
                                 self.fault_stats.delivered += 1;
                             }
-                            self.maybe_start_playback(slot, scheduler);
+                            self.maybe_start_playback(to, scheduler);
                         }
                         DeliveryOutcome::Dropped => {
                             // Lost in transit: settlement is on delivery,
@@ -776,19 +741,18 @@ impl<T: TradePolicy> Model for StreamingSystem<T> {
             }
             StreamEvent::SourceDelivery { to, chunk } => {
                 self.source_active_uploads = self.source_active_uploads.saturating_sub(1);
-                if let Some(slot) = self.arena.slot(to) {
-                    let state = &mut self.peers[slot];
+                if let Some(Some(state)) = self.peers.get_mut(to.index()) {
                     state.pending.remove(chunk);
                     state.buffer.insert(chunk);
                     state.stats.received_from_source += 1;
                     self.policy.settle_source(to, chunk, now);
-                    self.maybe_start_playback(slot, scheduler);
+                    self.maybe_start_playback(to, scheduler);
                 }
             }
             StreamEvent::Join { attach_degree } => self.handle_join(attach_degree, now, scheduler),
             StreamEvent::Leave(id) => self.handle_leave(id, now),
             StreamEvent::Crash(id) => {
-                if self.arena.slot(id).is_some() {
+                if self.arena.contains(id) {
                     self.fault_stats.crashes += 1;
                     self.handle_leave(id, now);
                 }
@@ -796,6 +760,18 @@ impl<T: TradePolicy> Model for StreamingSystem<T> {
             StreamEvent::Sample => self.handle_sample(now, scheduler),
         }
     }
+}
+
+/// The state of `id`, if it is live.
+#[inline]
+fn live(peers: &[Option<PeerState>], id: NodeId) -> Option<&PeerState> {
+    peers.get(id.index())?.as_ref()
+}
+
+/// The state of `id`, which the caller knows is live.
+#[inline]
+fn live_mut(peers: &mut [Option<PeerState>], id: NodeId) -> &mut PeerState {
+    peers[id.index()].as_mut().expect("peer is live")
 }
 
 #[cfg(test)]

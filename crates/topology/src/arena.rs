@@ -1,81 +1,42 @@
-//! The dense peer arena: `NodeId → u32` slot map with swap-remove.
+//! The live peers in pick order.
 //!
-//! Per-peer market state (wallets, spending rates, spent counters,
-//! activity traces, in-flight escrow) lives in slot-indexed `Vec`s
-//! instead of `BTreeMap<NodeId, _>`s: a lookup is one array load instead
-//! of an O(log n) pointer chase, and iteration is a linear scan.
-//! [`PeerArena`] owns the `NodeId ↔ slot` correspondence; parallel
-//! `Vec`s mirror its insert/swap-remove discipline (push on insert,
-//! `swap_remove(slot)` on removal) so a peer's slot indexes every
-//! structure at once.
+//! Per-peer state lives in tables indexed by raw [`NodeId`], like
+//! [`crate::Graph`]'s rows: IDs are dense and never reused, so a dead
+//! ID keeps a zeroed entry. Such a table gives no order over the live
+//! peers that is independent of ID values, and uniform peer picks
+//! (`ids()[rng.index(len)]`), checkpoint layouts, escrow sweeps and
+//! float sums need the order the simulators have always used:
+//! insertion order perturbed by swap-removes (the market's old
+//! `peers_vec` order). [`PeerArena`] keeps that order, so RNG draws,
+//! checkpoint bytes and float sums reproduce bit for bit.
 //!
-//! A market keeps one arena, its ledger's (`scrip_core::Ledger::slot`);
-//! the streaming swarm keeps its own, because its trade-policy calls
-//! cross the crate boundary by [`NodeId`].
-//!
-//! Slot order is insertion order perturbed by swap-removes — exactly the
-//! order the market's old `peers_vec` maintained, so uniform peer picks
-//! (`ids()[rng.index(len)]`) reproduce the pre-arena RNG trajectories
-//! bit for bit.
-//!
-//! The reverse map is a flat `Vec<u32>` indexed by raw [`NodeId`] value:
-//! IDs are allocated densely from 0 by [`crate::Graph`] and
-//! never reused, so the map stays small ( ≈ 4 bytes × IDs ever minted).
+//! A market keeps one arena, its ledger's (`scrip_core::Ledger::ids`);
+//! the streaming swarm keeps its own, for its bootstrap draws and the
+//! order in which it sums the stall average.
 
 use crate::NodeId;
 
-/// Slot sentinel for IDs not present in the arena.
+/// Position sentinel for IDs not present in the arena.
 const ABSENT: u32 = u32::MAX;
 
-/// A dense slot allocator over live [`NodeId`]s.
+/// The live [`NodeId`]s in pick order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PeerArena {
-    /// Slot → ID.
+    /// The live IDs in pick order.
     ids: Vec<NodeId>,
-    /// Raw ID → slot ([`ABSENT`] when not live).
-    id_to_slot: Vec<u32>,
-}
-
-/// The bookkeeping of one [`PeerArena::remove`]: which slot was freed
-/// and which peer (if any) was swapped into it. Mirror the same
-/// `swap_remove(slot)` on every parallel `Vec`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SlotRemoval {
-    /// The slot the removed peer occupied.
-    pub slot: usize,
-    /// The peer that now occupies `slot` (the former last slot), if the
-    /// removed peer was not itself last.
-    pub moved: Option<NodeId>,
+    /// Raw ID → position in `ids` ([`ABSENT`] when not live). Only
+    /// [`PeerArena::insert`] and [`PeerArena::remove`] use it.
+    position: Vec<u32>,
 }
 
 impl PeerArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        PeerArena::default()
-    }
-
-    /// An arena pre-populated with `ids`, slotted in the given order.
-    pub fn from_ids(ids: &[NodeId]) -> Self {
-        let mut arena = PeerArena {
-            ids: Vec::with_capacity(ids.len()),
-            id_to_slot: Vec::new(),
-        };
-        for &id in ids {
-            arena.insert(id);
-        }
-        arena
-    }
-
-    /// The slot of `id`, or [`None`] if it is not live.
+    /// Whether `id` is live. Safe for any ID.
     #[inline]
-    pub fn slot(&self, id: NodeId) -> Option<usize> {
-        match self.id_to_slot.get(id.raw() as usize) {
-            Some(&s) if s != ABSENT => Some(s as usize),
-            _ => None,
-        }
+    pub fn contains(&self, id: NodeId) -> bool {
+        self.position.get(id.index()).is_some_and(|&p| p != ABSENT)
     }
 
-    /// The live IDs in slot order (the dense view: index = slot).
+    /// The live IDs in pick order.
     #[inline]
     pub fn ids(&self) -> &[NodeId] {
         &self.ids
@@ -86,55 +47,51 @@ impl PeerArena {
         self.ids.len()
     }
 
-    /// Heap bytes reserved by the slot map: the dense slot → ID `Vec`
-    /// plus the raw-ID → slot reverse map (capacities, not lengths, so
-    /// the figure matches what the allocator is actually holding). Used
-    /// by the arena layout audit to account bytes per peer.
-    pub fn heap_bytes(&self) -> usize {
-        self.ids.capacity() * std::mem::size_of::<NodeId>()
-            + self.id_to_slot.capacity() * std::mem::size_of::<u32>()
-    }
-
     /// Whether the arena is empty.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
 
-    /// Assigns the next slot to `id` and returns it. Push a matching
-    /// entry onto every parallel `Vec`.
-    ///
-    /// The reverse map grows to `id.raw() + 1` entries, so this is for
-    /// *densely allocated* IDs (as handed out by
-    /// [`crate::Graph::add_node`]); inserting an arbitrary
-    /// huge `NodeId::from_raw` value would allocate proportional
-    /// memory. Lookups ([`PeerArena::slot`]) are safe for any ID.
-    ///
-    /// # Panics
-    /// Panics if `id` is already live (a slot leak otherwise).
-    pub fn insert(&mut self, id: NodeId) -> usize {
-        let raw = id.raw() as usize;
-        if raw >= self.id_to_slot.len() {
-            self.id_to_slot.resize(raw + 1, ABSENT);
-        }
-        assert_eq!(self.id_to_slot[raw], ABSENT, "{id} already has a slot");
-        let slot = self.ids.len();
-        self.id_to_slot[raw] = slot as u32;
-        self.ids.push(id);
-        slot
+    /// Heap bytes reserved by the pick-order list plus the raw-ID →
+    /// position table (capacities, not lengths, so the figure matches
+    /// what the allocator is actually holding).
+    pub fn heap_bytes(&self) -> usize {
+        self.ids.capacity() * std::mem::size_of::<NodeId>()
+            + self.position.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// Frees `id`'s slot by swap-remove, or returns [`None`] if it is
-    /// not live. Apply `swap_remove(removal.slot)` to every parallel
-    /// `Vec`.
-    pub fn remove(&mut self, id: NodeId) -> Option<SlotRemoval> {
-        let slot = self.slot(id)?;
-        self.ids.swap_remove(slot);
-        self.id_to_slot[id.raw() as usize] = ABSENT;
-        let moved = self.ids.get(slot).copied();
-        if let Some(moved_id) = moved {
-            self.id_to_slot[moved_id.raw() as usize] = slot as u32;
+    /// Appends `id` to the pick order.
+    ///
+    /// The position table grows to `id.index() + 1` entries, so this is
+    /// for *densely allocated* IDs (as handed out by
+    /// [`crate::Graph::add_node`]); inserting an arbitrary huge
+    /// `NodeId::from_raw` value would allocate proportional memory.
+    /// [`PeerArena::contains`] is safe for any ID.
+    ///
+    /// # Panics
+    /// Panics if `id` is already live.
+    pub fn insert(&mut self, id: NodeId) {
+        let raw = id.index();
+        if raw >= self.position.len() {
+            self.position.resize(raw + 1, ABSENT);
         }
-        Some(SlotRemoval { slot, moved })
+        assert_eq!(self.position[raw], ABSENT, "{id} is already live");
+        self.position[raw] = self.ids.len() as u32;
+        self.ids.push(id);
+    }
+
+    /// Removes `id` by swap-remove (the last ID takes its place in the
+    /// pick order). Returns whether `id` was live.
+    pub fn remove(&mut self, id: NodeId) -> bool {
+        if !self.contains(id) {
+            return false;
+        }
+        let at = std::mem::replace(&mut self.position[id.index()], ABSENT);
+        self.ids.swap_remove(at as usize);
+        if let Some(&moved) = self.ids.get(at as usize) {
+            self.position[moved.index()] = at;
+        }
+        true
     }
 }
 
@@ -146,59 +103,49 @@ mod tests {
         NodeId::from_raw(n)
     }
 
+    fn arena(raw: &[u64]) -> PeerArena {
+        let mut a = PeerArena::default();
+        raw.iter().for_each(|&n| a.insert(id(n)));
+        a
+    }
+
     #[test]
     fn insert_assigns_dense_slots() {
-        let mut a = PeerArena::new();
-        assert_eq!(a.insert(id(5)), 0);
-        assert_eq!(a.insert(id(2)), 1);
-        assert_eq!(a.insert(id(9)), 2);
-        assert_eq!(a.slot(id(2)), Some(1));
-        assert_eq!(a.slot(id(7)), None);
+        let a = arena(&[5, 2, 9]);
+        assert!(a.contains(id(2)));
+        assert!(!a.contains(id(7)));
         assert_eq!(a.ids(), &[id(5), id(2), id(9)]);
         assert_eq!(a.len(), 3);
-        assert_eq!(a.slot(id(10_000)), None, "out-of-range probe is safe");
+        assert!(!a.contains(id(10_000)), "out-of-range probe is safe");
     }
 
     #[test]
     fn remove_swaps_last_into_slot() {
-        let mut a = PeerArena::from_ids(&[id(0), id(1), id(2), id(3)]);
-        let removal = a.remove(id(1)).expect("live");
-        assert_eq!(removal.slot, 1);
-        assert_eq!(removal.moved, Some(id(3)));
+        let mut a = arena(&[0, 1, 2, 3]);
+        assert!(a.remove(id(1)));
         assert_eq!(a.ids(), &[id(0), id(3), id(2)]);
-        assert_eq!(a.slot(id(3)), Some(1));
-        assert_eq!(a.slot(id(1)), None);
-        // Removing the last slot moves nothing.
-        let removal = a.remove(id(2)).expect("live");
-        assert_eq!(removal.moved, None);
-        assert_eq!(a.remove(id(2)), None, "double remove is None");
+        assert!(a.contains(id(3)));
+        assert!(!a.contains(id(1)));
+        // Removing the last ID moves nothing.
+        assert!(a.remove(id(2)));
+        assert_eq!(a.ids(), &[id(0), id(3)]);
+        assert!(!a.remove(id(2)), "double remove is false");
+        // The moved ID's position was updated: removing it works.
+        assert!(a.remove(id(3)));
+        assert_eq!(a.ids(), &[id(0)]);
     }
 
     #[test]
     fn slots_can_be_reassigned_after_removal() {
-        let mut a = PeerArena::from_ids(&[id(0), id(1)]);
-        a.remove(id(0)).expect("live");
-        let slot = a.insert(id(0));
-        assert_eq!(slot, 1, "re-inserted id takes a fresh slot");
-        assert_eq!(a.ids(), &[id(1), id(0)]);
+        let mut a = arena(&[0, 1]);
+        assert!(a.remove(id(0)));
+        a.insert(id(0));
+        assert_eq!(a.ids(), &[id(1), id(0)], "re-inserted id goes last");
     }
 
     #[test]
-    fn parallel_vec_mirroring() {
-        let mut a = PeerArena::from_ids(&[id(0), id(1), id(2)]);
-        let mut wealth = vec![10u64, 20, 30];
-        let removal = a.remove(id(0)).expect("live");
-        wealth.swap_remove(removal.slot);
-        for (slot, &peer) in a.ids().iter().enumerate() {
-            assert_eq!(wealth[slot], (peer.raw() + 1) * 10);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "already has a slot")]
+    #[should_panic(expected = "already live")]
     fn double_insert_panics() {
-        let mut a = PeerArena::new();
-        a.insert(id(3));
-        a.insert(id(3));
+        arena(&[3, 3]);
     }
 }

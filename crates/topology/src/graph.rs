@@ -39,6 +39,13 @@ impl NodeId {
         self.0
     }
 
+    /// The raw value as an index into a table with one entry per ID
+    /// ever allocated: how the overlay's rows and the simulators'
+    /// per-peer state are addressed.
+    pub const fn index(self) -> usize {
+        self.0 as usize
+    }
+
     /// Reconstructs an ID from its raw value.
     ///
     /// Only meaningful for values previously obtained via

@@ -60,13 +60,13 @@ impl JoinIndex {
 
     /// Records a live node's new degree.
     pub(crate) fn set_degree(&mut self, id: NodeId, degree: usize) {
-        self.degree.update(id.raw() as usize, (degree + 1) as f64);
+        self.degree.update(id.index(), (degree + 1) as f64);
     }
 
     /// Records a node's removal.
     pub(crate) fn remove_node(&mut self, id: NodeId) {
-        self.degree.update(id.raw() as usize, 0.0);
-        self.live.update(id.raw() as usize, 0.0);
+        self.degree.update(id.index(), 0.0);
+        self.live.update(id.index(), 0.0);
     }
 
     /// Heap bytes reserved by both trees (≈ 32 B per id ever allocated).

@@ -44,6 +44,6 @@ pub mod graph;
 pub mod join_index;
 pub mod metrics;
 
-pub use arena::{PeerArena, SlotRemoval};
+pub use arena::PeerArena;
 pub use graph::{Graph, GraphError, NodeId};
 pub use join_index::JoinIndex;
