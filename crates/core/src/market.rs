@@ -705,11 +705,9 @@ impl CreditMarket {
 
     /// The steady-state event-queue population this market sustains: one
     /// spend loop per peer, the sampling chain, and (under churn) one
-    /// leave timer per peer plus the arrival process. Size the
-    /// simulation's queue with this
-    /// ([`scrip_des::Simulation::with_capacity`]) to keep scheduling
-    /// reallocation-free; [`MarketEvent::Bootstrap`] reserves the same
-    /// amount as a fallback for hand-built simulations.
+    /// leave timer per peer plus the arrival process.
+    /// [`CreditMarket::queue_profile`] sizes the queue's node slab with
+    /// it.
     pub fn queue_capacity_hint(&self) -> usize {
         // Under faults, each peer may add a crash timer plus in-flight
         // delivery completions (short-lived, at most a few per peer).
@@ -717,16 +715,15 @@ impl CreditMarket {
         self.ledger.accounts() * (1 + usize::from(self.config.churn.is_some()) + 2 * faulted) + 2
     }
 
-    /// The event-queue backend this market wants: a timing wheel sized
-    /// for the steady-state population from
-    /// [`CreditMarket::queue_capacity_hint`], with the mean
+    /// How this market's event queue is sized: the steady-state population
+    /// from [`CreditMarket::queue_capacity_hint`], with the mean
     /// inter-attempt interval (`mean price / base rate`) as the typical
     /// scheduling lookahead. The wheel window spans four such intervals,
     /// so all but ≈ e⁻⁴ ≈ 2% of the exponential spend timers land in its
     /// O(1) buckets; the tail and rarer far-future events (churn
     /// lifespans, sample boundaries) take its overflow heap.
     pub fn queue_profile(&self) -> QueueProfile {
-        QueueProfile::Wheel {
+        QueueProfile {
             expected_events: self.queue_capacity_hint(),
             typical_delay: SimDuration::from_secs_f64(
                 self.pricing.mean_price() / self.config.base_rate,
@@ -1546,12 +1543,6 @@ impl Model for CreditMarket {
                 }
                 self.bootstrapped = true;
                 let ids: Vec<NodeId> = self.graph.node_ids().collect();
-                // The queue population is known up front: one spend loop
-                // per peer, the sampling chain, and (under churn) one
-                // leave timer per peer plus the arrival process. Reserve
-                // once so steady-state scheduling never reallocates.
-                let churning = self.config.churn.is_some();
-                scheduler.reserve(ids.len() * (1 + usize::from(churning)) + 2);
                 for &id in &ids {
                     self.schedule_spend(id, scheduler);
                 }
@@ -1777,9 +1768,12 @@ mod tests {
     }
 
     /// The zero-alloc claim for the spend loop, observed from the
-    /// outside: every buffer the hot path touches (event heap, scratch
+    /// outside: every buffer the hot path touches (event queue, scratch
     /// weights, per-peer columns) reaches a fixed capacity during warmup and
-    /// never grows again, over tens of thousands of further events.
+    /// never grows again, over tens of thousands of further events. The
+    /// simulation is hand-built, so its queue has the default profile
+    /// and no reservation for the 40 spend loops: the warmup grows it
+    /// to its working size.
     /// (The workspace forbids `unsafe`, so a counting global allocator
     /// is out; `docs/ARCHITECTURE.md` documents the per-event allocation
     /// audit.)
@@ -1792,7 +1786,7 @@ mod tests {
         let mut sim = Simulation::new(market);
         sim.schedule(SimTime::ZERO, MarketEvent::Bootstrap);
         sim.run_until(SimTime::from_secs(200)); // warmup (~8k events)
-        let heap_cap = sim.scheduler().capacity();
+        let queue_cap = sim.scheduler().capacity();
         let scratch_cap = sim.model().seller_sampler.capacity();
         let events_before = sim.stats().events_processed;
         sim.run_until(SimTime::from_secs(2_200));
@@ -1803,8 +1797,8 @@ mod tests {
         );
         assert_eq!(
             sim.scheduler().capacity(),
-            heap_cap,
-            "event heap grew during steady-state spending"
+            queue_cap,
+            "event queue grew during steady-state spending"
         );
         assert_eq!(
             sim.model().seller_sampler.capacity(),
@@ -1814,17 +1808,16 @@ mod tests {
         assert!(scratch_cap > 0, "seller sampler was exercised");
     }
 
-    /// The steady-state claim on the timing-wheel backend the runners
-    /// select via `queue_profile()`. The wheel's node slab never holds
-    /// more nodes than the pending population, but exponential spend
-    /// delays have unbounded tails, so the live and overflow heaps can
-    /// always meet a first-ever occupancy high-water mark — exact
-    /// capacity equality (the heap backend's guarantee above) is
-    /// unattainable. The honest wheel invariant is that the amortized
-    /// allocation rate decays to zero: across tens of thousands of
-    /// post-warmup events, total wheel storage grows by at most a few
-    /// percent, and a second equally long window grows strictly less
-    /// than the first.
+    /// The steady-state claim on the queue sizing the runners select
+    /// via `queue_profile()`, over a long horizon. The wheel's node slab
+    /// never holds more nodes than the pending population, but
+    /// exponential spend delays have unbounded tails, so the live and
+    /// overflow heaps can always meet a first-ever occupancy high-water
+    /// mark, and exact capacity equality cannot be promised for every
+    /// horizon. The invariant is that the amortized allocation rate
+    /// decays to zero: across tens of thousands of post-warmup events,
+    /// total queue storage grows by at most a few percent, and a second
+    /// equally long window grows no more than the first.
     #[test]
     fn wheel_backed_spend_loop_stops_growing_after_warmup() {
         let config = MarketConfig::new(40, 50)
@@ -1832,7 +1825,6 @@ mod tests {
             .with_availability_feedback();
         let market = CreditMarket::build(config, 17).expect("built");
         let profile = market.queue_profile();
-        assert!(matches!(profile, scrip_des::QueueProfile::Wheel { .. }));
         let mut sim = Simulation::with_profile(market, profile);
         sim.schedule(SimTime::ZERO, MarketEvent::Bootstrap);
         sim.run_until(SimTime::from_secs(1_200)); // warmup: many wheel revolutions

@@ -1394,10 +1394,31 @@ impl Session {
         let events_processed = r.take_u64()?;
         // Each pending event: time, seq and at least a tag byte.
         let pending_len = r.take_count(17)?;
-        let mut pending = Vec::with_capacity(pending_len);
+        // Every seq comes from one push, and every push is either
+        // processed or still pending.
+        let seq_bound = events_processed.saturating_add(pending_len as u64);
+        let mut pending: Vec<Scheduled<MarketEvent>> = Vec::with_capacity(pending_len);
         for _ in 0..pending_len {
             let time = SimTime::from_micros(r.take_u64()?);
             let seq = r.take_u64()?;
+            if time < clock {
+                return Err(CoreError::Checkpoint(format!(
+                    "pending event at {time} precedes the clock ({clock})"
+                )));
+            }
+            if seq >= seq_bound {
+                return Err(CoreError::Checkpoint(format!(
+                    "pending event seq {seq} is not below {seq_bound} (events processed plus pending)"
+                )));
+            }
+            if pending
+                .last()
+                .is_some_and(|p| (p.time, p.seq) >= (time, seq))
+            {
+                return Err(CoreError::Checkpoint(
+                    "pending events are not in strictly ascending (time, seq) order".into(),
+                ));
+            }
             let event = MarketEvent::decode(&mut r)?;
             pending.push(Scheduled { time, seq, event });
         }
@@ -1427,10 +1448,7 @@ impl Session {
             probe.restore_state(state)?;
         }
         r.finish()?;
-        // A plain heap backend: restored runs pop the identical
-        // `(time, seq)` sequence on either backend (a pinned invariant),
-        // and the heap needs no cursor advance from time zero.
-        let mut scheduler = Scheduler::with_capacity(pending.len() + market.queue_capacity_hint());
+        let mut scheduler = Scheduler::with_profile(market.queue_profile());
         scheduler.restore_clock(clock);
         for scheduled in pending {
             scheduler.enqueue_scheduled(scheduled);
@@ -1881,6 +1899,52 @@ mod tests {
             resume(&bytes).expect("resumes").now(),
             SimTime::from_secs(600)
         );
+    }
+
+    /// Pending events are refused, in debug and release alike, when one
+    /// precedes the clock, when they leave strictly ascending
+    /// `(time, seq)` order, or when a seq is not below events processed
+    /// plus pending (every seq comes from one push). Unchecked, the
+    /// first resumed with a wrong CSV in release and tripped the
+    /// kernel's "went backwards" assertion in debug; the last
+    /// overflowed the queue's sequence counter.
+    #[test]
+    fn corrupt_pending_events_fail_closed() {
+        let config = MarketConfig::new(60, 10)
+            .churn(crate::market::ChurnConfig::new(0.5, 200.0, 8).expect("valid"));
+        let mut session = Session::from_config(&config, 9).expect("builds");
+        session.run_until(SimTime::from_secs(600));
+        let bytes = session.checkpoint().expect("checkpoints");
+        let stats = session.stats();
+        // Header (12 B), fingerprint, seed, clock, events processed and
+        // the pending count, then the first event's time and seq.
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        assert_eq!(word(28), SimTime::from_secs(600).as_micros());
+        assert_eq!(word(36), stats.events_processed);
+        assert_eq!(word(44), stats.events_pending as u64);
+        assert!(stats.events_pending >= 2);
+        let (time_at, seq_at) = (52, 60);
+        let resume = |at: usize, value: u64| {
+            let mut corrupt = bytes.clone();
+            corrupt[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            match Session::resume(&config, Vec::new(), &corrupt) {
+                Err(CoreError::Checkpoint(msg)) => msg,
+                other => panic!("word at {at} = {value} not refused: {:?}", other.err()),
+            }
+        };
+        let msg = resume(time_at, 0);
+        assert!(msg.contains("precedes the clock"), "{msg}");
+        // A first event later than every other puts the second out of
+        // order.
+        let msg = resume(time_at, u64::MAX);
+        assert!(msg.contains("ascending"), "{msg}");
+        let bound = stats.events_processed + stats.events_pending as u64;
+        for seq in [bound, u64::MAX] {
+            let msg = resume(seq_at, seq);
+            assert!(msg.contains("not below"), "{msg}");
+        }
+        // The pristine snapshot still resumes.
+        assert!(Session::resume(&config, Vec::new(), &bytes).is_ok());
     }
 
     #[test]

@@ -389,42 +389,6 @@ impl DiscretePowerLaw {
         let idx = self.cdf.partition_point(|&c| c < u);
         self.min + idx.min(self.cdf.len() - 1) as u64
     }
-
-    /// Searches for the largest `max` such that the bounded power law on
-    /// `{min, ..., max}` has mean at most `target_mean`, then returns that
-    /// distribution. This is how the paper's "average number of neighbors =
-    /// 20, k = 2.5" configuration is realised.
-    ///
-    /// # Errors
-    /// Returns [`ParamError`] if no bounded support achieves
-    /// `target_mean` (i.e. even `{min, min+1}` exceeds it) or parameters
-    /// are invalid.
-    pub fn with_mean(min: u64, exponent: f64, target_mean: f64) -> Result<Self, ParamError> {
-        if target_mean <= min as f64 {
-            return Err(ParamError::new(format!(
-                "target mean {target_mean} not achievable with min degree {min}"
-            )));
-        }
-        let mut best: Option<DiscretePowerLaw> = None;
-        let mut max = min + 1;
-        loop {
-            let d = DiscretePowerLaw::new(min, max, exponent)?;
-            if d.mean() > target_mean {
-                break;
-            }
-            best = Some(d);
-            // Grow geometrically; heavy-tailed means move slowly in `max`.
-            max = (max as f64 * 1.3).ceil() as u64;
-            if max - min > (1 << 23) {
-                break;
-            }
-        }
-        best.ok_or_else(|| {
-            ParamError::new(format!(
-                "no bounded power-law support with mean <= {target_mean}"
-            ))
-        })
-    }
 }
 
 /// Walker's alias method: O(1) sampling from an arbitrary finite discrete
@@ -685,21 +649,6 @@ mod tests {
                 "k={k} empirical {emp} vs theory {theory}"
             );
         }
-    }
-
-    #[test]
-    fn power_law_with_mean_hits_target() {
-        // k = 2.5 with min degree 7 has unbounded mean ~19.5, so a target
-        // of 15 is reachable with a moderate truncation point.
-        let d = DiscretePowerLaw::with_mean(7, 2.5, 15.0).expect("achievable");
-        let m = d.mean();
-        assert!(m <= 15.0, "mean {m} exceeds target");
-        assert!(m > 12.0, "mean {m} suspiciously far below target");
-    }
-
-    #[test]
-    fn power_law_with_mean_rejects_unachievable() {
-        assert!(DiscretePowerLaw::with_mean(10, 2.5, 5.0).is_err());
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The pending-event list and the scheduling handle passed to models.
+//! Sequenced events and the scheduling handle passed to models. The
+//! pending-event queue itself is [`crate::EventQueue`].
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimingWheel;
+use crate::wheel::{EventQueue, QueueProfile};
 
 /// An event together with its activation time and a tie-breaking sequence
 /// number.
@@ -36,192 +36,13 @@ impl<E> PartialOrd for Scheduled<E> {
 }
 
 impl<E> Ord for Scheduled<E> {
-    // Reversed so the BinaryHeap (a max-heap) pops the *earliest* event.
+    // Reversed so a BinaryHeap (a max-heap) pops the *earliest* event;
+    // the queue's live and overflow heaps rely on it.
     fn cmp(&self, other: &Self) -> Ordering {
         other
             .time
             .cmp(&self.time)
             .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Selects the pending-event store behind an [`EventQueue`].
-///
-/// The two backends pop the identical `(time, seq)` sequence (pinned by
-/// the equivalence proptests in `crates/des/tests/proptests.rs`); the
-/// profile only changes the constant factors. Callers that know their
-/// steady-state event population and typical scheduling lookahead pass
-/// `Wheel` and get O(1) amortized schedule/pop; everyone else keeps the
-/// binary heap.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueueProfile {
-    /// A binary heap: O(log n) schedule/pop, no sizing hints required.
-    /// This is the default for [`EventQueue::new`].
-    Heap,
-    /// A calendar queue ([`TimingWheel`]): O(1) amortized schedule/pop
-    /// for workloads whose pending population and lookahead are roughly
-    /// known up front.
-    Wheel {
-        /// Expected steady-state number of concurrently pending events.
-        expected_events: usize,
-        /// Typical scheduling lookahead (how far ahead of `now` most
-        /// events are pushed). The wheel window spans four typical
-        /// delays; events pushed past it take a slow-path overflow
-        /// heap, which is correct but O(log n).
-        typical_delay: SimDuration,
-    },
-}
-
-/// The pending-event store: a plain binary heap or a timing wheel.
-#[derive(Clone, Debug)]
-enum QueueBackend<E> {
-    Heap(BinaryHeap<Scheduled<E>>),
-    Wheel(TimingWheel<E>),
-}
-
-/// A priority queue of future events ordered by activation time.
-///
-/// The default backend is a [`BinaryHeap`]; [`EventQueue::with_profile`]
-/// selects a [`TimingWheel`] (calendar queue) that pops the identical
-/// `(time, seq)` sequence with O(1) amortized schedule/pop. Most users
-/// interact with it through [`Scheduler`]; it is public so custom
-/// kernels can reuse it.
-///
-/// ```
-/// use scrip_des::{EventQueue, SimTime};
-/// let mut q = EventQueue::new();
-/// q.push(SimTime::from_secs(2), "later");
-/// q.push(SimTime::from_secs(1), "sooner");
-/// assert_eq!(q.pop().map(|s| s.event), Some("sooner"));
-/// ```
-#[derive(Clone, Debug)]
-pub struct EventQueue<E> {
-    backend: QueueBackend<E>,
-    next_seq: u64,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        EventQueue {
-            backend: QueueBackend::Heap(BinaryHeap::new()),
-            next_seq: 0,
-        }
-    }
-
-    /// Creates an empty queue with heap capacity for `capacity` pending
-    /// events. Self-perpetuating models (n spend loops + n leave timers)
-    /// know their steady-state queue population up front; pre-reserving
-    /// keeps the hot push/pop cycle free of reallocation.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            backend: QueueBackend::Heap(BinaryHeap::with_capacity(capacity)),
-            next_seq: 0,
-        }
-    }
-
-    /// Creates an empty queue with the backend `profile` selects.
-    pub fn with_profile(profile: QueueProfile) -> Self {
-        let backend = match profile {
-            QueueProfile::Heap => QueueBackend::Heap(BinaryHeap::new()),
-            QueueProfile::Wheel {
-                expected_events,
-                typical_delay,
-            } => QueueBackend::Wheel(TimingWheel::new(expected_events, typical_delay)),
-        };
-        EventQueue {
-            backend,
-            next_seq: 0,
-        }
-    }
-
-    /// Reserves capacity for at least `additional` further events (heap
-    /// capacity for the heap backend; node-slab capacity plus
-    /// live-region headroom for the wheel).
-    pub fn reserve(&mut self, additional: usize) {
-        match &mut self.backend {
-            QueueBackend::Heap(h) => h.reserve(additional),
-            QueueBackend::Wheel(w) => w.reserve(additional),
-        }
-    }
-
-    /// The number of pending events the queue can hold without
-    /// reallocating.
-    pub fn capacity(&self) -> usize {
-        match &self.backend {
-            QueueBackend::Heap(h) => h.capacity(),
-            QueueBackend::Wheel(w) => w.capacity(),
-        }
-    }
-
-    /// Schedules `event` at absolute time `time`.
-    pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let scheduled = Scheduled { time, seq, event };
-        match &mut self.backend {
-            QueueBackend::Heap(h) => h.push(scheduled),
-            QueueBackend::Wheel(w) => w.push(scheduled),
-        }
-    }
-
-    /// Re-enqueues an already-sequenced event, preserving its original
-    /// `(time, seq)` identity.
-    ///
-    /// This is the restore primitive for snapshots and checkpoints:
-    /// because the sequence number is kept, a queue rebuilt from a
-    /// drained snapshot pops in the order the original would have. The
-    /// local counter is bumped past `scheduled.seq` so later
-    /// [`EventQueue::push`]es on this queue never collide with it.
-    pub fn push_scheduled(&mut self, scheduled: Scheduled<E>) {
-        self.next_seq = self.next_seq.max(scheduled.seq + 1);
-        match &mut self.backend {
-            QueueBackend::Heap(h) => h.push(scheduled),
-            QueueBackend::Wheel(w) => w.push(scheduled),
-        }
-    }
-
-    /// Removes and returns the earliest pending event.
-    pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        match &mut self.backend {
-            QueueBackend::Heap(h) => h.pop(),
-            QueueBackend::Wheel(w) => w.pop(),
-        }
-    }
-
-    /// The activation time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            QueueBackend::Heap(h) => h.peek().map(|s| s.time),
-            QueueBackend::Wheel(w) => w.peek_time(),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match &self.backend {
-            QueueBackend::Heap(h) => h.len(),
-            QueueBackend::Wheel(w) => w.len(),
-        }
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes all pending events.
-    pub fn clear(&mut self) {
-        match &mut self.backend {
-            QueueBackend::Heap(h) => h.clear(),
-            QueueBackend::Wheel(w) => w.clear(),
-        }
     }
 }
 
@@ -245,23 +66,11 @@ impl<E> Default for Scheduler<E> {
 impl<E> Scheduler<E> {
     /// Creates a scheduler with an empty queue at time zero.
     pub fn new() -> Self {
-        Scheduler {
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-        }
+        Self::with_profile(QueueProfile::default())
     }
 
-    /// Creates a scheduler whose queue is pre-sized for `capacity`
-    /// pending events (see [`EventQueue::with_capacity`]).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Scheduler {
-            queue: EventQueue::with_capacity(capacity),
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// Creates a scheduler whose queue uses the backend `profile`
-    /// selects (see [`EventQueue::with_profile`]).
+    /// Creates a scheduler whose queue is sized for `profile` (see
+    /// [`EventQueue::with_profile`]).
     pub fn with_profile(profile: QueueProfile) -> Self {
         Scheduler {
             queue: EventQueue::with_profile(profile),
@@ -288,13 +97,6 @@ impl<E> Scheduler<E> {
         self.queue.push(self.now + delay, event);
     }
 
-    /// Reserves queue capacity for at least `additional` further events
-    /// (see [`EventQueue::reserve`]). Models with a known steady-state
-    /// event population call this once at bootstrap.
-    pub fn reserve(&mut self, additional: usize) {
-        self.queue.reserve(additional);
-    }
-
     /// The number of pending events the queue can hold without
     /// reallocating.
     pub fn capacity(&self) -> usize {
@@ -304,11 +106,6 @@ impl<E> Scheduler<E> {
     /// Number of pending events.
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
     }
 
     /// Activation time of the next event, if any.
@@ -341,11 +138,6 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Drops all pending events (used when a simulation is aborted).
-    pub fn clear(&mut self) {
-        self.queue.clear();
-    }
-
     /// Restores the clock to an absolute instant captured by a
     /// checkpoint. The clock never runs backwards: restoring to a time
     /// before `now` is a no-op, exactly like the kernel-internal
@@ -359,17 +151,10 @@ impl<E> Scheduler<E> {
 
 impl<E: Clone> Scheduler<E> {
     /// Every pending event in ascending `(time, seq)` order, without
-    /// disturbing the queue — the checkpointing primitive. Both queue
-    /// backends are `Clone`, so the snapshot clones the queue and
-    /// drains the clone; the live queue, its clock, and its sequence
-    /// counter are untouched.
+    /// disturbing the queue — the checkpointing primitive (see
+    /// [`EventQueue::snapshot_events`]).
     pub fn snapshot_events(&self) -> Vec<Scheduled<E>> {
-        let mut clone = self.queue.clone();
-        let mut events = Vec::with_capacity(clone.len());
-        while let Some(ev) = clone.pop() {
-            events.push(ev);
-        }
-        events
+        self.queue.snapshot_events()
     }
 }
 
@@ -425,65 +210,80 @@ mod tests {
         let ev = s.advance().expect("event");
         assert_eq!(ev.event, 7);
         assert_eq!(s.now(), SimTime::from_secs(4));
-        assert!(s.is_idle());
+        assert_eq!(s.pending(), 0);
     }
 
     #[test]
-    fn with_capacity_pre_reserves() {
-        let q: EventQueue<u32> = EventQueue::with_capacity(64);
-        assert!(q.capacity() >= 64);
+    fn with_profile_pre_reserves() {
+        let profile = QueueProfile {
+            expected_events: 1_000,
+            typical_delay: SimDuration::from_secs(1),
+        };
+        let mut q: EventQueue<u32> = EventQueue::with_profile(profile);
+        let cap = q.capacity();
+        assert!(cap >= 1_000);
         assert!(q.is_empty());
-        let mut q = EventQueue::with_capacity(8);
-        for i in 0..8 {
-            q.push(SimTime::from_secs(i), i);
+        // Every push lands inside the four-second window, so the
+        // pre-sized slab takes the whole population.
+        for i in 0..1_000u32 {
+            q.push(SimTime::from_micros(1 + u64::from(i) * 3_000), i);
         }
-        assert_eq!(q.len(), 8);
-        assert!(q.capacity() >= 8);
+        assert_eq!(q.len(), 1_000);
+        assert_eq!(q.capacity(), cap, "filling to the profile reallocated");
     }
 
     #[test]
-    fn scheduler_reserve_prevents_growth() {
+    fn scheduler_steady_state_cycle_stops_growing() {
         let mut s: Scheduler<u32> = Scheduler::new();
-        s.reserve(100);
-        let cap = s.capacity();
-        assert!(cap >= 100);
-        // A steady-state push/pop cycle within the reserved capacity
-        // never grows the heap.
+        // Most of these land past the default four-second window, in
+        // the overflow heap.
         for i in 0..100 {
             s.schedule_after(SimDuration::from_secs(i), i as u32);
         }
+        let cap = s.capacity();
+        // A steady-state push/pop cycle at the filled population never
+        // grows the queue.
         for _ in 0..1_000 {
             let ev = s.advance().expect("event");
             s.schedule_after(SimDuration::from_secs(1), ev.event);
         }
+        assert_eq!(s.pending(), 100);
         assert_eq!(s.capacity(), cap, "steady-state cycling reallocated");
     }
 
     #[test]
     fn wheel_profile_pops_like_heap() {
-        let profile = QueueProfile::Wheel {
+        let profile = QueueProfile {
             expected_events: 128,
             typical_delay: SimDuration::from_secs(2),
         };
-        let mut heap: EventQueue<u32> = EventQueue::new();
+        let mut heap = std::collections::BinaryHeap::new();
         let mut wheel: EventQueue<u32> = EventQueue::with_profile(profile);
-        for (secs, ev) in [(3, 0), (1, 1), (1, 2), (900, 3), (2, 4), (0, 5)] {
-            heap.push(SimTime::from_secs(secs), ev);
-            wheel.push(SimTime::from_secs(secs), ev);
+        for (seq, (secs, ev)) in [(3, 0), (1, 1), (1, 2), (900, 3), (2, 4), (0, 5)]
+            .into_iter()
+            .enumerate()
+        {
+            let time = SimTime::from_secs(secs);
+            heap.push(Scheduled {
+                time,
+                seq: seq as u64,
+                event: ev,
+            });
+            wheel.push(time, ev);
         }
         loop {
             let (a, b) = (heap.pop(), wheel.pop());
             match (&a, &b) {
                 (Some(x), Some(y)) => assert_eq!((x.time, x.seq), (y.time, y.seq)),
                 (None, None) => break,
-                _ => panic!("backends disagree on queue length"),
+                _ => panic!("queue and heap disagree on length"),
             }
         }
     }
 
     #[test]
     fn wheel_scheduler_preserves_routed_sequence_numbers() {
-        let profile = QueueProfile::Wheel {
+        let profile = QueueProfile {
             expected_events: 64,
             typical_delay: SimDuration::from_millis(10),
         };
@@ -542,15 +342,5 @@ mod tests {
         assert_eq!(s.now(), SimTime::from_secs(5));
         s.restore_clock(SimTime::from_secs(1));
         assert_eq!(s.now(), SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        s.schedule_after(SimDuration::from_secs(1), 1);
-        s.schedule_after(SimDuration::from_secs(2), 2);
-        s.clear();
-        assert!(s.is_idle());
-        assert_eq!(s.next_event_time(), None);
     }
 }

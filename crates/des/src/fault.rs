@@ -6,8 +6,8 @@
 //! delivered). Faults enter a simulation as **first-class events** —
 //! the model asks the plan for an outcome or a crash time and schedules
 //! the result through its ordinary [`crate::Scheduler`], so fault
-//! events flow through the same [`crate::EventQueue`]/
-//! [`crate::TimingWheel`] machinery as everything else.
+//! events flow through the same [`crate::EventQueue`] as everything
+//! else.
 //!
 //! ## The determinism argument
 //!

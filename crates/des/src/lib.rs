@@ -10,7 +10,9 @@
 //! * [`SimTime`] / [`SimDuration`] — integer-microsecond virtual time, so
 //!   event ordering is exact and runs are bit-for-bit reproducible.
 //! * [`Scheduler`] and [`Simulation`] — a classic event-list kernel with
-//!   FIFO tie-breaking for simultaneous events.
+//!   FIFO tie-breaking for simultaneous events, over one pending-event
+//!   store: [`EventQueue`] (in [`wheel`]), a calendar queue with O(1)
+//!   amortized schedule/pop, sized by a [`QueueProfile`].
 //! * [`rng::SimRng`] — a seedable PRNG facade so every experiment is
 //!   deterministic given its seed.
 //! * [`dist`] — the random variates the paper needs (exponential service
@@ -22,11 +24,9 @@
 //!   seed-derived schedules of peer crashes, delivery drops/delays, and
 //!   defections, drawn from a dedicated RNG stream so fault-free runs
 //!   are byte-identical with the plan absent.
-//! * [`sampler`] / [`wheel`] — the O(1)-amortized hot-path primitives for
-//!   million-peer runs: a draw-compatible Fenwick weighted sampler
-//!   ([`FenwickSampler`]) and a calendar-queue event store
-//!   ([`TimingWheel`]) selectable per queue via [`QueueProfile`]. Both
-//!   reproduce their O(deg)/O(log n) predecessors' outputs exactly.
+//! * [`sampler`] — a draw-compatible Fenwick weighted sampler
+//!   ([`FenwickSampler`]) for million-peer runs: O(log n) picks that
+//!   reproduce the O(deg) cumulative walk's choices exactly.
 //! * [`trace`] — versioned append-only event traces ([`TraceWriter`] /
 //!   [`TraceReader`]): every applied event plus periodic state digests,
 //!   the substrate for record, replay, diff, and divergence bisection.
@@ -77,11 +77,11 @@ pub mod time;
 pub mod trace;
 pub mod wheel;
 
-pub use event::{EventQueue, QueueProfile, Scheduled, Scheduler};
+pub use event::{Scheduled, Scheduler};
 pub use fault::{DeliveryOutcome, FaultKind, FaultPlan, FaultSpec, FaultStats};
 pub use rng::{SeedSequence, SimRng};
 pub use sampler::FenwickSampler;
 pub use sim::{Model, RunStats, Simulation};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceError, TraceFrame, TraceHeader, TraceReader, TraceTailer, TraceWriter};
-pub use wheel::TimingWheel;
+pub use wheel::{EventQueue, QueueProfile};

@@ -102,15 +102,6 @@ impl SimRng {
             items.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element of a non-empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.index(items.len())])
-        }
-    }
 }
 
 /// Deterministic derivation of independent seed streams from one root
@@ -353,13 +344,5 @@ mod tests {
         let mut from_seq = seq.rng(5);
         let mut direct = SimRng::seed_from_u64(seq.derive(5));
         assert_eq!(from_seq.next_u64(), direct.next_u64());
-    }
-
-    #[test]
-    fn choose_none_on_empty() {
-        let mut rng = SimRng::seed_from_u64(1);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
-        assert_eq!(rng.choose(&[42]), Some(&42));
     }
 }

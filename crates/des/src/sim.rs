@@ -70,22 +70,11 @@ impl<M: Model> Simulation<M> {
         }
     }
 
-    /// As [`Simulation::new`], with the event queue pre-sized for
-    /// `capacity` pending events — for models whose steady-state event
-    /// population is known up front (e.g. one self-rescheduling loop per
-    /// entity).
-    pub fn with_capacity(model: M, capacity: usize) -> Self {
-        Simulation {
-            model,
-            scheduler: Scheduler::with_capacity(capacity),
-            events_processed: 0,
-        }
-    }
-
-    /// As [`Simulation::new`], with the event-queue backend selected by
-    /// `profile` (see [`crate::QueueProfile`]): models that know their
-    /// steady-state event population and typical lookahead pick the
-    /// timing-wheel backend and get O(1) amortized schedule/pop.
+    /// As [`Simulation::new`], with the event queue sized for `profile`
+    /// (see [`crate::QueueProfile`]): models that know their
+    /// steady-state event population and typical lookahead pass them
+    /// here, so scheduling stays O(1) amortized and the node slab is
+    /// reserved up front.
     pub fn with_profile(model: M, profile: crate::QueueProfile) -> Self {
         Simulation {
             model,
@@ -118,12 +107,7 @@ impl<M: Model> Simulation<M> {
         &self.model
     }
 
-    /// Mutable access to the model (e.g. to read out collectors mid-run).
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
-    /// Read access to the scheduler (clock, queue population, heap
+    /// Read access to the scheduler (clock, queue population, queue
     /// capacity — e.g. to check that a steady-state model stopped
     /// allocating).
     pub fn scheduler(&self) -> &Scheduler<M::Event> {

@@ -61,16 +61,6 @@ impl Welford {
         }
     }
 
-    /// Unbiased sample variance (divides by n-1; 0 if fewer than two
-    /// observations).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.population_variance().sqrt()
@@ -147,11 +137,6 @@ impl Counter {
     /// Creates a zeroed counter.
     pub fn new() -> Self {
         Counter::default()
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.count += 1;
     }
 
     /// Increments by `n`.
@@ -241,15 +226,6 @@ impl Histogram {
     /// Observations at or above the range end.
     pub fn overflow(&self) -> u64 {
         self.overflow
-    }
-
-    /// The center value of bin `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + (i as f64 + 0.5) * width
     }
 }
 
@@ -354,7 +330,6 @@ mod tests {
         assert_eq!(w.count(), 0);
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.population_variance(), 0.0);
-        assert_eq!(w.sample_variance(), 0.0);
     }
 
     #[test]
@@ -363,7 +338,6 @@ mod tests {
         w.push(3.5);
         assert_eq!(w.mean(), 3.5);
         assert_eq!(w.population_variance(), 0.0);
-        assert_eq!(w.sample_variance(), 0.0);
     }
 
     #[test]
@@ -399,8 +373,7 @@ mod tests {
     #[test]
     fn counter_rate() {
         let mut c = Counter::new();
-        c.add(10);
-        c.incr();
+        c.add(11);
         assert_eq!(c.count(), 11);
         assert!((c.rate(SimDuration::from_secs(11)) - 1.0).abs() < 1e-12);
         assert_eq!(c.rate(SimDuration::ZERO), 0.0);
@@ -421,7 +394,6 @@ mod tests {
         assert_eq!(h.bins()[0], 1);
         assert_eq!(h.bins()[5], 1);
         assert_eq!(h.bins()[9], 1);
-        assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -66,12 +66,6 @@ impl SimTime {
         self.0 as f64 / MICROS_PER_SEC as f64
     }
 
-    /// The duration elapsed since `earlier`, or [`None`] if `earlier` is
-    /// later than `self`.
-    pub fn checked_duration_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// The duration elapsed since `earlier`, saturating at zero.
     pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
@@ -118,12 +112,6 @@ impl SimDuration {
     /// Whether this duration is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Multiplies the duration by a fraction, rounding to the nearest
-    /// microsecond; saturates on overflow or non-finite factors.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration(secs_to_micros(self.as_secs_f64() * factor))
     }
 }
 
@@ -273,10 +261,9 @@ mod tests {
         let early = SimTime::from_secs(1);
         let late = SimTime::from_secs(5);
         assert_eq!(early - late, SimDuration::ZERO);
-        assert_eq!(early.checked_duration_since(late), None);
         assert_eq!(
-            late.checked_duration_since(early),
-            Some(SimDuration::from_secs(4))
+            late.saturating_duration_since(early),
+            SimDuration::from_secs(4)
         );
         assert_eq!(early.saturating_duration_since(late), SimDuration::ZERO);
     }
@@ -290,14 +277,6 @@ mod tests {
     fn display_formats_as_seconds() {
         assert_eq!(SimTime::from_secs_f64(1.25).to_string(), "1.250000s");
         assert_eq!(SimDuration::from_millis(10).to_string(), "0.010000s");
-    }
-
-    #[test]
-    fn mul_f64_rounds_and_saturates() {
-        let d = SimDuration::from_secs(10);
-        assert_eq!(d.mul_f64(0.5), SimDuration::from_secs(5));
-        assert_eq!(d.mul_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(d.mul_f64(f64::INFINITY), SimDuration::MAX);
     }
 
     #[test]

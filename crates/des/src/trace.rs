@@ -314,8 +314,8 @@ impl<W: Write> TraceWriter<W> {
 pub struct TraceReader {
     bytes: Vec<u8>,
     header: TraceHeader,
-    /// Per-consumer `(byte offset, frames delivered)` counters.
-    cursors: Vec<(usize, u64)>,
+    /// Per-consumer byte offset of the next frame.
+    cursors: Vec<usize>,
 }
 
 impl TraceReader {
@@ -355,26 +355,11 @@ impl TraceReader {
         &self.header
     }
 
-    /// Total byte length of the log (header included).
-    pub fn len_bytes(&self) -> usize {
-        self.bytes.len()
-    }
-
     /// Registers a new consumer starting at the first frame; the
     /// returned id indexes this consumer's cursor.
     pub fn register_consumer(&mut self) -> usize {
-        self.cursors.push((HEADER_LEN, 0));
+        self.cursors.push(HEADER_LEN);
         self.cursors.len() - 1
-    }
-
-    /// Frames delivered to `consumer` so far.
-    pub fn frames_delivered(&self, consumer: usize) -> u64 {
-        self.cursors[consumer].1
-    }
-
-    /// Whether `consumer` has consumed every byte currently in the log.
-    pub fn at_end(&self, consumer: usize) -> bool {
-        self.cursors[consumer].0 == self.bytes.len()
     }
 
     /// Appends freshly-flushed bytes (append-only growth): consumers
@@ -386,7 +371,7 @@ impl TraceReader {
     /// Decodes the frame `consumer` would receive next, without
     /// advancing its cursor.
     pub fn peek_frame(&self, consumer: usize) -> Result<Option<TraceFrame>, TraceError> {
-        let (offset, _) = self.cursors[consumer];
+        let offset = self.cursors[consumer];
         Ok(decode_frame(&self.bytes, offset)?.map(|(frame, _)| frame))
     }
 
@@ -395,13 +380,11 @@ impl TraceReader {
     /// frame is [`TraceError::Truncated`], a checksum mismatch is
     /// [`TraceError::Corrupt`].
     pub fn next_frame(&mut self, consumer: usize) -> Result<Option<TraceFrame>, TraceError> {
-        let (offset, _) = self.cursors[consumer];
+        let offset = self.cursors[consumer];
         match decode_frame(&self.bytes, offset)? {
             None => Ok(None),
             Some((frame, next)) => {
-                let cursor = &mut self.cursors[consumer];
-                cursor.0 = next;
-                cursor.1 += 1;
+                self.cursors[consumer] = next;
                 Ok(Some(frame))
             }
         }
@@ -635,8 +618,7 @@ mod tests {
                 digest: 0xD1D2D3
             }
         );
-        assert_eq!(r.frames_delivered(c), 4);
-        assert!(r.at_end(c));
+        assert_eq!(r.peek_frame(c).expect("clean end of log"), None);
     }
 
     #[test]
@@ -645,11 +627,15 @@ mod tests {
         let a = r.register_consumer();
         let b = r.register_consumer();
         let first_a = r.next_frame(a).expect("frame").expect("some");
-        r.next_frame(a).expect("frame").expect("some");
+        let second_a = r.next_frame(a).expect("frame").expect("some");
         let first_b = r.next_frame(b).expect("frame").expect("some");
         assert_eq!(first_a, first_b, "consumers see the same stream");
-        assert_eq!(r.frames_delivered(a), 2);
-        assert_eq!(r.frames_delivered(b), 1);
+        assert_ne!(first_a, second_a);
+        assert_eq!(
+            r.next_frame(b).expect("frame").expect("some"),
+            second_a,
+            "b's cursor advanced one frame, independently of a's"
+        );
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! A calendar-queue (timing-wheel) pending-event store.
+//! The pending-event queue: a calendar queue (timing wheel).
 //!
-//! [`TimingWheel`] is an alternative backend for [`crate::EventQueue`]
-//! that pops the exact `(time, seq)` sequence a binary heap would, but
-//! with O(1) amortized schedule/pop at the near-constant event horizon
-//! this DES has (every peer keeps roughly one spend timer and one churn
-//! timer in flight, so the pending population is dense and the lookahead
-//! is bounded).
+//! [`EventQueue`] pops events in exact `(time, seq)` order, as a binary
+//! heap would, with O(1) amortized schedule/pop at the near-constant
+//! event horizon this DES has (every peer keeps roughly one spend timer
+//! and one churn timer in flight, so the pending population is dense
+//! and the lookahead is bounded). A [`QueueProfile`] sizes it.
 //!
 //! Layout: simulated time (integer microseconds) is split into
 //! power-of-two **buckets** of `1 << bucket_shift` µs. Events whose
@@ -64,11 +63,46 @@ struct Node<E> {
     next: u32,
 }
 
-/// A pending-event store that pops in exact `(time, seq)` order like a
-/// binary heap, with O(1) amortized schedule/pop for bounded-lookahead
-/// workloads. See the [module docs](self) for the layout.
+/// How to size an [`EventQueue`]: the steady-state population and the
+/// typical scheduling lookahead. The sizing changes only constant
+/// factors, never the pop order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct QueueProfile {
+    /// Expected steady-state number of concurrently pending events.
+    pub expected_events: usize,
+    /// Typical scheduling lookahead (how far ahead of `now` most
+    /// events are pushed). The wheel window spans four typical
+    /// delays; events pushed past it take a slow-path overflow heap,
+    /// which is correct but O(log n).
+    pub typical_delay: SimDuration,
+}
+
+impl Default for QueueProfile {
+    /// 64 pending events, one second ahead: the sizing of
+    /// [`EventQueue::new`].
+    fn default() -> Self {
+        QueueProfile {
+            expected_events: 64,
+            typical_delay: SimDuration::from_secs(1),
+        }
+    }
+}
+
+/// A priority queue of future events ordered by `(time, seq)`: events
+/// scheduled for the same instant pop in the order they were pushed.
+/// See the [module docs](self) for the layout. Most users interact with
+/// it through [`crate::Scheduler`]; it is public so custom kernels can
+/// reuse it.
+///
+/// ```
+/// use scrip_des::{EventQueue, SimTime};
+/// let mut q = EventQueue::new();
+/// q.push(SimTime::from_secs(2), "later");
+/// q.push(SimTime::from_secs(1), "sooner");
+/// assert_eq!(q.pop().map(|s| s.event), Some("sooner"));
+/// ```
 #[derive(Clone, Debug)]
-pub struct TimingWheel<E> {
+pub struct EventQueue<E> {
     /// Events at or below the floor bucket, ordered by `(time, seq)`.
     live: BinaryHeap<Scheduled<E>>,
     /// Node slab shared by every bucket list and the free list.
@@ -88,19 +122,36 @@ pub struct TimingWheel<E> {
     floor: u64,
     /// Total pending events across live + buckets + overflow.
     len: usize,
+    /// The sequence number the next [`EventQueue::push`] assigns.
+    next_seq: u64,
 }
 
-impl<E> TimingWheel<E> {
-    /// Creates a wheel sized for `expected_events` concurrently pending
-    /// events with a typical scheduling lookahead of `typical_delay`.
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E> EventQueue<E> {
+    /// Creates an empty queue sized by [`QueueProfile::default`].
+    pub fn new() -> Self {
+        Self::with_profile(QueueProfile::default())
+    }
+
+    /// Creates an empty queue sized for `profile`.
     ///
     /// The bucket count is the power of two nearest `expected_events`
     /// (clamped to `[64, 131072]`) and the bucket width is chosen so the
     /// wheel window covers at least four typical delays; events
     /// scheduled further ahead (exponential tails, churn lifetimes, far
     /// sample boundaries) take the overflow heap, which is correct but
-    /// O(log n).
-    pub fn new(expected_events: usize, typical_delay: SimDuration) -> Self {
+    /// O(log n). The node slab is reserved for `expected_events`, and
+    /// the live heap for a few buckets' worth of rotation merges.
+    pub fn with_profile(profile: QueueProfile) -> Self {
+        let QueueProfile {
+            expected_events,
+            typical_delay,
+        } = profile;
         let nbuckets = expected_events
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);
@@ -112,10 +163,10 @@ impl<E> TimingWheel<E> {
         while (nbuckets as u64) << shift < span_micros && shift < 46 {
             shift += 1;
         }
-        let per_bucket = (expected_events / nbuckets).max(4);
-        TimingWheel {
-            live: BinaryHeap::with_capacity(2 * per_bucket),
-            nodes: Vec::new(),
+        let per_bucket = expected_events / nbuckets;
+        EventQueue {
+            live: BinaryHeap::with_capacity(2 * per_bucket + 64),
+            nodes: Vec::with_capacity(expected_events),
             heads: vec![NIL; nbuckets],
             free: NIL,
             occupancy: vec![0u64; nbuckets / 64],
@@ -123,6 +174,7 @@ impl<E> TimingWheel<E> {
             bucket_shift: shift,
             floor: 0,
             len: 0,
+            next_seq: 0,
         }
     }
 
@@ -160,26 +212,37 @@ impl<E> TimingWheel<E> {
         self.len == 0
     }
 
-    /// Pre-sizes the wheel so `additional` more pending events fit in
-    /// the node slab without reallocating (the slab never needs more
-    /// nodes than there are pending events), plus a few buckets' worth
-    /// of live-heap headroom for the rotation merges.
-    pub fn reserve(&mut self, additional: usize) {
-        let nodes = (self.len + additional).saturating_sub(self.nodes.len());
-        self.nodes.reserve(nodes);
-        let per_bucket = additional / self.heads.len();
-        self.live.reserve(2 * per_bucket + 64);
-    }
-
-    /// Total events the wheel can hold without any structure
+    /// Total events the queue can hold without any structure
     /// reallocating: the sum of live, overflow, and node-slab
     /// capacities.
     pub fn capacity(&self) -> usize {
         self.live.capacity() + self.overflow.capacity() + self.nodes.capacity()
     }
 
-    /// Inserts an already-sequenced event.
-    pub fn push(&mut self, scheduled: Scheduled<E>) {
+    /// Schedules `event` at absolute time `time`, after every event
+    /// already pushed for the same instant.
+    pub fn push(&mut self, time: SimTime, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.insert(Scheduled { time, seq, event });
+    }
+
+    /// Re-enqueues an already-sequenced event, preserving its original
+    /// `(time, seq)` identity.
+    ///
+    /// This is the restore primitive for snapshots and checkpoints:
+    /// because the sequence number is kept, a queue rebuilt from
+    /// [`EventQueue::snapshot_events`] pops in the order the original
+    /// would have. The counter is bumped past `scheduled.seq` so later
+    /// [`EventQueue::push`]es never collide with it.
+    pub fn push_scheduled(&mut self, scheduled: Scheduled<E>) {
+        self.next_seq = self.next_seq.max(scheduled.seq + 1);
+        self.insert(scheduled);
+    }
+
+    /// Files an already-sequenced event into the live heap, its bucket
+    /// list or the overflow heap.
+    fn insert(&mut self, scheduled: Scheduled<E>) {
         let b = self.bucket_of(scheduled.time);
         self.len += 1;
         if b <= self.floor {
@@ -195,7 +258,7 @@ impl<E> TimingWheel<E> {
                 let index = u32::try_from(self.nodes.len())
                     .ok()
                     .filter(|&i| i != NIL)
-                    .expect("timing wheel holds fewer than 2^32 - 1 events");
+                    .expect("event queue holds fewer than 2^32 - 1 events");
                 self.nodes.push(node);
                 index
             } else {
@@ -323,18 +386,19 @@ impl<E> TimingWheel<E> {
             (None, None) => None,
         }
     }
+}
 
-    /// Removes all pending events, retaining capacity: the slab empties
-    /// and the free list restarts. The floor is kept (simulation clocks
-    /// never run backwards).
-    pub fn clear(&mut self) {
-        self.live.clear();
-        self.overflow.clear();
-        self.nodes.clear();
-        self.heads.fill(NIL);
-        self.free = NIL;
-        self.occupancy.fill(0);
-        self.len = 0;
+impl<E: Clone> EventQueue<E> {
+    /// Every pending event in pop order, without disturbing the queue:
+    /// the entries of the live heap, the node slab and the overflow
+    /// heap, sorted by `(time, seq)`.
+    pub fn snapshot_events(&self) -> Vec<Scheduled<E>> {
+        let mut events = Vec::with_capacity(self.len);
+        events.extend(self.live.iter().cloned());
+        events.extend(self.nodes.iter().filter_map(|node| node.item.clone()));
+        events.extend(self.overflow.iter().cloned());
+        events.sort_unstable_by_key(|s| (s.time, s.seq));
+        events
     }
 }
 
@@ -352,15 +416,22 @@ mod tests {
         }
     }
 
-    fn drain(w: &mut TimingWheel<u64>) -> Vec<(u64, u64)> {
+    fn queue(expected_events: usize, typical_delay: SimDuration) -> EventQueue<u64> {
+        EventQueue::with_profile(QueueProfile {
+            expected_events,
+            typical_delay,
+        })
+    }
+
+    fn drain(w: &mut EventQueue<u64>) -> Vec<(u64, u64)> {
         std::iter::from_fn(|| w.pop().map(|s| (s.time.as_micros(), s.seq))).collect()
     }
 
     #[test]
     fn pops_in_time_then_seq_order() {
-        let mut w = TimingWheel::new(16, SimDuration::from_micros(1 << 8));
+        let mut w = queue(16, SimDuration::from_micros(1 << 8));
         for (t, seq) in [(300, 0), (100, 1), (100, 2), (7_000_000, 3), (0, 4)] {
-            w.push(sched(t, seq));
+            w.push_scheduled(sched(t, seq));
         }
         assert_eq!(w.len(), 5);
         assert_eq!(
@@ -375,26 +446,26 @@ mod tests {
         // An overflow event whose bucket falls inside the window after
         // the floor advances must not be overtaken by a later wheel
         // event in the same bucket.
-        let mut w = TimingWheel::new(64, SimDuration::from_micros(64));
+        let mut w = queue(64, SimDuration::from_micros(64));
         // Bucket width is 2 µs here (64 buckets * 2 µs = 128 µs window),
         // so t=200 is bucket 100: outside the initial window -> overflow.
         let far = 200;
-        w.push(sched(far, 0));
-        w.push(sched(120, 1)); // bucket 60: inside the window
+        w.push_scheduled(sched(far, 0));
+        w.push_scheduled(sched(120, 1)); // bucket 60: inside the window
         assert_eq!(w.pop().map(|s| s.seq), Some(1));
         // The floor advanced to bucket 60, so bucket 100 is now inside
         // the window: schedule a wheel event in the same bucket as (and
         // later than) the overflow straggler.
-        w.push(sched(far + 1, 2));
+        w.push_scheduled(sched(far + 1, 2));
         assert_eq!(drain(&mut w), vec![(far, 0), (far + 1, 2)]);
     }
 
     #[test]
     fn peek_time_reports_earliest_without_mutation() {
-        let mut w = TimingWheel::new(32, SimDuration::from_secs(1));
+        let mut w = queue(32, SimDuration::from_secs(1));
         assert_eq!(w.peek_time(), None);
-        w.push(sched(5_000_000, 0));
-        w.push(sched(2_000_000, 1));
+        w.push_scheduled(sched(5_000_000, 0));
+        w.push_scheduled(sched(2_000_000, 1));
         assert_eq!(w.peek_time(), Some(SimTime::from_micros(2_000_000)));
         assert_eq!(w.len(), 2);
         assert_eq!(w.pop().map(|s| s.seq), Some(1));
@@ -403,26 +474,26 @@ mod tests {
 
     #[test]
     fn steady_state_cycle_stops_allocating() {
-        let mut w = TimingWheel::new(256, SimDuration::from_millis(10));
+        let mut w = queue(256, SimDuration::from_millis(10));
         let mut seq = 0u64;
         // Deterministic jitter spreads the population over many buckets,
         // like the exponential spend timers do in the market.
         let delay = |seq: u64| 5_000 + (seq * 97) % 10_000;
         for _ in 0..256 {
-            w.push(sched(delay(seq), seq));
+            w.push_scheduled(sched(delay(seq), seq));
             seq += 1;
         }
         // Warm up many full wheel revolutions so the slab and both
         // heaps have grown to their working size.
         for _ in 0..300_000 {
             let s = w.pop().expect("event");
-            w.push(sched(s.time.as_micros() + delay(seq), seq));
+            w.push_scheduled(sched(s.time.as_micros() + delay(seq), seq));
             seq += 1;
         }
         let cap = w.capacity();
         for _ in 0..100_000 {
             let s = w.pop().expect("event");
-            w.push(sched(s.time.as_micros() + delay(seq), seq));
+            w.push_scheduled(sched(s.time.as_micros() + delay(seq), seq));
             seq += 1;
         }
         assert_eq!(w.capacity(), cap, "steady-state cycling reallocated");
@@ -437,18 +508,17 @@ mod tests {
     fn exponential_cycle_capacity_stays_within_twice_the_population() {
         for n in [256usize, 4_096] {
             let mean = SimDuration::from_millis(10);
-            let mut w = TimingWheel::new(n, mean);
-            w.reserve(n);
+            let mut w = queue(n, mean);
             let headroom = w.live.capacity();
             let exp = Exp::new(1.0 / mean.as_micros() as f64).expect("positive rate");
             let mut rng = SimRng::seed_from_u64(n as u64);
             let mut delay = || exp.sample(&mut rng) as u64;
             for seq in 0..n as u64 {
-                w.push(sched(delay(), seq));
+                w.push_scheduled(sched(delay(), seq));
             }
             for seq in n as u64..200 * n as u64 {
                 let s = w.pop().expect("event");
-                w.push(sched(s.time.as_micros() + delay(), seq));
+                w.push_scheduled(sched(s.time.as_micros() + delay(), seq));
             }
             assert_eq!(w.len(), n);
             assert!(
@@ -457,20 +527,5 @@ mod tests {
                 w.capacity()
             );
         }
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_floor_monotone() {
-        let mut w = TimingWheel::new(8, SimDuration::from_millis(1));
-        w.push(sched(10_000, 0));
-        assert_eq!(w.pop().map(|s| s.seq), Some(0));
-        w.push(sched(20_000, 1));
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.peek_time(), None);
-        // Events after clear() still pop correctly.
-        w.push(sched(30_000, 2));
-        w.push(sched(25_000, 3));
-        assert_eq!(drain(&mut w), vec![(25_000, 3), (30_000, 2)]);
     }
 }

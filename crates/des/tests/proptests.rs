@@ -1,5 +1,7 @@
 //! Property-based tests for the simulation kernel and distributions.
 
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
 use scrip_des::dist::{AliasTable, Exp, Geometric, Poisson};
 use scrip_des::{
@@ -41,9 +43,42 @@ impl Model for Recorder {
     }
 }
 
+/// The reference `EventQueue` is checked against: a binary heap of
+/// `Scheduled` events (whose `Ord` is reversed, so the max-heap pops
+/// the earliest) with its own sequence counter.
+#[derive(Clone, Default)]
+struct HeapModel {
+    heap: BinaryHeap<Scheduled<u64>>,
+    next_seq: u64,
+}
+
+impl HeapModel {
+    fn push(&mut self, time: SimTime, event: u64) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Scheduled { time, seq, event });
+    }
+
+    fn push_scheduled(&mut self, scheduled: Scheduled<u64>) {
+        self.next_seq = self.next_seq.max(scheduled.seq + 1);
+        self.heap.push(scheduled);
+    }
+}
+
+type Triple = (SimTime, u64, u64);
+
+fn triple(s: Scheduled<u64>) -> Triple {
+    (s.time, s.seq, s.event)
+}
+
 /// Pops `queue` dry, as `(time, seq, event)` triples.
-fn drain(mut queue: EventQueue<u64>) -> Vec<(SimTime, u64, u64)> {
-    std::iter::from_fn(|| queue.pop().map(|s| (s.time, s.seq, s.event))).collect()
+fn drain(mut queue: EventQueue<u64>) -> Vec<Triple> {
+    std::iter::from_fn(|| queue.pop().map(triple)).collect()
+}
+
+/// Pops the model dry, as `(time, seq, event)` triples.
+fn drain_model(mut model: HeapModel) -> Vec<Triple> {
+    std::iter::from_fn(|| model.heap.pop().map(triple)).collect()
 }
 
 proptest! {
@@ -197,15 +232,17 @@ proptest! {
         }
     }
 
-    /// A wheel-backed `EventQueue` pops the exact `(time, seq)` sequence
-    /// the binary-heap backend pops, under random interleavings of
-    /// schedule/pop with same-time ties and far-future overflow
-    /// events, for arbitrary wheel sizing hints up to and past the
-    /// largest bucket count. Pushes outnumber pops 3:1, so a long case
-    /// ends with about a hundred pending events. Rare ops mix in
-    /// `clear()` followed by reuse, clone-then-drain (the
-    /// `Scheduler::snapshot_events` path), and a rebuild through
-    /// `push_scheduled` with restored seqs.
+    /// `EventQueue` pops the exact `(time, seq)` sequence a binary-heap
+    /// model pops, under random interleavings of schedule/pop with
+    /// same-time ties and far-future overflow events, for arbitrary
+    /// sizing profiles up to and past the largest bucket count. Typical
+    /// delays from 1 µs to 5 s against pushes up to 40 s and 1 h ahead
+    /// send many events to the overflow heap. Pushes outnumber pops
+    /// 3:1, so a long case ends with about a hundred pending events.
+    /// Rare ops drain both dry and reuse them, compare
+    /// `snapshot_events()` on the live queue with the model's drain and
+    /// with a clone-and-drain of the queue, and rebuild from the
+    /// snapshot through `push_scheduled` with restored seqs.
     #[test]
     fn wheel_pops_exact_heap_sequence(
         ops in prop::collection::vec((0u16..1_000, 0u64..40, 0u64..1_000), 1..250),
@@ -213,39 +250,46 @@ proptest! {
         delay_micros in 1u64..5_000_000,
     ) {
         let (log2_events, jitter) = sizing;
-        let profile = QueueProfile::Wheel {
+        let profile = QueueProfile {
             expected_events: (1usize << log2_events) + jitter,
             typical_delay: SimDuration::from_micros(delay_micros),
         };
-        let mut heap: EventQueue<u64> = EventQueue::new();
-        let mut wheel: EventQueue<u64> = EventQueue::with_profile(profile);
+        let mut model = HeapModel::default();
+        let mut queue: EventQueue<u64> = EventQueue::with_profile(profile);
         let mut ev = 0u64;
         for &(op, coarse, fine) in &ops {
             match op {
-                // 0.2%: clear both and keep going on the emptied queues.
+                // 0.2%: pop both dry and keep going on the emptied
+                // queues (the wheel keeps its advanced floor).
                 0..=1 => {
-                    heap.clear();
-                    wheel.clear();
+                    let expected: Vec<Triple> =
+                        std::iter::from_fn(|| model.heap.pop().map(triple)).collect();
+                    let popped: Vec<Triple> =
+                        std::iter::from_fn(|| queue.pop().map(triple)).collect();
+                    prop_assert_eq!(expected, popped);
                 }
-                // 1%: clone-then-drain. The clones pop the same
-                // sequence, and the originals are untouched.
+                // 1%: the checkpoint snapshot of the live queue is the
+                // model's pop order and the queue's own clone-and-drain,
+                // and it leaves the queue untouched.
                 2..=11 => {
-                    prop_assert_eq!(drain(heap.clone()), drain(wheel.clone()));
+                    let snapshot: Vec<Triple> =
+                        queue.snapshot_events().into_iter().map(triple).collect();
+                    prop_assert_eq!(&snapshot, &drain_model(model.clone()));
+                    prop_assert_eq!(&snapshot, &drain(queue.clone()));
                 }
-                // 1%: snapshot and restore. Both queues are drained and
-                // compared, then rebuilt from that sequence through
-                // `push_scheduled`, in reverse order, into a fresh queue
-                // of the same backend.
+                // 1%: snapshot and restore. The queue's snapshot must
+                // equal the model's drain; both are then rebuilt from it
+                // through `push_scheduled`, in reverse order, the queue
+                // into a fresh one of the same profile.
                 12..=21 => {
-                    let pending = drain(std::mem::take(&mut heap));
-                    let from_wheel = drain(std::mem::replace(
-                        &mut wheel,
-                        EventQueue::with_profile(profile),
-                    ));
-                    prop_assert_eq!(&pending, &from_wheel);
+                    let pending = drain_model(std::mem::take(&mut model));
+                    let snapshot: Vec<Triple> =
+                        queue.snapshot_events().into_iter().map(triple).collect();
+                    prop_assert_eq!(&pending, &snapshot);
+                    queue = EventQueue::with_profile(profile);
                     for &(time, seq, event) in pending.iter().rev() {
-                        heap.push_scheduled(Scheduled { time, seq, event });
-                        wheel.push_scheduled(Scheduled { time, seq, event });
+                        model.push_scheduled(Scheduled { time, seq, event });
+                        queue.push_scheduled(Scheduled { time, seq, event });
                     }
                 }
                 _ => match op % 4 {
@@ -254,27 +298,25 @@ proptest! {
                     // (time, seq) ties.
                     kind @ (0 | 1) => {
                         let t = SimTime::from_micros(coarse * 1_000_000 + u64::from(kind) * fine);
-                        heap.push(t, ev);
-                        wheel.push(t, ev);
+                        model.push(t, ev);
+                        queue.push(t, ev);
                         ev += 1;
                     }
-                    // Far-future push: lands in the wheel's overflow heap.
+                    // Far-future push: lands in the overflow heap.
                     2 => {
                         let t = SimTime::from_secs(3_600 + coarse);
-                        heap.push(t, ev);
-                        wheel.push(t, ev);
+                        model.push(t, ev);
+                        queue.push(t, ev);
                         ev += 1;
                     }
                     _ => {
-                        let (a, b) = (heap.pop(), wheel.pop());
-                        prop_assert_eq!(a.as_ref().map(|s| (s.time, s.seq, s.event)),
-                                        b.as_ref().map(|s| (s.time, s.seq, s.event)));
+                        prop_assert_eq!(model.heap.pop().map(triple), queue.pop().map(triple));
                     }
                 },
             }
-            prop_assert_eq!(heap.len(), wheel.len());
-            prop_assert_eq!(heap.peek_time(), wheel.peek_time());
+            prop_assert_eq!(model.heap.len(), queue.len());
+            prop_assert_eq!(model.heap.peek().map(|s| s.time), queue.peek_time());
         }
-        prop_assert_eq!(drain(heap), drain(wheel));
+        prop_assert_eq!(drain_model(model), drain(queue));
     }
 }

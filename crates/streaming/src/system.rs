@@ -322,22 +322,20 @@ impl<T: TradePolicy> StreamingSystem<T> {
     /// peer one scheduling loop, one playback timer, and up to
     /// `max_pending` in-flight deliveries; plus the source chunk clock,
     /// the sampling chain, and (under churn) one leave timer per peer
-    /// and the arrival process. Size the simulation's queue with this
-    /// ([`scrip_des::Simulation::with_capacity`]) to keep scheduling
-    /// reallocation-free.
+    /// and the arrival process. [`StreamingSystem::queue_profile`] sizes
+    /// the queue's node slab with it.
     pub fn queue_capacity_hint(&self) -> usize {
         let per_peer = 2 + self.config.max_pending + usize::from(self.config.churn.is_some());
         self.arena.len() * per_peer + 3
     }
 
-    /// The event-queue backend this swarm wants: a timing wheel sized
-    /// for the steady-state population from
-    /// [`StreamingSystem::queue_capacity_hint`], with the scheduling
+    /// How this swarm's event queue is sized: the steady-state population
+    /// from [`StreamingSystem::queue_capacity_hint`], with the scheduling
     /// interval as the typical lookahead (the per-peer pull loop
     /// dominates the queue; transfer completions and playback ticks land
     /// within a few intervals of it).
     pub fn queue_profile(&self) -> QueueProfile {
-        QueueProfile::Wheel {
+        QueueProfile {
             expected_events: self.queue_capacity_hint(),
             typical_delay: self.config.schedule_interval,
         }
@@ -642,7 +640,6 @@ impl<T: TradePolicy> Model for StreamingSystem<T> {
                     return;
                 }
                 self.bootstrapped = true;
-                scheduler.reserve(self.queue_capacity_hint());
                 scheduler.schedule_after(SimDuration::ZERO, StreamEvent::SourceChunk);
                 // Stagger peers' scheduling phases to avoid a thundering
                 // herd, drawing in pick order.
@@ -991,7 +988,7 @@ mod tests {
             )
         };
         let warm = caps(sim.model());
-        let heap_cap = sim.scheduler().capacity();
+        let queue_cap = sim.scheduler().capacity();
         let events_before = sim.stats().events_processed;
         sim.run_until(SimTime::from_secs(300));
         assert!(
@@ -1002,8 +999,8 @@ mod tests {
         assert_eq!(caps(sim.model()), warm, "scratch buffers grew");
         assert_eq!(
             sim.scheduler().capacity(),
-            heap_cap,
-            "event heap grew during steady-state streaming"
+            queue_cap,
+            "event queue grew during steady-state streaming"
         );
         assert!(warm.0 > 0 && warm.2 > 0, "scratch buffers were exercised");
     }
