@@ -456,10 +456,7 @@ fn describe_frame(frame: &Option<TraceFrame>) -> String {
     match frame {
         None => "end of trace".into(),
         Some(TraceFrame::Event { time, seq, payload }) => {
-            let decoded = match MarketEvent::from_trace_payload(payload) {
-                Ok(event) => format!("{event:?}"),
-                Err(_) => format!("<{} undecodable payload bytes>", payload.len()),
-            };
+            let decoded = MarketEvent::describe_trace_payload(payload);
             format!("event {decoded} at (t={}µs, seq={seq})", time.as_micros())
         }
         Some(TraceFrame::Digest {

@@ -170,7 +170,7 @@ pub fn ablation_queue_vs_protocol(scale: RunScale) -> Result<FigureResult, Scena
         .streaming(StreamingConfig::market_paced(1.0))
         .run(g, 31, horizon)
         .map_err(|e| ScenarioError::Run(format!("protocol market: {e}")))?;
-    let protocol_rates = system.policy().spending_rates_sorted(horizon);
+    let protocol_rates = system.policy().ledger().spending_rates_sorted(horizon);
     let protocol_gini = gini(&protocol_rates).expect("non-empty");
     let balances: BTreeMap<NodeId, u64> = system.policy().ledger().iter().collect();
     let protocol_wealth_gini =

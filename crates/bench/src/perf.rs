@@ -467,7 +467,7 @@ fn run_serve_case(n: usize, horizon_secs: u64, scale: &str) -> BenchEntry {
 
 /// Measures the cost of a wealth-Gini sample at size `n`: run the
 /// asymmetric market briefly to de-equalize wealth, then time repeated
-/// [`CreditMarket::wealth_gini`] calls.
+/// [`scrip_core::Ledger::wealth_gini`] calls.
 fn run_gini_case(n: usize, samples: u64, scale: &str) -> BenchEntry {
     let config = regime_config("asymmetric", n);
     let market =
@@ -475,7 +475,7 @@ fn run_gini_case(n: usize, samples: u64, scale: &str) -> BenchEntry {
     let start = Instant::now();
     let mut acc = 0.0f64;
     for _ in 0..samples {
-        acc += market.wealth_gini().expect("non-empty market");
+        acc += market.ledger().wealth_gini().expect("non-empty market");
     }
     let wall = start.elapsed().as_secs_f64().max(1e-9);
     // Keep the accumulator observable so the loop cannot be elided.

@@ -205,11 +205,6 @@ impl ReplicationRun {
     pub fn tax_collected(&self) -> u64 {
         self.record.counter(ids::TAX_COLLECTED)
     }
-
-    /// Credits redistributed by taxation (0 without tax).
-    pub fn tax_redistributed(&self) -> u64 {
-        self.record.counter(ids::TAX_REDISTRIBUTED)
-    }
 }
 
 /// All replications of one expanded case, plus aggregation helpers.
@@ -853,7 +848,7 @@ mod tests {
             run_market(sc.base.build().expect("valid"), 99, SimTime::from_secs(400)).expect("runs");
         assert_eq!(
             result.cases[0].reps[0].final_balances(),
-            direct.balances_sorted()
+            direct.ledger().balances_sorted()
         );
         assert_eq!(result.cases[0].reps[0].purchases(), direct.purchases());
     }

@@ -1,4 +1,4 @@
-//! The credit ledger: integer wallets with conservation accounting.
+//! The credit ledger: one wallet per peer, with conservation accounting.
 //!
 //! Credits in the paper are indivisible units (jobs in the queueing
 //! model), so wallets are `u64` balances. The ledger tracks every unit
@@ -7,24 +7,39 @@
 //! `Σ balances + escrow = minted − burned` is checkable at any time —
 //! the market simulators assert it in tests.
 //!
-//! Balances sit in a table indexed by raw [`NodeId`], like the
-//! overlay's rows and the posted prices: IDs are dense and never
-//! reused, so a departed peer keeps a zeroed entry and nothing moves on
+//! A wallet is one record per raw [`NodeId`] holding the peer's balance
+//! (its queue length in the paper's model) next to the credits it has
+//! spent (the numerator of Fig. 1's spending rates), in a table like
+//! the overlay's rows and the posted prices: IDs are dense and never
+//! reused, so a departed peer keeps a zeroed record and nothing moves on
 //! departure. The ledger's [`PeerArena`] holds the account holders in
 //! *pick order* ([`Ledger::ids`]), which is its owner's one peer
 //! registry: uniform peer picks, escrow sweeps and checkpoints iterate
 //! it, so RNG draws and checkpoint bytes do not depend on raw-id
-//! layout. The wallet total is a cached running sum so
-//! [`Ledger::total`] and [`Ledger::conserved`] are O(1), and an
-//! optional [`IncrementalGini`] accumulator is kept in sync by every
-//! mutation so a wealth-Gini sample is O(1) too
+//! layout. The wallet and spend totals are cached running sums, so
+//! [`Ledger::total`], [`Ledger::total_spent`] and [`Ledger::conserved`]
+//! are O(1), and an optional [`IncrementalGini`] accumulator is kept in
+//! sync by every mutation so a wealth-Gini sample is O(1) too
 //! ([`Ledger::enable_wealth_tracking`]).
+//!
+//! Both market granularities keep their economy here: the reports of
+//! the paper's figures (wealth Gini, sorted balances, sorted spending
+//! rates) and the escrow recycling of Sec. VI's tax
+//! ([`Ledger::recycle_escrow`]) are defined once, on the ledger.
 
-use scrip_econ::IncrementalGini;
+use scrip_des::SimTime;
+use scrip_econ::{gini_u64, IncrementalGini};
 use scrip_topology::NodeId;
 
 use crate::arena::PeerArena;
 use crate::error::CoreError;
+
+/// One peer's wallet: what it holds and what it has spent while live.
+#[derive(Clone, Copy, Debug, Default)]
+struct Wallet {
+    balance: u64,
+    spent: u64,
+}
 
 /// Integer credit wallets for a set of peers, with mint/burn accounting.
 ///
@@ -39,9 +54,11 @@ use crate::error::CoreError;
 /// ledger.mint(a, 10);
 /// ledger.mint(b, 10);
 /// ledger.transfer(a, b, 3)?;
+/// ledger.record_spend(a, 3);
 /// assert_eq!(ledger.balance(a), 7);
 /// assert_eq!(ledger.balance(b), 13);
 /// assert_eq!(ledger.total(), 20);
+/// assert_eq!(ledger.total_spent(), 3);
 /// # Ok(())
 /// # }
 /// ```
@@ -50,10 +67,12 @@ pub struct Ledger {
     /// The account holders in pick order: the peer registry of the
     /// market that owns this ledger.
     arena: PeerArena,
-    /// Balances by raw id (0 for departed and never-seen ids).
-    balances: Vec<u64>,
-    /// Cached `Σ balances` (wallets only, excluding escrow).
+    /// Wallets by raw id (zeroed for departed and never-seen ids).
+    wallets: Vec<Wallet>,
+    /// Cached `Σ balance` (wallets only, excluding escrow).
     total: u64,
+    /// Cached `Σ spent` over the account holders.
+    total_spent: u64,
     minted: u64,
     burned: u64,
     escrow: u64,
@@ -62,18 +81,19 @@ pub struct Ledger {
     tracker: Option<IncrementalGini>,
 }
 
-/// Equality is semantic: same accounts with the same balances and the
-/// same accounting counters, independent of pick order, table size and
-/// whether wealth tracking is enabled.
+/// Equality is semantic: same accounts with the same balances and spend
+/// and the same accounting counters, independent of pick order, table
+/// size and whether wealth tracking is enabled.
 impl PartialEq for Ledger {
     fn eq(&self, other: &Self) -> bool {
         self.minted == other.minted
             && self.burned == other.burned
             && self.escrow == other.escrow
+            && self.total_spent == other.total_spent
             && self.accounts() == other.accounts()
-            && self
-                .slot_entries()
-                .all(|(id, b)| other.has_account(id) && other.balance(id) == b)
+            && self.slot_entries().all(|(id, b)| {
+                other.has_account(id) && other.balance(id) == b && other.spent(id) == self.spent(id)
+            })
     }
 }
 
@@ -83,6 +103,15 @@ impl Ledger {
     /// An empty ledger.
     pub fn new() -> Self {
         Ledger::default()
+    }
+
+    /// An empty ledger whose wallet table has room for raw ids below
+    /// `ids` without growing: for a market built over a known overlay.
+    pub fn with_capacity(ids: usize) -> Self {
+        Ledger {
+            wallets: Vec::with_capacity(ids),
+            ..Ledger::default()
+        }
     }
 
     /// Starts maintaining an [`IncrementalGini`] accumulator over the
@@ -108,11 +137,24 @@ impl Ledger {
         self.tracker.as_ref().and_then(IncrementalGini::gini)
     }
 
+    /// Gini index of the current wealth distribution: O(1) from the
+    /// online accumulator when tracking is enabled, otherwise the
+    /// sort-based [`gini_u64`] over the balances (bit-identical).
+    ///
+    /// # Errors
+    /// Returns [`CoreError::Econ`] if there are no accounts.
+    pub fn wealth_gini(&self) -> Result<f64, CoreError> {
+        match self.tracked_gini() {
+            Some(g) => Ok(g),
+            None => Ok(gini_u64(&self.balances_vec())?),
+        }
+    }
+
     /// Sets `peer`'s balance to `new` and applies the change to the
     /// cached total and the tracker.
     #[inline]
     fn set(&mut self, peer: NodeId, new: u64) {
-        let old = std::mem::replace(&mut self.balances[peer.index()], new);
+        let old = std::mem::replace(&mut self.wallets[peer.index()].balance, new);
         self.total = self.total - old + new;
         if let Some(tracker) = &mut self.tracker {
             tracker.update(old, new);
@@ -134,7 +176,7 @@ impl Ledger {
     /// Creates an account (if absent) and mints `amount` fresh credits
     /// into it. A new account goes last in pick order.
     ///
-    /// The balance table grows to `peer.index() + 1` entries, so this is
+    /// The wallet table grows to `peer.index() + 1` entries, so this is
     /// for densely allocated IDs (as handed out by
     /// [`scrip_topology::Graph::add_node`]). Reads on arbitrary IDs are
     /// always safe.
@@ -148,19 +190,22 @@ impl Ledger {
     }
 
     /// Opens an account for `peer` holding `amount`, last in pick
-    /// order.
+    /// order, with nothing spent.
     ///
     /// # Panics
     /// Panics if `peer` already has an account.
     fn open(&mut self, peer: NodeId, amount: u64) {
-        // Grow the balance table before the pick order: in the reverse
+        // Grow the wallet table before the pick order: in the reverse
         // order glibc's heap fragmented over perfbench's repeated
         // 10⁵-peer builds, and `churn`'s peak RSS rose from 50 to 59 MB.
         let raw = peer.index();
-        if raw >= self.balances.len() {
-            self.balances.resize(raw + 1, 0);
+        if raw >= self.wallets.len() {
+            self.wallets.resize(raw + 1, Wallet::default());
         }
-        self.balances[raw] = amount;
+        self.wallets[raw] = Wallet {
+            balance: amount,
+            spent: 0,
+        };
         self.arena.insert(peer);
         self.total += amount;
         if let Some(tracker) = &mut self.tracker {
@@ -170,25 +215,52 @@ impl Ledger {
 
     /// Removes `peer`'s account, burning its remaining balance (the
     /// departing peer "takes away its credits in possession"), and
-    /// returns the burned amount (0 without an account). The last
+    /// returns the burned amount (0 without an account). The peer's
+    /// spend leaves [`Ledger::total_spent`] with it, and the last
     /// account in pick order takes its place.
     pub fn burn(&mut self, peer: NodeId) -> u64 {
         if !self.arena.remove(peer) {
             return 0;
         }
-        let amount = std::mem::take(&mut self.balances[peer.index()]);
-        self.total -= amount;
-        self.burned += amount;
+        let wallet = std::mem::take(&mut self.wallets[peer.index()]);
+        self.total -= wallet.balance;
+        self.total_spent -= wallet.spent;
+        self.burned += wallet.balance;
         if let Some(tracker) = &mut self.tracker {
-            tracker.remove(amount);
+            tracker.remove(wallet.balance);
         }
-        amount
+        wallet.balance
     }
 
     /// The balance of `peer` (0 for unknown and departed accounts).
     #[inline]
     pub fn balance(&self, peer: NodeId) -> u64 {
-        self.balances.get(peer.index()).copied().unwrap_or(0)
+        self.wallets.get(peer.index()).map_or(0, |w| w.balance)
+    }
+
+    /// The credits `peer` has spent (0 for unknown and departed
+    /// accounts).
+    pub fn spent(&self, peer: NodeId) -> u64 {
+        self.wallets.get(peer.index()).map_or(0, |w| w.spent)
+    }
+
+    /// Records that `peer` spent `amount` credits — a purchase paid,
+    /// or payment lost to a defecting seller. Balances do not move;
+    /// the payment itself goes through [`Ledger::transfer`],
+    /// [`Ledger::withhold`] or [`Ledger::pay_from_escrow`]. A no-op
+    /// without an account.
+    #[inline]
+    pub fn record_spend(&mut self, peer: NodeId, amount: u64) {
+        if self.has_account(peer) {
+            self.wallets[peer.index()].spent += amount;
+            self.total_spent += amount;
+        }
+    }
+
+    /// Total credits spent by the account holders. O(1): maintained
+    /// incrementally alongside the per-wallet spend.
+    pub fn total_spent(&self) -> u64 {
+        self.total_spent
     }
 
     /// Moves `amount` credits from `from` to `to`.
@@ -242,9 +314,8 @@ impl Ledger {
     }
 
     /// Pays up to `amount` from the escrow to *every* account, in pick
-    /// order (the taxation sweep "returns a unit to each peer"), without
-    /// any per-sweep allocation. Returns the total paid; stops early
-    /// when the escrow runs dry.
+    /// order, without any per-sweep allocation. Returns the total paid;
+    /// stops early when the escrow runs dry.
     pub fn pay_each_from_escrow(&mut self, amount: u64) -> u64 {
         let mut paid = 0;
         for i in 0..self.arena.len() {
@@ -256,6 +327,22 @@ impl Ledger {
             self.escrow -= pay;
             self.set(id, self.balance(id) + pay);
             paid += pay;
+        }
+        paid
+    }
+
+    /// Recycles escrow back into circulation (the paper's Sec. VI tax:
+    /// "whenever the system has collected N units of credits, it
+    /// returns a unit to each peer"): pays one credit to every account
+    /// in pick order, sweep after sweep, while the escrow beyond
+    /// `reserve` covers the whole population. `reserve` is escrow that
+    /// backs open trades and must stay put. Returns the total paid.
+    pub fn recycle_escrow(&mut self, reserve: u64) -> u64 {
+        let live = self.accounts() as u64;
+        let mut paid = 0;
+        // Each sweep pays exactly `live` credits, so the loop ends.
+        while live > 0 && self.escrow >= reserve.saturating_add(live) {
+            paid += self.pay_each_from_escrow(1);
         }
         paid
     }
@@ -277,12 +364,12 @@ impl Ledger {
     }
 
     /// Heap bytes reserved by per-wallet storage: the pick-order list
-    /// and its position table plus the balance table (capacities, the
+    /// and its position table plus the wallet table (capacities, the
     /// allocator's view). The optional wealth tracker is excluded — its
     /// rank array is sized by the maximum wealth value, not the wallet
     /// count; see [`Ledger::tracker_heap_bytes`].
     pub fn heap_bytes(&self) -> usize {
-        self.arena.heap_bytes() + self.balances.capacity() * std::mem::size_of::<u64>()
+        self.arena.heap_bytes() + self.wallets.capacity() * std::mem::size_of::<Wallet>()
     }
 
     /// Heap bytes reserved by the online Gini tracker's rank array
@@ -304,14 +391,35 @@ impl Ledger {
     /// Iterates `(peer, balance)` in ascending peer order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
         (0..)
-            .zip(&self.balances)
-            .map(|(raw, &b)| (NodeId::from_raw(raw), b))
+            .zip(&self.wallets)
+            .map(|(raw, w)| (NodeId::from_raw(raw), w.balance))
             .filter(|&(id, _)| self.has_account(id))
     }
 
     /// The balances as a vector in ascending peer order (for Gini etc.).
     pub fn balances_vec(&self) -> Vec<u64> {
         self.iter().map(|(_, b)| b).collect()
+    }
+
+    /// Current balances sorted ascending (the y-values of the paper's
+    /// Figs. 5–6).
+    pub fn balances_sorted(&self) -> Vec<u64> {
+        let mut v = self.balances_vec();
+        v.sort_unstable();
+        v
+    }
+
+    /// Per-account credit spending *rates* over `[0, now]`, sorted
+    /// ascending — the series plotted in the paper's Fig. 1.
+    pub fn spending_rates_sorted(&self, now: SimTime) -> Vec<f64> {
+        let elapsed = now.as_secs_f64().max(1e-9);
+        let mut rates: Vec<f64> = self
+            .ids()
+            .iter()
+            .map(|&id| self.spent(id) as f64 / elapsed)
+            .collect();
+        rates.sort_by(|a, b| a.partial_cmp(b).expect("finite rates"));
+        rates
     }
 
     /// `(peer, balance)` pairs in *pick* order, not ascending-ID order.
@@ -322,15 +430,17 @@ impl Ledger {
         self.arena
             .ids()
             .iter()
-            .map(|&id| (id, self.balances[id.index()]))
+            .map(|&id| (id, self.wallets[id.index()].balance))
     }
 
     /// Rebuilds a ledger from checkpointed parts: `entries` must be in
     /// pick order (as produced by [`Ledger::slot_entries`]) so the order
     /// — and everything whose iteration depends on it — comes back
-    /// identical. Wealth tracking starts disabled; call
-    /// [`Ledger::enable_wealth_tracking`] afterwards if the original had
-    /// it (the accumulator is a pure function of the balance multiset).
+    /// identical. Every account starts with nothing spent; replay the
+    /// checkpointed spend through [`Ledger::record_spend`]. Wealth
+    /// tracking starts disabled; call [`Ledger::enable_wealth_tracking`]
+    /// afterwards if the original had it (the accumulator is a pure
+    /// function of the balance multiset).
     ///
     /// # Panics
     /// Panics if an id appears twice in `entries`.
@@ -348,12 +458,13 @@ impl Ledger {
     }
 
     /// Checks the conservation invariant
-    /// `Σ balances + escrow == minted − burned`. O(1).
+    /// `Σ balances + escrow == minted − burned`. O(1). False when more
+    /// was burned than minted.
     pub fn conserved(&self) -> bool {
-        self.total + self.escrow == self.minted - self.burned
+        let held = self.total.checked_add(self.escrow);
+        held.is_some() && self.minted.checked_sub(self.burned) == held
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,6 +578,55 @@ mod tests {
     }
 
     #[test]
+    fn spend_is_recorded_per_wallet_and_burned_with_it() {
+        let mut l = Ledger::new();
+        for i in 0..3 {
+            l.mint(id(i), 10);
+        }
+        l.record_spend(id(0), 4);
+        l.record_spend(id(2), 1);
+        l.record_spend(id(0), 2);
+        l.record_spend(id(9), 5); // no account: ignored
+        assert_eq!((l.spent(id(0)), l.spent(id(1)), l.spent(id(2))), (6, 0, 1));
+        assert_eq!(l.total_spent(), 7);
+        let rates = l.spending_rates_sorted(SimTime::from_secs(2));
+        assert_eq!(rates, vec![0.0, 0.5, 3.0]);
+        assert_eq!(l.burn(id(0)), 10);
+        assert_eq!(l.spent(id(0)), 0);
+        assert_eq!(l.total_spent(), 1, "a departing peer takes its spend");
+        // A re-opened id starts with nothing spent.
+        l.mint(id(0), 1);
+        assert_eq!(l.spent(id(0)), 0);
+    }
+
+    #[test]
+    fn recycle_escrow_keeps_the_reserve() {
+        let mut l = Ledger::new();
+        for i in 0..4 {
+            l.mint(id(i), 10);
+        }
+        l.withhold(id(0), 10);
+        // 10 in escrow with 3 reserved covers one sweep of 4; the 6
+        // left do not cover another (6 < 3 + 4).
+        assert_eq!(l.recycle_escrow(3), 4);
+        assert_eq!(l.escrow(), 6);
+        assert_eq!(l.recycle_escrow(0), 4);
+        assert_eq!(l.escrow(), 2);
+        assert_eq!(l.recycle_escrow(0), 0, "escrow below one sweep");
+        assert_eq!(l.recycle_escrow(u64::MAX), 0);
+        assert_eq!(l.balances_sorted(), vec![2, 12, 12, 12]);
+        assert!(l.conserved());
+    }
+
+    #[test]
+    fn conserved_is_false_when_more_was_burned_than_minted() {
+        let l = Ledger::restore(&[], 0, 3, 5);
+        assert!(!l.conserved());
+        let l = Ledger::restore(&[(id(0), u64::MAX)], 1, u64::MAX, 0);
+        assert!(!l.conserved(), "held credits overflow");
+    }
+
+    #[test]
     fn restore_round_trips_slot_layout() {
         let mut l = Ledger::new();
         for i in 0..5 {
@@ -474,8 +634,13 @@ mod tests {
         }
         l.burn(id(1)); // perturb pick order via swap-remove
         l.withhold(id(0), 3);
+        l.record_spend(id(4), 2);
         let entries: Vec<(NodeId, u64)> = l.slot_entries().collect();
-        let r = Ledger::restore(&entries, l.escrow(), l.minted(), l.burned());
+        let mut r = Ledger::restore(&entries, l.escrow(), l.minted(), l.burned());
+        assert_ne!(r, l, "spend is ledger state");
+        for &(peer, _) in &entries {
+            r.record_spend(peer, l.spent(peer));
+        }
         assert_eq!(r, l);
         assert!(r.conserved());
         // The pick order (not just semantic content) must round-trip.
@@ -518,6 +683,7 @@ mod tests {
         l.burn(id(3));
         let reference = gini_u64(&l.balances_vec()).expect("non-empty");
         assert_eq!(l.tracked_gini(), Some(reference), "bit-exact vs oracle");
+        assert_eq!(l.wealth_gini().ok(), Some(reference));
         // Total stays consistent through all of the above.
         assert!(l.conserved());
     }

@@ -44,7 +44,7 @@
 //! sim.run_until(SimTime::from_secs(2_000));
 //!
 //! let market = sim.model();
-//! let gini = market.wealth_gini()?;
+//! let gini = market.ledger().wealth_gini()?;
 //! assert!((0.0..=1.0).contains(&gini));
 //! // The Jackson-network analysis of the same market:
 //! let analysis = scrip_core::mapping::analyze_market(market)?;

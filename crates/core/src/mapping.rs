@@ -14,8 +14,6 @@ use scrip_econ::gini_from_pmf;
 use scrip_queueing::closed::{normalized_utilizations, ClosedJackson};
 use scrip_queueing::condensation::{classify, empirical_threshold, Regime, ThresholdEstimate};
 use scrip_queueing::stationary::{stationary_flows, SolveMethod};
-use scrip_streaming::StreamingSystem;
-use scrip_streaming::TradePolicy;
 use scrip_topology::{Graph, NodeId};
 
 use crate::error::CoreError;
@@ -158,24 +156,6 @@ pub fn analyze_market(market: &CreditMarket) -> Result<MarketAnalysis, CoreError
     }
 }
 
-/// Analyzes a live streaming swarm: routing weights come from current
-/// chunk availability ("credit transfer probabilities to neighbors are
-/// decided by their data chunks availability during streaming"), service
-/// rates are uniform at `base_rate`, and the credit supply is
-/// `total_credits`.
-///
-/// # Errors
-/// Returns [`CoreError`] if the swarm's overlay is empty or reducible.
-pub fn analyze_streaming<T: TradePolicy>(
-    system: &StreamingSystem<T>,
-    base_rate: f64,
-    total_credits: u64,
-) -> Result<MarketAnalysis, CoreError> {
-    let weights = system.availability_weights();
-    let rates: BTreeMap<NodeId, f64> = system.peers().map(|(id, _)| (id, base_rate)).collect();
-    MarketAnalysis::compute(system.graph(), &rates, &weights, total_credits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,27 +256,5 @@ mod tests {
         assert!((analysis.average_wealth - 20.0).abs() < 1e-9);
         // Complete graph with flat rates: symmetric ⇒ divergent threshold.
         assert_eq!(analysis.threshold.threshold, Threshold::Divergent);
-    }
-
-    #[test]
-    fn analyze_streaming_uses_availability() {
-        use crate::protocol::StreamingMarket;
-        let mut rng = SimRng::seed_from_u64(6);
-        let g = generators::scale_free(&ScaleFreeConfig::new(40).expect("cfg"), &mut rng)
-            .expect("graph");
-        let system = StreamingMarket::new(100)
-            .run(g, 11, SimTime::from_secs(90))
-            .expect("runs");
-        match analyze_streaming(&system, 1.0, 40 * 100) {
-            Ok(analysis) => {
-                assert_eq!(analysis.peers.len(), 40);
-                assert!(analysis.utilizations.iter().all(|&u| u > 0.0 && u <= 1.0));
-            }
-            Err(CoreError::Queueing(_)) => {
-                // Availability-weighted routing can be reducible at a
-                // given instant (some peer buys from nobody); acceptable.
-            }
-            Err(e) => panic!("unexpected error: {e}"),
-        }
     }
 }

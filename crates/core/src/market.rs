@@ -12,13 +12,15 @@
 //! transfers inside a live-streaming swarm (Fig. 1) — see
 //! [`crate::protocol`].
 //!
-//! Every per-peer column (balances, spending rates, spent counters,
-//! activity, in-flight escrow) is indexed by raw [`NodeId`], like the
+//! Every per-peer column is indexed by raw [`NodeId`], like the
 //! [`Graph`]'s rows and the posted prices: a joiner pushes one entry and
 //! a departure zeroes its entries, so a spend reads each column with no
-//! lookup in between. The [`Ledger`]'s pick-order list is the market's
-//! one peer registry; everything whose outcome depends on peer order
-//! (the complete-mixing pick, checkpoints, escrow sweeps) iterates it.
+//! lookup in between. The [`Ledger`] owns each peer's wallet — balance
+//! and credits spent in one record — and the escrow recycling of the
+//! tax; the market keeps spending rates, activity and in-flight escrow.
+//! The ledger's pick-order list is the market's one peer registry;
+//! everything whose outcome depends on peer order (the complete-mixing
+//! pick, checkpoints, escrow sweeps) iterates it.
 
 use scrip_des::stats::TimeSeries;
 pub use scrip_des::FaultStats;
@@ -413,6 +415,16 @@ impl MarketEvent {
         r.finish()?;
         Ok(event)
     }
+
+    /// Renders one trace event payload for divergence reports: the
+    /// decoded event in debug form, or the payload's size when it does
+    /// not decode.
+    pub fn describe_trace_payload(bytes: &[u8]) -> String {
+        match MarketEvent::from_trace_payload(bytes) {
+            Ok(event) => format!("{event:?}"),
+            Err(_) => format!("<{} undecodable payload bytes>", bytes.len()),
+        }
+    }
 }
 
 /// Component-by-component heap accounting for one [`CreditMarket`]
@@ -428,12 +440,13 @@ pub struct MemoryAudit {
     /// counted in `adjacency_bytes`; the market's peer registry is the
     /// ledger's, counted in `ledger_bytes`.
     pub join_index_bytes: usize,
-    /// Ledger wallets: the pick-order registry + the balance table.
+    /// Ledger wallets: the pick-order registry + the wallet table
+    /// (balance and spend per id).
     pub ledger_bytes: usize,
     /// Posted-price storage (0 under uniform pricing).
     pub pricing_bytes: usize,
-    /// Spending rates `μ`, spent counters, activity traces, and the
-    /// in-flight escrow column (allocated with or without faults).
+    /// Spending rates `μ`, activity traces, and the in-flight escrow
+    /// column (allocated with or without faults).
     pub rates_bytes: usize,
     /// Adjacency rows and their per-ID row headers — degree-proportional
     /// (≈ 8 B × degree per peer), accounted apart from the flat per-peer
@@ -453,7 +466,7 @@ impl MemoryAudit {
     /// join index), excluding adjacency and fixed costs. Under churn the
     /// tables keep every id ever allocated, so the figure grows as dead
     /// ids outnumber live peers. The performance model's
-    /// per-peer budget (≈ 72 B measured, pinned at ≤ 75 B at n = 10⁴)
+    /// per-peer budget (≈ 67 B measured, pinned at ≤ 75 B at n = 10⁴)
     /// applies to this number.
     pub fn state_bytes_per_peer(&self) -> usize {
         if self.peers == 0 {
@@ -500,12 +513,6 @@ pub struct CreditMarket {
     /// ids); the ledger's `ids()` is the dense peer vector for O(1)
     /// complete-mixing sampling.
     mu: Vec<f64>,
-    /// Credits spent so far per peer.
-    spent: Vec<u64>,
-    /// Σ `spent` over live peers, maintained incrementally (bumped per
-    /// purchase, reduced on departure) so [`CreditMarket::total_spent`]
-    /// is O(1).
-    total_spent: u64,
     /// Exponentially decayed recent-purchase activity per peer (the
     /// inventory proxy for availability feedback): `(value, last bump)`.
     activity: Vec<(f64, SimTime)>,
@@ -551,7 +558,7 @@ impl CreditMarket {
         }
         let mut rng = SimRng::seed_from_u64(seed);
         let graph = config.build_graph(&mut rng)?;
-        let mut ledger = Ledger::new();
+        let mut ledger = Ledger::with_capacity(graph.next_raw_id() as usize);
         for id in graph.node_ids() {
             ledger.mint(id, config.initial_credits);
         }
@@ -581,8 +588,6 @@ impl CreditMarket {
             churn_topology: ChurnTopology::new(attach),
             rng,
             mu,
-            spent: vec![0; n],
-            total_spent: 0,
             activity: vec![(1.0, SimTime::ZERO); n],
             seller_sampler: FenwickSampler::new(),
             denied: 0,
@@ -606,7 +611,8 @@ impl CreditMarket {
         &self.graph
     }
 
-    /// The credit ledger.
+    /// The credit ledger: balances, spend, escrow, and the reports
+    /// built on them (wealth Gini, sorted balances and spending rates).
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
     }
@@ -630,47 +636,6 @@ impl CreditMarket {
     /// The recorded Gini-over-time trajectory.
     pub fn gini_series(&self) -> &TimeSeries {
         &self.gini_series
-    }
-
-    /// Gini index of the current wealth distribution. O(1): read from
-    /// the ledger's online accumulator (bit-compatible with the
-    /// [`gini_u64`] oracle).
-    ///
-    /// # Errors
-    /// Returns [`CoreError::Econ`] if the market has no peers.
-    pub fn wealth_gini(&self) -> Result<f64, CoreError> {
-        match self.ledger.tracked_gini() {
-            Some(g) => Ok(g),
-            None => Ok(gini_u64(&self.ledger.balances_vec())?),
-        }
-    }
-
-    /// Current balances sorted ascending (the y-values of the paper's
-    /// Figs. 5–6).
-    pub fn balances_sorted(&self) -> Vec<u64> {
-        let mut v = self.ledger.balances_vec();
-        v.sort_unstable();
-        v
-    }
-
-    /// Total credits spent by live peers. O(1): maintained incrementally
-    /// alongside the per-peer counters.
-    pub fn total_spent(&self) -> u64 {
-        self.total_spent
-    }
-
-    /// Per-peer credit spending *rates* over `[0, now]`, sorted ascending
-    /// — the series plotted in the paper's Fig. 1.
-    pub fn spending_rates_sorted(&self, now: SimTime) -> Vec<f64> {
-        let elapsed = now.as_secs_f64().max(1e-9);
-        let mut rates: Vec<f64> = self
-            .ledger
-            .ids()
-            .iter()
-            .map(|id| self.spent[id.index()] as f64 / elapsed)
-            .collect();
-        rates.sort_by(|a, b| a.partial_cmp(b).expect("finite rates"));
-        rates
     }
 
     /// Fault/recovery counters (all zero when faults are disabled).
@@ -734,8 +699,8 @@ impl CreditMarket {
     /// Accounts the market's heap footprint component by component (the
     /// arena layout audit). Capacities, not lengths — the allocator's
     /// view. [`MemoryAudit::state_bytes_per_peer`] is the headline
-    /// number: per-peer *state* (the registry, balances, rates, spend
-    /// counters, activity traces, posted prices), excluding the
+    /// number: per-peer *state* (the registry, wallets, rates, activity
+    /// traces, posted prices), excluding the
     /// degree-proportional adjacency rows and the population-independent
     /// scratch/series/histogram costs, which the audit itemizes
     /// separately.
@@ -746,7 +711,6 @@ impl CreditMarket {
             ledger_bytes: self.ledger.heap_bytes(),
             pricing_bytes: self.pricing.heap_bytes(),
             rates_bytes: self.mu.capacity() * std::mem::size_of::<f64>()
-                + self.spent.capacity() * std::mem::size_of::<u64>()
                 + self.activity.capacity() * std::mem::size_of::<(f64, SimTime)>()
                 + self.in_flight.capacity() * std::mem::size_of::<u64>(),
             adjacency_bytes: self.graph.adjacency_heap_bytes(),
@@ -791,7 +755,7 @@ impl CreditMarket {
             let i = id.index();
             w.put_u64(id.raw());
             w.put_f64(self.mu[i]);
-            w.put_u64(self.spent[i]);
+            w.put_u64(self.ledger.spent(id));
             w.put_f64(self.activity[i].0);
             w.put_u64(self.activity[i].1.as_micros());
             w.put_u64(self.in_flight[i]);
@@ -806,7 +770,7 @@ impl CreditMarket {
         w.put_u64(self.ledger.minted());
         w.put_u64(self.ledger.burned());
         // Scalar counters.
-        w.put_u64(self.total_spent);
+        w.put_u64(self.ledger.total_spent());
         w.put_u64(self.denied);
         w.put_u64(self.purchases);
         w.put_u64(self.in_flight_total);
@@ -930,15 +894,19 @@ impl CreditMarket {
         self.graph = graph;
         // Registry pick order, with the per-peer columns filled by raw
         // id. Every id below the watermark gets an entry; a departed
-        // id's stays zero, as on a leave.
+        // id's stays zero, as on a leave. Spend goes to the ledger once
+        // it is rebuilt below.
         let not_live = "peer registry is not a permutation of the overlay's live ids";
         let n = r.take_count(48)?;
         let table = watermark as usize;
         self.mu = vec![0.0; table];
-        self.spent = vec![0; table];
         self.activity = vec![(0.0, SimTime::ZERO); table];
         self.in_flight = vec![0; table];
         let mut ids = Vec::with_capacity(n);
+        let mut spends = Vec::with_capacity(n);
+        // The column sums, `None` on overflow, checked against the
+        // stored totals below.
+        let (mut spent_sum, mut in_flight_sum) = (Some(0u64), Some(0u64));
         for _ in 0..n {
             let id = NodeId::from_raw(r.take_u64()?);
             if !self.graph.has_node(id) {
@@ -946,10 +914,13 @@ impl CreditMarket {
             }
             let i = id.index();
             self.mu[i] = r.take_f64()?;
-            self.spent[i] = r.take_u64()?;
+            let spent = r.take_u64()?;
             self.activity[i] = (r.take_f64()?, SimTime::from_micros(r.take_u64()?));
             self.in_flight[i] = r.take_u64()?;
+            spent_sum = spent_sum.and_then(|sum| sum.checked_add(spent));
+            in_flight_sum = in_flight_sum.and_then(|sum| sum.checked_add(self.in_flight[i]));
             ids.push(id);
+            spends.push(spent);
         }
         let mut sorted = ids.clone();
         sorted.sort_unstable();
@@ -973,10 +944,34 @@ impl CreditMarket {
         }
         self.ledger = Ledger::restore(&entries, escrow, minted, burned);
         self.ledger.enable_wealth_tracking();
-        self.total_spent = r.take_u64()?;
+        let total_spent = r.take_u64()?;
         self.denied = r.take_u64()?;
         self.purchases = r.take_u64()?;
         self.in_flight_total = r.take_u64()?;
+        // The totals are derived state: a stored total unlike its
+        // column would underflow at the next leave, and in-flight
+        // escrow beyond the pool would let the tax sweep pay out
+        // credits that back open trades.
+        if spent_sum != Some(total_spent) {
+            return Err(CoreError::Checkpoint(format!(
+                "total spent {total_spent} is not the sum of the registry's spent column"
+            )));
+        }
+        if in_flight_sum != Some(self.in_flight_total) {
+            return Err(CoreError::Checkpoint(format!(
+                "in-flight total {} is not the sum of the registry's in-flight column",
+                self.in_flight_total
+            )));
+        }
+        if self.in_flight_total > escrow {
+            return Err(CoreError::Checkpoint(format!(
+                "in-flight total {} exceeds the escrow {escrow}",
+                self.in_flight_total
+            )));
+        }
+        for (&id, &spent) in ids.iter().zip(&spends) {
+            self.ledger.record_spend(id, spent);
+        }
         self.fault_stats.delivered = r.take_u64()?;
         self.fault_stats.dropped = r.take_u64()?;
         self.fault_stats.defected = r.take_u64()?;
@@ -1146,13 +1141,7 @@ impl CreditMarket {
                 self.ledger
                     .transfer(id, j, price)
                     .expect("balance checked above, seller is live");
-                self.spent[id.index()] += price;
-                self.total_spent += price;
-                self.purchases += 1;
-                if self.config.availability_feedback {
-                    self.bump_activity(id, now);
-                }
-                self.settle_tax(j, price);
+                self.complete_purchase(id, j, price, now);
             }
         } else {
             self.denied += 1;
@@ -1160,33 +1149,59 @@ impl CreditMarket {
         self.schedule_spend(id, scheduler);
     }
 
-    /// Income tax on `seller`, if enabled
-    /// and the seller is wealthy enough — shared by the direct settle in
-    /// [`CreditMarket::handle_spend`] and the escrow settle in
-    /// [`CreditMarket::settle_delivery`].
-    fn settle_tax(&mut self, seller: NodeId, price: u64) {
-        if let Some(tax) = &mut self.taxation {
-            let seller_wealth = self.ledger.balance(seller);
-            let due = tax.assess(price, seller_wealth, &mut self.rng);
-            if due > 0 {
-                let withheld = self.ledger.withhold(seller, due);
-                tax.record_collection(withheld);
-            }
-            // Redistribute one credit to every peer whenever the
-            // escrow can cover the whole population. The ledger's
-            // escrow pool also backs in-flight trades under fault
-            // injection; only the tax share (everything beyond
-            // `in_flight_total`) may be redistributed, or the payout
-            // would raid credits committed to open trades.
-            let live = self.ledger.accounts() as u64;
-            while live > 0 && self.ledger.escrow() - self.in_flight_total >= live {
-                let paid = self.ledger.pay_each_from_escrow(1);
-                tax.record_redistribution(paid);
-                if paid == 0 {
-                    break;
-                }
-            }
+    /// The bookkeeping of a purchase whose payment reached `seller`,
+    /// shared by the direct settle in [`CreditMarket::handle_spend`] and
+    /// the escrow settle in [`CreditMarket::settle_delivery`]: the
+    /// buyer's spend, the purchase count, the buyer's activity and, if
+    /// enabled, the seller's income tax.
+    fn complete_purchase(&mut self, buyer: NodeId, seller: NodeId, price: u64, now: SimTime) {
+        self.ledger.record_spend(buyer, price);
+        self.purchases += 1;
+        if self.config.availability_feedback {
+            self.bump_activity(buyer, now);
         }
+        if let Some(tax) = &mut self.taxation {
+            tax.levy(&mut self.ledger, seller, price, &mut self.rng);
+            // The escrow pool also backs in-flight trades under fault
+            // injection; only the tax share beyond them is recycled, or
+            // the payout would raid credits committed to open trades.
+            let paid = self.ledger.recycle_escrow(self.in_flight_total);
+            tax.record_redistribution(paid);
+        }
+    }
+
+    /// Closes `buyer`'s escrowed trade of `price` credits by paying
+    /// them out of escrow to `payee`: the seller on a settle or a
+    /// defection, the buyer itself on a refund.
+    fn release_trade(&mut self, buyer: NodeId, payee: NodeId, price: u64) {
+        self.in_flight[buyer.index()] -= price;
+        self.in_flight_total -= price;
+        let paid = self.ledger.pay_from_escrow(payee, price);
+        debug_assert_eq!(paid, price, "trade escrow funds the release");
+    }
+
+    /// The retry budget of the fault plan.
+    fn max_retries(&self) -> u32 {
+        self.fault_plan
+            .as_ref()
+            .expect("plan present")
+            .spec()
+            .max_retries
+    }
+
+    /// Draws one retry of a failed attempt: counts it, picks the next
+    /// seller and returns it with the delay until the retried delivery
+    /// completes (backoff plus latency). Draw order: the backoff
+    /// jitter, the seller pick, then the plan's latency.
+    fn draw_retry(&mut self, buyer: NodeId, failed: NodeId, attempt: u32) -> (NodeId, SimDuration) {
+        self.fault_stats.retries += 1;
+        let jitter = self.rng.uniform_f64();
+        let next_seller = self.pick_retry_seller(buyer, failed);
+        let plan = self.fault_plan.as_mut().expect("plan present");
+        (
+            next_seller,
+            plan.backoff(attempt, jitter) + plan.delivery_latency(),
+        )
     }
 
     /// Opens one escrow-backed trade: withholds `price` from `buyer`
@@ -1293,19 +1308,10 @@ impl CreditMarket {
         attempt: u32,
         now: SimTime,
     ) {
-        self.in_flight[buyer.index()] -= price;
-        self.in_flight_total -= price;
-        let paid = self.ledger.pay_from_escrow(seller, price);
-        debug_assert_eq!(paid, price, "trade escrow fully funds the settle");
-        self.spent[buyer.index()] += price;
-        self.total_spent += price;
-        self.purchases += 1;
+        self.release_trade(buyer, seller, price);
         self.fault_stats.delivered += 1;
         self.fault_stats.note_conclusion(attempt);
-        if self.config.availability_feedback {
-            self.bump_activity(buyer, now);
-        }
-        self.settle_tax(seller, price);
+        self.complete_purchase(buyer, seller, price, now);
     }
 
     /// The seller takes the escrowed credits and never delivers. The
@@ -1321,28 +1327,14 @@ impl CreditMarket {
         attempt: u32,
         scheduler: &mut Scheduler<MarketEvent>,
     ) {
-        self.in_flight[buyer.index()] -= price;
-        self.in_flight_total -= price;
-        let paid = self.ledger.pay_from_escrow(seller, price);
-        debug_assert_eq!(paid, price, "trade escrow fully funds the defection");
-        self.spent[buyer.index()] += price;
-        self.total_spent += price;
+        self.release_trade(buyer, seller, price);
+        self.ledger.record_spend(buyer, price);
         self.fault_stats.defected += 1;
-        let max_retries = self
-            .fault_plan
-            .as_ref()
-            .expect("plan present")
-            .spec()
-            .max_retries;
-        if attempt > max_retries {
+        if attempt > self.max_retries() {
             // Retry budget exhausted: the buyer gives up on the chunk.
             self.fault_stats.note_conclusion(attempt);
         } else if self.ledger.balance(buyer) >= price {
-            self.fault_stats.retries += 1;
-            let jitter = self.rng.uniform_f64();
-            let next_seller = self.pick_retry_seller(buyer, seller);
-            let plan = self.fault_plan.as_mut().expect("plan present");
-            let delay = plan.backoff(attempt, jitter) + plan.delivery_latency();
+            let (next_seller, delay) = self.draw_retry(buyer, seller, attempt);
             self.begin_trade(buyer, next_seller, price, attempt + 1, delay, scheduler);
         } else {
             // The defection bankrupted the trade: no credits left to
@@ -1364,25 +1356,12 @@ impl CreditMarket {
         attempt: u32,
         scheduler: &mut Scheduler<MarketEvent>,
     ) {
-        let max_retries = self
-            .fault_plan
-            .as_ref()
-            .expect("plan present")
-            .spec()
-            .max_retries;
-        if attempt > max_retries {
-            self.in_flight[buyer.index()] -= price;
-            self.in_flight_total -= price;
-            let refunded = self.ledger.pay_from_escrow(buyer, price);
-            debug_assert_eq!(refunded, price, "trade escrow funds the refund");
+        if attempt > self.max_retries() {
+            self.release_trade(buyer, buyer, price);
             self.fault_stats.refunded += 1;
             self.fault_stats.note_conclusion(attempt);
         } else {
-            self.fault_stats.retries += 1;
-            let jitter = self.rng.uniform_f64();
-            let next_seller = self.pick_retry_seller(buyer, failed_seller);
-            let plan = self.fault_plan.as_mut().expect("plan present");
-            let delay = plan.backoff(attempt, jitter) + plan.delivery_latency();
+            let (next_seller, delay) = self.draw_retry(buyer, failed_seller, attempt);
             scheduler.schedule_after(
                 delay,
                 MarketEvent::Deliver {
@@ -1462,7 +1441,6 @@ impl CreditMarket {
         // column.
         debug_assert_eq!(new.index(), self.mu.len(), "ids are dense");
         self.mu.push(rate);
-        self.spent.push(0);
         self.activity.push((1.0, scheduler.now()));
         self.in_flight.push(0);
         self.schedule_spend(new, scheduler);
@@ -1488,11 +1466,9 @@ impl CreditMarket {
         // first, so the departure burn below takes those credits out
         // of circulation instead of leaking them in escrow forever.
         // (Always zero when faults are off.)
-        let holding = std::mem::take(&mut self.in_flight[i]);
+        let holding = self.in_flight[i];
         if holding > 0 {
-            let refunded = self.ledger.pay_from_escrow(id, holding);
-            debug_assert_eq!(refunded, holding, "escrow under-funded for {id}");
-            self.in_flight_total -= holding;
+            self.release_trade(id, id, holding);
             assert!(
                 self.ledger.conserved(),
                 "departure escrow refund broke conservation (peer {id})"
@@ -1501,12 +1477,11 @@ impl CreditMarket {
         // The graph unlinks the departing peer from its neighbors
         // incrementally; no neighbor cache to rebuild.
         self.graph.remove_node(id).expect("checked live");
+        // The burn takes the peer's spend with it: the spent total
+        // covers live peers only.
         self.ledger.burn(id);
         self.pricing.on_leave(id);
-        // A departing peer takes its spending history with it: the
-        // spent total covers live peers only. Its entries are zeroed,
-        // as a restored checkpoint holds them.
-        self.total_spent -= std::mem::take(&mut self.spent[i]);
+        // Its entries are zeroed, as a restored checkpoint holds them.
         self.mu[i] = 0.0;
         self.activity[i] = (0.0, SimTime::ZERO);
     }
@@ -1515,11 +1490,7 @@ impl CreditMarket {
         // O(1): the ledger maintains the Gini online. (Kept bit-exact
         // with the sort-based oracle; the golden-trajectory tests pin
         // this, and debug builds re-check each sample.)
-        let sampled = match self.ledger.tracked_gini() {
-            Some(g) => Some(g),
-            None => gini_u64(&self.ledger.balances_vec()).ok(),
-        };
-        if let Some(g) = sampled {
+        if let Ok(g) = self.ledger.wealth_gini() {
             debug_assert!(
                 gini_u64(&self.ledger.balances_vec())
                     .map(|reference| (g - reference).abs() < 1e-9)
@@ -1740,7 +1711,9 @@ mod tests {
     #[test]
     fn spending_rates_sorted_is_monotone() {
         let market = run(MarketConfig::new(30, 10), 7, 1_000);
-        let rates = market.spending_rates_sorted(SimTime::from_secs(1_000));
+        let rates = market
+            .ledger()
+            .spending_rates_sorted(SimTime::from_secs(1_000));
         assert_eq!(rates.len(), 30);
         for w in rates.windows(2) {
             assert!(w[1] >= w[0]);
@@ -1853,9 +1826,10 @@ mod tests {
     /// The arena layout audit's budget: flat per-peer market state
     /// (registry, wallets, prices, rates, counters, activity traces)
     /// stays within 75 B/peer at a population large enough that
-    /// constant overheads vanish: 72 B measured with one peer registry
-    /// and an overlay indexed by raw id, plus 3 B of headroom (a slot
-    /// map and sorted-id list beside the overlay rows added ≈ 23 B).
+    /// constant overheads vanish: 67 B measured with one peer registry,
+    /// an overlay indexed by raw id and one wallet record per id, plus
+    /// headroom (a slot map and sorted-id list beside the overlay rows
+    /// added ≈ 23 B).
     /// Adjacency (≈ 8 B × degree) and population-independent scratch
     /// are accounted — and bounded — separately.
     #[test]
@@ -2031,6 +2005,59 @@ mod tests {
         bytes[sellers..sellers + 8].copy_from_slice(&1u64.to_le_bytes());
         bytes.splice(sellers + 8..sellers + 8, entry);
         assert_refused(decode(&market, &bytes), "posts none");
+    }
+
+    /// Offset of the stored `total_spent` counter: after the ledger's
+    /// entries and its three pools. `in_flight_total` is three counters
+    /// later.
+    fn counters_offset(market: &CreditMarket, bytes: &[u8]) -> usize {
+        let (_, ledger, _) = section_offsets(market, bytes);
+        let at = ledger + 8 + 16 * market.peer_count() + 24;
+        assert_eq!(word(bytes, at), market.ledger().total_spent());
+        assert_eq!(word(bytes, at + 24), market.in_flight_escrow());
+        at
+    }
+
+    #[test]
+    fn total_spent_unlike_the_spent_column_fails_closed() {
+        let (market, bytes) = churned_state(PricingConfig::default());
+        let at = counters_offset(&market, &bytes);
+        let total = market.ledger().total_spent();
+        assert!(total > 0, "the run spent credits");
+        for corrupt in [total - 1, total + 1, u64::MAX] {
+            let mut bytes = bytes.clone();
+            bytes[at..at + 8].copy_from_slice(&corrupt.to_le_bytes());
+            assert_refused(decode(&market, &bytes), "total spent");
+        }
+        // A spent column that overflows when summed is refused too.
+        let (registry, _, _) = section_offsets(&market, &bytes);
+        let mut bytes = bytes.clone();
+        for entry in 0..2 {
+            let spent = registry + 8 + 48 * entry + 16;
+            bytes[spent..spent + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        }
+        assert_refused(decode(&market, &bytes), "total spent");
+    }
+
+    #[test]
+    fn in_flight_total_unlike_its_column_fails_closed() {
+        let (market, mut bytes) = churned_state(PricingConfig::default());
+        let at = counters_offset(&market, &bytes) + 24;
+        bytes[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
+        assert_refused(decode(&market, &bytes), "in-flight total");
+    }
+
+    #[test]
+    fn in_flight_escrow_beyond_the_pool_fails_closed() {
+        // The column and its total agree, but no escrow backs them.
+        let (market, mut bytes) = churned_state(PricingConfig::default());
+        assert_eq!(market.ledger().escrow(), 0);
+        let at = counters_offset(&market, &bytes) + 24;
+        let (registry, _, _) = section_offsets(&market, &bytes);
+        let in_flight = registry + 8 + 40;
+        bytes[in_flight..in_flight + 8].copy_from_slice(&5u64.to_le_bytes());
+        bytes[at..at + 8].copy_from_slice(&5u64.to_le_bytes());
+        assert_refused(decode(&market, &bytes), "exceeds the escrow");
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! * [`MarketView`] — the read-only facade a probe observes. Both the
 //!   queue-level [`CreditMarket`] and the chunk-level
 //!   [`StreamingSystem<CreditTradePolicy>`] implement it, so a probe
-//!   written once works at either granularity.
+//!   written once works at either granularity. The economy — wallets,
+//!   spend, escrow and the reports built on them (wealth Gini, sorted
+//!   balances, sorted spending rates) — is read through
+//!   [`MarketView::ledger`], whose [`Ledger`] both markets share.
 //! * [`Probe`] — the observer interface: [`Probe::on_bootstrap`] at the
 //!   start of the run, [`Probe::on_settle`] /  [`Probe::on_sample`] at
 //!   each sampling boundary, [`Probe::at_horizon`] once at the end.
@@ -271,9 +274,11 @@ impl Recorder {
 /// observe goes through this trait, so probes are written once and run
 /// against either simulator.
 ///
-/// The counter accessors are O(1); the distribution accessors assemble
-/// owned vectors and are intended for sampling boundaries, not hot
-/// paths.
+/// The economy itself — balances, spend, escrow, and the reports built
+/// on them (wealth Gini, sorted balances, sorted spending rates) — is
+/// read from [`MarketView::ledger`]. The counters are O(1); the
+/// ledger's distribution reports assemble owned vectors and are
+/// intended for sampling boundaries, not hot paths.
 pub trait MarketView {
     /// Number of live peers.
     fn peer_count(&self) -> usize;
@@ -281,22 +286,10 @@ pub trait MarketView {
     fn purchases(&self) -> u64;
     /// Purchase attempts refused for lack of credits.
     fn denied(&self) -> u64;
-    /// Total credits spent by live peers (O(1)).
-    fn total_spent(&self) -> u64;
     /// The credit ledger.
     fn ledger(&self) -> &Ledger;
     /// Taxation state, when taxation is enabled.
     fn taxation(&self) -> Option<&Taxation>;
-    /// Current balances sorted ascending.
-    fn balances_sorted(&self) -> Vec<u64>;
-    /// Gini of the current wealth distribution (O(1) via the ledger's
-    /// online accumulator).
-    ///
-    /// # Errors
-    /// Returns [`CoreError::Econ`] if the market has no peers.
-    fn wealth_gini(&self) -> Result<f64, CoreError>;
-    /// Per-peer credit spending rates over `[0, now]`, sorted ascending.
-    fn spending_rates_sorted(&self, now: SimTime) -> Vec<f64>;
     /// The internally recorded `(t, Gini)` trajectory.
     fn gini_series(&self) -> &TimeSeries;
     /// The `(t, stall rate)` trajectory — [`None`] for queue-level
@@ -325,13 +318,13 @@ pub trait MarketView {
         w.put_u64(self.peer_count() as u64);
         w.put_u64(self.purchases());
         w.put_u64(self.denied());
-        w.put_u64(self.total_spent());
-        w.put_u64(self.in_flight_escrow());
         let ledger = self.ledger();
+        w.put_u64(ledger.total_spent());
+        w.put_u64(self.in_flight_escrow());
         w.put_u64(ledger.escrow());
         w.put_u64(ledger.minted());
         w.put_u64(ledger.burned());
-        for balance in self.balances_sorted() {
+        for balance in ledger.balances_sorted() {
             w.put_u64(balance);
         }
         w.value()
@@ -348,23 +341,11 @@ impl MarketView for CreditMarket {
     fn denied(&self) -> u64 {
         CreditMarket::denied(self)
     }
-    fn total_spent(&self) -> u64 {
-        CreditMarket::total_spent(self)
-    }
     fn ledger(&self) -> &Ledger {
         CreditMarket::ledger(self)
     }
     fn taxation(&self) -> Option<&Taxation> {
         CreditMarket::taxation(self)
-    }
-    fn balances_sorted(&self) -> Vec<u64> {
-        CreditMarket::balances_sorted(self)
-    }
-    fn wealth_gini(&self) -> Result<f64, CoreError> {
-        CreditMarket::wealth_gini(self)
-    }
-    fn spending_rates_sorted(&self, now: SimTime) -> Vec<f64> {
-        CreditMarket::spending_rates_sorted(self, now)
     }
     fn gini_series(&self) -> &TimeSeries {
         CreditMarket::gini_series(self)
@@ -394,23 +375,11 @@ impl MarketView for StreamingSystem<CreditTradePolicy> {
     fn denied(&self) -> u64 {
         self.policy().denials
     }
-    fn total_spent(&self) -> u64 {
-        self.policy().total_spent()
-    }
     fn ledger(&self) -> &Ledger {
         self.policy().ledger()
     }
     fn taxation(&self) -> Option<&Taxation> {
         self.policy().taxation()
-    }
-    fn balances_sorted(&self) -> Vec<u64> {
-        self.policy().balances_sorted()
-    }
-    fn wealth_gini(&self) -> Result<f64, CoreError> {
-        self.policy().wealth_gini()
-    }
-    fn spending_rates_sorted(&self, now: SimTime) -> Vec<f64> {
-        self.policy().spending_rates_sorted(now)
     }
     fn gini_series(&self) -> &TimeSeries {
         self.policy().gini_series()
@@ -570,14 +539,6 @@ fn trace_err(e: TraceError) -> CoreError {
     CoreError::Trace(e.to_string())
 }
 
-/// Renders a trace event payload for divergence reports.
-fn describe_payload(payload: &[u8]) -> String {
-    match MarketEvent::from_trace_payload(payload) {
-        Ok(event) => format!("{event:?}"),
-        Err(_) => format!("<{} undecodable payload bytes>", payload.len()),
-    }
-}
-
 /// One sampling-boundary observation, handed to a [`SampleSink`] the
 /// moment the boundary's probes have run. This is the incremental
 /// (streaming) counterpart of the end-of-run [`RunRecord`]: a scalar
@@ -710,7 +671,7 @@ impl Tracer {
                             seq: Some(seq),
                             expected: format!(
                                 "{} at (t={}µs, seq={rs})",
-                                describe_payload(&payload),
+                                MarketEvent::describe_trace_payload(&payload),
                                 rt.as_micros()
                             ),
                             actual: actual(),
@@ -801,7 +762,7 @@ impl Tracer {
                             seq: Some(rs),
                             expected: format!(
                                 "{} at (t={}µs, seq={rs})",
-                                describe_payload(&payload),
+                                MarketEvent::describe_trace_payload(&payload),
                                 rt.as_micros()
                             ),
                             actual: format!(
@@ -1015,8 +976,8 @@ impl Session {
                 peers: view.peer_count(),
                 purchases,
                 denied,
-                total_spent: view.total_spent(),
-                wealth_gini: view.wealth_gini().ok(),
+                total_spent: view.ledger().total_spent(),
+                wealth_gini: view.ledger().wealth_gini().ok(),
             });
         }
     }
@@ -1302,7 +1263,7 @@ impl Session {
                         return Err(CoreError::Trace(format!(
                             "recorded run continued past this one: next recorded event {} at \
                              (t={}µs, seq={seq})",
-                            describe_payload(&payload),
+                            MarketEvent::describe_trace_payload(&payload),
                             time.as_micros()
                         )));
                     }
@@ -1485,12 +1446,13 @@ impl Session {
             };
             recorder.record(ids::PURCHASES, MetricValue::Counter(view.purchases()));
             recorder.record(ids::DENIED, MetricValue::Counter(view.denied()));
-            recorder.record(ids::TOTAL_SPENT, MetricValue::Counter(view.total_spent()));
+            let ledger = view.ledger();
+            recorder.record(ids::TOTAL_SPENT, MetricValue::Counter(ledger.total_spent()));
             recorder.record(
                 ids::PEER_COUNT,
                 MetricValue::Counter(view.peer_count() as u64),
             );
-            if let Ok(gini) = view.wealth_gini() {
+            if let Ok(gini) = ledger.wealth_gini() {
                 recorder.record(ids::WEALTH_GINI, MetricValue::Scalar(gini));
             }
             let (collected, redistributed) = view
@@ -1591,7 +1553,10 @@ mod tests {
         session.run_until(horizon);
         let (record, model) = session.finish();
         let market = model.queue().expect("queue config");
-        assert_eq!(market.balances_sorted(), direct.balances_sorted());
+        assert_eq!(
+            market.ledger().balances_sorted(),
+            direct.ledger().balances_sorted()
+        );
         assert_eq!(record.counter(ids::PURCHASES), direct.purchases());
 
         // Attached session: probes observe, results stay bit-identical.
@@ -1600,7 +1565,10 @@ mod tests {
         observed.run_until(horizon);
         let (orec, omodel) = observed.finish();
         let omarket = omodel.queue().expect("queue config");
-        assert_eq!(omarket.balances_sorted(), direct.balances_sorted());
+        assert_eq!(
+            omarket.ledger().balances_sorted(),
+            direct.ledger().balances_sorted()
+        );
         assert_eq!(omarket.gini_series(), direct.gini_series());
         assert_eq!(orec.counter(ids::PURCHASES), direct.purchases());
     }
@@ -1694,7 +1662,7 @@ mod tests {
         session.run_until(horizon);
         let (record, model) = session.finish();
         let market = model.queue().expect("queue config");
-        (record, market.balances_sorted())
+        (record, market.ledger().balances_sorted())
     }
 
     fn resumed_run(
@@ -1717,7 +1685,7 @@ mod tests {
         resumed.run_until(horizon);
         let (record, model) = resumed.finish();
         let market = model.queue().expect("queue config");
-        (record, market.balances_sorted())
+        (record, market.ledger().balances_sorted())
     }
 
     #[test]
@@ -1899,6 +1867,63 @@ mod tests {
             resume(&bytes).expect("resumes").now(),
             SimTime::from_secs(600)
         );
+    }
+
+    /// Every count in a probe's checkpoint block is checked against the
+    /// block's unread bytes before it sizes a vector: a count of 2^40
+    /// or `u64::MAX` in the throughput, fault or snapshot probe's state
+    /// makes `Session::resume` return an error instead of aborting on
+    /// the allocation.
+    #[test]
+    fn corrupt_probe_counts_fail_closed() {
+        let config = MarketConfig::new(40, 10).faults(scrip_des::FaultSpec {
+            drop_rate: 0.1,
+            ..scrip_des::FaultSpec::default()
+        });
+        let probes = || -> Vec<Box<dyn Probe>> {
+            vec![
+                Box::new(probes::ThroughputSeriesProbe::new()),
+                Box::new(probes::FaultSeriesProbe::new()),
+                Box::new(probes::SnapshotsProbe::new(vec![100, 900])),
+            ]
+        };
+        let mut session = Session::from_config(&config, 5).expect("builds");
+        for probe in probes() {
+            session.attach(probe);
+        }
+        session.run_until(SimTime::from_secs(600));
+        let bytes = session.checkpoint().expect("checkpoints");
+        // The probe blocks close the checkpoint, each behind its length.
+        let blocks: Vec<Vec<u8>> = session.probes.iter().map(|p| p.snapshot_state()).collect();
+        let mut at = bytes.len() - blocks.iter().map(|b| 8 + b.len()).sum::<usize>();
+        let mut starts = Vec::new();
+        for block in &blocks {
+            starts.push(at + 8);
+            at += 8 + block.len();
+        }
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        let (throughput, fault, snapshots) = (starts[0], starts[1], starts[2]);
+        let failures = word(fault) as usize;
+        assert!(failures > 0 && word(throughput) > 0, "the probes recorded");
+        assert_eq!(word(snapshots), 1, "one snapshot taken at 100 s");
+        let counts = [
+            throughput,
+            fault,
+            fault + 8 + 16 * failures,
+            snapshots,
+            snapshots + 16,
+        ];
+        for at in counts {
+            for count in [1u64 << 40, u64::MAX] {
+                let mut corrupt = bytes.clone();
+                corrupt[at..at + 8].copy_from_slice(&count.to_le_bytes());
+                match Session::resume(&config, probes(), &corrupt) {
+                    Err(CoreError::Checkpoint(msg)) => assert!(msg.contains("overruns"), "{msg}"),
+                    other => panic!("count {count} at {at} not refused: {:?}", other.err()),
+                }
+            }
+        }
+        assert!(Session::resume(&config, probes(), &bytes).is_ok());
     }
 
     /// Pending events are refused, in debug and release alike, when one
@@ -2140,7 +2165,12 @@ mod tests {
         let baseline = {
             let mut s = Session::from_config(&config, 5).expect("builds");
             s.run_until(horizon);
-            s.finish().1.queue().expect("queue").balances_sorted()
+            s.finish()
+                .1
+                .queue()
+                .expect("queue")
+                .ledger()
+                .balances_sorted()
         };
         let samples = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         let tap = samples.clone();
@@ -2150,7 +2180,12 @@ mod tests {
         }));
         s.run_until(horizon);
         assert_eq!(
-            s.finish().1.queue().expect("queue").balances_sorted(),
+            s.finish()
+                .1
+                .queue()
+                .expect("queue")
+                .ledger()
+                .balances_sorted(),
             baseline,
             "a sink observes without influencing the run"
         );
@@ -2173,7 +2208,13 @@ mod tests {
         s.run_until(SimTime::from_secs(200));
         let ckpt = s.checkpoint().expect("checkpoints");
         s.run_until(SimTime::from_secs(500));
-        let baseline = s.finish().1.queue().expect("queue").balances_sorted();
+        let baseline = s
+            .finish()
+            .1
+            .queue()
+            .expect("queue")
+            .ledger()
+            .balances_sorted();
 
         // record_to is unusable on a resumed session (it already
         // started) — stream_samples_to is not.
@@ -2185,7 +2226,13 @@ mod tests {
         }));
         resumed.run_until(SimTime::from_secs(500));
         assert_eq!(
-            resumed.finish().1.queue().expect("queue").balances_sorted(),
+            resumed
+                .finish()
+                .1
+                .queue()
+                .expect("queue")
+                .ledger()
+                .balances_sorted(),
             baseline,
             "resume + sink reproduces the uninterrupted run"
         );

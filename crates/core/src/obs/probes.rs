@@ -32,10 +32,11 @@ fn encode_points(w: &mut Writer, points: &[(f64, f64)]) {
     }
 }
 
-/// Decodes a block written by [`encode_points`].
+/// Decodes a block written by [`encode_points`]. The count is checked
+/// against the unread bytes (16 per point) before it sizes anything.
 fn decode_points(r: &mut Reader<'_>) -> Result<Vec<(f64, f64)>, CoreError> {
-    let len = r.take_u64()?;
-    let mut points = Vec::with_capacity(len as usize);
+    let len = r.take_count(16)?;
+    let mut points = Vec::with_capacity(len);
     for _ in 0..len {
         let x = r.take_f64()?;
         let y = r.take_f64()?;
@@ -68,7 +69,7 @@ impl Probe for FinalBalancesProbe {
     fn at_horizon(&mut self, _now: SimTime, view: &dyn MarketView, rec: &mut Recorder) {
         rec.record(
             ids::FINAL_BALANCES,
-            MetricValue::SortedU64(view.balances_sorted()),
+            MetricValue::SortedU64(view.ledger().balances_sorted()),
         );
     }
 }
@@ -82,7 +83,7 @@ impl Probe for SpendingRatesProbe {
     fn at_horizon(&mut self, now: SimTime, view: &dyn MarketView, rec: &mut Recorder) {
         rec.record(
             ids::SPENDING_RATES,
-            MetricValue::SortedF64(view.spending_rates_sorted(now)),
+            MetricValue::SortedF64(view.ledger().spending_rates_sorted(now)),
         );
     }
 }
@@ -116,7 +117,7 @@ impl Probe for SnapshotsProbe {
             return;
         };
         if now == SimTime::from_secs(next) {
-            self.taken.push((next, view.balances_sorted()));
+            self.taken.push((next, view.ledger().balances_sorted()));
         }
     }
 
@@ -141,13 +142,15 @@ impl Probe for SnapshotsProbe {
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), CoreError> {
+        // Counts are checked against the unread bytes before they size
+        // anything: 16 per snapshot (time, length), 8 per balance.
         let mut r = Reader::new(state);
-        let len = r.take_u64()?;
-        let mut taken = Vec::with_capacity(len as usize);
+        let len = r.take_count(16)?;
+        let mut taken = Vec::with_capacity(len);
         for _ in 0..len {
             let t = r.take_u64()?;
-            let n = r.take_u64()?;
-            let mut balances = Vec::with_capacity(n as usize);
+            let n = r.take_count(8)?;
+            let mut balances = Vec::with_capacity(n);
             for _ in 0..n {
                 balances.push(r.take_u64()?);
             }
@@ -300,7 +303,7 @@ impl Default for LorenzProbe {
 
 impl Probe for LorenzProbe {
     fn at_horizon(&mut self, _now: SimTime, view: &dyn MarketView, rec: &mut Recorder) {
-        let balances = view.balances_sorted();
+        let balances = view.ledger().balances_sorted();
         let points = match LorenzCurve::from_samples_u64(&balances) {
             Ok(curve) => curve.sample(self.segments),
             Err(_) => Vec::new(), // no peers at the horizon

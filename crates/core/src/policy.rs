@@ -2,7 +2,9 @@
 //! spending rates (Sec. VI-D).
 
 use scrip_des::SimRng;
+use scrip_topology::NodeId;
 
+use crate::credits::Ledger;
 use crate::error::CoreError;
 
 /// How a peer's maximum credit spending rate responds to its wealth.
@@ -120,9 +122,15 @@ impl Taxation {
         tax.min(income)
     }
 
-    /// Records that `amount` credits were actually withheld.
-    pub fn record_collection(&mut self, amount: u64) {
-        self.collected += amount;
+    /// Taxes `seller`'s `income`: assesses it against the seller's
+    /// wealth after the payment (one RNG draw when above the threshold)
+    /// and withholds what is due into the ledger's escrow, where
+    /// [`Ledger::recycle_escrow`] later returns it to every peer.
+    pub fn levy(&mut self, ledger: &mut Ledger, seller: NodeId, income: u64, rng: &mut SimRng) {
+        let due = self.assess(income, ledger.balance(seller), rng);
+        if due > 0 {
+            self.collected += ledger.withhold(seller, due);
+        }
     }
 
     /// Records that `amount` credits were redistributed.
@@ -193,11 +201,21 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let mut tax = Taxation::new(TaxConfig::new(0.2, 10).expect("valid"));
-        tax.record_collection(7);
-        tax.record_collection(3);
+        let mut tax = Taxation::new(TaxConfig::new(1.0, 10).expect("valid"));
+        let mut ledger = Ledger::new();
+        let (poor, rich) = (NodeId::from_raw(0), NodeId::from_raw(1));
+        ledger.mint(poor, 10);
+        ledger.mint(rich, 20);
+        let mut rng = SimRng::seed_from_u64(4);
+        tax.levy(&mut ledger, poor, 5, &mut rng);
+        assert_eq!(tax.collected, 0, "at the threshold: no tax");
+        tax.levy(&mut ledger, rich, 7, &mut rng);
+        tax.levy(&mut ledger, rich, 3, &mut rng);
         tax.record_redistribution(5);
         assert_eq!(tax.collected, 10);
+        assert_eq!(ledger.escrow(), 10);
+        assert_eq!(ledger.balance(rich), 10);
+        assert!(ledger.conserved());
         assert_eq!(tax.redistributed, 5);
         assert_eq!(tax.config().threshold, 10);
     }

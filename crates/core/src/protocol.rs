@@ -4,12 +4,13 @@
 //! [`CreditTradePolicy`] implements [`scrip_streaming::TradePolicy`]:
 //! every peer-to-peer chunk transfer is authorized against the buyer's
 //! wallet and settled by transferring the seller's quoted price, with
-//! optional income taxation. The `spent` column is indexed by raw
-//! [`NodeId`], like the ledger's balances, and the ledger maintains its
-//! wealth Gini online, so a settlement on the chunk-trade hot path is
-//! allocation-free (see the "Performance model" section of
+//! optional income taxation. The [`Ledger`] keeps each peer's balance
+//! and spend in one wallet by raw [`NodeId`], recycles the escrow, and
+//! maintains its wealth Gini online, so a settlement on the chunk-trade
+//! hot path is allocation-free (see the "Performance model" section of
 //! `docs/ARCHITECTURE.md`). The ledger's pick-order list is the policy's
-//! one peer registry.
+//! one peer registry, and its reports (wealth Gini, sorted balances and
+//! spending rates) are the policy's.
 //!
 //! Two entry points build the combined system:
 //!
@@ -20,8 +21,6 @@
 //!   [`MarketConfig::streaming`] is set (topology, credits, pricing,
 //!   taxation, churn, and Gini sampling all wired through), which is
 //!   what the scenario engine and `scrip-sim` call.
-
-use std::collections::BTreeMap;
 
 use scrip_des::stats::TimeSeries;
 use scrip_des::{FaultSpec, SimRng, SimTime, Simulation};
@@ -48,12 +47,6 @@ pub struct CreditTradePolicy {
     pricing: PricingModel,
     taxation: Option<Taxation>,
     rng: SimRng,
-    /// Credits spent per peer (indexed by raw id; 0 for departed ids).
-    spent: Vec<u64>,
-    /// Σ `spent` over live peers, maintained incrementally (bumped per
-    /// settlement, reduced on departure) so
-    /// [`CreditTradePolicy::total_spent`] is O(1).
-    total_spent: u64,
     /// Wallet endowment for churn joiners (the paper's `c`).
     initial_credits: u64,
     /// `(t, wealth Gini)` samples recorded by [`TradePolicy::sample`].
@@ -84,21 +77,18 @@ impl CreditTradePolicy {
         seed: u64,
     ) -> Result<Self, CoreError> {
         let mut rng = SimRng::seed_from_u64(seed);
-        let mut ledger = Ledger::new();
+        let mut ledger = Ledger::with_capacity(peers.len());
         for &p in peers {
             ledger.mint(p, initial_credits);
         }
         ledger.enable_wealth_tracking();
         let pricing = PricingModel::realize(pricing, peers, &mut rng)?;
         let source_price = (pricing.mean_price().round() as u64).max(1);
-        let table = peers.iter().map(|p| p.index() + 1).max().unwrap_or(0);
         Ok(CreditTradePolicy {
             ledger,
             pricing,
             taxation: tax.map(Taxation::new),
             rng,
-            spent: vec![0; table],
-            total_spent: 0,
             initial_credits,
             gini_series: TimeSeries::new(),
             denials: 0,
@@ -107,22 +97,6 @@ impl CreditTradePolicy {
             source_income: 0,
             source_price,
         })
-    }
-
-    /// Pays one credit from escrow to every peer while the escrow can
-    /// cover the whole population (the recycling rule shared by source
-    /// income and taxation).
-    fn redistribute_escrow(&mut self) -> u64 {
-        let live = self.ledger.accounts() as u64;
-        let mut total_paid = 0;
-        while live > 0 && self.ledger.escrow() >= live {
-            let paid = self.ledger.pay_each_from_escrow(1);
-            total_paid += paid;
-            if paid == 0 {
-                break;
-            }
-        }
-        total_paid
     }
 
     /// The ledger (read access for reports).
@@ -140,60 +114,10 @@ impl CreditTradePolicy {
         self.taxation.as_ref()
     }
 
-    /// Credits spent per live peer (assembled on demand; the hot path
-    /// uses the raw-id column).
-    pub fn spent(&self) -> BTreeMap<NodeId, u64> {
-        self.ledger
-            .ids()
-            .iter()
-            .map(|&id| (id, self.spent[id.index()]))
-            .collect()
-    }
-
-    /// Total credits spent by live peers. O(1): maintained incrementally
-    /// alongside the per-peer counters (equal to
-    /// `spent().values().sum()`, without assembling the map).
-    pub fn total_spent(&self) -> u64 {
-        self.total_spent
-    }
-
     /// The recorded `(t, wealth Gini)` trajectory — one sample per
     /// [`StreamEvent::Sample`] tick.
     pub fn gini_series(&self) -> &TimeSeries {
         &self.gini_series
-    }
-
-    /// Gini index of the current wealth distribution. O(1): read from
-    /// the ledger's online accumulator.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::Econ`] if the market has no peers.
-    pub fn wealth_gini(&self) -> Result<f64, CoreError> {
-        match self.ledger.tracked_gini() {
-            Some(g) => Ok(g),
-            None => Ok(scrip_econ::gini_u64(&self.ledger.balances_vec())?),
-        }
-    }
-
-    /// Current balances sorted ascending.
-    pub fn balances_sorted(&self) -> Vec<u64> {
-        let mut v = self.ledger.balances_vec();
-        v.sort_unstable();
-        v
-    }
-
-    /// Per-peer credit spending rates over `[0, now]`, sorted ascending —
-    /// the series of the paper's Fig. 1.
-    pub fn spending_rates_sorted(&self, now: SimTime) -> Vec<f64> {
-        let elapsed = now.as_secs_f64().max(1e-9);
-        let mut rates: Vec<f64> = self
-            .ledger
-            .ids()
-            .iter()
-            .map(|id| self.spent[id.index()] as f64 / elapsed)
-            .collect();
-        rates.sort_by(|a, b| a.partial_cmp(b).expect("finite rates"));
-        rates
     }
 }
 
@@ -220,20 +144,14 @@ impl TradePolicy for CreditTradePolicy {
             self.ledger
                 .transfer(buyer, seller, afford)
                 .expect("capped at the balance");
-            self.spent[buyer.index()] += afford;
-            self.total_spent += afford;
+            self.ledger.record_spend(buyer, afford);
             if let Some(tax) = &mut self.taxation {
-                let wealth = self.ledger.balance(seller);
-                let due = tax.assess(afford, wealth, &mut self.rng);
-                if due > 0 {
-                    let withheld = self.ledger.withhold(seller, due);
-                    tax.record_collection(withheld);
-                }
+                tax.levy(&mut self.ledger, seller, afford, &mut self.rng);
             }
             // Tax revenue and source income share the escrow; the
             // recycled total is tracked on the taxation side when
             // enabled (it upper-bounds collected + source_income).
-            let paid = self.redistribute_escrow();
+            let paid = self.ledger.recycle_escrow(0);
             if let Some(tax) = &mut self.taxation {
                 tax.record_redistribution(paid);
             }
@@ -259,28 +177,20 @@ impl TradePolicy for CreditTradePolicy {
         if paid < self.source_price {
             self.shortfalls += 1;
         }
-        if paid > 0 {
-            self.spent[buyer.index()] += paid;
-            self.total_spent += paid;
-        }
+        self.ledger.record_spend(buyer, paid);
         self.source_income += paid;
-        self.redistribute_escrow();
+        self.ledger.recycle_escrow(0);
     }
 
     fn on_join(&mut self, peer: NodeId, _now: SimTime) {
         self.ledger.mint(peer, self.initial_credits);
         self.pricing.on_join(peer, &mut self.rng);
-        let table = self.spent.len().max(peer.index() + 1);
-        self.spent.resize(table, 0);
     }
 
     fn on_leave(&mut self, peer: NodeId, _now: SimTime) {
+        // The burn takes the peer's spend with it: the spent total
+        // covers live peers only.
         self.ledger.burn(peer);
-        // A departing peer takes its spending history with it, exactly
-        // as `spent()` (live peers only) always reported.
-        if let Some(spent) = self.spent.get_mut(peer.index()) {
-            self.total_spent -= std::mem::take(spent);
-        }
         self.pricing.on_leave(peer);
     }
 
@@ -520,7 +430,8 @@ mod tests {
         assert_eq!(p.ledger().balance(peers[1]), 6);
         assert_eq!(p.shortfalls, 1);
         assert_eq!(p.settlements, 2);
-        assert_eq!(p.spent()[&peers[0]], 3);
+        assert_eq!(p.ledger().spent(peers[0]), 3);
+        assert_eq!(p.ledger().total_spent(), 3);
         assert!(p.ledger().conserved());
     }
 
@@ -534,16 +445,21 @@ mod tests {
         p.on_join(joiner, SimTime::ZERO);
         assert_eq!(p.ledger().balance(joiner), 10);
         assert_eq!(p.ledger().minted(), 40);
-        assert_eq!(p.spent().len(), 4);
+        p.settle(joiner, peers[0], 0, SimTime::ZERO);
+        assert_eq!(p.ledger().total_spent(), 1);
         p.on_leave(joiner, SimTime::ZERO);
-        assert_eq!(p.ledger().burned(), 10);
-        assert_eq!(p.spent().len(), 3);
+        assert_eq!(p.ledger().burned(), 9);
+        assert_eq!(
+            p.ledger().total_spent(),
+            0,
+            "the spend left with the joiner"
+        );
         assert!(p.ledger().conserved());
         // A settlement naming the departed seller refuses the transfer.
         p.settle(peers[0], joiner, 0, SimTime::ZERO);
         assert_eq!(
             p.ledger().balance(peers[0]),
-            10,
+            11,
             "no payment left the buyer"
         );
         assert!(p.ledger().conserved());
@@ -628,6 +544,7 @@ mod tests {
             .expect("runs");
         let rates = system
             .policy()
+            .ledger()
             .spending_rates_sorted(SimTime::from_secs(60));
         assert_eq!(rates.len(), 30);
         for w in rates.windows(2) {
@@ -672,8 +589,14 @@ mod tests {
         assert!(policy.ledger().minted() > 40 * 30, "joiners mint credits");
         assert!(policy.ledger().burned() > 0, "departures burn credits");
         // Policy accounting tracks the live population exactly.
-        assert_eq!(policy.spent().len(), system.peer_count());
         assert_eq!(policy.ledger().accounts(), system.peer_count());
+        let spent: u64 = policy
+            .ledger()
+            .ids()
+            .iter()
+            .map(|&id| policy.ledger().spent(id))
+            .sum();
+        assert_eq!(spent, policy.ledger().total_spent());
     }
 
     #[test]
@@ -781,10 +704,16 @@ mod tests {
             .sample_interval(scrip_des::SimDuration::from_secs(25));
         let a = run_streaming_market(&config, 21, SimTime::from_secs(150)).expect("runs");
         let b = run_streaming_market(&config, 21, SimTime::from_secs(150)).expect("runs");
-        assert_eq!(a.policy().balances_sorted(), b.policy().balances_sorted());
+        assert_eq!(
+            a.policy().ledger().balances_sorted(),
+            b.policy().ledger().balances_sorted()
+        );
         assert_eq!(a.policy().gini_series(), b.policy().gini_series());
         assert_eq!(a.stall_series(), b.stall_series());
         let c = run_streaming_market(&config, 22, SimTime::from_secs(150)).expect("runs");
-        assert_ne!(a.policy().balances_sorted(), c.policy().balances_sorted());
+        assert_ne!(
+            a.policy().ledger().balances_sorted(),
+            c.policy().ledger().balances_sorted()
+        );
     }
 }

@@ -1,16 +1,22 @@
-//! Equivalence of `Ledger`'s raw-id balance table with the slot layout
+//! Equivalence of `Ledger`'s raw-id wallet table with the slot layout
 //! it replaced, which is kept below as a test-only reference: balances
-//! in a `Vec<(NodeId, u64)>` in slot order, swap-removed on burn, plus
-//! mint/burn/escrow counters. Under random sequences of mints, burns,
-//! transfers and escrow moves — on live, departed and never-seen ids,
-//! with overdrafts — both must agree on every result, every balance,
-//! the pick order, the counters, the online Gini and a checkpoint
-//! round trip.
+//! in a `Vec<(NodeId, u64)>` in slot order and each account's spend
+//! beside it, both swap-removed on burn, plus mint/burn/escrow counters.
+//! Under random sequences of mints, burns, transfers, escrow moves,
+//! recorded spends and escrow recycling with a reserve — on live,
+//! departed and never-seen ids, with overdrafts — both must agree on
+//! every result, every balance and spend, the pick order, the counters,
+//! the reports (spend total, sorted spending rates, sorted balances,
+//! wealth Gini), the online Gini and a checkpoint round trip.
 
 use proptest::prelude::*;
+use scrip_core::des::SimTime;
 use scrip_core::econ::gini_u64;
 use scrip_core::topology::NodeId;
 use scrip_core::Ledger;
+
+/// The instant the spending-rate report is read at.
+const NOW: SimTime = SimTime::from_micros(7_500_000);
 
 /// The slot-layout ledger.
 mod reference {
@@ -20,6 +26,8 @@ mod reference {
     pub struct SlotLedger {
         /// `(peer, balance)` in slot order.
         pub accounts: Vec<(NodeId, u64)>,
+        /// Credits spent by each account, in the same slot order.
+        pub spent: Vec<u64>,
         pub minted: u64,
         pub burned: u64,
         pub escrow: u64,
@@ -42,11 +50,28 @@ mod reference {
             self.accounts.iter().map(|&(_, b)| b).sum()
         }
 
+        pub fn spent_of(&self, peer: NodeId) -> u64 {
+            self.slot(peer).map_or(0, |s| self.spent[s])
+        }
+
+        pub fn total_spent(&self) -> u64 {
+            self.spent.iter().sum()
+        }
+
+        pub fn record_spend(&mut self, peer: NodeId, amount: u64) {
+            if let Some(s) = self.slot(peer) {
+                self.spent[s] += amount;
+            }
+        }
+
         pub fn mint(&mut self, peer: NodeId, amount: u64) {
             self.minted += amount;
             match self.slot(peer) {
                 Some(s) => self.accounts[s].1 += amount,
-                None => self.accounts.push((peer, amount)),
+                None => {
+                    self.accounts.push((peer, amount));
+                    self.spent.push(0);
+                }
             }
         }
 
@@ -55,6 +80,7 @@ mod reference {
                 return 0;
             };
             let (_, amount) = self.accounts.swap_remove(s);
+            self.spent.swap_remove(s);
             self.burned += amount;
             amount
         }
@@ -104,6 +130,17 @@ mod reference {
             paid
         }
 
+        /// One credit to every account per sweep, while the escrow
+        /// beyond `reserve` covers them all.
+        pub fn recycle_escrow(&mut self, reserve: u64) -> u64 {
+            let live = self.accounts.len() as u64;
+            let mut paid = 0;
+            while live > 0 && self.escrow >= reserve + live {
+                paid += self.pay_each_from_escrow(1);
+            }
+            paid
+        }
+
         /// The balances in ascending peer order.
         pub fn balances_ascending(&self) -> Vec<u64> {
             let mut pairs = self.accounts.clone();
@@ -134,7 +171,13 @@ fn assert_equivalent(
             "account {}",
             id
         );
+        prop_assert_eq!(ledger.spent(id), model.spent_of(id), "spent of {}", id);
     }
+    prop_assert_eq!(ledger.total_spent(), model.total_spent());
+    let elapsed = NOW.as_secs_f64();
+    let mut rates: Vec<f64> = model.spent.iter().map(|&s| s as f64 / elapsed).collect();
+    rates.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    prop_assert_eq!(ledger.spending_rates_sorted(NOW), rates);
     prop_assert_eq!(ledger.accounts(), model.accounts.len());
     prop_assert_eq!(ledger.total(), model.total());
     prop_assert_eq!(ledger.escrow(), model.escrow);
@@ -146,7 +189,14 @@ fn assert_equivalent(
     );
     let ascending = model.balances_ascending();
     prop_assert_eq!(ledger.balances_vec(), ascending.clone());
+    let mut sorted = ascending.clone();
+    sorted.sort_unstable();
+    prop_assert_eq!(ledger.balances_sorted(), sorted);
     let oracle = gini_u64(&ascending).ok();
+    prop_assert_eq!(
+        ledger.wealth_gini().ok().map(f64::to_bits),
+        oracle.map(f64::to_bits)
+    );
     if tracking {
         // Bit for bit, not within a tolerance.
         prop_assert_eq!(
@@ -157,6 +207,9 @@ fn assert_equivalent(
         prop_assert_eq!(ledger.tracked_gini(), None);
     }
     let mut restored = Ledger::restore(&entries, ledger.escrow(), ledger.minted(), ledger.burned());
+    for &(id, _) in &entries {
+        restored.record_spend(id, ledger.spent(id));
+    }
     prop_assert!(restored == *ledger, "restore(slot_entries) differs");
     prop_assert_eq!(restored.slot_entries().collect::<Vec<_>>(), entries);
     restored.enable_wealth_tracking();
@@ -172,13 +225,14 @@ proptest! {
     /// 2 mints an arbitrary id (re-minting a burned one, or opening one
     /// past a gap), 3 burns a live account, 4 burns an arbitrary id,
     /// 5 transfers, 6 withholds, 7 pays from escrow, 8 pays every
-    /// account from escrow, 9 turns on wealth tracking. `a` and `b`
-    /// pick ids: even values a live account, odd values any id up to
-    /// two past the highest used.
+    /// account from escrow, 9 turns on wealth tracking, 10 records a
+    /// spend, 11 recycles the escrow above a reserve. `a` and `b` pick
+    /// ids: even values a live account, odd values any id up to two past
+    /// the highest used.
     #[test]
     fn ledger_matches_the_slot_model(
         initial in 0u64..12,
-        ops in prop::collection::vec((0u8..10, 0u64..64, 0u64..64, 0u64..40), 1..120),
+        ops in prop::collection::vec((0u8..12, 0u64..64, 0u64..64, 0u64..40), 1..120),
     ) {
         let mut ledger = Ledger::new();
         let mut model = reference::SlotLedger::default();
@@ -230,9 +284,17 @@ proptest! {
                         model.pay_each_from_escrow(each)
                     );
                 }
-                _ => {
+                9 => {
                     ledger.enable_wealth_tracking();
                     tracking = true;
+                }
+                10 => {
+                    ledger.record_spend(x, amount);
+                    model.record_spend(x, amount);
+                }
+                _ => {
+                    let reserve = amount % 8;
+                    prop_assert_eq!(ledger.recycle_escrow(reserve), model.recycle_escrow(reserve));
                 }
             }
             assert_equivalent(&ledger, &model, watermark, tracking)?;

@@ -40,7 +40,7 @@ fn observed_run(config: &MarketConfig, seed: u64, horizon: SimTime) -> (RunRecor
     if !market.faults_enabled() {
         assert_eq!(market.in_flight_escrow(), 0);
     }
-    (record, market.balances_sorted())
+    (record, market.ledger().balances_sorted())
 }
 
 proptest! {
@@ -236,6 +236,6 @@ proptest! {
         let market = model.queue().expect("queue config");
         prop_assert!(market.ledger().conserved());
         prop_assert_eq!(record, direct, "diverged after resume at {}s", stop_secs);
-        prop_assert_eq!(market.balances_sorted(), balances);
+        prop_assert_eq!(market.ledger().balances_sorted(), balances);
     }
 }

@@ -58,12 +58,6 @@ impl SummaryStats {
             std_dev: var.sqrt(),
         })
     }
-
-    /// The half-spread `(max − min) / 2`, a crude dispersion measure
-    /// useful for quick convergence checks across replications.
-    pub fn half_spread(&self) -> f64 {
-        (self.max - self.min) / 2.0
-    }
 }
 
 /// Aggregates aligned rows column by column: `rows[r][i]` is the value of
@@ -114,7 +108,6 @@ mod tests {
         assert_eq!(s.min, 3.5);
         assert_eq!(s.max, 3.5);
         assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.half_spread(), 0.0);
     }
 
     #[test]
@@ -127,7 +120,6 @@ mod tests {
         assert_eq!(s.max, 10.0);
         let var = xs.iter().map(|x| (x - 4.0f64).powi(2)).sum::<f64>() / 4.0;
         assert!((s.std_dev - var.sqrt()).abs() < 1e-12);
-        assert_eq!(s.half_spread(), 4.5);
     }
 
     #[test]

@@ -99,6 +99,7 @@ pub fn binomial_pmf(m: usize, p: f64) -> Result<Vec<f64>, QueueingError> {
 /// # Errors
 /// Returns [`QueueingError`] if `u` is empty, contains negatives, sums to
 /// zero, or `i` is out of range.
+#[cfg(test)]
 pub fn eq6_marginal(m: usize, u: &[f64], i: usize) -> Result<Vec<f64>, QueueingError> {
     if u.is_empty() || i >= u.len() {
         return Err(QueueingError::Dimension(format!(
@@ -188,6 +189,7 @@ pub fn pmf_mean(pmf: &[f64]) -> f64 {
 }
 
 /// Variance of a dense PMF over `0..len`.
+#[cfg(test)]
 pub fn pmf_variance(pmf: &[f64]) -> f64 {
     let mean = pmf_mean(pmf);
     pmf.iter()

@@ -84,13 +84,9 @@ impl NormalizingConstants {
     }
 
     /// Natural log of the true constant `G(m)`.
+    #[cfg(test)]
     pub fn ln_g(&self, m: usize) -> f64 {
         self.g[m].ln() + self.ln_scale
-    }
-
-    /// Largest population the constants were computed for.
-    pub fn max_population(&self) -> usize {
-        self.g.len() - 1
     }
 }
 
@@ -107,8 +103,6 @@ pub struct ClosedJackson {
     visit_ratios: Vec<f64>,
     /// Service rates `μ_i`.
     service_rates: Vec<f64>,
-    /// `max_i v_i/μ_i`, used to convert normalized quantities back.
-    demand_max: f64,
 }
 
 /// Result of Mean Value Analysis.
@@ -130,16 +124,10 @@ impl ClosedJackson {
     /// rates (visit ratios may be zero for isolated peers, but not all).
     pub fn new(visit_ratios: &[f64], service_rates: &[f64]) -> Result<Self, QueueingError> {
         let utilization = normalized_utilizations(visit_ratios, service_rates)?;
-        let demand_max = visit_ratios
-            .iter()
-            .zip(service_rates)
-            .map(|(&v, &m)| v / m)
-            .fold(0.0, f64::max);
         Ok(ClosedJackson {
             utilization,
             visit_ratios: visit_ratios.to_vec(),
             service_rates: service_rates.to_vec(),
-            demand_max,
         })
     }
 
@@ -172,7 +160,6 @@ impl ClosedJackson {
             utilization: u.to_vec(),
             visit_ratios: u.to_vec(),
             service_rates: vec![1.0; u.len()],
-            demand_max: 1.0,
         })
     }
 
@@ -194,6 +181,7 @@ impl ClosedJackson {
     /// Whether all peers have (numerically) equal utilization — the
     /// paper's "symmetric utilization" case where its corollary proves
     /// condensation cannot occur.
+    #[cfg(test)]
     pub fn is_symmetric(&self, tol: f64) -> bool {
         self.utilization.iter().all(|&u| (u - 1.0).abs() <= tol)
     }
@@ -223,10 +211,13 @@ impl ClosedJackson {
         NormalizingConstants { g, ln_scale }
     }
 
-    /// `P{B_i ≥ b}` at population `m`: `u_i^b · G(m−b)/G(m)`.
+    /// `P{B_i ≥ b}` at population `m`: `u_i^b · G(m−b)/G(m)`. A
+    /// closed form independent of the marginal's sum, kept as its test
+    /// oracle.
     ///
     /// # Panics
     /// Panics if `i ≥ n`.
+    #[cfg(test)]
     pub fn prob_at_least(&self, i: usize, b: usize, m: usize, gc: &NormalizingConstants) -> f64 {
         assert!(i < self.n(), "queue index {i} out of range");
         if b > m {
@@ -298,6 +289,7 @@ impl ClosedJackson {
 
     /// Effective credit departure rate per peer,
     /// `μ_i (1 − P{B_i = 0})` — the left side of paper Eq. (9).
+    #[cfg(test)]
     pub fn effective_departure_rates(&self, m: usize, gc: &NormalizingConstants) -> Vec<f64> {
         self.idle_probabilities(m, gc)
             .iter()
@@ -307,12 +299,21 @@ impl ClosedJackson {
     }
 
     /// Per-queue throughput at population `m`, in the units implied by
-    /// the construction-time visit ratios.
+    /// the construction-time visit ratios: the convolution's answer,
+    /// the test oracle for [`ClosedJackson::mva`].
+    #[cfg(test)]
     pub fn throughputs(&self, m: usize, gc: &NormalizingConstants) -> Vec<f64> {
         if m == 0 {
             return vec![0.0; self.n()];
         }
-        let x = gc.g(m - 1) / (gc.g(m) * self.demand_max);
+        // `max_i v_i/μ_i` converts normalized quantities back.
+        let demand_max = self
+            .visit_ratios
+            .iter()
+            .zip(&self.service_rates)
+            .map(|(&v, &mu)| v / mu)
+            .fold(0.0, f64::max);
+        let x = gc.g(m - 1) / (gc.g(m) * demand_max);
         self.visit_ratios.iter().map(|&v| v * x).collect()
     }
 
@@ -349,6 +350,7 @@ impl ClosedJackson {
     ///
     /// # Panics
     /// Panics if `i ≥ n`.
+    #[cfg(test)]
     pub fn marginal_pmf_bruteforce(&self, i: usize, m: usize) -> Vec<f64> {
         assert!(i < self.n(), "queue index {i} out of range");
         let n = self.n();
@@ -373,6 +375,7 @@ impl ClosedJackson {
 
 /// Recursively enumerates all ways to place `remaining` jobs into queues
 /// `idx..n`, invoking `visit` on each complete composition.
+#[cfg(test)]
 fn enumerate_compositions(
     remaining: usize,
     n: usize,
@@ -578,6 +581,14 @@ mod tests {
         let gc = net.convolution(m);
         assert_eq!(net.prob_at_least(0, 6, m, &gc), 0.0);
         assert!((net.prob_at_least(0, 0, m, &gc) - 1.0).abs() < 1e-12);
+        // The closed form agrees with the marginal's tail sums.
+        for i in 0..2 {
+            let pmf = net.marginal_pmf(i, m, &gc);
+            for b in 0..=m {
+                let tail: f64 = pmf[b..].iter().sum();
+                assert!((net.prob_at_least(i, b, m, &gc) - tail).abs() < 1e-12);
+            }
+        }
     }
 
     #[test]

@@ -222,16 +222,6 @@ fn simpson(f: &impl Fn(f64) -> f64, a: f64, b: f64, panels: usize) -> f64 {
     sum * h / 3.0
 }
 
-/// Indices of the condensate-candidate peers: those with utilization
-/// within `atom_epsilon` of 1.
-pub fn condensate_candidates(u: &[f64], atom_epsilon: f64) -> Vec<usize> {
-    u.iter()
-        .enumerate()
-        .filter(|(_, &ui)| ui >= 1.0 - atom_epsilon)
-        .map(|(i, _)| i)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,13 +290,6 @@ mod tests {
     fn density_validation() {
         assert!(threshold_from_density(|_| -1.0, 1e-8, 1e9).is_err());
         assert!(threshold_from_density(|_| f64::NAN, 1e-8, 1e9).is_err());
-    }
-
-    #[test]
-    fn candidates_found() {
-        let u = [1.0, 0.3, 0.999999999999, 0.7];
-        let c = condensate_candidates(&u, 1e-9);
-        assert_eq!(c, vec![0, 2]);
     }
 
     #[test]

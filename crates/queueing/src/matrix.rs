@@ -240,13 +240,6 @@ impl TransferMatrix {
         }
         count == self.n
     }
-
-    /// Whether the chain is aperiodic in the cheap sufficient sense of
-    /// having at least one self-loop. Power iteration converges without
-    /// averaging when this holds.
-    pub fn has_self_loop(&self) -> bool {
-        (0..self.n).any(|i| self.data[i * self.n + i] > 0.0)
-    }
 }
 
 #[cfg(test)]
@@ -362,14 +355,6 @@ mod tests {
         let absorbing =
             TransferMatrix::from_rows(vec![vec![0.0, 1.0], vec![0.0, 1.0]]).expect("valid");
         assert!(!absorbing.is_irreducible());
-    }
-
-    #[test]
-    fn self_loop_detection() {
-        let with = TransferMatrix::from_rows(vec![vec![0.5, 0.5], vec![1.0, 0.0]]).expect("ok");
-        assert!(with.has_self_loop());
-        let without = TransferMatrix::from_rows(vec![vec![0.0, 1.0], vec![1.0, 0.0]]).expect("ok");
-        assert!(!without.has_self_loop());
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! configuration (power-law degrees with `k = 2.5`, mean degree 20) and to
 //! report topology statistics in experiments.
 
-use std::collections::BTreeMap;
-
 use crate::graph::{Graph, NodeId};
 
 /// Mean node degree (0 for the empty graph).
@@ -32,17 +30,6 @@ pub fn min_degree(graph: &Graph) -> usize {
         .filter_map(|id| graph.degree(id))
         .min()
         .unwrap_or(0)
-}
-
-/// Degree histogram: `degree -> number of nodes with that degree`.
-pub fn degree_histogram(graph: &Graph) -> BTreeMap<usize, usize> {
-    let mut hist = BTreeMap::new();
-    for id in graph.node_ids() {
-        *hist
-            .entry(graph.degree(id).expect("live node"))
-            .or_insert(0) += 1;
-    }
-    hist
 }
 
 /// Maximum-likelihood estimate of the power-law exponent `k` of the degree
@@ -177,8 +164,6 @@ mod tests {
         assert_eq!(mean_degree(&g), 9.0);
         assert_eq!(max_degree(&g), 9);
         assert_eq!(min_degree(&g), 9);
-        let hist = degree_histogram(&g);
-        assert_eq!(hist.get(&9), Some(&10));
     }
 
     #[test]
@@ -188,7 +173,6 @@ mod tests {
         assert_eq!(max_degree(&g), 0);
         assert_eq!(min_degree(&g), 0);
         assert_eq!(average_clustering(&g), 0.0);
-        assert!(degree_histogram(&g).is_empty());
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "simulated wealth Gini after 5000 s: {:.3}",
-        market.wealth_gini()?
+        market.ledger().wealth_gini()?
     );
 
     // The paper's theory, applied to the same market.

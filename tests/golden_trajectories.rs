@@ -111,7 +111,7 @@ fn render_streaming(label: &str, config: MarketConfig, seed: u64, horizon_secs: 
     let policy = system.policy();
     let mut out = String::new();
     writeln!(out, "[{label} seed={seed} horizon={horizon_secs}]").unwrap();
-    writeln!(out, "balances={:?}", policy.balances_sorted()).unwrap();
+    writeln!(out, "balances={:?}", policy.ledger().balances_sorted()).unwrap();
     let series = |ts: &scrip_des::stats::TimeSeries| -> Vec<(f64, f64)> {
         ts.samples()
             .iter()

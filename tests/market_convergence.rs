@@ -34,7 +34,7 @@ fn late_stage_snapshots_overlap_more() {
 
     let mut snapshot_at = |t: u64| {
         sim.run_until(SimTime::from_secs(t));
-        sim.model().balances_sorted()
+        sim.model().ledger().balances_sorted()
     };
     let early_a = snapshot_at(500);
     let early_b = snapshot_at(2_500);

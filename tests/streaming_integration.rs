@@ -1,7 +1,6 @@
-//! Full-stack integration: streaming protocol + credit market + analysis.
+//! Full-stack integration: streaming protocol + credit market.
 
 use scrip_core::des::{SimRng, SimTime};
-use scrip_core::mapping::analyze_streaming;
 use scrip_core::protocol::StreamingMarket;
 use scrip_core::streaming::StreamingConfig;
 use scrip_core::topology::generators::{self, ScaleFreeConfig};
@@ -29,36 +28,6 @@ fn streaming_market_end_to_end() {
         policy.ledger().total() + policy.ledger().escrow(),
         n as u64 * 80
     );
-}
-
-/// Chunk-availability weights from a live swarm feed the queueing
-/// analysis (the paper's "credit transfer probabilities are decided by
-/// data chunk availability").
-#[test]
-fn availability_analysis_runs_on_live_swarm() {
-    let system = StreamingMarket::new(100)
-        .streaming(StreamingConfig::market_paced(1.0))
-        .run(overlay(50, 3), 4, SimTime::from_secs(240))
-        .expect("runs");
-    match analyze_streaming(&system, 1.0, 50 * 100) {
-        Ok(analysis) => {
-            assert_eq!(analysis.peers.len(), 50);
-            assert!(analysis
-                .utilizations
-                .iter()
-                .all(|&u| (0.0..=1.0 + 1e-9).contains(&u)));
-            let total: f64 = analysis.expected_wealth.iter().sum();
-            assert!(
-                (total - 5_000.0).abs() < 1.0,
-                "expected wealth sums to {total}"
-            );
-        }
-        Err(scrip_core::CoreError::Queueing(_)) => {
-            // A snapshot's availability digraph can be reducible; the
-            // analysis correctly refuses rather than inventing flows.
-        }
-        Err(e) => panic!("unexpected error: {e}"),
-    }
 }
 
 /// Free trading (no credits) outperforms a credit-starved swarm — the

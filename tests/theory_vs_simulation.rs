@@ -51,7 +51,7 @@ fn efficiency_matches_exact_equilibrium() {
             SimTime::from_secs(horizon),
         )
         .expect("market runs");
-        let total_spent = market.total_spent();
+        let total_spent = market.ledger().total_spent();
         let efficiency = total_spent as f64 / (n as f64 * horizon as f64);
         let exact = c as f64 / (1.0 + c as f64);
         assert!(
