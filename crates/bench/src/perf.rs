@@ -806,7 +806,7 @@ pub fn record_overhead_failures(report: &BenchReport) -> Vec<String> {
 /// process mark, and the budget bounds the whole suite instead. Either
 /// way it is sized by the largest case. Full scale runs the four
 /// market regimes at n=10⁶ (arena state ≈ 100 B/peer + scale-free
-/// adjacency ≈ 8 B × ~20 neighbors + the timing wheel's pre-sized
+/// adjacency ≈ 4 B × ~20 neighbors + the timing wheel's pre-sized
 /// buckets), which lands well under 4 GiB; quick tops out at the
 /// n=10⁵ recording pair and must stay under 1 GiB. Blowing a budget
 /// means a structure started

@@ -18,7 +18,7 @@ use scrip_topology::{Graph, NodeId};
 
 use crate::error::CoreError;
 use crate::market::CreditMarket;
-use crate::model::{uniform_routing, weighted_routing};
+use crate::model::uniform_routing;
 
 /// Tolerance for grouping peers into the maximal-utilization atom when
 /// estimating the condensation threshold.
@@ -45,9 +45,9 @@ pub struct MarketAnalysis {
 }
 
 impl MarketAnalysis {
-    /// Analyzes a market described by its overlay, per-peer spending
-    /// rates, routing weights (e.g. chunk availability), and total
-    /// credits. Pass an empty weight map for uniform routing.
+    /// Analyzes a market described by its overlay (spending uniformly
+    /// over each peer's neighbors), per-peer spending rates, and total
+    /// credits.
     ///
     /// # Errors
     /// Returns [`CoreError`] if the overlay is empty/reducible or rates
@@ -55,14 +55,9 @@ impl MarketAnalysis {
     pub fn compute(
         graph: &Graph,
         service_rates: &BTreeMap<NodeId, f64>,
-        routing_weights: &BTreeMap<NodeId, Vec<(NodeId, f64)>>,
         total_credits: u64,
     ) -> Result<Self, CoreError> {
-        let (peers, matrix) = if routing_weights.is_empty() {
-            uniform_routing(graph)?
-        } else {
-            weighted_routing(graph, routing_weights)?
-        };
+        let (peers, matrix) = uniform_routing(graph)?;
         Self::compute_with_matrix(peers, &matrix, service_rates, total_credits)
     }
 
@@ -147,12 +142,7 @@ pub fn analyze_market(market: &CreditMarket) -> Result<MarketAnalysis, CoreError
         let matrix = crate::model::complete_mixing_routing(peers.len())?;
         MarketAnalysis::compute_with_matrix(peers, &matrix, &service_rates, market.ledger().total())
     } else {
-        MarketAnalysis::compute(
-            market.graph(),
-            &service_rates,
-            &BTreeMap::new(),
-            market.ledger().total(),
-        )
+        MarketAnalysis::compute(market.graph(), &service_rates, market.ledger().total())
     }
 }
 
@@ -191,8 +181,7 @@ mod tests {
             .expect("graph");
         let mu = spending_rates(&g, UtilizationProfile::Asymmetric, 1.0, &mut rng).expect("rates");
         // Plenty of credits: condensing.
-        let rich =
-            MarketAnalysis::compute(&g, &mu, &BTreeMap::new(), 60 * 1_000).expect("analyzes");
+        let rich = MarketAnalysis::compute(&g, &mu, 60 * 1_000).expect("analyzes");
         let t = rich
             .threshold
             .threshold
@@ -216,7 +205,7 @@ mod tests {
             .expect("graph");
         let mu = spending_rates(&g, UtilizationProfile::Asymmetric, 1.0, &mut rng).expect("rates");
         let m = 40 * 25u64;
-        let analysis = MarketAnalysis::compute(&g, &mu, &BTreeMap::new(), m).expect("analyzes");
+        let analysis = MarketAnalysis::compute(&g, &mu, m).expect("analyzes");
         let total: f64 = analysis.expected_wealth.iter().sum();
         assert!((total - m as f64).abs() < 1e-6, "total {total}");
     }
@@ -234,7 +223,7 @@ mod tests {
         let peers: Vec<NodeId> = g.node_ids().collect();
         let mixing = crate::model::complete_mixing_routing(peers.len()).expect("matrix");
         let sym = MarketAnalysis::compute_with_matrix(peers, &mixing, &sym_mu, m).expect("ok");
-        let asym = MarketAnalysis::compute(&g, &asym_mu, &BTreeMap::new(), m).expect("ok");
+        let asym = MarketAnalysis::compute(&g, &asym_mu, m).expect("ok");
         let g_sym = sym.population_gini(m).expect("gini");
         let g_asym = asym.population_gini(m).expect("gini");
         assert!(

@@ -382,17 +382,17 @@ impl MarketEvent {
     pub(crate) fn decode(r: &mut crate::snapshot::Reader<'_>) -> Result<Self, CoreError> {
         Ok(match r.take_u8()? {
             0 => MarketEvent::Bootstrap,
-            1 => MarketEvent::Spend(NodeId::from_raw(r.take_u64()?)),
+            1 => MarketEvent::Spend(r.take_id()?),
             2 => MarketEvent::Sample,
             3 => MarketEvent::Join,
-            4 => MarketEvent::Leave(NodeId::from_raw(r.take_u64()?)),
+            4 => MarketEvent::Leave(r.take_id()?),
             5 => MarketEvent::Deliver {
-                buyer: NodeId::from_raw(r.take_u64()?),
-                seller: NodeId::from_raw(r.take_u64()?),
+                buyer: r.take_id()?,
+                seller: r.take_id()?,
                 price: r.take_u64()?,
                 attempt: r.take_u32()?,
             },
-            6 => MarketEvent::Crash(NodeId::from_raw(r.take_u64()?)),
+            6 => MarketEvent::Crash(r.take_id()?),
             tag => {
                 return Err(CoreError::Checkpoint(format!(
                     "unknown market event tag {tag}"
@@ -449,7 +449,7 @@ pub struct MemoryAudit {
     /// column (allocated with or without faults).
     pub rates_bytes: usize,
     /// Adjacency rows and their per-ID row headers — degree-proportional
-    /// (≈ 8 B × degree per peer), accounted apart from the flat per-peer
+    /// (≈ 4 B × degree per peer), accounted apart from the flat per-peer
     /// state.
     pub adjacency_bytes: usize,
     /// Population-independent costs: the Fenwick seller-sampling
@@ -466,7 +466,7 @@ impl MemoryAudit {
     /// join index), excluding adjacency and fixed costs. Under churn the
     /// tables keep every id ever allocated, so the figure grows as dead
     /// ids outnumber live peers. The performance model's
-    /// per-peer budget (≈ 67 B measured, pinned at ≤ 75 B at n = 10⁴)
+    /// per-peer budget (≈ 61 B measured, pinned at ≤ 66 B at n = 10⁴)
     /// applies to this number.
     pub fn state_bytes_per_peer(&self) -> usize {
         if self.peers == 0 {
@@ -871,7 +871,11 @@ impl CreditMarket {
         // event since.
         let watermark = r.take_u64()?;
         let live_count = r.take_count(8)?;
-        let ceiling = self.graph.next_raw_id().saturating_add(events_processed);
+        let ceiling = self
+            .graph
+            .next_raw_id()
+            .saturating_add(events_processed)
+            .min(NodeId::MAX_RAW + 1);
         if watermark < live_count as u64 || watermark > ceiling {
             return Err(CoreError::Checkpoint(format!(
                 "overlay id watermark {watermark} outside {live_count}..={ceiling} \
@@ -880,13 +884,13 @@ impl CreditMarket {
         }
         let mut live = Vec::with_capacity(live_count);
         for _ in 0..live_count {
-            live.push(NodeId::from_raw(r.take_u64()?));
+            live.push(r.take_id()?);
         }
         let edge_count = r.take_count(16)?;
         let mut edges = Vec::with_capacity(edge_count);
         for _ in 0..edge_count {
-            let a = NodeId::from_raw(r.take_u64()?);
-            let b = NodeId::from_raw(r.take_u64()?);
+            let a = r.take_id()?;
+            let b = r.take_id()?;
             edges.push((a, b));
         }
         let graph = Graph::from_edges(watermark, live, edges)
@@ -908,7 +912,7 @@ impl CreditMarket {
         // stored totals below.
         let (mut spent_sum, mut in_flight_sum) = (Some(0u64), Some(0u64));
         for _ in 0..n {
-            let id = NodeId::from_raw(r.take_u64()?);
+            let id = r.take_id()?;
             if !self.graph.has_node(id) {
                 return Err(CoreError::Checkpoint(not_live.into()));
             }
@@ -930,7 +934,7 @@ impl CreditMarket {
         let entry_count = r.take_count(16)?;
         let mut entries = Vec::with_capacity(entry_count);
         for _ in 0..entry_count {
-            let id = NodeId::from_raw(r.take_u64()?);
+            let id = r.take_id()?;
             let balance = r.take_u64()?;
             entries.push((id, balance));
         }
@@ -1002,7 +1006,7 @@ impl CreditMarket {
         let seller_count = r.take_count(16)?;
         let mut sellers = Vec::with_capacity(seller_count);
         for _ in 0..seller_count {
-            let id = NodeId::from_raw(r.take_u64()?);
+            let id = r.take_id()?;
             let price = r.take_u64()?;
             sellers.push((id, price));
         }
@@ -1825,13 +1829,13 @@ mod tests {
 
     /// The arena layout audit's budget: flat per-peer market state
     /// (registry, wallets, prices, rates, counters, activity traces)
-    /// stays within 75 B/peer at a population large enough that
-    /// constant overheads vanish: 67 B measured with one peer registry,
-    /// an overlay indexed by raw id and one wallet record per id, plus
-    /// headroom (a slot map and sorted-id list beside the overlay rows
-    /// added ≈ 23 B).
-    /// Adjacency (≈ 8 B × degree) and population-independent scratch
-    /// are accounted — and bounded — separately.
+    /// stays within 66 B/peer at a population large enough that
+    /// constant overheads vanish: 61 B measured with one peer registry
+    /// of 32-bit ids, an overlay indexed by raw id and one wallet record
+    /// per id, plus headroom (64-bit ids measured 67 B).
+    /// Adjacency (4 B per neighbor entry plus a 24 B row header per id)
+    /// and population-independent scratch are accounted — and bounded —
+    /// separately.
     #[test]
     fn arena_layout_stays_within_per_peer_budget() {
         let config = MarketConfig::new(10_000, 50)
@@ -1842,15 +1846,19 @@ mod tests {
         assert_eq!(audit.peers, 10_000);
         let per_peer = audit.state_bytes_per_peer();
         assert!(
-            (40..=75).contains(&per_peer),
+            (40..=66).contains(&per_peer),
             "per-peer state out of budget: {per_peer} B/peer ({audit:?})"
         );
-        // Adjacency dominates at ~8 B × degree + row headers; make sure
-        // nothing quadratic snuck in.
-        let adjacency_per_peer = audit.adjacency_bytes / audit.peers;
+        // Adjacency is one 4 B entry per edge end plus one 24 B row
+        // header per id ever allocated: 0.98 MB measured against 0.96 MB
+        // exact, so 10% headroom covers row slack and still fails 64-bit
+        // entries (1.69 MB) or anything quadratic.
+        let graph = market.graph();
+        let exact = 4 * 2 * graph.edge_count() + 24 * graph.next_raw_id() as usize;
         assert!(
-            adjacency_per_peer <= 16 * 50 + 64,
-            "adjacency out of budget: {adjacency_per_peer} B/peer"
+            audit.adjacency_bytes <= exact + exact / 10,
+            "adjacency out of budget: {} B against {exact} B exact",
+            audit.adjacency_bytes
         );
         // Fixed costs (sampler scratch, Gini rank array, sample
         // series) are sized by max degree / max wealth / horizon, not
@@ -1860,6 +1868,17 @@ mod tests {
             audit.fixed_bytes < 16 << 20,
             "fixed costs blew up: {audit:?}"
         );
+    }
+
+    /// Ids are 32 bits, so a pending event and its wheel entry stay
+    /// small: 24 B per event and 40 B scheduled (64-bit ids made them
+    /// 32 B and 48 B).
+    #[test]
+    fn ids_and_pending_events_stay_small() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<NodeId>(), 4);
+        assert!(size_of::<MarketEvent>() <= 24);
+        assert!(size_of::<scrip_des::Scheduled<MarketEvent>>() <= 40);
     }
 
     /// A churned market (so dead ids exist) under `pricing`, and the
@@ -1935,6 +1954,23 @@ mod tests {
             let mut bytes = bytes.clone();
             bytes[33..41].copy_from_slice(&corrupt.to_le_bytes());
             assert_refused(decode(&market, &bytes), "watermark");
+        }
+    }
+
+    /// Ids are 32 bits wide but stored as `u64`s: a raw id of 2^32 as a
+    /// live id, an edge endpoint, a registry, ledger or posted-price id
+    /// is a checkpoint error, not a panic or a truncation to id 0.
+    #[test]
+    fn ids_past_the_32_bit_space_fail_closed() {
+        let (market, bytes) = churned_state(PricingConfig::SellerPoisson { mean: 2.0 });
+        let (registry, ledger, sellers) = section_offsets(&market, &bytes);
+        // The live ids follow the watermark and their count at byte 33.
+        let live = 33 + 16;
+        let edges = live + 8 * market.graph().node_count() + 8;
+        for at in [live, edges, registry + 8, ledger + 8, sellers + 8] {
+            let mut bytes = bytes.clone();
+            bytes[at..at + 8].copy_from_slice(&(NodeId::MAX_RAW + 1).to_le_bytes());
+            assert_refused(decode(&market, &bytes), "32-bit");
         }
     }
 

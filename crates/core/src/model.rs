@@ -89,50 +89,6 @@ pub fn uniform_routing(graph: &Graph) -> Result<(Vec<NodeId>, TransferMatrix), C
     Ok((ids, matrix))
 }
 
-/// Weighted routing from per-peer `(neighbor, weight)` lists — e.g. the
-/// chunk-availability weights of a live streaming swarm ("credit
-/// transfer probabilities to neighbors are decided by their data chunks
-/// availability"). Rows with no weights fall back to uniform routing
-/// over the graph neighbors, and isolated peers reserve their credits.
-///
-/// # Errors
-/// Returns [`CoreError::Config`] for an empty graph and propagates
-/// invalid weights.
-pub fn weighted_routing(
-    graph: &Graph,
-    weights: &BTreeMap<NodeId, Vec<(NodeId, f64)>>,
-) -> Result<(Vec<NodeId>, TransferMatrix), CoreError> {
-    let ids: Vec<NodeId> = graph.node_ids().collect();
-    if ids.is_empty() {
-        return Err(CoreError::Config("empty overlay".into()));
-    }
-    let index = graph.dense_index();
-    let rows: Vec<Vec<(usize, f64)>> = ids
-        .iter()
-        .map(|&id| {
-            let explicit: Vec<(usize, f64)> = weights
-                .get(&id)
-                .map(|list| {
-                    list.iter()
-                        .filter(|(nb, _)| index.contains_key(nb))
-                        .map(|&(nb, w)| (index[&nb], w))
-                        .collect()
-                })
-                .unwrap_or_default();
-            if !explicit.is_empty() {
-                explicit
-            } else {
-                graph
-                    .neighbors(id)
-                    .map(|nbrs| nbrs.map(|nb| (index[&nb], 1.0)).collect())
-                    .unwrap_or_default()
-            }
-        })
-        .collect();
-    let matrix = TransferMatrix::from_weighted_rows(ids.len(), &rows)?;
-    Ok((ids, matrix))
-}
-
 /// Complete-mixing routing over `n` peers: `p_ij = 1/(n−1)` for `j ≠ i`
 /// — the paper's Sec. V-C streaming case where "there is no difference
 /// among neighbors of peer i".
@@ -304,33 +260,6 @@ mod tests {
         assert_eq!(p.get(0, 0), 0.0);
         assert!((p.get(0, 1) - 1.0 / 3.0).abs() < 1e-12);
         assert!(complete_mixing_routing(1).is_err());
-    }
-
-    #[test]
-    fn weighted_routing_uses_weights_and_falls_back() {
-        let g = generators::ring(3).expect("valid");
-        let ids: Vec<NodeId> = g.node_ids().collect();
-        let mut weights = BTreeMap::new();
-        // Peer 0 heavily prefers peer 1; peers 1, 2 have no recorded
-        // availability and fall back to uniform.
-        weights.insert(ids[0], vec![(ids[1], 3.0), (ids[2], 1.0)]);
-        let (_, p) = weighted_routing(&g, &weights).expect("built");
-        assert!((p.get(0, 1) - 0.75).abs() < 1e-12);
-        assert!((p.get(0, 2) - 0.25).abs() < 1e-12);
-        assert_eq!(p.get(1, 0), 0.5);
-        assert_eq!(p.get(1, 2), 0.5);
-    }
-
-    #[test]
-    fn weighted_routing_ignores_departed_neighbors() {
-        let mut g = generators::ring(4).expect("valid");
-        let ids: Vec<NodeId> = g.node_ids().collect();
-        let mut weights = BTreeMap::new();
-        weights.insert(ids[0], vec![(ids[1], 1.0), (ids[2], 1.0)]);
-        g.remove_node(ids[2]).expect("live");
-        let (_, p) = weighted_routing(&g, &weights).expect("built");
-        // Dense index after removal: 0 -> 0, 1 -> 1, 3 -> 2.
-        assert_eq!(p.get(0, 1), 1.0);
     }
 
     #[test]

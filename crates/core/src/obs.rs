@@ -1928,11 +1928,12 @@ mod tests {
 
     /// Pending events are refused, in debug and release alike, when one
     /// precedes the clock, when they leave strictly ascending
-    /// `(time, seq)` order, or when a seq is not below events processed
-    /// plus pending (every seq comes from one push). Unchecked, the
-    /// first resumed with a wrong CSV in release and tripped the
-    /// kernel's "went backwards" assertion in debug; the last
-    /// overflowed the queue's sequence counter.
+    /// `(time, seq)` order, when a seq is not below events processed
+    /// plus pending (every seq comes from one push), or when a peer id
+    /// is past the 32-bit id space. Unchecked, the first resumed with a
+    /// wrong CSV in release and tripped the kernel's "went backwards"
+    /// assertion in debug; the third overflowed the queue's sequence
+    /// counter.
     #[test]
     fn corrupt_pending_events_fail_closed() {
         let config = MarketConfig::new(60, 10)
@@ -1968,6 +1969,23 @@ mod tests {
             let msg = resume(seq_at, seq);
             assert!(msg.contains("not below"), "{msg}");
         }
+        // Each event is its time, seq, tag and payload; a `Spend`'s
+        // buyer follows its tag.
+        let SessionSim::Queue(sim) = &session.sim else {
+            unreachable!("queue-level config")
+        };
+        let mut at = time_at;
+        let mut buyer_at = None;
+        for scheduled in sim.scheduler().snapshot_events() {
+            if matches!(scheduled.event, MarketEvent::Spend(_)) {
+                buyer_at.get_or_insert(at + 17);
+            }
+            let mut payload = Vec::new();
+            scheduled.event.encode(&mut payload);
+            at += 16 + payload.len();
+        }
+        let msg = resume(buyer_at.expect("a spend is pending"), 1 << 32);
+        assert!(msg.contains("32-bit"), "{msg}");
         // The pristine snapshot still resumes.
         assert!(Session::resume(&config, Vec::new(), &bytes).is_ok());
     }

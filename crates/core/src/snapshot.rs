@@ -7,6 +7,8 @@
 //! the same bytes, which the checkpoint/resume byte-identity tests rely
 //! on.
 
+use scrip_topology::NodeId;
+
 use crate::error::CoreError;
 
 /// Magic prefix of every snapshot ("SCRIPCKP" as bytes).
@@ -198,6 +200,18 @@ impl<'a> Reader<'a> {
         ))
     }
 
+    /// A node ID, written as its raw `u64`. A value past the 32-bit ID
+    /// space ([`NodeId::MAX_RAW`]) is an error, not a truncation.
+    pub(crate) fn take_id(&mut self) -> Result<NodeId, CoreError> {
+        let raw = self.take_u64()?;
+        if raw > NodeId::MAX_RAW {
+            return Err(CoreError::Checkpoint(format!(
+                "node id {raw} is past the 32-bit id space"
+            )));
+        }
+        Ok(NodeId::from_raw(raw))
+    }
+
     pub(crate) fn take_f64(&mut self) -> Result<f64, CoreError> {
         Ok(f64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
@@ -292,6 +306,22 @@ mod tests {
         // Trailing garbage.
         let r = Reader::with_header(&bytes).expect("header ok");
         assert!(r.finish().is_err());
+    }
+
+    #[test]
+    fn ids_past_the_32_bit_space_are_errors() {
+        let mut w = Writer::default();
+        w.put_u64(NodeId::MAX_RAW);
+        w.put_u64(NodeId::MAX_RAW + 1);
+        w.put_u64(u64::MAX);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(
+            r.take_id().expect("largest id"),
+            NodeId::from_raw(NodeId::MAX_RAW)
+        );
+        assert!(matches!(r.take_id(), Err(CoreError::Checkpoint(_))));
+        assert!(matches!(r.take_id(), Err(CoreError::Checkpoint(_))));
     }
 
     #[test]

@@ -161,8 +161,8 @@ fn assert_equivalent(
     prop_assert_eq!(ledger.ids(), &ids[..]);
     let entries: Vec<(NodeId, u64)> = ledger.slot_entries().collect();
     prop_assert_eq!(&entries, &model.accounts);
-    // Every id up to two past the highest ever used, and one far out.
-    for raw in (0..watermark + 2).chain([u64::from(u32::MAX) + 7]) {
+    // Every id up to two past the highest ever used, and the largest id.
+    for raw in (0..watermark + 2).chain([NodeId::MAX_RAW]) {
         let id = NodeId::from_raw(raw);
         prop_assert_eq!(ledger.balance(id), model.balance(id), "balance of {}", id);
         prop_assert_eq!(

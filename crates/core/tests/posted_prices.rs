@@ -158,8 +158,8 @@ proptest! {
                 }
             }
             prop_assert_eq!(rng.state(), ref_rng.state(), "RNG diverged at step {}", step);
-            // Every id ever minted, a few never seen, and one far out.
-            let probes = (0..minted + 3).chain([u64::from(u32::MAX) + 7]);
+            // Every id ever minted, a few never seen, and the largest id.
+            let probes = (0..minted + 3).chain([NodeId::MAX_RAW]);
             for raw in probes {
                 let id = NodeId::from_raw(raw);
                 prop_assert_eq!(model.seller_price(id), old.seller_price(id));

@@ -108,11 +108,6 @@ impl<E> Scheduler<E> {
         self.queue.len()
     }
 
-    /// Activation time of the next event, if any.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Re-enqueues an already-sequenced event, preserving its
     /// `(time, seq)` identity (see [`EventQueue::push_scheduled`]).
     /// Unlike [`Scheduler::schedule_at`] the activation time is *not*
@@ -122,9 +117,11 @@ impl<E> Scheduler<E> {
         self.queue.push_scheduled(scheduled);
     }
 
-    /// Pops the next event and advances the clock to its activation time.
-    pub(crate) fn advance(&mut self) -> Option<Scheduled<E>> {
-        let scheduled = self.queue.pop()?;
+    /// Pops the next event due at or before `horizon` (see
+    /// [`EventQueue::pop_due`]) and advances the clock to its activation
+    /// time.
+    pub(crate) fn advance(&mut self, horizon: SimTime) -> Option<Scheduled<E>> {
+        let scheduled = self.queue.pop_due(horizon)?;
         debug_assert!(scheduled.time >= self.now, "event queue went backwards");
         self.now = scheduled.time;
         Some(scheduled)
@@ -197,7 +194,7 @@ mod tests {
         let mut s: Scheduler<()> = Scheduler::new();
         s.advance_clock_to(SimTime::from_secs(10));
         s.schedule_at(SimTime::from_secs(1), ());
-        let ev = s.advance().expect("event");
+        let ev = s.advance(SimTime::MAX).expect("event");
         assert_eq!(ev.time, SimTime::from_secs(10));
         assert_eq!(s.now(), SimTime::from_secs(10));
     }
@@ -207,7 +204,7 @@ mod tests {
         let mut s: Scheduler<u32> = Scheduler::new();
         s.schedule_after(SimDuration::from_secs(4), 7);
         assert_eq!(s.pending(), 1);
-        let ev = s.advance().expect("event");
+        let ev = s.advance(SimTime::MAX).expect("event");
         assert_eq!(ev.event, 7);
         assert_eq!(s.now(), SimTime::from_secs(4));
         assert_eq!(s.pending(), 0);
@@ -244,7 +241,7 @@ mod tests {
         // A steady-state push/pop cycle at the filled population never
         // grows the queue.
         for _ in 0..1_000 {
-            let ev = s.advance().expect("event");
+            let ev = s.advance(SimTime::MAX).expect("event");
             s.schedule_after(SimDuration::from_secs(1), ev.event);
         }
         assert_eq!(s.pending(), 100);
@@ -294,8 +291,8 @@ mod tests {
             event: 7,
         });
         s.schedule_at(SimTime::from_secs(1), 8); // must get seq 42
-        let first = s.advance().expect("event");
-        let second = s.advance().expect("event");
+        let first = s.advance(SimTime::MAX).expect("event");
+        let second = s.advance(SimTime::MAX).expect("event");
         assert_eq!((first.seq, first.event), (41, 7));
         assert_eq!((second.seq, second.event), (42, 8));
     }
@@ -324,7 +321,7 @@ mod tests {
         }
         assert_eq!(restored.now(), s.now());
         loop {
-            match (s.advance(), restored.advance()) {
+            match (s.advance(SimTime::MAX), restored.advance(SimTime::MAX)) {
                 (Some(a), Some(b)) => {
                     assert_eq!((a.time, a.seq), (b.time, b.seq));
                     assert_eq!(a.event, b.event);

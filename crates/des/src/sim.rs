@@ -1,7 +1,7 @@
 //! The simulation kernel: drives a [`Model`] by dispatching events in time
 //! order.
 
-use crate::event::Scheduler;
+use crate::event::{Scheduled, Scheduler};
 use crate::time::SimTime;
 
 /// A discrete-event model.
@@ -127,11 +127,16 @@ impl<M: Model> Simulation<M> {
     /// Dispatches a single event. Returns the instant it fired, or [`None`]
     /// if the queue was empty.
     pub fn step(&mut self) -> Option<SimTime> {
-        let scheduled = self.scheduler.advance()?;
+        let scheduled = self.scheduler.advance(SimTime::MAX)?;
+        Some(self.dispatch(scheduled))
+    }
+
+    /// Hands a popped event to the model, returning its instant.
+    fn dispatch(&mut self, scheduled: Scheduled<M::Event>) -> SimTime {
         self.events_processed += 1;
         self.model
             .handle(scheduled.time, scheduled.event, &mut self.scheduler);
-        Some(scheduled.time)
+        scheduled.time
     }
 
     /// Runs until the event queue drains.
@@ -148,13 +153,8 @@ impl<M: Model> Simulation<M> {
     /// drains. Events scheduled exactly at `horizon` are dispatched; the
     /// clock is then advanced to `horizon` even if no event fired there.
     pub fn run_until(&mut self, horizon: SimTime) -> RunStats {
-        loop {
-            match self.scheduler.next_event_time() {
-                Some(t) if t <= horizon => {
-                    self.step();
-                }
-                _ => break,
-            }
+        while let Some(scheduled) = self.scheduler.advance(horizon) {
+            self.dispatch(scheduled);
         }
         self.scheduler.advance_clock_to(horizon);
         self.stats()
@@ -175,20 +175,12 @@ impl<M: Model> Simulation<M> {
         horizon: SimTime,
         tap: &mut dyn FnMut(SimTime, u64, &M::Event) -> bool,
     ) -> (RunStats, bool) {
-        loop {
-            match self.scheduler.next_event_time() {
-                Some(t) if t <= horizon => {
-                    let scheduled = self.scheduler.advance().expect("peeked event");
-                    if !tap(scheduled.time, scheduled.seq, &scheduled.event) {
-                        self.scheduler.enqueue_scheduled(scheduled);
-                        return (self.stats(), true);
-                    }
-                    self.events_processed += 1;
-                    self.model
-                        .handle(scheduled.time, scheduled.event, &mut self.scheduler);
-                }
-                _ => break,
+        while let Some(scheduled) = self.scheduler.advance(horizon) {
+            if !tap(scheduled.time, scheduled.seq, &scheduled.event) {
+                self.scheduler.enqueue_scheduled(scheduled);
+                return (self.stats(), true);
             }
+            self.dispatch(scheduled);
         }
         self.scheduler.advance_clock_to(horizon);
         (self.stats(), false)

@@ -300,12 +300,13 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Advances the floor to the earliest non-empty bucket and merges
-    /// that bucket's events (its node list and overflow stragglers
-    /// alike) into the live heap, returning the list's nodes to the
-    /// free list. No-op if anything is already live or nothing is
-    /// pending.
-    fn rotate(&mut self) {
+    /// Advances the floor to the earliest non-empty bucket, if that
+    /// bucket is at or before `limit`, and merges its events (its node
+    /// list and overflow stragglers alike) into the live heap,
+    /// returning the list's nodes to the free list. No-op if anything
+    /// is already live, nothing is pending, or the earliest bucket lies
+    /// past `limit`.
+    fn rotate(&mut self, limit: u64) {
         if !self.live.is_empty() {
             return;
         }
@@ -317,6 +318,9 @@ impl<E> EventQueue<E> {
             (None, Some(o)) => o,
             (None, None) => return,
         };
+        if target > limit {
+            return;
+        }
         debug_assert!(target > self.floor, "wheel floor went backwards");
         self.floor = target;
         if wheel_next == Some(target) {
@@ -347,14 +351,34 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
+        self.pop_due(SimTime::MAX)
+    }
+
+    /// Removes and returns the earliest pending event if it is due at or
+    /// before `horizon`, and otherwise leaves the queue as it is.
+    ///
+    /// This is [`EventQueue::peek_time`] and [`EventQueue::pop`] in one
+    /// pass: at a rotation boundary the bitmap is scanned once, and the
+    /// wheel rotates only into a bucket that starts at or before
+    /// `horizon`, so the floor never passes the horizon's bucket and
+    /// events pushed at or after `horizon` later still file as usual.
+    ///
+    /// ```
+    /// use scrip_des::{EventQueue, SimTime};
+    /// let mut q = EventQueue::new();
+    /// q.push(SimTime::from_secs(5), "later");
+    /// assert!(q.pop_due(SimTime::from_secs(4)).is_none());
+    /// assert_eq!(q.pop_due(SimTime::from_secs(5)).map(|s| s.event), Some("later"));
+    /// ```
+    pub fn pop_due(&mut self, horizon: SimTime) -> Option<Scheduled<E>> {
         if self.live.is_empty() {
-            self.rotate();
+            self.rotate(self.bucket_of(horizon));
         }
-        let popped = self.live.pop();
-        if popped.is_some() {
-            self.len -= 1;
+        if self.live.peek()?.time > horizon {
+            return None;
         }
-        popped
+        self.len -= 1;
+        self.live.pop()
     }
 
     /// The activation time of the earliest pending event, without

@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation kernel and distributions.
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use proptest::prelude::*;
 use scrip_des::dist::{AliasTable, Exp, Geometric, Poisson};
@@ -66,6 +66,46 @@ impl HeapModel {
 }
 
 type Triple = (SimTime, u64, u64);
+
+/// A self-perpetuating model for the pause/resume property: every
+/// event logs `(now, label)` and schedules one follow-up, its delay
+/// taken in turn from `delays`. After handling `k` events it schedules
+/// every injection listed for `k`, so one uninterrupted run can replay
+/// events that a paused run schedules between `run_until` calls at the
+/// same point of the push order.
+#[derive(Default)]
+struct Chain {
+    delays: Vec<SimDuration>,
+    handled: u64,
+    next_label: u64,
+    injections: VecDeque<(u64, SimTime, u64)>,
+    log: Vec<(SimTime, u64)>,
+}
+
+impl Chain {
+    /// Schedules the injections listed for the current handled count.
+    fn inject(&mut self, s: &mut Scheduler<u64>) {
+        while let Some(&(k, time, label)) = self.injections.front() {
+            if k != self.handled {
+                break;
+            }
+            self.injections.pop_front();
+            s.schedule_at(time, label);
+        }
+    }
+}
+
+impl Model for Chain {
+    type Event = u64;
+    fn handle(&mut self, now: SimTime, label: u64, s: &mut Scheduler<u64>) {
+        self.log.push((now, label));
+        let delay = self.delays[self.handled as usize % self.delays.len()];
+        self.handled += 1;
+        s.schedule_after(delay, self.next_label);
+        self.next_label += 1;
+        self.inject(s);
+    }
+}
 
 fn triple(s: Scheduled<u64>) -> Triple {
     (s.time, s.seq, s.event)
@@ -233,7 +273,7 @@ proptest! {
     }
 
     /// `EventQueue` pops the exact `(time, seq)` sequence a binary-heap
-    /// model pops, under random interleavings of schedule/pop with
+    /// model pops, under random interleavings of schedule/pop/pop-due with
     /// same-time ties and far-future overflow events, for arbitrary
     /// sizing profiles up to and past the largest bucket count. Typical
     /// delays from 1 µs to 5 s against pushes up to 40 s and 1 h ahead
@@ -309,8 +349,17 @@ proptest! {
                         queue.push(t, ev);
                         ev += 1;
                     }
-                    _ => {
+                    _ if fine % 2 == 0 => {
                         prop_assert_eq!(model.heap.pop().map(triple), queue.pop().map(triple));
+                    }
+                    // Pop only if due by a horizon in the same window,
+                    // which may fall before, inside or past the wheel's
+                    // floor bucket.
+                    _ => {
+                        let horizon = SimTime::from_micros(coarse * 1_000_000 + fine);
+                        let due = model.heap.peek().is_some_and(|s| s.time <= horizon);
+                        let expected = if due { model.heap.pop().map(triple) } else { None };
+                        prop_assert_eq!(expected, queue.pop_due(horizon).map(triple));
                     }
                 },
             }
@@ -318,5 +367,94 @@ proptest! {
             prop_assert_eq!(model.heap.peek().map(|s| s.time), queue.peek_time());
         }
         prop_assert_eq!(drain_model(model), drain(queue));
+    }
+
+    /// `run_until` and `run_until_traced` over random non-decreasing
+    /// horizons, with events scheduled between the calls, dispatch the
+    /// same `(time, seq)` sequence as one uninterrupted run that
+    /// schedules those events at the same point of its push order.
+    /// Delays of zero, within the wheel window and an hour ahead cover
+    /// same-instant ties, bucket rotation and the overflow heap; the
+    /// horizons fall inside, between and past the buckets.
+    #[test]
+    fn run_until_in_pieces_dispatches_like_one_run(
+        seeds in prop::collection::vec(0u64..2_000_000, 1..8),
+        delays in prop::collection::vec((0u8..8, 0u64..2_000_000), 1..20),
+        pauses in prop::collection::vec((0u64..1_000_000, 0usize..3, 0u64..1_000_000), 1..20),
+        sizing in (0u32..12, 1u64..2_000_000),
+    ) {
+        let profile = QueueProfile {
+            expected_events: 1 << sizing.0,
+            typical_delay: SimDuration::from_micros(sizing.1),
+        };
+        // The first delay is never zero, so time always moves on.
+        let delays: Vec<SimDuration> = delays
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, fine))| match kind {
+                0 if i > 0 => SimDuration::ZERO,
+                7 => SimDuration::from_secs(3_600) + SimDuration::from_micros(fine),
+                _ => SimDuration::from_micros(50_000 + fine),
+            })
+            .collect();
+        let chain = |injections| Chain {
+            delays: delays.clone(),
+            next_label: 1 << 32,
+            injections,
+            ..Chain::default()
+        };
+        let build = |mut model: Chain| {
+            let mut scheduler = Scheduler::with_profile(profile);
+            for (label, &t) in seeds.iter().enumerate() {
+                scheduler.schedule_at(SimTime::from_micros(t), label as u64);
+            }
+            model.inject(&mut scheduler);
+            Simulation::from_parts(model, scheduler, 0)
+        };
+        // Paused runs: plain and traced, the injections scheduled
+        // between calls at or after the horizon just reached.
+        let mut plain = build(chain(VecDeque::new()));
+        let mut traced = build(chain(VecDeque::new()));
+        let mut traced_seqs = Vec::new();
+        let mut injections = VecDeque::new();
+        let mut tap = |t: SimTime, seq: u64, _: &u64| {
+            traced_seqs.push((t, seq));
+            true
+        };
+        let mut horizon = SimTime::ZERO;
+        let mut label = 1 << 48;
+        // A last call at the final horizon dispatches what the last
+        // pause scheduled there.
+        let last = (0, 0, 0);
+        for &(gap, count, offset) in pauses.iter().chain([&last]) {
+            horizon += SimDuration::from_micros(gap);
+            let stats = plain.run_until(horizon);
+            let (traced_stats, vetoed) = traced.run_until_traced(horizon, &mut tap);
+            prop_assert!(!vetoed);
+            prop_assert_eq!(stats, traced_stats);
+            prop_assert_eq!(plain.now(), horizon);
+            for k in 0..count {
+                let at = horizon + SimDuration::from_micros(offset * k as u64);
+                plain.schedule(at, label);
+                traced.schedule(at, label);
+                injections.push_back((stats.events_processed, at, label));
+                label += 1;
+            }
+        }
+        // One uninterrupted run, injecting at the same dispatch counts.
+        let mut whole = build(chain(injections));
+        let mut whole_seqs = Vec::new();
+        let mut tap = |t: SimTime, seq: u64, _: &u64| {
+            whole_seqs.push((t, seq));
+            true
+        };
+        let (stats, _) = whole.run_until_traced(horizon, &mut tap);
+        prop_assert!(whole.model().injections.is_empty(), "every injection replayed");
+        prop_assert_eq!(&plain.model().log, &whole.model().log);
+        prop_assert_eq!(&traced.model().log, &whole.model().log);
+        prop_assert_eq!(&traced_seqs, &whole_seqs);
+        prop_assert!(whole_seqs.windows(2).all(|w| w[0] < w[1]), "dispatch order is (time, seq)");
+        prop_assert_eq!(plain.stats(), stats);
+        prop_assert_eq!(traced.stats(), stats);
     }
 }

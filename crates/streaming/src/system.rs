@@ -265,27 +265,6 @@ impl<T: TradePolicy> StreamingSystem<T> {
         &self.stall_series
     }
 
-    /// Visits every `(peer, neighbor, useful chunks the neighbor offers
-    /// the peer)` triple with positive weight, straight off the raw-id
-    /// state table — no per-call allocation. This is the paper's
-    /// rule that "credit transfer probabilities to neighbors are decided
-    /// by their data chunks availability during streaming"; the
-    /// in-protocol weighted pick
-    /// ([`crate::config::ProviderSelection::AvailabilityWeighted`])
-    /// applies the same weights per candidate set on the hot path.
-    pub fn for_each_availability_weight(&self, mut visit: impl FnMut(NodeId, NodeId, f64)) {
-        for (id, state) in self.peers() {
-            for &nb in self.graph.neighbor_slice(id).unwrap_or(&[]) {
-                if let Some(nb_state) = live(&self.peers, nb) {
-                    let useful = state.buffer.useful_from(&nb_state.buffer);
-                    if useful > 0 {
-                        visit(id, nb, useful as f64);
-                    }
-                }
-            }
-        }
-    }
-
     /// Aggregated protocol metrics at instant `now`.
     pub fn report(&self, now: SimTime) -> SystemReport {
         SystemReport::compute(self, now)
@@ -844,20 +823,6 @@ mod tests {
             .sum();
         assert_eq!(model.policy().settled, received);
         assert!(model.policy().authorized >= model.policy().settled);
-    }
-
-    #[test]
-    fn availability_weights_are_consistent() {
-        let sim = run(small_system(6), 60);
-        let model = sim.model();
-        let mut weighted = 0;
-        model.for_each_availability_weight(|id, nb, w| {
-            assert!(model.peer(id).is_some() && model.peer(nb).is_some());
-            assert!(model.graph().has_edge(id, nb), "weight on non-edge");
-            assert!(w > 0.0);
-            weighted += 1;
-        });
-        assert!(weighted > 0, "a live swarm offers chunks");
     }
 
     #[test]

@@ -30,13 +30,22 @@ use crate::join_index::JoinIndex;
 /// IDs are allocated by [`Graph::add_node`] and are **never reused**, so a
 /// departed peer's ID cannot be confused with a later joiner's — essential
 /// for churn experiments where per-peer wallets outlive topology changes.
+///
+/// An ID is 32 bits wide: IDs are dense from zero, so 2³² of them outlast
+/// any run, and every overlay row entry, pending event and registry slot
+/// that holds one is half the size a 64-bit ID would make it. Encoders
+/// still write the raw value as a `u64` ([`NodeId::raw`]), so checkpoint
+/// and trace bytes do not depend on the width.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeId(u64);
+pub struct NodeId(u32);
 
 impl NodeId {
+    /// The largest raw value an ID can hold.
+    pub const MAX_RAW: u64 = u32::MAX as u64;
+
     /// The raw numeric value (useful for dense indexing in reports).
     pub const fn raw(self) -> u64 {
-        self.0
+        self.0 as u64
     }
 
     /// The raw value as an index into a table with one entry per ID
@@ -50,9 +59,18 @@ impl NodeId {
     ///
     /// Only meaningful for values previously obtained via
     /// [`NodeId::raw`] on the same graph; probing a graph with arbitrary
-    /// values is safe but will usually name an absent node.
+    /// in-range values is safe but will usually name an absent node.
+    /// Decoders of untrusted bytes check the range first and report a
+    /// value past [`NodeId::MAX_RAW`] as an error.
+    ///
+    /// # Panics
+    /// Panics if `raw` exceeds [`NodeId::MAX_RAW`].
     pub const fn from_raw(raw: u64) -> Self {
-        NodeId(raw)
+        assert!(
+            raw <= NodeId::MAX_RAW,
+            "raw node ID past the 32-bit ID space"
+        );
+        NodeId(raw as u32)
     }
 }
 
@@ -143,7 +161,7 @@ impl Graph {
 
     /// Creates a graph with `n` isolated nodes (IDs `0..n`).
     pub fn with_nodes(n: usize) -> Self {
-        let ids = (0..n as u64).map(NodeId).collect();
+        let ids = (0..n as u64).map(NodeId::from_raw).collect();
         Graph::from_edges(n as u64, ids, []).expect("ascending ids, no edges")
     }
 
@@ -152,7 +170,8 @@ impl Graph {
     /// with the ID watermark — the next ID [`Graph::add_node`] will
     /// allocate — at `watermark`. IDs below the watermark that `live`
     /// omits are dead, as if removed. The watermark sizes a per-ID
-    /// table, so callers decoding untrusted input must bound it first.
+    /// table, so callers decoding untrusted input must bound it first;
+    /// it is at most 2³², one past [`NodeId::MAX_RAW`].
     ///
     /// The result equals folding [`Graph::add_edge`] over `edges` on a
     /// graph holding exactly those nodes: parallel edges (in either
@@ -192,7 +211,7 @@ impl Graph {
     {
         let mut previous = None;
         for &id in &live {
-            if id.0 >= watermark || previous.is_some_and(|p| p >= id) {
+            if id.raw() >= watermark || previous.is_some_and(|p| p >= id) {
                 return Err(GraphError::UnorderedNode(id));
             }
             previous = Some(id);
@@ -250,8 +269,13 @@ impl Graph {
     }
 
     /// Adds a node and returns its fresh, never-reused ID.
+    ///
+    /// # Panics
+    /// Panics once every 32-bit ID has been handed out.
     pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId(self.rows.len() as u64);
+        let raw = u32::try_from(self.rows.len())
+            .expect("node ID space exhausted: every 32-bit ID has been allocated");
+        let id = NodeId(raw);
         self.rows.push(Some(Vec::new()));
         self.node_count += 1;
         if let Some(index) = &mut self.join_index {
@@ -732,7 +756,7 @@ mod tests {
         );
         assert_eq!(churned.dense_index(), compact.dense_index());
         for raw in 0..churned.next_raw_id() + 2 {
-            let id = NodeId(raw);
+            let id = NodeId::from_raw(raw);
             assert_eq!(churned.neighbor_slice(id), compact.neighbor_slice(id));
         }
     }
