@@ -494,12 +494,10 @@ fn cmd_trace_diff(options: &Options) -> Result<(), String> {
         );
         return Err("traces diverge (headers)".into());
     }
-    let ca = a.register_consumer();
-    let cb = b.register_consumer();
     let (mut events, mut digests) = (0u64, 0u64);
     loop {
-        let fa = a.next_frame(ca).map_err(|e| format!("{path_a}: {e}"))?;
-        let fb = b.next_frame(cb).map_err(|e| format!("{path_b}: {e}"))?;
+        let fa = a.next_frame().map_err(|e| format!("{path_a}: {e}"))?;
+        let fb = b.next_frame().map_err(|e| format!("{path_b}: {e}"))?;
         if fa != fb {
             let at = match (&fa, &fb) {
                 (Some(TraceFrame::Event { time, seq, .. }), _)

@@ -56,10 +56,9 @@ pub fn bisect_trace(
     // Collect the recorded digest schedule.
     let mut reader =
         TraceReader::from_path(trace).map_err(|e| format!("{}: {e}", trace.display()))?;
-    let consumer = reader.register_consumer();
     let mut digests: Vec<(SimTime, u64)> = Vec::new();
     while let Some(frame) = reader
-        .next_frame(consumer)
+        .next_frame()
         .map_err(|e| format!("{}: {e}", trace.display()))?
     {
         if let TraceFrame::Digest { time, digest, .. } = frame {

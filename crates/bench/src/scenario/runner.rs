@@ -592,8 +592,7 @@ impl Replication<'_> {
 /// has a default; a driver that overrides none runs the plain batch.
 pub trait Driver: Sync {
     /// The session the replication runs: [`Replication::fresh`] by
-    /// default. Override to resume a snapshot or attach a trace or a
-    /// sample sink.
+    /// default. Override to resume a snapshot or attach a trace.
     ///
     /// # Errors
     /// An error fails the replication.

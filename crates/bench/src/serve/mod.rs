@@ -26,10 +26,11 @@
 //! * **Tailable telemetry.** Each job appends one frame per sampling
 //!   boundary to `job-<id>.samples.trc` — a `SCRIPTRC` container whose
 //!   event payloads are human-readable sample lines — flushed at every
-//!   boundary and closed with the format's end frame. Subscribers (and
-//!   `scrip-sim tail`) follow it with
-//!   [`TraceTailer`](scrip_des::trace::TraceTailer), the consumer side
-//!   of `TraceReader::extend`.
+//!   boundary and closed with the format's end frame. The worker writes
+//!   each line from the runner's pause hook, which already stops at
+//!   every sampling boundary; checkpoint-only stops write none.
+//!   Subscribers (and `scrip-sim tail`) follow it with
+//!   [`TraceTailer`](scrip_des::trace::TraceTailer).
 //!
 //! The daemon never re-simulates inside the protocol layer: results are
 //! whatever the worker wrote, so a served run's output is the scenario

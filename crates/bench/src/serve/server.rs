@@ -21,6 +21,12 @@ use crate::scenario::Scenario;
 /// orders of magnitude above every scenario in the repo).
 const MAX_SCENARIO_BYTES: usize = 4 << 20;
 
+/// Longest request line the daemon reads (64 KiB): a `submit` header
+/// with every option set is under a hundred bytes plus its job name. A
+/// client that sends more without a newline is refused and cut off
+/// instead of growing the daemon's line buffer without bound.
+const MAX_LINE_BYTES: usize = 64 << 10;
+
 /// How often a subscriber re-polls the job's sample log.
 const SUBSCRIBE_POLL: Duration = Duration::from_millis(25);
 
@@ -218,12 +224,23 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
+    let mut line = Vec::new();
     loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
+        line.clear();
+        match (&mut reader)
+            .take(MAX_LINE_BYTES as u64)
+            .read_until(b'\n', &mut line)
+        {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
+        if line.len() == MAX_LINE_BYTES && !line.ends_with(b"\n") {
+            let _ = refuse(&mut writer, "request line too long").and_then(|()| flush(&mut writer));
+            return;
+        }
+        let Ok(line) = std::str::from_utf8(&line) else {
+            return;
+        };
         let trimmed = line.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {
             continue;
@@ -539,5 +556,35 @@ fn sanitize_token(name: &str) -> String {
         "job".to_string()
     } else {
         cleaned
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serve::Client;
+
+    #[test]
+    fn over_long_request_lines_are_refused() {
+        let dir =
+            std::env::temp_dir().join(format!("scrip-serve-long-line-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(&ServeOptions::new("127.0.0.1:0", &dir)).expect("server starts");
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connects");
+        // Exactly the limit and no newline: the daemon reads every byte
+        // before it closes, so no unread data turns the close into a
+        // reset that could swallow the reply.
+        stream
+            .write_all(&vec![b'x'; MAX_LINE_BYTES])
+            .expect("sends");
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).expect("reads to close");
+        assert_eq!(reply, "err request line too long\n");
+
+        let mut client = Client::connect(&server.local_addr().to_string()).expect("connects");
+        assert_eq!(client.ping().as_deref(), Ok("pong"));
+        client.drain().expect("drains");
+        server.join();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,6 +1,6 @@
 //! The worker pool: claims jobs off the shared queue and runs each one
 //! through the scenario runner ([`run_driven`]), whose [`Driver`] hooks
-//! add periodic checkpoints, live sample streaming, cancel-at-boundary,
+//! add periodic checkpoints, the live sample log, cancel-at-boundary,
 //! and wall-clock timeouts.
 //!
 //! **Determinism.** The runner is the batch runner itself, so case
@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use scrip_core::des::trace::{TraceHeader, TraceWriter};
 use scrip_core::des::SimTime;
 use scrip_core::market::MarketConfig;
-use scrip_core::obs::{LiveSample, Session};
+use scrip_core::obs::Session;
 
 use super::journal::{JobRecord, JobState};
 use super::server::{one_line, Shared};
@@ -110,36 +110,40 @@ impl SampleLog {
         })
     }
 
-    /// Appends one boundary sample. Telemetry is best-effort: I/O
+    /// Logs `session` at a pause or the horizon: one sample line when
+    /// its clock lies on the sampling grid (checkpoint-only stops log
+    /// none), and how far it has run for the end frame; `finished`
+    /// marks its replication done. Telemetry is best-effort: I/O
     /// failures drop the frame, never the job.
-    fn push(&mut self, label: &str, seed: u64, sample: &LiveSample) {
-        let gini = match sample.wealth_gini {
-            Some(g) => format!("{g:.6}"),
-            None => "na".to_string(),
-        };
-        let payload = format!(
-            "case={label} seed={seed} t_us={} events={} peers={} purchases={} denied={} \
-             spent={} gini={gini}",
-            sample.time.as_micros(),
-            sample.events_processed,
-            sample.peers,
-            sample.purchases,
-            sample.denied,
-            sample.total_spent,
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        let _ = self
-            .writer
-            .event(sample.time, seq, payload.as_bytes())
-            .and_then(|()| self.writer.flush());
-    }
-
-    /// Notes how far `session` has run; `finished` marks its
-    /// replication done.
-    fn progress(&mut self, session: &Session, finished: bool) {
-        self.clock = session.now();
-        self.events = self.done_events + session.stats().events_processed;
+    fn observe(&mut self, rep: &Replication<'_>, session: &Session, finished: bool) {
+        let now = session.now();
+        let events_processed = session.stats().events_processed;
+        if now.as_micros() % rep.config.sample_interval.as_micros() == 0 {
+            let view = session.view();
+            let gini = match view.ledger().wealth_gini() {
+                Ok(g) => format!("{g:.6}"),
+                Err(_) => "na".to_string(),
+            };
+            let payload = format!(
+                "case={} seed={} t_us={} events={events_processed} peers={} purchases={} \
+                 denied={} spent={} gini={gini}",
+                rep.label,
+                rep.seed,
+                now.as_micros(),
+                view.peer_count(),
+                view.purchases(),
+                view.denied(),
+                view.ledger().total_spent(),
+            );
+            let seq = self.seq;
+            self.seq += 1;
+            let _ = self
+                .writer
+                .event(now, seq, payload.as_bytes())
+                .and_then(|()| self.writer.flush());
+        }
+        self.clock = now;
+        self.events = self.done_events + events_processed;
         if finished {
             self.done_events = self.events;
         }
@@ -164,7 +168,7 @@ struct JobDriver<'a> {
     /// from scratch after a daemon kill, which is merely slower, not
     /// wrong.
     checkpointed: bool,
-    samples: Arc<Mutex<SampleLog>>,
+    samples: Mutex<SampleLog>,
     throttle: Option<Duration>,
     deadline: Option<Instant>,
 }
@@ -178,37 +182,29 @@ impl Driver for JobDriver<'_> {
         } else {
             None
         };
-        let mut session = match resumed {
-            Some(session) => session,
+        match resumed {
+            Some(session) => Ok(session),
             None => {
                 // No usable snapshot (none yet, stale, or damaged): a
                 // clean start is slower but just as deterministic.
                 let _ = std::fs::remove_file(&self.ckpt_path);
-                rep.fresh()?
+                rep.fresh()
             }
-        };
-        let log = Arc::clone(&self.samples);
-        let (label, seed) = (rep.label.to_string(), rep.seed);
-        session.stream_samples_to(Box::new(move |sample: &LiveSample| {
-            log.lock()
-                .expect("sample log lock")
-                .push(&label, seed, sample);
-        }));
-        Ok(session)
+        }
     }
 
     fn pauses(&self, rep: &Replication<'_>) -> Vec<SimTime> {
         stop_schedule(rep.config, self.job.checkpoint_every, rep.horizon())
     }
 
-    fn at_pause(&self, _rep: &Replication<'_>, session: &Session) -> Result<(), ScenarioError> {
-        if let Some(pause) = self.throttle {
-            std::thread::sleep(pause);
-        }
+    fn at_pause(&self, rep: &Replication<'_>, session: &Session) -> Result<(), ScenarioError> {
         self.samples
             .lock()
             .expect("sample log lock")
-            .progress(session, false);
+            .observe(rep, session, false);
+        if let Some(pause) = self.throttle {
+            std::thread::sleep(pause);
+        }
         let every_us = self.job.checkpoint_every.saturating_mul(1_000_000);
         if self.checkpointed && every_us > 0 && session.now().as_micros() % every_us == 0 {
             checkpoint_to(session, &self.ckpt_path)?;
@@ -233,13 +229,13 @@ impl Driver for JobDriver<'_> {
 
     fn at_horizon(
         &self,
-        _rep: &Replication<'_>,
+        rep: &Replication<'_>,
         session: &mut Session,
     ) -> Result<(), ScenarioError> {
         self.samples
             .lock()
             .expect("sample log lock")
-            .progress(session, true);
+            .observe(rep, session, true);
         Ok(())
     }
 }
@@ -292,7 +288,7 @@ fn prepare<'a>(
         checkpointed: scenario
             .single_config()
             .is_ok_and(|config| config.streaming.is_none()),
-        samples: Arc::new(Mutex::new(samples)),
+        samples: Mutex::new(samples),
         throttle: std::env::var(THROTTLE_ENV)
             .ok()
             .and_then(|v| v.parse::<u64>().ok())
@@ -415,18 +411,18 @@ mod tests {
         let server = Server::start(&ServeOptions::new("127.0.0.1:0", &dir)).expect("server starts");
         let addr = server.local_addr().to_string();
         let mut client = Client::connect(&addr).expect("connects");
+        // Pauses at 75, 225 and 375 checkpoint without sampling.
         let job = client
-            .submit(&tiny_scenario_text(), None, None, None)
+            .submit(&tiny_scenario_text(), None, None, Some(75))
             .expect("submits");
 
-        let mut lines = Vec::new();
-        let watcher = Client::connect(&addr).expect("connects");
-        let state = watcher
-            .subscribe(&job, |line| lines.push(line.to_string()))
-            .expect("streams");
+        let (state, lines) = watch(&addr, &job);
         assert_eq!(state, "completed");
-        // Boundaries at 50..400 with sample=50: 8 samples.
-        assert_eq!(lines.len(), 8, "lines: {lines:?}");
+        assert_eq!(
+            sample_secs(&lines),
+            vec![50, 100, 150, 200, 250, 300, 350, 400],
+            "one line per sampling boundary"
+        );
         assert!(lines[0].contains("case=base") || lines[0].contains("case="));
         assert!(lines
             .iter()
@@ -439,6 +435,74 @@ mod tests {
             .and_then(|v| v.parse().ok())
             .expect("counter present");
         assert!(streamed > 0);
+        client.drain().expect("drains");
+        server.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Subscribes to `job` until its end frame: its terminal state and
+    /// every sample line.
+    fn watch(addr: &str, job: &str) -> (String, Vec<String>) {
+        let mut lines = Vec::new();
+        let state = Client::connect(addr)
+            .expect("connects")
+            .subscribe(job, |line| lines.push(line.to_string()))
+            .expect("streams");
+        (state, lines)
+    }
+
+    /// The simulated second each sample line was taken at.
+    fn sample_secs(lines: &[String]) -> Vec<u64> {
+        lines
+            .iter()
+            .map(|line| {
+                let t_us: u64 = line
+                    .split_whitespace()
+                    .find_map(|kv| kv.strip_prefix("t_us="))
+                    .and_then(|v| v.parse().ok())
+                    .expect("t_us field");
+                t_us / 1_000_000
+            })
+            .collect()
+    }
+
+    #[test]
+    fn resumed_jobs_log_only_boundaries_after_the_resume_point() {
+        /// Snapshots the run at 200s into a daemon's checkpoint path,
+        /// then stops it.
+        struct StopAt200(PathBuf);
+        impl Driver for StopAt200 {
+            fn pauses(&self, _rep: &Replication<'_>) -> Vec<SimTime> {
+                vec![SimTime::from_secs(200)]
+            }
+            fn at_pause(
+                &self,
+                _rep: &Replication<'_>,
+                session: &Session,
+            ) -> Result<(), ScenarioError> {
+                checkpoint_to(session, &self.0)?;
+                Err(ScenarioError::Run("stopped".into()))
+            }
+        }
+
+        let dir = temp_dir("resume");
+        std::fs::create_dir_all(&dir).expect("state dir");
+        let text = tiny_scenario_text();
+        let scenario = Scenario::parse_str(&text).expect("parses");
+        let options = RunnerOptions::with_threads(1);
+        let stopped = run_driven(&scenario, &options, &StopAt200(dir.join("job-j1.ckpt")));
+        assert!(stopped.is_err(), "the partial run stops at its pause");
+
+        let server = Server::start(&ServeOptions::new("127.0.0.1:0", &dir)).expect("server starts");
+        let addr = server.local_addr().to_string();
+        let mut client = Client::connect(&addr).expect("connects");
+        let job = client.submit(&text, None, None, Some(75)).expect("submits");
+        assert_eq!(job, "j1", "the job owns the planted checkpoint");
+        let (state, lines) = watch(&addr, &job);
+        assert_eq!(state, "completed");
+        assert_eq!(sample_secs(&lines), vec![250, 300, 350, 400]);
+        let batch = run_scenario(&scenario, &options).expect("runs").to_csv();
+        assert_eq!(client.result_csv(&job).expect("result"), batch);
         client.drain().expect("drains");
         server.join();
         let _ = std::fs::remove_dir_all(&dir);

@@ -539,46 +539,6 @@ fn trace_err(e: TraceError) -> CoreError {
     CoreError::Trace(e.to_string())
 }
 
-/// One sampling-boundary observation, handed to a [`SampleSink`] the
-/// moment the boundary's probes have run. This is the incremental
-/// (streaming) counterpart of the end-of-run [`RunRecord`]: a scalar
-/// summary of the market at one boundary, cheap enough to emit at every
-/// tick without touching the probe registry.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LiveSample {
-    /// The sampling-boundary instant.
-    pub time: SimTime,
-    /// Kernel events dispatched so far.
-    pub events_processed: u64,
-    /// Live peers at the boundary.
-    pub peers: usize,
-    /// Cumulative successful purchases.
-    pub purchases: u64,
-    /// Cumulative denied purchase attempts.
-    pub denied: u64,
-    /// Cumulative credits spent by live peers.
-    pub total_spent: u64,
-    /// Wealth Gini at the boundary — [`None`] when the market has no
-    /// live peers to measure.
-    pub wealth_gini: Option<f64>,
-}
-
-/// A consumer of per-boundary [`LiveSample`]s — the live-telemetry
-/// counterpart of [`Probe`]. Sinks are transient observers: they carry
-/// no checkpointed state, may be attached at any point (including to a
-/// [`Session::resume`]d session), and never influence the simulation —
-/// a session with a sink produces output byte-identical to one without.
-pub trait SampleSink: Send {
-    /// Called once per sampling boundary, after every probe has run.
-    fn on_sample(&mut self, sample: &LiveSample);
-}
-
-impl<F: FnMut(&LiveSample) + Send> SampleSink for F {
-    fn on_sample(&mut self, sample: &LiveSample) {
-        self(sample)
-    }
-}
-
 /// Trace state attached to a session: either recording the event
 /// stream or verifying a live re-execution against a recorded one.
 enum Tracer {
@@ -592,7 +552,6 @@ enum Tracer {
     /// event frame, each shared boundary the recorded digest.
     Verify {
         reader: TraceReader,
-        consumer: usize,
         scratch: snapshot::Writer,
         divergence: Option<TraceDivergence>,
         error: Option<TraceError>,
@@ -624,7 +583,6 @@ impl Tracer {
             }
             Tracer::Verify {
                 reader,
-                consumer,
                 scratch,
                 divergence,
                 error,
@@ -635,73 +593,47 @@ impl Tracer {
                 // a mid-run bisection) — skip them. Shared boundaries
                 // consume their digest strictly in `on_boundary` before
                 // the next event is tapped.
-                loop {
-                    match reader.peek_frame(*consumer) {
-                        Ok(Some(TraceFrame::Digest { .. })) => {
-                            let _ = reader.next_frame(*consumer);
-                        }
-                        Ok(_) => break,
+                scratch.clear();
+                event.encode(scratch);
+                let expected = loop {
+                    match reader.next_frame() {
                         Err(e) => {
                             *error = Some(e);
                             return false;
                         }
-                    }
-                }
-                let frame = match reader.next_frame(*consumer) {
-                    Ok(frame) => frame,
-                    Err(e) => {
-                        *error = Some(e);
-                        return false;
-                    }
-                };
-                scratch.clear();
-                event.encode(scratch);
-                let actual = || format!("{event:?}");
-                match frame {
-                    Some(TraceFrame::Event {
-                        time: rt,
-                        seq: rs,
-                        payload,
-                    }) => {
-                        if rt == time && rs == seq && payload.as_slice() == scratch.as_slice() {
-                            return true;
-                        }
-                        *divergence = Some(TraceDivergence {
-                            time,
-                            seq: Some(seq),
-                            expected: format!(
+                        Ok(Some(TraceFrame::Digest { .. })) => {}
+                        Ok(Some(TraceFrame::Event {
+                            time: rt,
+                            seq: rs,
+                            payload,
+                        })) => {
+                            if rt == time && rs == seq && payload.as_slice() == scratch.as_slice() {
+                                return true;
+                            }
+                            break format!(
                                 "{} at (t={}µs, seq={rs})",
                                 MarketEvent::describe_trace_payload(&payload),
                                 rt.as_micros()
-                            ),
-                            actual: actual(),
-                        });
-                        false
-                    }
-                    Some(TraceFrame::Digest { .. }) => unreachable!("digest frames skipped above"),
-                    Some(TraceFrame::End { time: rt, .. }) => {
-                        *divergence = Some(TraceDivergence {
-                            time,
-                            seq: Some(seq),
-                            expected: format!(
+                            );
+                        }
+                        Ok(Some(TraceFrame::End { time: rt, .. })) => {
+                            break format!(
                                 "end of trace (recorded run finished at t={}µs)",
                                 rt.as_micros()
-                            ),
-                            actual: actual(),
-                        });
-                        false
+                            );
+                        }
+                        Ok(None) => {
+                            break "end of trace (recorded run produced no further events)".into();
+                        }
                     }
-                    None => {
-                        *divergence = Some(TraceDivergence {
-                            time,
-                            seq: Some(seq),
-                            expected: "end of trace (recorded run produced no further events)"
-                                .into(),
-                            actual: actual(),
-                        });
-                        false
-                    }
-                }
+                };
+                *divergence = Some(TraceDivergence {
+                    time,
+                    seq: Some(seq),
+                    expected,
+                    actual: format!("{event:?}"),
+                });
+                false
             }
         }
     }
@@ -723,7 +655,6 @@ impl Tracer {
             }
             Tracer::Verify {
                 reader,
-                consumer,
                 divergence,
                 error,
                 ..
@@ -731,14 +662,14 @@ impl Tracer {
                 if divergence.is_some() || error.is_some() {
                     return;
                 }
-                match reader.peek_frame(*consumer) {
+                match reader.peek_frame() {
                     Err(e) => *error = Some(e),
                     Ok(Some(TraceFrame::Digest {
                         time: rt,
                         events_processed: re,
                         digest: rd,
                     })) if rt == now => {
-                        let _ = reader.next_frame(*consumer);
+                        let _ = reader.next_frame();
                         if re != events_processed || rd != digest {
                             *divergence = Some(TraceDivergence {
                                 time: now,
@@ -806,10 +737,6 @@ pub struct Session {
     /// Attached trace recorder/verifier, if any. Boxed: sessions
     /// without one pay a single pointer of overhead.
     tracer: Option<Box<Tracer>>,
-    /// Live telemetry sink, if any; fed one [`LiveSample`] per
-    /// sampling boundary. Never checkpointed — sinks are transient
-    /// observers re-attached by the caller after a resume.
-    sink: Option<Box<dyn SampleSink>>,
 }
 
 impl Session {
@@ -853,18 +780,7 @@ impl Session {
             last_denied: 0,
             started: false,
             tracer: None,
-            sink: None,
         })
-    }
-
-    /// Attaches a live telemetry sink, replacing any previous one: from
-    /// here on every sampling boundary hands it a [`LiveSample`] right
-    /// after the boundary's probes run. Unlike [`Session::attach`] this
-    /// is legal at any point in the run — including on a resumed
-    /// session — because sinks observe without participating: the
-    /// simulation's output is byte-identical with or without one.
-    pub fn stream_samples_to(&mut self, sink: Box<dyn SampleSink>) {
-        self.sink = Some(sink);
     }
 
     /// Attaches a probe. Its [`Probe::extra_stops`] are merged into the
@@ -954,7 +870,6 @@ impl Session {
     /// Delivers `on_settle` + `on_sample` to every probe at boundary
     /// `now`.
     fn dispatch_sample(&mut self, now: SimTime) {
-        let events_processed = self.stats().events_processed;
         let view: &dyn MarketView = match &self.sim {
             SessionSim::Queue(sim) => sim.model(),
             SessionSim::Chunk(sim) => sim.model(),
@@ -968,17 +883,6 @@ impl Session {
         for probe in &mut self.probes {
             probe.on_settle(now, settled_delta, denied_delta);
             probe.on_sample(now, view);
-        }
-        if let Some(sink) = &mut self.sink {
-            sink.on_sample(&LiveSample {
-                time: now,
-                events_processed,
-                peers: view.peer_count(),
-                purchases,
-                denied,
-                total_spent: view.ledger().total_spent(),
-                wealth_gini: view.ledger().wealth_gini().ok(),
-            });
         }
     }
 
@@ -1019,12 +923,12 @@ impl Session {
     /// zero overhead over driving the simulator directly. May be called
     /// repeatedly with increasing horizons.
     pub fn run_until(&mut self, horizon: SimTime) {
-        if self.probes.is_empty() && self.tracer.is_none() && self.sink.is_none() {
+        if self.probes.is_empty() && self.tracer.is_none() {
             self.started = true;
             self.sim_run_until(horizon);
-            // Keep the sampling grid aligned with the clock: a later
-            // consumer (a checkpoint resumed with a sink attached, say)
-            // must not observe phantom boundaries the fast path skipped.
+            // Keep the sampling grid aligned with the clock: a
+            // checkpoint taken here and resumed must not dispatch
+            // phantom boundaries the fast path skipped.
             while self.next_tick <= self.now() {
                 self.next_tick += self.interval;
             }
@@ -1165,21 +1069,18 @@ impl Session {
                 header.seed, self.seed
             )));
         }
-        let consumer = reader.register_consumer();
         let target = self.stats().events_processed;
         let now = self.now();
         let mut skipped = 0u64;
+        // Digest frames for boundaries at or before the clock (e.g. the
+        // boundary this session checkpointed at) are already covered.
         loop {
-            match reader.peek_frame(consumer).map_err(trace_err)? {
-                Some(TraceFrame::Event { .. }) if skipped < target => {
-                    skipped += 1;
-                    reader.next_frame(consumer).map_err(trace_err)?;
-                }
-                Some(TraceFrame::Digest { time, .. }) if time <= now && skipped < target => {
-                    reader.next_frame(consumer).map_err(trace_err)?;
-                }
+            match reader.peek_frame().map_err(trace_err)? {
+                Some(TraceFrame::Event { .. }) if skipped < target => skipped += 1,
+                Some(TraceFrame::Digest { time, .. }) if time <= now => {}
                 _ => break,
             }
+            reader.next_frame().map_err(trace_err)?;
         }
         if skipped != target {
             return Err(CoreError::Trace(format!(
@@ -1187,19 +1088,8 @@ impl Session {
                  session clock, the session has already applied {target}"
             )));
         }
-        // Digest frames for boundaries at or before the clock (e.g. the
-        // boundary this session checkpointed at) are already covered.
-        while let Some(TraceFrame::Digest { time, .. }) =
-            reader.peek_frame(consumer).map_err(trace_err)?
-        {
-            if time > now {
-                break;
-            }
-            reader.next_frame(consumer).map_err(trace_err)?;
-        }
         self.tracer = Some(Box::new(Tracer::Verify {
             reader,
-            consumer,
             scratch: snapshot::Writer::default(),
             divergence: None,
             error: None,
@@ -1244,7 +1134,6 @@ impl Session {
             }
             Some(Tracer::Verify {
                 mut reader,
-                consumer,
                 divergence,
                 error,
                 ..
@@ -1258,7 +1147,7 @@ impl Session {
                 // Anything left must be boundary digests from stops
                 // this session did not share; leftover event frames
                 // mean the recorded run kept going past this one.
-                while let Some(frame) = reader.next_frame(consumer).map_err(trace_err)? {
+                while let Some(frame) = reader.next_frame().map_err(trace_err)? {
                     if let TraceFrame::Event { time, seq, payload } = frame {
                         return Err(CoreError::Trace(format!(
                             "recorded run continued past this one: next recorded event {} at \
@@ -1426,7 +1315,6 @@ impl Session {
             last_denied,
             started,
             tracer: None,
-            sink: None,
         })
     }
 
@@ -2177,92 +2065,14 @@ mod tests {
     }
 
     #[test]
-    fn sample_sink_observes_every_boundary_without_perturbing() {
-        let config = MarketConfig::new(30, 20);
-        let horizon = SimTime::from_secs(500);
-        let baseline = {
-            let mut s = Session::from_config(&config, 5).expect("builds");
-            s.run_until(horizon);
-            s.finish()
-                .1
-                .queue()
-                .expect("queue")
-                .ledger()
-                .balances_sorted()
-        };
-        let samples = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let tap = samples.clone();
+    fn probe_less_runs_keep_the_sampling_grid_aligned() {
+        let config = MarketConfig::new(30, 20).sample_interval(SimDuration::from_secs(100));
         let mut s = Session::from_config(&config, 5).expect("builds");
-        s.stream_samples_to(Box::new(move |sample: &LiveSample| {
-            tap.lock().expect("sink lock").push(sample.clone());
-        }));
-        s.run_until(horizon);
-        assert_eq!(
-            s.finish()
-                .1
-                .queue()
-                .expect("queue")
-                .ledger()
-                .balances_sorted(),
-            baseline,
-            "a sink observes without influencing the run"
-        );
-        let samples = samples.lock().expect("sink lock");
-        // Regular ticks at 100..=500 (default sample interval 100).
-        assert_eq!(samples.len(), 5);
-        assert!(samples.windows(2).all(|w| w[0].time < w[1].time));
-        let last = samples.last().expect("sampled");
-        assert_eq!(last.time, horizon);
-        assert!(last.purchases > 0);
-        assert!(last.peers > 0);
-        assert!(last.events_processed > 0);
-        assert!(last.wealth_gini.is_some());
-    }
-
-    #[test]
-    fn sample_sink_attaches_to_resumed_sessions() {
-        let config = MarketConfig::new(30, 20);
-        let mut s = Session::from_config(&config, 5).expect("builds");
-        s.run_until(SimTime::from_secs(200));
+        s.run_until(SimTime::from_secs(250));
+        assert_eq!(s.next_tick, SimTime::from_secs(300));
         let ckpt = s.checkpoint().expect("checkpoints");
-        s.run_until(SimTime::from_secs(500));
-        let baseline = s
-            .finish()
-            .1
-            .queue()
-            .expect("queue")
-            .ledger()
-            .balances_sorted();
-
-        // record_to is unusable on a resumed session (it already
-        // started) — stream_samples_to is not.
         let mut resumed = Session::resume(&config, Vec::new(), &ckpt).expect("resumes");
-        let times = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let tap = times.clone();
-        resumed.stream_samples_to(Box::new(move |sample: &LiveSample| {
-            tap.lock().expect("sink lock").push(sample.time);
-        }));
-        resumed.run_until(SimTime::from_secs(500));
-        assert_eq!(
-            resumed
-                .finish()
-                .1
-                .queue()
-                .expect("queue")
-                .ledger()
-                .balances_sorted(),
-            baseline,
-            "resume + sink reproduces the uninterrupted run"
-        );
-        let times = times.lock().expect("sink lock");
-        assert_eq!(
-            *times,
-            vec![
-                SimTime::from_secs(300),
-                SimTime::from_secs(400),
-                SimTime::from_secs(500)
-            ],
-            "only post-resume boundaries reach the sink"
-        );
+        resumed.run_until(SimTime::from_secs(420));
+        assert_eq!(resumed.next_tick, SimTime::from_secs(500));
     }
 }

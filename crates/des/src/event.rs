@@ -127,18 +127,10 @@ impl<E> Scheduler<E> {
         Some(scheduled)
     }
 
-    /// Advances the clock to `time` without dispatching events (used by the
-    /// kernel when running up to a horizon with no events left before it).
-    pub(crate) fn advance_clock_to(&mut self, time: SimTime) {
-        if time > self.now {
-            self.now = time;
-        }
-    }
-
-    /// Restores the clock to an absolute instant captured by a
-    /// checkpoint. The clock never runs backwards: restoring to a time
-    /// before `now` is a no-op, exactly like the kernel-internal
-    /// horizon advance.
+    /// Advances the clock to `time` without dispatching events: the
+    /// kernel's step to a horizon no event reached, and a checkpoint
+    /// restoring its captured instant. The clock never runs backwards:
+    /// a time before `now` is a no-op.
     pub fn restore_clock(&mut self, time: SimTime) {
         if time > self.now {
             self.now = time;
@@ -192,7 +184,7 @@ mod tests {
     #[test]
     fn scheduler_clamps_past_events_to_now() {
         let mut s: Scheduler<()> = Scheduler::new();
-        s.advance_clock_to(SimTime::from_secs(10));
+        s.restore_clock(SimTime::from_secs(10));
         s.schedule_at(SimTime::from_secs(1), ());
         let ev = s.advance(SimTime::MAX).expect("event");
         assert_eq!(ev.time, SimTime::from_secs(10));
@@ -300,7 +292,7 @@ mod tests {
     #[test]
     fn snapshot_round_trips_through_enqueue_scheduled() {
         let mut s: Scheduler<u32> = Scheduler::new();
-        s.advance_clock_to(SimTime::from_secs(2));
+        s.restore_clock(SimTime::from_secs(2));
         for (secs, ev) in [(9, 1), (3, 2), (3, 3), (40, 4)] {
             s.schedule_at(SimTime::from_secs(secs), ev);
         }

@@ -156,7 +156,7 @@ impl<M: Model> Simulation<M> {
         while let Some(scheduled) = self.scheduler.advance(horizon) {
             self.dispatch(scheduled);
         }
-        self.scheduler.advance_clock_to(horizon);
+        self.scheduler.restore_clock(horizon);
         self.stats()
     }
 
@@ -182,7 +182,7 @@ impl<M: Model> Simulation<M> {
             }
             self.dispatch(scheduled);
         }
-        self.scheduler.advance_clock_to(horizon);
+        self.scheduler.restore_clock(horizon);
         (self.stats(), false)
     }
 

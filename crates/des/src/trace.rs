@@ -24,10 +24,9 @@
 //! crash mid-write leaves at most one partial frame at the tail, which
 //! readers report as truncation instead of replaying garbage.
 //!
-//! [`TraceReader`] is the append-only consumer side: any number of
-//! registered consumers hold independent cursors over the same byte
-//! log, and [`TraceReader::extend`] grows the log in place so a live
-//! consumer can tail a trace still being written. [`TraceTailer`]
+//! [`TraceReader`] is the append-only consumer side: one cursor over
+//! the byte log, and [`TraceReader::extend`] grows the log in place so
+//! a live consumer can tail a trace still being written. [`TraceTailer`]
 //! packages that into a file follower: it polls a path for appended
 //! bytes, treats a partial frame at the tail as "wait for the writer's
 //! next flush" rather than an error, and reports completion when the
@@ -308,14 +307,14 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-/// Fail-closed trace decoder with independent per-consumer cursors
-/// over one append-only byte log.
+/// Fail-closed trace decoder: one cursor over one append-only byte
+/// log.
 #[derive(Clone, Debug)]
 pub struct TraceReader {
     bytes: Vec<u8>,
     header: TraceHeader,
-    /// Per-consumer byte offset of the next frame.
-    cursors: Vec<usize>,
+    /// Byte offset of the next frame.
+    pos: usize,
 }
 
 impl TraceReader {
@@ -339,7 +338,7 @@ impl TraceReader {
         Ok(TraceReader {
             bytes,
             header: TraceHeader { fingerprint, seed },
-            cursors: Vec::new(),
+            pos: HEADER_LEN,
         })
     }
 
@@ -355,36 +354,26 @@ impl TraceReader {
         &self.header
     }
 
-    /// Registers a new consumer starting at the first frame; the
-    /// returned id indexes this consumer's cursor.
-    pub fn register_consumer(&mut self) -> usize {
-        self.cursors.push(HEADER_LEN);
-        self.cursors.len() - 1
-    }
-
-    /// Appends freshly-flushed bytes (append-only growth): consumers
-    /// that had drained the log simply resume at the new frames.
+    /// Appends freshly-flushed bytes (append-only growth): a reader
+    /// that had drained the log simply resumes at the new frames.
     pub fn extend(&mut self, more: &[u8]) {
         self.bytes.extend_from_slice(more);
     }
 
-    /// Decodes the frame `consumer` would receive next, without
-    /// advancing its cursor.
-    pub fn peek_frame(&self, consumer: usize) -> Result<Option<TraceFrame>, TraceError> {
-        let offset = self.cursors[consumer];
-        Ok(decode_frame(&self.bytes, offset)?.map(|(frame, _)| frame))
+    /// Decodes the next frame without advancing the cursor.
+    pub fn peek_frame(&self) -> Result<Option<TraceFrame>, TraceError> {
+        Ok(decode_frame(&self.bytes, self.pos)?.map(|(frame, _)| frame))
     }
 
-    /// Decodes the next frame for `consumer`, advancing its cursor.
-    /// Returns `Ok(None)` exactly at end-of-log; a partial trailing
-    /// frame is [`TraceError::Truncated`], a checksum mismatch is
+    /// Decodes the next frame, advancing the cursor. Returns `Ok(None)`
+    /// exactly at end-of-log; a partial trailing frame is
+    /// [`TraceError::Truncated`], a checksum mismatch is
     /// [`TraceError::Corrupt`].
-    pub fn next_frame(&mut self, consumer: usize) -> Result<Option<TraceFrame>, TraceError> {
-        let offset = self.cursors[consumer];
-        match decode_frame(&self.bytes, offset)? {
+    pub fn next_frame(&mut self) -> Result<Option<TraceFrame>, TraceError> {
+        match decode_frame(&self.bytes, self.pos)? {
             None => Ok(None),
             Some((frame, next)) => {
-                self.cursors[consumer] = next;
+                self.pos = next;
                 Ok(Some(frame))
             }
         }
@@ -479,7 +468,6 @@ pub struct TraceTailer {
     /// Header bytes accumulated before the reader could be built.
     pending: Vec<u8>,
     reader: Option<TraceReader>,
-    consumer: usize,
     finished: bool,
 }
 
@@ -492,7 +480,6 @@ impl TraceTailer {
             offset: 0,
             pending: Vec::new(),
             reader: None,
-            consumer: 0,
             finished: false,
         }
     }
@@ -519,10 +506,8 @@ impl TraceTailer {
                 None => {
                     self.pending.extend_from_slice(&fresh);
                     if self.pending.len() >= HEADER_LEN {
-                        let mut reader =
-                            TraceReader::from_bytes(std::mem::take(&mut self.pending))?;
-                        self.consumer = reader.register_consumer();
-                        self.reader = Some(reader);
+                        self.reader =
+                            Some(TraceReader::from_bytes(std::mem::take(&mut self.pending))?);
                     }
                 }
             }
@@ -530,7 +515,7 @@ impl TraceTailer {
         let mut frames = Vec::new();
         if let Some(reader) = &mut self.reader {
             loop {
-                match reader.next_frame(self.consumer) {
+                match reader.next_frame() {
                     Ok(Some(frame)) => {
                         if matches!(frame, TraceFrame::End { .. }) {
                             self.finished = true;
@@ -596,12 +581,13 @@ mod tests {
                 seed: 42
             }
         );
-        let c = r.register_consumer();
+        let first = r.peek_frame().expect("clean frame");
         let mut frames = Vec::new();
-        while let Some(f) = r.next_frame(c).expect("clean frames") {
+        while let Some(f) = r.next_frame().expect("clean frames") {
             frames.push(f);
         }
         assert_eq!(frames.len(), 4);
+        assert_eq!(first.as_ref(), Some(&frames[0]), "peeking does not advance");
         assert_eq!(
             frames[0],
             TraceFrame::Event {
@@ -618,24 +604,7 @@ mod tests {
                 digest: 0xD1D2D3
             }
         );
-        assert_eq!(r.peek_frame(c).expect("clean end of log"), None);
-    }
-
-    #[test]
-    fn consumers_hold_independent_cursors() {
-        let mut r = TraceReader::from_bytes(sample_trace()).expect("valid trace");
-        let a = r.register_consumer();
-        let b = r.register_consumer();
-        let first_a = r.next_frame(a).expect("frame").expect("some");
-        let second_a = r.next_frame(a).expect("frame").expect("some");
-        let first_b = r.next_frame(b).expect("frame").expect("some");
-        assert_eq!(first_a, first_b, "consumers see the same stream");
-        assert_ne!(first_a, second_a);
-        assert_eq!(
-            r.next_frame(b).expect("frame").expect("some"),
-            second_a,
-            "b's cursor advanced one frame, independently of a's"
-        );
+        assert_eq!(r.peek_frame().expect("clean end of log"), None);
     }
 
     #[test]
@@ -643,11 +612,10 @@ mod tests {
         let full = sample_trace();
         // Split on the frame boundary after the first flush-worth.
         let mut r = TraceReader::from_bytes(full[..HEADER_LEN].to_vec()).expect("header-only");
-        let c = r.register_consumer();
-        assert_eq!(r.next_frame(c).expect("eof is clean"), None);
+        assert_eq!(r.next_frame().expect("eof is clean"), None);
         r.extend(&full[HEADER_LEN..]);
         let mut seen = 0;
-        while r.next_frame(c).expect("clean frames").is_some() {
+        while r.next_frame().expect("clean frames").is_some() {
             seen += 1;
         }
         assert_eq!(seen, 4, "all appended frames delivered");
@@ -663,9 +631,8 @@ mod tests {
         );
         // Partial final frame (mid-write crash).
         let mut r = TraceReader::from_bytes(full[..full.len() - 3].to_vec()).expect("header ok");
-        let c = r.register_consumer();
         let last = loop {
-            match r.next_frame(c) {
+            match r.next_frame() {
                 Ok(Some(_)) => continue,
                 other => break other,
             }
@@ -683,8 +650,7 @@ mod tests {
         let mut flipped = full.clone();
         flipped[HEADER_LEN + 25] ^= 0x40;
         let mut r = TraceReader::from_bytes(flipped).expect("header ok");
-        let c = r.register_consumer();
-        assert!(matches!(r.next_frame(c), Err(TraceError::Corrupt { .. })));
+        assert!(matches!(r.next_frame(), Err(TraceError::Corrupt { .. })));
         // Wrong magic.
         let mut bad_magic = full.clone();
         bad_magic[0] = b'X';
@@ -714,16 +680,15 @@ mod tests {
         w.end(SimTime::from_secs(5), 17).expect("end");
         let bytes = w.finish().expect("finish");
         let mut r = TraceReader::from_bytes(bytes).expect("valid trace");
-        let c = r.register_consumer();
-        r.next_frame(c).expect("frame").expect("event");
+        r.next_frame().expect("frame").expect("event");
         assert_eq!(
-            r.next_frame(c).expect("frame"),
+            r.next_frame().expect("frame"),
             Some(TraceFrame::End {
                 time: SimTime::from_secs(5),
                 events_processed: 17
             })
         );
-        assert_eq!(r.next_frame(c).expect("eof"), None);
+        assert_eq!(r.next_frame().expect("eof"), None);
     }
 
     #[test]

@@ -161,9 +161,8 @@ fn reader_surfaces_precise_error_variants() {
     let mut flipped = bytes.clone();
     flipped[30] ^= 0x01;
     let mut reader = TraceReader::from_bytes(flipped).expect("header intact");
-    let consumer = reader.register_consumer();
     assert_eq!(
-        reader.next_frame(consumer).unwrap_err(),
+        reader.next_frame().unwrap_err(),
         TraceError::Corrupt { offset: 28 },
         "damage in the first frame is pinned to the first frame"
     );
@@ -172,9 +171,8 @@ fn reader_surfaces_precise_error_variants() {
     // starts at.
     let mut reader =
         TraceReader::from_bytes(bytes[..bytes.len() - 1].to_vec()).expect("header intact");
-    let consumer = reader.register_consumer();
     let last = loop {
-        match reader.next_frame(consumer) {
+        match reader.next_frame() {
             Ok(Some(_)) => continue,
             other => break other,
         }
