@@ -451,28 +451,41 @@ fn cmd_replay(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders one decoded frame for `trace-diff` output.
-fn describe_frame(frame: &Option<TraceFrame>) -> String {
+/// Renders one frame for `tail` and `trace-diff` output: market-event
+/// payloads decode to their debug form, text payloads (e.g. daemon
+/// sample logs) print verbatim, anything else by size.
+fn describe_frame(frame: &TraceFrame) -> String {
     match frame {
-        None => "end of trace".into(),
-        Some(TraceFrame::Event { time, seq, payload }) => {
-            let decoded = MarketEvent::describe_trace_payload(payload);
-            format!("event {decoded} at (t={}µs, seq={seq})", time.as_micros())
+        TraceFrame::Event { time, seq, payload } => {
+            let body = match MarketEvent::from_trace_payload(payload) {
+                Ok(event) => format!("{event:?}"),
+                Err(_) => match std::str::from_utf8(payload) {
+                    Ok(text) => text.to_string(),
+                    Err(_) => format!("<{} payload bytes>", payload.len()),
+                },
+            };
+            format!("event t={}µs seq={seq} {body}", time.as_micros())
         }
-        Some(TraceFrame::Digest {
+        TraceFrame::Digest {
             time,
             events_processed,
             digest,
-        }) => format!(
-            "digest {digest:#018x} after {events_processed} events at t={}µs",
+        } => format!(
+            "digest t={}µs events={events_processed} {digest:#018x}",
             time.as_micros()
         ),
-        Some(TraceFrame::End {
+        TraceFrame::End {
             time,
             events_processed,
-        }) => format!(
-            "end after {events_processed} events at t={}µs",
-            time.as_micros()
+        } => format!("end t={}µs events={events_processed}", time.as_micros()),
+        TraceFrame::State {
+            time,
+            events_processed,
+            payload,
+        } => format!(
+            "state t={}µs events={events_processed} <{} payload bytes>",
+            time.as_micros(),
+            payload.len()
         ),
     }
 }
@@ -509,16 +522,18 @@ fn cmd_trace_diff(options: &Options) -> Result<(), String> {
                 }
                 (None, None) => unreachable!("equal frames compared unequal"),
             };
+            let describe =
+                |f: &Option<TraceFrame>| f.as_ref().map_or("end of trace".into(), describe_frame);
             println!("first divergence at {at}:");
-            println!("  {path_a}: {}", describe_frame(&fa));
-            println!("  {path_b}: {}", describe_frame(&fb));
+            println!("  {path_a}: {}", describe(&fa));
+            println!("  {path_b}: {}", describe(&fb));
             return Err("traces diverge".into());
         }
         match fa {
             None => break,
             Some(TraceFrame::Event { .. }) => events += 1,
             Some(TraceFrame::Digest { .. }) => digests += 1,
-            Some(TraceFrame::End { .. }) => {}
+            Some(TraceFrame::End { .. } | TraceFrame::State { .. }) => {}
         }
     }
     println!("traces identical: {events} event frame(s), {digests} digest frame(s)");
@@ -740,36 +755,6 @@ fn cmd_export(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders one frame for `tail` output: market-event payloads decode to
-/// their debug form, text payloads (e.g. daemon sample logs) print
-/// verbatim, anything else by size.
-fn describe_tail_frame(frame: &TraceFrame) -> String {
-    match frame {
-        TraceFrame::Event { time, seq, payload } => {
-            let body = match MarketEvent::from_trace_payload(payload) {
-                Ok(event) => format!("{event:?}"),
-                Err(_) => match std::str::from_utf8(payload) {
-                    Ok(text) => text.to_string(),
-                    Err(_) => format!("<{} payload bytes>", payload.len()),
-                },
-            };
-            format!("event t={}µs seq={seq} {body}", time.as_micros())
-        }
-        TraceFrame::Digest {
-            time,
-            events_processed,
-            digest,
-        } => format!(
-            "digest t={}µs events={events_processed} {digest:#018x}",
-            time.as_micros()
-        ),
-        TraceFrame::End {
-            time,
-            events_processed,
-        } => format!("end t={}µs events={events_processed}", time.as_micros()),
-    }
-}
-
 /// `scrip-sim tail FILE.trc [--follow]`: print a SCRIPTRC file's frames
 /// as they land. Without --follow, prints what is currently decodable
 /// and exits; with it, keeps polling (surviving a torn frame at the
@@ -793,7 +778,7 @@ fn cmd_tail(options: &Options) -> Result<(), String> {
         }
         let idle = frames.is_empty();
         for frame in &frames {
-            println!("{}", describe_tail_frame(frame));
+            println!("{}", describe_frame(frame));
         }
         if tailer.finished() {
             return Ok(());

@@ -18,14 +18,16 @@
 //! * **Periodic checkpoints.** Workers run jobs through the existing
 //!   [`Session`](scrip_core::obs::Session)/scenario runner, snapshotting
 //!   qualifying runs (one case, one replication, queue-level) at
-//!   interior multiples of the checkpoint interval. A
-//!   restarted daemon resumes such a job from its latest `SCRIPCKP`
-//!   snapshot — and because resume→finish is byte-identical to an
-//!   uninterrupted run (the PR 8 invariant), the served CSV equals the
-//!   batch `scrip-sim run` CSV even across a kill.
+//!   interior multiples of the checkpoint interval. A restarted daemon
+//!   resumes such a job from its latest snapshot, `job-<id>.ckpt` — and
+//!   because resume→finish is byte-identical to an uninterrupted run,
+//!   the served CSV equals the batch `scrip-sim run` CSV even across a
+//!   kill. A snapshot that does not resume (torn, corrupt, or in a
+//!   retired format) is deleted and the job reruns from the start.
 //! * **Tailable telemetry.** Each job appends one frame per sampling
-//!   boundary to `job-<id>.samples.trc` — a `SCRIPTRC` container whose
-//!   event payloads are human-readable sample lines — flushed at every
+//!   boundary to `job-<id>.samples.trc` — a `SCRIPTRC` container, the
+//!   same one that frames traces and checkpoints, whose event payloads
+//!   are human-readable sample lines — flushed at every
 //!   boundary and closed with the format's end frame. The worker writes
 //!   each line from the runner's pause hook, which already stops at
 //!   every sampling boundary; checkpoint-only stops write none.

@@ -238,14 +238,16 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
             let _ = refuse(&mut writer, "request line too long").and_then(|()| flush(&mut writer));
             return;
         }
-        let Ok(line) = std::str::from_utf8(&line) else {
-            return;
+        let request = match std::str::from_utf8(&line) {
+            Ok(line) => {
+                let trimmed = line.trim_end_matches(['\r', '\n']);
+                if trimmed.is_empty() {
+                    continue;
+                }
+                Request::parse(trimmed)
+            }
+            Err(_) => Err("request line is not UTF-8".to_string()),
         };
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() {
-            continue;
-        }
-        let request = Request::parse(trimmed);
         let last = matches!(request, Ok(Request::Subscribe { .. } | Request::Drain));
         let outcome = match request {
             Err(e) => refuse(&mut writer, &e),
@@ -583,6 +585,29 @@ mod tests {
 
         let mut client = Client::connect(&server.local_addr().to_string()).expect("connects");
         assert_eq!(client.ping().as_deref(), Ok("pong"));
+        client.drain().expect("drains");
+        server.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_utf8_request_lines_are_refused_and_the_connection_stays_open() {
+        let dir = std::env::temp_dir().join(format!("scrip-serve-non-utf8-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(&ServeOptions::new("127.0.0.1:0", &dir)).expect("server starts");
+        let stream = TcpStream::connect(server.local_addr()).expect("connects");
+        (&stream).write_all(b"stat\xffs\nping\n").expect("sends");
+        let mut replies = BufReader::new(&stream);
+        let mut line = String::new();
+        replies.read_line(&mut line).expect("first reply");
+        assert_eq!(line, "err request line is not UTF-8\n");
+        line.clear();
+        replies.read_line(&mut line).expect("second reply");
+        assert_eq!(line, "ok pong\n");
+        drop(replies);
+        drop(stream);
+
+        let mut client = Client::connect(&server.local_addr().to_string()).expect("connects");
         client.drain().expect("drains");
         server.join();
         let _ = std::fs::remove_dir_all(&dir);

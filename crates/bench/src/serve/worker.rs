@@ -151,10 +151,8 @@ impl SampleLog {
 
     /// Closes the log with the format's end frame.
     fn end(&mut self) {
-        let _ = self
-            .writer
-            .end(self.clock, self.events)
-            .and_then(|()| self.writer.flush());
+        self.writer.end(self.clock, self.events);
+        let _ = self.writer.flush();
     }
 }
 

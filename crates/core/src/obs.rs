@@ -535,6 +535,17 @@ fn config_fingerprint(config: &MarketConfig) -> u64 {
     snapshot::fingerprint(format!("{config:?}").as_bytes())
 }
 
+/// Refuses a trace or checkpoint written under another configuration,
+/// which would otherwise diverge silently.
+fn check_fingerprint(header: &TraceHeader, config: &MarketConfig) -> Result<(), String> {
+    if header.fingerprint != config_fingerprint(config) {
+        return Err(
+            "configuration mismatch: the file was written under a different scenario".into(),
+        );
+    }
+    Ok(())
+}
+
 fn trace_err(e: TraceError) -> CoreError {
     CoreError::Trace(e.to_string())
 }
@@ -552,7 +563,7 @@ enum Tracer {
     /// event frame, each shared boundary the recorded digest.
     Verify {
         reader: TraceReader,
-        scratch: snapshot::Writer,
+        scratch: Vec<u8>,
         divergence: Option<TraceDivergence>,
         error: Option<TraceError>,
     },
@@ -587,12 +598,12 @@ impl Tracer {
                 divergence,
                 error,
             } => {
-                // Digest frames belong to boundaries; any still sitting
-                // before the next event frame were taken at stops this
-                // session does not share (e.g. probe extra stops during
-                // a mid-run bisection) — skip them. Shared boundaries
-                // consume their digest strictly in `on_boundary` before
-                // the next event is tapped.
+                // Digest (and state) frames belong to boundaries; any
+                // still sitting before the next event frame were taken
+                // at stops this session does not share (e.g. probe
+                // extra stops during a mid-run bisection) — skip them.
+                // Shared boundaries consume their digest strictly in
+                // `on_boundary` before the next event is tapped.
                 scratch.clear();
                 event.encode(scratch);
                 let expected = loop {
@@ -601,13 +612,13 @@ impl Tracer {
                             *error = Some(e);
                             return false;
                         }
-                        Ok(Some(TraceFrame::Digest { .. })) => {}
+                        Ok(Some(TraceFrame::Digest { .. } | TraceFrame::State { .. })) => {}
                         Ok(Some(TraceFrame::Event {
                             time: rt,
                             seq: rs,
                             payload,
                         })) => {
-                            if rt == time && rs == seq && payload.as_slice() == scratch.as_slice() {
+                            if rt == time && rs == seq && payload == *scratch {
                                 return true;
                             }
                             break format!(
@@ -646,10 +657,8 @@ impl Tracer {
                 if error.is_some() {
                     return;
                 }
-                let outcome = writer
-                    .digest(now, events_processed, digest)
-                    .and_then(|()| writer.flush());
-                if let Err(e) = outcome {
+                writer.digest(now, events_processed, digest);
+                if let Err(e) = writer.flush() {
                     *error = Some(e);
                 }
             }
@@ -969,10 +978,11 @@ impl Session {
         }
     }
 
-    /// The configuration fingerprint stored in trace headers.
-    fn trace_config_fingerprint(&self) -> Result<u64, CoreError> {
+    /// The configuration a trace is recorded or verified under; only
+    /// queue-level sessions trace.
+    fn traced_config(&self) -> Result<&MarketConfig, CoreError> {
         match &self.sim {
-            SessionSim::Queue(sim) => Ok(config_fingerprint(sim.model().config())),
+            SessionSim::Queue(sim) => Ok(sim.model().config()),
             SessionSim::Chunk(_) => Err(CoreError::Trace(
                 "chunk-level (streaming) sessions cannot record or replay event traces".into(),
             )),
@@ -1002,7 +1012,7 @@ impl Session {
                 "session already has a tracer attached".into(),
             ));
         }
-        let fingerprint = self.trace_config_fingerprint()?;
+        let fingerprint = config_fingerprint(self.traced_config()?);
         let file = std::fs::File::create(path)
             .map_err(|e| CoreError::Trace(format!("create {}: {e}", path.display())))?;
         let writer = TraceWriter::new(
@@ -1056,13 +1066,8 @@ impl Session {
                 "session already has a tracer attached".into(),
             ));
         }
-        let fingerprint = self.trace_config_fingerprint()?;
         let header = *reader.header();
-        if header.fingerprint != fingerprint {
-            return Err(CoreError::Trace(
-                "configuration mismatch: trace was recorded under a different scenario".into(),
-            ));
-        }
+        check_fingerprint(&header, self.traced_config()?).map_err(CoreError::Trace)?;
         if header.seed != self.seed {
             return Err(CoreError::Trace(format!(
                 "seed mismatch: trace was recorded with seed {}, session runs seed {}",
@@ -1090,7 +1095,7 @@ impl Session {
         }
         self.tracer = Some(Box::new(Tracer::Verify {
             reader,
-            scratch: snapshot::Writer::default(),
+            scratch: Vec::new(),
             divergence: None,
             error: None,
         }));
@@ -1129,7 +1134,7 @@ impl Session {
                 }
                 // Close the log with an end frame so tailing consumers
                 // can tell "run over" from "writer between flushes".
-                writer.end(close_at, events_processed).map_err(trace_err)?;
+                writer.end(close_at, events_processed);
                 writer.finish().map(|_| ()).map_err(trace_err)
             }
             Some(Tracer::Verify {
@@ -1169,6 +1174,11 @@ impl Session {
     /// snapshot. Resuming it with [`Session::resume`] and running to the
     /// horizon produces output byte-identical to never having stopped.
     ///
+    /// The snapshot is a `SCRIPTRC` log ([`scrip_des::trace`]): the
+    /// header (configuration fingerprint and seed), one state frame
+    /// holding the rest, and an end frame at the same instant and event
+    /// count, so the frame checksum covers every state byte.
+    ///
     /// Checkpoint at a quiescent instant: after a [`Session::run_until`]
     /// call, so no event at or before the clock is still pending.
     ///
@@ -1185,33 +1195,39 @@ impl Session {
             }
         };
         let market = sim.model();
-        let mut w = snapshot::Writer::with_header();
-        w.put_u64(config_fingerprint(market.config()));
-        w.put_u64(self.seed);
-        w.put_u64(sim.now().as_micros());
-        w.put_u64(sim.stats().events_processed);
-        let pending = sim.scheduler().snapshot_events();
-        w.put_u64(pending.len() as u64);
-        for scheduled in &pending {
-            w.put_u64(scheduled.time.as_micros());
-            w.put_u64(scheduled.seq);
-            scheduled.event.encode(&mut w);
-        }
-        market.write_state(&mut w);
-        w.put_u64(self.interval.as_micros());
-        w.put_u64(self.next_tick.as_micros());
-        w.put_u64(self.stops.len() as u64);
-        for stop in &self.stops {
-            w.put_u64(stop.as_micros());
-        }
-        w.put_u64(self.last_purchases);
-        w.put_u64(self.last_denied);
-        w.put_bool(self.started);
-        w.put_u64(self.probes.len() as u64);
-        for probe in &self.probes {
-            w.put_bytes(&probe.snapshot_state());
-        }
-        Ok(w.into_bytes())
+        let (now, events_processed) = (sim.now(), sim.stats().events_processed);
+        let mut log = TraceWriter::new(
+            Vec::new(),
+            TraceHeader {
+                fingerprint: config_fingerprint(market.config()),
+                seed: self.seed,
+            },
+        );
+        log.state_with(now, events_processed, |w| {
+            let pending = sim.scheduler().snapshot_events();
+            w.put_u64(pending.len() as u64);
+            for scheduled in &pending {
+                w.put_u64(scheduled.time.as_micros());
+                w.put_u64(scheduled.seq);
+                scheduled.event.encode(w);
+            }
+            market.write_state(w);
+            w.put_u64(self.interval.as_micros());
+            w.put_u64(self.next_tick.as_micros());
+            w.put_u64(self.stops.len() as u64);
+            for stop in &self.stops {
+                w.put_u64(stop.as_micros());
+            }
+            w.put_u64(self.last_purchases);
+            w.put_u64(self.last_denied);
+            w.put_bool(self.started);
+            w.put_u64(self.probes.len() as u64);
+            for probe in &self.probes {
+                w.put_bytes(&probe.snapshot_state());
+            }
+        });
+        log.end(now, events_processed);
+        Ok(log.into_bytes())
     }
 
     /// Rebuilds a session from a [`Session::checkpoint`] snapshot.
@@ -1225,23 +1241,45 @@ impl Session {
     ///
     /// # Errors
     /// Returns [`CoreError::Checkpoint`] for corrupt or truncated
-    /// snapshots, a configuration or probe-count mismatch, or a snapshot
-    /// written by an incompatible format version.
+    /// snapshots, a configuration or probe-count mismatch, or a file in
+    /// another format, the retired pre-container one included.
     pub fn resume(
         config: &MarketConfig,
         mut probes: Vec<Box<dyn Probe>>,
         bytes: &[u8],
     ) -> Result<Session, CoreError> {
-        let mut r = snapshot::Reader::with_header(bytes)?;
-        let stored_fingerprint = r.take_u64()?;
-        if stored_fingerprint != config_fingerprint(config) {
+        if bytes.starts_with(b"SCRIPCKP") {
             return Err(CoreError::Checkpoint(
-                "configuration mismatch: snapshot was taken under a different scenario".into(),
+                "SCRIPCKP is a retired checkpoint format; rerun from the scenario".into(),
             ));
         }
-        let seed = r.take_u64()?;
-        let clock = SimTime::from_micros(r.take_u64()?);
-        let events_processed = r.take_u64()?;
+        let framing = |e: TraceError| CoreError::Checkpoint(e.to_string());
+        let mut log = TraceReader::from_bytes(bytes.to_vec()).map_err(framing)?;
+        check_fingerprint(log.header(), config).map_err(CoreError::Checkpoint)?;
+        let seed = log.header().seed;
+        let shape = || {
+            CoreError::Checkpoint(
+                "a checkpoint is one state frame and an end frame at its instant and event count"
+                    .into(),
+            )
+        };
+        let mut frame = || log.next_frame().map_err(framing);
+        let Some(TraceFrame::State {
+            time: clock,
+            events_processed,
+            payload,
+        }) = frame()?
+        else {
+            return Err(shape());
+        };
+        let end = TraceFrame::End {
+            time: clock,
+            events_processed,
+        };
+        if frame()? != Some(end) || frame()?.is_some() {
+            return Err(shape());
+        }
+        let mut r = snapshot::Reader::new(&payload);
         // Each pending event: time, seq and at least a tag byte.
         let pending_len = r.take_count(17)?;
         // Every seq comes from one push, and every push is either
@@ -1542,6 +1580,58 @@ mod tests {
         ]
     }
 
+    /// A checkpoint opened for corruption tests: its framing and the
+    /// state payload they mutate.
+    struct OpenCheckpoint {
+        header: TraceHeader,
+        time: SimTime,
+        events_processed: u64,
+        payload: Vec<u8>,
+    }
+
+    impl OpenCheckpoint {
+        fn new(bytes: &[u8]) -> Self {
+            let mut log = TraceReader::from_bytes(bytes.to_vec()).expect("checkpoint framing");
+            let header = *log.header();
+            match log.next_frame().expect("state frame") {
+                Some(TraceFrame::State {
+                    time,
+                    events_processed,
+                    payload,
+                }) => OpenCheckpoint {
+                    header,
+                    time,
+                    events_processed,
+                    payload,
+                },
+                other => panic!("expected a state frame, got {other:?}"),
+            }
+        }
+
+        /// Frames `payload` like this checkpoint, so that a resume gets
+        /// past the checksum to the payload's own checks.
+        fn seal(&self, payload: &[u8]) -> Vec<u8> {
+            let mut log = TraceWriter::new(Vec::new(), self.header);
+            log.state_with(self.time, self.events_processed, |buf| {
+                buf.extend_from_slice(payload)
+            });
+            log.end(self.time, self.events_processed);
+            log.into_bytes()
+        }
+
+        /// The payload word at `at`.
+        fn word(&self, at: usize) -> u64 {
+            u64::from_le_bytes(self.payload[at..at + 8].try_into().expect("8 bytes"))
+        }
+
+        /// The checkpoint with payload word `at` set to `value`.
+        fn with_word(&self, at: usize, value: u64) -> Vec<u8> {
+            let mut payload = self.payload.clone();
+            payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            self.seal(&payload)
+        }
+    }
+
     fn straight_run(config: &MarketConfig, seed: u64, horizon: SimTime) -> (RunRecord, Vec<u64>) {
         let mut session = Session::from_config(config, seed).expect("builds");
         for probe in checkpoint_probes() {
@@ -1686,11 +1776,36 @@ mod tests {
             ),
             Err(CoreError::Checkpoint(_))
         ));
-        // ...and corrupt bytes fail closed.
-        assert!(Session::resume(&config, Vec::new(), &bytes[..bytes.len() - 3]).is_err());
+        // ...and corrupt bytes fail closed: a torn end frame, a bad
+        // magic...
+        let resume = |bytes: &[u8]| match Session::resume(&config, Vec::new(), bytes) {
+            Err(CoreError::Checkpoint(msg)) => msg,
+            other => panic!("corrupt checkpoint resumed: {:?}", other.err()),
+        };
+        assert!(resume(&bytes[..bytes.len() - 3]).contains("truncated"));
         let mut garbled = bytes.clone();
         garbled[0] ^= 0xFF;
-        assert!(Session::resume(&config, Vec::new(), &garbled).is_err());
+        assert!(resume(&garbled).contains("bad magic"));
+        // ...a state frame without its end frame, or closed at another
+        // instant...
+        let ckpt = OpenCheckpoint::new(&bytes);
+        let end_len = 25;
+        let msg = resume(&bytes[..bytes.len() - end_len]);
+        assert!(msg.contains("one state frame and an end frame"), "{msg}");
+        let mut log = TraceWriter::new(Vec::new(), ckpt.header);
+        log.state_with(ckpt.time, ckpt.events_processed, |buf| {
+            buf.extend_from_slice(&ckpt.payload)
+        });
+        log.end(SimTime::from_secs(101), ckpt.events_processed);
+        let msg = resume(&log.into_bytes());
+        assert!(msg.contains("at its instant and event count"), "{msg}");
+        // ...and a well-framed payload that is short or has bytes over.
+        let payload = &ckpt.payload;
+        let msg = resume(&ckpt.seal(&payload[..payload.len() - 3]));
+        assert!(msg.contains("truncated snapshot"), "{msg}");
+        let mut longer = payload.clone();
+        longer.push(0);
+        assert!(resume(&ckpt.seal(&longer)).contains("trailing bytes"));
         // The pristine snapshot still resumes.
         let resumed = Session::resume(&config, Vec::new(), &bytes).expect("resumes");
         assert_eq!(resumed.now(), SimTime::from_secs(100));
@@ -1703,13 +1818,15 @@ mod tests {
         let mut session = Session::from_config(&config, 9).expect("builds");
         session.run_until(SimTime::from_secs(600));
         let bytes = session.checkpoint().expect("checkpoints");
+        let ckpt = OpenCheckpoint::new(&bytes);
         let SessionSim::Queue(sim) = &session.sim else {
             unreachable!("queue-level config")
         };
         let market = sim.model();
         let mut state = Vec::new();
         market.write_state(&mut state);
-        let base = bytes
+        let base = ckpt
+            .payload
             .windows(state.len())
             .position(|w| w == state)
             .expect("the market state is embedded verbatim");
@@ -1719,14 +1836,12 @@ mod tests {
         let graph = market.graph();
         let live_count_at = base + 33 + 8;
         let edge_count_at = live_count_at + 8 + 8 * graph.node_count();
-        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-        assert_eq!(word(live_count_at), graph.node_count() as u64);
-        assert_eq!(word(edge_count_at), graph.edge_count() as u64);
+        assert_eq!(ckpt.word(live_count_at), graph.node_count() as u64);
+        assert_eq!(ckpt.word(edge_count_at), graph.edge_count() as u64);
         let resume = |bytes: &[u8]| Session::resume(&config, Vec::new(), bytes);
         // A count of u64::MAX is refused before it sizes an allocation.
         for at in [live_count_at, edge_count_at] {
-            let mut corrupt = bytes.clone();
-            corrupt[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            let corrupt = ckpt.with_word(at, u64::MAX);
             let err = resume(&corrupt).err().expect("oversized count rejected");
             assert!(err.to_string().contains("overruns"), "{err}");
         }
@@ -1734,9 +1849,7 @@ mod tests {
         // the overlay's per-id table, where 2^40 rows would abort the
         // process on allocation.
         for watermark in [1u64 << 40, u64::MAX] {
-            let mut corrupt = bytes.clone();
-            corrupt[base + 33..base + 41].copy_from_slice(&watermark.to_le_bytes());
-            match resume(&corrupt) {
+            match resume(&ckpt.with_word(base + 33, watermark)) {
                 Err(CoreError::Checkpoint(msg)) => assert!(msg.contains("watermark"), "{msg}"),
                 other => panic!("watermark {watermark} not refused: {:?}", other.err()),
             }
@@ -1746,8 +1859,7 @@ mod tests {
             .map(scrip_topology::NodeId::from_raw)
             .find(|&id| !graph.has_node(id))
             .expect("churn left dead ids");
-        let mut corrupt = bytes.clone();
-        corrupt[edge_count_at + 8..edge_count_at + 16].copy_from_slice(&dead.raw().to_le_bytes());
+        let corrupt = ckpt.with_word(edge_count_at + 8, dead.raw());
         let err = resume(&corrupt).err().expect("dead edge endpoint rejected");
         assert!(err.to_string().contains("no such node"), "{err}");
         // The pristine snapshot still resumes.
@@ -1781,19 +1893,22 @@ mod tests {
         }
         session.run_until(SimTime::from_secs(600));
         let bytes = session.checkpoint().expect("checkpoints");
-        // The probe blocks close the checkpoint, each behind its length.
+        let ckpt = OpenCheckpoint::new(&bytes);
+        // The probe blocks close the state, each behind its length.
         let blocks: Vec<Vec<u8>> = session.probes.iter().map(|p| p.snapshot_state()).collect();
-        let mut at = bytes.len() - blocks.iter().map(|b| 8 + b.len()).sum::<usize>();
+        let mut at = ckpt.payload.len() - blocks.iter().map(|b| 8 + b.len()).sum::<usize>();
         let mut starts = Vec::new();
         for block in &blocks {
             starts.push(at + 8);
             at += 8 + block.len();
         }
-        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
         let (throughput, fault, snapshots) = (starts[0], starts[1], starts[2]);
-        let failures = word(fault) as usize;
-        assert!(failures > 0 && word(throughput) > 0, "the probes recorded");
-        assert_eq!(word(snapshots), 1, "one snapshot taken at 100 s");
+        let failures = ckpt.word(fault) as usize;
+        assert!(
+            failures > 0 && ckpt.word(throughput) > 0,
+            "the probes recorded"
+        );
+        assert_eq!(ckpt.word(snapshots), 1, "one snapshot taken at 100 s");
         let counts = [
             throughput,
             fault,
@@ -1803,9 +1918,7 @@ mod tests {
         ];
         for at in counts {
             for count in [1u64 << 40, u64::MAX] {
-                let mut corrupt = bytes.clone();
-                corrupt[at..at + 8].copy_from_slice(&count.to_le_bytes());
-                match Session::resume(&config, probes(), &corrupt) {
+                match Session::resume(&config, probes(), &ckpt.with_word(at, count)) {
                     Err(CoreError::Checkpoint(msg)) => assert!(msg.contains("overruns"), "{msg}"),
                     other => panic!("count {count} at {at} not refused: {:?}", other.err()),
                 }
@@ -1829,22 +1942,23 @@ mod tests {
         let mut session = Session::from_config(&config, 9).expect("builds");
         session.run_until(SimTime::from_secs(600));
         let bytes = session.checkpoint().expect("checkpoints");
+        let ckpt = OpenCheckpoint::new(&bytes);
         let stats = session.stats();
-        // Header (12 B), fingerprint, seed, clock, events processed and
-        // the pending count, then the first event's time and seq.
-        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-        assert_eq!(word(28), SimTime::from_secs(600).as_micros());
-        assert_eq!(word(36), stats.events_processed);
-        assert_eq!(word(44), stats.events_pending as u64);
+        // The state frame carries the clock and events processed; its
+        // payload opens with the pending count, then the first event's
+        // time and seq.
+        assert_eq!(ckpt.time, SimTime::from_secs(600));
+        assert_eq!(ckpt.events_processed, stats.events_processed);
+        assert_eq!(ckpt.word(0), stats.events_pending as u64);
         assert!(stats.events_pending >= 2);
-        let (time_at, seq_at) = (52, 60);
-        let resume = |at: usize, value: u64| {
-            let mut corrupt = bytes.clone();
-            corrupt[at..at + 8].copy_from_slice(&value.to_le_bytes());
-            match Session::resume(&config, Vec::new(), &corrupt) {
-                Err(CoreError::Checkpoint(msg)) => msg,
-                other => panic!("word at {at} = {value} not refused: {:?}", other.err()),
-            }
+        let (time_at, seq_at) = (8, 16);
+        let resume = |at: usize, value: u64| match Session::resume(
+            &config,
+            Vec::new(),
+            &ckpt.with_word(at, value),
+        ) {
+            Err(CoreError::Checkpoint(msg)) => msg,
+            other => panic!("word at {at} = {value} not refused: {:?}", other.err()),
         };
         let msg = resume(time_at, 0);
         assert!(msg.contains("precedes the clock"), "{msg}");
@@ -1878,21 +1992,59 @@ mod tests {
         assert!(Session::resume(&config, Vec::new(), &bytes).is_ok());
     }
 
+    /// A `SCRIPCKP` v2 file (magic, version, fingerprint, seed, clock,
+    /// events processed, then today's state payload) is refused by the
+    /// name of its retired format.
     #[test]
     fn checkpoints_from_the_previous_format_version_are_refused() {
         let config = MarketConfig::new(20, 10);
         let mut session = Session::from_config(&config, 3).expect("builds");
         session.run_until(SimTime::from_secs(100));
-        let mut bytes = session.checkpoint().expect("checkpoints");
-        // The version word follows the 8-byte magic.
-        bytes[8..12].copy_from_slice(&(snapshot::VERSION - 1).to_le_bytes());
-        let err = Session::resume(&config, Vec::new(), &bytes)
-            .err()
-            .expect("old version refused");
-        assert!(
-            err.to_string().contains("unsupported snapshot version 1"),
-            "{err}"
-        );
+        let ckpt = OpenCheckpoint::new(&session.checkpoint().expect("checkpoints"));
+        let mut old = b"SCRIPCKP".to_vec();
+        old.put_u32(2);
+        old.put_u64(ckpt.header.fingerprint);
+        old.put_u64(ckpt.header.seed);
+        old.put_u64(ckpt.time.as_micros());
+        old.put_u64(ckpt.events_processed);
+        old.put_raw(&ckpt.payload);
+        match Session::resume(&config, Vec::new(), &old) {
+            Err(CoreError::Checkpoint(msg)) => {
+                assert!(
+                    msg.contains("SCRIPCKP is a retired checkpoint format"),
+                    "{msg}"
+                )
+            }
+            other => panic!("old format not refused: {:?}", other.err()),
+        }
+    }
+
+    /// The frame checksum covers every byte after the header: one
+    /// flipped bit anywhere in the state or end frame fails the resume,
+    /// whichever check catches it.
+    #[test]
+    fn every_single_bit_flip_after_the_header_fails_closed() {
+        let config = MarketConfig::new(12, 10)
+            .churn(crate::market::ChurnConfig::new(0.2, 100.0, 4).expect("valid"))
+            .sample_interval(SimDuration::from_secs(20));
+        let mut session = Session::from_config(&config, 4).expect("builds");
+        session.attach(Box::new(probes::GiniSeriesProbe));
+        session.run_until(SimTime::from_secs(40));
+        let bytes = session.checkpoint().expect("checkpoints");
+        let header_len = bytes.len() - OpenCheckpoint::new(&bytes).payload.len() - 33 - 25;
+        assert_eq!(header_len, 28);
+        for at in header_len..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1 << (at % 8);
+            let probes = vec![Box::new(probes::GiniSeriesProbe) as Box<dyn Probe>];
+            assert!(
+                Session::resume(&config, probes, &flipped).is_err(),
+                "a flipped bit at byte {at} of {} resumed",
+                bytes.len()
+            );
+        }
+        let probes = vec![Box::new(probes::GiniSeriesProbe) as Box<dyn Probe>];
+        assert!(Session::resume(&config, probes, &bytes).is_ok());
     }
 
     /// A unique temp path for trace tests; removed by `TracePath::drop`.

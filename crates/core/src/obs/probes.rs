@@ -12,7 +12,7 @@ use scrip_econ::LorenzCurve;
 
 use super::{ids, MarketView, MetricValue, Probe, Recorder};
 use crate::error::CoreError;
-use crate::snapshot::{Put, Reader, Writer};
+use crate::snapshot::{Put, Reader};
 
 /// Converts an internal [`TimeSeries`] to `(secs, value)` points.
 fn to_points(series: &TimeSeries) -> Vec<(f64, f64)> {
@@ -24,7 +24,7 @@ fn to_points(series: &TimeSeries) -> Vec<(f64, f64)> {
 }
 
 /// Encodes accumulated `(x, y)` points as a probe-state block.
-fn encode_points(w: &mut Writer, points: &[(f64, f64)]) {
+fn encode_points(w: &mut Vec<u8>, points: &[(f64, f64)]) {
     w.put_u64(points.len() as u64);
     for &(x, y) in points {
         w.put_f64(x);
@@ -129,7 +129,7 @@ impl Probe for SnapshotsProbe {
     }
 
     fn snapshot_state(&self) -> Vec<u8> {
-        let mut w = Writer::default();
+        let mut w = Vec::new();
         w.put_u64(self.taken.len() as u64);
         for (t, balances) in &self.taken {
             w.put_u64(*t);
@@ -138,7 +138,7 @@ impl Probe for SnapshotsProbe {
                 w.put_u64(b);
             }
         }
-        w.into_bytes()
+        w
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), CoreError> {
@@ -209,10 +209,10 @@ impl Probe for ThroughputSeriesProbe {
     }
 
     fn snapshot_state(&self) -> Vec<u8> {
-        let mut w = Writer::default();
+        let mut w = Vec::new();
         encode_points(&mut w, &self.points);
         w.put_f64(self.last_t);
-        w.into_bytes()
+        w
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), CoreError> {
@@ -262,9 +262,9 @@ impl Probe for PopulationSeriesProbe {
     }
 
     fn snapshot_state(&self) -> Vec<u8> {
-        let mut w = Writer::default();
+        let mut w = Vec::new();
         encode_points(&mut w, &self.points);
-        w.into_bytes()
+        w
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), CoreError> {
@@ -372,10 +372,10 @@ impl Probe for FaultSeriesProbe {
     }
 
     fn snapshot_state(&self) -> Vec<u8> {
-        let mut w = Writer::default();
+        let mut w = Vec::new();
         encode_points(&mut w, &self.failures);
         encode_points(&mut w, &self.escrow);
-        w.into_bytes()
+        w
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), CoreError> {

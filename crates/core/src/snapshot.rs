@@ -5,21 +5,17 @@
 //! fail-closed [`Reader`] that reports truncation instead of panicking.
 //! Everything is deterministic — the same state always serializes to
 //! the same bytes, which the checkpoint/resume byte-identity tests rely
-//! on.
+//! on. The framing around a snapshot (magic, version, checksum) is the
+//! trace container's state frame ([`scrip_des::trace`]).
 
 use scrip_topology::NodeId;
 
 use crate::error::CoreError;
 
-/// Magic prefix of every snapshot ("SCRIPCKP" as bytes).
-pub(crate) const MAGIC: [u8; 8] = *b"SCRIPCKP";
-/// Format version; bump on any layout change.
-pub(crate) const VERSION: u32 = 2;
-
 /// Little-endian encoding of fixed-width scalars and length-prefixed
-/// blocks into any byte sink: a snapshot [`Writer`], a trace writer's
-/// staging buffer (`Vec<u8>`), or a [`Fingerprint`] fold. One encoder
-/// per state, whichever sink it ends up in.
+/// blocks into any byte sink: a `Vec<u8>` (a trace writer's staging
+/// buffer, a probe's state block) or a [`Fingerprint`] fold. One
+/// encoder per state, whichever sink it ends up in.
 pub(crate) trait Put {
     /// Appends raw bytes.
     fn put_raw(&mut self, bytes: &[u8]);
@@ -54,44 +50,6 @@ pub(crate) trait Put {
 impl Put for Vec<u8> {
     fn put_raw(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
-    }
-}
-
-/// An append-only snapshot encoder.
-#[derive(Debug, Default)]
-pub(crate) struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Put for Writer {
-    fn put_raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-}
-
-impl Writer {
-    /// A writer starting with the magic prefix and format version.
-    pub(crate) fn with_header() -> Self {
-        let mut w = Writer { buf: Vec::new() };
-        w.buf.extend_from_slice(&MAGIC);
-        w.put_u32(VERSION);
-        w
-    }
-
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// The bytes encoded so far (the replay verifier compares these
-    /// without consuming the writer).
-    pub(crate) fn as_slice(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Empties the buffer so a long-lived writer can re-encode without
-    /// reallocating (the replay verifier's per-event re-encode).
-    pub(crate) fn clear(&mut self) {
-        self.buf.clear();
     }
 }
 
@@ -138,28 +96,10 @@ pub(crate) struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    /// Wraps `data` with no header check — for nested blocks (e.g.
-    /// per-probe state) written by a plain [`Writer::default`].
+    /// Wraps `data`: a state frame's payload or a nested block (e.g.
+    /// per-probe state).
     pub(crate) fn new(data: &'a [u8]) -> Self {
         Reader { data, pos: 0 }
-    }
-
-    /// Wraps `data`, checking the magic prefix and format version.
-    pub(crate) fn with_header(data: &'a [u8]) -> Result<Self, CoreError> {
-        let mut r = Reader { data, pos: 0 };
-        let magic = r.take(MAGIC.len())?;
-        if magic != MAGIC {
-            return Err(CoreError::Checkpoint(
-                "not a scrip checkpoint (bad magic)".into(),
-            ));
-        }
-        let version = r.take_u32()?;
-        if version != VERSION {
-            return Err(CoreError::Checkpoint(format!(
-                "unsupported snapshot version {version} (this build reads {VERSION})"
-            )));
-        }
-        Ok(r)
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CoreError> {
@@ -275,16 +215,15 @@ mod tests {
 
     #[test]
     fn round_trips_scalars_and_blocks() {
-        let mut w = Writer::with_header();
-        w.put_u8(7);
-        w.put_bool(true);
-        w.put_u32(0xDEAD_BEEF);
-        w.put_u64(u64::MAX - 1);
-        w.put_f64(-0.125);
-        w.put_bytes(b"hello");
-        let bytes = w.into_bytes();
+        let mut bytes = Vec::new();
+        bytes.put_u8(7);
+        bytes.put_bool(true);
+        bytes.put_u32(0xDEAD_BEEF);
+        bytes.put_u64(u64::MAX - 1);
+        bytes.put_f64(-0.125);
+        bytes.put_bytes(b"hello");
 
-        let mut r = Reader::with_header(&bytes).expect("valid header");
+        let mut r = Reader::new(&bytes);
         assert_eq!(r.take_u8().expect("u8"), 7);
         assert!(r.take_bool().expect("bool"));
         assert_eq!(r.take_u32().expect("u32"), 0xDEAD_BEEF);
@@ -295,26 +234,24 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_magic_truncation_and_trailing_bytes() {
-        assert!(Reader::with_header(b"NOTASNAP____").is_err());
-        let mut w = Writer::with_header();
-        w.put_u64(42);
-        let bytes = w.into_bytes();
+    fn rejects_truncation_and_trailing_bytes() {
+        let mut bytes = Vec::new();
+        bytes.put_u64(42);
         // Truncated mid-scalar.
-        let mut r = Reader::with_header(&bytes[..bytes.len() - 2]).expect("header ok");
+        let mut r = Reader::new(&bytes[..bytes.len() - 2]);
         assert!(r.take_u64().is_err());
         // Trailing garbage.
-        let r = Reader::with_header(&bytes).expect("header ok");
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.take_u32().expect("u32"), 42);
         assert!(r.finish().is_err());
     }
 
     #[test]
     fn ids_past_the_32_bit_space_are_errors() {
-        let mut w = Writer::default();
-        w.put_u64(NodeId::MAX_RAW);
-        w.put_u64(NodeId::MAX_RAW + 1);
-        w.put_u64(u64::MAX);
-        let bytes = w.into_bytes();
+        let mut bytes = Vec::new();
+        bytes.put_u64(NodeId::MAX_RAW);
+        bytes.put_u64(NodeId::MAX_RAW + 1);
+        bytes.put_u64(u64::MAX);
         let mut r = Reader::new(&bytes);
         assert_eq!(
             r.take_id().expect("largest id"),
@@ -326,20 +263,18 @@ mod tests {
 
     #[test]
     fn counts_are_bounded_by_the_unread_bytes() {
-        let mut w = Writer::default();
-        w.put_u64(2);
-        w.put_u64(10);
-        w.put_u64(20);
-        let bytes = w.into_bytes();
+        let mut bytes = Vec::new();
+        bytes.put_u64(2);
+        bytes.put_u64(10);
+        bytes.put_u64(20);
         let mut r = Reader::new(&bytes);
         assert_eq!(r.take_count(8).expect("two u64s follow"), 2);
         assert_eq!(r.remaining(), 16);
         let mut r = Reader::new(&bytes);
         assert!(r.take_count(9).is_err(), "two 9-byte elements do not fit");
         for huge in [u64::MAX, u64::MAX / 8 + 1, 1 << 40] {
-            let mut w = Writer::default();
-            w.put_u64(huge);
-            let bytes = w.into_bytes();
+            let mut bytes = Vec::new();
+            bytes.put_u64(huge);
             assert!(Reader::new(&bytes).take_count(8).is_err(), "{huge}");
         }
     }
@@ -360,11 +295,11 @@ mod tests {
             p.put_f64(0.1);
             p.put_bytes(b"block");
         }
-        let mut w = Writer::default();
-        encode(&mut w);
+        let mut bytes = Vec::new();
+        encode(&mut bytes);
         let mut f = Fingerprint::default();
         encode(&mut f);
-        assert_eq!(f.value(), fingerprint(w.as_slice()));
+        assert_eq!(f.value(), fingerprint(&bytes));
         assert_eq!(Fingerprint::default().value(), fingerprint(&[]));
     }
 }

@@ -264,46 +264,6 @@ impl Geometric {
     }
 }
 
-/// Continuous Pareto distribution with scale `x_min > 0` and shape `a > 0`:
-/// `P(X > x) = (x_min / x)^a` for `x >= x_min`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Pareto {
-    scale: f64,
-    shape: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution.
-    ///
-    /// # Errors
-    /// Returns [`ParamError`] unless both parameters are finite and
-    /// positive.
-    pub fn new(scale: f64, shape: f64) -> Result<Self, ParamError> {
-        if !scale.is_finite() || scale <= 0.0 {
-            return Err(ParamError::new(format!(
-                "Pareto scale must be > 0, got {scale}"
-            )));
-        }
-        if !shape.is_finite() || shape <= 0.0 {
-            return Err(ParamError::new(format!(
-                "Pareto shape must be > 0, got {shape}"
-            )));
-        }
-        Ok(Pareto { scale, shape })
-    }
-
-    /// Draws a variate by inverse transform.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = loop {
-            let u = rng.gen::<f64>();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        self.scale / u.powf(1.0 / self.shape)
-    }
-}
-
 /// Bounded discrete power law on `{min, …, max}` with `P(d) ∝ d^(-exponent)`.
 ///
 /// This is the degree distribution of the paper's scale-free overlays
@@ -488,32 +448,6 @@ impl AliasTable {
     }
 }
 
-/// Zipf distribution over ranks `{1, …, n}` with `P(k) ∝ k^(-s)`.
-///
-/// Thin convenience wrapper over [`DiscretePowerLaw`] for content-popularity
-/// style workloads.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Zipf {
-    inner: DiscretePowerLaw,
-}
-
-impl Zipf {
-    /// Creates a Zipf distribution over `{1, ..., n}`.
-    ///
-    /// # Errors
-    /// Returns [`ParamError`] if `n == 0` or `s` is not finite.
-    pub fn new(n: u64, s: f64) -> Result<Self, ParamError> {
-        Ok(Zipf {
-            inner: DiscretePowerLaw::new(1, n.max(1), s)?,
-        })
-    }
-
-    /// Draws a rank in `{1, ..., n}`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        self.inner.sample(rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,19 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_median() {
-        // Median of Pareto(scale, shape) = scale * 2^(1/shape).
-        let d = Pareto::new(1.0, 2.5).expect("valid");
-        let mut rng = SimRng::seed_from_u64(21);
-        let n = 100_000;
-        let below = (0..n)
-            .filter(|_| d.sample(&mut rng) < 2f64.powf(1.0 / 2.5))
-            .count();
-        let frac = below as f64 / n as f64;
-        assert!((frac - 0.5).abs() < 0.01, "median fraction {frac}");
-    }
-
-    #[test]
     fn power_law_pmf_sums_to_one() {
         let d = DiscretePowerLaw::new(1, 100, 2.5).expect("valid");
         let total: f64 = (1..=100).map(|k| d.pmf(k)).sum();
@@ -698,16 +619,6 @@ mod tests {
         assert!(AliasTable::new(&[0.0, 0.0]).is_err());
         assert!(AliasTable::new(&[-1.0, 2.0]).is_err());
         assert!(AliasTable::new(&[f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn zipf_prefers_low_ranks() {
-        let z = Zipf::new(100, 1.2).expect("valid");
-        let mut rng = SimRng::seed_from_u64(51);
-        let n = 50_000;
-        let ones = (0..n).filter(|_| z.sample(&mut rng) == 1).count();
-        let tens = (0..n).filter(|_| z.sample(&mut rng) == 10).count();
-        assert!(ones > 5 * tens, "rank 1 ({ones}) vs rank 10 ({tens})");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Welford's online algorithm for mean and variance.
 ///
@@ -124,39 +124,6 @@ impl TimeWeightedMean {
     /// The current (most recent) value of the signal.
     pub fn current(&self) -> f64 {
         self.last_value
-    }
-}
-
-/// A monotonically growing event counter with rate helpers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter {
-    count: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.count += n;
-    }
-
-    /// Current count.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Count divided by elapsed seconds (0 when no time has passed).
-    pub fn rate(&self, elapsed: SimDuration) -> f64 {
-        let secs = elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.count as f64 / secs
-        }
     }
 }
 
@@ -368,15 +335,6 @@ mod tests {
     fn time_weighted_mean_no_elapsed_time() {
         let tw = TimeWeightedMean::new(SimTime::from_secs(5), 7.0);
         assert_eq!(tw.mean(SimTime::from_secs(5)), 7.0);
-    }
-
-    #[test]
-    fn counter_rate() {
-        let mut c = Counter::new();
-        c.add(11);
-        assert_eq!(c.count(), 11);
-        assert!((c.rate(SimDuration::from_secs(11)) - 1.0).abs() < 1e-12);
-        assert_eq!(c.rate(SimDuration::ZERO), 0.0);
     }
 
     #[test]

@@ -8,21 +8,30 @@
 //! event frame:   0x01 | time u64 (µs) | seq u64 | len u32 | payload | checksum u64
 //! digest frame:  0x02 | time u64 (µs) | events_processed u64 | digest u64 | checksum u64
 //! end frame:     0x03 | time u64 (µs) | events_processed u64 | checksum u64
+//! state frame:   0x04 | time u64 (µs) | events_processed u64 | len u64 | payload | checksum u64
 //! ```
 //!
 //! All integers are little-endian. Every frame carries an FNV-1a
 //! checksum over its own bytes (tag through payload), so bit-flips are
 //! caught at the frame that suffered them, not at end-of-run. Event
-//! payloads are opaque to this module — the model crate encodes and
-//! decodes them (the market uses its checkpoint event codec), which
-//! keeps the trace format model-agnostic.
+//! and state payloads are opaque to this module — the model crate
+//! encodes and decodes them (the market uses its checkpoint codec),
+//! which keeps the trace format model-agnostic.
+//!
+//! The same container carries three kinds of file: `record` traces
+//! (event and digest frames), the daemon's sample logs (event frames
+//! whose payloads are text lines) and checkpoints, which are exactly a
+//! header, one state frame holding the whole session state, and an
+//! end frame at the same instant and event count. A reader bounds a
+//! state frame's length by the bytes present before it allocates.
 //!
 //! [`TraceWriter`] sits on the simulation hot path: frames accumulate
 //! in an in-memory buffer and reach the sink only at explicit
-//! [`TraceWriter::flush`] calls (sampling boundaries) or when the
-//! buffer passes a size threshold — always on a frame boundary, so a
-//! crash mid-write leaves at most one partial frame at the tail, which
-//! readers report as truncation instead of replaying garbage.
+//! [`TraceWriter::flush`] calls (sampling boundaries) or when event
+//! frames take the buffer past a size threshold — always on a frame
+//! boundary, so a crash mid-write leaves at most one partial frame at
+//! the tail, which readers report as truncation instead of replaying
+//! garbage.
 //!
 //! [`TraceReader`] is the append-only consumer side: one cursor over
 //! the byte log, and [`TraceReader::extend`] grows the log in place so
@@ -45,7 +54,9 @@ use crate::time::SimTime;
 
 /// Magic prefix of every trace file ("SCRIPTRC" as bytes).
 pub const TRACE_MAGIC: [u8; 8] = *b"SCRIPTRC";
-/// Trace format version; bump on any layout change.
+/// Container format version. Bump it when an existing frame's layout
+/// changes; a new frame kind needs no bump, because older readers
+/// refuse its unknown tag as corrupt.
 pub const TRACE_VERSION: u32 = 3;
 
 /// Frame tag for an applied event.
@@ -54,12 +65,23 @@ const TAG_EVENT: u8 = 0x01;
 const TAG_DIGEST: u8 = 0x02;
 /// Frame tag for the end-of-log marker.
 const TAG_END: u8 = 0x03;
+/// Frame tag for a serialized session state.
+const TAG_STATE: u8 = 0x04;
 
 /// Byte length of the fixed header.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
-/// Buffered bytes that trigger an automatic flush at the next frame
-/// boundary (1 MiB).
+/// Byte width of a payload frame's length word: a `u32` for an event
+/// frame, whose payload is one event, a `u64` for a state frame.
+fn len_width(tag: u8) -> usize {
+    if tag == TAG_EVENT {
+        4
+    } else {
+        8
+    }
+}
+
+/// Staged event-frame bytes that trigger an automatic flush (1 MiB).
 const AUTO_FLUSH_BYTES: usize = 1 << 20;
 
 /// FNV-1a over 8-byte words — the per-frame checksum. Folding a word
@@ -68,8 +90,8 @@ const AUTO_FLUSH_BYTES: usize = 1 << 20;
 /// dependency); any flipped bit still avalanches through the
 /// multiplies. The zero-padded tail is unambiguous because every
 /// checksummed region starts with its frame tag and encodes its own
-/// length (event frames carry an explicit payload length; digest
-/// frames are fixed-size).
+/// length (event and state frames carry an explicit payload length;
+/// digest and end frames are fixed-size).
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut chunks = bytes.chunks_exact(8);
@@ -174,6 +196,15 @@ pub enum TraceFrame {
         /// Total events dispatched over the recorded run.
         events_processed: u64,
     },
+    /// A serialized session state (a checkpoint).
+    State {
+        /// The instant the state was taken.
+        time: SimTime,
+        /// Events dispatched when the state was taken.
+        events_processed: u64,
+        /// Model-encoded state (opaque to the trace layer).
+        payload: Vec<u8>,
+    },
 }
 
 impl TraceFrame {
@@ -182,7 +213,8 @@ impl TraceFrame {
         match self {
             TraceFrame::Event { time, .. }
             | TraceFrame::Digest { time, .. }
-            | TraceFrame::End { time, .. } => *time,
+            | TraceFrame::End { time, .. }
+            | TraceFrame::State { time, .. } => *time,
         }
     }
 }
@@ -190,8 +222,9 @@ impl TraceFrame {
 /// Buffered append-only trace encoder over any [`Write`] sink.
 ///
 /// Frames are staged in memory and hit the sink only on
-/// [`TraceWriter::flush`] / [`TraceWriter::finish`] or when the staging
-/// buffer exceeds a fixed threshold — always on a frame boundary.
+/// [`TraceWriter::flush`] / [`TraceWriter::finish`] or when an event
+/// frame takes the staging buffer past a fixed threshold — always on a
+/// frame boundary.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
     sink: W,
@@ -234,58 +267,76 @@ impl<W: Write> TraceWriter<W> {
         seq: u64,
         encode: impl FnOnce(&mut Vec<u8>),
     ) -> Result<(), TraceError> {
-        let start = self.buf.len();
-        self.buf.push(TAG_EVENT);
-        self.buf.extend_from_slice(&time.as_micros().to_le_bytes());
-        self.buf.extend_from_slice(&seq.to_le_bytes());
-        let len_at = self.buf.len();
-        self.buf.extend_from_slice(&[0; 4]);
-        encode(&mut self.buf);
-        let len = (self.buf.len() - len_at - 4) as u32;
-        self.buf[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
-        let check = fnv1a(&self.buf[start..]);
-        self.buf.extend_from_slice(&check.to_le_bytes());
-        self.frames += 1;
-        self.maybe_flush()
+        self.payload_frame(TAG_EVENT, time, seq, encode);
+        // Event frames are what a long recording accumulates, so they
+        // alone bound the staging buffer; every other frame is followed
+        // by an explicit flush or written to memory in one go.
+        if self.buf.len() >= AUTO_FLUSH_BYTES {
+            self.flush()?;
+        }
+        Ok(())
     }
 
     /// Appends a state-digest frame.
-    pub fn digest(
-        &mut self,
-        time: SimTime,
-        events_processed: u64,
-        digest: u64,
-    ) -> Result<(), TraceError> {
-        let start = self.buf.len();
-        self.buf.push(TAG_DIGEST);
-        self.buf.extend_from_slice(&time.as_micros().to_le_bytes());
-        self.buf.extend_from_slice(&events_processed.to_le_bytes());
-        self.buf.extend_from_slice(&digest.to_le_bytes());
-        let check = fnv1a(&self.buf[start..]);
-        self.buf.extend_from_slice(&check.to_le_bytes());
-        self.frames += 1;
-        self.maybe_flush()
+    pub fn digest(&mut self, time: SimTime, events_processed: u64, digest: u64) {
+        self.words_frame(TAG_DIGEST, &[time.as_micros(), events_processed, digest]);
     }
 
     /// Appends the end-of-log marker. The writer stays usable (so the
     /// caller can still `finish`), but a tailing reader treats the log
     /// as complete from this frame on.
-    pub fn end(&mut self, time: SimTime, events_processed: u64) -> Result<(), TraceError> {
+    pub fn end(&mut self, time: SimTime, events_processed: u64) {
+        self.words_frame(TAG_END, &[time.as_micros(), events_processed]);
+    }
+
+    /// Appends a state frame whose payload `encode` appends straight
+    /// into the staging buffer, so a checkpoint is encoded once, in
+    /// place. `encode` must only append.
+    pub fn state_with(
+        &mut self,
+        time: SimTime,
+        events_processed: u64,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) {
+        self.payload_frame(TAG_STATE, time, events_processed, encode);
+    }
+
+    /// Stages `tag | words… | checksum`.
+    fn words_frame(&mut self, tag: u8, words: &[u64]) {
         let start = self.buf.len();
-        self.buf.push(TAG_END);
+        self.buf.push(tag);
+        for word in words {
+            self.buf.extend_from_slice(&word.to_le_bytes());
+        }
+        self.seal(start);
+    }
+
+    /// Stages `tag | time | word | len | payload | checksum`, where
+    /// `encode` appends the payload and its length is patched in after.
+    fn payload_frame(
+        &mut self,
+        tag: u8,
+        time: SimTime,
+        word: u64,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) {
+        let start = self.buf.len();
+        self.buf.push(tag);
         self.buf.extend_from_slice(&time.as_micros().to_le_bytes());
-        self.buf.extend_from_slice(&events_processed.to_le_bytes());
+        self.buf.extend_from_slice(&word.to_le_bytes());
+        let (len_at, width) = (self.buf.len(), len_width(tag));
+        self.buf.extend_from_slice(&[0; 8][..width]);
+        encode(&mut self.buf);
+        let len = (self.buf.len() - len_at - width) as u64;
+        self.buf[len_at..len_at + width].copy_from_slice(&len.to_le_bytes()[..width]);
+        self.seal(start);
+    }
+
+    /// Closes the frame staged from `start` with its checksum.
+    fn seal(&mut self, start: usize) {
         let check = fnv1a(&self.buf[start..]);
         self.buf.extend_from_slice(&check.to_le_bytes());
         self.frames += 1;
-        self.maybe_flush()
-    }
-
-    fn maybe_flush(&mut self) -> Result<(), TraceError> {
-        if self.buf.len() >= AUTO_FLUSH_BYTES {
-            self.flush()?;
-        }
-        Ok(())
     }
 
     /// Drains the staging buffer to the sink (called at sampling
@@ -304,6 +355,20 @@ impl<W: Write> TraceWriter<W> {
     pub fn finish(mut self) -> Result<W, TraceError> {
         self.flush()?;
         Ok(self.sink)
+    }
+}
+
+impl TraceWriter<Vec<u8>> {
+    /// The finished in-memory log. Bytes reach the sink only on a
+    /// flush, so a log written in one go (a checkpoint) hands back its
+    /// staging buffer without a copy.
+    pub fn into_bytes(self) -> Vec<u8> {
+        let TraceWriter { mut sink, buf, .. } = self;
+        if sink.is_empty() {
+            return buf;
+        }
+        sink.extend_from_slice(&buf);
+        sink
     }
 }
 
@@ -385,9 +450,11 @@ fn decode_frame(bytes: &[u8], offset: usize) -> Result<Option<(TraceFrame, usize
     if offset == bytes.len() {
         return Ok(None);
     }
+    // A length word is bounded by the bytes present before anything is
+    // sized from it.
     let take = |at: usize, n: usize| -> Result<&[u8], TraceError> {
-        bytes
-            .get(at..at + n)
+        at.checked_add(n)
+            .and_then(|end| bytes.get(at..end))
             .ok_or(TraceError::Truncated { offset })
     };
     let u64_at = |at: usize| -> Result<u64, TraceError> {
@@ -397,25 +464,35 @@ fn decode_frame(bytes: &[u8], offset: usize) -> Result<Option<(TraceFrame, usize
     };
     let tag = take(offset, 1)?[0];
     match tag {
-        TAG_EVENT => {
-            let time = u64_at(offset + 1)?;
-            let seq = u64_at(offset + 9)?;
-            let len =
-                u32::from_le_bytes(take(offset + 17, 4)?.try_into().expect("4 bytes")) as usize;
-            let payload = take(offset + 21, len)?;
-            let body_end = offset + 21 + len;
-            let check = u64_at(body_end)?;
-            if check != fnv1a(&bytes[offset..body_end]) {
+        TAG_EVENT | TAG_STATE => {
+            let time = SimTime::from_micros(u64_at(offset + 1)?);
+            let word = u64_at(offset + 9)?;
+            let width = len_width(tag);
+            let mut len = [0u8; 8];
+            len[..width].copy_from_slice(take(offset + 17, width)?);
+            let len = usize::try_from(u64::from_le_bytes(len))
+                .map_err(|_| TraceError::Truncated { offset })?;
+            let payload_at = offset + 17 + width;
+            let payload = take(payload_at, len)?;
+            let body_end = payload_at + len;
+            if u64_at(body_end)? != fnv1a(&bytes[offset..body_end]) {
                 return Err(TraceError::Corrupt { offset });
             }
-            Ok(Some((
+            let payload = payload.to_vec();
+            let frame = if tag == TAG_EVENT {
                 TraceFrame::Event {
-                    time: SimTime::from_micros(time),
-                    seq,
-                    payload: payload.to_vec(),
-                },
-                body_end + 8,
-            )))
+                    time,
+                    seq: word,
+                    payload,
+                }
+            } else {
+                TraceFrame::State {
+                    time,
+                    events_processed: word,
+                    payload,
+                }
+            };
+            Ok(Some((frame, body_end + 8)))
         }
         TAG_DIGEST => {
             let time = u64_at(offset + 1)?;
@@ -565,8 +642,7 @@ mod tests {
         );
         w.event(SimTime::from_secs(1), 0, b"alpha").expect("event");
         w.event(SimTime::from_secs(2), 1, b"").expect("event");
-        w.digest(SimTime::from_secs(2), 2, 0xD1D2D3)
-            .expect("digest");
+        w.digest(SimTime::from_secs(2), 2, 0xD1D2D3);
         w.event(SimTime::from_secs(3), 2, b"gamma").expect("event");
         w.finish().expect("finish")
     }
@@ -677,7 +753,7 @@ mod tests {
             },
         );
         w.event(SimTime::from_secs(1), 0, b"a").expect("event");
-        w.end(SimTime::from_secs(5), 17).expect("end");
+        w.end(SimTime::from_secs(5), 17);
         let bytes = w.finish().expect("finish");
         let mut r = TraceReader::from_bytes(bytes).expect("valid trace");
         r.next_frame().expect("frame").expect("event");
@@ -689,6 +765,42 @@ mod tests {
             })
         );
         assert_eq!(r.next_frame().expect("eof"), None);
+    }
+
+    #[test]
+    fn state_frames_round_trip_and_bound_their_length() {
+        let header = TraceHeader {
+            fingerprint: 4,
+            seed: 8,
+        };
+        let mut w = TraceWriter::new(Vec::new(), header);
+        w.state_with(SimTime::from_secs(7), 99, |buf| {
+            buf.extend_from_slice(b"state")
+        });
+        w.end(SimTime::from_secs(7), 99);
+        let bytes = w.into_bytes();
+        let mut r = TraceReader::from_bytes(bytes.clone()).expect("valid trace");
+        assert_eq!(
+            r.next_frame().expect("frame"),
+            Some(TraceFrame::State {
+                time: SimTime::from_secs(7),
+                events_processed: 99,
+                payload: b"state".to_vec()
+            })
+        );
+        assert!(matches!(r.next_frame(), Ok(Some(TraceFrame::End { .. }))));
+        // A length word past the bytes present is truncation, refused
+        // before it sizes anything, even when it overflows an offset.
+        let len_at = HEADER_LEN + 17;
+        for len in [1u64 << 40, u64::MAX] {
+            let mut long = bytes.clone();
+            long[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+            let mut r = TraceReader::from_bytes(long).expect("header ok");
+            assert_eq!(
+                r.next_frame(),
+                Err(TraceError::Truncated { offset: HEADER_LEN })
+            );
+        }
     }
 
     #[test]
@@ -712,8 +824,8 @@ mod tests {
                 },
             );
             w.event(SimTime::from_secs(1), 0, b"alpha").expect("event");
-            w.digest(SimTime::from_secs(1), 1, 0xAB).expect("digest");
-            w.end(SimTime::from_secs(1), 1).expect("end");
+            w.digest(SimTime::from_secs(1), 1, 0xAB);
+            w.end(SimTime::from_secs(1), 1);
             w.finish().expect("finish")
         };
 
@@ -766,7 +878,7 @@ mod tests {
         w.flush().expect("flush");
         assert!(!w.sink.is_empty());
         let staged = w.sink.len();
-        w.digest(SimTime::ZERO, 1, 7).expect("digest");
+        w.digest(SimTime::ZERO, 1, 7);
         assert_eq!(w.sink.len(), staged, "frame staged, not written");
         let bytes = w.finish().expect("finish");
         assert!(bytes.len() > staged);
