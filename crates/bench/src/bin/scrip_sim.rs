@@ -241,12 +241,8 @@ fn run_builtin(name: &str, options: &Options) -> Result<(), String> {
         .into_iter()
         .find(|&(n, _)| n == name)
         .ok_or_else(|| format!("unknown experiment {name:?} (see `scrip-sim list`)"))?;
-    // Figure modules read the ambient thread cap; route --threads to
-    // their internal batch runners.
-    let previous = scrip_bench::scenario::set_thread_override(Some(options.threads));
     let start = std::time::Instant::now();
-    let fig = run(scale);
-    scrip_bench::scenario::set_thread_override(previous);
+    let fig = run(scale, &RunnerOptions::with_threads(options.threads));
     let fig = fig.map_err(|e| format!("{name}: {e}"))?;
     eprintln!("{name}: {:.1?}", start.elapsed());
     figures::print_figure(&fig, options.csv);
@@ -648,7 +644,7 @@ fn cmd_metrics(options: &Options) -> Result<(), String> {
         return Err("metrics takes no arguments".into());
     }
     println!("registered metrics (scenario files: metrics = [\"<name>\", ...] under [run]):");
-    for metric in Metric::registry() {
+    for metric in Metric::ALL {
         let tag = if metric.always_on() {
             "always measured"
         } else {

@@ -26,7 +26,10 @@ use crate::scenario::{run_scenario, Metric, RunnerOptions, Scenario, ScenarioErr
 /// # Errors
 /// Infallible today (purely analytic); the `Result` keeps every
 /// registered experiment uniformly fallible.
-pub fn ablation_approx_vs_exact(scale: RunScale) -> Result<FigureResult, ScenarioError> {
+pub fn ablation_approx_vs_exact(
+    scale: RunScale,
+    _options: &RunnerOptions,
+) -> Result<FigureResult, ScenarioError> {
     let n = 50;
     let grid: Vec<usize> = scale.pick(vec![1, 5, 20, 100, 500], vec![5, 100]);
     let mut tv_points = Vec::new();
@@ -76,7 +79,10 @@ pub fn ablation_approx_vs_exact(scale: RunScale) -> Result<FigureResult, Scenari
 /// # Errors
 /// Infallible today (purely analytic); the `Result` keeps every
 /// registered experiment uniformly fallible.
-pub fn ablation_solvers(scale: RunScale) -> Result<FigureResult, ScenarioError> {
+pub fn ablation_solvers(
+    scale: RunScale,
+    _options: &RunnerOptions,
+) -> Result<FigureResult, ScenarioError> {
     let sizes: Vec<usize> = scale.pick(vec![50, 100, 200, 400], vec![40, 80]);
     let mut max_flow_diff = Vec::new();
     let mut max_wealth_diff = Vec::new();
@@ -138,7 +144,7 @@ pub fn ablation3_queue_scenario(scale: RunScale) -> Scenario {
     scenario.title = "Queue-level market vs emergent protocol-level market".into();
     scenario.run.horizon_secs = scale.pick(4_000, 600);
     scenario.run.seed = 31;
-    scenario.run.metrics = vec![Metric::SPENDING_RATES, Metric::GINI_SERIES];
+    scenario.run.metrics = vec![Metric::SpendingRates, Metric::GiniSeries];
     scenario
 }
 
@@ -149,18 +155,21 @@ pub fn ablation3_queue_scenario(scale: RunScale) -> Scenario {
 ///
 /// # Errors
 /// Returns [`ScenarioError`] when either half fails to run.
-pub fn ablation_queue_vs_protocol(scale: RunScale) -> Result<FigureResult, ScenarioError> {
+pub fn ablation_queue_vs_protocol(
+    scale: RunScale,
+    options: &RunnerOptions,
+) -> Result<FigureResult, ScenarioError> {
     let scenario = ablation3_queue_scenario(scale);
     let n = scenario.base.config().n;
     let horizon_secs = scenario.run.horizon_secs;
     let horizon = SimTime::from_secs(horizon_secs);
     let c = 100u64;
 
-    let queue_result = run_scenario(&scenario, &RunnerOptions::from_env())?;
-    let queue_market = queue_result.cases[0].single();
-    let queue_rates = &queue_market.spending_rates();
+    let queue_result = run_scenario(&scenario, options)?;
+    let queue_market = &queue_result.cases[0].single().record;
+    let queue_rates = &queue_market.spending_rates;
     let queue_gini = gini(queue_rates).expect("non-empty");
-    let queue_wealth_gini = queue_market.wealth_gini();
+    let queue_wealth_gini = queue_market.wealth_gini.unwrap_or(f64::NAN);
 
     // Protocol level: same overlay family, 1 chunk/s economy.
     let mut rng = SimRng::seed_from_u64(31);

@@ -27,7 +27,7 @@ pub fn fig01_scenario(scale: RunScale) -> Scenario {
         "Distribution of credit spending rates, with and without wealth condensation".into();
     scenario.run.horizon_secs = scale.pick(20_000, 1_500);
     scenario.run.seed = 42;
-    scenario.run.metrics = vec![Metric::SPENDING_RATES, Metric::FINAL_BALANCES];
+    scenario.run.metrics = vec![Metric::SpendingRates, Metric::FinalBalances];
     scenario.cases = vec![
         // Case 2 (balanced): c = 12, uniform pricing, symmetric
         // utilization — the streaming-with-uniform-pricing regime of
@@ -49,14 +49,17 @@ pub fn fig01_scenario(scale: RunScale) -> Scenario {
 ///
 /// # Errors
 /// Returns [`ScenarioError`] when the underlying scenario fails to run.
-pub fn fig01_spending_rates(scale: RunScale) -> Result<FigureResult, ScenarioError> {
+pub fn fig01_spending_rates(
+    scale: RunScale,
+    options: &RunnerOptions,
+) -> Result<FigureResult, ScenarioError> {
     let scenario = fig01_scenario(scale);
-    let result = run_scenario(&scenario, &RunnerOptions::from_env())?;
-    let balanced = result.cases[0].single();
-    let condensed = result.cases[1].single();
+    let result = run_scenario(&scenario, options)?;
+    let balanced = &result.cases[0].single().record;
+    let condensed = &result.cases[1].single().record;
 
-    let g_balanced = gini(balanced.spending_rates()).expect("non-empty");
-    let g_condensed = gini(condensed.spending_rates()).expect("non-empty");
+    let g_balanced = gini(&balanced.spending_rates).expect("non-empty");
+    let g_condensed = gini(&condensed.spending_rates).expect("non-empty");
     let broke = |balances: &[u64]| balances.iter().filter(|&&b| b == 0).count();
 
     let to_points = |rates: &[f64]| {
@@ -77,10 +80,10 @@ pub fn fig01_spending_rates(scale: RunScale) -> Result<FigureResult, ScenarioErr
         x_label: "peer rank (sorted by spending rate)".into(),
         y_label: "credit spending rate (credits/sec)".into(),
         series: vec![
-            Series::new("balanced_c12_uniform", to_points(balanced.spending_rates())),
+            Series::new("balanced_c12_uniform", to_points(&balanced.spending_rates)),
             Series::new(
                 "condensed_c200_poisson",
-                to_points(condensed.spending_rates()),
+                to_points(&condensed.spending_rates),
             ),
         ],
         notes: vec![
@@ -88,10 +91,10 @@ pub fn fig01_spending_rates(scale: RunScale) -> Result<FigureResult, ScenarioErr
             format!("condensed spending-rate Gini = {g_condensed:.3}"),
             format!(
                 "condensed market broke peers = {}/{} vs balanced {}/{}",
-                broke(condensed.final_balances()),
-                condensed.peer_count(),
-                broke(balanced.final_balances()),
-                balanced.peer_count(),
+                broke(&condensed.final_balances),
+                condensed.peer_count,
+                broke(&balanced.final_balances),
+                balanced.peer_count,
             ),
         ],
     })

@@ -13,7 +13,7 @@ use scrip_core::queueing::approx::{eq8_symmetric_marginal, exact_symmetric_margi
 
 use crate::figures::{FigureResult, Series};
 use crate::scale::RunScale;
-use crate::scenario::ScenarioError;
+use crate::scenario::{RunnerOptions, ScenarioError};
 
 const CASES: [(usize, usize); 3] = [(2_000, 100), (25_000, 50), (50_000, 50)];
 
@@ -22,7 +22,10 @@ const CASES: [(usize, usize); 3] = [(2_000, 100), (25_000, 50), (50_000, 50)];
 /// # Errors
 /// Infallible today (purely analytic); the `Result` keeps every
 /// registered experiment uniformly fallible.
-pub fn fig02_lorenz_pmf(scale: RunScale) -> Result<FigureResult, ScenarioError> {
+pub fn fig02_lorenz_pmf(
+    scale: RunScale,
+    _options: &RunnerOptions,
+) -> Result<FigureResult, ScenarioError> {
     let grid = scale.pick(100, 25);
     let mut series = Vec::new();
     let mut notes = Vec::new();

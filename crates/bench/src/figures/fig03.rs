@@ -17,7 +17,7 @@ use scrip_core::queueing::closed::ClosedJackson;
 
 use crate::figures::{FigureResult, Series};
 use crate::scale::RunScale;
-use crate::scenario::ScenarioError;
+use crate::scenario::{RunnerOptions, ScenarioError};
 
 /// Jitter half-width of the near-symmetric utilization vector (matches
 /// the market simulator's quasi-symmetric regime).
@@ -53,7 +53,10 @@ fn population_gini(u: &[f64], m: usize) -> f64 {
 /// # Errors
 /// Infallible today (purely analytic); the `Result` keeps every
 /// registered experiment uniformly fallible.
-pub fn fig03_gini_vs_wealth(scale: RunScale) -> Result<FigureResult, ScenarioError> {
+pub fn fig03_gini_vs_wealth(
+    scale: RunScale,
+    _options: &RunnerOptions,
+) -> Result<FigureResult, ScenarioError> {
     let sizes: Vec<usize> = scale.pick(vec![50, 100, 200, 400], vec![50, 100]);
     let wealth_grid: Vec<u64> = scale.pick(
         vec![1, 2, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100],

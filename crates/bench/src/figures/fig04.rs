@@ -28,7 +28,7 @@ pub fn fig04_scenario(scale: RunScale) -> Scenario {
     scenario.title = "1 − Q{B_i = 0} vs average wealth c".into();
     scenario.run.horizon_secs = scale.pick(4_000, 800);
     scenario.run.seed = 7;
-    scenario.run.metrics = vec![Metric::SPENDING_RATES];
+    scenario.run.metrics = vec![Metric::SpendingRates];
     scenario.sweep = vec![SweepAxis::new("credits", sim_grid(scale))];
     scenario
 }
@@ -37,7 +37,10 @@ pub fn fig04_scenario(scale: RunScale) -> Scenario {
 ///
 /// # Errors
 /// Returns [`ScenarioError`] when the underlying scenario fails to run.
-pub fn fig04_efficiency(scale: RunScale) -> Result<FigureResult, ScenarioError> {
+pub fn fig04_efficiency(
+    scale: RunScale,
+    options: &RunnerOptions,
+) -> Result<FigureResult, ScenarioError> {
     let n_analytic = 1_000;
     let grid: Vec<f64> = (0..=40).map(|k| k as f64 * 0.25).collect();
 
@@ -60,12 +63,13 @@ pub fn fig04_efficiency(scale: RunScale) -> Result<FigureResult, ScenarioError> 
     let scenario = fig04_scenario(scale);
     let n_sim = scenario.base.config().n;
     let horizon_secs = scenario.run.horizon_secs;
-    let result = run_scenario(&scenario, &RunnerOptions::from_env())?;
+    let result = run_scenario(&scenario, options)?;
     let mut simulated = Vec::new();
     let mut notes = Vec::new();
     for (case, c) in result.cases.iter().zip(sim_grid(scale)) {
         // Base rate is 1 credit/sec, so the max possible is n·horizon.
-        let efficiency = case.single().total_spent() as f64 / (n_sim as f64 * horizon_secs as f64);
+        let efficiency =
+            case.single().record.total_spent as f64 / (n_sim as f64 * horizon_secs as f64);
         simulated.push((c as f64, efficiency));
         notes.push(format!(
             "simulated efficiency at c={c}: {efficiency:.3} (exact c/(1+c) = {:.3}, Eq. 9 = {:.3})",

@@ -24,7 +24,7 @@ fn snapshot_scenario(scale: RunScale, name: &str, title: &str, times: Vec<u64>) 
     scenario.run.horizon_secs = *times.last().expect("non-empty snapshot grid");
     scenario.run.seed = 99;
     scenario.run.snapshots = times;
-    scenario.run.metrics = vec![Metric::SNAPSHOTS];
+    scenario.run.metrics = vec![Metric::Snapshots];
     scenario
 }
 
@@ -58,9 +58,10 @@ fn to_figure(
     id: &str,
     expectation: &str,
     scenario: Scenario,
+    options: &RunnerOptions,
 ) -> Result<FigureResult, ScenarioError> {
-    let result = run_scenario(&scenario, &RunnerOptions::from_env())?;
-    let snaps = &result.cases[0].single().snapshots();
+    let result = run_scenario(&scenario, options)?;
+    let snaps = &result.cases[0].single().record.snapshots;
     let mut notes = Vec::new();
     // Quantify overlap between successive curves: mean |Δ| between
     // consecutive sorted-wealth snapshots, relative to the mean wealth.
@@ -108,12 +109,16 @@ fn to_figure(
 ///
 /// # Errors
 /// Returns [`ScenarioError`] when the underlying scenario fails to run.
-pub fn fig05_convergence_early(scale: RunScale) -> Result<FigureResult, ScenarioError> {
+pub fn fig05_convergence_early(
+    scale: RunScale,
+    options: &RunnerOptions,
+) -> Result<FigureResult, ScenarioError> {
     to_figure(
         "fig05",
         "sorted-wealth curves steepen over time: flatter curves at earlier times, steeper later \
          (the distribution is still evolving)",
         fig05_scenario(scale),
+        options,
     )
 }
 
@@ -121,11 +126,15 @@ pub fn fig05_convergence_early(scale: RunScale) -> Result<FigureResult, Scenario
 ///
 /// # Errors
 /// Returns [`ScenarioError`] when the underlying scenario fails to run.
-pub fn fig06_convergence_late(scale: RunScale) -> Result<FigureResult, ScenarioError> {
+pub fn fig06_convergence_late(
+    scale: RunScale,
+    options: &RunnerOptions,
+) -> Result<FigureResult, ScenarioError> {
     to_figure(
         "fig06",
         "late-stage sorted-wealth curves largely overlap: the credit distribution has converged \
          to its equilibrium",
         fig06_scenario(scale),
+        options,
     )
 }

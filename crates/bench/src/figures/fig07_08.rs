@@ -32,7 +32,7 @@ fn gini_scenario(scale: RunScale, name: &str, title: &str, profile: &str) -> Sce
     scenario.title = title.into();
     scenario.run.horizon_secs = horizon_secs;
     scenario.run.seed = 4242;
-    scenario.run.metrics = vec![Metric::GINI_SERIES];
+    scenario.run.metrics = vec![Metric::GiniSeries];
     scenario.sweep = vec![SweepAxis::new("credits", WEALTH_LEVELS)];
     scenario
 }
@@ -57,12 +57,15 @@ pub fn fig08_scenario(scale: RunScale) -> Scenario {
     )
 }
 
-fn gini_evolution(scenario: &Scenario) -> Result<(Vec<Series>, Vec<String>), ScenarioError> {
-    let result = run_scenario(scenario, &RunnerOptions::from_env())?;
+fn gini_evolution(
+    scenario: &Scenario,
+    options: &RunnerOptions,
+) -> Result<(Vec<Series>, Vec<String>), ScenarioError> {
+    let result = run_scenario(scenario, options)?;
     let mut series = Vec::new();
     let mut notes = Vec::new();
     for (case, &c) in result.cases.iter().zip(&WEALTH_LEVELS) {
-        let s = Series::new(format!("c{c}"), case.single().gini().to_vec());
+        let s = Series::new(format!("c{c}"), case.single().record.gini_series.clone());
         let plateau = s.tail_mean(10).unwrap_or(0.0);
         let converged = s.has_converged(10, 0.05);
         notes.push(format!(
@@ -78,9 +81,12 @@ fn gini_evolution(scenario: &Scenario) -> Result<(Vec<Series>, Vec<String>), Sce
 ///
 /// # Errors
 /// Returns [`ScenarioError`] when the underlying scenario fails to run.
-pub fn fig07_gini_evolution_symmetric(scale: RunScale) -> Result<FigureResult, ScenarioError> {
+pub fn fig07_gini_evolution_symmetric(
+    scale: RunScale,
+    options: &RunnerOptions,
+) -> Result<FigureResult, ScenarioError> {
     let scenario = fig07_scenario(scale);
-    let (series, notes) = gini_evolution(&scenario)?;
+    let (series, notes) = gini_evolution(&scenario, options)?;
     Ok(FigureResult {
         id: "fig07".into(),
         title: scenario.title,
@@ -99,9 +105,12 @@ pub fn fig07_gini_evolution_symmetric(scale: RunScale) -> Result<FigureResult, S
 ///
 /// # Errors
 /// Returns [`ScenarioError`] when the underlying scenario fails to run.
-pub fn fig08_gini_evolution_asymmetric(scale: RunScale) -> Result<FigureResult, ScenarioError> {
+pub fn fig08_gini_evolution_asymmetric(
+    scale: RunScale,
+    options: &RunnerOptions,
+) -> Result<FigureResult, ScenarioError> {
     let scenario = fig08_scenario(scale);
-    let (series, notes) = gini_evolution(&scenario)?;
+    let (series, notes) = gini_evolution(&scenario, options)?;
     Ok(FigureResult {
         id: "fig08".into(),
         title: scenario.title,

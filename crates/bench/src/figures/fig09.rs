@@ -36,7 +36,7 @@ pub fn fig09_scenario(scale: RunScale) -> Scenario {
     scenario.title = "Skewness of credit distribution at different tax rates and thresholds".into();
     scenario.run.horizon_secs = scale.pick(20_000, 2_000);
     scenario.run.seed = 777;
-    scenario.run.metrics = vec![Metric::GINI_SERIES];
+    scenario.run.metrics = vec![Metric::GiniSeries];
     scenario.cases = vec![
         CaseSpec::new("no_taxation"),
         CaseSpec::new("rate0.1_thr50").with("tax", "0.1:50"),
@@ -51,19 +51,21 @@ pub fn fig09_scenario(scale: RunScale) -> Scenario {
 ///
 /// # Errors
 /// Returns [`ScenarioError`] when the underlying scenario fails to run.
-pub fn fig09_taxation(scale: RunScale) -> Result<FigureResult, ScenarioError> {
+pub fn fig09_taxation(
+    scale: RunScale,
+    options: &RunnerOptions,
+) -> Result<FigureResult, ScenarioError> {
     let scenario = fig09_scenario(scale);
-    let result = run_scenario(&scenario, &RunnerOptions::from_env())?;
+    let result = run_scenario(&scenario, options)?;
     let mut series = Vec::new();
     let mut notes = Vec::new();
     for case in &result.cases {
-        let rep = case.single();
-        let s = Series::new(case.label.clone(), rep.gini().to_vec());
+        let rep = &case.single().record;
+        let s = Series::new(case.label.clone(), rep.gini_series.clone());
         let plateau = s.tail_mean(10).unwrap_or(0.0);
         notes.push(format!(
             "{}: plateau Gini = {plateau:.3}, collected = {}",
-            case.label,
-            rep.tax_collected()
+            case.label, rep.tax_collected
         ));
         series.push(s);
     }

@@ -22,7 +22,7 @@ pub fn fig10_scenario(scale: RunScale) -> Scenario {
     scenario.title = "Static vs dynamic spending rate".into();
     scenario.run.horizon_secs = horizon_secs;
     scenario.run.seed = 888;
-    scenario.run.metrics = vec![Metric::GINI_SERIES];
+    scenario.run.metrics = vec![Metric::GiniSeries];
     scenario.cases = vec![
         CaseSpec::new("without_adjustment"),
         // Threshold 100 = the average wealth, as in the paper's setup.
@@ -35,14 +35,17 @@ pub fn fig10_scenario(scale: RunScale) -> Scenario {
 ///
 /// # Errors
 /// Returns [`ScenarioError`] when the underlying scenario fails to run.
-pub fn fig10_dynamic_spending(scale: RunScale) -> Result<FigureResult, ScenarioError> {
+pub fn fig10_dynamic_spending(
+    scale: RunScale,
+    options: &RunnerOptions,
+) -> Result<FigureResult, ScenarioError> {
     let scenario = fig10_scenario(scale);
-    let result = run_scenario(&scenario, &RunnerOptions::from_env())?;
+    let result = run_scenario(&scenario, options)?;
     let mut series = Vec::new();
     let mut notes = Vec::new();
     let mut plateaus = Vec::new();
     for case in &result.cases {
-        let s = Series::new(case.label.clone(), case.single().gini().to_vec());
+        let s = Series::new(case.label.clone(), case.single().record.gini_series.clone());
         let plateau = s.tail_mean(10).unwrap_or(0.0);
         plateaus.push(plateau);
         notes.push(format!("{}: plateau Gini = {plateau:.3}", case.label));

@@ -36,7 +36,7 @@ pub fn fig11_scenario(scale: RunScale) -> Scenario {
     scenario.title = "Impact of peer dynamics on the skewness of the credit distribution".into();
     scenario.run.horizon_secs = scale.pick(8_000, 1_200);
     scenario.run.seed = 1_234;
-    scenario.run.metrics = vec![Metric::GINI_SERIES];
+    scenario.run.metrics = vec![Metric::GiniSeries];
     scenario.cases = vec![
         CaseSpec::new("p1_lifespan1000_arr1").with("churn", churn(1.0, 1_000.0)),
         CaseSpec::new("p1_lifespan500_arr2").with("churn", churn(2.0, 500.0)),
@@ -52,21 +52,23 @@ pub fn fig11_scenario(scale: RunScale) -> Scenario {
 ///
 /// # Errors
 /// Returns [`ScenarioError`] when the underlying scenario fails to run.
-pub fn fig11_churn(scale: RunScale) -> Result<FigureResult, ScenarioError> {
+pub fn fig11_churn(
+    scale: RunScale,
+    options: &RunnerOptions,
+) -> Result<FigureResult, ScenarioError> {
     let scenario = fig11_scenario(scale);
-    let result = run_scenario(&scenario, &RunnerOptions::from_env())?;
+    let result = run_scenario(&scenario, options)?;
     let mut series = Vec::new();
     let mut notes = Vec::new();
     let mut plateaus: Vec<(String, f64)> = Vec::new();
     for case in &result.cases {
-        let rep = case.single();
+        let rep = &case.single().record;
         let panel = &case.label[1..2];
-        let s = Series::new(case.label.clone(), rep.gini().to_vec());
+        let s = Series::new(case.label.clone(), rep.gini_series.clone());
         let plateau = s.tail_mean(10).unwrap_or(0.0);
         notes.push(format!(
             "panel {panel} {}: plateau Gini = {plateau:.3}, final population = {}",
-            case.label,
-            rep.peer_count()
+            case.label, rep.peer_count
         ));
         plateaus.push((case.label.clone(), plateau));
         series.push(s);

@@ -41,10 +41,11 @@ pub use fig11::{fig11_churn, fig11_scenario};
 pub use streaming::{streaming_scenario, streaming_stall_vs_wealth};
 
 use crate::scale::RunScale;
-use crate::scenario::{Scenario, ScenarioError};
+use crate::scenario::{RunnerOptions, Scenario, ScenarioError};
 
-/// A figure/ablation regenerator.
-pub type ExperimentFn = fn(RunScale) -> Result<FigureResult, ScenarioError>;
+/// A figure/ablation regenerator: the options cap the worker threads of
+/// the scenario runs inside it.
+pub type ExperimentFn = fn(RunScale, &RunnerOptions) -> Result<FigureResult, ScenarioError>;
 
 /// A scenario emitter: the declarative description behind a
 /// market-driven experiment.
@@ -124,10 +125,8 @@ pub fn print_figure(fig: &FigureResult, dump_csv: bool) {
 /// canonical order regardless of completion order.
 ///
 /// To keep `threads` an actual cap on concurrency, experiments fan out
-/// across the workers while each experiment's internal batch runner is
-/// forced serial for the duration (via
-/// [`crate::scenario::set_thread_override`] — process-global, so don't
-/// call this concurrently with other scenario runs).
+/// across the workers while each experiment's internal batch runner
+/// runs serially.
 ///
 /// # Errors
 /// Returns the first failing experiment's [`ScenarioError`], prefixed
@@ -137,17 +136,15 @@ pub fn run_all_experiments(
     threads: usize,
 ) -> Result<EvaluationReport, ScenarioError> {
     let experiments = experiments();
-    let workers =
-        crate::scenario::RunnerOptions::with_threads(threads).effective_threads(experiments.len());
-    let previous = crate::scenario::set_thread_override(Some(1));
+    let workers = RunnerOptions::with_threads(threads).effective_threads(experiments.len());
+    let serial = RunnerOptions::with_threads(1);
     let start = std::time::Instant::now();
     let results = crate::scenario::parallel_map(experiments.len(), threads, |i| {
         let t0 = std::time::Instant::now();
-        let fig = (experiments[i].1)(scale);
+        let fig = (experiments[i].1)(scale, &serial);
         (fig, t0.elapsed())
     });
     let total = start.elapsed();
-    crate::scenario::set_thread_override(previous);
     let mut collected = Vec::with_capacity(results.len());
     for ((name, _), (fig, wall)) in experiments.into_iter().zip(results) {
         let fig = fig.map_err(|e| ScenarioError::Run(format!("{name}: {e}")))?;

@@ -30,7 +30,7 @@ pub fn streaming_scenario(scale: RunScale) -> Scenario {
     scenario.title = "Chunk-level market: playback stalls vs average wealth".into();
     scenario.run.horizon_secs = horizon_secs;
     scenario.run.seed = 4242;
-    scenario.run.metrics = vec![Metric::GINI_SERIES, Metric::STALL_SERIES];
+    scenario.run.metrics = vec![Metric::GiniSeries, Metric::StallSeries];
     scenario.sweep = vec![SweepAxis::new("credits", WEALTH_LEVELS)];
     scenario
 }
@@ -40,22 +40,25 @@ pub fn streaming_scenario(scale: RunScale) -> Scenario {
 ///
 /// # Errors
 /// Returns [`ScenarioError`] when the underlying scenario fails to run.
-pub fn streaming_stall_vs_wealth(scale: RunScale) -> Result<FigureResult, ScenarioError> {
+pub fn streaming_stall_vs_wealth(
+    scale: RunScale,
+    options: &RunnerOptions,
+) -> Result<FigureResult, ScenarioError> {
     let scenario = streaming_scenario(scale);
-    let result = run_scenario(&scenario, &RunnerOptions::from_env())?;
+    let result = run_scenario(&scenario, options)?;
     let mut series = Vec::new();
     let mut notes = Vec::new();
     for (case, &c) in result.cases.iter().zip(&WEALTH_LEVELS) {
-        let rep = case.single();
-        let stall = Series::new(format!("stall_c{c}"), rep.stalls().to_vec());
-        let gini = Series::new(format!("gini_c{c}"), rep.gini().to_vec());
+        let rep = &case.single().record;
+        let stall = Series::new(format!("stall_c{c}"), rep.stall_series.clone());
+        let gini = Series::new(format!("gini_c{c}"), rep.gini_series.clone());
         notes.push(format!(
             "c={c}: final stall rate = {:.3}, final wealth Gini = {:.3}, settlements = {}, \
              denials = {}",
             stall.last_y().unwrap_or(1.0),
-            rep.wealth_gini(),
-            rep.purchases(),
-            rep.denied(),
+            rep.wealth_gini.unwrap_or(f64::NAN),
+            rep.purchases,
+            rep.denied,
         ));
         series.push(stall);
         series.push(gini);

@@ -333,7 +333,7 @@ fn run_streaming_case(n: usize, horizon_secs: u64, scale: &str) -> BenchEntry {
 }
 
 /// Measures the observation layer's dispatch overhead on the n=10k
-/// asymmetric market: one [`Session`] with every registry probe
+/// asymmetric market: one [`Session`] with every metric's probe
 /// attached (`probe_attached`, snapshots at mid-run and horizon) versus
 /// a probe-less session (`probe_detached`, the zero-overhead fast
 /// path). Probe dispatch is sample-time only, so the two rates should
@@ -348,7 +348,7 @@ fn run_probe_case(attached: bool, n: usize, horizon_secs: u64, scale: &str) -> B
             snapshots: vec![horizon_secs / 2, horizon_secs],
             ..RunSpec::default()
         };
-        for metric in Metric::registry() {
+        for metric in Metric::ALL {
             session.attach(metric.make_probe(&run));
         }
     }
@@ -358,7 +358,7 @@ fn run_probe_case(attached: bool, n: usize, horizon_secs: u64, scale: &str) -> B
     let wall = start.elapsed().as_secs_f64().max(1e-9);
     // Keep the record observable so the probe work cannot be elided.
     let (record, _) = session.finish();
-    assert!(record.counter(scrip_core::obs::ids::PURCHASES) > 0);
+    assert!(record.purchases > 0);
     BenchEntry {
         regime: if attached {
             "probe_attached".into()

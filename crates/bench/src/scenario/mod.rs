@@ -40,8 +40,8 @@ use scrip_core::CoreError;
 
 pub use parse::ParseError;
 pub use runner::{
-    cadence, checkpoint_to, parallel_map, run_driven, run_scenario, set_thread_override,
-    write_atomic, CaseResult, Driver, Replication, ReplicationRun, RunnerOptions, ScenarioResult,
+    cadence, checkpoint_to, parallel_map, run_driven, run_scenario, write_atomic, CaseResult,
+    Driver, Replication, ReplicationRun, RunnerOptions, ScenarioResult,
 };
 
 /// Default RNG seed of a scenario that does not specify one.
@@ -83,211 +83,128 @@ impl From<CoreError> for ScenarioError {
     }
 }
 
-/// One row of the metric registry: everything the scenario engine needs
-/// to know about a recordable metric — its scenario-file name, the
-/// [`Probe`] that measures it, and the CSV emitter that renders its
-/// aggregate. New observables are added by appending a row here (and a
-/// probe in [`scrip_core::obs::probes`]); the parser, the CSV pipeline,
-/// and `scrip-sim metrics` all read this table.
-pub struct MetricDef {
-    /// The metric's name in scenario files.
-    name: &'static str,
-    /// One-line description (shown by `scrip-sim metrics` and the
-    /// SCENARIOS.md table).
-    doc: &'static str,
-    /// Whether the probe is attached to every run regardless of the
-    /// scenario's `metrics` selection. The five legacy metrics are
-    /// always-on: they back [`ReplicationRun`]'s typed accessors and
-    /// the per-case summary lines.
-    always_on: bool,
-    /// Builds the probe recording this metric.
-    make_probe: fn(&RunSpec) -> Box<dyn Probe>,
-    /// Appends the aggregated CSV rows for one case.
-    emit: fn(&Scenario, &runner::CaseResult, &mut String),
-}
-
-fn gini_probe(_run: &RunSpec) -> Box<dyn Probe> {
-    Box::new(obs_probes::GiniSeriesProbe)
-}
-fn balances_probe(_run: &RunSpec) -> Box<dyn Probe> {
-    Box::new(obs_probes::FinalBalancesProbe)
-}
-fn rates_probe(_run: &RunSpec) -> Box<dyn Probe> {
-    Box::new(obs_probes::SpendingRatesProbe)
-}
-fn snapshots_probe(run: &RunSpec) -> Box<dyn Probe> {
-    Box::new(obs_probes::SnapshotsProbe::new(run.snapshots.clone()))
-}
-fn stall_probe(_run: &RunSpec) -> Box<dyn Probe> {
-    Box::new(obs_probes::StallSeriesProbe)
-}
-fn throughput_probe(_run: &RunSpec) -> Box<dyn Probe> {
-    Box::new(obs_probes::ThroughputSeriesProbe::new())
-}
-fn population_probe(_run: &RunSpec) -> Box<dyn Probe> {
-    Box::new(obs_probes::PopulationSeriesProbe::new())
-}
-fn lorenz_probe(_run: &RunSpec) -> Box<dyn Probe> {
-    Box::new(obs_probes::LorenzProbe::default())
-}
-fn fault_probe(_run: &RunSpec) -> Box<dyn Probe> {
-    Box::new(obs_probes::FaultSeriesProbe::new())
-}
-
-/// The probe registry, in canonical output order. The first five rows
-/// are the original `Metric` enum re-registered (names and CSV output
-/// byte-identical — pinned by `tests/scenario_golden.rs`); the rest are
-/// registry-only additions.
-static REGISTRY: [MetricDef; 9] = [
-    MetricDef {
-        name: "gini-series",
-        doc: "Gini-over-time trajectory (the paper's Figs. 7-11)",
-        always_on: true,
-        make_probe: gini_probe,
-        emit: runner::emit_gini,
-    },
-    MetricDef {
-        name: "final-balances",
-        doc: "final wealth distribution, sorted ascending (Figs. 5-6)",
-        always_on: true,
-        make_probe: balances_probe,
-        emit: runner::emit_final_balances,
-    },
-    MetricDef {
-        name: "spending-rates",
-        doc: "sorted per-peer credit spending rates (Fig. 1)",
-        always_on: true,
-        make_probe: rates_probe,
-        emit: runner::emit_spending_rates,
-    },
-    MetricDef {
-        name: "snapshots",
-        doc: "sorted wealth snapshots at the configured times (Figs. 5-6)",
-        always_on: true,
-        make_probe: snapshots_probe,
-        emit: runner::emit_snapshots,
-    },
-    MetricDef {
-        name: "stall-series",
-        doc: "stall-rate trajectory of a chunk-level market (empty at queue level)",
-        always_on: true,
-        make_probe: stall_probe,
-        emit: runner::emit_stalls,
-    },
-    MetricDef {
-        name: "throughput-series",
-        doc: "system throughput over time (purchases/sec per sampling interval)",
-        always_on: false,
-        make_probe: throughput_probe,
-        emit: runner::emit_throughput,
-    },
-    MetricDef {
-        name: "population-series",
-        doc: "live peers over time (the arrival/departure balance under churn)",
-        always_on: false,
-        make_probe: population_probe,
-        emit: runner::emit_population,
-    },
-    MetricDef {
-        name: "lorenz",
-        doc: "final wealth Lorenz curve sampled at 100 population shares (Fig. 2)",
-        always_on: false,
-        make_probe: lorenz_probe,
-        emit: runner::emit_lorenz,
-    },
-    MetricDef {
-        name: "fault-series",
-        doc: "fault-injection recovery: failed trades, escrow over time, retry depths",
-        always_on: false,
-        make_probe: fault_probe,
-        emit: runner::emit_faults,
-    },
-];
-
-/// A metric recorded into the aggregated scenario output: a copyable
-/// handle into the probe registry (see [`MetricDef`]).
-#[derive(Clone, Copy)]
-pub struct Metric(&'static MetricDef);
-
-impl Metric {
+/// A metric recorded into the aggregated scenario output: its
+/// scenario-file name, the [`Probe`] that measures it, and the CSV
+/// emitter that renders its aggregate. A new observable is a variant
+/// here, a probe in [`scrip_core::obs::probes`] and a field of
+/// [`scrip_core::obs::RunRecord`]; the parser, the CSV pipeline and
+/// `scrip-sim metrics` all read [`Metric::ALL`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Metric {
     /// The Gini-over-time trajectory (the paper's Figs. 7–11).
-    pub const GINI_SERIES: Metric = Metric(&REGISTRY[0]);
+    GiniSeries,
     /// The final sorted wealth distribution.
-    pub const FINAL_BALANCES: Metric = Metric(&REGISTRY[1]);
+    FinalBalances,
     /// The sorted per-peer credit spending rates (Fig. 1).
-    pub const SPENDING_RATES: Metric = Metric(&REGISTRY[2]);
+    SpendingRates,
     /// Sorted wealth snapshots at the configured times (Figs. 5–6).
-    pub const SNAPSHOTS: Metric = Metric(&REGISTRY[3]);
+    Snapshots,
     /// The stall-rate-over-time trajectory of a chunk-level streaming
     /// market (not-yet-started peers count as fully stalled). Empty for
     /// queue-level markets.
-    pub const STALL_SERIES: Metric = Metric(&REGISTRY[4]);
+    StallSeries,
     /// System throughput over time: purchases/sec between sampling
     /// boundaries.
-    pub const THROUGHPUT_SERIES: Metric = Metric(&REGISTRY[5]);
+    ThroughputSeries,
     /// Live peers over time (flat without churn).
-    pub const POPULATION_SERIES: Metric = Metric(&REGISTRY[6]);
+    PopulationSeries,
     /// The final wealth Lorenz curve.
-    pub const LORENZ: Metric = Metric(&REGISTRY[7]);
+    Lorenz,
     /// Fault-injection recovery series: cumulative failed trade
     /// attempts and in-flight escrow over time plus the retry-depth
     /// histogram. Empty when the market has no fault plan.
-    pub const FAULT_SERIES: Metric = Metric(&REGISTRY[8]);
+    FaultSeries,
+}
 
-    /// Every registered metric, in canonical output order. Derived
-    /// from the private `REGISTRY` rows themselves, so appending a row is
-    /// all it takes for a new metric to reach the parser, the
-    /// unknown-metric error list, and `scrip-sim metrics`.
-    pub fn registry() -> Vec<Metric> {
-        REGISTRY.iter().map(Metric).collect()
-    }
+impl Metric {
+    /// Every metric, in canonical output order. The first five are the
+    /// always-on metrics, whose names and CSV output are pinned
+    /// byte-for-byte by `tests/scenario_golden.rs`.
+    pub const ALL: [Metric; 9] = [
+        Metric::GiniSeries,
+        Metric::FinalBalances,
+        Metric::SpendingRates,
+        Metric::Snapshots,
+        Metric::StallSeries,
+        Metric::ThroughputSeries,
+        Metric::PopulationSeries,
+        Metric::Lorenz,
+        Metric::FaultSeries,
+    ];
 
     /// The metric's name in scenario files.
-    pub fn name(&self) -> &'static str {
-        self.0.name
+    pub fn name(self) -> &'static str {
+        match self {
+            Metric::GiniSeries => "gini-series",
+            Metric::FinalBalances => "final-balances",
+            Metric::SpendingRates => "spending-rates",
+            Metric::Snapshots => "snapshots",
+            Metric::StallSeries => "stall-series",
+            Metric::ThroughputSeries => "throughput-series",
+            Metric::PopulationSeries => "population-series",
+            Metric::Lorenz => "lorenz",
+            Metric::FaultSeries => "fault-series",
+        }
     }
 
-    /// One-line description of what the metric records.
-    pub fn doc(&self) -> &'static str {
-        self.0.doc
+    /// One-line description of what the metric records (shown by
+    /// `scrip-sim metrics` and the SCENARIOS.md table).
+    pub fn doc(self) -> &'static str {
+        match self {
+            Metric::GiniSeries => "Gini-over-time trajectory (the paper's Figs. 7-11)",
+            Metric::FinalBalances => "final wealth distribution, sorted ascending (Figs. 5-6)",
+            Metric::SpendingRates => "sorted per-peer credit spending rates (Fig. 1)",
+            Metric::Snapshots => "sorted wealth snapshots at the configured times (Figs. 5-6)",
+            Metric::StallSeries => {
+                "stall-rate trajectory of a chunk-level market (empty at queue level)"
+            }
+            Metric::ThroughputSeries => {
+                "system throughput over time (purchases/sec per sampling interval)"
+            }
+            Metric::PopulationSeries => {
+                "live peers over time (the arrival/departure balance under churn)"
+            }
+            Metric::Lorenz => "final wealth Lorenz curve sampled at 100 population shares (Fig. 2)",
+            Metric::FaultSeries => {
+                "fault-injection recovery: failed trades, escrow over time, retry depths"
+            }
+        }
     }
 
-    /// Whether the metric is measured on every run regardless of the
-    /// scenario's `metrics` selection (see [`MetricDef`]).
-    pub fn always_on(&self) -> bool {
-        self.0.always_on
+    /// Whether the probe is attached to every run regardless of the
+    /// scenario's `metrics` selection. The five legacy metrics are
+    /// always-on: figures and the per-case summary lines read them.
+    pub fn always_on(self) -> bool {
+        matches!(
+            self,
+            Metric::GiniSeries
+                | Metric::FinalBalances
+                | Metric::SpendingRates
+                | Metric::Snapshots
+                | Metric::StallSeries
+        )
     }
 
-    /// Parses a scenario-file metric name against the registry.
+    /// Parses a scenario-file metric name.
     pub fn from_name(name: &str) -> Option<Metric> {
-        Metric::registry().into_iter().find(|m| m.name() == name)
+        Metric::ALL.into_iter().find(|m| m.name() == name)
     }
 
     /// Builds the probe that records this metric for one run.
-    pub fn make_probe(&self, run: &RunSpec) -> Box<dyn Probe> {
-        (self.0.make_probe)(run)
-    }
-
-    /// Appends this metric's aggregated CSV rows for one case.
-    pub(crate) fn emit_csv(&self, sc: &Scenario, case: &runner::CaseResult, out: &mut String) {
-        (self.0.emit)(sc, case, out)
-    }
-}
-
-impl fmt::Debug for Metric {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Metric({})", self.0.name)
-    }
-}
-
-impl PartialEq for Metric {
-    fn eq(&self, other: &Metric) -> bool {
-        // Registry rows are singletons, so name equality is identity.
-        self.0.name == other.0.name
+    pub fn make_probe(self, run: &RunSpec) -> Box<dyn Probe> {
+        match self {
+            Metric::GiniSeries => Box::new(obs_probes::GiniSeriesProbe),
+            Metric::FinalBalances => Box::new(obs_probes::FinalBalancesProbe),
+            Metric::SpendingRates => Box::new(obs_probes::SpendingRatesProbe),
+            Metric::Snapshots => Box::new(obs_probes::SnapshotsProbe::new(run.snapshots.clone())),
+            Metric::StallSeries => Box::new(obs_probes::StallSeriesProbe),
+            Metric::ThroughputSeries => Box::new(obs_probes::ThroughputSeriesProbe::new()),
+            Metric::PopulationSeries => Box::new(obs_probes::PopulationSeriesProbe::new()),
+            Metric::Lorenz => Box::new(obs_probes::LorenzProbe::default()),
+            Metric::FaultSeries => Box::new(obs_probes::FaultSeriesProbe::new()),
+        }
     }
 }
-
-impl Eq for Metric {}
 
 /// Execution parameters of a scenario.
 #[derive(Clone, Debug, PartialEq)]
@@ -314,7 +231,7 @@ impl Default for RunSpec {
             seed: DEFAULT_SEED,
             replications: 1,
             snapshots: Vec::new(),
-            metrics: vec![Metric::GINI_SERIES],
+            metrics: vec![Metric::GiniSeries],
         }
     }
 }
@@ -513,7 +430,7 @@ impl Scenario {
                 )));
             }
         }
-        if self.run.metrics.contains(&Metric::SNAPSHOTS) && self.run.snapshots.is_empty() {
+        if self.run.metrics.contains(&Metric::Snapshots) && self.run.snapshots.is_empty() {
             return Err(ScenarioError::Config(
                 "the snapshots metric requires snapshot times".into(),
             ));
@@ -660,7 +577,7 @@ mod tests {
         assert!(sc.validate().is_err(), "snapshot beyond horizon");
 
         let mut sc = demo();
-        sc.run.metrics = vec![Metric::SNAPSHOTS];
+        sc.run.metrics = vec![Metric::Snapshots];
         assert!(sc.validate().is_err(), "snapshots metric without times");
 
         let mut sc = demo();
@@ -706,7 +623,7 @@ mod tests {
 
     #[test]
     fn metric_names_round_trip() {
-        for m in Metric::registry() {
+        for m in Metric::ALL {
             assert_eq!(Metric::from_name(m.name()), Some(m));
             assert!(!m.doc().is_empty());
         }
@@ -715,9 +632,9 @@ mod tests {
 
     #[test]
     fn registry_keeps_legacy_metrics_always_on() {
-        let always_on: Vec<&str> = Metric::registry()
+        let always_on: Vec<&str> = Metric::ALL
             .into_iter()
-            .filter(Metric::always_on)
+            .filter(|m| m.always_on())
             .map(|m| m.name())
             .collect();
         assert_eq!(
@@ -729,9 +646,9 @@ mod tests {
                 "snapshots",
                 "stall-series"
             ],
-            "the original five metrics back ReplicationRun's accessors"
+            "the original five metrics are measured on every run"
         );
-        let extras: Vec<&str> = Metric::registry()
+        let extras: Vec<&str> = Metric::ALL
             .into_iter()
             .filter(|m| !m.always_on())
             .map(|m| m.name())

@@ -342,14 +342,14 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, ParseError> {
                         .iter()
                         .map(|v| {
                             Metric::from_name(v).ok_or_else(|| {
-                                // Sourced from the probe registry, so
-                                // newly registered metrics are
-                                // self-documenting here.
+                                // Sourced from `Metric::ALL`, so a
+                                // new metric is self-documenting
+                                // here.
                                 ParseError::new(
                                     line,
                                     format!(
                                         "unknown metric {v:?} (expected one of: {})",
-                                        Metric::registry()
+                                        Metric::ALL
                                             .iter()
                                             .map(|m| m.name())
                                             .collect::<Vec<_>>()
@@ -513,7 +513,7 @@ credits = [50, 100]
         assert_eq!(sc.run.seed, 777);
         assert_eq!(sc.run.replications, 3);
         assert_eq!(sc.run.snapshots, [500, 1000]);
-        assert_eq!(sc.run.metrics, [Metric::GINI_SERIES, Metric::SNAPSHOTS]);
+        assert_eq!(sc.run.metrics, [Metric::GiniSeries, Metric::Snapshots]);
         assert_eq!(sc.cases.len(), 2);
         assert_eq!(
             sc.cases[1].overrides,

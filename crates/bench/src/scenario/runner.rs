@@ -9,10 +9,10 @@
 //! whether the batch runs on 1 thread or 64.
 //!
 //! Each job is one [`scrip_core::obs::Session`]: the unified runner
-//! drives either market granularity and the metric registry's probes
-//! ([`super::Metric`]) deposit their measurements into the job's
-//! [`RunRecord`]. The always-on probes back [`ReplicationRun`]'s typed
-//! accessors; metrics requested via `run.metrics` additionally select
+//! drives either market granularity and each [`super::Metric`]'s probe
+//! writes its field of the job's [`RunRecord`]. The always-on probes
+//! run on every job, since figures and the summary lines read their
+//! fields; metrics requested via `run.metrics` additionally select
 //! which aggregated series reach the CSV.
 //!
 //! Replication 0 of every case reuses the scenario's root seed and all
@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use scrip_core::des::{SeedSequence, SimTime};
 use scrip_core::market::MarketConfig;
-use scrip_core::obs::{ids, Probe, RunRecord, Session};
+use scrip_core::obs::{Probe, RunRecord, Session};
 use scrip_core::spec::MarketSpec;
 use scrip_core::CoreError;
 use scrip_econ::aggregate::{aggregate_rows, SummaryStats};
@@ -51,32 +51,10 @@ pub struct RunnerOptions {
     pub threads: usize,
 }
 
-/// Process-wide worker-cap override (sentinel `usize::MAX` = none),
-/// taking precedence over `SCRIP_THREADS` in
-/// [`RunnerOptions::from_env`]. This is how a CLI's `--threads` /
-/// `--serial` reaches the scenario runs *inside* figure modules, whose
-/// `fn(RunScale)` signature has no room to pass options through.
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(usize::MAX);
-
-/// Sets (or with [`None`] clears) the process-wide worker-cap override
-/// and returns the previous value. 0 means "one per core".
-pub fn set_thread_override(threads: Option<usize>) -> Option<usize> {
-    let raw = threads.unwrap_or(usize::MAX);
-    let previous = THREAD_OVERRIDE.swap(raw, Ordering::SeqCst);
-    (previous != usize::MAX).then_some(previous)
-}
-
 impl RunnerOptions {
-    /// The ambient thread count: the process-wide override set via
-    /// [`set_thread_override`] if any, else `SCRIP_THREADS` (unset,
-    /// empty, or `0` mean "one per core").
+    /// The thread count `SCRIP_THREADS` asks for (unset, empty, or `0`
+    /// mean "one per core") — the CLI's default for `--threads`.
     pub fn from_env() -> Self {
-        let overridden = THREAD_OVERRIDE.load(Ordering::SeqCst);
-        if overridden != usize::MAX {
-            return RunnerOptions {
-                threads: overridden,
-            };
-        }
         let threads = std::env::var("SCRIP_THREADS")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
@@ -134,77 +112,13 @@ where
 }
 
 /// Everything measured in one simulated market run: the seed it ran
-/// with plus the [`RunRecord`] the session's probes deposited. The
-/// typed accessors read the always-on metrics (recorded for every run
-/// regardless of the scenario's `metrics` selection); anything else —
-/// including metrics minted by downstream code — is reachable through
-/// [`ReplicationRun::record`].
+/// with plus the [`RunRecord`] the session and its probes filled.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ReplicationRun {
     /// The seed this replication ran with.
     pub seed: u64,
-    /// All measurements, keyed by metric id (see
-    /// [`scrip_core::obs::ids`]).
+    /// All measurements, one field per observable.
     pub record: RunRecord,
-}
-
-impl ReplicationRun {
-    /// Gini-over-time samples `(t_secs, gini)`.
-    pub fn gini(&self) -> &[(f64, f64)] {
-        self.record.series(ids::GINI_SERIES)
-    }
-
-    /// Final wealth distribution, sorted ascending.
-    pub fn final_balances(&self) -> &[u64] {
-        self.record.sorted_u64(ids::FINAL_BALANCES)
-    }
-
-    /// Per-peer credit spending rates over the whole run, sorted
-    /// ascending.
-    pub fn spending_rates(&self) -> &[f64] {
-        self.record.sorted_f64(ids::SPENDING_RATES)
-    }
-
-    /// Sorted wealth snapshots at the configured times.
-    pub fn snapshots(&self) -> &[(u64, Vec<u64>)] {
-        self.record.snapshots(ids::SNAPSHOTS)
-    }
-
-    /// Stall-rate samples `(t_secs, stall)` of a chunk-level streaming
-    /// market; empty for queue-level markets.
-    pub fn stalls(&self) -> &[(f64, f64)] {
-        self.record.series(ids::STALL_SERIES)
-    }
-
-    /// Gini of the final wealth distribution.
-    pub fn wealth_gini(&self) -> f64 {
-        self.record.scalar(ids::WEALTH_GINI)
-    }
-
-    /// Successful purchases (settlements at chunk granularity).
-    pub fn purchases(&self) -> u64 {
-        self.record.counter(ids::PURCHASES)
-    }
-
-    /// Purchase attempts denied for lack of credits.
-    pub fn denied(&self) -> u64 {
-        self.record.counter(ids::DENIED)
-    }
-
-    /// Total credits spent by live peers.
-    pub fn total_spent(&self) -> u64 {
-        self.record.counter(ids::TOTAL_SPENT)
-    }
-
-    /// Live peers at the horizon.
-    pub fn peer_count(&self) -> usize {
-        self.record.counter(ids::PEER_COUNT) as usize
-    }
-
-    /// Credits collected by taxation (0 without tax).
-    pub fn tax_collected(&self) -> u64 {
-        self.record.counter(ids::TAX_COLLECTED)
-    }
 }
 
 /// All replications of one expanded case, plus aggregation helpers.
@@ -242,20 +156,21 @@ impl CaseResult {
         aggregate_rows(&trimmed).expect("aligned finite rows")
     }
 
-    /// Any recorded `(x, y)` series aggregated across replications:
-    /// `(x, stats)` per sample, truncated to the shortest replication,
-    /// with x values taken from replication 0. Empty when the metric
-    /// was not recorded.
-    pub fn series_aggregate(&self, id: &str) -> Vec<(f64, SummaryStats)> {
+    /// The `(x, y)` series `series` selects from each record,
+    /// aggregated across replications: `(x, stats)` per sample,
+    /// truncated to the shortest replication, with x values taken from
+    /// replication 0. Empty when the metric was not recorded.
+    pub fn series_aggregate(
+        &self,
+        series: impl Fn(&RunRecord) -> &[(f64, f64)],
+    ) -> Vec<(f64, SummaryStats)> {
         let stats = Self::aggregate_f64_rows(
             self.reps
                 .iter()
-                .map(|r| r.record.series(id).iter().map(|&(_, y)| y).collect())
+                .map(|r| series(&r.record).iter().map(|&(_, y)| y).collect())
                 .collect(),
         );
-        self.reps[0]
-            .record
-            .series(id)
+        series(&self.reps[0].record)
             .iter()
             .map(|&(x, _)| x)
             .zip(stats)
@@ -264,7 +179,7 @@ impl CaseResult {
 
     /// The Gini trajectory aggregated across replications.
     pub fn gini_aggregate(&self) -> Vec<(f64, SummaryStats)> {
-        self.series_aggregate(ids::GINI_SERIES)
+        self.series_aggregate(|r| &r.gini_series)
     }
 
     /// The final wealth distribution aggregated by rank.
@@ -272,7 +187,7 @@ impl CaseResult {
         Self::aggregate_f64_rows(
             self.reps
                 .iter()
-                .map(|r| r.final_balances().iter().map(|&b| b as f64).collect())
+                .map(|r| r.record.final_balances.iter().map(|&b| b as f64).collect())
                 .collect(),
         )
     }
@@ -282,7 +197,7 @@ impl CaseResult {
         Self::aggregate_f64_rows(
             self.reps
                 .iter()
-                .map(|r| r.spending_rates().to_vec())
+                .map(|r| r.record.spending_rates.clone())
                 .collect(),
         )
     }
@@ -290,7 +205,7 @@ impl CaseResult {
     /// The stall-rate trajectory aggregated across replications. Empty
     /// for queue-level markets.
     pub fn stall_aggregate(&self) -> Vec<(f64, SummaryStats)> {
-        self.series_aggregate(ids::STALL_SERIES)
+        self.series_aggregate(|r| &r.stall_series)
     }
 
     /// The wealth snapshot at time `t`, aggregated by rank.
@@ -299,7 +214,8 @@ impl CaseResult {
             self.reps
                 .iter()
                 .map(|r| {
-                    r.snapshots()
+                    r.record
+                        .snapshots
                         .iter()
                         .find(|&&(st, _)| st == t)
                         .map(|(_, balances)| balances.iter().map(|&b| b as f64).collect())
@@ -316,7 +232,7 @@ impl CaseResult {
             .reps
             .iter()
             .filter_map(|r| {
-                let gini = r.gini();
+                let gini = &r.record.gini_series;
                 if gini.is_empty() {
                     return None;
                 }
@@ -361,88 +277,64 @@ fn push_ranked(out: &mut String, metric: &str, label: &str, stats: &[SummaryStat
     );
 }
 
-// CSV emitters behind the metric registry (`super::Metric`), one per
-// registered metric. Row formats are pinned byte-for-byte by
-// `tests/scenario_golden.rs`.
-
-pub(super) fn emit_gini(_sc: &Scenario, case: &CaseResult, out: &mut String) {
-    push_series(out, "gini", &case.label, &case.gini_aggregate());
-}
-
-pub(super) fn emit_final_balances(_sc: &Scenario, case: &CaseResult, out: &mut String) {
-    push_ranked(
-        out,
-        "final-balance",
-        &case.label,
-        &case.balances_aggregate(),
-    );
-}
-
-pub(super) fn emit_spending_rates(_sc: &Scenario, case: &CaseResult, out: &mut String) {
-    push_ranked(out, "spending-rate", &case.label, &case.rates_aggregate());
-}
-
-pub(super) fn emit_snapshots(sc: &Scenario, case: &CaseResult, out: &mut String) {
-    for &t in &sc.run.snapshots {
-        push_ranked(
-            out,
-            &format!("snapshot{t}"),
-            &case.label,
-            &case.snapshot_aggregate(t),
-        );
+/// Appends `metric`'s aggregated CSV rows for one case. Row formats are
+/// pinned byte-for-byte by `tests/scenario_golden.rs`.
+fn emit_csv(metric: Metric, sc: &Scenario, case: &CaseResult, out: &mut String) {
+    let label = &case.label;
+    match metric {
+        Metric::GiniSeries => push_series(out, "gini", label, &case.gini_aggregate()),
+        Metric::FinalBalances => {
+            push_ranked(out, "final-balance", label, &case.balances_aggregate());
+        }
+        Metric::SpendingRates => {
+            push_ranked(out, "spending-rate", label, &case.rates_aggregate());
+        }
+        Metric::Snapshots => {
+            for &t in &sc.run.snapshots {
+                let name = format!("snapshot{t}");
+                push_ranked(out, &name, label, &case.snapshot_aggregate(t));
+            }
+        }
+        Metric::StallSeries => push_series(out, "stall", label, &case.stall_aggregate()),
+        Metric::ThroughputSeries => {
+            let agg = case.series_aggregate(|r| &r.throughput_series);
+            push_series(out, "throughput", label, &agg);
+        }
+        Metric::PopulationSeries => {
+            let agg = case.series_aggregate(|r| &r.population_series);
+            push_series(out, "population", label, &agg);
+        }
+        Metric::Lorenz => push_series(out, "lorenz", label, &case.series_aggregate(|r| &r.lorenz)),
+        Metric::FaultSeries => {
+            push_series(
+                out,
+                "fault",
+                label,
+                &case.series_aggregate(|r| &r.fault_series),
+            );
+            push_series(
+                out,
+                "escrow",
+                label,
+                &case.series_aggregate(|r| &r.escrow_series),
+            );
+            // Trades concluded at attempt k = 1, 2, ...
+            let depth = CaseResult::aggregate_f64_rows(
+                case.reps
+                    .iter()
+                    .map(|r| {
+                        r.record
+                            .faults
+                            .retry_depth
+                            .iter()
+                            .map(|&n| n as f64)
+                            .collect()
+                    })
+                    .collect(),
+            );
+            push_rows(out, "retry-depth", label, (1..).map(f64::from), &depth);
+        }
     }
-}
-
-pub(super) fn emit_stalls(_sc: &Scenario, case: &CaseResult, out: &mut String) {
-    push_series(out, "stall", &case.label, &case.stall_aggregate());
-}
-
-pub(super) fn emit_throughput(_sc: &Scenario, case: &CaseResult, out: &mut String) {
-    push_series(
-        out,
-        "throughput",
-        &case.label,
-        &case.series_aggregate(ids::THROUGHPUT_SERIES),
-    );
-}
-
-pub(super) fn emit_population(_sc: &Scenario, case: &CaseResult, out: &mut String) {
-    push_series(
-        out,
-        "population",
-        &case.label,
-        &case.series_aggregate(ids::POPULATION_SERIES),
-    );
-}
-
-pub(super) fn emit_lorenz(_sc: &Scenario, case: &CaseResult, out: &mut String) {
-    push_series(
-        out,
-        "lorenz",
-        &case.label,
-        &case.series_aggregate(ids::LORENZ),
-    );
-}
-
-pub(super) fn emit_faults(_sc: &Scenario, case: &CaseResult, out: &mut String) {
-    push_series(
-        out,
-        "fault",
-        &case.label,
-        &case.series_aggregate(ids::FAULT_SERIES),
-    );
-    push_series(
-        out,
-        "escrow",
-        &case.label,
-        &case.series_aggregate(ids::ESCROW_SERIES),
-    );
-    push_series(
-        out,
-        "retry-depth",
-        &case.label,
-        &case.series_aggregate(ids::RETRY_DEPTH),
-    );
 }
 
 /// A finished scenario: per-case results plus timing.
@@ -465,18 +357,22 @@ impl ScenarioResult {
             .iter()
             .map(|case| {
                 let reps = case.reps.len() as f64;
-                let purchases = case.reps.iter().map(|r| r.purchases()).sum::<u64>() as f64 / reps;
-                let denied = case.reps.iter().map(|r| r.denied()).sum::<u64>() as f64 / reps;
-                let peers = case.reps.iter().map(|r| r.peer_count()).sum::<usize>() as f64 / reps;
-                let wealth_gini = case.reps.iter().map(|r| r.wealth_gini()).sum::<f64>() / reps;
+                let records = || case.reps.iter().map(|r| &r.record);
+                let purchases = records().map(|r| r.purchases).sum::<u64>() as f64 / reps;
+                let denied = records().map(|r| r.denied).sum::<u64>() as f64 / reps;
+                let peers = records().map(|r| r.peer_count).sum::<usize>() as f64 / reps;
+                // The runner refuses a market without peers at the
+                // horizon, so every replication has a wealth Gini.
+                let wealth_gini = records()
+                    .map(|r| r.wealth_gini.unwrap_or(f64::NAN))
+                    .sum::<f64>()
+                    / reps;
                 // Chunk-level cases also report their final stall rate.
-                let stall = if case.reps.iter().all(|r| r.stalls().is_empty()) {
+                let stall = if records().all(|r| r.stall_series.is_empty()) {
                     String::new()
                 } else {
-                    let s = case
-                        .reps
-                        .iter()
-                        .filter_map(|r| r.stalls().last().map(|&(_, s)| s))
+                    let s = records()
+                        .filter_map(|r| r.stall_series.last().map(|&(_, s)| s))
                         .sum::<f64>()
                         / reps;
                     format!(", stall={s:.4}")
@@ -522,7 +418,7 @@ impl ScenarioResult {
         out.push_str("metric,case,x,mean,min,max\n");
         for metric in &sc.run.metrics {
             for case in &self.cases {
-                metric.emit_csv(sc, case, &mut out);
+                emit_csv(*metric, sc, case, &mut out);
             }
         }
         out
@@ -530,14 +426,11 @@ impl ScenarioResult {
 }
 
 /// The probes one replication attaches, in attach order: every
-/// always-on registry metric (they back [`ReplicationRun`]'s accessors
-/// and the summary lines) plus any additionally requested ones,
-/// deduplicated.
+/// always-on metric (figures and the summary lines read them) plus any
+/// additionally requested ones, deduplicated. A checkpoint stores one
+/// state block per probe in this order.
 fn probes(run: &RunSpec) -> Vec<Box<dyn Probe>> {
-    let mut metrics: Vec<Metric> = Metric::registry()
-        .into_iter()
-        .filter(Metric::always_on)
-        .collect();
+    let mut metrics: Vec<Metric> = Metric::ALL.into_iter().filter(|m| m.always_on()).collect();
     for &metric in &run.metrics {
         if !metrics.contains(&metric) {
             metrics.push(metric);
@@ -582,9 +475,19 @@ impl Replication<'_> {
     /// restoring the same probe set.
     ///
     /// # Errors
-    /// Returns the snapshot's decode or configuration-mismatch error.
+    /// Returns the snapshot's decode or configuration-mismatch error,
+    /// and [`CoreError::Checkpoint`] naming both seeds when the snapshot
+    /// was taken with another seed than this replication's.
     pub fn resume(&self, snapshot: &[u8]) -> Result<Session, CoreError> {
-        Session::resume(self.config, probes(self.run), snapshot)
+        let session = Session::resume(self.config, probes(self.run), snapshot)?;
+        if session.seed() != self.seed {
+            return Err(CoreError::Checkpoint(format!(
+                "seed mismatch: the snapshot was taken with seed {}, this replication runs seed {}",
+                session.seed(),
+                self.seed
+            )));
+        }
+        Ok(session)
     }
 }
 
@@ -691,7 +594,7 @@ fn run_replication(
     session.run_until(rep.horizon());
     driver.at_horizon(rep, &mut session)?;
     let (record, _model) = session.finish();
-    if record.get(ids::WEALTH_GINI).is_none() {
+    if record.wealth_gini.is_none() {
         return Err(ScenarioError::Run(format!(
             "seed {}: market has no peers at the horizon",
             rep.seed
@@ -803,10 +706,10 @@ mod tests {
         sc.run.replications = 3;
         sc.run.snapshots = vec![200, 400];
         sc.run.metrics = vec![
-            Metric::GINI_SERIES,
-            Metric::FINAL_BALANCES,
-            Metric::SPENDING_RATES,
-            Metric::SNAPSHOTS,
+            Metric::GiniSeries,
+            Metric::FinalBalances,
+            Metric::SpendingRates,
+            Metric::Snapshots,
         ];
         sc.sweep = vec![SweepAxis::new("credits", [5u64, 10])];
         sc
@@ -846,10 +749,10 @@ mod tests {
         let direct =
             run_market(sc.base.build().expect("valid"), 99, SimTime::from_secs(400)).expect("runs");
         assert_eq!(
-            result.cases[0].reps[0].final_balances(),
+            result.cases[0].reps[0].record.final_balances,
             direct.ledger().balances_sorted()
         );
-        assert_eq!(result.cases[0].reps[0].purchases(), direct.purchases());
+        assert_eq!(result.cases[0].reps[0].record.purchases, direct.purchases());
     }
 
     #[test]
@@ -884,36 +787,81 @@ mod tests {
         assert_eq!(result.summary_lines().len(), 2);
     }
 
+    /// The CSV row prefixes each metric emits for case `base` of
+    /// [`new_registry_metrics_reach_the_csv`]. Exhaustive, so a new
+    /// metric cannot reach the CSV untested.
+    fn csv_prefixes(metric: Metric) -> Vec<&'static str> {
+        match metric {
+            Metric::GiniSeries => vec!["gini,base,"],
+            Metric::FinalBalances => vec!["final-balance,base,"],
+            Metric::SpendingRates => vec!["spending-rate,base,"],
+            Metric::Snapshots => vec!["snapshot150,base,", "snapshot300,base,"],
+            // A queue-level market has no playback to stall; the
+            // streaming test below covers the rows.
+            Metric::StallSeries => vec![],
+            Metric::ThroughputSeries => vec!["throughput,base,"],
+            Metric::PopulationSeries => vec!["population,base,"],
+            Metric::Lorenz => vec!["lorenz,base,"],
+            Metric::FaultSeries => vec!["fault,base,", "escrow,base,", "retry-depth,base,"],
+        }
+    }
+
     #[test]
     fn new_registry_metrics_reach_the_csv() {
+        // A churned, faulted queue-level market with snapshots, so every
+        // metric has something to record.
         let mut sc = Scenario::new("extras", MarketSpec::new(30, 10));
         sc.base.set("sample", "50").expect("valid");
+        sc.base.set("churn", "0.05:2000:8").expect("valid");
+        sc.base.set("faults", "0.1:0.05:0.05:0").expect("valid");
         sc.run.horizon_secs = 300;
+        sc.run.snapshots = vec![150, 300];
         sc.run.metrics = vec![
-            Metric::THROUGHPUT_SERIES,
-            Metric::POPULATION_SERIES,
-            Metric::LORENZ,
+            Metric::ThroughputSeries,
+            Metric::PopulationSeries,
+            Metric::Lorenz,
         ];
         let result = run_scenario(&sc, &RunnerOptions::with_threads(2)).expect("runs");
         let case = &result.cases[0];
         assert_eq!(
-            case.series_aggregate(ids::THROUGHPUT_SERIES).len(),
+            case.series_aggregate(|r| &r.throughput_series).len(),
             6,
             "one throughput point per sampling boundary"
         );
         assert_eq!(
-            case.series_aggregate(ids::POPULATION_SERIES).len(),
+            case.series_aggregate(|r| &r.population_series).len(),
             7,
             "bootstrap point + 6 boundaries"
         );
-        assert_eq!(case.series_aggregate(ids::LORENZ).len(), 101);
+        assert_eq!(case.series_aggregate(|r| &r.lorenz).len(), 101);
         let csv = result.to_csv();
         for needle in ["throughput,base,", "population,base,", "lorenz,base,"] {
             assert!(csv.contains(needle), "CSV missing {needle}:\n{csv}");
         }
         // The always-on metrics are still measured even when unselected.
-        assert!(!case.single().final_balances().is_empty());
+        assert!(!case.single().record.final_balances.is_empty());
         assert!(!csv.contains("final-balance,"), "unselected metric leaked");
+        assert!(!case.single().record.snapshots.is_empty());
+
+        // Every metric selected: each one's rows reach the CSV.
+        sc.run.metrics = Metric::ALL.to_vec();
+        let result = run_scenario(&sc, &RunnerOptions::with_threads(2)).expect("runs");
+        let record = &result.cases[0].single().record;
+        assert!(record.faults.failed_attempts() > 0, "the fault plan fired");
+        assert!(!record.faults.retry_depth.is_empty());
+        assert!(
+            record.population_series.iter().any(|&(_, n)| n != 30.0),
+            "churn"
+        );
+        let csv = result.to_csv();
+        for metric in Metric::ALL {
+            for prefix in csv_prefixes(metric) {
+                assert!(
+                    csv.lines().any(|row| row.starts_with(prefix)),
+                    "{metric:?}: CSV has no {prefix} rows:\n{csv}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -923,12 +871,13 @@ mod tests {
         sc.base.set("sample", "25").expect("valid");
         sc.run.horizon_secs = 150;
         sc.run.snapshots = vec![75, 150];
-        sc.run.metrics = vec![Metric::GINI_SERIES, Metric::STALL_SERIES, Metric::SNAPSHOTS];
+        sc.run.metrics = vec![Metric::GiniSeries, Metric::StallSeries, Metric::Snapshots];
         let result = run_scenario(&sc, &RunnerOptions::with_threads(2)).expect("runs");
         let case = &result.cases[0];
-        assert!(!case.single().stalls().is_empty(), "stall series recorded");
-        assert!(!case.single().gini().is_empty(), "gini series recorded");
-        assert!(case.single().purchases() > 0, "chunk trades settled");
+        let record = &case.single().record;
+        assert!(!record.stall_series.is_empty(), "stall series recorded");
+        assert!(!record.gini_series.is_empty(), "gini series recorded");
+        assert!(record.purchases > 0, "chunk trades settled");
         assert!(!case.stall_aggregate().is_empty());
         assert!(!case.snapshot_aggregate(75).is_empty());
         let csv = result.to_csv();
@@ -942,7 +891,7 @@ mod tests {
         );
         // Queue-level cases leave the stall series empty.
         let queue = run_scenario(&tiny_scenario(), &RunnerOptions::default()).expect("runs");
-        assert!(queue.cases[0].single().stalls().is_empty());
+        assert!(queue.cases[0].single().record.stall_series.is_empty());
         assert!(!queue.summary_lines()[0].contains("stall="));
     }
 
@@ -972,6 +921,33 @@ mod tests {
         let plain = run_scenario(&sc, &RunnerOptions::with_threads(1)).expect("runs");
         let driven = run_driven(&sc, &RunnerOptions::with_threads(2), &Hopping).expect("runs");
         assert_eq!(plain.to_csv(), driven.to_csv());
+    }
+
+    /// The seed in a checkpoint's header (bytes 20..28) sits outside
+    /// every frame checksum: a snapshot carrying another seed than the
+    /// replication's is refused, naming both, instead of resuming.
+    #[test]
+    fn resume_refuses_a_snapshot_taken_with_another_seed() {
+        let sc = tiny_scenario();
+        let config = MarketSpec::new(30, 10).build().expect("valid");
+        let rep = Replication {
+            label: "base",
+            config: &config,
+            seed: 7,
+            run: &sc.run,
+        };
+        let mut session = rep.fresh().expect("builds");
+        session.run_until(SimTime::from_secs(200));
+        let bytes = session.checkpoint().expect("checkpoints");
+        let mut flipped = bytes.clone();
+        flipped[20] ^= 1;
+        match rep.resume(&flipped) {
+            Err(CoreError::Checkpoint(msg)) => {
+                assert!(msg.contains("seed 6") && msg.contains("seed 7"), "{msg}");
+            }
+            other => panic!("a snapshot with seed 6 resumed: {:?}", other.err()),
+        }
+        assert_eq!(rep.resume(&bytes).expect("resumes").seed(), 7);
     }
 
     /// Fails every replication at its first pause, counting openings.

@@ -16,10 +16,10 @@ fn grid_scenario() -> Scenario {
     sc.run.replications = 3;
     sc.run.snapshots = vec![300, 600];
     sc.run.metrics = vec![
-        Metric::GINI_SERIES,
-        Metric::FINAL_BALANCES,
-        Metric::SPENDING_RATES,
-        Metric::SNAPSHOTS,
+        Metric::GiniSeries,
+        Metric::FinalBalances,
+        Metric::SpendingRates,
+        Metric::Snapshots,
     ];
     sc.cases = vec![
         CaseSpec::new("closed"),
@@ -65,11 +65,11 @@ fn streaming_grid_scenario() -> Scenario {
     sc.run.replications = 2;
     sc.run.snapshots = vec![120, 240];
     sc.run.metrics = vec![
-        Metric::GINI_SERIES,
-        Metric::FINAL_BALANCES,
-        Metric::SPENDING_RATES,
-        Metric::SNAPSHOTS,
-        Metric::STALL_SERIES,
+        Metric::GiniSeries,
+        Metric::FinalBalances,
+        Metric::SpendingRates,
+        Metric::Snapshots,
+        Metric::StallSeries,
     ];
     sc.cases = vec![
         CaseSpec::new("closed"),
@@ -100,7 +100,7 @@ fn streaming_output_is_identical_for_1_2_and_8_threads() {
     }
 }
 
-/// A grid recording the three registry-only probes — throughput,
+/// A grid recording the three opt-in probes — throughput,
 /// population (with churn so it actually moves), and the Lorenz curve —
 /// at both market granularities.
 fn new_probe_scenario() -> Scenario {
@@ -110,9 +110,9 @@ fn new_probe_scenario() -> Scenario {
     sc.run.seed = 20_260_728;
     sc.run.replications = 2;
     sc.run.metrics = vec![
-        Metric::THROUGHPUT_SERIES,
-        Metric::POPULATION_SERIES,
-        Metric::LORENZ,
+        Metric::ThroughputSeries,
+        Metric::PopulationSeries,
+        Metric::Lorenz,
     ];
     sc.cases = vec![
         CaseSpec::new("queue").with("churn", "0.2:200:10"),

@@ -16,9 +16,8 @@
 //! * [`Probe`] — the observer interface: [`Probe::on_bootstrap`] at the
 //!   start of the run, [`Probe::on_settle`] /  [`Probe::on_sample`] at
 //!   each sampling boundary, [`Probe::at_horizon`] once at the end.
-//! * [`Recorder`] / [`RunRecord`] — the typed-series container probes
-//!   write into, keyed by string [`MetricId`]s (well-known ids in
-//!   [`ids`]).
+//! * [`RunRecord`] — the run's measurements, one typed field per
+//!   observable: each probe fills its own field at the horizon.
 //! * [`Session`] — the one entry point that subsumes
 //!   [`crate::market::run_market`] and
 //!   [`crate::protocol::run_streaming_market`]: build from any
@@ -51,9 +50,8 @@
 //! session.attach(Box::new(probes::LorenzProbe::new(20)));
 //! session.run_until(SimTime::from_secs(500));
 //! let (record, _model) = session.finish();
-//! let population = record.series(scrip_core::obs::ids::POPULATION_SERIES);
-//! assert_eq!(population.first(), Some(&(0.0, 50.0)));
-//! assert_eq!(record.counter(scrip_core::obs::ids::PEER_COUNT), 50);
+//! assert_eq!(record.population_series.first(), Some(&(0.0, 50.0)));
+//! assert_eq!(record.peer_count, 50);
 //! # Ok(())
 //! # }
 //! ```
@@ -77,195 +75,58 @@ use crate::snapshot::{self, Put};
 
 pub mod probes;
 
-/// Identifies one recorded metric inside a [`RunRecord`]. Plain strings
-/// so downstream registries (e.g. the scenario engine's) can mint new
-/// metrics without touching this crate.
-pub type MetricId = String;
-
-/// Well-known [`MetricId`]s: what the built-in [`probes`] and
-/// [`Session::finish`] record.
-pub mod ids {
-    /// `(t, Gini)` trajectory ([`super::probes::GiniSeriesProbe`]).
-    pub const GINI_SERIES: &str = "gini-series";
-    /// Final wealth distribution, sorted ascending
-    /// ([`super::probes::FinalBalancesProbe`]).
-    pub const FINAL_BALANCES: &str = "final-balances";
-    /// Per-peer spending rates, sorted ascending
-    /// ([`super::probes::SpendingRatesProbe`]).
-    pub const SPENDING_RATES: &str = "spending-rates";
-    /// Sorted wealth snapshots at requested times
-    /// ([`super::probes::SnapshotsProbe`]).
-    pub const SNAPSHOTS: &str = "snapshots";
-    /// `(t, stall rate)` trajectory; empty for queue-level markets
-    /// ([`super::probes::StallSeriesProbe`]).
-    pub const STALL_SERIES: &str = "stall-series";
-    /// `(t, purchases/sec)` trajectory
-    /// ([`super::probes::ThroughputSeriesProbe`]).
-    pub const THROUGHPUT_SERIES: &str = "throughput-series";
-    /// `(t, live peers)` trajectory
-    /// ([`super::probes::PopulationSeriesProbe`]).
-    pub const POPULATION_SERIES: &str = "population-series";
-    /// Final Lorenz curve `(population share, wealth share)`
-    /// ([`super::probes::LorenzProbe`]).
-    pub const LORENZ: &str = "lorenz";
-    /// Successful purchases (settlements at chunk granularity) —
-    /// recorded by [`super::Session::finish`].
-    pub const PURCHASES: &str = "purchases";
-    /// Purchase attempts refused for lack of credits.
-    pub const DENIED: &str = "denied";
-    /// Total credits spent by live peers.
-    pub const TOTAL_SPENT: &str = "total-spent";
-    /// Live peers at the horizon.
-    pub const PEER_COUNT: &str = "peer-count";
-    /// Gini of the final wealth distribution (absent when the market
-    /// has no peers at the horizon).
-    pub const WEALTH_GINI: &str = "wealth-gini";
-    /// Credits collected by taxation (0 without tax).
-    pub const TAX_COLLECTED: &str = "tax-collected";
-    /// Credits redistributed by taxation (0 without tax).
-    pub const TAX_REDISTRIBUTED: &str = "tax-redistributed";
-    /// `(t, cumulative failed delivery attempts)` trajectory
-    /// ([`super::probes::FaultSeriesProbe`]); empty with faults off.
-    pub const FAULT_SERIES: &str = "fault-series";
-    /// `(t, credits withheld in trade escrow)` trajectory
-    /// ([`super::probes::FaultSeriesProbe`]); empty with faults off.
-    pub const ESCROW_SERIES: &str = "escrow-series";
-    /// Trades concluded successfully despite faults.
-    pub const FAULT_DELIVERED: &str = "fault-delivered";
-    /// Delivery attempts lost in flight.
-    pub const FAULT_DROPPED: &str = "fault-dropped";
-    /// Delivery attempts where the seller took payment and defected.
-    pub const FAULT_DEFECTED: &str = "fault-defected";
-    /// Delivery attempts that arrived late (after a delay penalty).
-    pub const FAULT_DELAYED: &str = "fault-delayed";
-    /// Retries issued after drops/defects.
-    pub const FAULT_RETRIES: &str = "fault-retries";
-    /// Trades abandoned with the escrow refunded to the buyer.
-    pub const FAULT_REFUNDED: &str = "fault-refunded";
-    /// Peers removed by injected crashes.
-    pub const FAULT_CRASHES: &str = "fault-crashes";
-    /// `(attempt, trades concluded at that attempt)` histogram
-    /// ([`super::probes::FaultSeriesProbe`]).
-    pub const RETRY_DEPTH: &str = "retry-depth";
-}
-
-/// One recorded value: every shape the evaluation pipeline aggregates.
-#[derive(Clone, Debug, PartialEq)]
-pub enum MetricValue {
-    /// An `(x, y)` series — trajectories and curves.
-    Series(Vec<(f64, f64)>),
-    /// A sorted integer distribution (e.g. final balances).
-    SortedU64(Vec<u64>),
-    /// A sorted float distribution (e.g. spending rates).
-    SortedF64(Vec<f64>),
-    /// Sorted wealth snapshots: `(time secs, sorted balances)`.
-    Snapshots(Vec<(u64, Vec<u64>)>),
-    /// An event count.
-    Counter(u64),
-    /// A single number.
-    Scalar(f64),
-}
-
-/// Everything measured in one finished run: `(MetricId, MetricValue)`
-/// entries in recording order. The typed accessors return empty/zero
-/// defaults for absent or differently-typed ids, so consumers read the
-/// metrics they care about without `match` boilerplate; use
-/// [`RunRecord::get`] when absence must be distinguished.
+/// Everything measured in one finished run, one typed field per
+/// observable of the paper's evaluation. [`Session::finish`] fills the
+/// counters; each attached probe's [`Probe::at_horizon`] fills its own
+/// fields. A field whose probe was not attached keeps its empty or zero
+/// default.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunRecord {
-    entries: Vec<(MetricId, MetricValue)>,
-}
-
-impl RunRecord {
-    /// The raw value recorded under `id`, if any.
-    pub fn get(&self, id: &str) -> Option<&MetricValue> {
-        self.entries
-            .iter()
-            .find(|(name, _)| name == id)
-            .map(|(_, v)| v)
-    }
-
-    /// All recorded ids, in recording order.
-    pub fn ids(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(name, _)| name.as_str())
-    }
-
-    /// The `(x, y)` series under `id` (empty if absent or not a series).
-    pub fn series(&self, id: &str) -> &[(f64, f64)] {
-        match self.get(id) {
-            Some(MetricValue::Series(points)) => points,
-            _ => &[],
-        }
-    }
-
-    /// The sorted integer distribution under `id` (empty if absent).
-    pub fn sorted_u64(&self, id: &str) -> &[u64] {
-        match self.get(id) {
-            Some(MetricValue::SortedU64(values)) => values,
-            _ => &[],
-        }
-    }
-
-    /// The sorted float distribution under `id` (empty if absent).
-    pub fn sorted_f64(&self, id: &str) -> &[f64] {
-        match self.get(id) {
-            Some(MetricValue::SortedF64(values)) => values,
-            _ => &[],
-        }
-    }
-
-    /// The snapshots under `id` (empty if absent).
-    pub fn snapshots(&self, id: &str) -> &[(u64, Vec<u64>)] {
-        match self.get(id) {
-            Some(MetricValue::Snapshots(taken)) => taken,
-            _ => &[],
-        }
-    }
-
-    /// The counter under `id` (0 if absent).
-    pub fn counter(&self, id: &str) -> u64 {
-        match self.get(id) {
-            Some(MetricValue::Counter(n)) => *n,
-            _ => 0,
-        }
-    }
-
-    /// The scalar under `id` (NaN if absent — check [`RunRecord::get`]
-    /// when absence matters).
-    pub fn scalar(&self, id: &str) -> f64 {
-        match self.get(id) {
-            Some(MetricValue::Scalar(x)) => *x,
-            _ => f64::NAN,
-        }
-    }
-}
-
-/// The write side of a [`RunRecord`]: handed to [`Probe::at_horizon`] so
-/// every probe deposits its measurements under its own ids.
-#[derive(Debug, Default)]
-pub struct Recorder {
-    record: RunRecord,
-}
-
-impl Recorder {
-    /// Records `value` under `id`.
-    ///
-    /// # Panics
-    /// Panics on a duplicate id — two probes claiming the same metric is
-    /// a wiring bug, not a runtime condition.
-    pub fn record(&mut self, id: impl Into<MetricId>, value: MetricValue) {
-        let id = id.into();
-        assert!(
-            self.record.get(&id).is_none(),
-            "duplicate metric id {id:?} recorded"
-        );
-        self.record.entries.push((id, value));
-    }
-
-    /// Finalizes into the immutable [`RunRecord`].
-    pub fn finish(self) -> RunRecord {
-        self.record
-    }
+    /// `(t, Gini)` trajectory ([`probes::GiniSeriesProbe`]).
+    pub gini_series: Vec<(f64, f64)>,
+    /// Final wealth distribution, sorted ascending
+    /// ([`probes::FinalBalancesProbe`]).
+    pub final_balances: Vec<u64>,
+    /// Per-peer spending rates, sorted ascending
+    /// ([`probes::SpendingRatesProbe`]).
+    pub spending_rates: Vec<f64>,
+    /// Sorted wealth snapshots `(time secs, sorted balances)` at the
+    /// requested times ([`probes::SnapshotsProbe`]).
+    pub snapshots: Vec<(u64, Vec<u64>)>,
+    /// `(t, stall rate)` trajectory; empty for queue-level markets
+    /// ([`probes::StallSeriesProbe`]).
+    pub stall_series: Vec<(f64, f64)>,
+    /// `(t, purchases/sec)` trajectory
+    /// ([`probes::ThroughputSeriesProbe`]).
+    pub throughput_series: Vec<(f64, f64)>,
+    /// `(t, live peers)` trajectory
+    /// ([`probes::PopulationSeriesProbe`]).
+    pub population_series: Vec<(f64, f64)>,
+    /// Final Lorenz curve `(population share, wealth share)`
+    /// ([`probes::LorenzProbe`]).
+    pub lorenz: Vec<(f64, f64)>,
+    /// `(t, cumulative failed delivery attempts)` trajectory
+    /// ([`probes::FaultSeriesProbe`]); empty with faults off.
+    pub fault_series: Vec<(f64, f64)>,
+    /// `(t, credits withheld in trade escrow)` trajectory
+    /// ([`probes::FaultSeriesProbe`]); empty with faults off.
+    pub escrow_series: Vec<(f64, f64)>,
+    /// Fault-injection counters and the retry-depth histogram at the
+    /// horizon ([`probes::FaultSeriesProbe`]); all zero with faults off.
+    pub faults: FaultStats,
+    /// Successful purchases (settlements at chunk granularity).
+    pub purchases: u64,
+    /// Purchase attempts refused for lack of credits.
+    pub denied: u64,
+    /// Total credits spent by live peers.
+    pub total_spent: u64,
+    /// Live peers at the horizon.
+    pub peer_count: usize,
+    /// Gini of the final wealth distribution; [`None`] when the market
+    /// has no peers at the horizon.
+    pub wealth_gini: Option<f64>,
+    /// Credits collected by taxation (0 without tax).
+    pub tax_collected: u64,
 }
 
 /// Read-only view of a running market, shared by both granularities:
@@ -401,7 +262,7 @@ impl MarketView for StreamingSystem<CreditTradePolicy> {
 /// event), so attaching probes cannot perturb the spend/trade hot
 /// paths; see the [module docs](self) for the cost model. All hooks
 /// have empty defaults except [`Probe::at_horizon`], where the probe
-/// deposits whatever it measured into the [`Recorder`].
+/// writes whatever it measured into its [`RunRecord`] field.
 pub trait Probe: Send {
     /// Extra simulated instants (besides the regular sampling grid) at
     /// which this probe needs [`Probe::on_sample`] — e.g. wealth
@@ -432,9 +293,9 @@ pub trait Probe: Send {
         let _ = (now, view);
     }
 
-    /// Called once when the session finishes: deposit measurements into
-    /// the recorder.
-    fn at_horizon(&mut self, now: SimTime, view: &dyn MarketView, rec: &mut Recorder);
+    /// Called once when the session finishes: write the measurements
+    /// into the probe's own field of the record.
+    fn at_horizon(&mut self, now: SimTime, view: &dyn MarketView, record: &mut RunRecord);
 
     /// Serializes the probe's accumulated state for a
     /// [`Session::checkpoint`]. Stateless probes (the default) return an
@@ -812,6 +673,12 @@ impl Session {
     /// Number of attached probes.
     pub fn probe_count(&self) -> usize {
         self.probes.len()
+    }
+
+    /// The root seed the market was built from; a resumed session
+    /// reports the seed its snapshot was taken with.
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
     /// The current simulation clock.
@@ -1356,45 +1223,35 @@ impl Session {
         })
     }
 
-    /// Finishes the run: every probe's [`Probe::at_horizon`] deposits
-    /// into the record, the session adds the core counters
-    /// ([`ids::PURCHASES`], [`ids::DENIED`], [`ids::TOTAL_SPENT`],
-    /// [`ids::PEER_COUNT`], [`ids::WEALTH_GINI`] — absent when no peers
-    /// remain — [`ids::TAX_COLLECTED`], [`ids::TAX_REDISTRIBUTED`]), and
-    /// the finished model is handed back alongside.
+    /// Finishes the run: the session fills the record's counters
+    /// (purchases, denials, total spend, live peers, wealth Gini —
+    /// [`None`] when no peers remain — and tax collected), every probe's
+    /// [`Probe::at_horizon`] fills its own fields, and the finished
+    /// model is handed back alongside.
     pub fn finish(mut self) -> (RunRecord, SessionModel) {
         let now = self.now();
-        let mut recorder = Recorder::default();
-        {
-            let view: &dyn MarketView = match &self.sim {
-                SessionSim::Queue(sim) => sim.model(),
-                SessionSim::Chunk(sim) => sim.model(),
-            };
-            recorder.record(ids::PURCHASES, MetricValue::Counter(view.purchases()));
-            recorder.record(ids::DENIED, MetricValue::Counter(view.denied()));
-            let ledger = view.ledger();
-            recorder.record(ids::TOTAL_SPENT, MetricValue::Counter(ledger.total_spent()));
-            recorder.record(
-                ids::PEER_COUNT,
-                MetricValue::Counter(view.peer_count() as u64),
-            );
-            if let Ok(gini) = ledger.wealth_gini() {
-                recorder.record(ids::WEALTH_GINI, MetricValue::Scalar(gini));
-            }
-            let (collected, redistributed) = view
-                .taxation()
-                .map_or((0, 0), |t| (t.collected, t.redistributed));
-            recorder.record(ids::TAX_COLLECTED, MetricValue::Counter(collected));
-            recorder.record(ids::TAX_REDISTRIBUTED, MetricValue::Counter(redistributed));
-            for probe in &mut self.probes {
-                probe.at_horizon(now, view, &mut recorder);
-            }
+        let view: &dyn MarketView = match &self.sim {
+            SessionSim::Queue(sim) => sim.model(),
+            SessionSim::Chunk(sim) => sim.model(),
+        };
+        let ledger = view.ledger();
+        let mut record = RunRecord {
+            purchases: view.purchases(),
+            denied: view.denied(),
+            total_spent: ledger.total_spent(),
+            peer_count: view.peer_count(),
+            wealth_gini: ledger.wealth_gini().ok(),
+            tax_collected: view.taxation().map_or(0, |t| t.collected),
+            ..RunRecord::default()
+        };
+        for probe in &mut self.probes {
+            probe.at_horizon(now, view, &mut record);
         }
         let model = match self.sim {
             SessionSim::Queue(sim) => SessionModel::Queue(sim.into_model()),
             SessionSim::Chunk(sim) => SessionModel::Chunk(sim.into_model()),
         };
-        (recorder.finish(), model)
+        (record, model)
     }
 }
 
@@ -1403,24 +1260,28 @@ mod tests {
     use super::*;
     use crate::market::run_market;
     use scrip_streaming::StreamingConfig;
+    use std::sync::{Arc, Mutex};
+
+    /// What [`CountingProbe`] saw, shared with the test that attached
+    /// it: a record has no field for test-only measurements.
+    #[derive(Default)]
+    struct Counts {
+        bootstraps: u32,
+        samples: Vec<SimTime>,
+        settled: u64,
+    }
 
     /// A probe exercising every hook: counts dispatches and checks the
     /// view is usable from each.
-    struct CountingProbe {
-        bootstraps: u32,
-        samples: Vec<SimTime>,
-        settled_total: u64,
-        denied_total: u64,
-    }
+    #[derive(Default)]
+    struct CountingProbe(Arc<Mutex<Counts>>);
 
     impl CountingProbe {
-        fn new() -> Self {
-            CountingProbe {
-                bootstraps: 0,
-                samples: Vec::new(),
-                settled_total: 0,
-                denied_total: 0,
-            }
+        /// The probe plus a handle on its counts.
+        fn new() -> (Self, Arc<Mutex<Counts>>) {
+            let probe = CountingProbe::default();
+            let counts = Arc::clone(&probe.0);
+            (probe, counts)
         }
     }
 
@@ -1429,26 +1290,19 @@ mod tests {
             vec![SimTime::from_secs(42)]
         }
         fn on_bootstrap(&mut self, view: &dyn MarketView) {
-            self.bootstraps += 1;
+            self.0.lock().expect("counts").bootstraps += 1;
             assert!(view.peer_count() > 0);
         }
-        fn on_settle(&mut self, _now: SimTime, settled: u64, denied: u64) {
-            self.settled_total += settled;
-            self.denied_total += denied;
+        fn on_settle(&mut self, _now: SimTime, settled: u64, _denied: u64) {
+            self.0.lock().expect("counts").settled += settled;
         }
         fn on_sample(&mut self, now: SimTime, view: &dyn MarketView) {
             assert!(view.ledger().conserved());
-            self.samples.push(now);
+            self.0.lock().expect("counts").samples.push(now);
         }
-        fn at_horizon(&mut self, now: SimTime, view: &dyn MarketView, rec: &mut Recorder) {
-            assert_eq!(now, *self.samples.last().expect("sampled"));
-            rec.record("bootstraps", MetricValue::Counter(self.bootstraps.into()));
-            rec.record("settled", MetricValue::Counter(self.settled_total));
-            rec.record(
-                "sample-count",
-                MetricValue::Counter(self.samples.len() as u64),
-            );
-            let _ = view;
+        fn at_horizon(&mut self, now: SimTime, _view: &dyn MarketView, _record: &mut RunRecord) {
+            let counts = self.0.lock().expect("counts");
+            assert_eq!(now, *counts.samples.last().expect("sampled"));
         }
     }
 
@@ -1456,15 +1310,17 @@ mod tests {
     fn session_dispatches_hooks_at_boundaries_only() {
         let config = MarketConfig::new(30, 20);
         let mut session = Session::from_config(&config, 5).expect("builds");
-        session.attach(Box::new(CountingProbe::new()));
+        let (probe, counts) = CountingProbe::new();
+        session.attach(Box::new(probe));
         session.run_until(SimTime::from_secs(500));
         let (record, model) = session.finish();
-        assert_eq!(record.counter("bootstraps"), 1);
+        let counts = counts.lock().expect("counts");
+        assert_eq!(counts.bootstraps, 1);
         // 5 regular ticks (100..=500) + the extra stop at 42.
-        assert_eq!(record.counter("sample-count"), 6);
+        assert_eq!(counts.samples.len(), 6);
         // The settle deltas sum to the final purchase counter.
-        assert_eq!(record.counter("settled"), record.counter(ids::PURCHASES));
-        assert!(record.counter(ids::PURCHASES) > 0);
+        assert_eq!(counts.settled, record.purchases);
+        assert!(record.purchases > 0);
         assert!(model.queue().is_some());
     }
 
@@ -1483,11 +1339,11 @@ mod tests {
             market.ledger().balances_sorted(),
             direct.ledger().balances_sorted()
         );
-        assert_eq!(record.counter(ids::PURCHASES), direct.purchases());
+        assert_eq!(record.purchases, direct.purchases());
 
         // Attached session: probes observe, results stay bit-identical.
         let mut observed = Session::from_config(&config, 9).expect("builds");
-        observed.attach(Box::new(CountingProbe::new()));
+        observed.attach(Box::new(CountingProbe::default()));
         observed.run_until(horizon);
         let (orec, omodel) = observed.finish();
         let omarket = omodel.queue().expect("queue config");
@@ -1496,7 +1352,7 @@ mod tests {
             direct.ledger().balances_sorted()
         );
         assert_eq!(omarket.gini_series(), direct.gini_series());
-        assert_eq!(orec.counter(ids::PURCHASES), direct.purchases());
+        assert_eq!(orec.purchases, direct.purchases());
     }
 
     #[test]
@@ -1505,19 +1361,20 @@ mod tests {
             .streaming_market(StreamingConfig::market_paced(1.0))
             .sample_interval(SimDuration::from_secs(25));
         let mut session = Session::from_config(&config, 21).expect("builds");
-        session.attach(Box::new(CountingProbe::new()));
+        let (probe, counts) = CountingProbe::new();
+        session.attach(Box::new(probe));
         session.run_until(SimTime::from_secs(150));
         let (record, model) = session.finish();
         let system = model.chunk().expect("chunk config");
-        assert!(record.counter(ids::PURCHASES) > 100, "settlements recorded");
+        assert!(record.purchases > 100, "settlements recorded");
         assert_eq!(
-            record.counter(ids::PURCHASES),
+            record.purchases,
             system.policy().settlements,
             "view and model agree"
         );
         assert!(system.stall_series().len() >= 6);
         // 150 / 25 = 6 regular ticks + extra stop at 42.
-        assert_eq!(record.counter("sample-count"), 7);
+        assert_eq!(counts.lock().expect("counts").samples.len(), 7);
     }
 
     #[test]
@@ -1531,32 +1388,9 @@ mod tests {
         let mut session = Session::from_config(&config, 3).expect("builds");
         session.run_until(SimTime::from_secs(5_000));
         let (record, _) = session.finish();
-        if record.counter(ids::PEER_COUNT) == 0 {
-            assert!(record.get(ids::WEALTH_GINI).is_none());
+        if record.peer_count == 0 {
+            assert!(record.wealth_gini.is_none());
         }
-    }
-
-    #[test]
-    fn record_accessors_default_on_absence_and_type_mismatch() {
-        let mut rec = Recorder::default();
-        rec.record("a-series", MetricValue::Series(vec![(1.0, 2.0)]));
-        rec.record("a-count", MetricValue::Counter(7));
-        let record = rec.finish();
-        assert_eq!(record.series("a-series"), &[(1.0, 2.0)]);
-        assert_eq!(record.counter("a-count"), 7);
-        assert!(record.series("missing").is_empty());
-        assert!(record.series("a-count").is_empty(), "type mismatch");
-        assert_eq!(record.counter("a-series"), 0, "type mismatch");
-        assert!(record.scalar("missing").is_nan());
-        assert_eq!(record.ids().collect::<Vec<_>>(), ["a-series", "a-count"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate metric id")]
-    fn duplicate_metric_ids_panic() {
-        let mut rec = Recorder::default();
-        rec.record("x", MetricValue::Counter(1));
-        rec.record("x", MetricValue::Counter(2));
     }
 
     #[test]
@@ -1565,7 +1399,7 @@ mod tests {
         let config = MarketConfig::new(10, 5);
         let mut session = Session::from_config(&config, 1).expect("builds");
         session.run_until(SimTime::from_secs(10));
-        session.attach(Box::new(CountingProbe::new()));
+        session.attach(Box::new(CountingProbe::default()));
     }
 
     /// The standard probe set for checkpoint tests — every stateful
@@ -1734,10 +1568,7 @@ mod tests {
             .sample_interval(SimDuration::from_secs(100));
         let horizon = SimTime::from_secs(1_000);
         let (direct, balances) = straight_run(&config, 77, horizon);
-        assert!(
-            direct.counter(ids::FAULT_DROPPED) > 0,
-            "fault plan was active"
-        );
+        assert!(direct.faults.dropped > 0, "fault plan was active");
         for stop_secs in [60, 500] {
             let (resumed, rbalances) =
                 resumed_run(&config, 77, SimTime::from_secs(stop_secs), horizon);

@@ -3,14 +3,15 @@
 //! availability curves — Ramaswamy et al., Potgieter).
 //!
 //! Every probe works at both market granularities through
-//! [`MarketView`]; the scenario engine re-exports them through its
-//! metric registry so they are selectable from scenario files by name.
+//! [`MarketView`] and writes its own field of the [`RunRecord`]; the
+//! scenario engine's `Metric` enum names them so they are selectable
+//! from scenario files.
 
 use scrip_des::stats::TimeSeries;
 use scrip_des::SimTime;
 use scrip_econ::LorenzCurve;
 
-use super::{ids, MarketView, MetricValue, Probe, Recorder};
+use super::{MarketView, Probe, RunRecord};
 use crate::error::CoreError;
 use crate::snapshot::{Put, Reader};
 
@@ -45,51 +46,42 @@ fn decode_points(r: &mut Reader<'_>) -> Result<Vec<(f64, f64)>, CoreError> {
     Ok(points)
 }
 
-/// Records the `(t, Gini)` trajectory under [`ids::GINI_SERIES`] — the
+/// Records the `(t, Gini)` trajectory in [`RunRecord::gini_series`] — the
 /// paper's Figs. 7–11. Reads the simulator's internally sampled series
 /// at the horizon, so it costs nothing during the run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GiniSeriesProbe;
 
 impl Probe for GiniSeriesProbe {
-    fn at_horizon(&mut self, _now: SimTime, view: &dyn MarketView, rec: &mut Recorder) {
-        rec.record(
-            ids::GINI_SERIES,
-            MetricValue::Series(to_points(view.gini_series())),
-        );
+    fn at_horizon(&mut self, _now: SimTime, view: &dyn MarketView, record: &mut RunRecord) {
+        record.gini_series = to_points(view.gini_series());
     }
 }
 
-/// Records the final wealth distribution, sorted ascending, under
-/// [`ids::FINAL_BALANCES`] (the y-values of the paper's Figs. 5–6).
+/// Records the final wealth distribution, sorted ascending, in
+/// [`RunRecord::final_balances`] (the y-values of the paper's Figs. 5–6).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FinalBalancesProbe;
 
 impl Probe for FinalBalancesProbe {
-    fn at_horizon(&mut self, _now: SimTime, view: &dyn MarketView, rec: &mut Recorder) {
-        rec.record(
-            ids::FINAL_BALANCES,
-            MetricValue::SortedU64(view.ledger().balances_sorted()),
-        );
+    fn at_horizon(&mut self, _now: SimTime, view: &dyn MarketView, record: &mut RunRecord) {
+        record.final_balances = view.ledger().balances_sorted();
     }
 }
 
-/// Records the sorted per-peer credit spending rates under
-/// [`ids::SPENDING_RATES`] (the paper's Fig. 1).
+/// Records the sorted per-peer credit spending rates in
+/// [`RunRecord::spending_rates`] (the paper's Fig. 1).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SpendingRatesProbe;
 
 impl Probe for SpendingRatesProbe {
-    fn at_horizon(&mut self, now: SimTime, view: &dyn MarketView, rec: &mut Recorder) {
-        rec.record(
-            ids::SPENDING_RATES,
-            MetricValue::SortedF64(view.ledger().spending_rates_sorted(now)),
-        );
+    fn at_horizon(&mut self, now: SimTime, view: &dyn MarketView, record: &mut RunRecord) {
+        record.spending_rates = view.ledger().spending_rates_sorted(now);
     }
 }
 
-/// Records sorted wealth snapshots at the requested times under
-/// [`ids::SNAPSHOTS`]. The times become extra session stops, so they
+/// Records sorted wealth snapshots at the requested times in
+/// [`RunRecord::snapshots`]. The times become extra session stops, so they
 /// need not align with the sampling grid.
 #[derive(Clone, Debug, Default)]
 pub struct SnapshotsProbe {
@@ -121,11 +113,8 @@ impl Probe for SnapshotsProbe {
         }
     }
 
-    fn at_horizon(&mut self, _now: SimTime, _view: &dyn MarketView, rec: &mut Recorder) {
-        rec.record(
-            ids::SNAPSHOTS,
-            MetricValue::Snapshots(std::mem::take(&mut self.taken)),
-        );
+    fn at_horizon(&mut self, _now: SimTime, _view: &dyn MarketView, record: &mut RunRecord) {
+        record.snapshots = std::mem::take(&mut self.taken);
     }
 
     fn snapshot_state(&self) -> Vec<u8> {
@@ -162,20 +151,19 @@ impl Probe for SnapshotsProbe {
     }
 }
 
-/// Records the `(t, stall rate)` trajectory under [`ids::STALL_SERIES`]
-/// — empty for queue-level markets, which have no playback to stall.
+/// Records the `(t, stall rate)` trajectory in
+/// [`RunRecord::stall_series`] — empty for queue-level markets, which have no playback to stall.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StallSeriesProbe;
 
 impl Probe for StallSeriesProbe {
-    fn at_horizon(&mut self, _now: SimTime, view: &dyn MarketView, rec: &mut Recorder) {
-        let points = view.stall_series().map(to_points).unwrap_or_default();
-        rec.record(ids::STALL_SERIES, MetricValue::Series(points));
+    fn at_horizon(&mut self, _now: SimTime, view: &dyn MarketView, record: &mut RunRecord) {
+        record.stall_series = view.stall_series().map(to_points).unwrap_or_default();
     }
 }
 
 /// Records system throughput over time — `(t, purchases/sec since the
-/// previous boundary)` — under [`ids::THROUGHPUT_SERIES`]. Built
+/// previous boundary)` — in [`RunRecord::throughput_series`]. Built
 /// entirely on the batched [`Probe::on_settle`] deltas, so it observes
 /// purchase flow with zero hot-path cost.
 #[derive(Clone, Debug, Default)]
@@ -201,11 +189,8 @@ impl Probe for ThroughputSeriesProbe {
         }
     }
 
-    fn at_horizon(&mut self, _now: SimTime, _view: &dyn MarketView, rec: &mut Recorder) {
-        rec.record(
-            ids::THROUGHPUT_SERIES,
-            MetricValue::Series(std::mem::take(&mut self.points)),
-        );
+    fn at_horizon(&mut self, _now: SimTime, _view: &dyn MarketView, record: &mut RunRecord) {
+        record.throughput_series = std::mem::take(&mut self.points);
     }
 
     fn snapshot_state(&self) -> Vec<u8> {
@@ -223,8 +208,8 @@ impl Probe for ThroughputSeriesProbe {
     }
 }
 
-/// Records the live-peer population over time — `(t, peers)` — under
-/// [`ids::POPULATION_SERIES`]: flat without churn, the
+/// Records the live-peer population over time — `(t, peers)` — in
+/// [`RunRecord::population_series`]: flat without churn, the
 /// arrival/departure balance under it (paper Sec. VI-E).
 #[derive(Clone, Debug, Default)]
 pub struct PopulationSeriesProbe {
@@ -254,11 +239,8 @@ impl Probe for PopulationSeriesProbe {
         self.points.push((t, view.peer_count() as f64));
     }
 
-    fn at_horizon(&mut self, _now: SimTime, _view: &dyn MarketView, rec: &mut Recorder) {
-        rec.record(
-            ids::POPULATION_SERIES,
-            MetricValue::Series(std::mem::take(&mut self.points)),
-        );
+    fn at_horizon(&mut self, _now: SimTime, _view: &dyn MarketView, record: &mut RunRecord) {
+        record.population_series = std::mem::take(&mut self.points);
     }
 
     fn snapshot_state(&self) -> Vec<u8> {
@@ -274,7 +256,7 @@ impl Probe for PopulationSeriesProbe {
     }
 }
 
-/// Records the final wealth Lorenz curve under [`ids::LORENZ`], sampled
+/// Records the final wealth Lorenz curve in [`RunRecord::lorenz`], sampled
 /// at `segments + 1` evenly spaced population shares (the paper's
 /// Fig. 2, measured instead of analytic). Empty when no peers remain.
 #[derive(Clone, Copy, Debug)]
@@ -302,22 +284,20 @@ impl Default for LorenzProbe {
 }
 
 impl Probe for LorenzProbe {
-    fn at_horizon(&mut self, _now: SimTime, view: &dyn MarketView, rec: &mut Recorder) {
+    fn at_horizon(&mut self, _now: SimTime, view: &dyn MarketView, record: &mut RunRecord) {
         let balances = view.ledger().balances_sorted();
-        let points = match LorenzCurve::from_samples_u64(&balances) {
+        record.lorenz = match LorenzCurve::from_samples_u64(&balances) {
             Ok(curve) => curve.sample(self.segments),
             Err(_) => Vec::new(), // no peers at the horizon
         };
-        rec.record(ids::LORENZ, MetricValue::Series(points));
     }
 }
 
 /// Observes the fault-injection machinery: the `(t, cumulative failed
-/// delivery attempts)` trajectory under [`ids::FAULT_SERIES`], the
-/// `(t, credits in trade escrow)` trajectory under
-/// [`ids::ESCROW_SERIES`], the seven fault counters
-/// ([`ids::FAULT_DELIVERED`] … [`ids::FAULT_CRASHES`]), and the
-/// retry-depth histogram under [`ids::RETRY_DEPTH`] at the horizon.
+/// delivery attempts)` trajectory in [`RunRecord::fault_series`], the
+/// `(t, credits in trade escrow)` trajectory in
+/// [`RunRecord::escrow_series`], and the fault counters with the
+/// retry-depth histogram in [`RunRecord::faults`] at the horizon.
 ///
 /// On a market without a fault plan both series stay empty and every
 /// counter records zero, so the probe is safe to attach unconditionally.
@@ -344,31 +324,10 @@ impl Probe for FaultSeriesProbe {
         self.escrow.push((t, view.in_flight_escrow() as f64));
     }
 
-    fn at_horizon(&mut self, _now: SimTime, view: &dyn MarketView, rec: &mut Recorder) {
-        rec.record(
-            ids::FAULT_SERIES,
-            MetricValue::Series(std::mem::take(&mut self.failures)),
-        );
-        rec.record(
-            ids::ESCROW_SERIES,
-            MetricValue::Series(std::mem::take(&mut self.escrow)),
-        );
-        let default = Default::default();
-        let stats = view.fault_stats().unwrap_or(&default);
-        rec.record(ids::FAULT_DELIVERED, MetricValue::Counter(stats.delivered));
-        rec.record(ids::FAULT_DROPPED, MetricValue::Counter(stats.dropped));
-        rec.record(ids::FAULT_DEFECTED, MetricValue::Counter(stats.defected));
-        rec.record(ids::FAULT_DELAYED, MetricValue::Counter(stats.delayed));
-        rec.record(ids::FAULT_RETRIES, MetricValue::Counter(stats.retries));
-        rec.record(ids::FAULT_REFUNDED, MetricValue::Counter(stats.refunded));
-        rec.record(ids::FAULT_CRASHES, MetricValue::Counter(stats.crashes));
-        let depth = stats
-            .retry_depth
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| ((i + 1) as f64, n as f64))
-            .collect();
-        rec.record(ids::RETRY_DEPTH, MetricValue::Series(depth));
+    fn at_horizon(&mut self, _now: SimTime, view: &dyn MarketView, record: &mut RunRecord) {
+        record.fault_series = std::mem::take(&mut self.failures);
+        record.escrow_series = std::mem::take(&mut self.escrow);
+        record.faults = view.fault_stats().cloned().unwrap_or_default();
     }
 
     fn snapshot_state(&self) -> Vec<u8> {
@@ -393,11 +352,7 @@ mod tests {
     use crate::obs::Session;
     use scrip_des::SimDuration;
 
-    fn observed_record(
-        config: &MarketConfig,
-        seed: u64,
-        horizon_secs: u64,
-    ) -> super::super::RunRecord {
+    fn observed_record(config: &MarketConfig, seed: u64, horizon_secs: u64) -> RunRecord {
         let mut session = Session::from_config(config, seed).expect("builds");
         session.attach(Box::new(GiniSeriesProbe));
         session.attach(Box::new(FinalBalancesProbe));
@@ -418,17 +373,17 @@ mod tests {
     fn all_probes_record_on_a_queue_market() {
         let config = MarketConfig::new(40, 20).sample_interval(SimDuration::from_secs(50));
         let record = observed_record(&config, 3, 500);
-        assert_eq!(record.series(ids::GINI_SERIES).len(), 10);
-        assert_eq!(record.sorted_u64(ids::FINAL_BALANCES).len(), 40);
-        assert_eq!(record.sorted_f64(ids::SPENDING_RATES).len(), 40);
-        let snaps = record.snapshots(ids::SNAPSHOTS);
+        assert_eq!(record.gini_series.len(), 10);
+        assert_eq!(record.final_balances.len(), 40);
+        assert_eq!(record.spending_rates.len(), 40);
+        let snaps = &record.snapshots;
         assert_eq!(snaps.len(), 2);
         assert_eq!(snaps[0].0, 250);
         assert_eq!(snaps[0].1.len(), 40);
-        assert!(record.series(ids::STALL_SERIES).is_empty(), "queue level");
+        assert!(record.stall_series.is_empty(), "queue level");
         // Throughput: one point per boundary — 10 grid ticks; both
         // snapshot stops (250, 500) coincide with ticks and dedupe.
-        let throughput = record.series(ids::THROUGHPUT_SERIES);
+        let throughput = &record.throughput_series;
         assert_eq!(throughput.len(), 10);
         assert!(throughput.iter().all(|&(_, r)| r >= 0.0));
         // Total purchase flow re-integrates to the purchase counter.
@@ -438,11 +393,11 @@ mod tests {
             total += rate * (t - last);
             last = t;
         }
-        assert!((total - record.counter(ids::PURCHASES) as f64).abs() < 1e-6);
-        let population = record.series(ids::POPULATION_SERIES);
+        assert!((total - record.purchases as f64).abs() < 1e-6);
+        let population = &record.population_series;
         assert_eq!(population.first(), Some(&(0.0, 40.0)));
         assert!(population.iter().all(|&(_, n)| n == 40.0), "no churn");
-        let lorenz = record.series(ids::LORENZ);
+        let lorenz = &record.lorenz;
         assert_eq!(lorenz.len(), 101);
         assert_eq!(lorenz.first(), Some(&(0.0, 0.0)));
         assert_eq!(lorenz.last(), Some(&(1.0, 1.0)));
@@ -456,7 +411,7 @@ mod tests {
             .churn(ChurnConfig::new(0.5, 100.0, 8).expect("valid"))
             .sample_interval(SimDuration::from_secs(100));
         let record = observed_record(&config, 11, 2_000);
-        let population = record.series(ids::POPULATION_SERIES);
+        let population = &record.population_series;
         assert_eq!(
             population.len(),
             21,
@@ -468,7 +423,7 @@ mod tests {
         );
         assert_eq!(
             population.last().map(|&(_, n)| n as u64),
-            Some(record.counter(ids::PEER_COUNT))
+            Some(record.peer_count as u64)
         );
     }
 
@@ -480,10 +435,10 @@ mod tests {
         session.attach(Box::new(PopulationSeriesProbe::new()));
         session.run_until(SimTime::from_secs(200));
         let (record, _) = session.finish();
-        let snaps = record.snapshots(ids::SNAPSHOTS);
+        let snaps = &record.snapshots;
         assert_eq!(snaps.len(), 2);
         assert_eq!(snaps[0].0, 0, "t=0 snapshot recorded");
-        let population = record.series(ids::POPULATION_SERIES);
+        let population = &record.population_series;
         // Bootstrap point + 4 grid ticks — the t=0 extra stop must not
         // add a second (0, n) point.
         assert_eq!(population.len(), 5, "{population:?}");
@@ -498,10 +453,10 @@ mod tests {
             .streaming_market(StreamingConfig::market_paced(1.0))
             .sample_interval(SimDuration::from_secs(25));
         let record = observed_record(&config, 17, 200);
-        assert!(!record.series(ids::GINI_SERIES).is_empty());
-        assert!(!record.series(ids::STALL_SERIES).is_empty(), "chunk level");
-        assert!(!record.series(ids::THROUGHPUT_SERIES).is_empty());
-        assert_eq!(record.series(ids::LORENZ).len(), 101);
-        assert_eq!(record.sorted_u64(ids::FINAL_BALANCES).len(), 30);
+        assert!(!record.gini_series.is_empty());
+        assert!(!record.stall_series.is_empty(), "chunk level");
+        assert!(!&record.throughput_series.is_empty());
+        assert_eq!(record.lorenz.len(), 101);
+        assert_eq!(record.final_balances.len(), 30);
     }
 }

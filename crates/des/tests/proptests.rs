@@ -32,11 +32,11 @@ fn built_sampler(weights: &[f64]) -> FenwickSampler {
     s
 }
 
-struct Recorder {
+struct TimeLog {
     seen: Vec<SimTime>,
 }
 
-impl Model for Recorder {
+impl Model for TimeLog {
     type Event = ();
     fn handle(&mut self, now: SimTime, _ev: (), _s: &mut Scheduler<()>) {
         self.seen.push(now);
@@ -126,7 +126,7 @@ proptest! {
     /// matter the scheduling order.
     #[test]
     fn events_delivered_in_order(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut sim = Simulation::new(Recorder { seen: Vec::new() });
+        let mut sim = Simulation::new(TimeLog { seen: Vec::new() });
         for &t in &times {
             sim.schedule(SimTime::from_micros(t), ());
         }
@@ -141,7 +141,7 @@ proptest! {
     /// run_until never passes the horizon and leaves later events queued.
     #[test]
     fn run_until_respects_horizon(times in prop::collection::vec(0u64..1_000, 1..100), horizon in 0u64..1_000) {
-        let mut sim = Simulation::new(Recorder { seen: Vec::new() });
+        let mut sim = Simulation::new(TimeLog { seen: Vec::new() });
         for &t in &times {
             sim.schedule(SimTime::from_secs(t), ());
         }

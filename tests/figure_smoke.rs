@@ -3,12 +3,15 @@
 
 use scrip_bench::figures;
 use scrip_bench::scale::RunScale;
+use scrip_bench::scenario::RunnerOptions;
 
 const Q: RunScale = RunScale::Quick;
+/// One worker per core for the scenario runs inside each figure.
+const THREADS: &RunnerOptions = &RunnerOptions { threads: 0 };
 
 #[test]
 fn fig01_condensed_vs_balanced_contrast() {
-    let fig = figures::fig01_spending_rates(Q).expect("runs");
+    let fig = figures::fig01_spending_rates(Q, THREADS).expect("runs");
     assert_eq!(fig.series.len(), 2);
     // The balanced case has near-uniform spending; the condensed case is
     // dominated by near-zero spenders. Compare by the Gini of the rate
@@ -29,7 +32,7 @@ fn fig01_condensed_vs_balanced_contrast() {
 
 #[test]
 fn fig02_lorenz_curves_are_valid() {
-    let fig = figures::fig02_lorenz_pmf(Q).expect("runs");
+    let fig = figures::fig02_lorenz_pmf(Q, THREADS).expect("runs");
     assert_eq!(fig.series.len(), 6);
     for s in &fig.series {
         let first = s.points.first().expect("non-empty");
@@ -49,7 +52,7 @@ fn fig02_lorenz_curves_are_valid() {
 
 #[test]
 fn fig03_product_form_gini_rises_with_wealth() {
-    let fig = figures::fig03_gini_vs_wealth(Q).expect("runs");
+    let fig = figures::fig03_gini_vs_wealth(Q, THREADS).expect("runs");
     for s in fig
         .series
         .iter()
@@ -63,7 +66,7 @@ fn fig03_product_form_gini_rises_with_wealth() {
 
 #[test]
 fn fig04_efficiency_saturates() {
-    let fig = figures::fig04_efficiency(Q).expect("runs");
+    let fig = figures::fig04_efficiency(Q, THREADS).expect("runs");
     let exact = fig.series("exact_((N-1)/N)^M").expect("series");
     assert!(exact.points.first().expect("pt").1 < 0.1);
     assert!(exact.last_y().expect("pt") > 0.99);
@@ -76,8 +79,8 @@ fn fig04_efficiency_saturates() {
 
 #[test]
 fn fig05_fig06_conserve_credits() {
-    let early = figures::fig05_convergence_early(Q).expect("runs");
-    let late = figures::fig06_convergence_late(Q).expect("runs");
+    let early = figures::fig05_convergence_early(Q, THREADS).expect("runs");
+    let late = figures::fig06_convergence_late(Q, THREADS).expect("runs");
     assert!(!early.series.is_empty());
     assert!(!late.series.is_empty());
     // Total credits at every snapshot are conserved (c = 100 per peer).
@@ -94,7 +97,7 @@ fn fig05_fig06_conserve_credits() {
 
 #[test]
 fn fig08_asymmetric_gini_is_high_for_all_wealth_levels() {
-    let fig = figures::fig08_gini_evolution_asymmetric(Q).expect("runs");
+    let fig = figures::fig08_gini_evolution_asymmetric(Q, THREADS).expect("runs");
     for s in &fig.series {
         let plateau = s.tail_mean(5).expect("points");
         assert!(plateau > 0.5, "{}: plateau {plateau:.3}", s.label);
@@ -103,7 +106,7 @@ fn fig08_asymmetric_gini_is_high_for_all_wealth_levels() {
 
 #[test]
 fn fig10_dynamic_beats_static() {
-    let fig = figures::fig10_dynamic_spending(Q).expect("runs");
+    let fig = figures::fig10_dynamic_spending(Q, THREADS).expect("runs");
     let fixed = fig.series("without_adjustment").expect("series");
     let dynamic = fig.series("with_adjustment").expect("series");
     assert!(
@@ -114,7 +117,7 @@ fn fig10_dynamic_beats_static() {
 
 #[test]
 fn fig11_churn_lowers_gini() {
-    let fig = figures::fig11_churn(Q).expect("runs");
+    let fig = figures::fig11_churn(Q, THREADS).expect("runs");
     let static_g = fig
         .series("p1_static")
         .expect("series")
@@ -133,7 +136,7 @@ fn fig11_churn_lowers_gini() {
 
 #[test]
 fn streaming_stall_tracks_wealth() {
-    let fig = figures::streaming_stall_vs_wealth(Q).expect("runs");
+    let fig = figures::streaming_stall_vs_wealth(Q, THREADS).expect("runs");
     assert_eq!(fig.series.len(), 6, "stall + gini per wealth level");
     let final_stall = |label: &str| {
         fig.series(label)
@@ -158,15 +161,15 @@ fn streaming_stall_tracks_wealth() {
 
 #[test]
 fn ablations_run() {
-    let a = figures::ablation_approx_vs_exact(Q).expect("runs");
+    let a = figures::ablation_approx_vs_exact(Q, THREADS).expect("runs");
     assert!(a.series("tv_distance").is_some());
-    let b = figures::ablation_solvers(Q).expect("runs");
+    let b = figures::ablation_solvers(Q, THREADS).expect("runs");
     // Cross-checks agree to near machine precision.
     for s in &b.series {
         for &(_, diff) in &s.points {
             assert!(diff < 1e-6, "{}: disagreement {diff}", s.label);
         }
     }
-    let c = figures::ablation_queue_vs_protocol(Q).expect("runs");
+    let c = figures::ablation_queue_vs_protocol(Q, THREADS).expect("runs");
     assert_eq!(c.series.len(), 2);
 }
