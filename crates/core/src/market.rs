@@ -22,6 +22,8 @@
 //! everything whose outcome depends on peer order (the complete-mixing
 //! pick, checkpoints, escrow sweeps) iterates it.
 
+use std::hint::black_box;
+
 use scrip_des::stats::TimeSeries;
 pub use scrip_des::FaultStats;
 use scrip_des::{
@@ -1554,6 +1556,21 @@ impl Model for CreditMarket {
             MarketEvent::Crash(id) => self.handle_crash(id),
         }
     }
+
+    /// Starts the loads of the next spend's buyer while the current
+    /// event runs: its pick-order slot, its wallet, its `μ` and the row
+    /// header and both ends of its overlay row, which the seller pick
+    /// indexes. Every read is bounds-checked, so a departed or unknown
+    /// id reads a zero or `None`; nothing is drawn or written.
+    fn prefetch(&self, next: &MarketEvent) {
+        if let MarketEvent::Spend(id) = *next {
+            black_box(self.ledger.has_account(id));
+            black_box(self.ledger.balance(id));
+            black_box(self.mu.get(id.index()).copied());
+            let row = self.graph.neighbor_slice(id).unwrap_or_default();
+            black_box((row.first().copied(), row.last().copied()));
+        }
+    }
 }
 
 /// Convenience runner: builds the market, simulates until `horizon`, and
@@ -2195,6 +2212,53 @@ mod tests {
         assert_eq!(a.gini_series(), b.gini_series());
         let c = run(config, 17, 1_000);
         assert_ne!(a.ledger().balances_vec(), c.ledger().balances_vec());
+    }
+
+    /// The lookahead hook only reads. On a churned, faulted,
+    /// seller-Poisson market it is shown every pending event (spends of
+    /// departed buyers and in-flight deliveries included) and a spend
+    /// by an id past every table; it neither panics nor changes the
+    /// state digest or the bytes a checkpoint would hold.
+    #[test]
+    fn prefetch_reads_every_pending_event_without_a_change() {
+        let spec = FaultSpec {
+            drop_rate: 0.1,
+            delay_rate: 0.1,
+            crash_fraction: 0.2,
+            ..FaultSpec::default()
+        };
+        let config = MarketConfig::new(60, 10)
+            .churn(ChurnConfig::new(0.5, 200.0, 8).expect("valid"))
+            .pricing(PricingConfig::SellerPoisson { mean: 2.0 })
+            .faults(spec);
+        let market = CreditMarket::build(config, 9).expect("builds");
+        let profile = market.queue_profile();
+        let mut sim = Simulation::with_profile(market, profile);
+        sim.schedule(SimTime::ZERO, MarketEvent::Bootstrap);
+        sim.run_until(SimTime::from_secs(600));
+        let (market, pending) = (sim.model(), sim.scheduler().snapshot_events());
+        assert!(
+            pending.iter().any(|s| matches!(s.event,
+                MarketEvent::Spend(id) if !market.ledger().has_account(id))),
+            "a departed buyer's spend is pending"
+        );
+        assert!(pending
+            .iter()
+            .any(|s| matches!(s.event, MarketEvent::Deliver { .. })));
+        let state = || {
+            let mut bytes = Vec::new();
+            for scheduled in &pending {
+                scheduled.event.encode(&mut bytes);
+            }
+            market.write_state(&mut bytes);
+            (market.state_digest(), bytes)
+        };
+        let before = state();
+        for scheduled in &pending {
+            market.prefetch(&scheduled.event);
+        }
+        market.prefetch(&MarketEvent::Spend(NodeId::from_raw(NodeId::MAX_RAW)));
+        assert_eq!(state(), before);
     }
 
     #[test]

@@ -1121,7 +1121,7 @@ impl Session {
             ));
         }
         let framing = |e: TraceError| CoreError::Checkpoint(e.to_string());
-        let mut log = TraceReader::from_bytes(bytes.to_vec()).map_err(framing)?;
+        let mut log = TraceReader::from_bytes(bytes).map_err(framing)?;
         check_fingerprint(log.header(), config).map_err(CoreError::Checkpoint)?;
         let seed = log.header().seed;
         let shape = || {
@@ -1130,7 +1130,7 @@ impl Session {
                     .into(),
             )
         };
-        let mut frame = || log.next_frame().map_err(framing);
+        let mut frame = || log.next_frame_borrowed().map_err(framing);
         let Some(TraceFrame::State {
             time: clock,
             events_processed,
@@ -1146,7 +1146,7 @@ impl Session {
         if frame()? != Some(end) || frame()?.is_some() {
             return Err(shape());
         }
-        let mut r = snapshot::Reader::new(&payload);
+        let mut r = snapshot::Reader::new(payload);
         // Each pending event: time, seq and at least a tag byte.
         let pending_len = r.take_count(17)?;
         // Every seq comes from one push, and every push is either
@@ -1425,7 +1425,7 @@ mod tests {
 
     impl OpenCheckpoint {
         fn new(bytes: &[u8]) -> Self {
-            let mut log = TraceReader::from_bytes(bytes.to_vec()).expect("checkpoint framing");
+            let mut log = TraceReader::from_bytes(bytes).expect("checkpoint framing");
             let header = *log.header();
             match log.next_frame().expect("state frame") {
                 Some(TraceFrame::State {

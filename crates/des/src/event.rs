@@ -108,6 +108,12 @@ impl<E> Scheduler<E> {
         self.queue.len()
     }
 
+    /// The next event to pop unless an earlier one is scheduled first,
+    /// or `None` at a rotation boundary (see [`EventQueue::peek_live`]).
+    pub fn peek_live(&self) -> Option<&Scheduled<E>> {
+        self.queue.peek_live()
+    }
+
     /// Re-enqueues an already-sequenced event, preserving its
     /// `(time, seq)` identity (see [`EventQueue::push_scheduled`]).
     /// Unlike [`Scheduler::schedule_at`] the activation time is *not*

@@ -20,6 +20,20 @@ pub trait Model {
     /// Follow-up events are planned through `scheduler`; scheduling in the
     /// past is clamped to `now`.
     fn handle(&mut self, now: SimTime, event: Self::Event, scheduler: &mut Scheduler<Self::Event>);
+
+    /// A read-only look at the event that will most likely run next,
+    /// so the model can start loading the state it will touch while
+    /// the current event's handler runs.
+    ///
+    /// The kernel calls it after popping an event and before handing
+    /// that event to [`Model::handle`], with the root of the queue's
+    /// live heap ([`Scheduler::peek_live`]): the next event to run
+    /// unless the handler schedules an earlier one. At a rotation
+    /// boundary (empty live heap) it is not called. The hook takes
+    /// `&self` and sees no RNG or scheduler, so it cannot change a draw
+    /// or the event order; the default does nothing, and a model that
+    /// overrides it runs exactly as one that does not.
+    fn prefetch(&self, _next: &Self::Event) {}
 }
 
 /// Counters describing a finished (or paused) simulation run.
@@ -131,9 +145,13 @@ impl<M: Model> Simulation<M> {
         Some(self.dispatch(scheduled))
     }
 
-    /// Hands a popped event to the model, returning its instant.
+    /// Hands a popped event to the model, returning its instant. The
+    /// model first sees the next live event ([`Model::prefetch`]).
     fn dispatch(&mut self, scheduled: Scheduled<M::Event>) -> SimTime {
         self.events_processed += 1;
+        if let Some(next) = self.scheduler.peek_live() {
+            self.model.prefetch(&next.event);
+        }
         self.model
             .handle(scheduled.time, scheduled.event, &mut self.scheduler);
         scheduled.time

@@ -168,9 +168,11 @@ pub struct TraceHeader {
     pub seed: u64,
 }
 
-/// One decoded trace frame.
+/// One decoded trace frame. Payloads are owned (`Vec<u8>`) unless the
+/// frame was read with [`TraceReader::next_frame_borrowed`], which
+/// lends them from the log (`&[u8]`).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceFrame {
+pub enum TraceFrame<P = Vec<u8>> {
     /// An applied event, keyed by its `(time, seq)` identity.
     Event {
         /// The instant the event fired.
@@ -178,7 +180,7 @@ pub enum TraceFrame {
         /// The event's global sequence number (FIFO tie-break key).
         seq: u64,
         /// Model-encoded event payload (opaque to the trace layer).
-        payload: Vec<u8>,
+        payload: P,
     },
     /// A state digest taken at a sampling boundary.
     Digest {
@@ -203,11 +205,11 @@ pub enum TraceFrame {
         /// Events dispatched when the state was taken.
         events_processed: u64,
         /// Model-encoded state (opaque to the trace layer).
-        payload: Vec<u8>,
+        payload: P,
     },
 }
 
-impl TraceFrame {
+impl<P> TraceFrame<P> {
     /// The frame's instant (event fire time, digest boundary, or close).
     pub fn time(&self) -> SimTime {
         match self {
@@ -215,6 +217,44 @@ impl TraceFrame {
             | TraceFrame::Digest { time, .. }
             | TraceFrame::End { time, .. }
             | TraceFrame::State { time, .. } => *time,
+        }
+    }
+}
+
+impl TraceFrame<&[u8]> {
+    /// The frame with its payload copied out of the log.
+    fn into_owned(self) -> TraceFrame {
+        match self {
+            TraceFrame::Event { time, seq, payload } => TraceFrame::Event {
+                time,
+                seq,
+                payload: payload.to_vec(),
+            },
+            TraceFrame::Digest {
+                time,
+                events_processed,
+                digest,
+            } => TraceFrame::Digest {
+                time,
+                events_processed,
+                digest,
+            },
+            TraceFrame::End {
+                time,
+                events_processed,
+            } => TraceFrame::End {
+                time,
+                events_processed,
+            },
+            TraceFrame::State {
+                time,
+                events_processed,
+                payload,
+            } => TraceFrame::State {
+                time,
+                events_processed,
+                payload: payload.to_vec(),
+            },
         }
     }
 }
@@ -373,18 +413,21 @@ impl TraceWriter<Vec<u8>> {
 }
 
 /// Fail-closed trace decoder: one cursor over one append-only byte
-/// log.
+/// log. The log is a `Vec<u8>` the reader owns (a file, or a log that
+/// [`TraceReader::extend`] grows) or a borrowed `&[u8]`, which a
+/// checkpoint is read from without copying it.
 #[derive(Clone, Debug)]
-pub struct TraceReader {
-    bytes: Vec<u8>,
+pub struct TraceReader<B = Vec<u8>> {
+    bytes: B,
     header: TraceHeader,
     /// Byte offset of the next frame.
     pos: usize,
 }
 
-impl TraceReader {
+impl<B: AsRef<[u8]>> TraceReader<B> {
     /// Wraps a complete in-memory trace, validating the header.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, TraceError> {
+    pub fn from_bytes(log: B) -> Result<Self, TraceError> {
+        let bytes = log.as_ref();
         if bytes.len() < TRACE_MAGIC.len() {
             return Err(TraceError::Truncated { offset: 0 });
         }
@@ -401,17 +444,10 @@ impl TraceReader {
         let fingerprint = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
         let seed = u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes"));
         Ok(TraceReader {
-            bytes,
+            bytes: log,
             header: TraceHeader { fingerprint, seed },
             pos: HEADER_LEN,
         })
-    }
-
-    /// Reads and wraps a trace file.
-    pub fn from_path(path: &Path) -> Result<Self, TraceError> {
-        let bytes =
-            std::fs::read(path).map_err(|e| TraceError::Io(format!("{}: {e}", path.display())))?;
-        Self::from_bytes(bytes)
     }
 
     /// The trace header.
@@ -419,15 +455,10 @@ impl TraceReader {
         &self.header
     }
 
-    /// Appends freshly-flushed bytes (append-only growth): a reader
-    /// that had drained the log simply resumes at the new frames.
-    pub fn extend(&mut self, more: &[u8]) {
-        self.bytes.extend_from_slice(more);
-    }
-
     /// Decodes the next frame without advancing the cursor.
     pub fn peek_frame(&self) -> Result<Option<TraceFrame>, TraceError> {
-        Ok(decode_frame(&self.bytes, self.pos)?.map(|(frame, _)| frame))
+        let mut pos = self.pos;
+        Ok(decode_frame(self.bytes.as_ref(), &mut pos)?.map(TraceFrame::into_owned))
     }
 
     /// Decodes the next frame, advancing the cursor. Returns `Ok(None)`
@@ -435,24 +466,46 @@ impl TraceReader {
     /// [`TraceError::Truncated`], a checksum mismatch is
     /// [`TraceError::Corrupt`].
     pub fn next_frame(&mut self) -> Result<Option<TraceFrame>, TraceError> {
-        match decode_frame(&self.bytes, self.pos)? {
-            None => Ok(None),
-            Some((frame, next)) => {
-                self.pos = next;
-                Ok(Some(frame))
-            }
-        }
+        Ok(decode_frame(self.bytes.as_ref(), &mut self.pos)?.map(TraceFrame::into_owned))
     }
 }
 
-/// Decodes one frame at `offset`; `Ok(None)` exactly at end-of-log.
-fn decode_frame(bytes: &[u8], offset: usize) -> Result<Option<(TraceFrame, usize)>, TraceError> {
+impl TraceReader {
+    /// Reads and wraps a trace file.
+    pub fn from_path(path: &Path) -> Result<Self, TraceError> {
+        let bytes =
+            std::fs::read(path).map_err(|e| TraceError::Io(format!("{}: {e}", path.display())))?;
+        Self::from_bytes(bytes)
+    }
+
+    /// Appends freshly-flushed bytes (append-only growth): a reader
+    /// that had drained the log simply resumes at the new frames.
+    pub fn extend(&mut self, more: &[u8]) {
+        self.bytes.extend_from_slice(more);
+    }
+}
+
+impl<'a> TraceReader<&'a [u8]> {
+    /// As [`TraceReader::next_frame`], with the payload lent from the
+    /// borrowed log instead of copied, for as long as the log lives.
+    pub fn next_frame_borrowed(&mut self) -> Result<Option<TraceFrame<&'a [u8]>>, TraceError> {
+        decode_frame(self.bytes, &mut self.pos)
+    }
+}
+
+/// Decodes the frame at `*pos` and moves `*pos` past it; `Ok(None)`
+/// exactly at end-of-log. On an error `*pos` stays put.
+fn decode_frame<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+) -> Result<Option<TraceFrame<&'a [u8]>>, TraceError> {
+    let offset = *pos;
     if offset == bytes.len() {
         return Ok(None);
     }
     // A length word is bounded by the bytes present before anything is
     // sized from it.
-    let take = |at: usize, n: usize| -> Result<&[u8], TraceError> {
+    let take = |at: usize, n: usize| -> Result<&'a [u8], TraceError> {
         at.checked_add(n)
             .and_then(|end| bytes.get(at..end))
             .ok_or(TraceError::Truncated { offset })
@@ -478,8 +531,8 @@ fn decode_frame(bytes: &[u8], offset: usize) -> Result<Option<(TraceFrame, usize
             if u64_at(body_end)? != fnv1a(&bytes[offset..body_end]) {
                 return Err(TraceError::Corrupt { offset });
             }
-            let payload = payload.to_vec();
-            let frame = if tag == TAG_EVENT {
+            *pos = body_end + 8;
+            Ok(Some(if tag == TAG_EVENT {
                 TraceFrame::Event {
                     time,
                     seq: word,
@@ -491,8 +544,7 @@ fn decode_frame(bytes: &[u8], offset: usize) -> Result<Option<(TraceFrame, usize
                     events_processed: word,
                     payload,
                 }
-            };
-            Ok(Some((frame, body_end + 8)))
+            }))
         }
         TAG_DIGEST => {
             let time = u64_at(offset + 1)?;
@@ -502,14 +554,12 @@ fn decode_frame(bytes: &[u8], offset: usize) -> Result<Option<(TraceFrame, usize
             if check != fnv1a(&bytes[offset..offset + 25]) {
                 return Err(TraceError::Corrupt { offset });
             }
-            Ok(Some((
-                TraceFrame::Digest {
-                    time: SimTime::from_micros(time),
-                    events_processed,
-                    digest,
-                },
-                offset + 33,
-            )))
+            *pos = offset + 33;
+            Ok(Some(TraceFrame::Digest {
+                time: SimTime::from_micros(time),
+                events_processed,
+                digest,
+            }))
         }
         TAG_END => {
             let time = u64_at(offset + 1)?;
@@ -518,13 +568,11 @@ fn decode_frame(bytes: &[u8], offset: usize) -> Result<Option<(TraceFrame, usize
             if check != fnv1a(&bytes[offset..offset + 17]) {
                 return Err(TraceError::Corrupt { offset });
             }
-            Ok(Some((
-                TraceFrame::End {
-                    time: SimTime::from_micros(time),
-                    events_processed,
-                },
-                offset + 25,
-            )))
+            *pos = offset + 25;
+            Ok(Some(TraceFrame::End {
+                time: SimTime::from_micros(time),
+                events_processed,
+            }))
         }
         _ => Err(TraceError::Corrupt { offset }),
     }

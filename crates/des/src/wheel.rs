@@ -381,6 +381,13 @@ impl<E> EventQueue<E> {
         self.live.pop()
     }
 
+    /// The live heap's root, without rotating: the next event to pop
+    /// unless an earlier one is pushed first. `None` when the live heap
+    /// is empty (a rotation boundary), even if events are pending. O(1).
+    pub fn peek_live(&self) -> Option<&Scheduled<E>> {
+        self.live.peek()
+    }
+
     /// The activation time of the earliest pending event, without
     /// rotating. O(1) while the live heap is non-empty; at a rotation
     /// boundary it costs one bitmap scan plus one bucket-list walk.

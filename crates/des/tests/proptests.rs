@@ -1,12 +1,13 @@
 //! Property-based tests for the simulation kernel and distributions.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::cell::Cell;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use proptest::prelude::*;
 use scrip_des::dist::{AliasTable, Exp, Geometric, Poisson};
 use scrip_des::{
-    EventQueue, FenwickSampler, Model, QueueProfile, Scheduled, Scheduler, SimDuration, SimRng,
-    SimTime, Simulation,
+    EventQueue, FenwickSampler, Model, QueueProfile, RunStats, Scheduled, Scheduler, SimDuration,
+    SimRng, SimTime, Simulation,
 };
 
 /// The O(deg) cumulative-weight walk `FenwickSampler::pick` replaces,
@@ -105,6 +106,156 @@ impl Model for Chain {
         self.next_label += 1;
         self.inject(s);
     }
+}
+
+/// The lookahead property's model: every event is labelled with its
+/// queue sequence number (labels count pushes, as seqs do) and
+/// schedules the follow-ups `script` lists for its dispatch count, until
+/// `budget` events have been handled. It keeps every pending label's
+/// activation time, so it can check the [`Model::prefetch`] contract
+/// from inside `handle`, and it logs each breach to `faults`.
+#[derive(Default)]
+struct Lookahead {
+    script: Vec<Vec<SimDuration>>,
+    budget: u64,
+    handled: u64,
+    next_label: u64,
+    pending: BTreeMap<u64, SimTime>,
+    log: Vec<(SimTime, u64)>,
+    /// The event the hook showed before the last dispatch, its time,
+    /// and the earliest follow-up that dispatch's handler scheduled.
+    expect: Option<(u64, SimTime, Option<SimTime>)>,
+    faults: Vec<String>,
+}
+
+impl Lookahead {
+    fn schedule(&mut self, s: &mut Scheduler<u64>, time: SimTime) {
+        let time = time.max(s.now());
+        s.schedule_at(time, self.next_label);
+        self.pending.insert(self.next_label, time);
+        self.next_label += 1;
+    }
+
+    /// Handles one event; `prefetched` is what the hook was called with
+    /// since the last dispatch, or `None` for a model without the hook.
+    fn on_event(
+        &mut self,
+        now: SimTime,
+        label: u64,
+        s: &mut Scheduler<u64>,
+        prefetched: Option<Option<u64>>,
+    ) {
+        self.log.push((now, label));
+        if self.pending.remove(&label) != Some(now) {
+            self.faults
+                .push(format!("{label} ran at {now}, not when scheduled"));
+        }
+        // Nothing has changed the queue since the kernel peeked it, so
+        // its live root is what the hook must have been shown: the
+        // earliest pending event, or nothing at a rotation boundary.
+        let root = s.peek_live().map(|r| r.event);
+        let earliest = s.snapshot_events().first().map(|e| e.event);
+        if root.is_some() && root != earliest {
+            self.faults
+                .push(format!("live root {root:?}, earliest pending {earliest:?}"));
+        }
+        if let Some(prefetched) = prefetched {
+            if prefetched != root {
+                self.faults
+                    .push(format!("prefetched {prefetched:?}, live root {root:?}"));
+            }
+            if let Some((shown, at, follow_up)) = self.expect.take() {
+                let overtaken = follow_up.is_some_and(|t| t < at);
+                if (label == shown) == overtaken {
+                    self.faults.push(format!(
+                        "prefetched {shown} at {at}, dispatched {label} (follow-up at {follow_up:?})"
+                    ));
+                }
+            }
+            if let Some(shown) = prefetched {
+                match self.pending.get(&shown) {
+                    Some(&at) => self.expect = Some((shown, at, None)),
+                    None => self
+                        .faults
+                        .push(format!("prefetched {shown}, which is not pending")),
+                }
+            }
+        }
+        if self.handled < self.budget {
+            let delays = self.script[self.handled as usize % self.script.len()].clone();
+            for delay in delays {
+                self.schedule(s, now + delay);
+                if let Some((_, _, follow_up)) = &mut self.expect {
+                    *follow_up = Some(follow_up.map_or(now + delay, |t| t.min(now + delay)));
+                }
+            }
+        }
+        self.handled += 1;
+    }
+}
+
+/// [`Lookahead`] with the hook, which records its argument.
+struct Hooked {
+    inner: Lookahead,
+    prefetched: Cell<Option<u64>>,
+}
+
+impl Model for Hooked {
+    type Event = u64;
+    fn handle(&mut self, now: SimTime, label: u64, s: &mut Scheduler<u64>) {
+        let prefetched = self.prefetched.take();
+        self.inner.on_event(now, label, s, Some(prefetched));
+    }
+
+    fn prefetch(&self, next: &u64) {
+        if let Some(earlier) = self.prefetched.replace(Some(*next)) {
+            panic!("prefetch({next}) after prefetch({earlier}) with no dispatch between");
+        }
+    }
+}
+
+/// [`Lookahead`] with the default (no-op) hook.
+struct Plain(Lookahead);
+
+impl Model for Plain {
+    type Event = u64;
+    fn handle(&mut self, now: SimTime, label: u64, s: &mut Scheduler<u64>) {
+        self.0.on_event(now, label, s, None);
+    }
+}
+
+/// One of the kernel's dispatch loops, with its argument.
+fn drive<M: Model<Event = u64>>(
+    sim: &mut Simulation<M>,
+    (kind, arg): (u8, u64),
+) -> (RunStats, Vec<(SimTime, u64)>, bool) {
+    let mut tapped = Vec::new();
+    let mut vetoed = false;
+    let stats = match kind {
+        0 => {
+            sim.step();
+            sim.stats()
+        }
+        1 => sim.run_until(sim.now() + SimDuration::from_micros(arg)),
+        // Traced: every third call vetoes its (arg mod 8)-th event.
+        2 => {
+            let veto = (arg % 3 == 0).then_some(arg % 8);
+            let mut tap = |t: SimTime, seq: u64, label: &u64| {
+                assert_eq!(seq, *label, "labels are seqs");
+                if veto == Some(tapped.len() as u64) {
+                    return false;
+                }
+                tapped.push((t, seq));
+                true
+            };
+            let stats;
+            (stats, vetoed) =
+                sim.run_until_traced(sim.now() + SimDuration::from_micros(arg), &mut tap);
+            stats
+        }
+        _ => sim.run_for_events(arg % 16),
+    };
+    (stats, tapped, vetoed)
 }
 
 fn triple(s: Scheduled<u64>) -> Triple {
@@ -456,5 +607,71 @@ proptest! {
         prop_assert!(whole_seqs.windows(2).all(|w| w[0] < w[1]), "dispatch order is (time, seq)");
         prop_assert_eq!(plain.stats(), stats);
         prop_assert_eq!(traced.stats(), stats);
+    }
+    /// The one-event lookahead: over random initial events, follow-up
+    /// scripts and queue sizings, driven through `step`, `run_until` in
+    /// pieces, `run_until_traced` (with vetoes) and `run_for_events`,
+    /// a model with a recording `prefetch` and one with the default
+    /// hook dispatch the same `(time, seq)` sequence. The hook is shown
+    /// the live root (the earliest pending event) after every pop and
+    /// before `handle`, is skipped exactly when the live heap is empty,
+    /// never sees an event that is not pending, and the event it sees
+    /// is the next one dispatched unless the handler in between
+    /// scheduled an earlier one. Zero delays make same-instant ties,
+    /// an hour's delay the overflow heap.
+    #[test]
+    fn prefetch_sees_the_next_live_event(
+        starts in prop::collection::vec(0u64..3_000_000, 1..20),
+        script in prop::collection::vec(
+            prop::collection::vec((0u8..6, 0u64..2_000_000), 0..4),
+            1..12,
+        ),
+        budget in 0u64..300,
+        calls in prop::collection::vec((0u8..4, 0u64..3_000_000), 1..30),
+        sizing in (0u32..12, 1u64..2_000_000),
+    ) {
+        let profile = QueueProfile {
+            expected_events: 1 << sizing.0,
+            typical_delay: SimDuration::from_micros(sizing.1),
+        };
+        let script: Vec<Vec<SimDuration>> = script
+            .iter()
+            .map(|delays| {
+                delays
+                    .iter()
+                    .map(|&(kind, fine)| match kind {
+                        0 => SimDuration::ZERO,
+                        1 => SimDuration::from_secs(3_600) + SimDuration::from_micros(fine),
+                        _ => SimDuration::from_micros(fine),
+                    })
+                    .collect()
+            })
+            .collect();
+        let build = || {
+            let mut model = Lookahead { script: script.clone(), budget, ..Lookahead::default() };
+            let mut scheduler = Scheduler::with_profile(profile);
+            for &t in &starts {
+                model.schedule(&mut scheduler, SimTime::from_micros(t));
+            }
+            (model, scheduler)
+        };
+        let (model, scheduler) = build();
+        let mut hooked = Simulation::from_parts(
+            Hooked { inner: model, prefetched: Cell::new(None) },
+            scheduler,
+            0,
+        );
+        let (model, scheduler) = build();
+        let mut plain = Simulation::from_parts(Plain(model), scheduler, 0);
+        for &call in &calls {
+            prop_assert_eq!(drive(&mut hooked, call), drive(&mut plain, call));
+        }
+        prop_assert_eq!(hooked.run(), plain.run());
+        let (hooked, plain) = (hooked.into_model().inner, plain.into_model().0);
+        prop_assert!(hooked.faults.is_empty(), "{:?}", &hooked.faults[..hooked.faults.len().min(3)]);
+        prop_assert!(plain.faults.is_empty(), "{:?}", &plain.faults[..plain.faults.len().min(3)]);
+        prop_assert_eq!(&hooked.log, &plain.log);
+        prop_assert!(hooked.log.windows(2).all(|w| w[0] < w[1]), "dispatch order is (time, seq)");
+        prop_assert!(hooked.pending.is_empty());
     }
 }

@@ -1,11 +1,6 @@
-//! Inequality indices beyond the Gini: Theil, Hoover, Atkinson, and
-//! top-share measures.
-//!
-//! The paper reports only the Gini index; these additional indices are
-//! robustness checks used in the extended experiments (condensation shows
-//! up consistently across all of them, strengthening the paper's
-//! conclusion that the effect is real rather than an artifact of the
-//! metric).
+//! Wealth-concentration measures beside the Gini: the top share and
+//! the fraction of broke peers, which [`crate::WealthSnapshot`]
+//! reports.
 
 use crate::error::EconError;
 
@@ -21,99 +16,6 @@ fn validated_total(values: &[f64]) -> Result<f64, EconError> {
         total += v;
     }
     Ok(total)
-}
-
-/// The Theil T index: `(1/n) Σ (x_i/μ) ln(x_i/μ)`, with the convention
-/// `0·ln 0 = 0`. Zero for perfect equality, `ln n` for single-owner
-/// concentration.
-///
-/// # Errors
-/// Returns [`EconError`] for empty/invalid samples.
-pub fn theil(values: &[f64]) -> Result<f64, EconError> {
-    let total = validated_total(values)?;
-    if total <= 0.0 {
-        return Ok(0.0);
-    }
-    let n = values.len() as f64;
-    let mean = total / n;
-    let t = values
-        .iter()
-        .filter(|&&x| x > 0.0)
-        .map(|&x| {
-            let r = x / mean;
-            r * r.ln()
-        })
-        .sum::<f64>()
-        / n;
-    Ok(t.max(0.0))
-}
-
-/// The Hoover (Robin Hood) index: the fraction of total wealth that
-/// would need to be redistributed to reach perfect equality,
-/// `(1/2) Σ |x_i − μ| / Σ x_i`.
-///
-/// # Errors
-/// Returns [`EconError`] for empty/invalid samples.
-pub fn hoover(values: &[f64]) -> Result<f64, EconError> {
-    let total = validated_total(values)?;
-    if total <= 0.0 {
-        return Ok(0.0);
-    }
-    let mean = total / values.len() as f64;
-    let abs_dev: f64 = values.iter().map(|&x| (x - mean).abs()).sum();
-    Ok(abs_dev / (2.0 * total))
-}
-
-/// The Atkinson index with inequality-aversion `epsilon > 0`,
-/// `1 − (EDE/μ)` where EDE is the equally-distributed-equivalent wealth.
-/// For `epsilon = 1` the EDE is the geometric mean. Any zero wealth with
-/// `epsilon ≥ 1` drives the index to 1 (infinite aversion to the broke).
-///
-/// # Errors
-/// Returns [`EconError`] for empty/invalid samples or `epsilon ≤ 0`.
-pub fn atkinson(values: &[f64], epsilon: f64) -> Result<f64, EconError> {
-    if !epsilon.is_finite() || epsilon <= 0.0 {
-        return Err(EconError::InvalidParameter(format!(
-            "epsilon = {epsilon} must be positive"
-        )));
-    }
-    let total = validated_total(values)?;
-    if total <= 0.0 {
-        return Ok(0.0);
-    }
-    let n = values.len() as f64;
-    let mean = total / n;
-    let ede = if (epsilon - 1.0).abs() < 1e-12 {
-        if values.contains(&0.0) {
-            0.0
-        } else {
-            (values.iter().map(|&x| x.ln()).sum::<f64>() / n).exp()
-        }
-    } else {
-        let p = 1.0 - epsilon;
-        if epsilon > 1.0 && values.contains(&0.0) {
-            0.0
-        } else {
-            (values.iter().map(|&x| x.powf(p)).sum::<f64>() / n).powf(1.0 / p)
-        }
-    };
-    Ok((1.0 - ede / mean).clamp(0.0, 1.0))
-}
-
-/// The coefficient of variation `σ/μ` (population σ).
-///
-/// # Errors
-/// Returns [`EconError`] for empty/invalid samples; zero-mean samples
-/// return 0.
-pub fn coefficient_of_variation(values: &[f64]) -> Result<f64, EconError> {
-    let total = validated_total(values)?;
-    if total <= 0.0 {
-        return Ok(0.0);
-    }
-    let n = values.len() as f64;
-    let mean = total / n;
-    let var = values.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / n;
-    Ok(var.sqrt() / mean)
 }
 
 /// Wealth share of the richest `fraction` of peers (e.g. 0.01 = top 1%).
@@ -156,48 +58,6 @@ mod tests {
     const SINGLE: [f64; 4] = [20.0, 0.0, 0.0, 0.0];
 
     #[test]
-    fn theil_bounds() {
-        assert_eq!(theil(&EQUAL).expect("valid"), 0.0);
-        let t = theil(&SINGLE).expect("valid");
-        assert!((t - 4f64.ln()).abs() < 1e-12, "single-owner Theil {t}");
-        assert!(theil(&[]).is_err());
-    }
-
-    #[test]
-    fn hoover_bounds() {
-        assert_eq!(hoover(&EQUAL).expect("valid"), 0.0);
-        let h = hoover(&SINGLE).expect("valid");
-        assert!((h - 0.75).abs() < 1e-12, "single-owner Hoover {h}");
-    }
-
-    #[test]
-    fn atkinson_geometric_mean_case() {
-        // epsilon = 1 on {1, 4}: EDE = 2, mean = 2.5, A = 1 − 0.8 = 0.2.
-        let a = atkinson(&[1.0, 4.0], 1.0).expect("valid");
-        assert!((a - 0.2).abs() < 1e-12);
-        assert!(atkinson(&EQUAL, 1.0).expect("valid") < 1e-12);
-        // Any broke peer with epsilon >= 1 → index 1.
-        assert_eq!(atkinson(&SINGLE, 1.0).expect("valid"), 1.0);
-        assert!(atkinson(&[1.0], 0.0).is_err());
-        assert!(atkinson(&[1.0], -1.0).is_err());
-    }
-
-    #[test]
-    fn atkinson_half_epsilon() {
-        // epsilon = 0.5 on {1, 4}: EDE = ((1 + 2)/2)² = 2.25, A = 0.1.
-        let a = atkinson(&[1.0, 4.0], 0.5).expect("valid");
-        assert!((a - 0.1).abs() < 1e-12, "A = {a}");
-    }
-
-    #[test]
-    fn cv_known_value() {
-        // {0, 10}: mean 5, σ 5 ⇒ CV = 1.
-        let cv = coefficient_of_variation(&[0.0, 10.0]).expect("valid");
-        assert!((cv - 1.0).abs() < 1e-12);
-        assert_eq!(coefficient_of_variation(&EQUAL).expect("valid"), 0.0);
-    }
-
-    #[test]
     fn top_share_values() {
         let v = [1.0, 2.0, 3.0, 4.0];
         // Top 25% = one peer = 4/10.
@@ -217,11 +77,8 @@ mod tests {
     #[test]
     fn zero_total_conventions() {
         let zeros = [0.0; 3];
-        assert_eq!(theil(&zeros).expect("valid"), 0.0);
-        assert_eq!(hoover(&zeros).expect("valid"), 0.0);
-        assert_eq!(atkinson(&zeros, 1.0).expect("valid"), 0.0);
-        assert_eq!(coefficient_of_variation(&zeros).expect("valid"), 0.0);
         assert_eq!(top_share(&zeros, 0.5).expect("valid"), 0.0);
+        assert_eq!(broke_fraction(&zeros).expect("valid"), 1.0);
     }
 
     #[test]
@@ -230,13 +87,7 @@ mod tests {
         // index must rank the condensed one higher.
         let mild = [8.0, 10.0, 12.0, 10.0];
         let condensed = [0.0, 0.0, 1.0, 39.0];
-        assert!(theil(&condensed).expect("v") > theil(&mild).expect("v"));
-        assert!(hoover(&condensed).expect("v") > hoover(&mild).expect("v"));
-        assert!(atkinson(&condensed, 0.5).expect("v") > atkinson(&mild, 0.5).expect("v"));
-        assert!(
-            coefficient_of_variation(&condensed).expect("v")
-                > coefficient_of_variation(&mild).expect("v")
-        );
         assert!(top_share(&condensed, 0.25).expect("v") > top_share(&mild, 0.25).expect("v"));
+        assert!(broke_fraction(&condensed).expect("v") > broke_fraction(&mild).expect("v"));
     }
 }

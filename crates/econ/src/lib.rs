@@ -7,10 +7,10 @@
 //! The paper quantifies wealth condensation with the **Gini index**
 //! computed from the **Lorenz curve** of the credit distribution
 //! (Sec. V-B2, Figs. 1–3 and 7–11). This crate implements those, plus
-//! additional inequality indices (Theil, Hoover, Atkinson) used as
-//! robustness checks, a compact [`WealthSnapshot`] summary for
-//! experiment logs, and cross-replication aggregation ([`aggregate`]) for
-//! batch experiments that repeat a configuration over several seeds.
+//! a compact [`WealthSnapshot`] summary for experiment logs (with the
+//! top-share and broke-fraction measures of [`inequality`]), and
+//! cross-replication aggregation ([`aggregate`]) for batch experiments
+//! that repeat a configuration over several seeds.
 //!
 //! ## Example
 //!

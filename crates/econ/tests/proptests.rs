@@ -1,7 +1,7 @@
 //! Property-based tests for the inequality metrics.
 
 use proptest::prelude::*;
-use scrip_econ::inequality::{hoover, theil};
+use scrip_econ::inequality::top_share;
 use scrip_econ::lorenz::LorenzCurve;
 use scrip_econ::{gini, gini_u64, IncrementalGini, WealthSnapshot};
 
@@ -84,13 +84,14 @@ proptest! {
         prop_assert!((c.gini() - direct).abs() < 1e-9);
     }
 
-    /// All inequality indices agree that constants are perfectly equal.
+    /// All inequality indices agree that constants are perfectly equal:
+    /// no Gini, and the top tenth of peers holds its population share.
     #[test]
     fn indices_vanish_on_equal_wealth(x in 0.1f64..1e6, n in 2usize..100) {
         let v = vec![x; n];
         prop_assert!(gini(&v).expect("valid") < 1e-12);
-        prop_assert!(theil(&v).expect("valid").abs() < 1e-9);
-        prop_assert!(hoover(&v).expect("valid") < 1e-12);
+        let top = (n as f64 * 0.1).ceil() / n as f64;
+        prop_assert!((top_share(&v, 0.1).expect("valid") - top).abs() < 1e-12);
     }
 
     /// The incremental Gini stays equivalent to the
