@@ -550,6 +550,29 @@ impl CreditMarket {
     /// Returns [`CoreError`] for invalid configurations or topology
     /// failures.
     pub fn build(config: MarketConfig, seed: u64) -> Result<Self, CoreError> {
+        let mut market = Self::configured(config, seed)?;
+        let (config, rng) = (&market.config, &mut market.rng);
+        market.graph = config.build_graph(rng)?;
+        let n = market.graph.next_raw_id() as usize;
+        market.ledger = Ledger::with_capacity(n);
+        for id in market.graph.node_ids() {
+            market.ledger.mint(id, config.initial_credits);
+        }
+        market.ledger.enable_wealth_tracking();
+        let mu_map = spending_rates(&market.graph, config.profile, config.base_rate, rng)?;
+        market.pricing = PricingModel::realize(config.pricing, market.ledger.ids(), rng)?;
+        // The rate map is keyed by the overlay's ids, which a fresh build
+        // allocates densely from 0: its values are `mu` by raw id.
+        market.mu = mu_map.into_values().collect();
+        market.activity = vec![(1.0, SimTime::ZERO); n];
+        market.in_flight = vec![0; n];
+        Ok(market)
+    }
+
+    /// A market holding only what the configuration alone fixes, with
+    /// an empty run state: [`CreditMarket::build`] draws that state from
+    /// `rng`, and [`CreditMarket::read_state`] decodes it.
+    fn configured(config: MarketConfig, seed: u64) -> Result<Self, CoreError> {
         config.validate()?;
         if config.streaming.is_some() {
             return Err(CoreError::Config(
@@ -558,21 +581,6 @@ impl CreditMarket {
                     .into(),
             ));
         }
-        let mut rng = SimRng::seed_from_u64(seed);
-        let graph = config.build_graph(&mut rng)?;
-        let mut ledger = Ledger::with_capacity(graph.next_raw_id() as usize);
-        for id in graph.node_ids() {
-            ledger.mint(id, config.initial_credits);
-        }
-        ledger.enable_wealth_tracking();
-        let mu_map = spending_rates(&graph, config.profile, config.base_rate, &mut rng)?;
-        let pricing = PricingModel::realize(config.pricing, ledger.ids(), &mut rng)?;
-        let taxation = config.tax.map(Taxation::new);
-        // The rate map is keyed by the overlay's ids, which a fresh build
-        // allocates densely from 0: its values are `mu` by raw id.
-        let mu = mu_map.into_values().collect();
-        let n = graph.next_raw_id() as usize;
-        let attach = config.churn.map(|c| c.attach_degree).unwrap_or(20);
         // An all-zero spec builds no plan at all: the fault stream is
         // never derived and the run is byte-identical to `faults: None`.
         let fault_plan = match &config.faults {
@@ -581,23 +589,24 @@ impl CreditMarket {
             }
             _ => None,
         };
+        let attach = config.churn.map(|c| c.attach_degree).unwrap_or(20);
         Ok(CreditMarket {
-            config,
-            graph,
-            ledger,
-            pricing,
-            taxation,
+            taxation: config.tax.map(Taxation::new),
             churn_topology: ChurnTopology::new(attach),
-            rng,
-            mu,
-            activity: vec![(1.0, SimTime::ZERO); n],
+            config,
+            graph: Graph::new(),
+            ledger: Ledger::new(),
+            pricing: PricingModel::default(),
+            rng: SimRng::seed_from_u64(seed),
+            mu: Vec::new(),
+            activity: Vec::new(),
             seller_sampler: FenwickSampler::new(),
             denied: 0,
             purchases: 0,
             gini_series: TimeSeries::new(),
             bootstrapped: false,
             fault_plan,
-            in_flight: vec![0; n],
+            in_flight: Vec::new(),
             in_flight_total: 0,
             fault_stats: FaultStats::default(),
         })
@@ -723,10 +732,12 @@ impl CreditMarket {
     }
 
     /// Serializes every mutable market field into `w` — the model half
-    /// of a [`crate::obs::Session`] checkpoint. Immutable inputs
-    /// (config, churn topology, fault spec) are rebuilt from
-    /// configuration on restore; everything else round-trips exactly,
-    /// including the pick order, so the continuation is byte-identical.
+    /// of a [`crate::obs::Session`] checkpoint. What the configuration
+    /// alone fixes (config, churn topology, fault spec) is not written:
+    /// [`CreditMarket::read_state`] assembles it as
+    /// [`CreditMarket::build`] does. Everything else round-trips
+    /// exactly, including the pick order, so the continuation is
+    /// byte-identical.
     pub(crate) fn write_state(&self, w: &mut impl Put) {
         for word in self.rng.state() {
             w.put_u64(word);
@@ -824,29 +835,31 @@ impl CreditMarket {
         digest.value()
     }
 
-    /// Restores the state captured by [`CreditMarket::write_state`]
-    /// into a market freshly built from the same configuration and
-    /// seed, `events_processed` events after that build.
+    /// Decodes the market whose state [`CreditMarket::write_state`]
+    /// captured `events_processed` events into a run of `config` and
+    /// `seed`; nothing is drawn or built to be overwritten.
     ///
     /// # Errors
     /// Returns [`CoreError::Checkpoint`] for truncated or inconsistent
     /// snapshots: among others, an overlay id watermark below the live
-    /// count or above the build's watermark plus `events_processed`, a
-    /// registry that is not a permutation of the rebuilt overlay's live
-    /// ids, and ledger or posted-price entries that are not the
+    /// count, above `config.n` plus `events_processed` or too large to
+    /// allocate, a registry that is not a permutation of the overlay's
+    /// live ids, and ledger or posted-price entries that are not the
     /// registry's ids in pick order.
     pub(crate) fn read_state(
-        &mut self,
+        config: MarketConfig,
+        seed: u64,
         r: &mut crate::snapshot::Reader<'_>,
         events_processed: u64,
-    ) -> Result<(), CoreError> {
+    ) -> Result<Self, CoreError> {
+        let mut market = Self::configured(config, seed)?;
         let mut rng_state = [0u64; 4];
         for word in &mut rng_state {
             *word = r.take_u64()?;
         }
-        self.rng = SimRng::from_state(rng_state);
+        market.rng = SimRng::from_state(rng_state);
         let has_plan = r.take_bool()?;
-        match (&mut self.fault_plan, has_plan) {
+        match (&mut market.fault_plan, has_plan) {
             (Some(plan), true) => {
                 let mut state = [0u64; 4];
                 for word in &mut state {
@@ -867,15 +880,13 @@ impl CreditMarket {
         // Overlay rebuild in one pass from the id watermark, the live
         // ids and the edge list: the graph is exactly its rows by raw id,
         // so this reproduces it. Counts are checked against the unread
-        // bytes before they size anything. The watermark sizes a per-id
-        // table but has no bytes behind it, so it is bounded instead:
-        // every id below it was allocated by the build or by one `Join`
-        // event since.
+        // bytes before they size anything. The watermark sizes per-id
+        // tables but has no bytes behind it, so it is bounded instead:
+        // every id below it was allocated by the build (ids 0..n) or by
+        // one `Join` event since.
         let watermark = r.take_u64()?;
         let live_count = r.take_count(8)?;
-        let ceiling = self
-            .graph
-            .next_raw_id()
+        let ceiling = (market.config.n as u64)
             .saturating_add(events_processed)
             .min(NodeId::MAX_RAW + 1);
         if watermark < live_count as u64 || watermark > ceiling {
@@ -895,19 +906,17 @@ impl CreditMarket {
             let b = r.take_id()?;
             edges.push((a, b));
         }
-        let graph = Graph::from_edges(watermark, live, edges)
+        market.graph = Graph::from_edges(watermark, live, edges)
             .map_err(|e| CoreError::Checkpoint(format!("graph rebuild: {e}")))?;
-        self.graph = graph;
         // Registry pick order, with the per-peer columns filled by raw
         // id. Every id below the watermark gets an entry; a departed
         // id's stays zero, as on a leave. Spend goes to the ledger once
         // it is rebuilt below.
         let not_live = "peer registry is not a permutation of the overlay's live ids";
         let n = r.take_count(48)?;
-        let table = watermark as usize;
-        self.mu = vec![0.0; table];
-        self.activity = vec![(0.0, SimTime::ZERO); table];
-        self.in_flight = vec![0; table];
+        market.mu = crate::snapshot::id_table(watermark, 0.0)?;
+        market.activity = crate::snapshot::id_table(watermark, (0.0, SimTime::ZERO))?;
+        market.in_flight = crate::snapshot::id_table(watermark, 0)?;
         let mut ids = Vec::with_capacity(n);
         let mut spends = Vec::with_capacity(n);
         // The column sums, `None` on overflow, checked against the
@@ -915,22 +924,22 @@ impl CreditMarket {
         let (mut spent_sum, mut in_flight_sum) = (Some(0u64), Some(0u64));
         for _ in 0..n {
             let id = r.take_id()?;
-            if !self.graph.has_node(id) {
+            if !market.graph.has_node(id) {
                 return Err(CoreError::Checkpoint(not_live.into()));
             }
             let i = id.index();
-            self.mu[i] = r.take_f64()?;
+            market.mu[i] = r.take_f64()?;
             let spent = r.take_u64()?;
-            self.activity[i] = (r.take_f64()?, SimTime::from_micros(r.take_u64()?));
-            self.in_flight[i] = r.take_u64()?;
+            market.activity[i] = (r.take_f64()?, SimTime::from_micros(r.take_u64()?));
+            market.in_flight[i] = r.take_u64()?;
             spent_sum = spent_sum.and_then(|sum| sum.checked_add(spent));
-            in_flight_sum = in_flight_sum.and_then(|sum| sum.checked_add(self.in_flight[i]));
+            in_flight_sum = in_flight_sum.and_then(|sum| sum.checked_add(market.in_flight[i]));
             ids.push(id);
             spends.push(spent);
         }
         let mut sorted = ids.clone();
         sorted.sort_unstable();
-        if !sorted.into_iter().eq(self.graph.node_ids()) {
+        if !sorted.into_iter().eq(market.graph.node_ids()) {
             return Err(CoreError::Checkpoint(not_live.into()));
         }
         let entry_count = r.take_count(16)?;
@@ -948,12 +957,12 @@ impl CreditMarket {
                 "ledger entries are not the peer registry's ids in pick order".into(),
             ));
         }
-        self.ledger = Ledger::restore(&entries, escrow, minted, burned);
-        self.ledger.enable_wealth_tracking();
+        market.ledger = Ledger::restore(&entries, escrow, minted, burned);
+        market.ledger.enable_wealth_tracking();
         let total_spent = r.take_u64()?;
-        self.denied = r.take_u64()?;
-        self.purchases = r.take_u64()?;
-        self.in_flight_total = r.take_u64()?;
+        market.denied = r.take_u64()?;
+        market.purchases = r.take_u64()?;
+        market.in_flight_total = r.take_u64()?;
         // The totals are derived state: a stored total unlike its
         // column would underflow at the next leave, and in-flight
         // escrow beyond the pool would let the tax sweep pay out
@@ -963,35 +972,34 @@ impl CreditMarket {
                 "total spent {total_spent} is not the sum of the registry's spent column"
             )));
         }
-        if in_flight_sum != Some(self.in_flight_total) {
+        if in_flight_sum != Some(market.in_flight_total) {
             return Err(CoreError::Checkpoint(format!(
                 "in-flight total {} is not the sum of the registry's in-flight column",
-                self.in_flight_total
+                market.in_flight_total
             )));
         }
-        if self.in_flight_total > escrow {
+        if market.in_flight_total > escrow {
             return Err(CoreError::Checkpoint(format!(
                 "in-flight total {} exceeds the escrow {escrow}",
-                self.in_flight_total
+                market.in_flight_total
             )));
         }
         for (&id, &spent) in ids.iter().zip(&spends) {
-            self.ledger.record_spend(id, spent);
+            market.ledger.record_spend(id, spent);
         }
-        self.fault_stats.delivered = r.take_u64()?;
-        self.fault_stats.dropped = r.take_u64()?;
-        self.fault_stats.defected = r.take_u64()?;
-        self.fault_stats.delayed = r.take_u64()?;
-        self.fault_stats.retries = r.take_u64()?;
-        self.fault_stats.refunded = r.take_u64()?;
-        self.fault_stats.crashes = r.take_u64()?;
+        market.fault_stats.delivered = r.take_u64()?;
+        market.fault_stats.dropped = r.take_u64()?;
+        market.fault_stats.defected = r.take_u64()?;
+        market.fault_stats.delayed = r.take_u64()?;
+        market.fault_stats.retries = r.take_u64()?;
+        market.fault_stats.refunded = r.take_u64()?;
+        market.fault_stats.crashes = r.take_u64()?;
         let depth = r.take_u64()? as usize;
-        self.fault_stats.retry_depth.clear();
         for _ in 0..depth {
-            self.fault_stats.retry_depth.push(r.take_u64()?);
+            market.fault_stats.retry_depth.push(r.take_u64()?);
         }
         let has_tax = r.take_bool()?;
-        match (&mut self.taxation, has_tax) {
+        match (&mut market.taxation, has_tax) {
             (Some(tax), true) => {
                 tax.collected = r.take_u64()?;
                 tax.redistributed = r.take_u64()?;
@@ -1013,23 +1021,21 @@ impl CreditMarket {
             sellers.push((id, price));
         }
         let price_seed = r.take_u64()?;
-        self.pricing =
-            PricingModel::restore_state(self.config.pricing, &ids, &sellers, price_seed)?;
+        market.pricing =
+            PricingModel::restore_state(market.config.pricing, &ids, &sellers, price_seed)?;
         let sample_count = r.take_u64()? as usize;
-        let mut series = TimeSeries::new();
         for _ in 0..sample_count {
             let t = SimTime::from_micros(r.take_u64()?);
             let g = r.take_f64()?;
-            series.record(t, g);
+            market.gini_series.record(t, g);
         }
-        self.gini_series = series;
-        self.bootstrapped = r.take_bool()?;
-        if !self.ledger.conserved() {
+        market.bootstrapped = r.take_bool()?;
+        if !market.ledger.conserved() {
             return Err(CoreError::Checkpoint(
                 "restored ledger violates conservation".into(),
             ));
         }
-        Ok(())
+        Ok(market)
     }
 
     fn exp_delay(&mut self, rate: f64) -> SimDuration {
@@ -1910,16 +1916,16 @@ mod tests {
         (market, bytes)
     }
 
-    /// Decodes `bytes` into a fresh market of `market`'s configuration,
+    /// Decodes `bytes` as a market of `market`'s configuration,
     /// crediting it with one event per id `market` allocated since its
     /// build: the fewest events that could have produced its overlay.
     fn decode(market: &CreditMarket, bytes: &[u8]) -> Result<CreditMarket, CoreError> {
-        let mut fresh = CreditMarket::build(market.config().clone(), 9).expect("builds");
-        let joins = market.graph().next_raw_id() - fresh.graph().next_raw_id();
+        let config = market.config().clone();
+        let joins = market.graph().next_raw_id() - config.n as u64;
         let mut r = crate::snapshot::Reader::new(bytes);
-        fresh.read_state(&mut r, joins)?;
+        let decoded = CreditMarket::read_state(config, 9, &mut r, joins)?;
         r.finish()?;
-        Ok(fresh)
+        Ok(decoded)
     }
 
     fn word(bytes: &[u8], at: usize) -> u64 {

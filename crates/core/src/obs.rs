@@ -334,8 +334,8 @@ enum SessionSim {
 }
 
 /// The finished model a [`Session`] hands back, for callers that want
-/// more than the [`RunRecord`] (e.g. the deprecated `run_market` /
-/// `run_streaming_market` wrappers).
+/// more than the [`RunRecord`] (e.g. the `run_market` /
+/// `run_streaming_market` wrappers, which keep older callers working).
 pub enum SessionModel {
     /// A finished queue-level market.
     Queue(CreditMarket),
@@ -668,11 +668,6 @@ impl Session {
         self.stops.sort_unstable();
         self.stops.dedup();
         self.probes.push(probe);
-    }
-
-    /// Number of attached probes.
-    pub fn probe_count(&self) -> usize {
-        self.probes.len()
     }
 
     /// The root seed the market was built from; a resumed session
@@ -1177,10 +1172,9 @@ impl Session {
             let event = MarketEvent::decode(&mut r)?;
             pending.push(Scheduled { time, seq, event });
         }
-        let mut market = CreditMarket::build(config.clone(), seed)?;
         // Only a `Join` event allocates an overlay id, so the events
         // processed bound the watermark the market state may carry.
-        market.read_state(&mut r, events_processed)?;
+        let market = CreditMarket::read_state(config.clone(), seed, &mut r, events_processed)?;
         let interval = SimDuration::from_micros(r.take_u64()?);
         let next_tick = SimTime::from_micros(r.take_u64()?);
         let stops_len = r.take_count(8)?;
@@ -1698,6 +1692,44 @@ mod tests {
             resume(&bytes).expect("resumes").now(),
             SimTime::from_secs(600)
         );
+    }
+
+    /// A checkpoint re-sealed with 2^40 events processed admits an id
+    /// watermark of 2^31, whose per-id tables (32 GiB of degrees alone)
+    /// the decoder must reserve before filling: a refusal is a typed
+    /// error naming the watermark, not an allocation abort.
+    ///
+    /// Ignored because whether the reservation is refused depends on
+    /// the host: without a memory limit a large host grants it, and the
+    /// test would then fill 32 GiB. CI runs it under `ulimit -v`.
+    #[test]
+    #[ignore = "allocates 32 GiB unless run under a memory limit such as `ulimit -v 2000000`"]
+    fn unallocatable_watermark_fails_closed() {
+        let config = MarketConfig::new(40, 10)
+            .churn(crate::market::ChurnConfig::new(0.5, 200.0, 8).expect("valid"));
+        let mut session = Session::from_config(&config, 9).expect("builds");
+        session.run_until(SimTime::from_secs(300));
+        let bytes = session.checkpoint().expect("checkpoints");
+        let SessionSim::Queue(sim) = &session.sim else {
+            unreachable!("queue-level config")
+        };
+        let mut state = Vec::new();
+        sim.model().write_state(&mut state);
+        let ckpt = OpenCheckpoint {
+            events_processed: 1 << 40,
+            ..OpenCheckpoint::new(&bytes)
+        };
+        let base = ckpt
+            .payload
+            .windows(state.len())
+            .position(|w| w == state)
+            .expect("the market state is embedded verbatim");
+        // The watermark follows the four RNG words and the (false)
+        // fault-plan flag.
+        match Session::resume(&config, Vec::new(), &ckpt.with_word(base + 33, 1 << 31)) {
+            Err(CoreError::Checkpoint(msg)) => assert!(msg.contains("watermark"), "{msg}"),
+            other => panic!("a 2^31 watermark was not refused: {:?}", other.err()),
+        }
     }
 
     /// Every count in a probe's checkpoint block is checked against the

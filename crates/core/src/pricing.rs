@@ -84,8 +84,9 @@ impl PricingConfig {
 /// A realized pricing scheme ready to quote prices.
 ///
 /// A [`PricingModel::price`] quote on the market hot path is one array
-/// load (per-seller prices) or one hash (per-chunk prices).
-#[derive(Clone, Debug)]
+/// load (per-seller prices) or one hash (per-chunk prices). The
+/// default model is uniform unit pricing.
+#[derive(Clone, Debug, Default)]
 pub struct PricingModel {
     config: PricingConfig,
     /// Posted prices ([`PricingConfig::SellerPoisson`]) indexed by raw

@@ -201,6 +201,23 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// A table of `watermark` copies of `fill`, one per id below a decoded
+/// id watermark. The watermark has no bytes behind it, so the table is
+/// reserved before it is filled: one the allocator refuses is an error
+/// naming the watermark, not an abort.
+pub(crate) fn id_table<T: Clone>(watermark: u64, fill: T) -> Result<Vec<T>, CoreError> {
+    let refused = || {
+        CoreError::Checkpoint(format!(
+            "cannot allocate per-id tables up to the id watermark {watermark}"
+        ))
+    };
+    let len = usize::try_from(watermark).map_err(|_| refused())?;
+    let mut table = Vec::new();
+    table.try_reserve_exact(len).map_err(|_| refused())?;
+    table.resize(len, fill);
+    Ok(table)
+}
+
 /// FNV-1a over a byte string — the configuration fingerprint stored in
 /// every snapshot so a resume against a different scenario fails loudly
 /// instead of silently diverging, and the job-name fingerprint in the
@@ -277,6 +294,15 @@ mod tests {
             bytes.put_u64(huge);
             assert!(Reader::new(&bytes).take_count(8).is_err(), "{huge}");
         }
+    }
+
+    #[test]
+    fn id_tables_the_allocator_refuses_are_errors() {
+        assert_eq!(id_table(3, 7u64).expect("small table"), [7, 7, 7]);
+        // u64::MAX entries overflow the address space: the reservation
+        // fails without allocating, and the error names the watermark.
+        let err = id_table(u64::MAX, 0u64).expect_err("refused");
+        assert!(err.to_string().contains("watermark"), "{err}");
     }
 
     #[test]

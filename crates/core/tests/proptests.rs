@@ -186,8 +186,11 @@ proptest! {
     }
 
     /// Checkpointing at an arbitrary point mid-run and resuming is
-    /// byte-identical to the uninterrupted run — under an active fault
-    /// plan and churn, including every probe's series.
+    /// byte-identical to the uninterrupted run, including every probe's
+    /// series. Churn is always on; faults, taxation, the overlay family
+    /// and availability feedback are drawn, so every branch of the
+    /// market decoder (no fault plan, a tax pool, edge lists, the
+    /// activity column) is resumed and compared.
     #[test]
     fn resume_at_random_checkpoint_matches_straight_run(
         stop_secs in 1u64..800,
@@ -195,15 +198,11 @@ proptest! {
         crash_fraction in 0.0f64..0.15,
         seed in 0u64..50,
         pricing in 0u8..3,
+        faults_on in proptest::bool::ANY,
+        tax_on in proptest::bool::ANY,
+        topology in 0u8..3,
+        feedback in proptest::bool::ANY,
     ) {
-        let spec = FaultSpec {
-            drop_rate,
-            defect_rate: 0.05,
-            delay_rate: 0.05,
-            crash_fraction,
-            onset: SimTime::from_secs(50),
-            ..FaultSpec::default()
-        };
         // Seller-Poisson prices are checkpointed per peer in slot order,
         // so churn's swap-removes reach the posted-price section too.
         let pricing = match pricing {
@@ -211,12 +210,32 @@ proptest! {
             1 => PricingConfig::SellerPoisson { mean: 2.0 },
             _ => PricingConfig::ChunkPoisson { mean: 1.0 },
         };
-        let config = MarketConfig::new(30, 20)
-            .topology(TopologyKind::Complete)
+        let topology = match topology {
+            0 => TopologyKind::Complete,
+            1 => TopologyKind::ScaleFree,
+            _ => TopologyKind::Ring,
+        };
+        let mut config = MarketConfig::new(30, 20)
+            .topology(topology)
             .pricing(pricing)
-            .faults(spec)
             .churn(ChurnConfig::new(0.3, 250.0, 8).expect("valid"))
             .sample_interval(SimDuration::from_secs(100));
+        if faults_on {
+            config = config.faults(FaultSpec {
+                drop_rate,
+                defect_rate: 0.05,
+                delay_rate: 0.05,
+                crash_fraction,
+                onset: SimTime::from_secs(50),
+                ..FaultSpec::default()
+            });
+        }
+        if tax_on {
+            config = config.tax(TaxConfig::new(0.2, 10).expect("valid"));
+        }
+        if feedback {
+            config = config.with_availability_feedback();
+        }
         let horizon = SimTime::from_secs(800);
         let (direct, balances) = observed_run(&config, seed, horizon);
 

@@ -4,9 +4,9 @@
 //! The paper's experiments draw from: exponential service/inter-event times
 //! (the Jackson-network assumption), Poisson chunk prices (Fig. 1 case 1),
 //! power-law node degrees (scale-free overlays, exponent 2.5), exponential
-//! peer lifespans and Poisson arrivals (Sec. VI-E churn), and weighted
-//! neighbor choices (credit routing). Each sampler validates its parameters
-//! at construction and is deterministic given the RNG stream.
+//! peer lifespans and Poisson arrivals (Sec. VI-E churn). Each sampler
+//! validates its parameters at construction and is deterministic given the
+//! RNG stream.
 
 use std::error::Error;
 use std::f64::consts::PI;
@@ -208,62 +208,6 @@ impl Poisson {
     }
 }
 
-/// Geometric distribution on `{0, 1, 2, …}` with success probability `p`:
-/// `P(k) = p (1-p)^k`, mean `(1-p)/p`.
-///
-/// This is the marginal credit distribution of a symmetric closed Jackson
-/// network in the large-system limit, so it appears throughout the paper's
-/// equilibrium analysis.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Geometric {
-    p: f64,
-}
-
-impl Geometric {
-    /// Creates a geometric distribution.
-    ///
-    /// # Errors
-    /// Returns [`ParamError`] unless `0 < p <= 1`.
-    pub fn new(p: f64) -> Result<Self, ParamError> {
-        if !(p > 0.0 && p <= 1.0) {
-            return Err(ParamError::new(format!(
-                "Geometric p must be in (0, 1], got {p}"
-            )));
-        }
-        Ok(Geometric { p })
-    }
-
-    /// Success probability per trial.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// The mean `(1-p)/p`.
-    pub fn mean(&self) -> f64 {
-        (1.0 - self.p) / self.p
-    }
-
-    /// Draws a variate by inverse transform.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        if self.p >= 1.0 {
-            return 0;
-        }
-        let u: f64 = loop {
-            let u = rng.gen::<f64>();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        let q = 1.0 - self.p;
-        let k = (u.ln() / q.ln()).floor();
-        if k >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            k as u64
-        }
-    }
-}
-
 /// Bounded discrete power law on `{min, …, max}` with `P(d) ∝ d^(-exponent)`.
 ///
 /// This is the degree distribution of the paper's scale-free overlays
@@ -351,103 +295,6 @@ impl DiscretePowerLaw {
     }
 }
 
-/// Walker's alias method: O(1) sampling from an arbitrary finite discrete
-/// distribution after O(n) preprocessing.
-///
-/// Used for credit-routing choices, where a peer picks a neighbor according
-/// to the transfer probabilities `p_ij`.
-///
-/// ```
-/// use scrip_des::dist::AliasTable;
-/// use scrip_des::SimRng;
-///
-/// # fn main() -> Result<(), scrip_des::dist::ParamError> {
-/// let table = AliasTable::new(&[1.0, 2.0, 1.0])?; // probabilities 1/4, 1/2, 1/4
-/// let mut rng = SimRng::seed_from_u64(3);
-/// let mut counts = [0u32; 3];
-/// for _ in 0..10_000 {
-///     counts[table.sample(&mut rng)] += 1;
-/// }
-/// assert!(counts[1] > counts[0] && counts[1] > counts[2]);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct AliasTable {
-    prob: Vec<f64>,
-    alias: Vec<usize>,
-}
-
-impl AliasTable {
-    /// Builds an alias table from non-negative weights (not necessarily
-    /// normalized).
-    ///
-    /// # Errors
-    /// Returns [`ParamError`] if `weights` is empty, contains a negative or
-    /// non-finite value, or sums to zero.
-    pub fn new(weights: &[f64]) -> Result<Self, ParamError> {
-        if weights.is_empty() {
-            return Err(ParamError::new("alias table needs at least one weight"));
-        }
-        let mut total = 0.0;
-        for &w in weights {
-            if !w.is_finite() || w < 0.0 {
-                return Err(ParamError::new(format!("invalid alias weight {w}")));
-            }
-            total += w;
-        }
-        if total <= 0.0 {
-            return Err(ParamError::new("alias weights sum to zero"));
-        }
-        let n = weights.len();
-        let mut prob: Vec<f64> = weights.iter().map(|&w| w * n as f64 / total).collect();
-        let mut alias = vec![0usize; n];
-        let mut small: Vec<usize> = Vec::new();
-        let mut large: Vec<usize> = Vec::new();
-        for (i, &p) in prob.iter().enumerate() {
-            if p < 1.0 {
-                small.push(i);
-            } else {
-                large.push(i);
-            }
-        }
-        while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-            alias[s] = l;
-            prob[l] = (prob[l] + prob[s]) - 1.0;
-            if prob[l] < 1.0 {
-                small.push(l);
-            } else {
-                large.push(l);
-            }
-        }
-        // Remaining entries are numerically 1.
-        for i in small.into_iter().chain(large) {
-            prob[i] = 1.0;
-        }
-        Ok(AliasTable { prob, alias })
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// Whether the table is empty (never true for a constructed table).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
-    /// Draws a category index.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let i = rng.gen_range(0..self.prob.len());
-        if rng.gen::<f64>() < self.prob[i] {
-            i
-        } else {
-            self.alias[i]
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,22 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn geometric_mean_matches() {
-        let d = Geometric::new(0.25).expect("valid");
-        let (mean, _) = sample_mean_var(|r| d.sample(r) as f64, 100_000, 15);
-        assert!((mean - 3.0).abs() < 0.06, "mean {mean}");
-    }
-
-    #[test]
-    fn geometric_p_one_is_degenerate() {
-        let d = Geometric::new(1.0).expect("valid");
-        let mut rng = SimRng::seed_from_u64(1);
-        for _ in 0..100 {
-            assert_eq!(d.sample(&mut rng), 0);
-        }
-    }
-
-    #[test]
     fn power_law_pmf_sums_to_one() {
         let d = DiscretePowerLaw::new(1, 100, 2.5).expect("valid");
         let total: f64 = (1..=100).map(|k| d.pmf(k)).sum();
@@ -577,48 +408,6 @@ mod tests {
         assert!(DiscretePowerLaw::new(0, 10, 2.5).is_err());
         assert!(DiscretePowerLaw::new(5, 4, 2.5).is_err());
         assert!(DiscretePowerLaw::new(1, 10, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn alias_table_frequencies() {
-        let weights = [0.1, 0.2, 0.3, 0.4];
-        let t = AliasTable::new(&weights).expect("valid");
-        let mut rng = SimRng::seed_from_u64(41);
-        let n = 400_000;
-        let mut counts = [0u32; 4];
-        for _ in 0..n {
-            counts[t.sample(&mut rng)] += 1;
-        }
-        for (i, &w) in weights.iter().enumerate() {
-            let emp = counts[i] as f64 / n as f64;
-            assert!((emp - w).abs() < 0.005, "i={i} empirical {emp} weight {w}");
-        }
-    }
-
-    #[test]
-    fn alias_table_single_category() {
-        let t = AliasTable::new(&[3.0]).expect("valid");
-        let mut rng = SimRng::seed_from_u64(1);
-        for _ in 0..10 {
-            assert_eq!(t.sample(&mut rng), 0);
-        }
-    }
-
-    #[test]
-    fn alias_table_handles_zero_weights() {
-        let t = AliasTable::new(&[0.0, 1.0, 0.0]).expect("valid");
-        let mut rng = SimRng::seed_from_u64(2);
-        for _ in 0..1_000 {
-            assert_eq!(t.sample(&mut rng), 1);
-        }
-    }
-
-    #[test]
-    fn alias_table_rejects_bad_weights() {
-        assert!(AliasTable::new(&[]).is_err());
-        assert!(AliasTable::new(&[0.0, 0.0]).is_err());
-        assert!(AliasTable::new(&[-1.0, 2.0]).is_err());
-        assert!(AliasTable::new(&[f64::NAN]).is_err());
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! * [`dist`] — the random variates the paper needs (exponential service
 //!   times, Poisson chunk prices, power-law degrees, …) implemented from
 //!   scratch on top of [`rand::Rng`].
-//! * [`stats`] — online statistics collectors (time series, time-weighted
-//!   means, histograms) used to record Gini-over-time and rate measurements.
+//! * [`stats`] — [`stats::TimeSeries`], the recorder of Gini-over-time
+//!   trajectories.
 //! * [`fault`] — deterministic fault-injection plans ([`FaultPlan`]):
 //!   seed-derived schedules of peer crashes, delivery drops/delays, and
 //!   defections, drawn from a dedicated RNG stream so fault-free runs

@@ -4,7 +4,7 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use proptest::prelude::*;
-use scrip_des::dist::{AliasTable, Exp, Geometric, Poisson};
+use scrip_des::dist::{Exp, Poisson};
 use scrip_des::{
     EventQueue, FenwickSampler, Model, QueueProfile, RunStats, Scheduled, Scheduler, SimDuration,
     SimRng, SimTime, Simulation,
@@ -338,33 +338,6 @@ proptest! {
         let mean = total as f64 / n as f64;
         let tolerance = 6.0 * (lambda / n as f64).sqrt() + 0.05;
         prop_assert!((mean - lambda).abs() < tolerance, "mean {mean} vs lambda {lambda}");
-    }
-
-    /// Geometric mean matches (1−p)/p.
-    #[test]
-    fn geometric_mean(p in 0.05f64..1.0, seed in 0u64..500) {
-        let dist = Geometric::new(p).expect("valid");
-        let mut rng = SimRng::seed_from_u64(seed);
-        let n = 4_000;
-        let total: u64 = (0..n).map(|_| dist.sample(&mut rng)).sum();
-        let mean = total as f64 / n as f64;
-        let expected = (1.0 - p) / p;
-        let sd = ((1.0 - p).max(1e-9)).sqrt() / p;
-        prop_assert!((mean - expected).abs() < 6.0 * sd / (n as f64).sqrt() + 0.05,
-            "mean {mean} vs expected {expected}");
-    }
-
-    /// Alias tables only ever emit valid indices, with positive-weight
-    /// support.
-    #[test]
-    fn alias_table_support(weights in prop::collection::vec(0.0f64..10.0, 1..50), seed in 0u64..100) {
-        prop_assume!(weights.iter().sum::<f64>() > 0.0);
-        let table = AliasTable::new(&weights).expect("valid");
-        let mut rng = SimRng::seed_from_u64(seed);
-        for _ in 0..500 {
-            let idx = table.sample(&mut rng);
-            prop_assert!(idx < weights.len());
-        }
     }
 
     /// `FenwickSampler::pick` selects the same index as the naive linear

@@ -90,6 +90,9 @@ pub enum GraphError {
     /// A bulk-built node list was not strictly ascending below the ID
     /// watermark at this node (see [`Graph::from_edges`]).
     UnorderedNode(NodeId),
+    /// The allocator refused the per-ID tables of a bulk build up to
+    /// this ID watermark (see [`Graph::from_edges`]).
+    TableAlloc(u64),
 }
 
 impl fmt::Display for GraphError {
@@ -100,6 +103,10 @@ impl fmt::Display for GraphError {
             GraphError::UnorderedNode(id) => write!(
                 f,
                 "node list not strictly ascending below the ID watermark at {id}"
+            ),
+            GraphError::TableAlloc(watermark) => write!(
+                f,
+                "cannot allocate per-ID tables up to the ID watermark {watermark}"
             ),
         }
     }
@@ -187,7 +194,8 @@ impl Graph {
     /// otherwise the error the first offending [`Graph::add_edge`] call
     /// would return: [`GraphError::SelfLoop`] when an edge joins a node
     /// to itself, [`GraphError::NoSuchNode`] when it names a dead or
-    /// unknown ID.
+    /// unknown ID. A watermark whose per-ID tables the allocator refuses
+    /// is [`GraphError::TableAlloc`], not an abort.
     ///
     /// ```
     /// use scrip_topology::{Graph, NodeId};
@@ -201,6 +209,9 @@ impl Graph {
     /// assert_eq!(g.neighbor_slice(id(0)), Some(&[id(2), id(3)][..]));
     /// assert_eq!(g.next_raw_id(), 4);
     /// assert!(Graph::from_edges(4, vec![id(0)], [(id(0), id(1))]).is_err());
+    /// // A watermark whose tables cannot be allocated is an error.
+    /// let huge = Graph::from_edges(u64::MAX, vec![], []);
+    /// assert_eq!(huge, Err(scrip_topology::GraphError::TableAlloc(u64::MAX)));
     /// # Ok(())
     /// # }
     /// ```
@@ -216,8 +227,14 @@ impl Graph {
             }
             previous = Some(id);
         }
+        // Both per-ID tables are reserved before they are filled, so a
+        // watermark too large to hold is an error, not an abort.
+        let refused = || GraphError::TableAlloc(watermark);
+        let table = usize::try_from(watermark).map_err(|_| refused())?;
         // Raw ID → degree so far, `None` for a dead ID.
-        let mut degrees: Vec<Option<usize>> = vec![None; watermark as usize];
+        let mut degrees: Vec<Option<usize>> = Vec::new();
+        degrees.try_reserve_exact(table).map_err(|_| refused())?;
+        degrees.resize(table, None);
         for id in &live {
             degrees[id.0 as usize] = Some(0);
         }
@@ -233,10 +250,9 @@ impl Graph {
                     .ok_or(GraphError::NoSuchNode(id))? += 1;
             }
         }
-        let mut rows: Vec<Option<Vec<NodeId>>> = degrees
-            .into_iter()
-            .map(|degree| degree.map(Vec::with_capacity))
-            .collect();
+        let mut rows: Vec<Option<Vec<NodeId>>> = Vec::new();
+        rows.try_reserve_exact(table).map_err(|_| refused())?;
+        rows.extend(degrees.into_iter().map(|d| d.map(Vec::with_capacity)));
         for (a, b) in edges {
             rows[a.0 as usize].as_mut().expect("counted").push(b);
             rows[b.0 as usize].as_mut().expect("counted").push(a);
