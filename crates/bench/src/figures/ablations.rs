@@ -1,23 +1,19 @@
 //! Ablation studies over the design choices called out in `DESIGN.md`.
 
-use std::collections::BTreeMap;
-
-use scrip_core::des::{SimRng, SimTime};
+use scrip_core::des::SimRng;
 use scrip_core::econ::{gini, gini_from_pmf};
-use scrip_core::protocol::StreamingMarket;
+use scrip_core::obs::RunRecord;
 use scrip_core::queueing::approx::{eq8_symmetric_marginal, exact_symmetric_marginal};
 use scrip_core::queueing::closed::ClosedJackson;
 use scrip_core::queueing::stationary::{
     direct_solve, is_stationary, power_iteration, PowerOptions,
 };
 use scrip_core::spec::MarketSpec;
-use scrip_core::streaming::StreamingConfig;
 use scrip_core::topology::generators::{self, ScaleFreeConfig};
-use scrip_core::topology::NodeId;
 
 use crate::figures::{FigureResult, Series};
 use crate::scale::RunScale;
-use crate::scenario::{run_scenario, Metric, RunnerOptions, Scenario, ScenarioError};
+use crate::scenario::{run_scenario, CaseSpec, Metric, RunnerOptions, Scenario, ScenarioError};
 
 /// Ablation: the paper's Eq. (6)/(8) binomial approximation vs the
 /// exact product-form marginal. Reports total-variation distance and
@@ -134,17 +130,22 @@ pub fn ablation_solvers(
     })
 }
 
-/// The declarative scenario behind the queue-level half of
-/// [`ablation_queue_vs_protocol`] (the protocol-level half is a
-/// [`StreamingMarket`], outside the scenario grammar).
-pub fn ablation3_queue_scenario(scale: RunScale) -> Scenario {
+/// The declarative scenario behind [`ablation_queue_vs_protocol`]: one
+/// economy realized twice — `queue` runs the queue-level spend loop,
+/// `protocol` the chunk-level market in a 1 chunk/s swarm. Both cases
+/// run seed 31, so both draw the same scale-free overlay.
+pub fn ablation3_scenario(scale: RunScale) -> Scenario {
     let n = scale.pick(200, 50);
-    // Queue level: uniform pricing, asymmetric utilization.
-    let mut scenario = Scenario::new("ablation3-queue", MarketSpec::new(n, 100));
+    // Uniform pricing; the queue level runs asymmetric utilization.
+    let mut scenario = Scenario::new("ablation3", MarketSpec::new(n, 100));
     scenario.title = "Queue-level market vs emergent protocol-level market".into();
     scenario.run.horizon_secs = scale.pick(4_000, 600);
     scenario.run.seed = 31;
     scenario.run.metrics = vec![Metric::SpendingRates, Metric::GiniSeries];
+    scenario.cases = vec![
+        CaseSpec::new("queue"),
+        CaseSpec::new("protocol").with("streaming", "paced:1"),
+    ];
     scenario
 }
 
@@ -154,37 +155,22 @@ pub fn ablation3_queue_scenario(scale: RunScale) -> Scenario {
 /// rates.
 ///
 /// # Errors
-/// Returns [`ScenarioError`] when either half fails to run.
+/// Returns [`ScenarioError`] when either case fails to run.
 pub fn ablation_queue_vs_protocol(
     scale: RunScale,
     options: &RunnerOptions,
 ) -> Result<FigureResult, ScenarioError> {
-    let scenario = ablation3_queue_scenario(scale);
-    let n = scenario.base.config().n;
-    let horizon_secs = scenario.run.horizon_secs;
-    let horizon = SimTime::from_secs(horizon_secs);
-    let c = 100u64;
-
-    let queue_result = run_scenario(&scenario, options)?;
-    let queue_market = &queue_result.cases[0].single().record;
-    let queue_rates = &queue_market.spending_rates;
-    let queue_gini = gini(queue_rates).expect("non-empty");
-    let queue_wealth_gini = queue_market.wealth_gini.unwrap_or(f64::NAN);
-
-    // Protocol level: same overlay family, 1 chunk/s economy.
-    let mut rng = SimRng::seed_from_u64(31);
-    let g =
-        generators::scale_free(&ScaleFreeConfig::new(n).expect("cfg"), &mut rng).expect("graph");
-    let system = StreamingMarket::new(c)
-        .streaming(StreamingConfig::market_paced(1.0))
-        .run(g, 31, horizon)
-        .map_err(|e| ScenarioError::Run(format!("protocol market: {e}")))?;
-    let protocol_rates = system.policy().ledger().spending_rates_sorted(horizon);
-    let protocol_gini = gini(&protocol_rates).expect("non-empty");
-    let balances: BTreeMap<NodeId, u64> = system.policy().ledger().iter().collect();
-    let protocol_wealth_gini =
-        gini(&balances.values().map(|&b| b as f64).collect::<Vec<_>>()).expect("non-empty");
-
+    let scenario = ablation3_scenario(scale);
+    let result = run_scenario(&scenario, options)?;
+    let queue = &result.cases[0].single().record;
+    let protocol = &result.cases[1].single().record;
+    let summary = |level: &str, record: &RunRecord| {
+        format!(
+            "{level} level: rate Gini = {:.3}, wealth Gini = {:.3}",
+            gini(&record.spending_rates).expect("non-empty"),
+            record.wealth_gini.unwrap_or(f64::NAN)
+        )
+    };
     let to_points = |rates: &[f64]| {
         rates
             .iter()
@@ -203,21 +189,15 @@ pub fn ablation_queue_vs_protocol(
         x_label: "peer quantile".into(),
         y_label: "spending rate (credits/s)".into(),
         series: vec![
-            Series::new("queue_level", to_points(queue_rates)),
-            Series::new("protocol_level", to_points(&protocol_rates)),
+            Series::new("queue_level", to_points(&queue.spending_rates)),
+            Series::new("protocol_level", to_points(&protocol.spending_rates)),
         ],
         notes: vec![
-            format!(
-                "queue level: rate Gini = {queue_gini:.3}, wealth Gini = {queue_wealth_gini:.3}"
-            ),
-            format!(
-                "protocol level: rate Gini = {protocol_gini:.3}, wealth Gini = \
-                 {protocol_wealth_gini:.3}"
-            ),
+            summary("queue", queue),
+            summary("protocol", protocol),
             format!(
                 "protocol denials = {}, settlements = {}",
-                system.policy().denials,
-                system.policy().settlements
+                protocol.denied, protocol.purchases
             ),
         ],
     })

@@ -22,8 +22,7 @@ mod fig11;
 mod streaming;
 
 pub use ablations::{
-    ablation3_queue_scenario, ablation_approx_vs_exact, ablation_queue_vs_protocol,
-    ablation_solvers,
+    ablation3_scenario, ablation_approx_vs_exact, ablation_queue_vs_protocol, ablation_solvers,
 };
 pub use fig01::{fig01_scenario, fig01_spending_rates};
 pub use fig02::fig02_lorenz_pmf;
@@ -172,7 +171,7 @@ pub fn scenarios() -> Vec<(&'static str, ScenarioFn)> {
         ("fig09", fig09_scenario),
         ("fig10", fig10_scenario),
         ("fig11", fig11_scenario),
-        ("ablation3", ablation3_queue_scenario),
+        ("ablation3", ablation3_scenario),
         ("streaming", streaming_scenario),
     ]
 }
@@ -303,6 +302,23 @@ mod tests {
         assert_eq!(names[0], "fig01");
         assert_eq!(names[13], "ablation3");
         assert_eq!(names[14], "streaming");
+        let exported: Vec<&str> = scenarios().iter().map(|&(n, _)| n).collect();
+        assert_eq!(
+            exported,
+            [
+                "fig01",
+                "fig04",
+                "fig05",
+                "fig06",
+                "fig07",
+                "fig08",
+                "fig09",
+                "fig10",
+                "fig11",
+                "ablation3",
+                "streaming"
+            ]
+        );
         // Every scenario emitter corresponds to a registered experiment
         // (fig04's scenario covers only its simulated series; fig02,
         // fig03, ablation1, ablation2 are purely analytic).
@@ -313,6 +329,30 @@ mod tests {
                 .validate()
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
         }
+    }
+
+    /// `scrip-sim export ablation3` prints the whole experiment: both
+    /// the queue-level and the chunk-level case survive the file round
+    /// trip.
+    #[test]
+    fn ablation3_export_holds_both_cases() {
+        let (_, emit) = scenarios()
+            .into_iter()
+            .find(|&(n, _)| n == "ablation3")
+            .expect("exported");
+        let text = emit(RunScale::Quick).to_file_string();
+        let cases = Scenario::parse_str(&text)
+            .expect("parses")
+            .expand()
+            .expect("expands");
+        let labels: Vec<&str> = cases.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(labels, ["queue", "protocol"]);
+        let chunk_level: Vec<&str> = cases
+            .iter()
+            .filter(|c| c.spec.config().streaming.is_some())
+            .map(|c| c.label.as_str())
+            .collect();
+        assert_eq!(chunk_level, ["protocol"]);
     }
 
     #[test]

@@ -31,6 +31,7 @@ use scrip_des::{
     SimDuration, SimRng, SimTime,
 };
 use scrip_econ::gini_u64;
+pub use scrip_topology::churn::ChurnConfig;
 use scrip_topology::churn::ChurnTopology;
 use scrip_topology::generators::{self, ScaleFreeConfig};
 use scrip_topology::{Graph, NodeId};
@@ -41,56 +42,6 @@ use crate::model::{joiner_spending_rate, spending_rates, UtilizationProfile};
 use crate::policy::{SpendingPolicy, TaxConfig, Taxation};
 use crate::pricing::{PricingConfig, PricingModel};
 use crate::snapshot::Put;
-
-/// Churn (peer dynamics) configuration — paper Sec. VI-E.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ChurnConfig {
-    /// Poisson arrival rate of new peers (peers/sec).
-    pub arrival_rate: f64,
-    /// Mean exponential lifespan of a peer (seconds).
-    pub mean_lifespan: f64,
-    /// Number of neighbors a joiner attaches to.
-    pub attach_degree: usize,
-}
-
-impl ChurnConfig {
-    /// Creates a validated churn configuration.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::Config`] for non-positive rates or zero
-    /// attach degree.
-    pub fn new(
-        arrival_rate: f64,
-        mean_lifespan: f64,
-        attach_degree: usize,
-    ) -> Result<Self, CoreError> {
-        if !(arrival_rate.is_finite() && arrival_rate > 0.0) {
-            return Err(CoreError::Config(format!(
-                "arrival rate must be > 0, got {arrival_rate}"
-            )));
-        }
-        if !(mean_lifespan.is_finite() && mean_lifespan > 0.0) {
-            return Err(CoreError::Config(format!(
-                "mean lifespan must be > 0, got {mean_lifespan}"
-            )));
-        }
-        if attach_degree == 0 {
-            return Err(CoreError::Config("attach degree must be positive".into()));
-        }
-        Ok(ChurnConfig {
-            arrival_rate,
-            mean_lifespan,
-            attach_degree,
-        })
-    }
-
-    /// The expected steady-state overlay size, `arrival_rate ×
-    /// mean_lifespan` (the paper keeps this at the initial size in
-    /// Fig. 11(1)).
-    pub fn expected_size(&self) -> f64 {
-        self.arrival_rate * self.mean_lifespan
-    }
-}
 
 /// The overlay family a market runs on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -147,7 +98,8 @@ pub struct MarketConfig {
     /// every peer-to-peer chunk transfer is a credit trade through the
     /// shared ledger ([`crate::protocol::run_streaming_market`]). The
     /// topology, credits, pricing, taxation, churn and `sample_interval`
-    /// keys apply as usual; `profile`, `spending`, `base_rate` and
+    /// keys apply as usual (the protocol config leaves its own `churn`
+    /// and `sample_interval` unset); `profile`, `spending`, `base_rate` and
     /// `availability_feedback` are queue-level concepts and are ignored
     /// (chunk availability plays their role for real).
     pub streaming: Option<scrip_streaming::StreamingConfig>,
@@ -271,7 +223,10 @@ impl MarketConfig {
     }
 
     /// Checks the scalar parameters (population, rates, intervals,
-    /// pricing) without realizing anything.
+    /// pricing, churn, faults, the streaming protocol) without realizing
+    /// anything. Churn and sampling are market keys at both
+    /// granularities, so a [`MarketConfig::streaming`] config that sets
+    /// its own `churn` or `sample_interval` is refused.
     ///
     /// # Errors
     /// Returns [`CoreError::Config`] for out-of-range values.
@@ -292,10 +247,20 @@ impl MarketConfig {
             return Err(CoreError::Config("sample interval must be positive".into()));
         }
         self.pricing.validate()?;
+        if let Some(churn) = &self.churn {
+            churn.validate().map_err(CoreError::Config)?;
+        }
         if let Some(faults) = &self.faults {
             faults.validate().map_err(CoreError::Config)?;
         }
         if let Some(streaming) = &self.streaming {
+            if streaming.churn.is_some() || streaming.sample_interval.is_some() {
+                return Err(CoreError::Config(
+                    "the streaming protocol config must leave churn and sample_interval \
+                     unset: set them on the market (keys `churn` and `sample`)"
+                        .into(),
+                ));
+            }
             streaming.validate().map_err(CoreError::Config)?;
         }
         Ok(())
@@ -1641,6 +1606,38 @@ mod tests {
                 .abs()
                 < 1e-9
         );
+        // A struct-literal churn skips `ChurnConfig::new`; validation
+        // still refuses it, with the same message at both granularities.
+        let bad = [
+            (0.0, 100.0, 8, "arrival rate must be > 0, got 0"),
+            (f64::NAN, 100.0, 8, "arrival rate must be > 0, got NaN"),
+            (0.5, 0.0, 8, "mean lifespan must be > 0, got 0"),
+            (0.5, f64::NAN, 8, "mean lifespan must be > 0, got NaN"),
+            (0.5, 100.0, 0, "attach degree must be positive"),
+        ];
+        for (arrival_rate, mean_lifespan, attach_degree, message) in bad {
+            let churn = ChurnConfig {
+                arrival_rate,
+                mean_lifespan,
+                attach_degree,
+            };
+            let queue = MarketConfig::new(20, 10).churn(churn);
+            let chunk = queue
+                .clone()
+                .streaming_market(scrip_streaming::StreamingConfig::market_paced(1.0));
+            let expected = CoreError::Config(message.into());
+            assert_eq!(
+                CreditMarket::build(queue.clone(), 0).err(),
+                Some(expected.clone())
+            );
+            for config in [&queue, &chunk] {
+                assert_eq!(
+                    crate::obs::Session::from_config(config, 0).err(),
+                    Some(expected.clone()),
+                    "{config:?}"
+                );
+            }
+        }
     }
 
     #[test]

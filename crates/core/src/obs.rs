@@ -592,8 +592,7 @@ pub struct Session {
     /// [`Session::checkpoint`] can rebuild the same derived RNG streams
     /// on [`Session::resume`].
     seed: u64,
-    /// The sampling-grid spacing (the market's effective
-    /// `sample_interval`).
+    /// The sampling-grid spacing (the market's `sample_interval`).
     interval: SimDuration,
     /// Next regular sampling boundary.
     next_tick: SimTime,
@@ -621,30 +620,25 @@ impl Session {
     /// Returns [`CoreError`] for invalid configurations or topology
     /// failures.
     pub fn from_config(config: &MarketConfig, seed: u64) -> Result<Session, CoreError> {
-        let (sim, interval) = if config.streaming.is_some() {
+        let sim = if config.streaming.is_some() {
             let system = build_streaming_market(config, seed)?;
-            let interval = system
-                .config()
-                .sample_interval
-                .unwrap_or(config.sample_interval);
             let profile = system.queue_profile();
             let mut sim = Simulation::with_profile(system, profile);
             sim.schedule(SimTime::ZERO, StreamEvent::Bootstrap);
-            (SessionSim::Chunk(sim), interval)
+            SessionSim::Chunk(sim)
         } else {
             let market = CreditMarket::build(config.clone(), seed)?;
-            let interval = config.sample_interval;
             let profile = market.queue_profile();
             let mut sim = Simulation::with_profile(market, profile);
             sim.schedule(SimTime::ZERO, MarketEvent::Bootstrap);
-            (SessionSim::Queue(sim), interval)
+            SessionSim::Queue(sim)
         };
         Ok(Session {
             sim,
             probes: Vec::new(),
             seed,
-            interval,
-            next_tick: SimTime::ZERO + interval,
+            interval: config.sample_interval,
+            next_tick: SimTime::ZERO + config.sample_interval,
             stops: Vec::new(),
             last_purchases: 0,
             last_denied: 0,

@@ -12,20 +12,17 @@
 //! one peer registry, and its reports (wealth Gini, sorted balances and
 //! spending rates) are the policy's.
 //!
-//! Two entry points build the combined system:
-//!
-//! * [`StreamingMarket`] — the ergonomic builder for hand-constructed
-//!   experiments (bring your own [`Graph`]);
-//! * [`build_streaming_market`] / [`run_streaming_market`] — the
-//!   declarative path: realize a [`MarketConfig`] whose
-//!   [`MarketConfig::streaming`] is set (topology, credits, pricing,
-//!   taxation, churn, and Gini sampling all wired through), which is
-//!   what the scenario engine and `scrip-sim` call.
+//! [`build_streaming_market`] realizes a [`MarketConfig`] whose
+//! [`MarketConfig::streaming`] is set as the combined system (topology,
+//! credits, pricing, taxation, churn, faults and sampling all come from
+//! the market config), and [`run_streaming_market`] runs it to a
+//! horizon. [`crate::obs::Session`] and the scenario engine build it the
+//! same way.
 
 use scrip_des::stats::TimeSeries;
-use scrip_des::{FaultSpec, SimRng, SimTime, Simulation};
-use scrip_streaming::{StreamEvent, StreamingChurn, StreamingConfig, StreamingSystem, TradePolicy};
-use scrip_topology::{Graph, NodeId};
+use scrip_des::{SimRng, SimTime};
+use scrip_streaming::{StreamingConfig, StreamingSystem, TradePolicy};
+use scrip_topology::NodeId;
 
 use crate::credits::Ledger;
 use crate::error::CoreError;
@@ -115,7 +112,7 @@ impl CreditTradePolicy {
     }
 
     /// The recorded `(t, wealth Gini)` trajectory — one sample per
-    /// [`StreamEvent::Sample`] tick.
+    /// [`scrip_streaming::StreamEvent::Sample`] tick.
     pub fn gini_series(&self) -> &TimeSeries {
         &self.gini_series
     }
@@ -201,116 +198,14 @@ impl TradePolicy for CreditTradePolicy {
     }
 }
 
-/// Builder bundling overlay + streaming protocol + credit market into a
-/// runnable simulation (the paper's full experimental stack).
-#[derive(Clone, Debug)]
-pub struct StreamingMarket {
-    /// Initial credits per peer (the paper's `c`).
-    pub initial_credits: u64,
-    /// Pricing scheme.
-    pub pricing: PricingConfig,
-    /// Optional income taxation.
-    pub tax: Option<TaxConfig>,
-    /// Streaming protocol parameters.
-    pub streaming: StreamingConfig,
-    /// Optional deterministic fault injection (dropped/defected/delayed
-    /// chunk deliveries, peer crashes) — see
-    /// [`StreamingSystem::with_faults`] for the chunk-level semantics.
-    pub faults: Option<FaultSpec>,
-}
-
-impl StreamingMarket {
-    /// A streaming market with the paper's defaults: uniform 1-credit
-    /// pricing and no taxation.
-    pub fn new(initial_credits: u64) -> Self {
-        StreamingMarket {
-            initial_credits,
-            pricing: PricingConfig::default(),
-            tax: None,
-            streaming: StreamingConfig::default(),
-            faults: None,
-        }
-    }
-
-    /// Sets the pricing scheme.
-    pub fn pricing(mut self, pricing: PricingConfig) -> Self {
-        self.pricing = pricing;
-        self
-    }
-
-    /// Enables taxation.
-    pub fn tax(mut self, tax: TaxConfig) -> Self {
-        self.tax = Some(tax);
-        self
-    }
-
-    /// Overrides the streaming protocol configuration.
-    pub fn streaming(mut self, config: StreamingConfig) -> Self {
-        self.streaming = config;
-        self
-    }
-
-    /// Enables deterministic fault injection on the chunk-transfer
-    /// layer (see [`StreamingSystem::with_faults`]).
-    pub fn faults(mut self, faults: FaultSpec) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-
-    /// Builds the combined system over `graph`.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::Config`] if either layer's configuration is
-    /// invalid.
-    pub fn build(
-        self,
-        graph: Graph,
-        seed: u64,
-    ) -> Result<StreamingSystem<CreditTradePolicy>, CoreError> {
-        let peers: Vec<NodeId> = graph.node_ids().collect();
-        let policy =
-            CreditTradePolicy::new(&peers, self.initial_credits, self.pricing, self.tax, seed)?;
-        let rng = SimRng::seed_from_u64(seed.wrapping_add(0x5EED));
-        let system =
-            StreamingSystem::new(graph, self.streaming, policy, rng).map_err(CoreError::Config)?;
-        match self.faults {
-            Some(spec) => system.with_faults(spec, seed).map_err(CoreError::Config),
-            None => Ok(system),
-        }
-    }
-
-    /// Builds and runs the combined system until `horizon`, returning
-    /// the finished system for inspection.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::Config`] if construction fails.
-    pub fn run(
-        self,
-        graph: Graph,
-        seed: u64,
-        horizon: SimTime,
-    ) -> Result<StreamingSystem<CreditTradePolicy>, CoreError> {
-        let system = self.build(graph, seed)?;
-        let profile = system.queue_profile();
-        let mut sim = Simulation::with_profile(system, profile);
-        sim.schedule(SimTime::ZERO, StreamEvent::Bootstrap);
-        sim.run_until(horizon);
-        Ok(sim.into_model())
-    }
-}
-
 /// Realizes a [`MarketConfig`] whose [`MarketConfig::streaming`] is set
 /// as a full protocol-level market: the market's topology, credits,
 /// pricing and taxation wire the [`CreditTradePolicy`]; the market's
 /// `sample_interval` drives the Gini/stall sampling chain; the market's
 /// churn (if any) becomes chunk-level peer dynamics; and the market's
 /// fault spec (if any) injects chunk-transfer faults
-/// ([`StreamingSystem::with_faults`]).
-///
-/// Precedence: `sample_interval`/`churn` set directly on the
-/// [`StreamingConfig`] win; the market-level values only fill in when
-/// the protocol config leaves them unset (which is always the case for
-/// spec-built configs — the `streaming.*` keys don't expose them).
+/// ([`StreamingSystem::with_faults`]). The swarm's RNG continues the
+/// stream the overlay was generated from.
 ///
 /// # Errors
 /// Returns [`CoreError::Config`] if `config.streaming` is [`None`] or
@@ -325,22 +220,11 @@ pub fn build_streaming_market(
             "not a streaming market: set MarketConfig::streaming (spec key `streaming`)".into(),
         ));
     };
-    let mut streaming = streaming.clone();
-    // Market-level settings fill gaps the protocol config left open;
-    // values set directly on the StreamingConfig win, so API callers
-    // who configured churn/sampling at the protocol layer keep them.
-    if streaming.sample_interval.is_none() {
-        streaming.sample_interval = Some(config.sample_interval);
-    }
-    if streaming.churn.is_none() {
-        streaming.churn = match config.churn {
-            Some(churn) => Some(
-                StreamingChurn::new(churn.arrival_rate, churn.mean_lifespan, churn.attach_degree)
-                    .map_err(CoreError::Config)?,
-            ),
-            None => None,
-        };
-    }
+    let streaming = StreamingConfig {
+        sample_interval: Some(config.sample_interval),
+        churn: config.churn,
+        ..streaming.clone()
+    };
     let mut rng = SimRng::seed_from_u64(seed);
     let graph = config.build_graph(&mut rng)?;
     let peers: Vec<NodeId> = graph.node_ids().collect();
@@ -394,11 +278,18 @@ pub fn run_streaming_market(
 mod tests {
     use super::*;
     use crate::market::ChurnConfig;
-    use scrip_topology::generators::{self, ScaleFreeConfig};
+    use scrip_des::{FaultSpec, SimDuration};
 
-    fn graph(n: usize, seed: u64) -> Graph {
-        let mut rng = SimRng::seed_from_u64(seed);
-        generators::scale_free(&ScaleFreeConfig::new(n).expect("cfg"), &mut rng).expect("graph")
+    /// `config` run at chunk granularity under `streaming` until
+    /// `secs`.
+    fn run(
+        config: MarketConfig,
+        streaming: StreamingConfig,
+        seed: u64,
+        secs: u64,
+    ) -> StreamingSystem<CreditTradePolicy> {
+        let config = config.streaming_market(streaming);
+        run_streaming_market(&config, seed, SimTime::from_secs(secs)).expect("runs")
     }
 
     #[test]
@@ -467,11 +358,13 @@ mod tests {
 
     #[test]
     fn streaming_market_runs_and_conserves_credits() {
-        let g = graph(50, 3);
-        let n = g.node_count() as u64;
-        let system = StreamingMarket::new(50)
-            .run(g, 7, SimTime::from_secs(120))
-            .expect("runs");
+        let n = 50;
+        let system = run(
+            MarketConfig::new(50, 50),
+            StreamingConfig::default(),
+            7,
+            120,
+        );
         let policy = system.policy();
         // All credits remain in wallets + escrow (the source recycles its
         // income instead of sinking it).
@@ -496,16 +389,13 @@ mod tests {
         // A ~1 chunk/sec economy (the paper's Fig. 1 regime, where peer
         // spending rates are ~1 credit/sec).
         let streaming = StreamingConfig::market_paced(1.0);
-        let g = graph(50, 4);
-        let rich = StreamingMarket::new(100)
-            .streaming(streaming.clone())
-            .run(g.clone(), 8, SimTime::from_secs(240))
-            .expect("runs");
-        let poor = StreamingMarket::new(1)
-            .streaming(streaming)
-            .pricing(PricingConfig::Uniform { price: 3 })
-            .run(g, 8, SimTime::from_secs(240))
-            .expect("runs");
+        let rich = run(MarketConfig::new(50, 100), streaming.clone(), 8, 240);
+        let poor = run(
+            MarketConfig::new(50, 1).pricing(PricingConfig::Uniform { price: 3 }),
+            streaming,
+            8,
+            240,
+        );
         assert!(
             poor.policy().denials > 2 * rich.policy().denials.max(1),
             "poor swarm denials {} vs rich {}",
@@ -526,11 +416,12 @@ mod tests {
 
     #[test]
     fn taxation_collects_in_streaming_market() {
-        let g = graph(40, 5);
-        let system = StreamingMarket::new(60)
-            .tax(TaxConfig::new(0.2, 30).expect("valid"))
-            .run(g, 9, SimTime::from_secs(150))
-            .expect("runs");
+        let system = run(
+            MarketConfig::new(40, 60).tax(TaxConfig::new(0.2, 30).expect("valid")),
+            StreamingConfig::default(),
+            9,
+            150,
+        );
         let tax = system.policy().taxation().expect("enabled");
         assert!(tax.collected > 0, "no tax collected");
         assert!(system.policy().ledger().conserved());
@@ -538,10 +429,12 @@ mod tests {
 
     #[test]
     fn spending_rates_sorted_monotone() {
-        let g = graph(30, 6);
-        let system = StreamingMarket::new(30)
-            .run(g, 10, SimTime::from_secs(60))
-            .expect("runs");
+        let system = run(
+            MarketConfig::new(30, 30),
+            StreamingConfig::default(),
+            10,
+            60,
+        );
         let rates = system
             .policy()
             .ledger()
@@ -556,7 +449,7 @@ mod tests {
     fn declarative_streaming_market_runs_end_to_end() {
         let config = MarketConfig::new(40, 60)
             .streaming_market(StreamingConfig::market_paced(1.0))
-            .sample_interval(scrip_des::SimDuration::from_secs(20));
+            .sample_interval(SimDuration::from_secs(20));
         let system = run_streaming_market(&config, 11, SimTime::from_secs(200)).expect("runs");
         let policy = system.policy();
         assert!(
@@ -582,7 +475,7 @@ mod tests {
         let config = MarketConfig::new(40, 30)
             .streaming_market(StreamingConfig::market_paced(1.0))
             .churn(ChurnConfig::new(0.4, 100.0, 8).expect("valid"))
-            .sample_interval(scrip_des::SimDuration::from_secs(20));
+            .sample_interval(SimDuration::from_secs(20));
         let system = run_streaming_market(&config, 13, SimTime::from_secs(300)).expect("runs");
         let policy = system.policy();
         assert!(policy.ledger().conserved(), "conservation through churn");
@@ -600,38 +493,45 @@ mod tests {
     }
 
     #[test]
-    fn protocol_level_churn_and_sampling_take_precedence() {
-        use scrip_streaming::StreamingChurn;
-        // Churn/sampling set on the StreamingConfig itself survive the
-        // market wiring even when the MarketConfig leaves them unset.
-        let streaming = StreamingConfig {
-            churn: Some(StreamingChurn::new(0.3, 100.0, 6).expect("valid")),
-            sample_interval: Some(scrip_des::SimDuration::from_secs(7)),
-            ..StreamingConfig::market_paced(1.0)
-        };
-        let config = MarketConfig::new(20, 30).streaming_market(streaming);
-        let system = build_streaming_market(&config, 5).expect("builds");
-        let built = system.config();
-        assert_eq!(
-            built.sample_interval,
-            Some(scrip_des::SimDuration::from_secs(7)),
-            "protocol-level sample interval was overwritten"
-        );
-        assert_eq!(
-            built.churn.map(|c| c.attach_degree),
-            Some(6),
-            "protocol-level churn was overwritten"
-        );
-        // Market-level values still fill the gaps when unset.
+    fn market_churn_and_sampling_reach_the_built_system() {
+        let churn = ChurnConfig::new(0.2, 150.0, 9).expect("valid");
         let config = MarketConfig::new(20, 30)
             .streaming_market(StreamingConfig::market_paced(1.0))
-            .churn(ChurnConfig::new(0.2, 150.0, 9).expect("valid"));
+            .churn(churn)
+            .sample_interval(SimDuration::from_secs(7));
         let system = build_streaming_market(&config, 5).expect("builds");
-        assert_eq!(system.config().churn.map(|c| c.attach_degree), Some(9));
+        assert_eq!(system.config().churn, Some(churn));
         assert_eq!(
             system.config().sample_interval,
-            Some(config.sample_interval)
+            Some(SimDuration::from_secs(7))
         );
+        // Churn and sampling are market keys: a protocol config that
+        // sets either one is refused, whichever way the market is built.
+        let refused = CoreError::Config(
+            "the streaming protocol config must leave churn and sample_interval unset: set \
+             them on the market (keys `churn` and `sample`)"
+                .into(),
+        );
+        let own_churn = StreamingConfig {
+            churn: Some(churn),
+            ..StreamingConfig::market_paced(1.0)
+        };
+        let own_sampling = StreamingConfig {
+            sample_interval: Some(SimDuration::from_secs(7)),
+            ..StreamingConfig::market_paced(1.0)
+        };
+        for streaming in [own_churn, own_sampling] {
+            let config = MarketConfig::new(20, 30).streaming_market(streaming);
+            assert_eq!(config.validate(), Err(refused.clone()));
+            assert_eq!(
+                build_streaming_market(&config, 5).err(),
+                Some(refused.clone())
+            );
+            assert_eq!(
+                crate::obs::Session::from_config(&config, 5).err(),
+                Some(refused.clone())
+            );
+        }
     }
 
     #[test]
@@ -641,15 +541,16 @@ mod tests {
             defect_rate: 0.05,
             delay_rate: 0.05,
             crash_fraction: 0.15,
-            onset: scrip_des::SimTime::from_secs(10),
-            crash_spread: scrip_des::SimDuration::from_secs(40),
+            onset: SimTime::from_secs(10),
+            crash_spread: SimDuration::from_secs(40),
             ..FaultSpec::default()
         };
-        let g = graph(50, 14);
-        let system = StreamingMarket::new(50)
-            .faults(spec)
-            .run(g, 15, SimTime::from_secs(180))
-            .expect("runs");
+        let system = run(
+            MarketConfig::new(50, 50).faults(spec),
+            StreamingConfig::default(),
+            15,
+            180,
+        );
         let stats = system.fault_stats();
         assert!(stats.failed_attempts() > 0, "{stats:?}");
         assert!(stats.crashes > 0, "{stats:?}");
@@ -679,13 +580,13 @@ mod tests {
             defect_rate: 0.05,
             delay_rate: 0.0,
             crash_fraction: 0.0,
-            onset: scrip_des::SimTime::from_secs(10),
+            onset: SimTime::from_secs(10),
             ..FaultSpec::default()
         };
         let config = MarketConfig::new(40, 30)
             .streaming_market(StreamingConfig::market_paced(1.0))
             .faults(spec)
-            .sample_interval(scrip_des::SimDuration::from_secs(20));
+            .sample_interval(SimDuration::from_secs(20));
         let system = run_streaming_market(&config, 16, SimTime::from_secs(200)).expect("runs");
         assert!(system.faults_enabled());
         assert!(system.fault_stats().failed_attempts() > 0);
@@ -701,7 +602,7 @@ mod tests {
     fn deterministic_given_seed() {
         let config = MarketConfig::new(30, 40)
             .streaming_market(StreamingConfig::market_paced(1.0))
-            .sample_interval(scrip_des::SimDuration::from_secs(25));
+            .sample_interval(SimDuration::from_secs(25));
         let a = run_streaming_market(&config, 21, SimTime::from_secs(150)).expect("runs");
         let b = run_streaming_market(&config, 21, SimTime::from_secs(150)).expect("runs");
         assert_eq!(

@@ -300,11 +300,14 @@ impl MarketSpec {
                     let [arrival, lifespan, attach] = parts[..] else {
                         return Err(bad(key, value, "none | ARRIVAL:LIFESPAN:ATTACH"));
                     };
-                    Some(ChurnConfig::new(
-                        parse_f64(key, arrival)?,
-                        parse_f64(key, lifespan)?,
-                        parse_usize(key, attach)?,
-                    )?)
+                    Some(
+                        ChurnConfig::new(
+                            parse_f64(key, arrival)?,
+                            parse_f64(key, lifespan)?,
+                            parse_usize(key, attach)?,
+                        )
+                        .map_err(CoreError::Config)?,
+                    )
                 };
             }
             "topology" => {

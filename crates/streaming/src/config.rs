@@ -1,6 +1,7 @@
 //! Streaming-protocol configuration.
 
 use scrip_des::SimDuration;
+use scrip_topology::churn::ChurnConfig;
 
 /// How a peer orders its missing chunks when issuing pull requests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -32,67 +33,6 @@ pub enum ProviderSelection {
     /// applied in-protocol, inverted in O(log candidates) by a
     /// [`scrip_des::FenwickSampler`] with exact integer weights.
     AvailabilityWeighted,
-}
-
-/// Peer dynamics for a streaming swarm: Poisson arrivals, exponential
-/// lifespans, joiners attaching to `attach_degree` random peers — the
-/// chunk-level counterpart of the queue-level market's churn.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StreamingChurn {
-    /// Poisson arrival rate of new peers (peers/sec).
-    pub arrival_rate: f64,
-    /// Mean exponential lifespan of a peer (seconds).
-    pub mean_lifespan: f64,
-    /// Number of neighbors a joiner attaches to.
-    pub attach_degree: usize,
-}
-
-impl StreamingChurn {
-    /// Creates a validated churn description.
-    ///
-    /// # Errors
-    /// Returns a message for non-positive rates or zero attach degree.
-    pub fn new(
-        arrival_rate: f64,
-        mean_lifespan: f64,
-        attach_degree: usize,
-    ) -> Result<Self, String> {
-        let churn = StreamingChurn {
-            arrival_rate,
-            mean_lifespan,
-            attach_degree,
-        };
-        churn.validate()?;
-        Ok(churn)
-    }
-
-    /// Checks the parameters.
-    ///
-    /// # Errors
-    /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.arrival_rate.is_finite() && self.arrival_rate > 0.0) {
-            return Err(format!(
-                "churn arrival rate must be > 0, got {}",
-                self.arrival_rate
-            ));
-        }
-        if !(self.mean_lifespan.is_finite() && self.mean_lifespan > 0.0) {
-            return Err(format!(
-                "churn mean lifespan must be > 0, got {}",
-                self.mean_lifespan
-            ));
-        }
-        if self.attach_degree == 0 {
-            return Err("churn attach degree must be positive".into());
-        }
-        Ok(())
-    }
-
-    /// The expected steady-state swarm size, `arrival_rate × mean_lifespan`.
-    pub fn expected_size(&self) -> f64 {
-        self.arrival_rate * self.mean_lifespan
-    }
 }
 
 /// Parameters of the mesh-pull streaming protocol.
@@ -130,12 +70,16 @@ pub struct StreamingConfig {
     pub serve_behind: usize,
     /// Interval between [`StreamEvent::Sample`] ticks, which record the
     /// swarm stall rate and let the trade policy sample its own metrics
-    /// (e.g. the wealth Gini). [`None`] disables sampling.
+    /// (e.g. the wealth Gini). [`None`] disables sampling. On the credit
+    /// market path, `scrip_core::protocol::build_streaming_market` sets
+    /// it from the market's `sample_interval`.
     ///
     /// [`StreamEvent::Sample`]: crate::StreamEvent::Sample
     pub sample_interval: Option<SimDuration>,
     /// Peer dynamics (joins/leaves). [`None`] keeps the swarm static.
-    pub churn: Option<StreamingChurn>,
+    /// On the credit market path, `build_streaming_market` sets it from
+    /// the market's `churn`.
+    pub churn: Option<ChurnConfig>,
 }
 
 impl Default for StreamingConfig {
@@ -303,7 +247,7 @@ mod tests {
                 ..defaults.clone()
             },
             StreamingConfig {
-                churn: Some(StreamingChurn {
+                churn: Some(ChurnConfig {
                     arrival_rate: 0.0,
                     mean_lifespan: 100.0,
                     attach_degree: 5,
@@ -318,13 +262,21 @@ mod tests {
 
     #[test]
     fn churn_validation() {
-        assert!(StreamingChurn::new(0.0, 100.0, 5).is_err());
-        assert!(StreamingChurn::new(1.0, 0.0, 5).is_err());
-        assert!(StreamingChurn::new(1.0, 100.0, 0).is_err());
-        let churn = StreamingChurn::new(0.5, 200.0, 8).expect("valid");
-        assert!((churn.expected_size() - 100.0).abs() < 1e-9);
+        // The config validates the churn it carries, in its own words.
+        let zero_degree = StreamingConfig {
+            churn: Some(ChurnConfig {
+                arrival_rate: 0.5,
+                mean_lifespan: 200.0,
+                attach_degree: 0,
+            }),
+            ..Default::default()
+        };
+        assert_eq!(
+            zero_degree.validate(),
+            Err("attach degree must be positive".into())
+        );
         let config = StreamingConfig {
-            churn: Some(churn),
+            churn: Some(ChurnConfig::new(0.5, 200.0, 8).expect("valid")),
             sample_interval: Some(SimDuration::from_secs(10)),
             ..Default::default()
         };

@@ -61,7 +61,7 @@ pub mod policy;
 pub mod system;
 
 pub use chunk::BufferMap;
-pub use config::{ChunkStrategy, ProviderSelection, StreamingChurn, StreamingConfig};
+pub use config::{ChunkStrategy, ProviderSelection, StreamingConfig};
 pub use metrics::{PeerReport, SystemReport};
 pub use peer::{PeerState, PendingSet};
 pub use policy::{FreeTrade, TradePolicy};

@@ -82,17 +82,18 @@ impl TradePolicy for FreeTrade {
     fn settle(&mut self, _buyer: NodeId, _seller: NodeId, _chunk: u64, _now: SimTime) {}
 }
 
-/// A counting policy for tests and instrumentation: authorizes
-/// everything, recording how many authorizations and settlements
-/// happened.
+/// A counting policy for tests: authorizes everything, recording how
+/// many authorizations and settlements happened.
+#[cfg(test)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CountingPolicy {
+pub(crate) struct CountingPolicy {
     /// Number of authorize calls.
     pub authorized: u64,
     /// Number of settle calls.
     pub settled: u64,
 }
 
+#[cfg(test)]
 impl TradePolicy for CountingPolicy {
     fn authorize(&mut self, _buyer: NodeId, _seller: NodeId, _chunk: u64, _now: SimTime) -> bool {
         self.authorized += 1;

@@ -25,6 +25,7 @@ use scrip_des::{
     DeliveryOutcome, FaultPlan, FaultSpec, FaultStats, FenwickSampler, Model, QueueProfile,
     Scheduler, SimDuration, SimRng, SimTime,
 };
+use scrip_topology::churn::{AttachmentRule, ChurnTopology};
 use scrip_topology::{Graph, NodeId, PeerArena};
 
 use crate::config::{ChunkStrategy, ProviderSelection, StreamingConfig};
@@ -499,18 +500,13 @@ impl<T: TradePolicy> StreamingSystem<T> {
         now: SimTime,
         scheduler: &mut Scheduler<StreamEvent>,
     ) {
-        // A partial Fisher–Yates shuffle of the ascending live ids, drawn
-        // through the join index in O(want · log n).
-        let want = attach_degree.min(self.graph.node_count());
-        let rng = &mut self.rng;
-        let chosen = self
-            .graph
-            .join_index()
-            .shuffled_prefix(want, |i, len| rng.index(len - i) + i);
-        let new = self.graph.add_node();
-        for nb in chosen {
-            self.graph.add_edge(new, nb).expect("distinct live nodes");
-        }
+        // Joiners attach to uniformly random live peers (a partial
+        // Fisher–Yates shuffle through the overlay's join index).
+        let join = ChurnTopology {
+            attach_degree,
+            rule: AttachmentRule::Uniform,
+        };
+        let new = join.join(&mut self.graph, &mut self.rng);
         // Ids are dense: the joiner's entry is the next one of each
         // table.
         debug_assert_eq!(new.index(), self.peers.len(), "ids are dense");
@@ -726,9 +722,9 @@ fn live_mut(peers: &mut [Option<PeerState>], id: NodeId) -> &mut PeerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::StreamingChurn;
     use crate::policy::{CountingPolicy, FreeTrade};
     use scrip_des::Simulation;
+    use scrip_topology::churn::ChurnConfig;
     use scrip_topology::generators::{self, ScaleFreeConfig};
 
     fn small_system(seed: u64) -> StreamingSystem<FreeTrade> {
@@ -847,7 +843,7 @@ mod tests {
         let graph = generators::scale_free(&ScaleFreeConfig::new(40).expect("cfg"), &mut rng)
             .expect("graph");
         let config = StreamingConfig {
-            churn: Some(StreamingChurn::new(0.4, 100.0, 8).expect("valid")),
+            churn: Some(ChurnConfig::new(0.4, 100.0, 8).expect("valid")),
             ..Default::default()
         };
         let system = StreamingSystem::new(graph, config, FreeTrade, rng).expect("system");

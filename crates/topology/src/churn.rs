@@ -5,11 +5,77 @@
 //! joining peer attaches to a bounded number of existing peers; a leaving
 //! peer takes its credits away and its edges vanish. These operations keep
 //! the overlay usable for the streaming protocol (every node keeps at
-//! least one neighbor whenever possible).
+//! least one neighbor whenever possible). [`ChurnConfig`] describes that
+//! process for both market granularities; [`ChurnTopology`] performs its
+//! joins and leaves on the overlay.
 
 use rand::Rng;
 
 use crate::graph::{Graph, GraphError, NodeId};
+
+/// Churn (peer dynamics) configuration — paper Sec. VI-E: Poisson
+/// arrivals, exponential lifespans, and joiners attaching to
+/// `attach_degree` existing peers.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ChurnConfig {
+    /// Poisson arrival rate of new peers (peers/sec).
+    pub arrival_rate: f64,
+    /// Mean exponential lifespan of a peer (seconds).
+    pub mean_lifespan: f64,
+    /// Number of neighbors a joiner attaches to.
+    pub attach_degree: usize,
+}
+
+impl ChurnConfig {
+    /// Creates a validated churn configuration.
+    ///
+    /// # Errors
+    /// Returns [`ChurnConfig::validate`]'s message.
+    pub fn new(
+        arrival_rate: f64,
+        mean_lifespan: f64,
+        attach_degree: usize,
+    ) -> Result<Self, String> {
+        let churn = ChurnConfig {
+            arrival_rate,
+            mean_lifespan,
+            attach_degree,
+        };
+        churn.validate()?;
+        Ok(churn)
+    }
+
+    /// Checks the parameters: both rates positive and finite, a
+    /// positive attach degree.
+    ///
+    /// # Errors
+    /// Returns a description of the first violated constraint.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.arrival_rate.is_finite() && self.arrival_rate > 0.0) {
+            return Err(format!(
+                "arrival rate must be > 0, got {}",
+                self.arrival_rate
+            ));
+        }
+        if !(self.mean_lifespan.is_finite() && self.mean_lifespan > 0.0) {
+            return Err(format!(
+                "mean lifespan must be > 0, got {}",
+                self.mean_lifespan
+            ));
+        }
+        if self.attach_degree == 0 {
+            return Err("attach degree must be positive".into());
+        }
+        Ok(())
+    }
+
+    /// The expected steady-state overlay size, `arrival_rate ×
+    /// mean_lifespan` (the paper keeps this at the initial size in
+    /// Fig. 11(1)).
+    pub fn expected_size(&self) -> f64 {
+        self.arrival_rate * self.mean_lifespan
+    }
+}
 
 /// How a joining peer selects its initial neighbors.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -161,6 +161,21 @@ fn reference_streaming_pick(graph: &Graph, attach: usize, rng: &mut SimRng) -> V
     pool
 }
 
+/// The streaming swarm's former inline join, kept verbatim as a
+/// reference: a partial Fisher–Yates shuffle of the live ids through the
+/// join index with `index(len - i) + i` draws, then the joiner's edges.
+fn reference_streaming_join(graph: &mut Graph, attach_degree: usize, rng: &mut SimRng) -> NodeId {
+    let want = attach_degree.min(graph.node_count());
+    let chosen = graph
+        .join_index()
+        .shuffled_prefix(want, |i, len| rng.index(len - i) + i);
+    let new = graph.add_node();
+    for nb in chosen {
+        graph.add_edge(new, nb).expect("distinct live nodes");
+    }
+    new
+}
+
 /// A random overlay with isolated nodes and dead ids: an Erdős–Rényi
 /// graph edited by `ops`.
 fn churned_graph(n: usize, p: f64, seed: u64, ops: &[(u8, usize, usize)]) -> Graph {
@@ -273,6 +288,38 @@ proptest! {
         let expected = reference_streaming_pick(&g, attach, &mut rng_slow);
         prop_assert_eq!(got, expected);
         prop_assert_eq!(rng_fast.state(), rng_slow.state());
+    }
+
+    /// The streaming swarm's joins go through `ChurnTopology`'s uniform
+    /// join; it equals the inline join the swarm used to carry, draw for
+    /// draw, under churn, for every attach degree ≥ 1: same joiner, same
+    /// neighbor lists, same RNG state afterwards.
+    #[test]
+    fn uniform_join_matches_the_streaming_inline_join(
+        n in 1usize..40,
+        p in 0.0f64..0.3,
+        seed in 0u64..1_000,
+        attach in 1usize..50,
+        ops in prop::collection::vec((0u8..6, 0usize..64, 0usize..64), 0..120),
+    ) {
+        let churn = ChurnTopology { attach_degree: attach, rule: AttachmentRule::Uniform };
+        let mut fast = churned_graph(n, p, seed, &[]);
+        let mut slow = fast.clone();
+        let mut rng_fast = SimRng::seed_from_u64(seed ^ 0x3c3c);
+        let mut rng_slow = rng_fast.clone();
+        for (step, &(op, a, b)) in ops.iter().enumerate() {
+            if op >= 4 {
+                let got = churn.join(&mut fast, &mut rng_fast);
+                let want = reference_streaming_join(&mut slow, attach, &mut rng_slow);
+                prop_assert_eq!(got, want, "joiner id at step {}", step);
+            } else {
+                edit(&mut fast, op, a, b);
+                edit(&mut slow, op, a, b);
+            }
+            prop_assert_eq!(rng_fast.state(), rng_slow.state(), "rng at step {}", step);
+            prop_assert_eq!(neighbor_lists(&fast), neighbor_lists(&slow), "overlay at step {}", step);
+        }
+        prop_assert!(fast == slow);
     }
 
     /// Boundary draws: target 0, every prefix boundary (the weights are

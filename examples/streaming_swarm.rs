@@ -5,25 +5,22 @@
 //! cargo run --example streaming_swarm --release
 //! ```
 
-use scrip_core::des::{SimRng, SimTime};
+use scrip_core::des::SimTime;
 use scrip_core::econ::WealthSnapshot;
-use scrip_core::protocol::StreamingMarket;
+use scrip_core::market::MarketConfig;
+use scrip_core::protocol::run_streaming_market;
 use scrip_core::streaming::StreamingConfig;
-use scrip_core::topology::generators::{self, ScaleFreeConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut rng = SimRng::seed_from_u64(42);
-    let overlay = generators::scale_free(&ScaleFreeConfig::new(150)?, &mut rng)?;
+    // 150 peers on a scale-free overlay, 60 credits each, 1 credit per
+    // chunk of a 1 chunk/sec live stream.
+    let config = MarketConfig::new(150, 60).streaming_market(StreamingConfig::market_paced(1.0));
+    let horizon = SimTime::from_secs(900);
+    let system = run_streaming_market(&config, 42, horizon)?;
     println!(
         "overlay: {}",
-        scrip_core::topology::metrics::TopologyReport::of(&overlay)
+        scrip_core::topology::metrics::TopologyReport::of(system.graph())
     );
-
-    // 1 chunk/sec live stream, 1 credit per chunk, 60 credits each.
-    let horizon = SimTime::from_secs(900);
-    let system = StreamingMarket::new(60)
-        .streaming(StreamingConfig::market_paced(1.0))
-        .run(overlay, 42, horizon)?;
 
     let report = system.report(horizon);
     println!("streaming: {report}");

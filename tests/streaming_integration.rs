@@ -1,7 +1,8 @@
 //! Full-stack integration: streaming protocol + credit market.
 
 use scrip_core::des::{SimRng, SimTime};
-use scrip_core::protocol::StreamingMarket;
+use scrip_core::market::MarketConfig;
+use scrip_core::protocol::run_streaming_market;
 use scrip_core::streaming::StreamingConfig;
 use scrip_core::topology::generators::{self, ScaleFreeConfig};
 
@@ -14,10 +15,8 @@ fn overlay(n: usize, seed: u64) -> scrip_core::topology::Graph {
 #[test]
 fn streaming_market_end_to_end() {
     let n = 60;
-    let system = StreamingMarket::new(80)
-        .streaming(StreamingConfig::market_paced(1.0))
-        .run(overlay(n, 1), 2, SimTime::from_secs(300))
-        .expect("runs");
+    let config = MarketConfig::new(n, 80).streaming_market(StreamingConfig::market_paced(1.0));
+    let system = run_streaming_market(&config, 2, SimTime::from_secs(300)).expect("runs");
     let report = system.report(SimTime::from_secs(300));
     assert!(report.started_fraction > 0.9, "{report}");
     assert!(report.mean_download_rate > 0.5, "{report}");
@@ -51,10 +50,10 @@ fn credit_starvation_degrades_streaming() {
     sim.run_until(SimTime::from_secs(300));
     let free_report = sim.model().report(sim.now());
 
-    let starved = StreamingMarket::new(0)
-        .streaming(StreamingConfig::market_paced(1.0))
-        .run(g, 6, SimTime::from_secs(300))
-        .expect("runs");
+    // Seed 5 builds the same overlay as the free baseline's.
+    let starved = MarketConfig::new(50, 0).streaming_market(StreamingConfig::market_paced(1.0));
+    let starved = run_streaming_market(&starved, 5, SimTime::from_secs(300)).expect("runs");
+    assert!(*starved.graph() == g, "both swarms run on one overlay");
     let starved_report = starved.report(SimTime::from_secs(300));
     assert!(
         starved_report.mean_download_rate < 0.5 * free_report.mean_download_rate,
