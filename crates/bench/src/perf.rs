@@ -2,60 +2,72 @@
 //!
 //! Measures events/sec of the discrete-event market simulator across the
 //! four queue-level hot regimes (asymmetric neighbor routing,
-//! availability feedback, taxation, churn) at n ∈ {1k, 10k, 100k}, the
-//! fault-injected churn market (`faulted`: 1% drop + 1% defect with
-//! escrowed retries, timing the recovery machinery itself), the
-//! chunk-level streaming market's trade loop, the cost of a wealth Gini
-//! sample at large n, and the observation layer's probe-dispatch
-//! overhead (a full probe set attached vs a detached recorder on the
-//! n=10k market). Results are written to
-//! `BENCH_market.json` (see
-//! [`BenchReport::to_json`] for the schema), seeding the repo's
-//! performance trajectory, and CI replays the quick-scale subset to
-//! catch throughput regressions (see [`compare_against`]).
+//! availability feedback, taxation, churn), the fault-injected churn
+//! market (`faulted`: 1% drop + 1% defect with escrowed retries, timing
+//! the recovery machinery itself), the cost of recording a trace
+//! (`churn_session`/`churn_recorded`), the chunk-level streaming
+//! market's trade loop, the job daemon end to end (`serve_stream`), the
+//! observation layer's probe-dispatch overhead
+//! (`probe_detached`/`probe_attached`) and the cost of a wealth Gini
+//! sample. Results are written to `BENCH_market.json` (see
+//! [`BenchReport::to_json`] for the schema), and CI replays the
+//! quick-scale subset to catch throughput regressions (see
+//! [`compare_against`]).
 //!
-//! The harness runs strictly single-threaded: each case is one seeded
+//! Every row lives in one table (`rows`), and one timer (`measure`)
+//! runs each group of rows — a single row, or a pair whose two rows
+//! are compared — round-robin k times (3 quick, 5 full) and records
+//! each row's median events/sec with its min and max. Every gate
+//! reads the median. Rows are sized so that a quick row's timed
+//! window is at least ~100 ms on a 2-core Xeon host.
+//!
+//! The harness runs strictly single-threaded: each run is one seeded
 //! simulation on one core, so events/sec is a clean per-core figure.
 
+use std::path::Path;
 use std::time::Instant;
 
-use scrip_core::market::{ChurnConfig, CreditMarket, MarketConfig, MarketEvent};
+use scrip_core::market::{ChurnConfig, MarketConfig};
 use scrip_core::obs::Session;
 use scrip_core::policy::TaxConfig;
-use scrip_core::protocol::build_streaming_market;
-use scrip_core::streaming::{StreamEvent, StreamingConfig};
-use scrip_des::{FaultSpec, SimDuration, SimTime, Simulation};
+use scrip_core::streaming::StreamingConfig;
+use scrip_des::{FaultSpec, SimDuration, SimTime};
 
 use crate::scale::RunScale;
 use crate::scenario::{Metric, RunSpec};
 
-/// One measured bench case.
+/// One measured bench row.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchEntry {
-    /// Which hot path this case exercises: one of [`BENCH_REGIMES`].
+    /// Which hot path this row exercises: one of [`BENCH_REGIMES`].
     pub regime: String,
     /// Number of peers.
     pub n: usize,
-    /// Scale the case ran at (`quick` or `full`).
+    /// Scale the row ran at (`quick` or `full`).
     pub scale: String,
     /// Dispatched simulator events (Gini samples for `gini_sample`).
     pub events: u64,
-    /// Wall-clock seconds for the measured section.
+    /// Wall-clock seconds of the median run's timed section.
     pub wall_secs: f64,
-    /// `events / wall_secs` — the headline throughput number.
+    /// Median over the row's runs of `events / wall_secs` — the
+    /// headline throughput number every gate reads.
     pub events_per_sec: f64,
-    /// Resident-set high-water mark (bytes) of this case, if the
-    /// platform exposes it (Linux `VmHWM`). [`run_bench`] resets the
-    /// mark before every case ([`reset_peak_rss`]), so this is the
-    /// case's own peak; where the reset is refused it is the process
-    /// high-water mark, monotone across cases.
+    /// Slowest run's events/sec.
+    pub events_per_sec_min: f64,
+    /// Fastest run's events/sec.
+    pub events_per_sec_max: f64,
+    /// Resident-set high-water mark (bytes) of this row's group, if
+    /// the platform exposes it (Linux `VmHWM`). [`run_bench`] resets the
+    /// mark before every group ([`reset_peak_rss`]), so this is the
+    /// group's own peak; where the reset is refused it is the process
+    /// high-water mark, monotone across rows.
     pub peak_rss_bytes: Option<u64>,
 }
 
 /// A full bench run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BenchReport {
-    /// Measured cases, in execution order (ascending n per regime).
+    /// Measured rows, in execution order (ascending n per regime).
     pub entries: Vec<BenchEntry>,
 }
 
@@ -75,9 +87,12 @@ pub fn reset_peak_rss() -> bool {
     std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
+/// The benched markets' sampling interval, in seconds.
+const SAMPLE_SECS: u64 = 50;
+
 /// The benched market configuration for a regime at size `n`.
 fn regime_config(regime: &str, n: usize) -> MarketConfig {
-    let base = MarketConfig::new(n, 50).sample_interval(SimDuration::from_secs(50));
+    let base = MarketConfig::new(n, 50).sample_interval(SimDuration::from_secs(SAMPLE_SECS));
     match regime {
         "asymmetric" => base.asymmetric(),
         "availability_feedback" => base.asymmetric().with_availability_feedback(),
@@ -112,289 +127,17 @@ pub const BENCH_REGIMES: [&str; 12] = [
     "gini_sample",
 ];
 
-/// Case list at a scale: (regime, n, horizon_secs). Horizons shrink with
-/// n so every case dispatches a comparable number of events (~2M full,
-/// ~500k quick) — events/sec stays meaningful while wall-clock stays
-/// bounded.
-fn cases(scale: RunScale) -> Vec<(&'static str, usize, u64)> {
-    // Quick's n=10⁴ rows are the scaled-down counterparts of the full
-    // suite's n=10⁶ rows: same Fenwick-sampler + timing-wheel hot path,
-    // small enough for the CI regression gate.
-    let sizes: &[usize] = match scale {
-        RunScale::Full => &[1_000, 10_000, 100_000, 1_000_000],
-        RunScale::Quick => &[1_000, 10_000],
-    };
-    // Quick scale still dispatches ~500k events per case so each timed
-    // window is hundreds of milliseconds — long enough that scheduler
-    // jitter on a noisy CI runner stays well inside the 30% regression
-    // gate.
-    let target_events: u64 = match scale {
-        RunScale::Full => 2_000_000,
-        RunScale::Quick => 500_000,
-    };
-    let mut out = Vec::new();
-    for &regime in &REGIMES {
-        for &n in sizes {
-            out.push((regime, n, (target_events / n as u64).max(10)));
-        }
-    }
-    out
-}
-
-/// Measures one market case: build (untimed), then dispatch events to
-/// the horizon (timed).
-fn run_market_case(regime: &'static str, n: usize, horizon_secs: u64, scale: &str) -> BenchEntry {
-    let market = CreditMarket::build(regime_config(regime, n), 42).expect("bench market builds");
-    let profile = market.queue_profile();
-    let mut sim = Simulation::with_profile(market, profile);
-    sim.schedule(SimTime::ZERO, MarketEvent::Bootstrap);
-    let start = Instant::now();
-    let stats = sim.run_until(SimTime::from_secs(horizon_secs));
-    let wall = start.elapsed().as_secs_f64().max(1e-9);
-    BenchEntry {
-        regime: regime.into(),
-        n,
-        scale: scale.into(),
-        events: stats.events_processed,
-        wall_secs: wall,
-        events_per_sec: stats.events_processed as f64 / wall,
-        peak_rss_bytes: peak_rss_bytes(),
-    }
-}
-
-/// Fault-injection cases at a scale: `(n, horizon_secs)` — the churn
-/// market with an active 1% drop + 1% defect fault plan, so every
-/// trade walks the escrow hold/settle path and a steady trickle walks
-/// refund + scheduled retry. Horizons match the queue-level event
-/// targets, making this directly comparable with the fault-free
-/// `churn` rows at the same n: the gap between the two is the all-in
-/// cost of the recovery machinery.
-fn faulted_cases(scale: RunScale) -> Vec<(usize, u64)> {
-    match scale {
-        RunScale::Full => vec![(100_000, 20)],
-        RunScale::Quick => vec![(10_000, 50)],
-    }
-}
-
 /// The `faulted` regime's market configuration: the `churn` regime plus
-/// a fault plan injecting 1% drops and 1% defections from t = 0.
+/// a fault plan injecting 1% drops and 1% defections from t = 0, so
+/// every trade walks the escrow hold/settle path and a steady trickle
+/// walks refund + scheduled retry. Against the fault-free `churn` rows
+/// at the same n, the gap is the all-in cost of the recovery machinery.
 fn faulted_config(n: usize) -> MarketConfig {
     regime_config("churn", n).faults(FaultSpec {
         drop_rate: 0.01,
         defect_rate: 0.01,
         ..FaultSpec::default()
     })
-}
-
-/// Measures the fault-injected churn market. Build is untimed; event
-/// dispatch to the horizon — including fault draws, escrow accounting,
-/// refunds, and retry scheduling — is timed.
-fn run_faulted_case(n: usize, horizon_secs: u64, scale: &str) -> BenchEntry {
-    let market = CreditMarket::build(faulted_config(n), 42).expect("bench market builds");
-    let profile = market.queue_profile();
-    let mut sim = Simulation::with_profile(market, profile);
-    sim.schedule(SimTime::ZERO, MarketEvent::Bootstrap);
-    let start = Instant::now();
-    let stats = sim.run_until(SimTime::from_secs(horizon_secs));
-    let wall = start.elapsed().as_secs_f64().max(1e-9);
-    let model = sim.model();
-    assert!(model.faults_enabled(), "fault plan must be active");
-    assert!(
-        model.ledger().conserved(),
-        "books must balance under faults"
-    );
-    BenchEntry {
-        regime: "faulted".into(),
-        n,
-        scale: scale.into(),
-        events: stats.events_processed,
-        wall_secs: wall,
-        events_per_sec: stats.events_processed as f64 / wall,
-        peak_rss_bytes: peak_rss_bytes(),
-    }
-}
-
-/// Trace-recording cases at a scale: `(n, horizon_secs)` — the churn
-/// regime driven through a [`Session`] that records every applied
-/// event to a `SCRIPTRC` trace. The gap between the paired
-/// `churn_session`/`churn_recorded` rows is the all-in cost of the
-/// hot-path [`scrip_des::TraceWriter`] (buffered frame encode +
-/// boundary digests + flushes), gated at <5% full scale / <10% quick
-/// by [`record_overhead_failures`]. Both scales run n=10⁵ — the size
-/// the headline claim is made at: the per-frame encode cost is fixed
-/// (~0.1 µs), so at n=10⁴ (where quick's other rows live) it would be
-/// ~11% of the cheaper per-event dispatch and the proxy would gate a
-/// different ratio than the claim. Quick just shortens the horizon.
-fn recorded_cases(scale: RunScale) -> Vec<(usize, u64)> {
-    match scale {
-        RunScale::Full => vec![(100_000, 20)],
-        RunScale::Quick => vec![(100_000, 5)],
-    }
-}
-
-/// Measures the trace-recording overhead as a *paired* experiment:
-/// interleaved trials of the same churn-market [`Session`] run with
-/// and without `record_to`, keeping each side's best throughput.
-/// Returns `(churn_session, churn_recorded)` — the unrecorded anchor
-/// and the recorded row. Pairing makes the comparison like-for-like
-/// (both sides pay the identical `Session` dispatch path), and
-/// best-of-N interleaving cancels the wall-clock noise a shared VM
-/// injects into sub-second windows: noise only ever slows a trial
-/// down, so the per-side maximum is the closest observation of the
-/// true cost on both sides of the ratio.
-///
-/// The recorded side sinks to `/dev/null`: the row gates the
-/// *hot-path* cost — per-event frame encode + checksum + staging —
-/// which is what the trace layer controls. Physical write-out cost is
-/// an environment property (on a multi-core host page-cache writeback
-/// overlaps the run; on a single-core container it steals the only
-/// CPU), and letting it into the row would gate the runner's disk,
-/// not the code. Builds and trace attachment are untimed; event
-/// dispatch to the horizon plus the final flush are timed.
-fn run_recorded_case(n: usize, horizon_secs: u64, scale: &str) -> (BenchEntry, BenchEntry) {
-    let config = regime_config("churn", n);
-    let horizon = SimTime::from_secs(horizon_secs);
-    let trace_path = std::path::PathBuf::from("/dev/null");
-    // Three interleaved trials per side: noise on a shared runner only
-    // ever slows a window down, so each side's best-of-3 is the
-    // closest observation of its true cost, and interleaving keeps a
-    // sustained slow patch from landing entirely on one side.
-    let trials = 3;
-    let mut best: [Option<(u64, f64)>; 2] = [None, None];
-    for _ in 0..trials {
-        for (side, record) in [(0usize, false), (1usize, true)] {
-            let mut session = Session::from_config(&config, 42).expect("bench session builds");
-            if record {
-                session.record_to(&trace_path).expect("recording starts");
-            }
-            let start = Instant::now();
-            session.run_until(horizon);
-            if record {
-                session.finish_trace().expect("trace completes");
-            }
-            let wall = start.elapsed().as_secs_f64().max(1e-9);
-            let events = session.stats().events_processed;
-            if best[side].map_or(true, |(_, w)| wall < w) {
-                best[side] = Some((events, wall));
-            }
-        }
-    }
-    let entry = |regime: &str, (events, wall): (u64, f64)| BenchEntry {
-        regime: regime.into(),
-        n,
-        scale: scale.into(),
-        events,
-        wall_secs: wall,
-        events_per_sec: events as f64 / wall,
-        peak_rss_bytes: peak_rss_bytes(),
-    };
-    (
-        entry("churn_session", best[0].expect("at least one trial")),
-        entry("churn_recorded", best[1].expect("at least one trial")),
-    )
-}
-
-/// Chunk-level streaming cases at a scale: `(n, horizon_secs)`. The
-/// trade loop dispatches ~3 events per peer-second under
-/// `market_paced(1.0)`, so these horizons land near the queue-level
-/// event targets.
-fn streaming_cases(scale: RunScale) -> Vec<(usize, u64)> {
-    match scale {
-        RunScale::Full => vec![(1_000, 100), (10_000, 40)],
-        RunScale::Quick => vec![(1_000, 100)],
-    }
-}
-
-/// Measures the chunk-level streaming market's trade loop: a
-/// `market_paced(1.0)` swarm over the scale-free overlay with 50
-/// credits per peer and uniform pricing, every chunk transfer settling
-/// through the shared ledger. Build is untimed; event dispatch to the
-/// horizon is timed.
-fn run_streaming_case(n: usize, horizon_secs: u64, scale: &str) -> BenchEntry {
-    let config = MarketConfig::new(n, 50)
-        .streaming_market(StreamingConfig::market_paced(1.0))
-        .sample_interval(SimDuration::from_secs(50));
-    let system = build_streaming_market(&config, 42).expect("bench swarm builds");
-    let profile = system.queue_profile();
-    let mut sim = Simulation::with_profile(system, profile);
-    sim.schedule(SimTime::ZERO, StreamEvent::Bootstrap);
-    let start = Instant::now();
-    let stats = sim.run_until(SimTime::from_secs(horizon_secs));
-    let wall = start.elapsed().as_secs_f64().max(1e-9);
-    BenchEntry {
-        regime: "streaming".into(),
-        n,
-        scale: scale.into(),
-        events: stats.events_processed,
-        wall_secs: wall,
-        events_per_sec: stats.events_processed as f64 / wall,
-        peak_rss_bytes: peak_rss_bytes(),
-    }
-}
-
-/// Measures the observation layer's dispatch overhead on the n=10k
-/// asymmetric market: one [`Session`] with every metric's probe
-/// attached (`probe_attached`, snapshots at mid-run and horizon) versus
-/// a probe-less session (`probe_detached`, the zero-overhead fast
-/// path). Probe dispatch is sample-time only, so the two rates should
-/// track each other closely; the regression gate catches any creep of
-/// observation cost onto the spend hot path.
-fn run_probe_case(attached: bool, n: usize, horizon_secs: u64, scale: &str) -> BenchEntry {
-    let config = regime_config("asymmetric", n);
-    let mut session = Session::from_config(&config, 42).expect("bench session builds");
-    if attached {
-        let run = RunSpec {
-            horizon_secs,
-            snapshots: vec![horizon_secs / 2, horizon_secs],
-            ..RunSpec::default()
-        };
-        for metric in Metric::ALL {
-            session.attach(metric.make_probe(&run));
-        }
-    }
-    let start = Instant::now();
-    session.run_until(SimTime::from_secs(horizon_secs));
-    let stats = session.stats();
-    let wall = start.elapsed().as_secs_f64().max(1e-9);
-    // Keep the record observable so the probe work cannot be elided.
-    let (record, _) = session.finish();
-    assert!(record.purchases > 0);
-    BenchEntry {
-        regime: if attached {
-            "probe_attached".into()
-        } else {
-            "probe_detached".into()
-        },
-        n,
-        scale: scale.into(),
-        events: stats.events_processed,
-        wall_secs: wall,
-        events_per_sec: stats.events_processed as f64 / wall,
-        peak_rss_bytes: peak_rss_bytes(),
-    }
-}
-
-/// Probe-overhead cases at a scale: `(attached, n, horizon_secs)` —
-/// always the n=10k market, sized near the queue-level event targets.
-fn probe_cases(scale: RunScale) -> Vec<(bool, usize, u64)> {
-    let horizon = match scale {
-        RunScale::Full => 200,
-        RunScale::Quick => 50,
-    };
-    vec![(false, 10_000, horizon), (true, 10_000, horizon)]
-}
-
-/// Serve-streaming cases at a scale: `(n, horizon_secs)` — the churn
-/// regime submitted to an in-process job daemon. Sizes mirror the
-/// queue-level `churn` rows so the daemon's all-in overhead (wire
-/// submission, journaled lifecycle, periodic checkpoints, per-boundary
-/// sample streaming) reads directly against the same workload run
-/// inline.
-fn serve_cases(scale: RunScale) -> Vec<(usize, u64)> {
-    match scale {
-        RunScale::Full => vec![(100_000, 20)],
-        RunScale::Quick => vec![(10_000, 50)],
-    }
 }
 
 /// The `serve_stream` scenario at size `n`: the `churn` regime
@@ -414,15 +157,252 @@ fn serve_scenario(n: usize, horizon_secs: u64) -> crate::scenario::Scenario {
     scenario
 }
 
-/// Measures the job daemon end to end: start an in-process server on an
+/// Everything that differs between bench scales.
+struct Sizes {
+    /// The entries' `scale` label.
+    scale: &'static str,
+    /// Timed runs per row; each row reports their median.
+    runs: usize,
+    /// n of the four regimes' rows.
+    regimes: &'static [usize],
+    /// Events a regime, `faulted`, `serve_stream` or probe row aims at:
+    /// its horizon is this over its n (at least 10 s).
+    target_events: u64,
+    /// n of the `faulted` and `serve_stream` rows.
+    churn_n: usize,
+    /// n of the probe pair.
+    probe_n: usize,
+    /// n of the recording pair.
+    recorded_n: usize,
+    /// `(n, horizon_secs)` of each `streaming` row.
+    streaming: &'static [(usize, u64)],
+    /// `(n, samples)` of each `gini_sample` row.
+    gini: &'static [(usize, u64)],
+}
+
+impl Sizes {
+    /// The sizes of a bench run at `scale`.
+    ///
+    /// Quick's n=10⁴ regime rows are the scaled-down counterparts of
+    /// the full suite's n=10⁶ rows: the same Fenwick-sampler +
+    /// timing-wheel hot path, small enough for the CI regression gate.
+    /// The recording pair runs n=10⁵ at both scales, the size the
+    /// headline claim is made at: the per-frame encode cost is fixed
+    /// (~0.1 µs), so at n=10⁴ it would be a larger share of the cheaper
+    /// per-event dispatch and the pair would gate a different ratio.
+    fn at(scale: RunScale) -> &'static Sizes {
+        const FULL: Sizes = Sizes {
+            scale: "full",
+            runs: 5,
+            regimes: &[1_000, 10_000, 100_000, 1_000_000],
+            target_events: 2_000_000,
+            churn_n: 100_000,
+            probe_n: 10_000,
+            recorded_n: 100_000,
+            streaming: &[(1_000, 100), (10_000, 40)],
+            gini: &[(10_000, 20_000_000), (100_000, 20_000_000)],
+        };
+        const QUICK: Sizes = Sizes {
+            scale: "quick",
+            runs: 3,
+            regimes: &[1_000, 10_000],
+            target_events: 1_500_000,
+            churn_n: 10_000,
+            probe_n: 10_000,
+            recorded_n: 100_000,
+            streaming: &[(1_000, 100)],
+            gini: &[(10_000, 20_000_000)],
+        };
+        scale.pick(&FULL, &QUICK)
+    }
+}
+
+/// What a market row attaches to its session before the timed run.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Attach {
+    /// Nothing: the session takes the kernel's plain `run_until`.
+    Nothing,
+    /// Every metric's probe, with snapshots at mid-run and horizon.
+    Probes,
+    /// A trace recorder sinking to `/dev/null`.
+    Recorder,
+}
+
+/// The piece of work a row times.
+enum Work {
+    /// `Session::from_config(config, 42)` with `attach` attached, timed
+    /// over `run_until(horizon)` plus `finish_trace`.
+    Market {
+        config: Box<MarketConfig>,
+        horizon_secs: u64,
+        attach: Attach,
+    },
+    /// The `serve_scenario` submitted to an in-process job daemon,
+    /// timed from submit to the last streamed sample.
+    Serve { horizon_secs: u64 },
+    /// Repeated wealth-Gini samples of a briefly run asymmetric market.
+    Gini { samples: u64 },
+}
+
+/// One bench row: a family, a size and the work it times.
+struct Row {
+    regime: &'static str,
+    n: usize,
+    work: Work,
+}
+
+/// Every bench row at `sizes`, in groups: a group is one row, or a pair
+/// whose rows [`measure`] alternates so that they are compared on the
+/// same stretch of host time.
+fn rows(sizes: &Sizes) -> Vec<Vec<Row>> {
+    let horizon = |n: usize| (sizes.target_events / n as u64).max(10);
+    let market = |regime, n, config: &MarketConfig, horizon_secs, attach| Row {
+        regime,
+        n,
+        work: Work::Market {
+            config: Box::new(config.clone()),
+            horizon_secs,
+            attach,
+        },
+    };
+    let mut groups = Vec::new();
+    for regime in REGIMES {
+        for &n in sizes.regimes {
+            let config = regime_config(regime, n);
+            let row = market(regime, n, &config, horizon(n), Attach::Nothing);
+            groups.push(vec![row]);
+        }
+    }
+    let n = sizes.churn_n;
+    let config = faulted_config(n);
+    let row = market("faulted", n, &config, horizon(n), Attach::Nothing);
+    groups.push(vec![row]);
+    // The pair's horizon is one sampling interval, so the recorded side
+    // pays one boundary state digest per interval, as a long recorded
+    // run does.
+    let n = sizes.recorded_n;
+    let config = regime_config("churn", n);
+    groups.push(vec![
+        market("churn_session", n, &config, SAMPLE_SECS, Attach::Nothing),
+        market("churn_recorded", n, &config, SAMPLE_SECS, Attach::Recorder),
+    ]);
+    for &(n, horizon_secs) in sizes.streaming {
+        let config = MarketConfig::new(n, 50)
+            .streaming_market(StreamingConfig::market_paced(1.0))
+            .sample_interval(SimDuration::from_secs(SAMPLE_SECS));
+        let row = market("streaming", n, &config, horizon_secs, Attach::Nothing);
+        groups.push(vec![row]);
+    }
+    let n = sizes.churn_n;
+    let work = Work::Serve {
+        horizon_secs: horizon(n),
+    };
+    groups.push(vec![Row {
+        regime: "serve_stream",
+        n,
+        work,
+    }]);
+    let n = sizes.probe_n;
+    let config = regime_config("asymmetric", n);
+    groups.push(vec![
+        market("probe_detached", n, &config, horizon(n), Attach::Nothing),
+        market("probe_attached", n, &config, horizon(n), Attach::Probes),
+    ]);
+    for &(n, samples) in sizes.gini {
+        let work = Work::Gini { samples };
+        groups.push(vec![Row {
+            regime: "gini_sample",
+            n,
+            work,
+        }]);
+    }
+    groups
+}
+
+impl Row {
+    /// One run of this row: builds (untimed), times the work, checks
+    /// the result, and returns `(events, wall_secs)`.
+    fn run(&self) -> (u64, f64) {
+        match &self.work {
+            Work::Market {
+                config,
+                horizon_secs,
+                attach,
+            } => {
+                let mut session = Session::from_config(config, 42).expect("bench session builds");
+                match attach {
+                    Attach::Nothing => {}
+                    Attach::Probes => {
+                        let run = RunSpec {
+                            horizon_secs: *horizon_secs,
+                            snapshots: vec![horizon_secs / 2, *horizon_secs],
+                            ..RunSpec::default()
+                        };
+                        for metric in Metric::ALL {
+                            session.attach(metric.make_probe(&run));
+                        }
+                    }
+                    // The recorder sinks to /dev/null: the pair gates the
+                    // hot-path cost (frame encode + checksum + staging +
+                    // boundary digests), not the host's disk.
+                    Attach::Recorder => session
+                        .record_to(Path::new("/dev/null"))
+                        .expect("recording starts"),
+                }
+                let start = Instant::now();
+                session.run_until(SimTime::from_secs(*horizon_secs));
+                session.finish_trace().expect("trace completes");
+                let wall = start.elapsed().as_secs_f64().max(1e-9);
+                let events = session.stats().events_processed;
+                let view = session.view();
+                let faults_on = view.fault_stats().is_some() == config.faults.is_some();
+                let balanced = view.ledger().conserved();
+                // Keep the record observable so probe work cannot be elided.
+                let (record, _) = session.finish();
+                let traded = record.purchases > 0;
+                assert!(
+                    faults_on && balanced && traded,
+                    "{}: fault plan as configured {faults_on}, books balance {balanced}, \
+                     market traded {traded}",
+                    self.regime
+                );
+                (events, wall)
+            }
+            Work::Serve { horizon_secs } => serve(self.n, *horizon_secs),
+            Work::Gini { samples } => {
+                let config = regime_config("asymmetric", self.n);
+                let market = scrip_core::market::run_market(config, 42, SimTime::from_secs(20))
+                    .expect("market runs");
+                let start = Instant::now();
+                let mut acc = 0.0f64;
+                for _ in 0..*samples {
+                    acc += market.ledger().wealth_gini().expect("non-empty market");
+                }
+                let wall = start.elapsed().as_secs_f64().max(1e-9);
+                // Keep the accumulator observable so the loop cannot be elided.
+                assert!(acc.is_finite());
+                (*samples, wall)
+            }
+        }
+    }
+}
+
+/// Times the job daemon end to end: start an in-process server on an
 /// ephemeral port with a throwaway state dir, submit the churn-regime
 /// scenario over the wire, subscribe, and time submit → final streamed
-/// sample. The entry's `events` is the simulator events the job
-/// processed (from its last sample), so events/sec reads against the
-/// inline `churn` rows; the gap is the daemon's all-in overhead.
-fn run_serve_case(n: usize, horizon_secs: u64, scale: &str) -> BenchEntry {
+/// sample. Returns the simulator events the job processed (from its
+/// last sample), so events/sec reads against the inline `churn` rows;
+/// the gap is the daemon's all-in overhead.
+fn serve(n: usize, horizon_secs: u64) -> (u64, f64) {
     use crate::serve::{Client, ServeOptions, Server};
-    let state_dir = std::env::temp_dir().join(format!("scrip-serve-bench-{}", std::process::id()));
+    use std::sync::atomic::{AtomicU64, Ordering};
+    // One state dir per daemon, so daemons in one process never share one.
+    static DAEMONS: AtomicU64 = AtomicU64::new(0);
+    let state_dir = std::env::temp_dir().join(format!(
+        "scrip-serve-bench-{}-{}",
+        std::process::id(),
+        DAEMONS.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&state_dir);
     let server =
         Server::start(&ServeOptions::new("127.0.0.1:0", &state_dir)).expect("bench daemon starts");
@@ -454,55 +434,57 @@ fn run_serve_case(n: usize, horizon_secs: u64, scale: &str) -> BenchEntry {
     client.drain().expect("bench drain");
     server.join();
     let _ = std::fs::remove_dir_all(&state_dir);
-    BenchEntry {
-        regime: "serve_stream".into(),
-        n,
-        scale: scale.into(),
-        events,
-        wall_secs: wall,
-        events_per_sec: events as f64 / wall,
-        peak_rss_bytes: peak_rss_bytes(),
-    }
+    (events, wall)
 }
 
-/// Measures the cost of a wealth-Gini sample at size `n`: run the
-/// asymmetric market briefly to de-equalize wealth, then time repeated
-/// [`scrip_core::Ledger::wealth_gini`] calls.
-fn run_gini_case(n: usize, samples: u64, scale: &str) -> BenchEntry {
-    let config = regime_config("asymmetric", n);
-    let market =
-        scrip_core::market::run_market(config, 42, SimTime::from_secs(20)).expect("market runs");
-    let start = Instant::now();
-    let mut acc = 0.0f64;
-    for _ in 0..samples {
-        acc += market.ledger().wealth_gini().expect("non-empty market");
+/// Times one group: resets the peak-RSS mark, runs the group's rows
+/// round-robin `sizes.runs` times (alternating keeps a slow patch of
+/// the host from landing on one side of a pair), and reports each
+/// row's median run with the min and max events/sec.
+fn measure(group: &[Row], sizes: &Sizes) -> Vec<BenchEntry> {
+    reset_peak_rss();
+    let mut runs: Vec<Vec<(u64, f64)>> = vec![Vec::new(); group.len()];
+    for _ in 0..sizes.runs {
+        for (row, runs) in group.iter().zip(&mut runs) {
+            runs.push(row.run());
+        }
     }
-    let wall = start.elapsed().as_secs_f64().max(1e-9);
-    // Keep the accumulator observable so the loop cannot be elided.
-    assert!(acc.is_finite());
-    BenchEntry {
-        regime: "gini_sample".into(),
-        n,
-        scale: scale.into(),
-        events: samples,
-        wall_secs: wall,
-        events_per_sec: samples as f64 / wall,
-        peak_rss_bytes: peak_rss_bytes(),
-    }
+    let peak_rss_bytes = peak_rss_bytes();
+    group
+        .iter()
+        .zip(runs)
+        .map(|(row, mut runs)| {
+            let rate = |&(events, wall): &(u64, f64)| events as f64 / wall;
+            runs.sort_by(|a, b| rate(a).total_cmp(&rate(b)));
+            let median = runs[runs.len() / 2];
+            BenchEntry {
+                regime: row.regime.into(),
+                n: row.n,
+                scale: sizes.scale.into(),
+                events: median.0,
+                wall_secs: median.1,
+                events_per_sec: rate(&median),
+                events_per_sec_min: rate(&runs[0]),
+                events_per_sec_max: rate(&runs[runs.len() - 1]),
+                peak_rss_bytes,
+            }
+        })
+        .collect()
 }
 
-/// Runs the bench suite at `scale`, printing one progress line per case
+/// Whether `only` (values from [`BENCH_REGIMES`]; empty = everything)
+/// selects `group`: naming either row of a pair selects the pair.
+fn selected(group: &[Row], only: &[String]) -> bool {
+    only.is_empty() || group.iter().any(|row| only.iter().any(|o| o == row.regime))
+}
+
+/// Runs the bench suite at `scale`, printing one progress line per row
 /// to stderr. A non-empty `only` restricts the run to the row families
 /// it names (values from [`BENCH_REGIMES`]); either row of a paired
 /// measurement (`churn_session`/`churn_recorded`,
 /// `probe_detached`/`probe_attached`) selects the pair.
 pub fn run_bench(scale: RunScale, only: &[String]) -> BenchReport {
-    let scale_name = match scale {
-        RunScale::Full => "full",
-        RunScale::Quick => "quick",
-    };
-    let wanted =
-        |regimes: &[&str]| only.is_empty() || only.iter().any(|o| regimes.contains(&o.as_str()));
+    let sizes = Sizes::at(scale);
     if !reset_peak_rss() {
         eprintln!(
             "bench: /proc/self/clear_refs refused the VmHWM reset, so peak_rss_bytes is the \
@@ -510,113 +492,40 @@ pub fn run_bench(scale: RunScale, only: &[String]) -> BenchReport {
         );
     }
     let mut report = BenchReport::default();
-    for (regime, n, horizon) in cases(scale) {
-        if !wanted(&[regime]) {
-            continue;
-        }
-        reset_peak_rss();
-        let entry = run_market_case(regime, n, horizon, scale_name);
-        eprintln!(
-            "bench {regime:<22} n={n:<7} {:>12.0} events/s ({} events in {:.2}s)",
-            entry.events_per_sec, entry.events, entry.wall_secs
-        );
-        report.entries.push(entry);
-    }
-    for (n, horizon) in faulted_cases(scale) {
-        if !wanted(&["faulted"]) {
-            continue;
-        }
-        reset_peak_rss();
-        let entry = run_faulted_case(n, horizon, scale_name);
-        eprintln!(
-            "bench {:<22} n={n:<7} {:>12.0} events/s ({} events in {:.2}s)",
-            entry.regime, entry.events_per_sec, entry.events, entry.wall_secs
-        );
-        report.entries.push(entry);
-    }
-    for (n, horizon) in recorded_cases(scale) {
-        if !wanted(&["churn_session", "churn_recorded"]) {
-            continue;
-        }
-        reset_peak_rss();
-        let (anchor, recorded) = run_recorded_case(n, horizon, scale_name);
-        for entry in [anchor, recorded] {
+    for group in rows(sizes).iter().filter(|g| selected(g, only)) {
+        for entry in measure(group, sizes) {
             eprintln!(
-                "bench {:<22} n={n:<7} {:>12.0} events/s ({} events in {:.2}s)",
-                entry.regime, entry.events_per_sec, entry.events, entry.wall_secs
+                "bench {:<22} n={:<7} {:>12.0} events/s (median of {}, {:.0}–{:.0}; {} events in {:.3}s)",
+                entry.regime,
+                entry.n,
+                entry.events_per_sec,
+                sizes.runs,
+                entry.events_per_sec_min,
+                entry.events_per_sec_max,
+                entry.events,
+                entry.wall_secs
             );
             report.entries.push(entry);
         }
     }
-    for (n, horizon) in streaming_cases(scale) {
-        if !wanted(&["streaming"]) {
-            continue;
-        }
-        reset_peak_rss();
-        let entry = run_streaming_case(n, horizon, scale_name);
-        eprintln!(
-            "bench {:<22} n={n:<7} {:>12.0} events/s ({} events in {:.2}s)",
-            entry.regime, entry.events_per_sec, entry.events, entry.wall_secs
-        );
-        report.entries.push(entry);
-    }
-    for (n, horizon) in serve_cases(scale) {
-        if !wanted(&["serve_stream"]) {
-            continue;
-        }
-        reset_peak_rss();
-        let entry = run_serve_case(n, horizon, scale_name);
-        eprintln!(
-            "bench {:<22} n={n:<7} {:>12.0} events/s ({} events in {:.2}s)",
-            entry.regime, entry.events_per_sec, entry.events, entry.wall_secs
-        );
-        // The inline churn row at the same (n, scale) is the anchor:
-        // the ratio is the daemon's all-in submit-to-last-sample cost.
-        if let Some(anchor) = report
+    // The inline churn row at the same n is the anchor: the ratio is
+    // the daemon's all-in submit-to-last-sample cost.
+    let rate = |regime: &str, n: usize| {
+        report
             .entries
             .iter()
-            .find(|a| a.regime == "churn" && a.n == n && a.events_per_sec > 0.0)
-        {
-            eprintln!(
-                "bench {:<22} served/batch throughput: {:.3}x",
-                "serve_stream",
-                entry.events_per_sec / anchor.events_per_sec
-            );
-        }
-        report.entries.push(entry);
-    }
-    for (attached, n, horizon) in probe_cases(scale) {
-        if !wanted(&["probe_detached", "probe_attached"]) {
-            continue;
-        }
-        reset_peak_rss();
-        let entry = run_probe_case(attached, n, horizon, scale_name);
-        eprintln!(
-            "bench {:<22} n={n:<7} {:>12.0} events/s ({} events in {:.2}s)",
-            entry.regime, entry.events_per_sec, entry.events, entry.wall_secs
-        );
-        report.entries.push(entry);
-    }
-    // Sample counts are sized for the *post-refactor* O(1) sampler so
-    // the timed window is milliseconds, not timer-resolution noise (the
-    // pre-refactor sampler was ~10^5 times slower and was measured with
-    // proportionally fewer samples; the per-sample rate is what's
-    // compared).
-    let gini_sizes: &[(usize, u64)] = match scale {
-        RunScale::Full => &[(10_000, 2_000_000), (100_000, 2_000_000)],
-        RunScale::Quick => &[(10_000, 1_000_000)],
+            .find(|e| e.regime == regime && e.n == n && e.events_per_sec > 0.0)
+            .map(|e| e.events_per_sec)
     };
-    for &(n, samples) in gini_sizes {
-        if !wanted(&["gini_sample"]) {
-            continue;
-        }
-        reset_peak_rss();
-        let entry = run_gini_case(n, samples, scale_name);
+    if let (Some(served), Some(batch)) = (
+        rate("serve_stream", sizes.churn_n),
+        rate("churn", sizes.churn_n),
+    ) {
         eprintln!(
-            "bench {:<22} n={n:<7} {:>12.0} samples/s ({} samples in {:.4}s)",
-            entry.regime, entry.events_per_sec, entry.events, entry.wall_secs
+            "bench {:<22} served/batch throughput: {:.3}x",
+            "serve_stream",
+            served / batch
         );
-        report.entries.push(entry);
     }
     report
 }
@@ -640,13 +549,16 @@ impl BenchEntry {
         };
         format!(
             "    {{\"regime\": \"{}\", \"n\": {}, \"scale\": \"{}\", \"events\": {}, \
-             \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}, \"peak_rss_bytes\": {}}}",
+             \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}, \"events_per_sec_min\": {:.1}, \
+             \"events_per_sec_max\": {:.1}, \"peak_rss_bytes\": {}}}",
             json_escape(&self.regime),
             self.n,
             json_escape(&self.scale),
             self.events,
             self.wall_secs,
             self.events_per_sec,
+            self.events_per_sec_min,
+            self.events_per_sec_max,
             rss
         )
     }
@@ -664,10 +576,12 @@ impl BenchReport {
         out
     }
 
-    /// Parses a report back from [`BenchReport::to_json`] output (also
-    /// tolerates the extra `before_events_per_sec` key of the committed
-    /// baseline file). This is a schema-specific reader, not a general
-    /// JSON parser: it scans the known keys per entry object.
+    /// Parses a report back from [`BenchReport::to_json`] output. An
+    /// entry without `events_per_sec_min`/`events_per_sec_max` (older
+    /// reports, and baseline rows measured before the median-of-k
+    /// timer) is one run, so both read as its `events_per_sec`. This
+    /// is a schema-specific reader, not a general JSON parser: it scans
+    /// the known keys per entry object.
     ///
     /// # Errors
     /// Returns a description of the first malformed entry.
@@ -698,13 +612,20 @@ impl BenchReport {
                 v.parse::<f64>()
                     .map_err(|e| format!("entry {i}: bad number for {key:?} ({v:?}): {e}"))
             };
+            let events_per_sec = num("events_per_sec")?;
+            let spread = |key: &str| match obj.contains(&format!("\"{key}\":")) {
+                true => num(key),
+                false => Ok(events_per_sec),
+            };
             entries.push(BenchEntry {
                 regime: field("regime")?,
                 n: num("n")? as usize,
                 scale: field("scale")?,
                 events: num("events")? as u64,
                 wall_secs: num("wall_secs")?,
-                events_per_sec: num("events_per_sec")?,
+                events_per_sec,
+                events_per_sec_min: spread("events_per_sec_min")?,
+                events_per_sec_max: spread("events_per_sec_max")?,
                 peak_rss_bytes: match field("peak_rss_bytes")?.as_str() {
                     "null" => None,
                     v => Some(
@@ -737,7 +658,7 @@ pub fn compare_against(
             .iter()
             .find(|b| b.regime == new.regime && b.n == new.n && b.scale == new.scale)
         else {
-            continue; // new case without a baseline: informational only
+            continue; // new row without a baseline: informational only
         };
         let floor = old.events_per_sec * (1.0 - max_regression);
         if new.events_per_sec < floor {
@@ -758,15 +679,14 @@ pub fn compare_against(
 
 /// The trace-recording overhead gate: every `churn_recorded` entry
 /// must keep a floor fraction of its paired `churn_session` anchor's
-/// throughput at the same `(n, scale)` (both sides of the pair are
-/// best-of-N interleaved measurements of the identical `Session`
-/// dispatch path — see `run_recorded_case`). At full scale the floor
-/// is 95% — the headline "hot-path recording costs under 5%" claim.
-/// The quick row runs the same n=10⁵ regime over a 4×-shorter
-/// horizon, so its windows are noisier on a shared CI runner — its
-/// floor is 90%, still tight enough to catch a real regression (an
-/// accidental flush-per-frame costs far more). Returns the offending
-/// descriptions.
+/// median throughput at the same `(n, scale)` (the pair is the same
+/// n=10⁵ churn `Session` over one sampling interval, with and without
+/// a recorder, run alternately). At full scale the floor is 95% —
+/// the headline "hot-path recording costs under 5%" claim.
+/// Quick scale takes 3 runs a side instead of 5, so its median is
+/// noisier on a shared CI runner — its floor is 90%, still tight
+/// enough to catch a real regression (an accidental flush-per-frame
+/// costs far more). Returns the offending descriptions.
 pub fn record_overhead_failures(report: &BenchReport) -> Vec<String> {
     report
         .entries
@@ -800,11 +720,11 @@ pub fn record_overhead_failures(report: &BenchReport) -> Vec<String> {
 
 /// The peak-RSS budget for a bench run at `scale`, in bytes.
 ///
-/// `peak_rss_bytes` is each case's own high-water mark (`VmHWM`, reset
-/// before the case by [`reset_peak_rss`]), so the budget bounds every
-/// case separately; where the kernel refuses the reset it is the
-/// process mark, and the budget bounds the whole suite instead. Either
-/// way it is sized by the largest case. Full scale runs the four
+/// `peak_rss_bytes` is each group's own high-water mark (`VmHWM`, reset
+/// before the group by [`run_bench`]), so the budget bounds every group
+/// separately; where the kernel refuses the reset it is the process
+/// mark, and the budget bounds the whole suite instead. Either way it
+/// is sized by the largest row. Full scale runs the four
 /// market regimes at n=10⁶ (arena state ≈ 100 B/peer + scale-free
 /// adjacency ≈ 4 B × ~20 neighbors + the timing wheel's pre-sized
 /// buckets), which lands well under 4 GiB; quick tops out at the
@@ -846,6 +766,25 @@ pub fn check_rss_budget(report: &BenchReport, budget_bytes: u64) -> Vec<String> 
 mod tests {
     use super::*;
 
+    use scrip_core::market::{CreditMarket, MarketEvent};
+    use scrip_core::protocol::build_streaming_market;
+    use scrip_core::streaming::StreamEvent;
+    use scrip_des::Simulation;
+
+    /// Every family at unit-test sizes (n ≤ 1000, short horizons); the
+    /// real sizes run under `scrip-sim bench`.
+    const TEST: Sizes = Sizes {
+        scale: "test",
+        runs: 3,
+        regimes: &[100, 200],
+        target_events: 2_000,
+        churn_n: 100,
+        probe_n: 100,
+        recorded_n: 100,
+        streaming: &[(100, 20)],
+        gini: &[(100, 1_000)],
+    };
+
     fn entry(regime: &str, eps: f64) -> BenchEntry {
         BenchEntry {
             regime: regime.into(),
@@ -854,8 +793,48 @@ mod tests {
             events: 1_000,
             wall_secs: 1.0,
             events_per_sec: eps,
+            events_per_sec_min: eps * 0.9,
+            events_per_sec_max: eps * 1.1,
             peak_rss_bytes: Some(12_345_678),
         }
+    }
+
+    /// Held by every test that resets the process's `VmHWM`, so that no
+    /// reset lands inside `peak_rss_reset_forgets_a_freed_allocation`.
+    static VMHWM: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// [`measure`] at `TEST` sizes, holding [`VMHWM`].
+    fn measured(group: &[Row]) -> Vec<BenchEntry> {
+        let _held = VMHWM.lock().unwrap_or_else(|e| e.into_inner());
+        measure(group, &TEST)
+    }
+
+    /// The group of `TEST` rows whose first row is `regime`.
+    fn test_group(regime: &str) -> Vec<Row> {
+        rows(&TEST)
+            .into_iter()
+            .find(|g| g[0].regime == regime)
+            .expect("family in the table")
+    }
+
+    /// Events of a direct `Simulation` run of `config` to `horizon_secs`,
+    /// with no `Session` in between.
+    fn direct_events(config: &MarketConfig, horizon_secs: u64) -> u64 {
+        let horizon = SimTime::from_secs(horizon_secs);
+        let stats = if config.streaming.is_some() {
+            let system = build_streaming_market(config, 42).expect("builds");
+            let profile = system.queue_profile();
+            let mut sim = Simulation::with_profile(system, profile);
+            sim.schedule(SimTime::ZERO, StreamEvent::Bootstrap);
+            sim.run_until(horizon)
+        } else {
+            let market = CreditMarket::build(config.clone(), 42).expect("builds");
+            let profile = market.queue_profile();
+            let mut sim = Simulation::with_profile(market, profile);
+            sim.schedule(SimTime::ZERO, MarketEvent::Bootstrap);
+            sim.run_until(horizon)
+        };
+        stats.events_processed
     }
 
     #[test]
@@ -873,8 +852,22 @@ mod tests {
         assert_eq!(parsed.entries[0].n, 1_000);
         assert_eq!(parsed.entries[0].scale, "quick");
         assert!((parsed.entries[0].events_per_sec - 1234.5).abs() < 0.1);
+        assert!((parsed.entries[0].events_per_sec_min - 1111.05).abs() < 0.1);
+        assert!((parsed.entries[0].events_per_sec_max - 1357.95).abs() < 0.1);
         assert_eq!(parsed.entries[0].peak_rss_bytes, Some(12_345_678));
         assert_eq!(parsed.entries[1].peak_rss_bytes, None);
+    }
+
+    #[test]
+    fn from_json_reads_an_entry_without_min_and_max_as_one_run() {
+        let text = "{\"schema\": \"scrip-bench-market/1\", \"entries\": [\n\
+            {\"regime\": \"churn\", \"n\": 1000, \"scale\": \"full\", \"events\": 10, \
+             \"wall_secs\": 0.5, \"events_per_sec\": 20.0, \"peak_rss_bytes\": null}\n]}";
+        let parsed = BenchReport::from_json(text).expect("parses");
+        let e = &parsed.entries[0];
+        assert_eq!(e.regime, "churn");
+        assert_eq!(e.events_per_sec, 20.0);
+        assert_eq!((e.events_per_sec_min, e.events_per_sec_max), (20.0, 20.0));
     }
 
     #[test]
@@ -908,16 +901,52 @@ mod tests {
 
     #[test]
     fn quick_cases_are_small() {
-        for (regime, n, horizon) in cases(RunScale::Quick) {
-            assert!(n <= 10_000, "{regime}: n {n}");
-            assert!(horizon <= 500, "{regime}: horizon {horizon}");
+        let quick: Vec<Row> = rows(Sizes::at(RunScale::Quick))
+            .into_iter()
+            .flatten()
+            .collect();
+        // CI runs the quick suite k times per row: every row's work is
+        // bounded so the step's wall time is.
+        for row in &quick {
+            let limit = if row.regime.starts_with("churn_") {
+                100_000
+            } else {
+                10_000
+            };
+            assert!(row.n <= limit, "{}: n {}", row.regime, row.n);
+            match &row.work {
+                Work::Market { horizon_secs, .. } | Work::Serve { horizon_secs }
+                    if row.regime.starts_with("churn_") =>
+                {
+                    assert_eq!(*horizon_secs, SAMPLE_SECS, "{}", row.regime);
+                }
+                Work::Market { horizon_secs, .. } | Work::Serve { horizon_secs } => {
+                    assert!(
+                        *horizon_secs <= 1_500,
+                        "{}: horizon {horizon_secs}",
+                        row.regime
+                    );
+                    assert!(
+                        horizon_secs * row.n as u64 <= 1_500_000,
+                        "{}: n {} × horizon {horizon_secs}",
+                        row.regime,
+                        row.n
+                    );
+                }
+                Work::Gini { samples } => {
+                    assert!(*samples <= 20_000_000, "{}: {samples} samples", row.regime);
+                }
+            }
         }
+        let full: Vec<Row> = rows(Sizes::at(RunScale::Full))
+            .into_iter()
+            .flatten()
+            .collect();
         // 4 regimes × sizes [1k, 10k, 100k, 1M].
-        assert_eq!(cases(RunScale::Full).len(), 16);
+        let regime_rows = full.iter().filter(|r| REGIMES.contains(&r.regime));
+        assert_eq!(regime_rows.count(), 16);
         assert!(
-            cases(RunScale::Full)
-                .iter()
-                .any(|&(_, n, _)| n == 1_000_000),
+            full.iter().any(|r| r.n == 1_000_000),
             "full scale must include the million-peer rows"
         );
     }
@@ -925,6 +954,7 @@ mod tests {
     #[test]
     fn peak_rss_reset_forgets_a_freed_allocation() {
         const BIG: u64 = 128 << 20;
+        let _held = VMHWM.lock().unwrap_or_else(|e| e.into_inner());
         if !reset_peak_rss() {
             return; // no clear_refs here: rows carry the process mark
         }
@@ -962,21 +992,34 @@ mod tests {
     #[test]
     fn probe_cases_cover_both_recorder_states() {
         for scale in [RunScale::Quick, RunScale::Full] {
-            let cases = probe_cases(scale);
-            assert_eq!(cases.len(), 2);
-            assert!(!cases[0].0, "detached first");
-            assert!(cases[1].0);
-            assert!(cases.iter().all(|&(_, n, _)| n == 10_000));
+            let groups = rows(Sizes::at(scale));
+            let pair = groups
+                .iter()
+                .find(|g| g[0].regime == "probe_detached")
+                .expect("probe pair");
+            let attached: Vec<(&str, Attach)> = pair
+                .iter()
+                .map(|row| match row.work {
+                    Work::Market { attach, .. } => (row.regime, attach),
+                    _ => panic!("probe rows are market runs"),
+                })
+                .collect();
+            assert_eq!(
+                attached,
+                [
+                    ("probe_detached", Attach::Nothing),
+                    ("probe_attached", Attach::Probes)
+                ]
+            );
+            assert!(pair.iter().all(|row| row.n == 10_000));
         }
     }
 
     #[test]
     fn probe_bench_entries_measure_events() {
-        // A miniature run of both recorder states (tiny n + horizon so
-        // the unit test stays fast); the real sizes run under
-        // `scrip-sim bench`.
-        let detached = run_probe_case(false, 100, 20, "test");
-        let attached = run_probe_case(true, 100, 20, "test");
+        let [detached, attached] = measured(&test_group("probe_detached"))
+            .try_into()
+            .expect("a pair");
         assert_eq!(detached.regime, "probe_detached");
         assert_eq!(attached.regime, "probe_attached");
         assert_eq!(
@@ -988,11 +1031,12 @@ mod tests {
 
     #[test]
     fn recorded_case_replays_the_plain_churn_event_stream() {
-        // Miniature size; the real rows run under `scrip-sim bench`.
-        let plain = run_market_case("churn", 100, 20, "test");
-        let (anchor, recorded) = run_recorded_case(100, 20, "test");
+        let [anchor, recorded] = measured(&test_group("churn_session"))
+            .try_into()
+            .expect("a pair");
         assert_eq!(
-            plain.events, recorded.events,
+            direct_events(&regime_config("churn", TEST.recorded_n), SAMPLE_SECS),
+            recorded.events,
             "recording must not change the event stream"
         );
         assert_eq!(
@@ -1002,6 +1046,41 @@ mod tests {
         assert_eq!(anchor.regime, "churn_session");
         assert_eq!(recorded.regime, "churn_recorded");
         assert!(recorded.events_per_sec > 0.0);
+    }
+
+    #[test]
+    fn every_group_reports_min_median_max_and_keeps_its_work() {
+        let mut session_families = Vec::new();
+        for group in rows(&TEST) {
+            let entries = measured(&group);
+            assert_eq!(entries.len(), group.len());
+            for (row, e) in group.iter().zip(&entries) {
+                assert!(
+                    e.events_per_sec_min <= e.events_per_sec
+                        && e.events_per_sec <= e.events_per_sec_max,
+                    "{e:?}"
+                );
+                assert!(e.events > 0 && e.events_per_sec > 0.0, "{e:?}");
+                // A `Session` row dispatches what a direct `Simulation`
+                // run of the same config and horizon dispatches.
+                if let Work::Market {
+                    config,
+                    horizon_secs,
+                    ..
+                } = &row.work
+                {
+                    assert_eq!(e.events, direct_events(config, *horizon_secs), "{e:?}");
+                    session_families.push(row.regime);
+                }
+            }
+            assert!(
+                entries.iter().all(|e| e.events == entries[0].events),
+                "both rows of a pair dispatch the same run: {entries:?}"
+            );
+        }
+        session_families.dedup();
+        // The four regimes, `faulted`, both pairs and `streaming`.
+        assert_eq!(session_families.len(), 10, "{session_families:?}");
     }
 
     #[test]
@@ -1022,8 +1101,8 @@ mod tests {
         let failures = record_overhead_failures(&report);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("churn_recorded"), "{failures:?}");
-        // Quick scale: the cheaper-per-event CI proxy gets a 90% floor
-        // — 94% passes there, 89% fails.
+        // Quick scale: the shorter-median CI proxy gets a 90% floor —
+        // 94% passes there, 89% fails.
         let report = BenchReport {
             entries: vec![
                 entry("churn_session", 1000.0),
@@ -1047,9 +1126,10 @@ mod tests {
 
     #[test]
     fn serve_case_measures_a_completed_streamed_job() {
-        // Miniature size; the real rows run under `scrip-sim bench`.
-        // The runner itself asserts completion and a non-empty stream.
-        let entry = run_serve_case(100, 50, "test");
+        // The run itself asserts completion and a non-empty stream.
+        let [entry] = measured(&test_group("serve_stream"))
+            .try_into()
+            .expect("one row");
         assert_eq!(entry.regime, "serve_stream");
         assert!(entry.events > 0 && entry.events_per_sec > 0.0);
         let scenario = serve_scenario(100, 50);
@@ -1058,19 +1138,39 @@ mod tests {
 
     #[test]
     fn only_runs_the_named_families() {
-        let report = run_bench(RunScale::Quick, &["gini_sample".to_string()]);
-        assert!(!report.entries.is_empty());
-        assert!(report.entries.iter().all(|e| e.regime == "gini_sample"));
+        let only = |names: &[&str]| -> Vec<&'static str> {
+            let only: Vec<String> = names.iter().map(|s| s.to_string()).collect();
+            rows(Sizes::at(RunScale::Quick))
+                .iter()
+                .filter(|g| selected(g, &only))
+                .flat_map(|g| g.iter().map(|row| row.regime))
+                .collect()
+        };
+        assert_eq!(only(&["gini_sample"]), ["gini_sample"]);
+        // Either row of a pair selects both rows.
+        assert_eq!(
+            only(&["churn_recorded"]),
+            ["churn_session", "churn_recorded"]
+        );
+        assert_eq!(
+            only(&["probe_detached"]),
+            ["probe_detached", "probe_attached"]
+        );
+        assert_eq!(only(&["tax", "faulted"]), ["tax", "tax", "faulted"]);
+        assert_eq!(only(&[]).len(), 16);
     }
 
     #[test]
     fn every_bench_family_has_a_known_name() {
-        let mut names: Vec<&str> = cases(RunScale::Quick).iter().map(|c| c.0).collect();
-        names.extend(["faulted", "churn_session", "churn_recorded", "streaming"]);
-        names.extend(["serve_stream", "probe_detached", "probe_attached"]);
-        names.push("gini_sample");
-        for name in names {
-            assert!(BENCH_REGIMES.contains(&name), "{name} missing");
+        for scale in [RunScale::Quick, RunScale::Full] {
+            let groups = rows(Sizes::at(scale));
+            let mut names: Vec<&str> = groups.iter().flatten().map(|row| row.regime).collect();
+            for name in &names {
+                assert!(BENCH_REGIMES.contains(name), "{name} unknown");
+            }
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), BENCH_REGIMES.len(), "every family has a row");
         }
     }
 
@@ -1084,10 +1184,10 @@ mod tests {
 
     #[test]
     fn faulted_case_runs_the_recovery_path() {
-        // Miniature size; the real n=10^5 case runs under
-        // `scrip-sim bench`. The runner itself asserts the plan is
-        // active and the books balance.
-        let entry = run_faulted_case(100, 20, "test");
+        // The run itself asserts the plan is active and the books balance.
+        let [entry] = measured(&test_group("faulted"))
+            .try_into()
+            .expect("one row");
         assert_eq!(entry.regime, "faulted");
         assert!(entry.events > 0 && entry.events_per_sec > 0.0);
     }
