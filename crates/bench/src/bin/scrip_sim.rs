@@ -50,7 +50,6 @@ USAGE:
     scrip-sim record <FILE.scn> [--trace OUT.trc]
     scrip-sim replay <FILE.scn> [--trace IN.trc]
     scrip-sim trace-diff <A.trc> <B.trc>
-    scrip-sim bisect <FILE.scn> --trace IN.trc
     scrip-sim tail <FILE.trc> [--follow]
     scrip-sim serve [--addr HOST:PORT] [--state-dir DIR] [--workers N]
     scrip-sim submit <FILE.scn> [--addr A] [--name TOKEN] [--timeout-secs N]
@@ -85,9 +84,6 @@ trace, fail-closed: it exits non-zero naming the first divergent
 replay verifies. `trace-diff` compares two traces frame by frame and
 reports the first divergence with decoded payloads (exit 1) or counts
 matching frames (exit 0).
-`bisect` binary-searches a trace's digest frames with checkpoint hops
-and pins where a live re-execution departs from the recording, down to
-the exact (time, seq).
 `tail` prints a SCRIPTRC file's frames as they land; --follow keeps
 polling until the writer closes the file with its end frame.
 `serve` starts the crash-safe job daemon (protocol and lifecycle:
@@ -256,8 +252,7 @@ fn load_scenario(path: &str) -> Result<Scenario, String> {
 }
 
 /// Loads a scenario file that runs exactly one replication — the shape
-/// checkpointed runs, `record`, `replay` and `bisect` need — with its
-/// market.
+/// checkpointed runs, `record` and `replay` need — with its market.
 fn load_single(path: &str, verb: &str) -> Result<(Scenario, MarketConfig), String> {
     let scenario = load_scenario(path)?;
     let config = scenario
@@ -534,44 +529,6 @@ fn cmd_trace_diff(options: &Options) -> Result<(), String> {
     }
     println!("traces identical: {events} event frame(s), {digests} digest frame(s)");
     Ok(())
-}
-
-/// `scrip-sim bisect FILE.scn --trace IN.trc`: binary-search the
-/// trace's digest frames against a live re-execution (checkpoint hops),
-/// then replay the bracketed window event-by-event to pin the exact
-/// divergent `(time, seq)`.
-fn cmd_bisect(options: &Options) -> Result<(), String> {
-    let [target] = options.targets.as_slice() else {
-        return Err("bisect: expected exactly one scenario file".into());
-    };
-    let Some(trace_path) = options.trace.clone() else {
-        return Err("bisect: --trace IN.trc is required".into());
-    };
-    let (scenario, config) = load_single(target, "bisect")?;
-    let report = scrip_bench::bisect::bisect_trace(
-        &config,
-        scenario.run.seed,
-        SimTime::from_secs(scenario.run.horizon_secs),
-        Path::new(&trace_path),
-    )
-    .map_err(|e| format!("{target}: {e}"))?;
-    let (lo, hi) = report.window;
-    eprintln!(
-        "bisect: {} digest probe(s), window ({}µs, {}µs]",
-        report.probes,
-        lo.as_micros(),
-        hi.as_micros()
-    );
-    match report.divergence {
-        Some(divergence) => {
-            println!("{divergence}");
-            Ok(())
-        }
-        None => {
-            println!("no divergence: live run matches the recorded trace");
-            Ok(())
-        }
-    }
 }
 
 fn cmd_run(options: &Options) -> Result<(), String> {
@@ -919,7 +876,11 @@ fn main() -> ExitCode {
         "record" => cmd_record(&options),
         "replay" => cmd_replay(&options),
         "trace-diff" => cmd_trace_diff(&options),
-        "bisect" => cmd_bisect(&options),
+        "bisect" => Err(
+            "`bisect` was removed: `scrip-sim replay FILE.scn --trace PATH` \
+             reports the first divergent (time, seq)"
+                .into(),
+        ),
         "tail" => cmd_tail(&options),
         "serve" => cmd_serve(&options),
         "submit" => cmd_submit(&options),

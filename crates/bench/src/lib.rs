@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bisect;
 pub mod figures;
 pub mod perf;
 pub mod scale;

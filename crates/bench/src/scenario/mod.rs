@@ -459,7 +459,7 @@ impl Scenario {
 
     /// The market of a scenario that runs exactly one replication — one
     /// case and `replications = 1` — the shape checkpointing, trace
-    /// recording and bisection drive.
+    /// recording and replay drive.
     ///
     /// # Errors
     /// Returns [`ScenarioError::Config`] for any other shape or an

@@ -362,7 +362,7 @@ impl SessionModel {
 }
 
 /// The first point where a replayed run departed from its recorded
-/// trace — what `scrip-sim replay`/`bisect` report.
+/// trace — what `scrip-sim replay` reports.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceDivergence {
     /// Instant of the divergence.
@@ -461,8 +461,9 @@ impl Tracer {
             } => {
                 // Digest (and state) frames belong to boundaries; any
                 // still sitting before the next event frame were taken
-                // at stops this session does not share (e.g. probe
-                // extra stops during a mid-run bisection) — skip them.
+                // at stops this session does not share (e.g. the extra
+                // stop of a probe only the recording session had) —
+                // skip them.
                 // Shared boundaries consume their digest strictly in
                 // `on_boundary` before the next event is tapped.
                 scratch.clear();
@@ -759,8 +760,8 @@ impl Session {
         }
         self.started = true;
         // No digest frame at time zero: the t = 0 state is a function of
-        // the header's configuration fingerprint and seed alone, so
-        // bisection anchors on a fresh session instead.
+        // the header's configuration fingerprint and seed alone, which
+        // replay checks when it attaches.
         self.sim_run_until(SimTime::ZERO);
         if self.trace_halted() {
             return;
@@ -894,8 +895,8 @@ impl Session {
     ///
     /// # Errors
     /// Returns [`CoreError::Trace`] for unreadable/corrupt trace files,
-    /// a header (configuration or seed) mismatch, or a session that
-    /// already started.
+    /// a header (configuration or seed) mismatch, a session that
+    /// already started, or one that already has a tracer attached.
     pub fn replay_from(&mut self, path: &Path) -> Result<(), CoreError> {
         if self.started {
             return Err(CoreError::Trace(
@@ -903,20 +904,6 @@ impl Session {
             ));
         }
         let reader = TraceReader::from_path(path).map_err(trace_err)?;
-        self.replay_resume(reader)
-    }
-
-    /// Attaches replay verification to a session positioned mid-run —
-    /// a [`Session::resume`]d checkpoint during divergence bisection.
-    /// Event frames already covered by the session's processed-event
-    /// count are skipped, along with digest frames at or before its
-    /// clock; every further event is then verified as in
-    /// [`Session::replay_from`].
-    ///
-    /// # Errors
-    /// Returns [`CoreError::Trace`] on a header mismatch, an already
-    /// attached tracer, or a trace shorter than the session's position.
-    pub fn replay_resume(&mut self, mut reader: TraceReader) -> Result<(), CoreError> {
         if self.tracer.is_some() {
             return Err(CoreError::Trace(
                 "session already has a tracer attached".into(),
@@ -928,25 +915,6 @@ impl Session {
             return Err(CoreError::Trace(format!(
                 "seed mismatch: trace was recorded with seed {}, session runs seed {}",
                 header.seed, self.seed
-            )));
-        }
-        let target = self.stats().events_processed;
-        let now = self.now();
-        let mut skipped = 0u64;
-        // Digest frames for boundaries at or before the clock (e.g. the
-        // boundary this session checkpointed at) are already covered.
-        loop {
-            match reader.peek_frame().map_err(trace_err)? {
-                Some(TraceFrame::Event { .. }) if skipped < target => skipped += 1,
-                Some(TraceFrame::Digest { time, .. }) if time <= now => {}
-                _ => break,
-            }
-            reader.next_frame().map_err(trace_err)?;
-        }
-        if skipped != target {
-            return Err(CoreError::Trace(format!(
-                "trace too short to verify from here: it holds {skipped} events up to the \
-                 session clock, the session has already applied {target}"
             )));
         }
         self.tracer = Some(Box::new(Tracer::Verify {
@@ -2001,32 +1969,6 @@ mod tests {
         assert!(divergence.time <= horizon);
         let err = session.finish_trace().expect_err("reports divergence");
         assert!(err.to_string().contains("diverged"), "{err}");
-    }
-
-    #[test]
-    fn replay_resume_verifies_the_tail_of_a_checkpointed_run() {
-        let config = MarketConfig::new(40, 20)
-            .churn(crate::market::ChurnConfig::new(0.3, 250.0, 8).expect("valid"))
-            .sample_interval(SimDuration::from_secs(100));
-        let horizon = SimTime::from_secs(800);
-        let stop = SimTime::from_secs(300);
-        let path = TracePath::new("resume");
-
-        let mut session = Session::from_config(&config, 41).expect("builds");
-        session.record_to(&path.0).expect("starts recording");
-        session.run_until(stop);
-        let checkpoint = session.checkpoint().expect("checkpoints");
-        session.run_until(horizon);
-        session.finish_trace().expect("recording completes");
-        let direct = session.finish().0;
-
-        let mut resumed = Session::resume(&config, Vec::new(), &checkpoint).expect("resumes");
-        let reader = TraceReader::from_path(&path.0).expect("opens trace");
-        resumed.replay_resume(reader).expect("attaches mid-stream");
-        resumed.run_until(horizon);
-        assert!(resumed.trace_divergence().is_none());
-        resumed.finish_trace().expect("tail verifies");
-        assert_eq!(resumed.finish().0, direct);
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!   reproduce the O(deg) cumulative walk's choices exactly.
 //! * [`trace`] — versioned append-only event traces ([`TraceWriter`] /
 //!   [`TraceReader`]): every applied event plus periodic state digests,
-//!   the substrate for record, replay, diff, and divergence bisection.
+//!   the substrate for record, replay (which pins the first divergent
+//!   event) and diff.
 //!
 //! ## Example
 //!

@@ -1,5 +1,5 @@
 //! Versioned append-only binary event traces: record every applied
-//! event, replay and diff runs, and bisect divergences.
+//! event, replay runs to the first divergent event, and diff traces.
 //!
 //! A trace is a header plus a flat sequence of *frames*:
 //!

@@ -5,17 +5,18 @@
 //! bit-for-bit — every event `(time, seq, payload)` identity, every
 //! boundary state digest, and the final `RunRecord`. These tests pin
 //! that claim over *arbitrary* configurations (churn × faults × tax ×
-//! queue profile) via proptest, and pin the bisection search to the
-//! exact `(time, seq)` a full event-level replay reports.
+//! queue profile) via proptest, and pin a divergence that only the
+//! event frames show (the boundary digests all match) to its exact
+//! `(time, seq)`.
 
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
-use scrip_bench::bisect::bisect_trace;
-use scrip_core::des::{FaultSpec, SimDuration, SimTime};
-use scrip_core::market::{ChurnConfig, MarketConfig};
+use scrip_core::des::{FaultSpec, SimDuration, SimTime, TraceFrame, TraceReader, TraceWriter};
+use scrip_core::market::{ChurnConfig, MarketConfig, MarketEvent};
 use scrip_core::obs::{probes, Probe, RunRecord, Session};
 use scrip_core::policy::TaxConfig;
+use scrip_core::topology::NodeId;
 
 /// RAII temp-file path so failed assertions don't leak trace files.
 struct TracePath(PathBuf);
@@ -136,63 +137,72 @@ proptest! {
     }
 }
 
-/// Bisection pins a seeded divergence to the exact `(time, seq)` that a
-/// full event-level replay reports, while probing only O(log) digests.
+/// A divergence the boundary digests do not show: the recorded trace
+/// is re-encoded with one mid-run `Spend` naming another peer, every
+/// other frame (digests included) copied as recorded and each checksum
+/// re-sealed. The live run's state still matches every digest, so only
+/// the event-level check can catch it, and replay pins that frame's
+/// exact `(time, seq)`.
 #[test]
-fn bisect_pins_the_exact_divergent_event() {
+fn replay_pins_an_event_divergence_the_digests_miss() {
     let config = arbitrary_config(50, true, true, false, true);
     let horizon = SimTime::from_secs(1_000);
-    let trace = TracePath::new("bisect_exact");
+    let trace = TracePath::new("event_only");
     record_run(&config, 7, horizon, trace.path());
 
-    // Splice the recorded seed (header bytes 20..28) so a session
-    // seeded differently accepts the header, then diverges mid-run.
-    let mut bytes = std::fs::read(trace.path()).expect("trace readable");
-    bytes[20..28].copy_from_slice(&8u64.to_le_bytes());
-    std::fs::write(trace.path(), &bytes).expect("trace rewritable");
+    let original = std::fs::read(trace.path()).expect("trace readable");
+    let mut reader = TraceReader::from_bytes(original.clone()).expect("trace decodes");
+    let mut writer = TraceWriter::new(Vec::new(), *reader.header());
+    let mut altered = None;
+    while let Some(frame) = reader.next_frame().expect("clean trace") {
+        match frame {
+            TraceFrame::Event {
+                time,
+                seq,
+                mut payload,
+            } => {
+                if altered.is_none() && time >= SimTime::from_secs(500) {
+                    if let Ok(MarketEvent::Spend(id)) = MarketEvent::from_trace_payload(&payload) {
+                        // A spend payload is its tag byte and the peer id.
+                        let other = NodeId::from_raw(id.raw() + 1);
+                        payload[1..].copy_from_slice(&other.raw().to_le_bytes());
+                        assert_eq!(
+                            MarketEvent::from_trace_payload(&payload).expect("decodes"),
+                            MarketEvent::Spend(other)
+                        );
+                        altered = Some((time, seq));
+                    }
+                }
+                writer.event(time, seq, &payload).expect("in-memory sink");
+            }
+            TraceFrame::Digest {
+                time,
+                events_processed,
+                digest,
+            } => writer.digest(time, events_processed, digest),
+            TraceFrame::End {
+                time,
+                events_processed,
+            } => writer.end(time, events_processed),
+            TraceFrame::State { .. } => panic!("a recorded trace holds no state frames"),
+        }
+    }
+    let (time, seq) = altered.expect("a spend fires after t=500 s");
+    let rewritten = writer.into_bytes();
+    assert_eq!(rewritten.len(), original.len(), "only one payload changed");
+    assert_ne!(rewritten, original);
+    std::fs::write(trace.path(), &rewritten).expect("trace rewritable");
 
-    // Ground truth: the full event-level replay scans every frame.
-    let mut full = Session::from_config(&config, 8).expect("builds");
-    full.replay_from(trace.path()).expect("trace attaches");
-    full.run_until(horizon);
-    let reference = full
+    let mut session = Session::from_config(&config, 7).expect("builds");
+    session.replay_from(trace.path()).expect("trace attaches");
+    session.run_until(horizon);
+    let divergence = session
         .trace_divergence()
         .cloned()
-        .expect("differing seeds must diverge");
-
-    let report = bisect_trace(&config, 8, horizon, trace.path()).expect("bisect runs");
-    let found = report.divergence.expect("bisect finds the divergence");
-    assert_eq!(
-        found, reference,
-        "bisect must pin the same (time, seq) as a full replay"
-    );
-    assert!(
-        report.window.0 < found.time && found.time <= report.window.1,
-        "divergence t={} outside bracketed window ({}, {}]",
-        found.time,
-        report.window.0,
-        report.window.1
-    );
-    // log2(#digests) + 1 probes at most; the digest grid here is the
-    // 100 s sampling tick, so 10 boundaries → at most 5 probes.
-    assert!(
-        report.probes <= 5,
-        "binary search ran {} probes over ~10 digests",
-        report.probes
-    );
-}
-
-/// A clean round trip reports no divergence through the bisector too.
-#[test]
-fn bisect_reports_no_divergence_for_a_faithful_trace() {
-    let config = arbitrary_config(40, false, true, true, false);
-    let horizon = SimTime::from_secs(600);
-    let trace = TracePath::new("bisect_clean");
-    record_run(&config, 3, horizon, trace.path());
-    let report = bisect_trace(&config, 3, horizon, trace.path()).expect("bisect runs");
-    assert_eq!(report.divergence, None, "faithful trace must verify");
-    assert_eq!(
-        report.window.1, horizon,
-        "every recorded digest matched, so the window extends to the horizon"
-    );
+        .expect("replay must catch the altered spend");
+    assert_eq!((divergence.time, divergence.seq), (time, Some(seq)));
+    // The run froze before the divergent event, not at the horizon.
+    assert!(session.now() <= time);
+    let err = session.finish_trace().expect_err("reports the divergence");
+    assert!(err.to_string().contains("diverged"), "{err}");
 }
