@@ -1528,11 +1528,13 @@ impl Model for CreditMarket {
         }
     }
 
-    /// Starts the loads of the next spend's buyer while the current
-    /// event runs: its pick-order slot, its wallet, its `μ` and the row
-    /// header and both ends of its overlay row, which the seller pick
-    /// indexes. Every read is bounds-checked, so a departed or unknown
-    /// id reads a zero or `None`; nothing is drawn or written.
+    /// Starts the loads of an upcoming spend's buyer while the current
+    /// event runs (the next live event, or one of the next bucket's on
+    /// a queue sized for more than 2¹⁶ events): its pick-order slot,
+    /// its wallet, its `μ` and the row header and both ends of its
+    /// overlay row, which the seller pick indexes. Every read is
+    /// bounds-checked, so a departed or unknown id reads a zero or
+    /// `None`; nothing is drawn or written.
     fn prefetch(&self, next: &MarketEvent) {
         if let MarketEvent::Spend(id) = *next {
             black_box(self.ledger.has_account(id));

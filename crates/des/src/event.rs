@@ -114,6 +114,18 @@ impl<E> Scheduler<E> {
         self.queue.peek_live()
     }
 
+    /// Whether [`Scheduler::take_next_bucket`] has a bucket to list.
+    pub(crate) fn next_bucket_due(&self) -> bool {
+        self.queue.next_bucket_due()
+    }
+
+    /// The events of the bucket after the floor, once per floor
+    /// advance of a queue sized for more than 2¹⁶ events (see
+    /// [`EventQueue::take_next_bucket`]).
+    pub(crate) fn take_next_bucket(&mut self) -> impl Iterator<Item = &Scheduled<E>> {
+        self.queue.take_next_bucket()
+    }
+
     /// Re-enqueues an already-sequenced event, preserving its
     /// `(time, seq)` identity (see [`EventQueue::push_scheduled`]).
     /// Unlike [`Scheduler::schedule_at`] the activation time is *not*

@@ -34,12 +34,12 @@
 //! garbage.
 //!
 //! [`TraceReader`] is the append-only consumer side: one cursor over
-//! the byte log, and [`TraceReader::extend`] grows the log in place so
-//! a live consumer can tail a trace still being written. [`TraceTailer`]
-//! packages that into a file follower: it polls a path for appended
-//! bytes, treats a partial frame at the tail as "wait for the writer's
-//! next flush" rather than an error, and reports completion when the
-//! end frame lands.
+//! the byte log, and [`TraceReader::extend`] appends to the log (and
+//! drops the bytes already decoded) so a live consumer can tail a
+//! trace still being written. [`TraceTailer`] packages that into a file
+//! follower: it polls a path for appended bytes, treats a partial frame
+//! at the tail as "wait for the writer's next flush" rather than an
+//! error, and reports completion when the end frame lands.
 //!
 //! The end frame (written by [`TraceWriter::end`]) marks an
 //! intentionally finished log. Without it, a tailing consumer cannot
@@ -156,6 +156,23 @@ impl fmt::Display for TraceError {
 }
 
 impl std::error::Error for TraceError {}
+
+impl TraceError {
+    /// The error with its byte offset moved `base` bytes on: decoding
+    /// reports offsets into the bytes it was given, and a reader that
+    /// dropped consumed bytes started those `base` bytes into the log.
+    fn rebased(self, base: usize) -> Self {
+        match self {
+            TraceError::Truncated { offset } => TraceError::Truncated {
+                offset: offset + base,
+            },
+            TraceError::Corrupt { offset } => TraceError::Corrupt {
+                offset: offset + base,
+            },
+            other => other,
+        }
+    }
+}
 
 /// The fixed header identifying what a trace recorded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -415,12 +432,17 @@ impl TraceWriter<Vec<u8>> {
 /// Fail-closed trace decoder: one cursor over one append-only byte
 /// log. The log is a `Vec<u8>` the reader owns (a file, or a log that
 /// [`TraceReader::extend`] grows) or a borrowed `&[u8]`, which a
-/// checkpoint is read from without copying it.
+/// checkpoint is read from without copying it. Error offsets are
+/// offsets into the whole log, also after `extend` dropped the bytes
+/// before the cursor.
 #[derive(Clone, Debug)]
 pub struct TraceReader<B = Vec<u8>> {
     bytes: B,
     header: TraceHeader,
-    /// Byte offset of the next frame.
+    /// Offset in the log of `bytes[0]`: the number of consumed bytes
+    /// [`TraceReader::extend`] has dropped.
+    base: usize,
+    /// Offset in `bytes` of the next frame.
     pos: usize,
 }
 
@@ -446,6 +468,7 @@ impl<B: AsRef<[u8]>> TraceReader<B> {
         Ok(TraceReader {
             bytes: log,
             header: TraceHeader { fingerprint, seed },
+            base: 0,
             pos: HEADER_LEN,
         })
     }
@@ -458,7 +481,9 @@ impl<B: AsRef<[u8]>> TraceReader<B> {
     /// Decodes the next frame without advancing the cursor.
     pub fn peek_frame(&self) -> Result<Option<TraceFrame>, TraceError> {
         let mut pos = self.pos;
-        Ok(decode_frame(self.bytes.as_ref(), &mut pos)?.map(TraceFrame::into_owned))
+        let frame =
+            decode_frame(self.bytes.as_ref(), &mut pos).map_err(|e| e.rebased(self.base))?;
+        Ok(frame.map(TraceFrame::into_owned))
     }
 
     /// Decodes the next frame, advancing the cursor. Returns `Ok(None)`
@@ -466,7 +491,9 @@ impl<B: AsRef<[u8]>> TraceReader<B> {
     /// [`TraceError::Truncated`], a checksum mismatch is
     /// [`TraceError::Corrupt`].
     pub fn next_frame(&mut self) -> Result<Option<TraceFrame>, TraceError> {
-        Ok(decode_frame(self.bytes.as_ref(), &mut self.pos)?.map(TraceFrame::into_owned))
+        let frame =
+            decode_frame(self.bytes.as_ref(), &mut self.pos).map_err(|e| e.rebased(self.base))?;
+        Ok(frame.map(TraceFrame::into_owned))
     }
 }
 
@@ -479,8 +506,13 @@ impl TraceReader {
     }
 
     /// Appends freshly-flushed bytes (append-only growth): a reader
-    /// that had drained the log simply resumes at the new frames.
+    /// that had drained the log simply resumes at the new frames. The
+    /// bytes before the cursor are dropped first, so a reader that
+    /// follows a growing log holds at most one partial frame plus what
+    /// each call appends.
     pub fn extend(&mut self, more: &[u8]) {
+        self.bytes.drain(..self.pos);
+        self.base += std::mem::take(&mut self.pos);
         self.bytes.extend_from_slice(more);
     }
 }
@@ -489,7 +521,7 @@ impl<'a> TraceReader<&'a [u8]> {
     /// As [`TraceReader::next_frame`], with the payload lent from the
     /// borrowed log instead of copied, for as long as the log lives.
     pub fn next_frame_borrowed(&mut self) -> Result<Option<TraceFrame<&'a [u8]>>, TraceError> {
-        decode_frame(self.bytes, &mut self.pos)
+        decode_frame(self.bytes, &mut self.pos).map_err(|e| e.rebased(self.base))
     }
 }
 
@@ -895,6 +927,79 @@ mod tests {
         assert!(tailer.finished());
         assert_eq!(tailer.poll().expect("drained"), Vec::new());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A follower of a log written in many flushes keeps at most one
+    /// partial frame plus the bytes one poll read, and delivers what a
+    /// whole-file read does.
+    #[test]
+    fn tailer_forgets_consumed_bytes() {
+        let path = std::env::temp_dir().join(format!(
+            "scrip-tailer-bounded-{}-{:?}.trc",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let header = TraceHeader {
+            fingerprint: 5,
+            seed: 6,
+        };
+        let file = std::fs::File::create(&path).expect("create");
+        let mut w = TraceWriter::new(file, header);
+        let mut tailer = TraceTailer::new(&path);
+        let mut tailed = Vec::new();
+        let (mut written, mut largest_frame) = (0u64, 0usize);
+        for k in 0..400u64 {
+            // Payloads of 0–2999 bytes, flushed every 1–4 frames.
+            let payload = vec![k as u8; (k as usize * 409) % 3_000];
+            w.event(SimTime::from_micros(k), k, &payload)
+                .expect("event");
+            largest_frame = largest_frame.max(29 + payload.len());
+            if k % 4 == k % 3 {
+                w.flush().expect("flush");
+                let len = std::fs::metadata(&path).expect("stat").len();
+                let growth = (len - written) as usize;
+                written = len;
+                tailed.extend(tailer.poll().expect("poll"));
+                let held = tailer.reader.as_ref().map_or(0, |r| r.bytes.len());
+                assert!(
+                    held <= largest_frame + growth,
+                    "after frame {k} the tailer holds {held} B \
+                     (largest frame {largest_frame} B, poll read {growth} B)"
+                );
+            }
+        }
+        w.end(SimTime::from_micros(400), 400);
+        w.finish().expect("finish");
+        tailed.extend(tailer.poll().expect("last poll"));
+        assert!(tailer.finished());
+        let mut whole = TraceReader::from_path(&path).expect("whole file");
+        let all: Vec<TraceFrame> =
+            std::iter::from_fn(|| whole.next_frame().expect("clean frame")).collect();
+        assert_eq!(all.len(), 401);
+        assert_eq!(tailed, all);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// After `extend` drops consumed bytes, error offsets still count
+    /// from the start of the log.
+    #[test]
+    fn extended_reader_reports_whole_log_offsets() {
+        let mut full = sample_trace();
+        // An event frame is 29 bytes plus its payload.
+        let second = HEADER_LEN + 29 + b"alpha".len();
+        full[second + 3] ^= 0x01;
+        let mut r = TraceReader::from_bytes(full[..second].to_vec()).expect("header");
+        assert!(r.next_frame().expect("first frame").is_some());
+        r.extend(&full[second..second + 10]);
+        assert_eq!(
+            r.next_frame(),
+            Err(TraceError::Truncated { offset: second })
+        );
+        r.extend(&full[second + 10..]);
+        assert_eq!(r.bytes.len(), full.len() - second, "consumed bytes dropped");
+        assert_eq!(r.peek_frame(), Err(TraceError::Corrupt { offset: second }));
+        assert_eq!(r.next_frame(), Err(TraceError::Corrupt { offset: second }));
     }
 
     #[test]

@@ -24,6 +24,14 @@
 //! bucket now matches) is merged into the live heap, which restores
 //! exact `(time, seq)` order within the bucket.
 //!
+//! The bucket count is capped at 2¹⁵, so a queue sized for more events
+//! than that keeps several events per bucket (about 12–24 for the
+//! n = 10⁵ market). A queue sized for more than 2¹⁶ events lists the
+//! next bucket's events once each time its floor advances
+//! ([`EventQueue::take_next_bucket`]), so the kernel can show the model
+//! about one bucket of upcoming events before they are popped. Smaller
+//! queues list nothing.
+//!
 //! Invariants:
 //! - every live event has `bucket(time) <= floor`; every wheel/overflow
 //!   event has `bucket(time) > floor`, so a non-empty live heap always
@@ -42,10 +50,19 @@ use crate::event::Scheduled;
 use crate::time::{SimDuration, SimTime};
 
 /// Bounds on the bucket count: at least one word of occupancy bitmap,
-/// at most 2^17 buckets (512 KiB of `u32` list heads), past which
-/// extra buckets stop paying for themselves.
+/// at most 2^15 buckets (128 KiB of `u32` list heads). Past the cap a
+/// bucket holds several events, which keeps the heads array small and
+/// gives the next-bucket lookahead something to list; at n = 10⁵ a
+/// bucket holds ~12–24 events against ~3–6 with 2^17 buckets.
 const MIN_BUCKETS: usize = 64;
-const MAX_BUCKETS: usize = 1 << 17;
+const MAX_BUCKETS: usize = 1 << 15;
+
+/// Queues sized for more events than this list the next bucket on each
+/// floor advance: twice the bucket cap, so a bucket holds ~8 events or
+/// more. A smaller queue belongs to a model small enough to stay in
+/// cache, where the walk costs more than it warms (−5% on a 10⁴-peer
+/// faulted market sized for 40 002 events).
+const LISTING_EVENTS: usize = 2 * MAX_BUCKETS;
 
 /// How many typical delays the wheel window spans. For exponential
 /// delays, the share of events pushed past the window (into the
@@ -124,6 +141,12 @@ pub struct EventQueue<E> {
     len: usize,
     /// The sequence number the next [`EventQueue::push`] assigns.
     next_seq: u64,
+    /// Whether the profile expects more than [`LISTING_EVENTS`], so
+    /// each floor advance lists the next bucket.
+    lists_next_bucket: bool,
+    /// Set when the floor of a listing wheel advances, and cleared
+    /// when [`EventQueue::take_next_bucket`] lists the bucket after it.
+    next_bucket_due: bool,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -141,7 +164,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue sized for `profile`.
     ///
     /// The bucket count is the power of two nearest `expected_events`
-    /// (clamped to `[64, 131072]`) and the bucket width is chosen so the
+    /// (clamped to `[64, 32768]`) and the bucket width is chosen so the
     /// wheel window covers at least four typical delays; events
     /// scheduled further ahead (exponential tails, churn lifetimes, far
     /// sample boundaries) take the overflow heap, which is correct but
@@ -175,6 +198,8 @@ impl<E> EventQueue<E> {
             floor: 0,
             len: 0,
             next_seq: 0,
+            lists_next_bucket: expected_events > LISTING_EVENTS,
+            next_bucket_due: false,
         }
     }
 
@@ -192,6 +217,19 @@ impl<E> EventQueue<E> {
     /// The absolute bucket index of `time`.
     fn bucket_of(&self, time: SimTime) -> u64 {
         time.as_micros() >> self.bucket_shift
+    }
+
+    /// The events of the bucket list that starts at node `head`, in
+    /// list order (most recently pushed first).
+    fn list_from(&self, mut cursor: u32) -> impl Iterator<Item = &Scheduled<E>> {
+        std::iter::from_fn(move || {
+            if cursor == NIL {
+                return None;
+            }
+            let node = &self.nodes[cursor as usize];
+            cursor = node.next;
+            node.item.as_ref()
+        })
     }
 
     fn set_occupied(&mut self, slot: usize) {
@@ -323,6 +361,7 @@ impl<E> EventQueue<E> {
         }
         debug_assert!(target > self.floor, "wheel floor went backwards");
         self.floor = target;
+        self.next_bucket_due = self.lists_next_bucket;
         if wheel_next == Some(target) {
             let slot = self.slot_of(target);
             let mut cursor = std::mem::replace(&mut self.heads[slot], NIL);
@@ -388,6 +427,56 @@ impl<E> EventQueue<E> {
         self.live.peek()
     }
 
+    /// The events listed in the bucket just after the floor, once per
+    /// floor advance, on a queue sized for more than 2¹⁶ events;
+    /// otherwise nothing.
+    ///
+    /// These are the events that come up after the live heap's, so a
+    /// kernel can show them to its model ahead of time (see
+    /// [`crate::Model::prefetch`]). The walk reads each event's slab
+    /// node, which the rotation into that bucket reads again. Events
+    /// of that bucket still in the overflow heap are not listed, and
+    /// an event pushed into it later is not listed either. A smaller
+    /// queue's model tends to fit in cache, where the walk costs more
+    /// than it warms, so it yields nothing. Listing never changes the
+    /// pop order.
+    ///
+    /// ```
+    /// use scrip_des::{EventQueue, QueueProfile, SimDuration, SimTime};
+    /// let mut q = EventQueue::with_profile(QueueProfile {
+    ///     expected_events: 1 << 20,
+    ///     typical_delay: SimDuration::from_secs(1),
+    /// });
+    /// let width = q.bucket_width();
+    /// q.push(SimTime::ZERO + width, "first");
+    /// q.push(SimTime::ZERO + width + width, "second");
+    /// assert_eq!(q.pop().map(|s| s.event), Some("first"));
+    /// let listed: Vec<_> = q.take_next_bucket().map(|s| s.event).collect();
+    /// assert_eq!(listed, ["second"]);
+    /// assert_eq!(q.take_next_bucket().count(), 0, "listed once per floor");
+    /// ```
+    pub fn take_next_bucket(&mut self) -> impl Iterator<Item = &Scheduled<E>> {
+        let head = if std::mem::take(&mut self.next_bucket_due) {
+            self.heads[self.slot_of(self.floor + 1)]
+        } else {
+            NIL
+        };
+        self.list_from(head)
+    }
+
+    /// Whether the floor has advanced since the last
+    /// [`EventQueue::take_next_bucket`] on a queue that lists.
+    pub(crate) fn next_bucket_due(&self) -> bool {
+        self.next_bucket_due
+    }
+
+    /// The span of simulated time one bucket covers. Buckets are
+    /// aligned to multiples of it, and a rotation merges one bucket
+    /// into the live heap.
+    pub fn bucket_width(&self) -> SimDuration {
+        SimDuration::from_micros(1 << self.bucket_shift)
+    }
+
     /// The activation time of the earliest pending event, without
     /// rotating. O(1) while the live heap is non-empty; at a rotation
     /// boundary it costs one bitmap scan plus one bucket-list walk.
@@ -396,16 +485,9 @@ impl<E> EventQueue<E> {
             return Some(s.time);
         }
         let wheel_min = self.next_occupied_bucket().and_then(|b| {
-            let mut cursor = self.heads[self.slot_of(b)];
-            std::iter::from_fn(|| {
-                if cursor == NIL {
-                    return None;
-                }
-                let node = &self.nodes[cursor as usize];
-                cursor = node.next;
-                node.item.as_ref().map(|s| s.time)
-            })
-            .min()
+            self.list_from(self.heads[self.slot_of(b)])
+                .map(|s| s.time)
+                .min()
         });
         let overflow_min = self.overflow.peek().map(|s| s.time);
         // Buckets partition time monotonically, so the raw minimum over
@@ -438,6 +520,7 @@ mod tests {
     use super::*;
     use crate::dist::Exp;
     use crate::rng::SimRng;
+    use std::collections::BTreeMap;
 
     fn sched(micros: u64, seq: u64) -> Scheduled<u64> {
         Scheduled {
@@ -528,6 +611,62 @@ mod tests {
             seq += 1;
         }
         assert_eq!(w.capacity(), cap, "steady-state cycling reallocated");
+    }
+
+    /// Sized past the listing threshold, the wheel keeps ~13 events per
+    /// bucket here and still pops a binary heap's exact sequence. Each
+    /// floor advance lists the next bucket once: only pending events of
+    /// that bucket, and between them nearly every event popped.
+    #[test]
+    fn capped_wheel_pops_the_heap_sequence_and_lists_each_next_bucket() {
+        let n = 1u64 << 16;
+        let mean = SimDuration::from_millis(10);
+        let mut w = queue(4 * n as usize, mean);
+        assert_eq!(w.heads.len(), MAX_BUCKETS);
+        let width = w.bucket_width().as_micros();
+        let exp = Exp::new(1.0 / mean.as_micros() as f64).expect("positive rate");
+        let mut rng = SimRng::seed_from_u64(3);
+        // The binary-heap model, and each pending seq's time.
+        let mut heap = BinaryHeap::new();
+        let mut pending = BTreeMap::new();
+        let (pops, mut listed, mut walks, mut last_floor) = (4 * n, 0u64, 0u64, None);
+        for seq in 0..n + pops {
+            let mut at = 0;
+            if seq >= n {
+                let s = w.pop().expect("event");
+                assert_eq!(Some(&s), heap.pop().as_ref(), "pops in (time, seq) order");
+                pending.remove(&s.seq);
+                at = s.time.as_micros();
+                let next: Vec<_> = w.take_next_bucket().map(|s| (s.time, s.seq)).collect();
+                if !next.is_empty() {
+                    assert!(last_floor < Some(w.floor), "a floor listed twice");
+                    last_floor = Some(w.floor);
+                    walks += 1;
+                    listed += next.len() as u64;
+                }
+                for (time, seq) in next {
+                    assert_eq!(
+                        pending.get(&seq),
+                        Some(&time.as_micros()),
+                        "listed, not pending"
+                    );
+                    assert_eq!(time.as_micros() / width, w.floor + 1);
+                }
+            }
+            at += exp.sample(&mut rng) as u64;
+            pending.insert(seq, at);
+            heap.push(sched(at, seq));
+            w.push_scheduled(sched(at, seq));
+        }
+        let per_bucket = listed as f64 / walks as f64;
+        assert!(
+            (8.0..20.0).contains(&per_bucket),
+            "{per_bucket} events per bucket"
+        );
+        assert!(
+            listed as f64 > 0.9 * pops as f64,
+            "listed {listed} of {pops} pops"
+        );
     }
 
     /// The memory bound of the slab layout: under exponential delays

@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation kernel and distributions.
 
-use std::cell::Cell;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 use proptest::prelude::*;
 use scrip_des::dist::{Exp, Poisson};
@@ -211,6 +211,58 @@ impl Model for Hooked {
         if let Some(earlier) = self.prefetched.replace(Some(*next)) {
             panic!("prefetch({next}) after prefetch({earlier}) with no dispatch between");
         }
+    }
+}
+
+/// [`Lookahead`] with a hook that records every event it is shown:
+/// the live root first, when there is one, then any bucket walk.
+/// `handle` checks the walk and hands the root to [`Lookahead`].
+struct Walked {
+    inner: Lookahead,
+    shown: RefCell<Vec<u64>>,
+    /// The queue's bucket width in µs, and whether it is sized for
+    /// enough events to list the next bucket.
+    width: u64,
+    listing: bool,
+    /// The buckets walked so far.
+    walked: BTreeSet<u64>,
+}
+
+impl Model for Walked {
+    type Event = u64;
+    fn handle(&mut self, now: SimTime, label: u64, s: &mut Scheduler<u64>) {
+        let mut walk = self.shown.take();
+        let root = (s.peek_live().is_some() && !walk.is_empty()).then(|| walk.remove(0));
+        if !walk.is_empty() {
+            let faults = &mut self.inner.faults;
+            if !self.listing {
+                faults.push(format!(
+                    "walk {walk:?} on a queue sized for 2^16 events or fewer"
+                ));
+            }
+            let bucket = |label: u64| {
+                self.inner
+                    .pending
+                    .get(&label)
+                    .map(|t| t.as_micros() / self.width)
+            };
+            let next = now.as_micros() / self.width + 1;
+            for &shown in &walk {
+                if shown == label || bucket(shown).is_none() {
+                    faults.push(format!("walk showed {shown}, which is not pending"));
+                } else if bucket(shown) != Some(next) {
+                    faults.push(format!("walk showed {shown} outside bucket {next}"));
+                }
+            }
+            if !self.walked.insert(next) {
+                faults.push(format!("bucket {next} walked twice"));
+            }
+        }
+        self.inner.on_event(now, label, s, Some(root));
+    }
+
+    fn prefetch(&self, next: &u64) {
+        self.shown.borrow_mut().push(*next);
     }
 }
 
@@ -646,5 +698,76 @@ proptest! {
         prop_assert_eq!(&hooked.log, &plain.log);
         prop_assert!(hooked.log.windows(2).all(|w| w[0] < w[1]), "dispatch order is (time, seq)");
         prop_assert!(hooked.pending.is_empty());
+    }
+
+    /// The bucket lookahead: on queues sized below, at and just past
+    /// the bucket cap (2^15) and the listing threshold (2^16 events),
+    /// driven through every dispatch loop, each event a walk shows is
+    /// pending and in the bucket after the dispatched event's, each
+    /// bucket is walked at most once, nothing is walked on a queue
+    /// sized for 2^16 events or fewer, the live root is still shown
+    /// first, and the dispatch sequence equals a model's without the
+    /// hook. Delays of up to 20 ms against bucket widths of 1–512 µs
+    /// put several events in a bucket; an hour's delay takes the
+    /// overflow heap.
+    #[test]
+    fn bucket_lookahead_shows_pending_events_once_per_bucket(
+        starts in prop::collection::vec(0u64..20_000, 1..40),
+        script in prop::collection::vec(
+            prop::collection::vec((0u8..8, 0u64..20_000), 0..4),
+            1..12,
+        ),
+        budget in 0u64..400,
+        calls in prop::collection::vec((0u8..4, 0u64..30_000), 1..30),
+        sizing in (12u32..19, 0usize..2, 1u64..500_000),
+    ) {
+        let profile = QueueProfile {
+            expected_events: (1 << sizing.0) + sizing.1,
+            typical_delay: SimDuration::from_micros(sizing.2),
+        };
+        let script: Vec<Vec<SimDuration>> = script
+            .iter()
+            .map(|delays| {
+                delays
+                    .iter()
+                    .map(|&(kind, fine)| match kind {
+                        0 => SimDuration::ZERO,
+                        1 => SimDuration::from_secs(3_600) + SimDuration::from_micros(fine),
+                        _ => SimDuration::from_micros(fine),
+                    })
+                    .collect()
+            })
+            .collect();
+        let build = || {
+            let mut model = Lookahead { script: script.clone(), budget, ..Lookahead::default() };
+            let mut scheduler = Scheduler::with_profile(profile);
+            for &t in &starts {
+                model.schedule(&mut scheduler, SimTime::from_micros(t));
+            }
+            (model, scheduler)
+        };
+        let (model, scheduler) = build();
+        let mut walked = Simulation::from_parts(
+            Walked {
+                inner: model,
+                shown: RefCell::default(),
+                width: EventQueue::<u64>::with_profile(profile).bucket_width().as_micros(),
+                listing: profile.expected_events > 1 << 16,
+                walked: BTreeSet::new(),
+            },
+            scheduler,
+            0,
+        );
+        let (model, scheduler) = build();
+        let mut plain = Simulation::from_parts(Plain(model), scheduler, 0);
+        for &call in &calls {
+            prop_assert_eq!(drive(&mut walked, call), drive(&mut plain, call));
+        }
+        prop_assert_eq!(walked.run(), plain.run());
+        let (walked, plain) = (walked.into_model().inner, plain.into_model().0);
+        prop_assert!(walked.faults.is_empty(), "{:?}", &walked.faults[..walked.faults.len().min(3)]);
+        prop_assert!(plain.faults.is_empty(), "{:?}", &plain.faults[..plain.faults.len().min(3)]);
+        prop_assert_eq!(&walked.log, &plain.log);
+        prop_assert!(walked.pending.is_empty());
     }
 }

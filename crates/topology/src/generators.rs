@@ -349,10 +349,10 @@ where
 /// Links connected components into one by adding one edge between a random
 /// member of each subsequent component and a random member of the first.
 pub(crate) fn connect_components<R: Rng + ?Sized>(graph: &mut Graph, rng: &mut R) {
-    let components = graph.connected_components();
-    if components.len() <= 1 {
+    if graph.is_connected() {
         return;
     }
+    let components = graph.connected_components();
     let anchor_component = &components[0];
     for comp in &components[1..] {
         let a = anchor_component[rng.gen_range(0..anchor_component.len())];

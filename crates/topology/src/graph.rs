@@ -19,7 +19,7 @@
 //! two sorted rows, O(d) each, so neighborhoods are never rebuilt.
 //! Both routes give equal graphs for the same edge list.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -473,9 +473,15 @@ impl Graph {
     }
 
     /// Whether every node can reach every other node (the empty graph is
-    /// considered connected).
+    /// considered connected): a breadth-first search from the lowest ID
+    /// reaches every live node.
     pub fn is_connected(&self) -> bool {
-        self.connected_components().len() <= 1
+        let Some(start) = self.node_ids().next() else {
+            return true;
+        };
+        let mut reached = Vec::with_capacity(self.node_count);
+        self.reach(start, &mut vec![false; self.rows.len()], &mut reached);
+        reached.len() == self.node_count
     }
 
     /// The connected components, each a sorted vector of node IDs; the
@@ -485,25 +491,33 @@ impl Graph {
         // tree walk per neighbor.
         let mut visited = vec![false; self.rows.len()];
         let mut components = Vec::new();
-        let mut queue = VecDeque::new();
         for start in self.node_ids() {
-            if std::mem::replace(&mut visited[start.0 as usize], true) {
+            if visited[start.0 as usize] {
                 continue;
             }
             let mut component = Vec::new();
-            queue.push_back(start);
-            while let Some(node) = queue.pop_front() {
-                component.push(node);
-                for &nb in self.neighbor_slice(node).unwrap_or(&[]) {
-                    if !std::mem::replace(&mut visited[nb.0 as usize], true) {
-                        queue.push_back(nb);
-                    }
-                }
-            }
+            self.reach(start, &mut visited, &mut component);
             component.sort_unstable();
             components.push(component);
         }
         components
+    }
+
+    /// Breadth-first search from the unvisited node `start`: appends
+    /// every node it reaches to `reached` (which doubles as the queue)
+    /// and marks it in `visited`, indexed by raw ID.
+    fn reach(&self, start: NodeId, visited: &mut [bool], reached: &mut Vec<NodeId>) {
+        let mut head = reached.len();
+        visited[start.0 as usize] = true;
+        reached.push(start);
+        while let Some(&node) = reached.get(head) {
+            head += 1;
+            for &nb in self.neighbor_slice(node).unwrap_or(&[]) {
+                if !std::mem::replace(&mut visited[nb.0 as usize], true) {
+                    reached.push(nb);
+                }
+            }
+        }
     }
 
     /// The raw value the next [`Graph::add_node`] call will allocate.

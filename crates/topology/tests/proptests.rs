@@ -675,6 +675,20 @@ proptest! {
         prop_assert_eq!(g.connected_components(), reference_components(&g));
         prop_assert_eq!(g.is_connected(), reference_components(&g).len() <= 1);
     }
+
+    /// `is_connected`, one search that counts the nodes it reaches,
+    /// agrees with the component labelling on churned overlays dense
+    /// enough to be connected as often as not.
+    #[test]
+    fn is_connected_agrees_with_the_components(
+        n in 0usize..60,
+        p in 0.0f64..0.6,
+        seed in 0u64..1_000,
+        ops in prop::collection::vec((0u8..4, 0usize..128, 0usize..128), 0..60),
+    ) {
+        let g = churned_graph(n, p, seed, &ops);
+        prop_assert_eq!(g.is_connected(), g.connected_components().len() <= 1);
+    }
 }
 
 // ---------------------------------------------------------------------
