@@ -729,17 +729,17 @@ fn cmd_tail(options: &Options) -> Result<(), String> {
                 announced = true;
             }
         }
-        let idle = frames.is_empty();
         for frame in &frames {
             println!("{}", describe_frame(frame));
         }
-        if tailer.finished() {
+        // A poll reads a bounded chunk, so keep polling until the file
+        // holds no unread bytes: a poll inside a frame larger than the
+        // chunk returns no frames yet.
+        if tailer.finished() || (!options.follow && tailer.caught_up()) {
             return Ok(());
         }
-        if options.follow {
+        if tailer.caught_up() {
             std::thread::sleep(std::time::Duration::from_millis(25));
-        } else if idle {
-            return Ok(());
         }
     }
 }

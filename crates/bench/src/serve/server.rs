@@ -511,13 +511,17 @@ fn handle_subscribe(shared: &Arc<Shared>, writer: &mut Writer, job: &str) -> Res
             let word = state.map_or("unknown", |s| s.word());
             return writeln!(writer, "end {job} {word}").map_err(|e| e.to_string());
         }
-        if terminal {
-            grace -= 1;
-        }
         // One flush per poll batch: the samples (and, on the first
         // poll, the `subscribed` line) leave together.
         flush(writer)?;
-        std::thread::sleep(SUBSCRIBE_POLL);
+        // A poll reads a bounded chunk: wait (and spend grace) only
+        // once the log holds no unread bytes.
+        if tailer.caught_up() {
+            if terminal {
+                grace -= 1;
+            }
+            std::thread::sleep(SUBSCRIBE_POLL);
+        }
     }
 }
 

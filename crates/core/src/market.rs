@@ -313,6 +313,7 @@ pub enum MarketEvent {
 
 impl MarketEvent {
     /// Serializes the event for a checkpoint's queue section.
+    #[inline]
     pub(crate) fn encode(&self, w: &mut impl Put) {
         match self {
             MarketEvent::Bootstrap => w.put_u8(0),

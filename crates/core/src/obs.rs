@@ -422,12 +422,15 @@ enum Tracer {
     },
     /// Verifying: each applied event must match the next recorded
     /// event frame, each shared boundary the recorded digest.
-    Verify {
-        reader: TraceReader,
-        scratch: Vec<u8>,
-        divergence: Option<TraceDivergence>,
-        error: Option<TraceError>,
-    },
+    Verify(Verifier),
+}
+
+/// A replaying session's trace state (see [`Tracer::Verify`]).
+struct Verifier {
+    reader: TraceReader,
+    scratch: Vec<u8>,
+    divergence: Option<TraceDivergence>,
+    error: Option<TraceError>,
 }
 
 impl Tracer {
@@ -436,14 +439,16 @@ impl Tracer {
     fn halted(&self) -> bool {
         match self {
             Tracer::Record { error, .. } => error.is_some(),
-            Tracer::Verify {
+            Tracer::Verify(Verifier {
                 divergence, error, ..
-            } => divergence.is_some() || error.is_some(),
+            }) => divergence.is_some() || error.is_some(),
         }
     }
 
     /// The per-event kernel tap: returning `false` vetoes the dispatch
-    /// and freezes the simulation at the pre-event state.
+    /// and freezes the simulation at the pre-event state. Recording is
+    /// inlined into the kernel's dispatch loop; verification is not.
+    #[inline]
     fn on_event(&mut self, time: SimTime, seq: u64, event: &MarketEvent) -> bool {
         match self {
             Tracer::Record { writer, error } => {
@@ -453,61 +458,7 @@ impl Tracer {
                 }
                 true
             }
-            Tracer::Verify {
-                reader,
-                scratch,
-                divergence,
-                error,
-            } => {
-                // Digest (and state) frames belong to boundaries; any
-                // still sitting before the next event frame were taken
-                // at stops this session does not share (e.g. the extra
-                // stop of a probe only the recording session had) —
-                // skip them.
-                // Shared boundaries consume their digest strictly in
-                // `on_boundary` before the next event is tapped.
-                scratch.clear();
-                event.encode(scratch);
-                let expected = loop {
-                    match reader.next_frame() {
-                        Err(e) => {
-                            *error = Some(e);
-                            return false;
-                        }
-                        Ok(Some(TraceFrame::Digest { .. } | TraceFrame::State { .. })) => {}
-                        Ok(Some(TraceFrame::Event {
-                            time: rt,
-                            seq: rs,
-                            payload,
-                        })) => {
-                            if rt == time && rs == seq && payload == *scratch {
-                                return true;
-                            }
-                            break format!(
-                                "{} at (t={}µs, seq={rs})",
-                                MarketEvent::describe_trace_payload(&payload),
-                                rt.as_micros()
-                            );
-                        }
-                        Ok(Some(TraceFrame::End { time: rt, .. })) => {
-                            break format!(
-                                "end of trace (recorded run finished at t={}µs)",
-                                rt.as_micros()
-                            );
-                        }
-                        Ok(None) => {
-                            break "end of trace (recorded run produced no further events)".into();
-                        }
-                    }
-                };
-                *divergence = Some(TraceDivergence {
-                    time,
-                    seq: Some(seq),
-                    expected,
-                    actual: format!("{event:?}"),
-                });
-                false
-            }
+            Tracer::Verify(verifier) => verifier.on_event(time, seq, event),
         }
     }
 
@@ -524,12 +475,12 @@ impl Tracer {
                     *error = Some(e);
                 }
             }
-            Tracer::Verify {
+            Tracer::Verify(Verifier {
                 reader,
                 divergence,
                 error,
                 ..
-            } => {
+            }) => {
                 if divergence.is_some() || error.is_some() {
                     return;
                 }
@@ -580,6 +531,68 @@ impl Tracer {
                 }
             }
         }
+    }
+}
+
+impl Verifier {
+    /// The replay half of [`Tracer::on_event`]: the event must match
+    /// the next recorded event frame. Kept out of the recording loop.
+    #[inline(never)]
+    fn on_event(&mut self, time: SimTime, seq: u64, event: &MarketEvent) -> bool {
+        let Verifier {
+            reader,
+            scratch,
+            divergence,
+            error,
+        } = self;
+        // Digest (and state) frames belong to boundaries; any
+        // still sitting before the next event frame were taken
+        // at stops this session does not share (e.g. the extra
+        // stop of a probe only the recording session had) —
+        // skip them.
+        // Shared boundaries consume their digest strictly in
+        // `on_boundary` before the next event is tapped.
+        scratch.clear();
+        event.encode(scratch);
+        let expected = loop {
+            match reader.next_frame() {
+                Err(e) => {
+                    *error = Some(e);
+                    return false;
+                }
+                Ok(Some(TraceFrame::Digest { .. } | TraceFrame::State { .. })) => {}
+                Ok(Some(TraceFrame::Event {
+                    time: rt,
+                    seq: rs,
+                    payload,
+                })) => {
+                    if rt == time && rs == seq && payload == *scratch {
+                        return true;
+                    }
+                    break format!(
+                        "{} at (t={}µs, seq={rs})",
+                        MarketEvent::describe_trace_payload(&payload),
+                        rt.as_micros()
+                    );
+                }
+                Ok(Some(TraceFrame::End { time: rt, .. })) => {
+                    break format!(
+                        "end of trace (recorded run finished at t={}µs)",
+                        rt.as_micros()
+                    );
+                }
+                Ok(None) => {
+                    break "end of trace (recorded run produced no further events)".into();
+                }
+            }
+        };
+        *divergence = Some(TraceDivergence {
+            time,
+            seq: Some(seq),
+            expected,
+            actual: format!("{event:?}"),
+        });
+        false
     }
 }
 
@@ -917,12 +930,12 @@ impl Session {
                 header.seed, self.seed
             )));
         }
-        self.tracer = Some(Box::new(Tracer::Verify {
+        self.tracer = Some(Box::new(Tracer::Verify(Verifier {
             reader,
             scratch: Vec::new(),
             divergence: None,
             error: None,
-        }));
+        })));
         Ok(())
     }
 
@@ -931,7 +944,7 @@ impl Session {
     /// `(time, seq)`.
     pub fn trace_divergence(&self) -> Option<&TraceDivergence> {
         match self.tracer.as_deref() {
-            Some(Tracer::Verify { divergence, .. }) => divergence.as_ref(),
+            Some(Tracer::Verify(verifier)) => verifier.divergence.as_ref(),
             _ => None,
         }
     }
@@ -961,12 +974,12 @@ impl Session {
                 writer.end(close_at, events_processed);
                 writer.finish().map(|_| ()).map_err(trace_err)
             }
-            Some(Tracer::Verify {
+            Some(Tracer::Verify(Verifier {
                 mut reader,
                 divergence,
                 error,
                 ..
-            }) => {
+            })) => {
                 if let Some(e) = error {
                     return Err(trace_err(e));
                 }

@@ -37,7 +37,8 @@ impl<E> PartialOrd for Scheduled<E> {
 
 impl<E> Ord for Scheduled<E> {
     // Reversed so a BinaryHeap (a max-heap) pops the *earliest* event;
-    // the queue's live and overflow heaps rely on it.
+    // the queue's side and overflow heaps rely on it, and its sorted run
+    // (ascending in this order) keeps the earliest event last.
     fn cmp(&self, other: &Self) -> Ordering {
         other
             .time
@@ -108,8 +109,10 @@ impl<E> Scheduler<E> {
         self.queue.len()
     }
 
-    /// The next event to pop unless an earlier one is scheduled first,
-    /// or `None` at a rotation boundary (see [`EventQueue::peek_live`]).
+    /// The earliest live event (the earlier of the queue's sorted run
+    /// and side heap): the next event to pop unless an earlier one is
+    /// scheduled first, or `None` at a rotation boundary (see
+    /// [`EventQueue::peek_live`]).
     pub fn peek_live(&self) -> Option<&Scheduled<E>> {
         self.queue.peek_live()
     }

@@ -26,17 +26,18 @@ pub trait Model {
     /// event's handler runs.
     ///
     /// The kernel calls it after popping an event and before handing
-    /// that event to [`Model::handle`]. It first shows the root of the
-    /// queue's live heap ([`Scheduler::peek_live`]): the next event to
-    /// run unless the handler schedules an earlier one. At a rotation
-    /// boundary (empty live heap) that call is skipped. Then, on the
-    /// first dispatch after the floor of a queue sized for more than
-    /// 2¹⁶ events advances, it shows every event listed in the bucket
-    /// after the floor ([`crate::EventQueue::take_next_bucket`]): the events
-    /// that run about one bucket later. The hook takes `&self` and sees
-    /// no RNG or scheduler, so it cannot change a draw or the event
-    /// order; the default does nothing, and a model that overrides it
-    /// runs exactly as one that does not.
+    /// that event to [`Model::handle`]. It first shows the queue's
+    /// earliest live event ([`Scheduler::peek_live`]: the earlier of
+    /// the sorted run's last entry and the side heap's root), the next
+    /// event to run unless the handler schedules an earlier one. At a
+    /// rotation boundary (no live event) that call is skipped. Then, on
+    /// the first dispatch after the floor of a queue sized for more
+    /// than 2¹⁶ events advances, it shows every event listed in the
+    /// bucket after the floor ([`crate::EventQueue::take_next_bucket`]):
+    /// the events that run about one bucket later. The hook takes
+    /// `&self` and sees no RNG or scheduler, so it cannot change a draw
+    /// or the event order; the default does nothing, and a model that
+    /// overrides it runs exactly as one that does not.
     fn prefetch(&self, _next: &Self::Event) {}
 }
 
@@ -91,7 +92,7 @@ impl<M: Model> Simulation<M> {
     /// As [`Simulation::new`], with the event queue sized for `profile`
     /// (see [`crate::QueueProfile`]): models that know their
     /// steady-state event population and typical lookahead pass them
-    /// here, so scheduling stays O(1) amortized and the node slab is
+    /// here, so scheduling stays O(1) amortized and the slab is
     /// reserved up front.
     pub fn with_profile(model: M, profile: crate::QueueProfile) -> Self {
         Simulation {
@@ -207,12 +208,16 @@ impl<M: Model> Simulation<M> {
     ///
     /// Recording taps always return `true`; replay-verification taps
     /// return `false` on the first divergent event, which freezes the
-    /// simulation exactly at the divergence for inspection.
-    pub fn run_until_traced(
-        &mut self,
-        horizon: SimTime,
-        tap: &mut dyn FnMut(SimTime, u64, &M::Event) -> bool,
-    ) -> (RunStats, bool) {
+    /// simulation exactly at the divergence for inspection. The loop is
+    /// compiled per tap type, so a closure tap is inlined into it (a
+    /// `&mut dyn FnMut` tap costs an indirect call per event), and it
+    /// stays a function of its own so callers' inlining cannot reshape
+    /// it.
+    #[inline(never)]
+    pub fn run_until_traced<F>(&mut self, horizon: SimTime, tap: &mut F) -> (RunStats, bool)
+    where
+        F: FnMut(SimTime, u64, &M::Event) -> bool + ?Sized,
+    {
         while let Some(scheduled) = self.scheduler.advance(horizon) {
             if !tap(scheduled.time, scheduled.seq, &scheduled.event) {
                 self.scheduler.enqueue_scheduled(scheduled);

@@ -8,21 +8,30 @@
 //!
 //! Layout: simulated time (integer microseconds) is split into
 //! power-of-two **buckets** of `1 << bucket_shift` µs. Events whose
-//! bucket is at or before the wheel's `floor` live in a small **live**
-//! binary heap (the only place ordering comparisons happen); events
-//! within the wheel's lookahead window live in unordered per-bucket
-//! lists; events past the window sit in an **overflow** min-heap.
-//! The bucket lists are intrusive: every wheel event occupies one node
-//! of a single slab, each bucket keeps the `u32` index of its first
-//! node, and each node the index of the next. Freed nodes form a LIFO
-//! free list, so a push reuses the node the last pop just freed.
-//! Popping drains the live heap; when it empties, the wheel *rotates*:
-//! the floor advances to the earliest non-empty bucket — considering
-//! both the wheel window (via an occupancy bitmap, scanned 64 buckets
-//! per word) and the overflow heap's peek — and every event of that
-//! bucket (from its node list *and* any overflow stragglers whose
-//! bucket now matches) is merged into the live heap, which restores
-//! exact `(time, seq)` order within the bucket.
+//! bucket is at or before the wheel's `floor` are **live**: they sit in
+//! a **run** sorted latest first, or in a small **side** binary heap,
+//! and a pop takes the earlier of the run's last entry and the side
+//! heap's root. Events within the wheel's lookahead window live in
+//! unordered per-bucket lists; events past the window sit in an
+//! **overflow** min-heap.
+//! The bucket lists are intrusive: every wheel event occupies one slot
+//! of a slab (`items`), each bucket keeps the `u32` index of its first
+//! slot, and a parallel `links` array the index of each slot's next.
+//! Keeping the links apart from the events keeps them dense (4 bytes a
+//! slot, in L2 at n = 10⁵), so a list walk chases links there and
+//! loads the events independently. Freed slots form a LIFO free list
+//! through the same links, so a push reuses the slot the last pop just
+//! freed.
+//! When no event is live, the wheel *rotates*: the floor advances to
+//! the earliest non-empty bucket — considering both the wheel window
+//! (via an occupancy bitmap, scanned 64 buckets per word) and the
+//! overflow heap's peek — and every event of that bucket (from its
+//! list *and* any overflow stragglers whose bucket now matches) is
+//! collected into the run, which is sorted once by `(time, seq)` and
+//! then popped from its end in O(1). An event pushed into the floor
+//! bucket after that merge takes the side heap, so a burst of pushes
+//! at one instant costs O(log k) each, where inserting each into the
+//! sorted run would cost O(k).
 //!
 //! The bucket count is capped at 2¹⁵, so a queue sized for more events
 //! than that keeps several events per bucket (about 12–24 for the
@@ -34,15 +43,17 @@
 //!
 //! Invariants:
 //! - every live event has `bucket(time) <= floor`; every wheel/overflow
-//!   event has `bucket(time) > floor`, so a non-empty live heap always
-//!   holds the global minimum;
+//!   event has `bucket(time) > floor`, so the earlier of the run's last
+//!   entry and the side heap's root is always the global minimum;
+//! - the run stays sorted latest first: only a rotation, which finds
+//!   the run and the side heap both empty, adds to it;
 //! - the floor only advances (rotation picks the minimum candidate
 //!   bucket, so no event is ever left behind it);
-//! - the slab never holds more nodes than the largest number of events
+//! - the slab never holds more slots than the largest number of events
 //!   the window has held at once, which is at most the largest pending
-//!   population; the slab and both heaps retain capacity across
-//!   drains, so a steady-state schedule/pop cycle stops allocating
-//!   after warmup.
+//!   population; the slab, the run and both heaps retain capacity
+//!   across drains, so a steady-state schedule/pop cycle stops
+//!   allocating after warmup.
 
 use std::collections::BinaryHeap;
 
@@ -71,14 +82,6 @@ const WINDOW_DELAYS: u64 = 4;
 
 /// The end of a bucket list, and of the free list.
 const NIL: u32 = u32::MAX;
-
-/// One slab slot: a wheel event and the next node of its bucket list,
-/// or (while free) `None` and the next free node.
-#[derive(Clone, Debug)]
-struct Node<E> {
-    item: Option<Scheduled<E>>,
-    next: u32,
-}
 
 /// How to size an [`EventQueue`]: the steady-state population and the
 /// typical scheduling lookahead. The sizing changes only constant
@@ -120,14 +123,22 @@ impl Default for QueueProfile {
 /// ```
 #[derive(Clone, Debug)]
 pub struct EventQueue<E> {
-    /// Events at or below the floor bucket, ordered by `(time, seq)`.
-    live: BinaryHeap<Scheduled<E>>,
-    /// Node slab shared by every bucket list and the free list.
-    nodes: Vec<Node<E>>,
-    /// First node of each bucket slot's list in `(floor, floor +
-    /// nbuckets)`, or `NIL` when the slot is empty.
+    /// The floor bucket's events as the last rotation merged them,
+    /// sorted latest first, so the earliest is the last entry.
+    run: Vec<Scheduled<E>>,
+    /// Live events pushed after the last rotation, ordered by
+    /// `(time, seq)`.
+    side: BinaryHeap<Scheduled<E>>,
+    /// Slab slots shared by every bucket list: a wheel event, or `None`
+    /// while the slot is free.
+    items: Vec<Option<Scheduled<E>>>,
+    /// Each slab slot's next slot in its bucket list or in the free
+    /// list, or `NIL`.
+    links: Vec<u32>,
+    /// First slot of each bucket slot's list in `(floor, floor +
+    /// nbuckets)`, or `NIL` when the bucket is empty.
     heads: Vec<u32>,
-    /// First node of the free list, or `NIL`.
+    /// First slot of the free list, or `NIL`.
     free: u32,
     /// One bit per bucket slot: set while the slot's list is non-empty.
     occupancy: Vec<u64>,
@@ -137,7 +148,8 @@ pub struct EventQueue<E> {
     bucket_shift: u32,
     /// Absolute index of the floor bucket (not masked).
     floor: u64,
-    /// Total pending events across live + buckets + overflow.
+    /// Total pending events across the run, the side heap, the buckets
+    /// and the overflow heap.
     len: usize,
     /// The sequence number the next [`EventQueue::push`] assigns.
     next_seq: u64,
@@ -168,8 +180,8 @@ impl<E> EventQueue<E> {
     /// wheel window covers at least four typical delays; events
     /// scheduled further ahead (exponential tails, churn lifetimes, far
     /// sample boundaries) take the overflow heap, which is correct but
-    /// O(log n). The node slab is reserved for `expected_events`, and
-    /// the live heap for a few buckets' worth of rotation merges.
+    /// O(log n). The slab is reserved for `expected_events`, and the
+    /// run and the side heap for a few buckets' worth of events each.
     pub fn with_profile(profile: QueueProfile) -> Self {
         let QueueProfile {
             expected_events,
@@ -186,10 +198,12 @@ impl<E> EventQueue<E> {
         while (nbuckets as u64) << shift < span_micros && shift < 46 {
             shift += 1;
         }
-        let per_bucket = expected_events / nbuckets;
+        let live_reserve = 2 * (expected_events / nbuckets) + 64;
         EventQueue {
-            live: BinaryHeap::with_capacity(2 * per_bucket + 64),
-            nodes: Vec::with_capacity(expected_events),
+            run: Vec::with_capacity(live_reserve),
+            side: BinaryHeap::with_capacity(live_reserve),
+            items: Vec::with_capacity(expected_events),
+            links: Vec::with_capacity(expected_events),
             heads: vec![NIL; nbuckets],
             free: NIL,
             occupancy: vec![0u64; nbuckets / 64],
@@ -219,16 +233,16 @@ impl<E> EventQueue<E> {
         time.as_micros() >> self.bucket_shift
     }
 
-    /// The events of the bucket list that starts at node `head`, in
+    /// The events of the bucket list that starts at slot `cursor`, in
     /// list order (most recently pushed first).
     fn list_from(&self, mut cursor: u32) -> impl Iterator<Item = &Scheduled<E>> {
         std::iter::from_fn(move || {
             if cursor == NIL {
                 return None;
             }
-            let node = &self.nodes[cursor as usize];
-            cursor = node.next;
-            node.item.as_ref()
+            let index = cursor as usize;
+            cursor = self.links[index];
+            self.items[index].as_ref()
         })
     }
 
@@ -251,10 +265,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Total events the queue can hold without any structure
-    /// reallocating: the sum of live, overflow, and node-slab
+    /// reallocating: the sum of the run, side-heap, overflow and slab
     /// capacities.
     pub fn capacity(&self) -> usize {
-        self.live.capacity() + self.overflow.capacity() + self.nodes.capacity()
+        self.run.capacity()
+            + self.side.capacity()
+            + self.overflow.capacity()
+            + self.items.capacity()
     }
 
     /// Schedules `event` at absolute time `time`, after every event
@@ -278,30 +295,28 @@ impl<E> EventQueue<E> {
         self.insert(scheduled);
     }
 
-    /// Files an already-sequenced event into the live heap, its bucket
+    /// Files an already-sequenced event into the side heap, its bucket
     /// list or the overflow heap.
     fn insert(&mut self, scheduled: Scheduled<E>) {
         let b = self.bucket_of(scheduled.time);
         self.len += 1;
         if b <= self.floor {
-            self.live.push(scheduled);
+            self.side.push(scheduled);
         } else if b < self.floor + self.nbuckets() {
             let slot = self.slot_of(b);
             let next = self.heads[slot];
-            let node = Node {
-                item: Some(scheduled),
-                next,
-            };
             self.heads[slot] = if self.free == NIL {
-                let index = u32::try_from(self.nodes.len())
+                let index = u32::try_from(self.items.len())
                     .ok()
                     .filter(|&i| i != NIL)
                     .expect("event queue holds fewer than 2^32 - 1 events");
-                self.nodes.push(node);
+                self.items.push(Some(scheduled));
+                self.links.push(next);
                 index
             } else {
                 let index = self.free;
-                self.free = std::mem::replace(&mut self.nodes[index as usize], node).next;
+                self.free = std::mem::replace(&mut self.links[index as usize], next);
+                self.items[index as usize] = Some(scheduled);
                 index
             };
             self.set_occupied(slot);
@@ -339,15 +354,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Advances the floor to the earliest non-empty bucket, if that
-    /// bucket is at or before `limit`, and merges its events (its node
-    /// list and overflow stragglers alike) into the live heap,
-    /// returning the list's nodes to the free list. No-op if anything
-    /// is already live, nothing is pending, or the earliest bucket lies
-    /// past `limit`.
+    /// bucket is at or before `limit`, collects its events (its list
+    /// and overflow stragglers alike) into the run, returning the
+    /// list's slots to the free list, and sorts the run latest first.
+    /// The caller has found no event live. No-op if nothing is pending
+    /// or the earliest bucket lies past `limit`.
     fn rotate(&mut self, limit: u64) {
-        if !self.live.is_empty() {
-            return;
-        }
+        debug_assert!(self.run.is_empty() && self.side.is_empty());
         let wheel_next = self.next_occupied_bucket();
         let overflow_next = self.overflow.peek().map(|s| self.bucket_of(s.time));
         let target = match (wheel_next, overflow_next) {
@@ -365,18 +378,13 @@ impl<E> EventQueue<E> {
         if wheel_next == Some(target) {
             let slot = self.slot_of(target);
             let mut cursor = std::mem::replace(&mut self.heads[slot], NIL);
-            let (nodes, free) = (&mut self.nodes, &mut self.free);
-            self.live.extend(std::iter::from_fn(|| {
-                if cursor == NIL {
-                    return None;
-                }
-                let node = &mut nodes[cursor as usize];
-                let item = node.item.take().expect("listed node holds an event");
-                let next = std::mem::replace(&mut node.next, *free);
-                *free = cursor;
-                cursor = next;
-                Some(item)
-            }));
+            while cursor != NIL {
+                let index = cursor as usize;
+                cursor = std::mem::replace(&mut self.links[index], self.free);
+                self.free = index as u32;
+                let item = self.items[index].take();
+                self.run.push(item.expect("listed slot holds an event"));
+            }
             self.clear_occupied(slot);
         }
         while let Some(s) = self.overflow.peek() {
@@ -384,7 +392,20 @@ impl<E> EventQueue<E> {
                 break;
             }
             let s = self.overflow.pop().expect("peeked overflow entry");
-            self.live.push(s);
+            self.run.push(s);
+        }
+        // `Scheduled`'s order is reversed (earlier is greater), so an
+        // ascending sort puts the earliest event last.
+        self.run.sort_unstable();
+    }
+
+    /// The earliest live event and whether it is the side heap's root
+    /// (else the run's last entry), or `None` when no event is live.
+    fn live_head(&self) -> Option<(&Scheduled<E>, bool)> {
+        match (self.run.last(), self.side.peek()) {
+            (Some(last), Some(root)) if root > last => Some((root, true)),
+            (Some(last), _) => Some((last, false)),
+            (None, root) => root.map(|root| (root, true)),
         }
     }
 
@@ -410,36 +431,43 @@ impl<E> EventQueue<E> {
     /// assert_eq!(q.pop_due(SimTime::from_secs(5)).map(|s| s.event), Some("later"));
     /// ```
     pub fn pop_due(&mut self, horizon: SimTime) -> Option<Scheduled<E>> {
-        if self.live.is_empty() {
+        if self.run.is_empty() && self.side.is_empty() {
             self.rotate(self.bucket_of(horizon));
         }
-        if self.live.peek()?.time > horizon {
+        let (head, from_side) = self.live_head()?;
+        if head.time > horizon {
             return None;
         }
         self.len -= 1;
-        self.live.pop()
+        if from_side {
+            self.side.pop()
+        } else {
+            self.run.pop()
+        }
     }
 
-    /// The live heap's root, without rotating: the next event to pop
-    /// unless an earlier one is pushed first. `None` when the live heap
-    /// is empty (a rotation boundary), even if events are pending. O(1).
+    /// The earliest live event, without rotating: the earlier of the
+    /// run's last entry and the side heap's root, which is the next
+    /// event to pop unless an earlier one is pushed first. `None` when
+    /// no event is live (a rotation boundary), even if events are
+    /// pending. O(1).
     pub fn peek_live(&self) -> Option<&Scheduled<E>> {
-        self.live.peek()
+        self.live_head().map(|(head, _)| head)
     }
 
     /// The events listed in the bucket just after the floor, once per
     /// floor advance, on a queue sized for more than 2¹⁶ events;
     /// otherwise nothing.
     ///
-    /// These are the events that come up after the live heap's, so a
+    /// These are the events that come up after the live ones, so a
     /// kernel can show them to its model ahead of time (see
-    /// [`crate::Model::prefetch`]). The walk reads each event's slab
-    /// node, which the rotation into that bucket reads again. Events
-    /// of that bucket still in the overflow heap are not listed, and
-    /// an event pushed into it later is not listed either. A smaller
-    /// queue's model tends to fit in cache, where the walk costs more
-    /// than it warms, so it yields nothing. Listing never changes the
-    /// pop order.
+    /// [`crate::Model::prefetch`]). The walk reads each slot's link
+    /// and event, which the rotation into that bucket reads again.
+    /// Events of that bucket still in the overflow heap are not
+    /// listed, and an event pushed into it later is not listed either.
+    /// A smaller queue's model tends to fit in cache, where the walk
+    /// costs more than it warms, so it yields nothing. Listing never
+    /// changes the pop order.
     ///
     /// ```
     /// use scrip_des::{EventQueue, QueueProfile, SimDuration, SimTime};
@@ -472,16 +500,16 @@ impl<E> EventQueue<E> {
 
     /// The span of simulated time one bucket covers. Buckets are
     /// aligned to multiples of it, and a rotation merges one bucket
-    /// into the live heap.
+    /// into the run.
     pub fn bucket_width(&self) -> SimDuration {
         SimDuration::from_micros(1 << self.bucket_shift)
     }
 
     /// The activation time of the earliest pending event, without
-    /// rotating. O(1) while the live heap is non-empty; at a rotation
-    /// boundary it costs one bitmap scan plus one bucket-list walk.
+    /// rotating. O(1) while an event is live; at a rotation boundary
+    /// it costs one bitmap scan plus one bucket-list walk.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(s) = self.live.peek() {
+        if let Some(s) = self.peek_live() {
             return Some(s.time);
         }
         let wheel_min = self.next_occupied_bucket().and_then(|b| {
@@ -503,12 +531,13 @@ impl<E> EventQueue<E> {
 
 impl<E: Clone> EventQueue<E> {
     /// Every pending event in pop order, without disturbing the queue:
-    /// the entries of the live heap, the node slab and the overflow
+    /// the entries of the run, the side heap, the slab and the overflow
     /// heap, sorted by `(time, seq)`.
     pub fn snapshot_events(&self) -> Vec<Scheduled<E>> {
         let mut events = Vec::with_capacity(self.len);
-        events.extend(self.live.iter().cloned());
-        events.extend(self.nodes.iter().filter_map(|node| node.item.clone()));
+        events.extend(self.run.iter().cloned());
+        events.extend(self.side.iter().cloned());
+        events.extend(self.items.iter().flatten().cloned());
         events.extend(self.overflow.iter().cloned());
         events.sort_unstable_by_key(|s| (s.time, s.seq));
         events
@@ -671,15 +700,15 @@ mod tests {
 
     /// The memory bound of the slab layout: under exponential delays
     /// (unbounded tails, the market's spend timers) a pre-sized wheel
-    /// holds at most twice its pending population plus the live heap's
-    /// fixed headroom. Storage that keeps each bucket's own high-water
+    /// holds at most twice its pending population plus the fixed
+    /// headroom of the run and the side heap. Storage that keeps each bucket's own high-water
     /// occupancy reaches 8–15× the population at these sizes.
     #[test]
     fn exponential_cycle_capacity_stays_within_twice_the_population() {
         for n in [256usize, 4_096] {
             let mean = SimDuration::from_millis(10);
             let mut w = queue(n, mean);
-            let headroom = w.live.capacity();
+            let headroom = w.run.capacity() + w.side.capacity();
             let exp = Exp::new(1.0 / mean.as_micros() as f64).expect("positive rate");
             let mut rng = SimRng::seed_from_u64(n as u64);
             let mut delay = || exp.sample(&mut rng) as u64;

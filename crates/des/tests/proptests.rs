@@ -545,6 +545,100 @@ proptest! {
         prop_assert_eq!(drain_model(model), drain(queue));
     }
 
+    /// The live bucket is a run sorted once per rotation plus a side
+    /// heap for events pushed into the floor bucket after it: pushes at
+    /// the clock (same-instant bursts of up to 16) and elsewhere in the
+    /// floor bucket interleave with pops, `pop_due` at horizons just
+    /// before the clock, at it and inside its bucket pops some of a
+    /// burst and leaves the rest, and the queue still pops a binary-heap
+    /// model's exact sequence. `peek_live`, when it shows an event,
+    /// shows the model's earliest, and `snapshot_events()` taken
+    /// mid-burst equals the model's drain and a clone-and-drain of the
+    /// queue. Sizings from 64 to 2^15 buckets and widths of 1 µs to
+    /// 2 ms put anywhere from one to dozens of events in a bucket.
+    #[test]
+    fn floor_bucket_bursts_pop_like_a_heap(
+        seeds in prop::collection::vec(0u64..100_000, 0..80),
+        ops in prop::collection::vec((0u8..8, 0u64..64, 0u64..100_000), 1..300),
+        sizing in (0u32..18, 1u64..20_000),
+    ) {
+        let profile = QueueProfile {
+            expected_events: 1 << sizing.0,
+            typical_delay: SimDuration::from_micros(sizing.1),
+        };
+        let mut model = HeapModel::default();
+        let mut queue: EventQueue<u64> = EventQueue::with_profile(profile);
+        let width = queue.bucket_width().as_micros();
+        let mut ev = 0u64;
+        let mut push = |model: &mut HeapModel, queue: &mut EventQueue<u64>, t: u64| {
+            model.push(SimTime::from_micros(t), ev);
+            queue.push(SimTime::from_micros(t), ev);
+            ev += 1;
+        };
+        for &t in &seeds {
+            push(&mut model, &mut queue, t);
+        }
+        // The clock: the time of the last event popped.
+        let mut now = 0u64;
+        for &(op, count, fine) in &ops {
+            match op {
+                // A burst of pushes at the clock.
+                0 | 1 => {
+                    for _ in 0..=count % 16 {
+                        push(&mut model, &mut queue, now);
+                    }
+                }
+                // A push later in (about) the floor bucket.
+                2 => push(&mut model, &mut queue, now + fine % width),
+                // A push up to 100 ms ahead.
+                3 => push(&mut model, &mut queue, now + fine),
+                // Pops.
+                4 | 5 => {
+                    for _ in 0..=count % 8 {
+                        let expected = model.heap.pop().map(triple);
+                        prop_assert_eq!(&expected, &queue.pop().map(triple));
+                        if let Some((t, _, _)) = expected {
+                            now = t.as_micros();
+                        }
+                    }
+                }
+                // Pops due by a horizon just before, at or inside the
+                // clock's instant and bucket, which splits a burst when
+                // it allows fewer pops than the burst holds.
+                6 => {
+                    let horizon = match count % 4 {
+                        0 => now.saturating_sub(1),
+                        1 => now,
+                        _ => now + fine % width,
+                    };
+                    let horizon = SimTime::from_micros(horizon);
+                    for _ in 0..=count % 8 {
+                        let due = model.heap.peek().is_some_and(|s| s.time <= horizon);
+                        let expected = if due { model.heap.pop().map(triple) } else { None };
+                        prop_assert_eq!(&expected, &queue.pop_due(horizon).map(triple));
+                        if let Some((t, _, _)) = expected {
+                            now = t.as_micros();
+                        }
+                    }
+                }
+                // A snapshot, which must leave the queue as it was.
+                _ => {
+                    let snapshot: Vec<Triple> =
+                        queue.snapshot_events().into_iter().map(triple).collect();
+                    prop_assert_eq!(&snapshot, &drain_model(model.clone()));
+                    prop_assert_eq!(&snapshot, &drain(queue.clone()));
+                }
+            }
+            if let Some(live) = queue.peek_live() {
+                let earliest = model.heap.peek().map(|s| (s.time, s.seq));
+                prop_assert_eq!(Some((live.time, live.seq)), earliest);
+            }
+            prop_assert_eq!(model.heap.len(), queue.len());
+            prop_assert_eq!(model.heap.peek().map(|s| s.time), queue.peek_time());
+        }
+        prop_assert_eq!(drain_model(model), drain(queue));
+    }
+
     /// `run_until` and `run_until_traced` over random non-decreasing
     /// horizons, with events scheduled between the calls, dispatch the
     /// same `(time, seq)` sequence as one uninterrupted run that
@@ -638,8 +732,8 @@ proptest! {
     /// pieces, `run_until_traced` (with vetoes) and `run_for_events`,
     /// a model with a recording `prefetch` and one with the default
     /// hook dispatch the same `(time, seq)` sequence. The hook is shown
-    /// the live root (the earliest pending event) after every pop and
-    /// before `handle`, is skipped exactly when the live heap is empty,
+    /// the earliest live event (the earliest pending event) after every
+    /// pop and before `handle`, is skipped exactly when none is live,
     /// never sees an event that is not pending, and the event it sees
     /// is the next one dispatched unless the handler in between
     /// scheduled an earlier one. Zero delays make same-instant ties,
