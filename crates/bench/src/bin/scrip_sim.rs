@@ -31,9 +31,9 @@ use scrip_bench::scenario::{
     Scenario, ScenarioError, ScenarioResult,
 };
 use scrip_bench::serve::{Client, ServeOptions, Server};
-use scrip_core::des::{SimTime, TraceFrame, TraceReader, TraceTailer};
-use scrip_core::market::{MarketConfig, MarketEvent};
-use scrip_core::obs::Session;
+use scrip_core::des::{SimTime, TraceFile, TraceFrame, TraceTailer};
+use scrip_core::market::MarketConfig;
+use scrip_core::obs::{describe_event, Session};
 
 const USAGE: &str = "\
 scrip-sim — scenario-driven experiment runner for the scrip reproduction
@@ -322,11 +322,6 @@ struct Checkpointing {
 
 impl Driver for Checkpointing {
     fn open(&self, rep: &Replication<'_>) -> Result<Session, ScenarioError> {
-        if rep.config.streaming.is_some() {
-            return Err(ScenarioError::Config(
-                "streaming (chunk-level) scenarios cannot checkpoint".into(),
-            ));
-        }
         let Some(snapshot) = &self.resume else {
             return rep.fresh();
         };
@@ -442,19 +437,18 @@ fn cmd_replay(options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders one frame for `tail` and `trace-diff` output: market-event
-/// payloads decode to their debug form, text payloads (e.g. daemon
-/// sample logs) print verbatim, anything else by size.
+/// Renders one frame for `tail` and `trace-diff` output: event payloads
+/// of either market granularity decode to their debug form, text
+/// payloads (e.g. daemon sample logs) print verbatim, anything else by
+/// size.
 fn describe_frame(frame: &TraceFrame) -> String {
     match frame {
         TraceFrame::Event { time, seq, payload } => {
-            let body = match MarketEvent::from_trace_payload(payload) {
-                Ok(event) => format!("{event:?}"),
-                Err(_) => match std::str::from_utf8(payload) {
+            let body =
+                describe_event(payload).unwrap_or_else(|| match std::str::from_utf8(payload) {
                     Ok(text) => text.to_string(),
                     Err(_) => format!("<{} payload bytes>", payload.len()),
-                },
-            };
+                });
             format!("event t={}µs seq={seq} {body}", time.as_micros())
         }
         TraceFrame::Digest {
@@ -488,8 +482,8 @@ fn cmd_trace_diff(options: &Options) -> Result<(), String> {
     let [path_a, path_b] = options.targets.as_slice() else {
         return Err("trace-diff: expected exactly two trace files".into());
     };
-    let mut a = TraceReader::from_path(Path::new(path_a)).map_err(|e| format!("{path_a}: {e}"))?;
-    let mut b = TraceReader::from_path(Path::new(path_b)).map_err(|e| format!("{path_b}: {e}"))?;
+    let mut a = TraceFile::open(Path::new(path_a)).map_err(|e| format!("{path_a}: {e}"))?;
+    let mut b = TraceFile::open(Path::new(path_b)).map_err(|e| format!("{path_b}: {e}"))?;
     if a.header() != b.header() {
         let (ha, hb) = (*a.header(), *b.header());
         println!(

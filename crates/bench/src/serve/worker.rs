@@ -161,10 +161,9 @@ struct JobDriver<'a> {
     shared: &'a Shared,
     job: &'a JobRecord,
     ckpt_path: PathBuf,
-    /// Whether the job has the one shape `Session::checkpoint` supports
-    /// (one case, one replication, queue-level). Any other job restarts
-    /// from scratch after a daemon kill, which is merely slower, not
-    /// wrong.
+    /// Whether the job is one case and one replication, the shape one
+    /// checkpoint file covers. Any other job restarts from scratch
+    /// after a daemon kill, which is merely slower, not wrong.
     checkpointed: bool,
     samples: Mutex<SampleLog>,
     throttle: Option<Duration>,
@@ -283,9 +282,7 @@ fn prepare<'a>(
         shared,
         job,
         ckpt_path: dir.join(format!("job-{}.ckpt", job.id)),
-        checkpointed: scenario
-            .single_config()
-            .is_ok_and(|config| config.streaming.is_none()),
+        checkpointed: scenario.single_config().is_ok(),
         samples: Mutex::new(samples),
         throttle: std::env::var(THROTTLE_ENV)
             .ok()

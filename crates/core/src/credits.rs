@@ -27,9 +27,10 @@
 //! rates) and the escrow recycling of Sec. VI's tax
 //! ([`Ledger::recycle_escrow`]) are defined once, on the ledger.
 
+use scrip_des::snapshot::{Put, Reader};
 use scrip_des::SimTime;
 use scrip_econ::{gini_u64, IncrementalGini};
-use scrip_topology::NodeId;
+use scrip_topology::{NodeId, TakeId};
 
 use crate::arena::PeerArena;
 use crate::error::CoreError;
@@ -455,6 +456,56 @@ impl Ledger {
             ledger.open(id, b);
         }
         ledger
+    }
+
+    /// The ledger section: the accounts' `(id, balance)` pairs in pick
+    /// order behind their count, then the escrow, minted and burned
+    /// pools. Spend is the owner's to write, in its registry columns.
+    pub(crate) fn write_state(&self, w: &mut impl Put) {
+        w.put_u64(self.accounts() as u64);
+        for (id, balance) in self.slot_entries() {
+            w.put_u64(id.raw());
+            w.put_u64(balance);
+        }
+        w.put_u64(self.escrow);
+        w.put_u64(self.minted);
+        w.put_u64(self.burned);
+    }
+
+    /// Decodes [`Ledger::write_state`]'s section into a ledger with
+    /// wealth tracking on and nothing spent. The accounts must be
+    /// `order` (the owner's registry) in pick order, and the books must
+    /// balance before any balance sizes the wealth tracker.
+    ///
+    /// # Errors
+    /// Returns [`CoreError::Checkpoint`] for truncated bytes, accounts
+    /// that are not `order`, or pools and balances that violate
+    /// conservation.
+    pub(crate) fn read_state(r: &mut Reader<'_>, order: &[NodeId]) -> Result<Ledger, CoreError> {
+        let count = r.take_count(16)?;
+        let mut entries = Vec::with_capacity(count);
+        for _ in 0..count {
+            entries.push((r.take_id()?, r.take_u64()?));
+        }
+        let escrow = r.take_u64()?;
+        let minted = r.take_u64()?;
+        let burned = r.take_u64()?;
+        if !entries.iter().map(|&(id, _)| id).eq(order.iter().copied()) {
+            return Err(CoreError::Checkpoint(
+                "ledger entries are not the peer registry's ids in pick order".into(),
+            ));
+        }
+        let held = entries
+            .iter()
+            .try_fold(escrow, |sum, &(_, balance)| sum.checked_add(balance));
+        if held.is_none() || minted.checked_sub(burned) != held {
+            return Err(CoreError::Checkpoint(
+                "restored ledger violates conservation".into(),
+            ));
+        }
+        let mut ledger = Ledger::restore(&entries, escrow, minted, burned);
+        ledger.enable_wealth_tracking();
+        Ok(ledger)
     }
 
     /// Checks the conservation invariant

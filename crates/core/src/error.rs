@@ -3,6 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
+use scrip_des::snapshot::SnapshotError;
 use scrip_econ::EconError;
 use scrip_queueing::QueueingError;
 use scrip_topology::generators::GenError;
@@ -64,6 +65,13 @@ impl From<GenError> for CoreError {
 impl From<QueueingError> for CoreError {
     fn from(e: QueueingError) -> Self {
         CoreError::Queueing(e)
+    }
+}
+
+/// A snapshot decoder's refusal is a checkpoint error.
+impl From<SnapshotError> for CoreError {
+    fn from(e: SnapshotError) -> Self {
+        CoreError::Checkpoint(e.0)
     }
 }
 

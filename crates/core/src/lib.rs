@@ -65,12 +65,11 @@ pub mod obs;
 pub mod policy;
 pub mod pricing;
 pub mod protocol;
-pub(crate) mod snapshot;
 pub mod spec;
 
 pub use credits::Ledger;
 pub use error::CoreError;
-pub use snapshot::fingerprint;
+pub use scrip_des::snapshot::fingerprint;
 
 // The pick-order peer list lives in `scrip-topology` (next to the graph
 // whose ids it holds) so the streaming crate can use it too; the

@@ -23,12 +23,36 @@
 //!   [`crate::protocol::run_streaming_market`]: build from any
 //!   [`MarketConfig`], [`Session::attach`] probes, [`Session::run_until`]
 //!   the horizon, [`Session::finish`] into a [`RunRecord`] plus the
-//!   finished model.
+//!   finished model. A session of either granularity checkpoints and
+//!   resumes ([`Session::checkpoint`], [`Session::resume`]) and records
+//!   and replays its event stream ([`Session::record_to`],
+//!   [`Session::replay_from`]).
+//!
+//! ## One session path
+//!
+//! Everything a session needs from a market — the [`scrip_des::Model`]
+//! and [`MarketView`] it is, its queue profile, its checkpoint codec
+//! (`write_state` and a fail-closed `read_state`) and its event codec —
+//! is one crate-private trait, implemented by both markets. The session
+//! holds one boxed simulation of either and is written once over it:
+//! the granularity is chosen only where a session is built
+//! ([`Session::from_config`]) or resumed ([`Session::resume`]). Calls
+//! through the box happen once per `run_until` span, never per event;
+//! inside a span the simulation runs monomorphic, with a recorder's
+//! per-event tap compiled into its dispatch loop.
+//!
+//! Both markets' checkpoints are built from the same state sections,
+//! each with one encoder and one decoder: RNG words and the fault plan,
+//! fault counters and time series ([`scrip_des::snapshot`]), the
+//! overlay ([`scrip_topology::Graph::write_state`]), and the ledger,
+//! taxation and posted prices. Trace payloads name their granularity:
+//! queue-level event tags are 0–6, chunk-level ones 16–25, and
+//! [`describe_event`] renders either.
 //!
 //! ## Hot-path cost
 //!
 //! Probe dispatch happens **only at sampling boundaries** (the market's
-//! `sample_interval`, plus any extra stop times probes request): the
+//! `sample_interval`, plus any extra stops probes request): the
 //! session runs the simulator in uninterrupted spans between stops and
 //! never interposes on individual spend/settle events, so the
 //! allocation-free spend and chunk-trade hot paths are untouched. With
@@ -59,10 +83,11 @@
 use std::io::BufWriter;
 use std::path::Path;
 
+use scrip_des::snapshot::{self, Fingerprint, Put, Reader};
 use scrip_des::stats::TimeSeries;
 use scrip_des::{
-    RunStats, Scheduled, Scheduler, SimDuration, SimTime, Simulation, TraceError, TraceFrame,
-    TraceHeader, TraceReader, TraceWriter,
+    FaultPlan, Model, QueueProfile, RunStats, Scheduled, Scheduler, SimDuration, SimTime,
+    Simulation, TraceError, TraceFile, TraceFrame, TraceHeader, TraceReader, TraceWriter,
 };
 use scrip_streaming::{StreamEvent, StreamingSystem};
 
@@ -70,8 +95,7 @@ use crate::credits::Ledger;
 use crate::error::CoreError;
 use crate::market::{CreditMarket, FaultStats, MarketConfig, MarketEvent};
 use crate::policy::Taxation;
-use crate::protocol::{build_streaming_market, CreditTradePolicy};
-use crate::snapshot::{self, Put};
+use crate::protocol::{build_streaming_market, protocol_config, CreditTradePolicy};
 
 pub mod probes;
 
@@ -167,29 +191,11 @@ pub trait MarketView {
         0
     }
     /// FNV-1a digest of the market's deterministic state, taken at
-    /// sampling boundaries for trace digest frames and golden pins.
-    /// The queue-level market overrides this with a fold over the exact
-    /// checkpoint byte encoding of its state (RNG streams, graph,
-    /// arena, ledger, escrow, pricing, fault plan); the default folds
-    /// the observable economy — population, counters, escrow pools, and
-    /// the full sorted wealth distribution — for views without a
-    /// checkpoint codec.
-    fn state_digest(&self) -> u64 {
-        let mut w = snapshot::Fingerprint::default();
-        w.put_u64(self.peer_count() as u64);
-        w.put_u64(self.purchases());
-        w.put_u64(self.denied());
-        let ledger = self.ledger();
-        w.put_u64(ledger.total_spent());
-        w.put_u64(self.in_flight_escrow());
-        w.put_u64(ledger.escrow());
-        w.put_u64(ledger.minted());
-        w.put_u64(ledger.burned());
-        for balance in ledger.balances_sorted() {
-            w.put_u64(balance);
-        }
-        w.value()
-    }
+    /// sampling boundaries for trace digest frames and golden pins: a
+    /// fold over the exact bytes the market's checkpoint encoding
+    /// writes (RNG streams, overlay, ledger, escrow, pricing, fault
+    /// plan, and at chunk level every peer's protocol state).
+    fn state_digest(&self) -> u64;
 }
 
 impl MarketView for CreditMarket {
@@ -254,6 +260,11 @@ impl MarketView for StreamingSystem<CreditTradePolicy> {
     }
     // `in_flight_escrow` stays 0: the streaming layer settles on
     // delivery, so no credits sit in trade escrow.
+    fn state_digest(&self) -> u64 {
+        let mut digest = Fingerprint::default();
+        SessionMarket::write_state(self, &mut digest);
+        digest.value()
+    }
 }
 
 /// A pluggable observer over one market run.
@@ -325,12 +336,270 @@ pub trait Probe: Send {
     }
 }
 
-/// The simulator behind a session: one of the two market granularities.
-enum SessionSim {
-    /// The queue-level spend-loop market.
-    Queue(Simulation<CreditMarket>),
-    /// The chunk-level streaming market.
-    Chunk(Simulation<StreamingSystem<CreditTradePolicy>>),
+/// What a [`Session`] needs from a market, whichever its granularity:
+/// the model it runs and the view its probes read, how to build and
+/// start it, how its event queue is sized, its checkpoint codec and its
+/// event codec. The session is written once over this trait (see the
+/// [module docs](self)).
+pub(crate) trait SessionMarket: Model + MarketView + Sized + Send + 'static {
+    /// Builds the market `config` describes, drawing from `seed`.
+    fn build(config: &MarketConfig, seed: u64) -> Result<Self, CoreError>;
+
+    /// The event that starts a run, scheduled at time zero.
+    fn bootstrap() -> Self::Event;
+
+    /// How the market's event queue is sized.
+    fn queue_profile(&self) -> QueueProfile;
+
+    /// Serializes the market's mutable state — the model half of a
+    /// checkpoint, and what [`MarketView::state_digest`] folds.
+    fn write_state(&self, w: &mut impl Put);
+
+    /// Decodes the market whose state [`SessionMarket::write_state`]
+    /// captured `events_processed` events into a run of `config` and
+    /// `seed`, failing closed on bytes no run produces.
+    fn read_state(
+        config: &MarketConfig,
+        seed: u64,
+        r: &mut Reader<'_>,
+        events_processed: u64,
+    ) -> Result<Self, CoreError>;
+
+    /// Serializes one event: a checkpoint's pending events and a trace's
+    /// event payloads.
+    fn encode(event: &Self::Event, w: &mut impl Put);
+
+    /// Decodes an event written by [`SessionMarket::encode`].
+    fn decode(r: &mut Reader<'_>) -> Result<Self::Event, CoreError>;
+
+    /// Whether a decoded pending event fits the decoded state; a resume
+    /// refuses a checkpoint with one that does not.
+    fn admits(&self, _event: &Self::Event) -> bool {
+        true
+    }
+
+    /// The finished model, as a session hands it back.
+    fn into_model(self) -> SessionModel;
+}
+
+impl SessionMarket for CreditMarket {
+    fn build(config: &MarketConfig, seed: u64) -> Result<Self, CoreError> {
+        CreditMarket::build(config.clone(), seed)
+    }
+    fn bootstrap() -> MarketEvent {
+        MarketEvent::Bootstrap
+    }
+    fn queue_profile(&self) -> QueueProfile {
+        CreditMarket::queue_profile(self)
+    }
+    fn write_state(&self, w: &mut impl Put) {
+        CreditMarket::write_state(self, w);
+    }
+    fn read_state(
+        config: &MarketConfig,
+        seed: u64,
+        r: &mut Reader<'_>,
+        events_processed: u64,
+    ) -> Result<Self, CoreError> {
+        CreditMarket::read_state(config.clone(), seed, r, events_processed)
+    }
+    #[inline]
+    fn encode(event: &MarketEvent, w: &mut impl Put) {
+        event.encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<MarketEvent, CoreError> {
+        MarketEvent::decode(r)
+    }
+    fn into_model(self) -> SessionModel {
+        SessionModel::Queue(self)
+    }
+}
+
+/// The chunk-level market's state is the protocol's
+/// ([`StreamingSystem::write_state`]) followed by its credit policy's
+/// ([`CreditTradePolicy`]'s ledger, spend, taxation, posted prices and
+/// counters).
+impl SessionMarket for StreamingSystem<CreditTradePolicy> {
+    fn build(config: &MarketConfig, seed: u64) -> Result<Self, CoreError> {
+        build_streaming_market(config, seed)
+    }
+    fn bootstrap() -> StreamEvent {
+        StreamEvent::Bootstrap
+    }
+    fn queue_profile(&self) -> QueueProfile {
+        StreamingSystem::queue_profile(self)
+    }
+    fn write_state(&self, w: &mut impl Put) {
+        StreamingSystem::write_state(self, w);
+        self.policy().write_state(w);
+    }
+    fn read_state(
+        config: &MarketConfig,
+        seed: u64,
+        r: &mut Reader<'_>,
+        events_processed: u64,
+    ) -> Result<Self, CoreError> {
+        let protocol = protocol_config(config)?;
+        // As the build: an all-zero spec installs no plan.
+        let plan = match config.faults {
+            Some(spec) if spec.any_faults() => {
+                Some(FaultPlan::new(spec, seed).map_err(CoreError::Config)?)
+            }
+            _ => None,
+        };
+        // Every overlay id was allocated by the build or one `Join`.
+        let ids = (config.n as u64).saturating_add(events_processed);
+        StreamingSystem::read_state(protocol, plan, r, (ids, events_processed), |r, order| {
+            CreditTradePolicy::read_state(config, r, order)
+        })
+    }
+    #[inline]
+    fn encode(event: &StreamEvent, w: &mut impl Put) {
+        event.encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<StreamEvent, CoreError> {
+        Ok(StreamEvent::decode(r)?)
+    }
+    fn admits(&self, event: &StreamEvent) -> bool {
+        StreamingSystem::admits(self, event)
+    }
+    fn into_model(self) -> SessionModel {
+        SessionModel::Chunk(self)
+    }
+}
+
+/// A market's simulation as a [`Session`] drives it: the calls the
+/// session makes through its box, each once per `run_until` span,
+/// checkpoint or boundary, never per event.
+trait Run: Send {
+    fn now(&self) -> SimTime;
+    fn stats(&self) -> RunStats;
+    fn view(&self) -> &dyn MarketView;
+    /// Runs to `horizon`, offering every event to `tracer` first when
+    /// one is attached.
+    fn advance(&mut self, horizon: SimTime, tracer: Option<&mut Tracer>);
+    /// Appends the pending events, each behind its `(time, seq)`
+    /// identity, and the market's state.
+    fn write_state(&self, w: &mut Vec<u8>);
+    fn into_model(self: Box<Self>) -> SessionModel;
+}
+
+impl<M: SessionMarket> Run for Simulation<M>
+where
+    M::Event: Clone + Send,
+{
+    fn now(&self) -> SimTime {
+        Simulation::now(self)
+    }
+    fn stats(&self) -> RunStats {
+        Simulation::stats(self)
+    }
+    fn view(&self) -> &dyn MarketView {
+        self.model()
+    }
+    fn advance(&mut self, horizon: SimTime, tracer: Option<&mut Tracer>) {
+        match tracer {
+            // The tap is a closure over this market's event type, so the
+            // kernel's traced loop inlines the recorder.
+            Some(tracer) => {
+                self.run_until_traced(horizon, &mut |time, seq, event| {
+                    tracer.on_event::<M>(time, seq, event)
+                });
+            }
+            None => {
+                self.run_until(horizon);
+            }
+        }
+    }
+    fn write_state(&self, w: &mut Vec<u8>) {
+        let pending = self.scheduler().snapshot_events();
+        w.put_u64(pending.len() as u64);
+        for scheduled in &pending {
+            w.put_u64(scheduled.time.as_micros());
+            w.put_u64(scheduled.seq);
+            M::encode(&scheduled.event, w);
+        }
+        self.model().write_state(w);
+    }
+    fn into_model(self: Box<Self>) -> SessionModel {
+        SessionMarket::into_model(Simulation::into_model(*self))
+    }
+}
+
+/// A fresh simulation of `M` for `config` and `seed`, pre-sized and
+/// with its bootstrap event scheduled.
+fn start<M: SessionMarket>(config: &MarketConfig, seed: u64) -> Result<Box<dyn Run>, CoreError>
+where
+    M::Event: Clone + Send,
+{
+    let market = M::build(config, seed)?;
+    let profile = market.queue_profile();
+    let mut sim = Simulation::with_profile(market, profile);
+    sim.schedule(SimTime::ZERO, M::bootstrap());
+    Ok(Box::new(sim))
+}
+
+/// Decodes the simulation a checkpoint's state frame holds: the pending
+/// events, then `M`'s state, taken at `clock` after `events_processed`
+/// events.
+fn resume_sim<M: SessionMarket>(
+    config: &MarketConfig,
+    seed: u64,
+    r: &mut Reader<'_>,
+    (clock, events_processed): (SimTime, u64),
+) -> Result<Box<dyn Run>, CoreError>
+where
+    M::Event: Clone + Send,
+{
+    // Each pending event: time, seq and at least a tag byte.
+    let pending_len = r.take_count(17)?;
+    // Every seq comes from one push, and every push is either
+    // processed or still pending.
+    let seq_bound = events_processed.saturating_add(pending_len as u64);
+    let mut pending: Vec<Scheduled<M::Event>> = Vec::with_capacity(pending_len);
+    for _ in 0..pending_len {
+        let time = SimTime::from_micros(r.take_u64()?);
+        let seq = r.take_u64()?;
+        if time < clock {
+            return Err(CoreError::Checkpoint(format!(
+                "pending event at {time} precedes the clock ({clock})"
+            )));
+        }
+        if seq >= seq_bound {
+            return Err(CoreError::Checkpoint(format!(
+                "pending event seq {seq} is not below {seq_bound} (events processed plus pending)"
+            )));
+        }
+        if pending
+            .last()
+            .is_some_and(|p| (p.time, p.seq) >= (time, seq))
+        {
+            return Err(CoreError::Checkpoint(
+                "pending events are not in strictly ascending (time, seq) order".into(),
+            ));
+        }
+        let event = M::decode(r)?;
+        pending.push(Scheduled { time, seq, event });
+    }
+    // Only a join allocates an overlay id, so the events processed
+    // bound the watermark the market state may carry.
+    let market = M::read_state(config, seed, r, events_processed)?;
+    if let Some(p) = pending.iter().find(|p| !market.admits(&p.event)) {
+        return Err(CoreError::Checkpoint(format!(
+            "pending event seq {} does not fit the snapshot's state",
+            p.seq
+        )));
+    }
+    let mut scheduler = Scheduler::with_profile(market.queue_profile());
+    scheduler.restore_clock(clock);
+    for scheduled in pending {
+        scheduler.enqueue_scheduled(scheduled);
+    }
+    Ok(Box::new(Simulation::from_parts(
+        market,
+        scheduler,
+        events_processed,
+    )))
 }
 
 /// The finished model a [`Session`] hands back, for callers that want
@@ -398,8 +667,8 @@ fn config_fingerprint(config: &MarketConfig) -> u64 {
 
 /// Refuses a trace or checkpoint written under another configuration,
 /// which would otherwise diverge silently.
-fn check_fingerprint(header: &TraceHeader, config: &MarketConfig) -> Result<(), String> {
-    if header.fingerprint != config_fingerprint(config) {
+fn check_fingerprint(header: &TraceHeader, fingerprint: u64) -> Result<(), String> {
+    if header.fingerprint != fingerprint {
         return Err(
             "configuration mismatch: the file was written under a different scenario".into(),
         );
@@ -409,6 +678,27 @@ fn check_fingerprint(header: &TraceHeader, config: &MarketConfig) -> Result<(), 
 
 fn trace_err(e: TraceError) -> CoreError {
     CoreError::Trace(e.to_string())
+}
+
+/// Renders one trace event payload of either granularity in the event's
+/// debug form, for `tail`, `trace-diff` and divergence reports. The
+/// queue level's event tags (0–6) and the chunk level's (16–25) are
+/// disjoint, so at most one decoder accepts a payload; [`None`] when
+/// neither does (a daemon sample line, a damaged payload).
+pub fn describe_event(payload: &[u8]) -> Option<String> {
+    if let Ok(event) = MarketEvent::from_trace_payload(payload) {
+        return Some(format!("{event:?}"));
+    }
+    let mut r = Reader::new(payload);
+    let event = StreamEvent::decode(&mut r).ok()?;
+    r.finish().ok()?;
+    Some(format!("{event:?}"))
+}
+
+/// [`describe_event`], or the payload's size when it does not decode.
+fn describe_payload(payload: &[u8]) -> String {
+    describe_event(payload)
+        .unwrap_or_else(|| format!("<{} undecodable payload bytes>", payload.len()))
 }
 
 /// Trace state attached to a session: either recording the event
@@ -425,9 +715,10 @@ enum Tracer {
     Verify(Verifier),
 }
 
-/// A replaying session's trace state (see [`Tracer::Verify`]).
+/// A replaying session's trace state (see [`Tracer::Verify`]). The
+/// recorded trace is read from its file one bounded chunk at a time.
 struct Verifier {
-    reader: TraceReader,
+    reader: TraceFile,
     scratch: Vec<u8>,
     divergence: Option<TraceDivergence>,
     error: Option<TraceError>,
@@ -449,16 +740,16 @@ impl Tracer {
     /// and freezes the simulation at the pre-event state. Recording is
     /// inlined into the kernel's dispatch loop; verification is not.
     #[inline]
-    fn on_event(&mut self, time: SimTime, seq: u64, event: &MarketEvent) -> bool {
+    fn on_event<M: SessionMarket>(&mut self, time: SimTime, seq: u64, event: &M::Event) -> bool {
         match self {
             Tracer::Record { writer, error } => {
-                if let Err(e) = writer.event_with(time, seq, |buf| event.encode(buf)) {
+                if let Err(e) = writer.event_with(time, seq, |buf| M::encode(event, buf)) {
                     *error = Some(e);
                     return false;
                 }
                 true
             }
-            Tracer::Verify(verifier) => verifier.on_event(time, seq, event),
+            Tracer::Verify(verifier) => verifier.on_event::<M>(time, seq, event),
         }
     }
 
@@ -515,7 +806,7 @@ impl Tracer {
                             seq: Some(rs),
                             expected: format!(
                                 "{} at (t={}µs, seq={rs})",
-                                MarketEvent::describe_trace_payload(&payload),
+                                describe_payload(&payload),
                                 rt.as_micros()
                             ),
                             actual: format!(
@@ -538,7 +829,7 @@ impl Verifier {
     /// The replay half of [`Tracer::on_event`]: the event must match
     /// the next recorded event frame. Kept out of the recording loop.
     #[inline(never)]
-    fn on_event(&mut self, time: SimTime, seq: u64, event: &MarketEvent) -> bool {
+    fn on_event<M: SessionMarket>(&mut self, time: SimTime, seq: u64, event: &M::Event) -> bool {
         let Verifier {
             reader,
             scratch,
@@ -553,7 +844,7 @@ impl Verifier {
         // Shared boundaries consume their digest strictly in
         // `on_boundary` before the next event is tapped.
         scratch.clear();
-        event.encode(scratch);
+        M::encode(event, scratch);
         let expected = loop {
             match reader.next_frame() {
                 Err(e) => {
@@ -571,7 +862,7 @@ impl Verifier {
                     }
                     break format!(
                         "{} at (t={}µs, seq={rs})",
-                        MarketEvent::describe_trace_payload(&payload),
+                        describe_payload(&payload),
                         rt.as_micros()
                     );
                 }
@@ -590,7 +881,7 @@ impl Verifier {
             time,
             seq: Some(seq),
             expected,
-            actual: format!("{event:?}"),
+            actual: describe_payload(scratch),
         });
         false
     }
@@ -600,12 +891,16 @@ impl Verifier {
 /// granularities. See the [module docs](self) for the full picture and
 /// an example.
 pub struct Session {
-    sim: SessionSim,
+    /// The simulation, of either granularity.
+    sim: Box<dyn Run>,
     probes: Vec<Box<dyn Probe>>,
     /// The root seed the market was built from — stored so a
     /// [`Session::checkpoint`] can rebuild the same derived RNG streams
     /// on [`Session::resume`].
     seed: u64,
+    /// The configuration's fingerprint, which checkpoints and traces
+    /// carry in their headers.
+    fingerprint: u64,
     /// The sampling-grid spacing (the market's `sample_interval`).
     interval: SimDuration,
     /// Next regular sampling boundary.
@@ -635,22 +930,15 @@ impl Session {
     /// failures.
     pub fn from_config(config: &MarketConfig, seed: u64) -> Result<Session, CoreError> {
         let sim = if config.streaming.is_some() {
-            let system = build_streaming_market(config, seed)?;
-            let profile = system.queue_profile();
-            let mut sim = Simulation::with_profile(system, profile);
-            sim.schedule(SimTime::ZERO, StreamEvent::Bootstrap);
-            SessionSim::Chunk(sim)
+            start::<StreamingSystem<CreditTradePolicy>>(config, seed)?
         } else {
-            let market = CreditMarket::build(config.clone(), seed)?;
-            let profile = market.queue_profile();
-            let mut sim = Simulation::with_profile(market, profile);
-            sim.schedule(SimTime::ZERO, MarketEvent::Bootstrap);
-            SessionSim::Queue(sim)
+            start::<CreditMarket>(config, seed)?
         };
         Ok(Session {
             sim,
             probes: Vec::new(),
             seed,
+            fingerprint: config_fingerprint(config),
             interval: config.sample_interval,
             next_tick: SimTime::ZERO + config.sample_interval,
             stops: Vec::new(),
@@ -686,44 +974,21 @@ impl Session {
 
     /// The current simulation clock.
     pub fn now(&self) -> SimTime {
-        match &self.sim {
-            SessionSim::Queue(sim) => sim.now(),
-            SessionSim::Chunk(sim) => sim.now(),
-        }
+        self.sim.now()
     }
 
     /// Kernel counters for the run so far (events processed/pending).
     pub fn stats(&self) -> RunStats {
-        match &self.sim {
-            SessionSim::Queue(sim) => sim.stats(),
-            SessionSim::Chunk(sim) => sim.stats(),
-        }
+        self.sim.stats()
     }
 
     /// The observable market state, at either granularity.
     pub fn view(&self) -> &dyn MarketView {
-        match &self.sim {
-            SessionSim::Queue(sim) => sim.model(),
-            SessionSim::Chunk(sim) => sim.model(),
-        }
+        self.sim.view()
     }
 
     fn sim_run_until(&mut self, t: SimTime) {
-        let tracer = self.tracer.as_deref_mut();
-        match &mut self.sim {
-            SessionSim::Queue(sim) => {
-                if let Some(tracer) = tracer {
-                    sim.run_until_traced(t, &mut |time, seq, event| {
-                        tracer.on_event(time, seq, event)
-                    });
-                } else {
-                    sim.run_until(t);
-                }
-            }
-            SessionSim::Chunk(sim) => {
-                sim.run_until(t);
-            }
-        }
+        self.sim.advance(t, self.tracer.as_deref_mut());
     }
 
     /// Whether tracing hit a terminal condition (I/O error or replay
@@ -749,10 +1014,7 @@ impl Session {
     /// Delivers `on_settle` + `on_sample` to every probe at boundary
     /// `now`.
     fn dispatch_sample(&mut self, now: SimTime) {
-        let view: &dyn MarketView = match &self.sim {
-            SessionSim::Queue(sim) => sim.model(),
-            SessionSim::Chunk(sim) => sim.model(),
-        };
+        let view = self.sim.view();
         let purchases = view.purchases();
         let denied = view.denied();
         let settled_delta = purchases - self.last_purchases;
@@ -779,10 +1041,7 @@ impl Session {
         if self.trace_halted() {
             return;
         }
-        let view: &dyn MarketView = match &self.sim {
-            SessionSim::Queue(sim) => sim.model(),
-            SessionSim::Chunk(sim) => sim.model(),
-        };
+        let view = self.sim.view();
         self.last_purchases = view.purchases();
         self.last_denied = view.denied();
         for probe in &mut self.probes {
@@ -848,17 +1107,6 @@ impl Session {
         }
     }
 
-    /// The configuration a trace is recorded or verified under; only
-    /// queue-level sessions trace.
-    fn traced_config(&self) -> Result<&MarketConfig, CoreError> {
-        match &self.sim {
-            SessionSim::Queue(sim) => Ok(sim.model().config()),
-            SessionSim::Chunk(_) => Err(CoreError::Trace(
-                "chunk-level (streaming) sessions cannot record or replay event traces".into(),
-            )),
-        }
-    }
-
     /// Starts recording this session's event stream to `path` in the
     /// `SCRIPTRC` format ([`scrip_des::trace`]): one frame per applied
     /// event, keyed by its `(time, seq)` identity, plus a state-digest
@@ -868,9 +1116,8 @@ impl Session {
     /// byte-identical files.
     ///
     /// # Errors
-    /// Returns [`CoreError::Trace`] if the session already started, is
-    /// chunk-level (streaming), already has a tracer attached, or the
-    /// file cannot be created.
+    /// Returns [`CoreError::Trace`] if the session already started,
+    /// already has a tracer attached, or the file cannot be created.
     pub fn record_to(&mut self, path: &Path) -> Result<(), CoreError> {
         if self.started {
             return Err(CoreError::Trace(
@@ -882,13 +1129,12 @@ impl Session {
                 "session already has a tracer attached".into(),
             ));
         }
-        let fingerprint = config_fingerprint(self.traced_config()?);
         let file = std::fs::File::create(path)
             .map_err(|e| CoreError::Trace(format!("create {}: {e}", path.display())))?;
         let writer = TraceWriter::new(
             BufWriter::new(file),
             TraceHeader {
-                fingerprint,
+                fingerprint: self.fingerprint,
                 seed: self.seed,
             },
         );
@@ -904,7 +1150,9 @@ impl Session {
     /// byte for byte and every shared sampling boundary the recorded
     /// state digest. On the first mismatch the run freezes at the
     /// pre-event state ([`Session::trace_divergence`] has the details;
-    /// [`Session::finish_trace`] returns them as an error).
+    /// [`Session::finish_trace`] returns them as an error). The trace
+    /// is read one bounded chunk at a time ([`TraceFile`]), not loaded
+    /// whole.
     ///
     /// # Errors
     /// Returns [`CoreError::Trace`] for unreadable/corrupt trace files,
@@ -916,14 +1164,14 @@ impl Session {
                 "attach a replay before the first run_until call".into(),
             ));
         }
-        let reader = TraceReader::from_path(path).map_err(trace_err)?;
+        let reader = TraceFile::open(path).map_err(trace_err)?;
         if self.tracer.is_some() {
             return Err(CoreError::Trace(
                 "session already has a tracer attached".into(),
             ));
         }
         let header = *reader.header();
-        check_fingerprint(&header, self.traced_config()?).map_err(CoreError::Trace)?;
+        check_fingerprint(&header, self.fingerprint).map_err(CoreError::Trace)?;
         if header.seed != self.seed {
             return Err(CoreError::Trace(format!(
                 "seed mismatch: trace was recorded with seed {}, session runs seed {}",
@@ -994,7 +1242,7 @@ impl Session {
                         return Err(CoreError::Trace(format!(
                             "recorded run continued past this one: next recorded event {} at \
                              (t={}µs, seq={seq})",
-                            MarketEvent::describe_trace_payload(&payload),
+                            describe_payload(&payload),
                             time.as_micros()
                         )));
                     }
@@ -1005,11 +1253,13 @@ impl Session {
     }
 
     /// Serializes the complete session state — RNG streams, market
-    /// (graph, arena, ledger, escrow, pricing, fault plan), every
-    /// pending event with its `(time, seq)` identity, the sampling
-    /// schedule, and each probe's accumulated state — into one binary
-    /// snapshot. Resuming it with [`Session::resume`] and running to the
-    /// horizon produces output byte-identical to never having stopped.
+    /// (overlay, ledger, escrow, pricing, fault plan, and at chunk level
+    /// every peer's buffer map, playback position and pending chunks),
+    /// every pending event with its `(time, seq)` identity, the
+    /// sampling schedule, and each probe's accumulated state — into one
+    /// binary snapshot. Resuming it with [`Session::resume`] and running
+    /// to the horizon produces output byte-identical to never having
+    /// stopped.
     ///
     /// The snapshot is a `SCRIPTRC` log ([`scrip_des::trace`]): the
     /// header (configuration fingerprint and seed), one state frame
@@ -1020,35 +1270,19 @@ impl Session {
     /// call, so no event at or before the clock is still pending.
     ///
     /// # Errors
-    /// Returns [`CoreError::Checkpoint`] for chunk-level (streaming)
-    /// sessions, which do not support checkpointing yet.
+    /// None: every session checkpoints. The `Result` keeps callers that
+    /// handle one compiling.
     pub fn checkpoint(&self) -> Result<Vec<u8>, CoreError> {
-        let sim = match &self.sim {
-            SessionSim::Queue(sim) => sim,
-            SessionSim::Chunk(_) => {
-                return Err(CoreError::Checkpoint(
-                    "chunk-level (streaming) sessions cannot checkpoint".into(),
-                ));
-            }
-        };
-        let market = sim.model();
-        let (now, events_processed) = (sim.now(), sim.stats().events_processed);
+        let (now, events_processed) = (self.now(), self.stats().events_processed);
         let mut log = TraceWriter::new(
             Vec::new(),
             TraceHeader {
-                fingerprint: config_fingerprint(market.config()),
+                fingerprint: self.fingerprint,
                 seed: self.seed,
             },
         );
         log.state_with(now, events_processed, |w| {
-            let pending = sim.scheduler().snapshot_events();
-            w.put_u64(pending.len() as u64);
-            for scheduled in &pending {
-                w.put_u64(scheduled.time.as_micros());
-                w.put_u64(scheduled.seq);
-                scheduled.event.encode(w);
-            }
-            market.write_state(w);
+            self.sim.write_state(w);
             w.put_u64(self.interval.as_micros());
             w.put_u64(self.next_tick.as_micros());
             w.put_u64(self.stops.len() as u64);
@@ -1092,7 +1326,8 @@ impl Session {
         }
         let framing = |e: TraceError| CoreError::Checkpoint(e.to_string());
         let mut log = TraceReader::from_bytes(bytes).map_err(framing)?;
-        check_fingerprint(log.header(), config).map_err(CoreError::Checkpoint)?;
+        let fingerprint = config_fingerprint(config);
+        check_fingerprint(log.header(), fingerprint).map_err(CoreError::Checkpoint)?;
         let seed = log.header().seed;
         let shape = || {
             CoreError::Checkpoint(
@@ -1116,40 +1351,13 @@ impl Session {
         if frame()? != Some(end) || frame()?.is_some() {
             return Err(shape());
         }
-        let mut r = snapshot::Reader::new(payload);
-        // Each pending event: time, seq and at least a tag byte.
-        let pending_len = r.take_count(17)?;
-        // Every seq comes from one push, and every push is either
-        // processed or still pending.
-        let seq_bound = events_processed.saturating_add(pending_len as u64);
-        let mut pending: Vec<Scheduled<MarketEvent>> = Vec::with_capacity(pending_len);
-        for _ in 0..pending_len {
-            let time = SimTime::from_micros(r.take_u64()?);
-            let seq = r.take_u64()?;
-            if time < clock {
-                return Err(CoreError::Checkpoint(format!(
-                    "pending event at {time} precedes the clock ({clock})"
-                )));
-            }
-            if seq >= seq_bound {
-                return Err(CoreError::Checkpoint(format!(
-                    "pending event seq {seq} is not below {seq_bound} (events processed plus pending)"
-                )));
-            }
-            if pending
-                .last()
-                .is_some_and(|p| (p.time, p.seq) >= (time, seq))
-            {
-                return Err(CoreError::Checkpoint(
-                    "pending events are not in strictly ascending (time, seq) order".into(),
-                ));
-            }
-            let event = MarketEvent::decode(&mut r)?;
-            pending.push(Scheduled { time, seq, event });
-        }
-        // Only a `Join` event allocates an overlay id, so the events
-        // processed bound the watermark the market state may carry.
-        let market = CreditMarket::read_state(config.clone(), seed, &mut r, events_processed)?;
+        let mut r = Reader::new(payload);
+        let at = (clock, events_processed);
+        let sim = if config.streaming.is_some() {
+            resume_sim::<StreamingSystem<CreditTradePolicy>>(config, seed, &mut r, at)?
+        } else {
+            resume_sim::<CreditMarket>(config, seed, &mut r, at)?
+        };
         let interval = SimDuration::from_micros(r.take_u64()?);
         let next_tick = SimTime::from_micros(r.take_u64()?);
         let stops_len = r.take_count(8)?;
@@ -1172,16 +1380,11 @@ impl Session {
             probe.restore_state(state)?;
         }
         r.finish()?;
-        let mut scheduler = Scheduler::with_profile(market.queue_profile());
-        scheduler.restore_clock(clock);
-        for scheduled in pending {
-            scheduler.enqueue_scheduled(scheduled);
-        }
-        let sim = Simulation::from_parts(market, scheduler, events_processed);
         Ok(Session {
-            sim: SessionSim::Queue(sim),
+            sim,
             probes,
             seed,
+            fingerprint,
             interval,
             next_tick,
             stops,
@@ -1199,10 +1402,7 @@ impl Session {
     /// model is handed back alongside.
     pub fn finish(mut self) -> (RunRecord, SessionModel) {
         let now = self.now();
-        let view: &dyn MarketView = match &self.sim {
-            SessionSim::Queue(sim) => sim.model(),
-            SessionSim::Chunk(sim) => sim.model(),
-        };
+        let view = self.sim.view();
         let ledger = view.ledger();
         let mut record = RunRecord {
             purchases: view.purchases(),
@@ -1216,11 +1416,7 @@ impl Session {
         for probe in &mut self.probes {
             probe.at_horizon(now, view, &mut record);
         }
-        let model = match self.sim {
-            SessionSim::Queue(sim) => SessionModel::Queue(sim.into_model()),
-            SessionSim::Chunk(sim) => SessionModel::Chunk(sim.into_model()),
-        };
-        (record, model)
+        (record, self.sim.into_model())
     }
 }
 
@@ -1441,9 +1637,8 @@ mod tests {
             session.attach(probe);
         }
         session.run_until(horizon);
-        let (record, model) = session.finish();
-        let market = model.queue().expect("queue config");
-        (record, market.ledger().balances_sorted())
+        let balances = session.view().ledger().balances_sorted();
+        (session.finish().0, balances)
     }
 
     fn resumed_run(
@@ -1464,9 +1659,8 @@ mod tests {
         // original snapshot bit for bit.
         assert_eq!(resumed.checkpoint().expect("re-checkpoints"), bytes);
         resumed.run_until(horizon);
-        let (record, model) = resumed.finish();
-        let market = model.queue().expect("queue config");
-        (record, market.ledger().balances_sorted())
+        let balances = resumed.view().ledger().balances_sorted();
+        (resumed.finish().0, balances)
     }
 
     #[test]
@@ -1548,15 +1742,6 @@ mod tests {
 
     #[test]
     fn checkpoint_rejects_unsupported_sessions_and_bad_snapshots() {
-        // Streaming sessions cannot checkpoint.
-        let streaming = MarketConfig::new(20, 40)
-            .streaming_market(scrip_streaming::StreamingConfig::market_paced(1.0));
-        let session = Session::from_config(&streaming, 3).expect("builds");
-        assert!(matches!(
-            session.checkpoint(),
-            Err(CoreError::Checkpoint(_))
-        ));
-
         // A valid snapshot fails against a different configuration...
         let config = MarketConfig::new(20, 10);
         let mut session = Session::from_config(&config, 3).expect("builds");
@@ -1619,10 +1804,7 @@ mod tests {
         session.run_until(SimTime::from_secs(600));
         let bytes = session.checkpoint().expect("checkpoints");
         let ckpt = OpenCheckpoint::new(&bytes);
-        let SessionSim::Queue(sim) = &session.sim else {
-            unreachable!("queue-level config")
-        };
-        let market = sim.model();
+        let market = session.finish().1.queue().expect("queue config");
         let mut state = Vec::new();
         market.write_state(&mut state);
         let base = ckpt
@@ -1685,11 +1867,9 @@ mod tests {
         let mut session = Session::from_config(&config, 9).expect("builds");
         session.run_until(SimTime::from_secs(300));
         let bytes = session.checkpoint().expect("checkpoints");
-        let SessionSim::Queue(sim) = &session.sim else {
-            unreachable!("queue-level config")
-        };
         let mut state = Vec::new();
-        sim.model().write_state(&mut state);
+        let market = session.finish().1.queue().expect("queue config");
+        market.write_state(&mut state);
         let ckpt = OpenCheckpoint {
             events_processed: 1 << 40,
             ..OpenCheckpoint::new(&bytes)
@@ -1811,18 +1991,15 @@ mod tests {
         }
         // Each event is its time, seq, tag and payload; a `Spend`'s
         // buyer follows its tag.
-        let SessionSim::Queue(sim) = &session.sim else {
-            unreachable!("queue-level config")
-        };
-        let mut at = time_at;
+        let mut r = Reader::new(&ckpt.payload);
         let mut buyer_at = None;
-        for scheduled in sim.scheduler().snapshot_events() {
-            if matches!(scheduled.event, MarketEvent::Spend(_)) {
+        for _ in 0..r.take_u64().expect("pending count") {
+            let at = ckpt.payload.len() - r.remaining();
+            r.take_u64().expect("time");
+            r.take_u64().expect("seq");
+            if matches!(MarketEvent::decode(&mut r), Ok(MarketEvent::Spend(_))) {
                 buyer_at.get_or_insert(at + 17);
             }
-            let mut payload = Vec::new();
-            scheduled.event.encode(&mut payload);
-            at += 16 + payload.len();
         }
         let msg = resume(buyer_at.expect("a spend is pending"), 1 << 32);
         assert!(msg.contains("32-bit"), "{msg}");
@@ -1986,16 +2163,7 @@ mod tests {
 
     #[test]
     fn trace_attachment_is_fail_closed() {
-        // Streaming sessions cannot trace.
-        let streaming = MarketConfig::new(20, 40)
-            .streaming_market(scrip_streaming::StreamingConfig::market_paced(1.0));
-        let mut session = Session::from_config(&streaming, 3).expect("builds");
         let path = TracePath::new("reject");
-        assert!(matches!(
-            session.record_to(&path.0),
-            Err(CoreError::Trace(_))
-        ));
-
         // Recording must start before the run does.
         let config = MarketConfig::new(20, 10);
         let mut session = Session::from_config(&config, 3).expect("builds");
@@ -2026,6 +2194,54 @@ mod tests {
             session.replay_from(&path.0),
             Err(CoreError::Trace(_))
         ));
+    }
+
+    /// A chunk-level session under churn and faults checkpoints and
+    /// resumes to the straight run's record, re-checkpoints to the same
+    /// bytes, records and replays to the same record, and fails closed
+    /// on every truncation of its checkpoint.
+    #[test]
+    fn chunk_level_sessions_checkpoint_record_and_replay() {
+        let config = MarketConfig::new(24, 30)
+            .streaming_market(StreamingConfig::market_paced(1.0))
+            .churn(crate::market::ChurnConfig::new(0.2, 100.0, 6).expect("valid"))
+            .faults(scrip_des::FaultSpec {
+                drop_rate: 0.1,
+                defect_rate: 0.05,
+                delay_rate: 0.05,
+                crash_fraction: 0.1,
+                onset: SimTime::from_secs(20),
+                ..scrip_des::FaultSpec::default()
+            })
+            .sample_interval(SimDuration::from_secs(25));
+        let horizon = SimTime::from_secs(150);
+        let (direct, balances) = straight_run(&config, 13, horizon);
+        assert!(direct.purchases > 0 && direct.faults.dropped > 0);
+        for stop_secs in [25, 80] {
+            let (resumed, rbalances) =
+                resumed_run(&config, 13, SimTime::from_secs(stop_secs), horizon);
+            assert_eq!(resumed, direct, "diverged after resume at {stop_secs}s");
+            assert_eq!(rbalances, balances);
+        }
+        let path = TracePath::new("chunk");
+        let recorded = record_run(&config, 13, horizon, &path.0);
+        let mut session = Session::from_config(&config, 13).expect("builds");
+        session.replay_from(&path.0).expect("attaches replay");
+        session.run_until(horizon);
+        session.finish_trace().expect("verifies");
+        assert_eq!(session.finish().0, recorded);
+        // Every truncation of a small checkpoint is a typed error.
+        let mut session = Session::from_config(&config, 13).expect("builds");
+        session.run_until(SimTime::from_secs(40));
+        let bytes = session.checkpoint().expect("checkpoints");
+        let ckpt = OpenCheckpoint::new(&bytes);
+        for len in 0..ckpt.payload.len() {
+            assert!(matches!(
+                Session::resume(&config, Vec::new(), &ckpt.seal(&ckpt.payload[..len])),
+                Err(CoreError::Checkpoint(_))
+            ));
+        }
+        assert!(Session::resume(&config, Vec::new(), &bytes).is_ok());
     }
 
     #[test]

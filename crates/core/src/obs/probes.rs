@@ -13,7 +13,7 @@ use scrip_econ::LorenzCurve;
 
 use super::{MarketView, Probe, RunRecord};
 use crate::error::CoreError;
-use crate::snapshot::{Put, Reader};
+use scrip_des::snapshot::{Put, Reader};
 
 /// Converts an internal [`TimeSeries`] to `(secs, value)` points.
 fn to_points(series: &TimeSeries) -> Vec<(f64, f64)> {
@@ -204,7 +204,7 @@ impl Probe for ThroughputSeriesProbe {
         let mut r = Reader::new(state);
         self.points = decode_points(&mut r)?;
         self.last_t = r.take_f64()?;
-        r.finish()
+        Ok(r.finish()?)
     }
 }
 
@@ -252,7 +252,7 @@ impl Probe for PopulationSeriesProbe {
     fn restore_state(&mut self, state: &[u8]) -> Result<(), CoreError> {
         let mut r = Reader::new(state);
         self.points = decode_points(&mut r)?;
-        r.finish()
+        Ok(r.finish()?)
     }
 }
 
@@ -341,7 +341,7 @@ impl Probe for FaultSeriesProbe {
         let mut r = Reader::new(state);
         self.failures = decode_points(&mut r)?;
         self.escrow = decode_points(&mut r)?;
-        r.finish()
+        Ok(r.finish()?)
     }
 }
 

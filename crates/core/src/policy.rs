@@ -1,6 +1,7 @@
 //! Condensation counter-measures: taxation (paper Sec. VI-C) and dynamic
 //! spending rates (Sec. VI-D).
 
+use scrip_des::snapshot::{Put, Reader};
 use scrip_des::SimRng;
 use scrip_topology::NodeId;
 
@@ -136,6 +137,40 @@ impl Taxation {
     /// Records that `amount` credits were redistributed.
     pub fn record_redistribution(&mut self, amount: u64) {
         self.redistributed += amount;
+    }
+
+    /// The taxation section: whether taxation is on, then its collected
+    /// and redistributed totals.
+    pub(crate) fn write_state(tax: Option<&Taxation>, w: &mut impl Put) {
+        w.put_bool(tax.is_some());
+        if let Some(tax) = tax {
+            w.put_u64(tax.collected);
+            w.put_u64(tax.redistributed);
+        }
+    }
+
+    /// Decodes [`Taxation::write_state`]'s section into `tax`, the
+    /// taxation the configuration built; the two must agree on whether
+    /// taxation is on.
+    pub(crate) fn read_state(
+        tax: &mut Option<Taxation>,
+        r: &mut Reader<'_>,
+    ) -> Result<(), CoreError> {
+        let has_tax = r.take_bool()?;
+        match (tax, has_tax) {
+            (Some(tax), true) => {
+                tax.collected = r.take_u64()?;
+                tax.redistributed = r.take_u64()?;
+            }
+            (None, false) => {}
+            (tax, _) => {
+                return Err(CoreError::Checkpoint(format!(
+                    "taxation mismatch: snapshot has_tax={has_tax}, configuration builds {}",
+                    if tax.is_some() { "one" } else { "none" }
+                )));
+            }
+        }
+        Ok(())
     }
 }
 

@@ -21,8 +21,9 @@
 //! reused, so nothing needs swap-remove bookkeeping.
 
 use scrip_des::dist::Poisson;
+use scrip_des::snapshot::{Put, Reader};
 use scrip_des::SimRng;
-use scrip_topology::NodeId;
+use scrip_topology::{NodeId, TakeId};
 
 use crate::error::CoreError;
 
@@ -211,35 +212,44 @@ impl PricingModel {
         }
     }
 
-    /// Checkpoint view of the realized state: the posted prices of
-    /// `order`'s peers **in that order** (the owning market's registry
-    /// pick order, which the checkpoint layout records) plus the
-    /// chunk-hash seed. Empty under schemes without posted prices. The
-    /// CDF is recomputed from configuration.
-    pub(crate) fn snapshot_state(&self, order: &[NodeId]) -> (Vec<(NodeId, u64)>, u64) {
-        let entries = order
+    /// The posted-price section: the posted prices of `order`'s peers
+    /// **in that order** (the owning market's registry pick order)
+    /// behind their count, then the chunk-hash seed. No entries under
+    /// schemes without posted prices; the CDF is recomputed from
+    /// configuration.
+    pub(crate) fn write_state(&self, w: &mut impl Put, order: &[NodeId]) {
+        let posted: Vec<(NodeId, u64)> = order
             .iter()
             .filter_map(|&id| self.seller_price(id).map(|p| (id, p)))
             .collect();
-        (entries, self.seed)
+        w.put_u64(posted.len() as u64);
+        for (id, price) in posted {
+            w.put_u64(id.raw());
+            w.put_u64(price);
+        }
+        w.put_u64(self.seed);
     }
 
-    /// Rebuilds a realized model from a checkpoint taken with
-    /// [`PricingModel::snapshot_state`]: `sellers` must be the entries
-    /// for exactly the peers of `order`, in that order, and `seed` the
-    /// chunk-hash seed. No RNG is consumed — the realized draws are
-    /// already in the entries.
+    /// Rebuilds a realized model from [`PricingModel::write_state`]'s
+    /// section: the entries must be exactly `order`'s peers, in that
+    /// order. No RNG is consumed — the realized draws are in the
+    /// entries.
     ///
     /// # Errors
-    /// Returns [`CoreError::Checkpoint`] if per-seller entries are not
-    /// `order`'s peers in order or post a zero price, or if a scheme
-    /// without posted prices comes with entries.
-    pub(crate) fn restore_state(
+    /// Returns [`CoreError::Checkpoint`] for truncated bytes, per-seller
+    /// entries that are not `order`'s peers in order or post a zero
+    /// price, or entries under a scheme without posted prices.
+    pub(crate) fn read_state(
         config: PricingConfig,
         order: &[NodeId],
-        sellers: &[(NodeId, u64)],
-        seed: u64,
+        r: &mut Reader<'_>,
     ) -> Result<Self, CoreError> {
+        let count = r.take_count(16)?;
+        let mut sellers = Vec::with_capacity(count);
+        for _ in 0..count {
+            sellers.push((r.take_id()?, r.take_u64()?));
+        }
+        let seed = r.take_u64()?;
         config.validate()?;
         let mut model = PricingModel {
             config,
@@ -253,7 +263,7 @@ impl PricingModel {
                     "posted prices are not the peer registry's ids in pick order".into(),
                 ));
             }
-            for &(id, price) in sellers {
+            for &(id, price) in &sellers {
                 if price == 0 {
                     return Err(CoreError::Checkpoint(format!(
                         "seller {id} posts a zero price"
@@ -437,9 +447,11 @@ mod tests {
                 .filter(|id| id.raw() != 3)
                 .chain([NodeId::from_raw(77)])
                 .collect();
-            let (entries, seed) = m.snapshot_state(&order);
-            let restored =
-                PricingModel::restore_state(config, &order, &entries, seed).expect("valid");
+            let mut bytes = Vec::new();
+            m.write_state(&mut bytes, &order);
+            let mut r = Reader::new(&bytes);
+            let restored = PricingModel::read_state(config, &order, &mut r).expect("valid");
+            r.finish().expect("whole section read");
             assert_eq!(restored.config(), config);
             // Posted prices and quotes agree for every seller and chunk
             // probed.

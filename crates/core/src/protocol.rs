@@ -19,6 +19,7 @@
 //! horizon. [`crate::obs::Session`] and the scenario engine build it the
 //! same way.
 
+use scrip_des::snapshot::{self, Put, Reader};
 use scrip_des::stats::TimeSeries;
 use scrip_des::{SimRng, SimTime};
 use scrip_streaming::{StreamingConfig, StreamingSystem, TradePolicy};
@@ -80,8 +81,8 @@ impl CreditTradePolicy {
         }
         ledger.enable_wealth_tracking();
         let pricing = PricingModel::realize(pricing, peers, &mut rng)?;
-        let source_price = (pricing.mean_price().round() as u64).max(1);
         Ok(CreditTradePolicy {
+            source_price: source_price(&pricing),
             ledger,
             pricing,
             taxation: tax.map(Taxation::new),
@@ -92,7 +93,76 @@ impl CreditTradePolicy {
             settlements: 0,
             shortfalls: 0,
             source_income: 0,
-            source_price,
+        })
+    }
+
+    /// The policy's checkpoint state: its RNG, the ledger, the spent
+    /// column in the ledger's pick order, taxation, posted prices, the
+    /// Gini series and the four counters.
+    pub(crate) fn write_state(&self, w: &mut impl Put) {
+        snapshot::put_rng_and_plan(w, &self.rng, None);
+        self.ledger.write_state(w);
+        for &id in self.ledger.ids() {
+            w.put_u64(self.ledger.spent(id));
+        }
+        Taxation::write_state(self.taxation.as_ref(), w);
+        self.pricing.write_state(w, self.ledger.ids());
+        snapshot::put_series(w, &self.gini_series);
+        for counter in [
+            self.denials,
+            self.settlements,
+            self.shortfalls,
+            self.source_income,
+        ] {
+            w.put_u64(counter);
+        }
+    }
+
+    /// Decodes [`CreditTradePolicy::write_state`]'s state for a market
+    /// of `config` whose live peers are `order`, in pick order.
+    ///
+    /// # Errors
+    /// Returns [`CoreError::Checkpoint`] for truncated bytes, a ledger
+    /// or posted prices that are not `order`'s peers in pick order,
+    /// books that do not balance, or a spent column that overflows.
+    pub(crate) fn read_state(
+        config: &MarketConfig,
+        r: &mut Reader<'_>,
+        order: &[NodeId],
+    ) -> Result<Self, CoreError> {
+        let rng = snapshot::take_rng_and_plan(r, &mut None)?;
+        let mut ledger = Ledger::read_state(r, order)?;
+        let mut spends = Vec::with_capacity(order.len());
+        for _ in order {
+            spends.push(r.take_u64()?);
+        }
+        if spends
+            .iter()
+            .try_fold(0u64, |sum, &s| sum.checked_add(s))
+            .is_none()
+        {
+            return Err(CoreError::Checkpoint("the spent column overflows".into()));
+        }
+        for (&id, &spent) in order.iter().zip(&spends) {
+            ledger.record_spend(id, spent);
+        }
+        let mut taxation = config.tax.map(Taxation::new);
+        Taxation::read_state(&mut taxation, r)?;
+        let pricing = PricingModel::read_state(config.pricing, order, r)?;
+        let gini_series = snapshot::take_series(r)?;
+        let mut counter = || r.take_u64();
+        Ok(CreditTradePolicy {
+            source_price: source_price(&pricing),
+            ledger,
+            pricing,
+            taxation,
+            rng,
+            initial_credits: config.initial_credits,
+            gini_series,
+            denials: counter()?,
+            settlements: counter()?,
+            shortfalls: counter()?,
+            source_income: counter()?,
         })
     }
 
@@ -116,6 +186,12 @@ impl CreditTradePolicy {
     pub fn gini_series(&self) -> &TimeSeries {
         &self.gini_series
     }
+}
+
+/// What the source charges per chunk: the mean quoted price, rounded,
+/// and at least 1.
+fn source_price(pricing: &PricingModel) -> u64 {
+    (pricing.mean_price().round() as u64).max(1)
 }
 
 impl TradePolicy for CreditTradePolicy {
@@ -198,6 +274,27 @@ impl TradePolicy for CreditTradePolicy {
     }
 }
 
+/// The protocol configuration of a chunk-level market: its
+/// [`MarketConfig::streaming`], sampled at the market's interval and
+/// churned by the market's churn.
+///
+/// # Errors
+/// Returns [`CoreError::Config`] if `config` is invalid or not a
+/// streaming market.
+pub(crate) fn protocol_config(config: &MarketConfig) -> Result<StreamingConfig, CoreError> {
+    config.validate()?;
+    let Some(streaming) = &config.streaming else {
+        return Err(CoreError::Config(
+            "not a streaming market: set MarketConfig::streaming (spec key `streaming`)".into(),
+        ));
+    };
+    Ok(StreamingConfig {
+        sample_interval: Some(config.sample_interval),
+        churn: config.churn,
+        ..streaming.clone()
+    })
+}
+
 /// Realizes a [`MarketConfig`] whose [`MarketConfig::streaming`] is set
 /// as a full protocol-level market: the market's topology, credits,
 /// pricing and taxation wire the [`CreditTradePolicy`]; the market's
@@ -214,17 +311,7 @@ pub fn build_streaming_market(
     config: &MarketConfig,
     seed: u64,
 ) -> Result<StreamingSystem<CreditTradePolicy>, CoreError> {
-    config.validate()?;
-    let Some(streaming) = &config.streaming else {
-        return Err(CoreError::Config(
-            "not a streaming market: set MarketConfig::streaming (spec key `streaming`)".into(),
-        ));
-    };
-    let streaming = StreamingConfig {
-        sample_interval: Some(config.sample_interval),
-        churn: config.churn,
-        ..streaming.clone()
-    };
+    let streaming = protocol_config(config)?;
     let mut rng = SimRng::seed_from_u64(seed);
     let graph = config.build_graph(&mut rng)?;
     let peers: Vec<NodeId> = graph.node_ids().collect();

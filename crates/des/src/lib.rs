@@ -31,6 +31,9 @@
 //!   [`TraceReader`]): every applied event plus periodic state digests,
 //!   the substrate for record, replay (which pins the first divergent
 //!   event) and diff.
+//! * [`snapshot`] — the byte codec of checkpoints and event payloads
+//!   ([`snapshot::Put`], the fail-closed [`snapshot::Reader`]) and the
+//!   state sections every model shares.
 //!
 //! ## Example
 //!
@@ -73,6 +76,7 @@ pub mod fault;
 pub mod rng;
 pub mod sampler;
 pub mod sim;
+pub mod snapshot;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -84,5 +88,7 @@ pub use rng::{SeedSequence, SimRng};
 pub use sampler::FenwickSampler;
 pub use sim::{Model, RunStats, Simulation};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceError, TraceFrame, TraceHeader, TraceReader, TraceTailer, TraceWriter};
+pub use trace::{
+    TraceError, TraceFile, TraceFrame, TraceHeader, TraceReader, TraceTailer, TraceWriter,
+};
 pub use wheel::{EventQueue, QueueProfile};

@@ -116,8 +116,7 @@ impl SimRng {
 ///
 /// Two derivation rules:
 ///
-/// * [`SeedSequence::derive`] — a fresh, well-mixed stream per index
-///   (also per `(a, b)` pair via [`SeedSequence::derive2`]);
+/// * [`SeedSequence::derive`] — a fresh, well-mixed stream per index;
 /// * [`SeedSequence::replication_seed`] — like `derive`, except that
 ///   replication `0` returns the root seed unchanged. Single-replication
 ///   batch runs are therefore byte-identical to calling the simulator
@@ -161,12 +160,6 @@ impl SeedSequence {
     /// Derives the seed of stream `index`.
     pub fn derive(&self, index: u64) -> u64 {
         splitmix64(self.root ^ splitmix64(index))
-    }
-
-    /// Derives the seed of the two-dimensional stream `(a, b)` — e.g.
-    /// `(grid point, replication)`.
-    pub fn derive2(&self, a: u64, b: u64) -> u64 {
-        splitmix64(self.derive(a) ^ splitmix64(b.wrapping_add(0x51_7C_C1_B7_27_22_0A_95)))
     }
 
     /// The seed of replication `rep`: the root seed itself for
@@ -322,20 +315,6 @@ mod tests {
         assert_eq!(seen.len(), 1_000, "derived seeds should not collide");
         // Purity: independent of call order and instance.
         assert_eq!(seq.derive(42), SeedSequence::new(7).derive(42));
-        assert_eq!(seq.derive2(3, 9), SeedSequence::new(7).derive2(3, 9));
-    }
-
-    #[test]
-    fn seed_sequence_2d_does_not_alias_axes() {
-        let seq = SeedSequence::new(1);
-        let mut seen = std::collections::BTreeSet::new();
-        for a in 0..40u64 {
-            for b in 0..40u64 {
-                seen.insert(seq.derive2(a, b));
-            }
-        }
-        assert_eq!(seen.len(), 1_600, "2-d streams should not collide");
-        assert_ne!(seq.derive2(0, 1), seq.derive2(1, 0));
     }
 
     #[test]

@@ -181,8 +181,7 @@ impl<M: Model> Simulation<M> {
     /// Runs until the event queue drains.
     ///
     /// Self-perpetuating models (that always schedule follow-ups) never
-    /// drain; use [`Simulation::run_until`] or
-    /// [`Simulation::run_for_events`] for those.
+    /// drain; use [`Simulation::run_until`] for those.
     pub fn run(&mut self) -> RunStats {
         while self.step().is_some() {}
         self.stats()
@@ -227,17 +226,6 @@ impl<M: Model> Simulation<M> {
         }
         self.scheduler.restore_clock(horizon);
         (self.stats(), false)
-    }
-
-    /// Dispatches at most `max_events` events (a safety valve for possibly
-    /// non-terminating models).
-    pub fn run_for_events(&mut self, max_events: u64) -> RunStats {
-        for _ in 0..max_events {
-            if self.step().is_none() {
-                break;
-            }
-        }
-        self.stats()
     }
 
     /// Counters for the run so far.
@@ -310,18 +298,6 @@ mod tests {
         let stats = sim.run_until(SimTime::from_secs(99));
         assert_eq!(stats.events_processed, 0);
         assert_eq!(sim.now(), SimTime::from_secs(99));
-    }
-
-    #[test]
-    fn run_for_events_caps_dispatch_count() {
-        let mut sim = Simulation::new(SelfScheduler {
-            fired: Vec::new(),
-            chain_remaining: u32::MAX,
-        });
-        sim.schedule(SimTime::ZERO, Ev::Chain);
-        let stats = sim.run_for_events(37);
-        assert_eq!(stats.events_processed, 37);
-        assert_eq!(stats.events_pending, 1);
     }
 
     #[test]

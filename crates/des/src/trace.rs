@@ -647,10 +647,81 @@ fn decode_frame<'a>(
     }
 }
 
-/// The most bytes one [`TraceTailer::poll`] reads (1 MiB), so a tailer
-/// that starts on a long finished trace holds one chunk and one partial
-/// frame at a time, not the whole file.
+/// The most bytes one [`TraceTailer::poll`] or [`TraceFile`] refill
+/// reads (1 MiB), so a reader that starts on a long finished trace
+/// holds one chunk and one partial frame at a time, not the whole file.
 const TAIL_CHUNK: u64 = 1 << 20;
+
+/// Reads up to [`TAIL_CHUNK`] bytes from `file`'s current position, and
+/// whether they reached the end of the file.
+fn read_chunk(file: &mut std::fs::File) -> Result<(Vec<u8>, bool), TraceError> {
+    let mut chunk = Vec::new();
+    file.take(TAIL_CHUNK)
+        .read_to_end(&mut chunk)
+        .map_err(|e| TraceError::Io(e.to_string()))?;
+    let at_end = (chunk.len() as u64) < TAIL_CHUNK;
+    Ok((chunk, at_end))
+}
+
+/// A finished trace file decoded one bounded read at a time: the
+/// reader is fed at most [`TAIL_CHUNK`] bytes per refill through
+/// [`TraceReader::extend`], so it holds one chunk plus the frame in
+/// progress, not the whole file. Unlike a [`TraceTailer`], a partial
+/// frame at the end of the file is the [`TraceError::Truncated`] a
+/// whole-file [`TraceReader`] reports.
+#[derive(Debug)]
+pub struct TraceFile {
+    file: std::fs::File,
+    reader: TraceReader,
+    at_end: bool,
+}
+
+impl TraceFile {
+    /// Opens `path` and decodes its header from the first chunk.
+    pub fn open(path: &Path) -> Result<Self, TraceError> {
+        let mut file = std::fs::File::open(path)
+            .map_err(|e| TraceError::Io(format!("{}: {e}", path.display())))?;
+        let (first, at_end) = read_chunk(&mut file)?;
+        Ok(TraceFile {
+            file,
+            reader: TraceReader::from_bytes(first)?,
+            at_end,
+        })
+    }
+
+    /// The trace header.
+    pub fn header(&self) -> &TraceHeader {
+        self.reader.header()
+    }
+
+    /// As [`TraceReader::next_frame`] over the whole file.
+    pub fn next_frame(&mut self) -> Result<Option<TraceFrame>, TraceError> {
+        self.fed(|reader| reader.next_frame())
+    }
+
+    /// As [`TraceReader::peek_frame`] over the whole file.
+    pub fn peek_frame(&mut self) -> Result<Option<TraceFrame>, TraceError> {
+        self.fed(|reader| reader.peek_frame())
+    }
+
+    /// Runs `decode` on the reader, refilling it while the bytes it
+    /// holds end before the next frame does and the file has more.
+    fn fed(
+        &mut self,
+        mut decode: impl FnMut(&mut TraceReader) -> Result<Option<TraceFrame>, TraceError>,
+    ) -> Result<Option<TraceFrame>, TraceError> {
+        loop {
+            match decode(&mut self.reader) {
+                Ok(None) | Err(TraceError::Truncated { .. }) if !self.at_end => {
+                    let (chunk, at_end) = read_chunk(&mut self.file)?;
+                    self.reader.extend(&chunk);
+                    self.at_end = at_end;
+                }
+                decoded => return decoded,
+            }
+        }
+    }
+}
 
 /// Follows a trace file still being written: each [`TraceTailer::poll`]
 /// reads up to 1 MiB of the bytes appended since the last poll and
@@ -755,12 +826,9 @@ impl TraceTailer {
         };
         file.seek(SeekFrom::Start(self.offset))
             .map_err(|e| TraceError::Io(e.to_string()))?;
-        let mut fresh = Vec::new();
-        file.take(TAIL_CHUNK)
-            .read_to_end(&mut fresh)
-            .map_err(|e| TraceError::Io(e.to_string()))?;
+        let (fresh, caught_up) = read_chunk(&mut file)?;
         self.offset += fresh.len() as u64;
-        self.caught_up = (fresh.len() as u64) < TAIL_CHUNK;
+        self.caught_up = caught_up;
         Ok(fresh)
     }
 }
@@ -1092,6 +1160,79 @@ mod tests {
             std::iter::from_fn(|| whole.next_frame().expect("clean frame")).collect();
         assert_eq!(all.len(), 60_002);
         assert_eq!(tailed, all);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A [`TraceFile`] over a trace several chunks long, with a state
+    /// frame bigger than a chunk, decodes the frames a whole-file read
+    /// does while holding at most one chunk plus the largest frame, and
+    /// reports a torn last frame as the whole-file read does.
+    #[test]
+    fn trace_file_reads_a_long_trace_one_chunk_at_a_time() {
+        let path = std::env::temp_dir().join(format!(
+            "scrip-trace-file-{}-{:?}.trc",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let mut w = TraceWriter::new(
+            std::fs::File::create(&path).expect("create"),
+            TraceHeader {
+                fingerprint: 5,
+                seed: 6,
+            },
+        );
+        let big = 5 * TAIL_CHUNK as usize / 2;
+        for k in 0..60_000u64 {
+            w.event(SimTime::from_micros(k), k, &k.to_le_bytes())
+                .expect("event");
+            if k == 30_000 {
+                w.state_with(SimTime::from_micros(k), k, |buf| {
+                    buf.extend((0..big).map(|i| i as u8));
+                });
+            }
+        }
+        w.end(SimTime::from_micros(60_000), 60_000);
+        w.finish().expect("finish");
+        let bytes = std::fs::read(&path).expect("read back");
+        assert!(
+            bytes.len() as u64 > 4 * TAIL_CHUNK,
+            "not a multi-chunk trace"
+        );
+
+        let largest_frame = 33 + big;
+        let mut file = TraceFile::open(&path).expect("opens");
+        let mut whole = TraceReader::from_bytes(bytes.clone()).expect("whole file");
+        assert_eq!(file.header(), whole.header());
+        let mut frames = 0;
+        loop {
+            let peeked = file.peek_frame().expect("clean peek");
+            let frame = file.next_frame().expect("clean frame");
+            assert_eq!(peeked, frame);
+            assert_eq!(frame, whole.next_frame().expect("clean frame"));
+            let held = file.reader.bytes.len();
+            assert!(
+                held <= TAIL_CHUNK as usize + largest_frame,
+                "frame {frames} left the reader holding {held} B"
+            );
+            if frame.is_none() {
+                break;
+            }
+            frames += 1;
+        }
+        assert_eq!(frames, 60_002);
+
+        std::fs::write(&path, &bytes[..bytes.len() - 3]).expect("tear the end frame");
+        let mut torn = TraceFile::open(&path).expect("opens");
+        let mut whole = TraceReader::from_bytes(&bytes[..bytes.len() - 3]).expect("header");
+        let last = |next: &mut dyn FnMut() -> Result<Option<TraceFrame>, TraceError>| loop {
+            if let Err(e) = next() {
+                break e;
+            }
+        };
+        assert_eq!(
+            last(&mut || torn.next_frame()),
+            last(&mut || whole.next_frame())
+        );
         let _ = std::fs::remove_file(&path);
     }
 

@@ -305,7 +305,15 @@ fn drive<M: Model<Event = u64>>(
                 sim.run_until_traced(sim.now() + SimDuration::from_micros(arg), &mut tap);
             stats
         }
-        _ => sim.run_for_events(arg % 16),
+        // A burst of steps.
+        _ => {
+            for _ in 0..arg % 16 {
+                if sim.step().is_none() {
+                    break;
+                }
+            }
+            sim.stats()
+        }
     };
     (stats, tapped, vetoed)
 }
@@ -729,7 +737,7 @@ proptest! {
     }
     /// The one-event lookahead: over random initial events, follow-up
     /// scripts and queue sizings, driven through `step`, `run_until` in
-    /// pieces, `run_until_traced` (with vetoes) and `run_for_events`,
+    /// pieces, `run_until_traced` (with vetoes) and bursts of steps,
     /// a model with a recording `prefetch` and one with the default
     /// hook dispatch the same `(time, seq)` sequence. The hook is shown
     /// the earliest live event (the earliest pending event) after every

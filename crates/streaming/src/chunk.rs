@@ -1,5 +1,7 @@
 //! Chunk identifiers and sliding-window buffer maps.
 
+use scrip_des::snapshot::{Put, Reader, SnapshotError};
+
 /// A peer's buffer map: which chunks it currently holds, within a sliding
 /// window of fixed width.
 ///
@@ -137,6 +139,54 @@ impl BufferMap {
     pub fn first_held(&self) -> Option<u64> {
         self.iter().next()
     }
+
+    /// The buffer-map section: the window base, then the window's bits
+    /// packed into `u64` words, lowest chunk in the lowest bit.
+    pub fn write_state(&self, w: &mut impl Put) {
+        w.put_u64(self.base);
+        for bits in self.bits.chunks(64) {
+            let word = (0..)
+                .zip(bits)
+                .fold(0u64, |acc, (i, &b)| acc | u64::from(b) << i);
+            w.put_u64(word);
+        }
+    }
+
+    /// Decodes [`BufferMap::write_state`]'s section for a window of
+    /// `width` chunks, of which only chunks below `limit` (the chunks
+    /// emitted so far) can be held, and the base cannot pass it.
+    ///
+    /// # Errors
+    /// Returns [`SnapshotError`] for truncated bytes, a bit set past the
+    /// width, or a base or held chunk at or past `limit`.
+    pub fn read_state(width: usize, limit: u64, r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let mut map = BufferMap::new(width);
+        map.base = r.take_u64()?;
+        if map.base > limit {
+            return Err(SnapshotError(format!(
+                "buffer window base {} is past the {limit} chunks emitted",
+                map.base
+            )));
+        }
+        for bits in map.bits.chunks_mut(64) {
+            let word = r.take_u64()?;
+            if bits.len() < 64 && word >> bits.len() != 0 {
+                return Err(SnapshotError(
+                    "buffer map sets a bit past its window".into(),
+                ));
+            }
+            for (i, bit) in (0..).zip(bits.iter_mut()) {
+                *bit = word >> i & 1 == 1;
+            }
+        }
+        map.held = map.bits.iter().filter(|&&b| b).count();
+        if map.iter().any(|chunk| chunk >= limit) {
+            return Err(SnapshotError(format!(
+                "buffer map holds a chunk past the {limit} chunks emitted"
+            )));
+        }
+        Ok(map)
+    }
 }
 
 #[cfg(test)]
@@ -224,6 +274,25 @@ mod tests {
         b.insert(3);
         assert_eq!(a.useful_from(&b), 2);
         assert_eq!(b.useful_from(&a), 0);
+    }
+
+    #[test]
+    fn buffer_maps_round_trip_and_refuse_unemitted_chunks() {
+        let mut m = BufferMap::new(70);
+        for c in [3u64, 64, 71, 72] {
+            m.insert(c);
+        }
+        let mut bytes = Vec::new();
+        m.write_state(&mut bytes);
+        assert_eq!(bytes.len(), 8 + 2 * 8);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(BufferMap::read_state(70, 73, &mut r).expect("decodes"), m);
+        r.finish().expect("whole section read");
+        assert!(BufferMap::read_state(70, 72, &mut Reader::new(&bytes)).is_err());
+        // A bit past the 70-chunk window.
+        let mut padded = bytes.clone();
+        padded[23] |= 0x80;
+        assert!(BufferMap::read_state(70, 73, &mut Reader::new(&padded)).is_err());
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Per-peer protocol state.
 
+use scrip_des::snapshot::{Put, Reader, SnapshotError};
+
 use crate::chunk::BufferMap;
 
 /// Playback/transfer counters for one peer.
@@ -134,6 +136,83 @@ impl PeerState {
     pub fn can_upload(&self, max_uploads: usize) -> bool {
         self.active_uploads < max_uploads
     }
+
+    /// The peer section: buffer map, playback position, pending chunks,
+    /// upload count and counters.
+    pub fn write_state(&self, w: &mut impl Put) {
+        self.buffer.write_state(w);
+        w.put_bool(self.playback_pos.is_some());
+        w.put_u64(self.playback_pos.unwrap_or(0));
+        w.put_u64(self.pending.len() as u64);
+        for chunk in self.pending.iter() {
+            w.put_u64(chunk);
+        }
+        w.put_u64(self.active_uploads as u64);
+        let s = &self.stats;
+        for counter in [
+            s.played,
+            s.missed,
+            s.received_from_peers,
+            s.received_from_source,
+            s.uploaded,
+            s.denied,
+        ] {
+            w.put_u64(counter);
+        }
+    }
+
+    /// Decodes [`PeerState::write_state`]'s section for a buffer window
+    /// of `window` chunks, when `next_chunk` chunks have been emitted:
+    /// the playback position cannot pass `next_chunk`, and held and
+    /// pending chunks lie below it.
+    ///
+    /// # Errors
+    /// Returns [`SnapshotError`] for truncated bytes or state no run
+    /// reaches.
+    pub fn read_state(
+        window: usize,
+        next_chunk: u64,
+        r: &mut Reader<'_>,
+    ) -> Result<Self, SnapshotError> {
+        let buffer = BufferMap::read_state(window, next_chunk, r)?;
+        let started = r.take_bool()?;
+        let pos = r.take_u64()?;
+        if pos > next_chunk || (!started && pos != 0) {
+            return Err(SnapshotError(format!(
+                "playback position {pos} is past the {next_chunk} chunks emitted"
+            )));
+        }
+        let mut pending = PendingSet::new();
+        let count = r.take_count(8)?;
+        pending.chunks.reserve_exact(count);
+        for _ in 0..count {
+            let chunk = r.take_u64()?;
+            if chunk >= next_chunk || pending.chunks.last().is_some_and(|&c| c >= chunk) {
+                return Err(SnapshotError(format!(
+                    "pending chunks are not ascending below the {next_chunk} chunks emitted"
+                )));
+            }
+            pending.chunks.push(chunk);
+        }
+        let active_uploads = usize::try_from(r.take_u64()?)
+            .map_err(|_| SnapshotError("upload count overflows usize".into()))?;
+        let mut counter = || r.take_u64();
+        let stats = PeerStats {
+            played: counter()?,
+            missed: counter()?,
+            received_from_peers: counter()?,
+            received_from_source: counter()?,
+            uploaded: counter()?,
+            denied: counter()?,
+        };
+        Ok(PeerState {
+            buffer,
+            playback_pos: started.then_some(pos),
+            pending,
+            active_uploads,
+            stats,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -175,6 +254,26 @@ mod tests {
         assert!(!p.started());
         p.playback_pos = Some(3);
         assert!(p.started());
+    }
+
+    #[test]
+    fn peer_states_round_trip_and_refuse_unemitted_chunks() {
+        let mut p = PeerState::new(16);
+        p.buffer.insert(4);
+        p.playback_pos = Some(5);
+        p.pending.insert(7);
+        p.pending.insert(6);
+        p.active_uploads = 2;
+        p.stats.played = 9;
+        p.stats.denied = 1;
+        let mut bytes = Vec::new();
+        p.write_state(&mut bytes);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(PeerState::read_state(16, 8, &mut r).expect("decodes"), p);
+        r.finish().expect("whole section read");
+        // With only 7 chunks emitted, pending chunk 7 cannot exist.
+        let err = PeerState::read_state(16, 7, &mut Reader::new(&bytes)).expect_err("refused");
+        assert!(err.0.contains("pending"), "{err}");
     }
 
     #[test]

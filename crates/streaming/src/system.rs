@@ -20,13 +20,14 @@
 //! `streaming-tax-churn` golden in its last bits.
 
 use scrip_des::dist::Exp;
+use scrip_des::snapshot::{self, id_table, Put, Reader, SnapshotError};
 use scrip_des::stats::TimeSeries;
 use scrip_des::{
     DeliveryOutcome, FaultPlan, FaultSpec, FaultStats, FenwickSampler, Model, QueueProfile,
     Scheduler, SimDuration, SimRng, SimTime,
 };
 use scrip_topology::churn::{AttachmentRule, ChurnTopology};
-use scrip_topology::{Graph, NodeId, PeerArena};
+use scrip_topology::{Graph, NodeId, PeerArena, TakeId};
 
 use crate::config::{ChunkStrategy, ProviderSelection, StreamingConfig};
 use crate::metrics::SystemReport;
@@ -78,6 +79,81 @@ pub enum StreamEvent {
     /// [`TradePolicy::sample`]. Scheduled by [`StreamEvent::Bootstrap`]
     /// when [`StreamingConfig::sample_interval`] is set.
     Sample,
+}
+
+impl StreamEvent {
+    /// Serializes the event for checkpoints and trace payloads. Tags
+    /// start at 16, past the queue-level market's, so a payload names
+    /// the granularity that wrote it.
+    pub fn encode(&self, w: &mut impl Put) {
+        match *self {
+            StreamEvent::Bootstrap => w.put_u8(16),
+            StreamEvent::SourceChunk => w.put_u8(17),
+            StreamEvent::Schedule(id) => {
+                w.put_u8(18);
+                w.put_u64(id.raw());
+            }
+            StreamEvent::Playback(id) => {
+                w.put_u8(19);
+                w.put_u64(id.raw());
+            }
+            StreamEvent::PeerDelivery { to, from, chunk } => {
+                w.put_u8(20);
+                w.put_u64(to.raw());
+                w.put_u64(from.raw());
+                w.put_u64(chunk);
+            }
+            StreamEvent::SourceDelivery { to, chunk } => {
+                w.put_u8(21);
+                w.put_u64(to.raw());
+                w.put_u64(chunk);
+            }
+            StreamEvent::Join { attach_degree } => {
+                w.put_u8(22);
+                w.put_u64(attach_degree as u64);
+            }
+            StreamEvent::Leave(id) => {
+                w.put_u8(23);
+                w.put_u64(id.raw());
+            }
+            StreamEvent::Crash(id) => {
+                w.put_u8(24);
+                w.put_u64(id.raw());
+            }
+            StreamEvent::Sample => w.put_u8(25),
+        }
+    }
+
+    /// Decodes an event written by [`StreamEvent::encode`].
+    ///
+    /// # Errors
+    /// Returns [`SnapshotError`] for truncated bytes, an unknown tag or
+    /// an id past the 32-bit id space.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(match r.take_u8()? {
+            16 => StreamEvent::Bootstrap,
+            17 => StreamEvent::SourceChunk,
+            18 => StreamEvent::Schedule(r.take_id()?),
+            19 => StreamEvent::Playback(r.take_id()?),
+            20 => StreamEvent::PeerDelivery {
+                to: r.take_id()?,
+                from: r.take_id()?,
+                chunk: r.take_u64()?,
+            },
+            21 => StreamEvent::SourceDelivery {
+                to: r.take_id()?,
+                chunk: r.take_u64()?,
+            },
+            22 => StreamEvent::Join {
+                attach_degree: usize::try_from(r.take_u64()?)
+                    .map_err(|_| SnapshotError("attach degree overflows usize".into()))?,
+            },
+            23 => StreamEvent::Leave(r.take_id()?),
+            24 => StreamEvent::Crash(r.take_id()?),
+            25 => StreamEvent::Sample,
+            tag => return Err(SnapshotError(format!("unknown stream event tag {tag}"))),
+        })
+    }
 }
 
 /// The mesh-pull streaming system: a [`Model`] for the
@@ -291,6 +367,124 @@ impl<T: TradePolicy> StreamingSystem<T> {
         QueueProfile {
             expected_events: self.queue_capacity_hint(),
             typical_delay: self.config.schedule_interval,
+        }
+    }
+
+    /// Serializes the protocol state — everything but the trade policy
+    /// and what the configuration alone fixes — for a checkpoint: the
+    /// RNG and fault plan, the overlay, the chunks emitted, each live
+    /// peer in pick order (id, source-fed flag, [`PeerState`]), the
+    /// source's upload count, the bootstrap flag, the fault counters and
+    /// the stall series. The owner appends the policy's state after it.
+    pub fn write_state(&self, w: &mut impl Put) {
+        snapshot::put_rng_and_plan(w, &self.rng, self.fault_plan.as_ref());
+        self.graph.write_state(w);
+        w.put_u64(self.next_chunk);
+        w.put_u64(self.arena.len() as u64);
+        for &id in self.arena.ids() {
+            w.put_u64(id.raw());
+            w.put_bool(self.source_fed[id.index()]);
+            live(&self.peers, id)
+                .expect("arena ids are live")
+                .write_state(w);
+        }
+        w.put_u64(self.source_active_uploads as u64);
+        w.put_bool(self.bootstrapped);
+        snapshot::put_fault_stats(w, &self.fault_stats);
+        snapshot::put_series(w, &self.stall_series);
+    }
+
+    /// Decodes a system whose protocol state [`StreamingSystem::write_state`]
+    /// captured `events_processed` events into a run of `config`, with
+    /// `fault_plan` the plan the configuration installs and `id_ceiling`
+    /// the overlay ids the run can have allocated. `policy` then decodes
+    /// the trade policy from the bytes that follow, given the live peers
+    /// in pick order.
+    ///
+    /// # Errors
+    /// Returns the error of the first check that fails, among them: a
+    /// peer list that is not a permutation of the overlay's live ids,
+    /// more chunks emitted than events processed, and peer state
+    /// holding or fetching a chunk not yet emitted.
+    pub fn read_state<E: From<SnapshotError>>(
+        config: StreamingConfig,
+        mut fault_plan: Option<FaultPlan>,
+        r: &mut Reader<'_>,
+        (id_ceiling, events_processed): (u64, u64),
+        policy: impl FnOnce(&mut Reader<'_>, &[NodeId]) -> Result<T, E>,
+    ) -> Result<Self, E> {
+        config.validate().map_err(SnapshotError)?;
+        let transfer_time = Exp::new(1.0 / config.transfer_time_mean)
+            .map_err(|e| SnapshotError(format!("transfer time distribution: {e}")))?;
+        let rng = snapshot::take_rng_and_plan(r, &mut fault_plan)?;
+        let graph = Graph::read_state(r, id_ceiling)?;
+        let next_chunk = r.take_u64()?;
+        if next_chunk > events_processed {
+            return Err(SnapshotError(format!(
+                "{next_chunk} chunks emitted in {events_processed} events"
+            ))
+            .into());
+        }
+        let not_live =
+            || SnapshotError("peers are not a permutation of the overlay's live ids".into());
+        let count = r.take_count(8)?;
+        if count != graph.node_count() {
+            return Err(not_live().into());
+        }
+        let mut peers = id_table(graph.next_raw_id(), None)?;
+        let mut source_fed = id_table(graph.next_raw_id(), false)?;
+        let mut arena = PeerArena::default();
+        for _ in 0..count {
+            let id = r.take_id()?;
+            if !graph.has_node(id) || peers[id.index()].is_some() {
+                return Err(not_live().into());
+            }
+            source_fed[id.index()] = r.take_bool()?;
+            peers[id.index()] = Some(PeerState::read_state(config.window, next_chunk, r)?);
+            arena.insert(id);
+        }
+        let source_active_uploads = usize::try_from(r.take_u64()?)
+            .map_err(|_| SnapshotError("source upload count overflows usize".into()))?;
+        let bootstrapped = r.take_bool()?;
+        let fault_stats = snapshot::take_fault_stats(r)?;
+        let stall_series = snapshot::take_series(r)?;
+        let policy = policy(r, arena.ids())?;
+        Ok(StreamingSystem {
+            config,
+            graph,
+            arena,
+            peers,
+            source_fed,
+            source_active_uploads,
+            next_chunk,
+            policy,
+            rng,
+            transfer_time,
+            bootstrapped,
+            fault_plan,
+            fault_stats,
+            stall_series,
+            scratch_wanted: Vec::new(),
+            scratch_keyed: Vec::new(),
+            scratch_providers: Vec::new(),
+            scratch_sampler: FenwickSampler::new(),
+        })
+    }
+
+    /// Whether `event` can be pending in this state: a delivery carries
+    /// a chunk the source has emitted, and a join exists only under
+    /// churn, with its attach degree. A resumed checkpoint refuses any
+    /// other pending event.
+    pub fn admits(&self, event: &StreamEvent) -> bool {
+        match *event {
+            StreamEvent::PeerDelivery { chunk, .. } | StreamEvent::SourceDelivery { chunk, .. } => {
+                chunk < self.next_chunk
+            }
+            StreamEvent::Join { attach_degree } => self
+                .config
+                .churn
+                .is_some_and(|churn| churn.attach_degree == attach_degree),
+            _ => true,
         }
     }
 

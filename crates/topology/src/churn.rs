@@ -68,13 +68,6 @@ impl ChurnConfig {
         }
         Ok(())
     }
-
-    /// The expected steady-state overlay size, `arrival_rate ×
-    /// mean_lifespan` (the paper keeps this at the initial size in
-    /// Fig. 11(1)).
-    pub fn expected_size(&self) -> f64 {
-        self.arrival_rate * self.mean_lifespan
-    }
 }
 
 /// How a joining peer selects its initial neighbors.

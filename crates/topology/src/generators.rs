@@ -4,9 +4,8 @@
 //! `P(D) ~ D^-k` with `k = 2.5` and a mean of 20 neighbors (Sec. VI). The
 //! [`scale_free`] generator reproduces this via a configuration model with
 //! a bounded power-law degree sequence, then patches connectivity.
-//! Alternative families ([`barabasi_albert`], [`erdos_renyi`],
-//! [`random_regular`], [`complete`], [`ring`]) support ablations over
-//! topology choice.
+//! Alternative families ([`random_regular`], [`complete`], [`ring`])
+//! support ablations over topology choice.
 
 use std::error::Error;
 use std::fmt;
@@ -178,85 +177,6 @@ pub fn scale_free<R: Rng + ?Sized>(
     Ok(graph)
 }
 
-/// Generates a Barabási–Albert preferential-attachment graph: starts from
-/// a small clique and attaches each new node to `m` existing nodes chosen
-/// proportionally to degree.
-///
-/// # Errors
-/// Returns [`GenError::InvalidParam`] unless `1 <= m < n`.
-pub fn barabasi_albert<R: Rng + ?Sized>(
-    n: usize,
-    m: usize,
-    rng: &mut R,
-) -> Result<Graph, GenError> {
-    if m == 0 || m >= n {
-        return Err(GenError::InvalidParam(format!(
-            "Barabási–Albert requires 1 <= m < n (m = {m}, n = {n})"
-        )));
-    }
-    // Seed clique over the first m+1 nodes.
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(m * (m + 1) / 2 + (n - m - 1) * m);
-    for i in 0..=m {
-        for j in (i + 1)..=m {
-            edges.push((node(i), node(j)));
-        }
-    }
-
-    // Repeated-endpoints list: sampling uniformly from it is sampling
-    // proportionally to degree.
-    let mut endpoints: Vec<usize> = Vec::new();
-    for i in 0..=m {
-        endpoints.extend(std::iter::repeat(i).take(m));
-    }
-
-    for new in (m + 1)..n {
-        let mut targets: Vec<usize> = Vec::with_capacity(m);
-        let mut guard = 0usize;
-        while targets.len() < m {
-            let pick = endpoints[rng.gen_range(0..endpoints.len())];
-            if pick != new && !targets.contains(&pick) {
-                targets.push(pick);
-            }
-            guard += 1;
-            if guard > 100 * (m + 1) {
-                // Fall back to uniform choice to guarantee progress.
-                let pick = rng.gen_range(0..new);
-                if !targets.contains(&pick) {
-                    targets.push(pick);
-                }
-            }
-        }
-        for &t in &targets {
-            edges.push((node(new), node(t)));
-            endpoints.push(t);
-            endpoints.push(new);
-        }
-    }
-    Ok(overlay(n, edges))
-}
-
-/// Generates an Erdős–Rényi `G(n, p)` graph (not necessarily connected).
-///
-/// # Errors
-/// Returns [`GenError::InvalidParam`] unless `0 <= p <= 1`.
-pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Result<Graph, GenError> {
-    if !(0.0..=1.0).contains(&p) {
-        return Err(GenError::InvalidParam(format!(
-            "edge probability must be in [0, 1], got {p}"
-        )));
-    }
-    let mut graph = Graph::with_nodes(n);
-    let ids: Vec<NodeId> = graph.node_ids().collect();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if rng.gen::<f64>() < p {
-                graph.add_edge(ids[i], ids[j]).expect("distinct live nodes");
-            }
-        }
-    }
-    Ok(graph)
-}
-
 /// Generates a random `d`-regular graph by stub matching with restarts.
 ///
 /// # Errors
@@ -417,53 +337,6 @@ mod tests {
         let g = scale_free(&config, &mut rng).expect("generated");
         assert_eq!(g.node_count(), 100);
         assert!(g.is_connected());
-    }
-
-    #[test]
-    fn barabasi_albert_structure() {
-        let mut rng = SimRng::seed_from_u64(5);
-        let g = barabasi_albert(200, 3, &mut rng).expect("generated");
-        assert_eq!(g.node_count(), 200);
-        assert!(g.is_connected());
-        // Each non-seed node adds exactly m edges.
-        let expected_edges = 3 * 4 / 2 + (200 - 4) * 3;
-        assert_eq!(g.edge_count(), expected_edges);
-        for id in g.node_ids() {
-            assert!(g.degree(id).expect("live") >= 3);
-        }
-    }
-
-    #[test]
-    fn barabasi_albert_rejects_bad_m() {
-        let mut rng = SimRng::seed_from_u64(6);
-        assert!(barabasi_albert(10, 0, &mut rng).is_err());
-        assert!(barabasi_albert(10, 10, &mut rng).is_err());
-    }
-
-    #[test]
-    fn erdos_renyi_edge_count_near_expectation() {
-        let mut rng = SimRng::seed_from_u64(7);
-        let n = 300;
-        let p = 0.05;
-        let g = erdos_renyi(n, p, &mut rng).expect("generated");
-        let expected = p * (n * (n - 1) / 2) as f64;
-        let actual = g.edge_count() as f64;
-        assert!(
-            (actual - expected).abs() < 0.15 * expected,
-            "edges {actual} vs expected {expected}"
-        );
-    }
-
-    #[test]
-    fn erdos_renyi_extreme_p() {
-        let mut rng = SimRng::seed_from_u64(8);
-        assert_eq!(erdos_renyi(20, 0.0, &mut rng).expect("ok").edge_count(), 0);
-        assert_eq!(
-            erdos_renyi(20, 1.0, &mut rng).expect("ok").edge_count(),
-            20 * 19 / 2
-        );
-        assert!(erdos_renyi(20, 1.5, &mut rng).is_err());
-        assert!(erdos_renyi(20, -0.1, &mut rng).is_err());
     }
 
     #[test]

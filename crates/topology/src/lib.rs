@@ -43,7 +43,9 @@ pub mod generators;
 pub mod graph;
 pub mod join_index;
 pub mod metrics;
+pub mod snapshot;
 
 pub use arena::PeerArena;
 pub use graph::{Graph, GraphError, NodeId};
 pub use join_index::JoinIndex;
+pub use snapshot::TakeId;

@@ -77,7 +77,7 @@ proptest! {
     #[test]
     fn mean_degree_identity(n in 2usize..40, p in 0.0f64..1.0, seed in 0u64..20) {
         let mut rng = SimRng::seed_from_u64(seed);
-        let g = generators::erdos_renyi(n, p, &mut rng).expect("generated");
+        let g = gnp(n, p, &mut rng);
         let expected = 2.0 * g.edge_count() as f64 / n as f64;
         prop_assert!((metrics::mean_degree(&g) - expected).abs() < 1e-12);
     }
@@ -176,11 +176,25 @@ fn reference_streaming_join(graph: &mut Graph, attach_degree: usize, rng: &mut S
     new
 }
 
+/// A `G(n, p)` random graph: each pair is an edge with probability `p`.
+fn gnp(n: usize, p: f64, rng: &mut SimRng) -> Graph {
+    let mut graph = Graph::with_nodes(n);
+    let ids: Vec<NodeId> = graph.node_ids().collect();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if rng.gen::<f64>() < p {
+                graph.add_edge(ids[i], ids[j]).expect("distinct live nodes");
+            }
+        }
+    }
+    graph
+}
+
 /// A random overlay with isolated nodes and dead ids: an Erdős–Rényi
 /// graph edited by `ops`.
 fn churned_graph(n: usize, p: f64, seed: u64, ops: &[(u8, usize, usize)]) -> Graph {
     let mut rng = SimRng::seed_from_u64(seed);
-    let mut g = generators::erdos_renyi(n, p, &mut rng).expect("generated");
+    let mut g = gnp(n, p, &mut rng);
     for &(op, a, b) in ops {
         edit(&mut g, op, a, b);
     }
@@ -463,44 +477,6 @@ fn reference_scale_free(config: &ScaleFreeConfig, rng: &mut SimRng) -> Graph {
     graph
 }
 
-/// Barabási–Albert as an `add_edge` loop.
-fn reference_barabasi_albert(n: usize, m: usize, rng: &mut SimRng) -> Graph {
-    let mut graph = Graph::new();
-    let ids: Vec<NodeId> = (0..n).map(|_| graph.add_node()).collect();
-    for i in 0..=m {
-        for j in (i + 1)..=m {
-            graph.add_edge(ids[i], ids[j]).expect("valid");
-        }
-    }
-    let mut endpoints: Vec<usize> = Vec::new();
-    for i in 0..=m {
-        endpoints.extend(std::iter::repeat(i).take(m));
-    }
-    for new in (m + 1)..n {
-        let mut targets: Vec<usize> = Vec::with_capacity(m);
-        let mut guard = 0usize;
-        while targets.len() < m {
-            let pick = endpoints[rng.gen_range(0..endpoints.len())];
-            if pick != new && !targets.contains(&pick) {
-                targets.push(pick);
-            }
-            guard += 1;
-            if guard > 100 * (m + 1) {
-                let pick = rng.gen_range(0..new);
-                if !targets.contains(&pick) {
-                    targets.push(pick);
-                }
-            }
-        }
-        for &t in &targets {
-            graph.add_edge(ids[new], ids[t]).expect("valid");
-            endpoints.push(t);
-            endpoints.push(new);
-        }
-    }
-    graph
-}
-
 /// A live set with gaps: `alive[i]` says whether ID `i` lives, and the
 /// watermark sits `tail` IDs past the flags (those IDs are dead too).
 fn live_set(alive: &[bool], tail: u64) -> (u64, Vec<NodeId>) {
@@ -634,22 +610,10 @@ proptest! {
         assert_same_graph(&fast, &slow)?;
     }
 
-    /// Barabási–Albert, `complete` and `ring` through the bulk build
-    /// equal their `add_edge` loops.
+    /// `complete` and `ring` through the bulk build equal their
+    /// `add_edge` loops.
     #[test]
-    fn small_generators_equal_their_add_edge_loops(
-        n in 3usize..120,
-        m in 1usize..6,
-        seed in 0u64..10_000,
-    ) {
-        prop_assume!(m < n);
-        let mut rng_fast = SimRng::seed_from_u64(seed);
-        let mut rng_slow = rng_fast.clone();
-        let fast = generators::barabasi_albert(n, m, &mut rng_fast).expect("generates");
-        let slow = reference_barabasi_albert(n, m, &mut rng_slow);
-        prop_assert_eq!(rng_fast.state(), rng_slow.state());
-        assert_same_graph(&fast, &slow)?;
-
+    fn small_generators_equal_their_add_edge_loops(n in 3usize..120) {
         let ids: Vec<NodeId> = (0..n as u64).map(NodeId::from_raw).collect();
         let ring: Vec<_> = (0..n).map(|i| (ids[i], ids[(i + 1) % n])).collect();
         let folded = reference_build(n as u64, &ids, &ring).expect("valid");
