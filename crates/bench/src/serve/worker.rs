@@ -503,6 +503,56 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A single-case chunk-level job with a planted mid-run checkpoint
+    /// resumes from it, and its CSV equals the batch runner's.
+    #[test]
+    fn resumed_chunk_level_jobs_match_the_batch_run() {
+        /// Snapshots the run at 200s into the job's checkpoint path,
+        /// then stops it.
+        struct StopAt200(PathBuf);
+        impl Driver for StopAt200 {
+            fn pauses(&self, _rep: &Replication<'_>) -> Vec<SimTime> {
+                vec![SimTime::from_secs(200)]
+            }
+            fn at_pause(
+                &self,
+                _rep: &Replication<'_>,
+                session: &Session,
+            ) -> Result<(), ScenarioError> {
+                checkpoint_to(session, &self.0)?;
+                Err(ScenarioError::Run("stopped".into()))
+            }
+        }
+
+        let dir = temp_dir("resume-chunk");
+        std::fs::create_dir_all(&dir).expect("state dir");
+        let mut sc = Scenario::new("tiny-chunk", scrip_core::spec::MarketSpec::new(20, 30));
+        sc.base.set("sample", "50").expect("valid");
+        sc.base.set("streaming", "paced:1").expect("valid");
+        sc.run.horizon_secs = 400;
+        sc.run.seed = 7;
+        let text = sc.to_file_string();
+        let scenario = Scenario::parse_str(&text).expect("parses");
+        let options = RunnerOptions::with_threads(1);
+        let stopped = run_driven(&scenario, &options, &StopAt200(dir.join("job-j1.ckpt")));
+        assert!(stopped.is_err(), "the partial run stops at its pause");
+
+        let server = Server::start(&ServeOptions::new("127.0.0.1:0", &dir)).expect("server starts");
+        let addr = server.local_addr().to_string();
+        let mut client = Client::connect(&addr).expect("connects");
+        let job = client.submit(&text, None, None, Some(75)).expect("submits");
+        assert_eq!(job, "j1", "the job owns the planted checkpoint");
+        let (state, lines) = watch(&addr, &job);
+        assert_eq!(state, "completed");
+        // Only post-resume boundaries: the job resumed at 200 s.
+        assert_eq!(sample_secs(&lines), vec![250, 300, 350, 400]);
+        let batch = run_scenario(&scenario, &options).expect("runs").to_csv();
+        assert_eq!(client.result_csv(&job).expect("result"), batch);
+        client.drain().expect("drains");
+        server.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn cancelled_jobs_end_cancelled_not_failed() {
         let dir = temp_dir("cancel");
