@@ -2244,6 +2244,36 @@ mod tests {
         assert!(Session::resume(&config, Vec::new(), &bytes).is_ok());
     }
 
+    /// Single-byte flips of a small chunk-level checkpoint, re-sealed so
+    /// they pass the frame checksum, never panic the decoder or the
+    /// resumed run: each resume is a typed checkpoint error or a
+    /// session that runs on. (A flip of a pure counter, a Gini sample
+    /// or an RNG word has no redundancy to catch it once re-sealed.)
+    #[test]
+    fn resealed_byte_flips_of_a_chunk_level_checkpoint_fail_closed() {
+        let config = MarketConfig::new(10, 20)
+            .streaming_market(StreamingConfig::market_paced(1.0))
+            .churn(crate::market::ChurnConfig::new(0.1, 100.0, 4).expect("valid"))
+            .sample_interval(SimDuration::from_secs(10));
+        let mut session = Session::from_config(&config, 3).expect("builds");
+        session.run_until(SimTime::from_secs(20));
+        let ckpt = OpenCheckpoint::new(&session.checkpoint().expect("checkpoints"));
+        let (mut refused, mut resumed) = (0, 0);
+        for at in 0..ckpt.payload.len() {
+            let mut payload = ckpt.payload.clone();
+            payload[at] ^= 0xFF;
+            match Session::resume(&config, Vec::new(), &ckpt.seal(&payload)) {
+                Err(CoreError::Checkpoint(_)) => refused += 1,
+                Err(other) => panic!("flip at {at}: untyped refusal {other}"),
+                Ok(mut session) => {
+                    session.run_until(SimTime::from_secs(21));
+                    resumed += 1;
+                }
+            }
+        }
+        assert!(refused > resumed, "{refused} refused, {resumed} resumed");
+    }
+
     #[test]
     fn probe_less_runs_keep_the_sampling_grid_aligned() {
         let config = MarketConfig::new(30, 20).sample_interval(SimDuration::from_secs(100));
