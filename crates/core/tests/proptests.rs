@@ -8,6 +8,7 @@ use scrip_core::market::{run_market, ChurnConfig, MarketConfig, TopologyKind};
 use scrip_core::obs::{probes, Probe, RunRecord, Session};
 use scrip_core::policy::{SpendingPolicy, TaxConfig, Taxation};
 use scrip_core::pricing::{PricingConfig, PricingModel};
+use scrip_core::streaming::StreamingConfig;
 use scrip_core::topology::NodeId;
 
 /// Every stateful built-in probe, so resume must reproduce the full
@@ -30,17 +31,17 @@ fn observed_run(config: &MarketConfig, seed: u64, horizon: SimTime) -> (RunRecor
         session.attach(probe);
     }
     session.run_until(horizon);
-    let (record, model) = session.finish();
-    let market = model.queue().expect("queue config");
-    assert!(market.ledger().conserved(), "books must balance");
+    let view = session.view();
+    assert!(view.ledger().conserved(), "books must balance");
     assert!(
-        market.in_flight_escrow() <= market.ledger().escrow(),
+        view.in_flight_escrow() <= view.ledger().escrow(),
         "per-trade escrow is a sub-pool of total escrow"
     );
-    if !market.faults_enabled() {
-        assert_eq!(market.in_flight_escrow(), 0);
+    if view.fault_stats().is_none() {
+        assert_eq!(view.in_flight_escrow(), 0);
     }
-    (record, market.ledger().balances_sorted())
+    let balances = view.ledger().balances_sorted();
+    (session.finish().0, balances)
 }
 
 proptest! {
@@ -190,7 +191,8 @@ proptest! {
     /// series. Churn is always on; faults, taxation, the overlay family
     /// and availability feedback are drawn, so every branch of the
     /// market decoder (no fault plan, a tax pool, edge lists, the
-    /// activity column) is resumed and compared.
+    /// activity column) is resumed and compared, at either market
+    /// granularity.
     #[test]
     fn resume_at_random_checkpoint_matches_straight_run(
         stop_secs in 1u64..800,
@@ -202,6 +204,7 @@ proptest! {
         tax_on in proptest::bool::ANY,
         topology in 0u8..3,
         feedback in proptest::bool::ANY,
+        chunk in proptest::bool::ANY,
     ) {
         // Seller-Poisson prices are checkpointed per peer in slot order,
         // so churn's swap-removes reach the posted-price section too.
@@ -233,10 +236,17 @@ proptest! {
         if tax_on {
             config = config.tax(TaxConfig::new(0.2, 10).expect("valid"));
         }
-        if feedback {
-            config = config.with_availability_feedback();
-        }
-        let horizon = SimTime::from_secs(800);
+        // The chunk-level market runs the same checkpoint path on a
+        // shorter horizon (its events are denser).
+        let (horizon, stop_secs) = if chunk {
+            config = config.streaming_market(StreamingConfig::market_paced(1.0));
+            (SimTime::from_secs(200), 1 + stop_secs % 200)
+        } else {
+            if feedback {
+                config = config.with_availability_feedback();
+            }
+            (SimTime::from_secs(800), stop_secs)
+        };
         let (direct, balances) = observed_run(&config, seed, horizon);
 
         let mut session = Session::from_config(&config, seed).expect("builds");
@@ -251,10 +261,9 @@ proptest! {
         // snapshot bit for bit.
         prop_assert_eq!(resumed.checkpoint().expect("re-checkpoints"), bytes);
         resumed.run_until(horizon);
-        let (record, model) = resumed.finish();
-        let market = model.queue().expect("queue config");
-        prop_assert!(market.ledger().conserved());
+        prop_assert!(resumed.view().ledger().conserved());
+        prop_assert_eq!(resumed.view().ledger().balances_sorted(), balances);
+        let record = resumed.finish().0;
         prop_assert_eq!(record, direct, "diverged after resume at {}s", stop_secs);
-        prop_assert_eq!(market.ledger().balances_sorted(), balances);
     }
 }

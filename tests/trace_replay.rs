@@ -16,6 +16,7 @@ use scrip_core::des::{FaultSpec, SimDuration, SimTime, TraceFrame, TraceReader, 
 use scrip_core::market::{ChurnConfig, MarketConfig, MarketEvent};
 use scrip_core::obs::{probes, Probe, RunRecord, Session};
 use scrip_core::policy::TaxConfig;
+use scrip_core::streaming::StreamingConfig;
 use scrip_core::topology::NodeId;
 
 /// RAII temp-file path so failed assertions don't leak trace files.
@@ -49,14 +50,16 @@ fn probe_set() -> Vec<Box<dyn Probe>> {
     ]
 }
 
-/// Builds a queue-level market from the proptest axes: population,
-/// queue profile, and the churn / faults / tax toggles.
+/// Builds a market from the proptest axes: population, queue profile,
+/// the churn / faults / tax toggles, and the granularity (chunk level
+/// when `chunk`).
 fn arbitrary_config(
     n: usize,
     asymmetric: bool,
     churn: bool,
     faults: bool,
     tax: bool,
+    chunk: bool,
 ) -> MarketConfig {
     let mut config = MarketConfig::new(n, 25).sample_interval(SimDuration::from_secs(100));
     config = if asymmetric {
@@ -79,6 +82,9 @@ fn arbitrary_config(
     }
     if tax {
         config = config.tax(TaxConfig::new(0.15, 20).expect("valid tax"));
+    }
+    if chunk {
+        config = config.streaming_market(StreamingConfig::market_paced(1.0));
     }
     config
 }
@@ -123,9 +129,11 @@ proptest! {
         faults in proptest::bool::ANY,
         tax in proptest::bool::ANY,
         seed in 0u64..1_000,
+        chunk in proptest::bool::ANY,
     ) {
-        let horizon = SimTime::from_secs(500);
-        let config = arbitrary_config(n, asymmetric, churn, faults, tax);
+        // Chunk-level events are denser, so those runs are shorter.
+        let horizon = SimTime::from_secs(if chunk { 150 } else { 500 });
+        let config = arbitrary_config(n, asymmetric, churn, faults, tax, chunk);
         let trace = TracePath::new(&format!("prop_{seed}_{n}"));
         let recorded = record_run(&config, seed, horizon, trace.path());
         let bytes = std::fs::read(trace.path()).expect("trace readable");
@@ -145,7 +153,7 @@ proptest! {
 /// exact `(time, seq)`.
 #[test]
 fn replay_pins_an_event_divergence_the_digests_miss() {
-    let config = arbitrary_config(50, true, true, false, true);
+    let config = arbitrary_config(50, true, true, false, true, false);
     let horizon = SimTime::from_secs(1_000);
     let trace = TracePath::new("event_only");
     record_run(&config, 7, horizon, trace.path());
