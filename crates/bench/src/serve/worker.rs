@@ -161,9 +161,12 @@ struct JobDriver<'a> {
     shared: &'a Shared,
     job: &'a JobRecord,
     ckpt_path: PathBuf,
-    /// Whether the job is one case and one replication, the shape one
-    /// checkpoint file covers. Any other job restarts from scratch
-    /// after a daemon kill, which is merely slower, not wrong.
+    /// Whether the job checkpoints: one case and one replication (the
+    /// shape one checkpoint file covers) at queue level. Chunk-level
+    /// sessions checkpoint too, but under the default cadence (a tenth
+    /// of the horizon) their snapshot files cost short streaming jobs
+    /// about 40% of the daemon's throughput, so they restart after a
+    /// daemon kill, which is merely slower, not wrong.
     checkpointed: bool,
     samples: Mutex<SampleLog>,
     throttle: Option<Duration>,
@@ -282,7 +285,9 @@ fn prepare<'a>(
         shared,
         job,
         ckpt_path: dir.join(format!("job-{}.ckpt", job.id)),
-        checkpointed: scenario.single_config().is_ok(),
+        checkpointed: scenario
+            .single_config()
+            .is_ok_and(|config| config.streaming.is_none()),
         samples: Mutex::new(samples),
         throttle: std::env::var(THROTTLE_ENV)
             .ok()
@@ -495,56 +500,6 @@ mod tests {
         assert_eq!(job, "j1", "the job owns the planted checkpoint");
         let (state, lines) = watch(&addr, &job);
         assert_eq!(state, "completed");
-        assert_eq!(sample_secs(&lines), vec![250, 300, 350, 400]);
-        let batch = run_scenario(&scenario, &options).expect("runs").to_csv();
-        assert_eq!(client.result_csv(&job).expect("result"), batch);
-        client.drain().expect("drains");
-        server.join();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A single-case chunk-level job with a planted mid-run checkpoint
-    /// resumes from it, and its CSV equals the batch runner's.
-    #[test]
-    fn resumed_chunk_level_jobs_match_the_batch_run() {
-        /// Snapshots the run at 200s into the job's checkpoint path,
-        /// then stops it.
-        struct StopAt200(PathBuf);
-        impl Driver for StopAt200 {
-            fn pauses(&self, _rep: &Replication<'_>) -> Vec<SimTime> {
-                vec![SimTime::from_secs(200)]
-            }
-            fn at_pause(
-                &self,
-                _rep: &Replication<'_>,
-                session: &Session,
-            ) -> Result<(), ScenarioError> {
-                checkpoint_to(session, &self.0)?;
-                Err(ScenarioError::Run("stopped".into()))
-            }
-        }
-
-        let dir = temp_dir("resume-chunk");
-        std::fs::create_dir_all(&dir).expect("state dir");
-        let mut sc = Scenario::new("tiny-chunk", scrip_core::spec::MarketSpec::new(20, 30));
-        sc.base.set("sample", "50").expect("valid");
-        sc.base.set("streaming", "paced:1").expect("valid");
-        sc.run.horizon_secs = 400;
-        sc.run.seed = 7;
-        let text = sc.to_file_string();
-        let scenario = Scenario::parse_str(&text).expect("parses");
-        let options = RunnerOptions::with_threads(1);
-        let stopped = run_driven(&scenario, &options, &StopAt200(dir.join("job-j1.ckpt")));
-        assert!(stopped.is_err(), "the partial run stops at its pause");
-
-        let server = Server::start(&ServeOptions::new("127.0.0.1:0", &dir)).expect("server starts");
-        let addr = server.local_addr().to_string();
-        let mut client = Client::connect(&addr).expect("connects");
-        let job = client.submit(&text, None, None, Some(75)).expect("submits");
-        assert_eq!(job, "j1", "the job owns the planted checkpoint");
-        let (state, lines) = watch(&addr, &job);
-        assert_eq!(state, "completed");
-        // Only post-resume boundaries: the job resumed at 200 s.
         assert_eq!(sample_secs(&lines), vec![250, 300, 350, 400]);
         let batch = run_scenario(&scenario, &options).expect("runs").to_csv();
         assert_eq!(client.result_csv(&job).expect("result"), batch);
