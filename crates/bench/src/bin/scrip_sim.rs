@@ -72,7 +72,7 @@ non-zero when any matching case regresses more than 30%. `--only`
 re-measures just the named row families (e.g. `--only churn,faulted`);
 a partial run is written only to an explicit --out FILE.
 --checkpoint-every SECS writes a crash-safe snapshot of a single-case,
-single-replication, queue-level scenario run every SECS simulated
+single-replication scenario run (either granularity) every SECS simulated
 seconds (to FILE.scn.ckpt, or --checkpoint-file PATH); --resume PATH
 restarts such a run from a snapshot. A resumed run's output is
 byte-identical to the uninterrupted run, fault plans included.
@@ -88,7 +88,9 @@ matching frames (exit 0).
 polling until the writer closes the file with its end frame.
 `serve` starts the crash-safe job daemon (protocol and lifecycle:
 docs/ARCHITECTURE.md §Job service): jobs and their transitions persist
-in --state-dir, workers checkpoint qualifying runs periodically, and a
+in --state-dir, workers checkpoint single-case, single-replication runs
+(every --checkpoint-every SECS, else about once per second of wall
+time), and a
 restarted daemon resumes unfinished jobs from their latest snapshot —
 the served CSV is byte-identical to `scrip-sim run`, even across a
 kill. --addr with port 0 picks an ephemeral port (read back from

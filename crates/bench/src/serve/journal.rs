@@ -4,7 +4,7 @@
 //! Every job transition is one appended line in `journal.log`:
 //!
 //! ```text
-//! accepted j1 <name> timeout=<secs> ckpt=<simsecs>
+//! accepted j1 <name> timeout=<secs> [ckpt=<simsecs>]
 //! running j1
 //! completed j1
 //! failed j1 <message…>
@@ -74,8 +74,10 @@ pub struct JobRecord {
     pub name: String,
     /// Wall-clock budget in seconds (`0` = none).
     pub timeout_secs: u64,
-    /// Checkpoint interval in simulated seconds (`0` = never).
-    pub checkpoint_every: u64,
+    /// Checkpoint interval in simulated seconds (`Some(0)` = never);
+    /// [`None`] when the submitter named none, and the worker then
+    /// snapshots about once per second of wall time.
+    pub checkpoint_every: Option<u64>,
     /// Current lifecycle state.
     pub state: JobState,
     /// Whether a cancel has been requested but not yet honored.
@@ -177,12 +179,12 @@ impl Journal {
                         let mut fields = rest.split(' ');
                         let name = fields.next().unwrap_or("job").to_string();
                         let mut timeout_secs = 0;
-                        let mut checkpoint_every = 0;
+                        let mut checkpoint_every = None;
                         for field in fields {
                             if let Some(v) = field.strip_prefix("timeout=") {
                                 timeout_secs = v.parse().unwrap_or(0);
                             } else if let Some(v) = field.strip_prefix("ckpt=") {
-                                checkpoint_every = v.parse().unwrap_or(0);
+                                checkpoint_every = Some(v.parse().unwrap_or(0));
                             }
                         }
                         if let Some(n) = job_number(id) {
@@ -300,7 +302,10 @@ mod tests {
         assert_eq!(jobs.get("j2").expect("replayed").state, JobState::Running);
         assert_eq!(jobs.get("j2").expect("replayed").timeout_secs, 30);
         assert_eq!(jobs.get("j3").expect("replayed").state, JobState::Queued);
-        assert_eq!(jobs.get("j1").expect("replayed").checkpoint_every, 100);
+        assert_eq!(
+            jobs.get("j1").expect("replayed").checkpoint_every,
+            Some(100)
+        );
         assert_eq!(recoverable(&jobs), vec!["j2", "j3"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -354,7 +359,7 @@ mod tests {
             id: id.to_string(),
             name: name.to_string(),
             timeout_secs: 0,
-            checkpoint_every: 0,
+            checkpoint_every: None,
             state: JobState::Queued,
             cancel_requested: false,
         };

@@ -30,7 +30,8 @@ pub enum Request {
         /// Wall-clock budget; the worker fails the job past it.
         timeout_secs: Option<u64>,
         /// Checkpoint interval in simulated seconds (qualifying jobs
-        /// only); defaults to a tenth of the horizon.
+        /// only). Without one the worker snapshots at sampling
+        /// boundaries, at most once per second of wall time.
         checkpoint_every: Option<u64>,
     },
     /// Query one job's state.

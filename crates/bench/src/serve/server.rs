@@ -321,9 +321,6 @@ fn handle_submit(
         return refuse(writer, &one_line(&format!("bad scenario: {e}")));
     }
     let name = sanitize_token(name.as_deref().unwrap_or(&scenario.name));
-    // Default checkpoint cadence: a tenth of the horizon, at least 1s.
-    let checkpoint_every =
-        checkpoint_every.unwrap_or_else(|| (scenario.run.horizon_secs / 10).max(1));
     let timeout_secs = timeout_secs.unwrap_or(0);
 
     let mut inner = shared.inner.lock().expect("serve lock");
@@ -340,10 +337,11 @@ fn handle_submit(
         drop(inner);
         return refuse(writer, &format!("store scenario: {e}"));
     }
+    let ckpt = checkpoint_every.map_or(String::new(), |every| format!(" ckpt={every}"));
     inner
         .journal
         .append(&format!(
-            "accepted {id} {name} timeout={timeout_secs} ckpt={checkpoint_every}"
+            "accepted {id} {name} timeout={timeout_secs}{ckpt}"
         ))
         .map_err(|e| e.to_string())?;
     inner.jobs.insert(JobRecord {

@@ -156,18 +156,23 @@ impl SampleLog {
     }
 }
 
+/// The least wall time between two snapshots of a job submitted
+/// without a checkpoint interval: such a job snapshots at the first
+/// sampling boundary this long after it started or last snapshotted,
+/// so a crash costs it about this much work and a job shorter than this
+/// writes no snapshot file at all.
+pub(super) const DEFAULT_SNAPSHOT_GAP: Duration = Duration::from_secs(1);
+
 /// The runner hooks of one job.
 struct JobDriver<'a> {
     shared: &'a Shared,
     job: &'a JobRecord,
     ckpt_path: PathBuf,
-    /// Whether the job checkpoints: one case and one replication (the
-    /// shape one checkpoint file covers) at queue level. Chunk-level
-    /// sessions checkpoint too, but under the default cadence (a tenth
-    /// of the horizon) their snapshot files cost short streaming jobs
-    /// about 40% of the daemon's throughput, so they restart after a
-    /// daemon kill, which is merely slower, not wrong.
+    /// Whether the job checkpoints: one case and one replication, the
+    /// shape one checkpoint file covers.
     checkpointed: bool,
+    /// When the job started or last snapshotted.
+    last_snapshot: Mutex<Instant>,
     samples: Mutex<SampleLog>,
     throttle: Option<Duration>,
     deadline: Option<Instant>,
@@ -194,7 +199,11 @@ impl Driver for JobDriver<'_> {
     }
 
     fn pauses(&self, rep: &Replication<'_>) -> Vec<SimTime> {
-        stop_schedule(rep.config, self.job.checkpoint_every, rep.horizon())
+        stop_schedule(
+            rep.config,
+            self.job.checkpoint_every.unwrap_or(0),
+            rep.horizon(),
+        )
     }
 
     fn at_pause(&self, rep: &Replication<'_>, session: &Session) -> Result<(), ScenarioError> {
@@ -205,9 +214,15 @@ impl Driver for JobDriver<'_> {
         if let Some(pause) = self.throttle {
             std::thread::sleep(pause);
         }
-        let every_us = self.job.checkpoint_every.saturating_mul(1_000_000);
-        if self.checkpointed && every_us > 0 && session.now().as_micros() % every_us == 0 {
+        let mut last_snapshot = self.last_snapshot.lock().expect("snapshot clock lock");
+        let due = match self.job.checkpoint_every {
+            Some(0) => false,
+            Some(every) => session.now().as_micros() % every.saturating_mul(1_000_000) == 0,
+            None => last_snapshot.elapsed() >= DEFAULT_SNAPSHOT_GAP,
+        };
+        if self.checkpointed && due {
             checkpoint_to(session, &self.ckpt_path)?;
+            *last_snapshot = Instant::now();
         }
         if self.shared.cancel_requested(&self.job.id) {
             // Stop at this boundary, keeping a final snapshot of
@@ -285,9 +300,8 @@ fn prepare<'a>(
         shared,
         job,
         ckpt_path: dir.join(format!("job-{}.ckpt", job.id)),
-        checkpointed: scenario
-            .single_config()
-            .is_ok_and(|config| config.streaming.is_none()),
+        checkpointed: scenario.single_config().is_ok(),
+        last_snapshot: Mutex::new(Instant::now()),
         samples: Mutex::new(samples),
         throttle: std::env::var(THROTTLE_ENV)
             .ok()
@@ -485,26 +499,76 @@ mod tests {
             }
         }
 
-        let dir = temp_dir("resume");
-        std::fs::create_dir_all(&dir).expect("state dir");
-        let text = tiny_scenario_text();
-        let scenario = Scenario::parse_str(&text).expect("parses");
-        let options = RunnerOptions::with_threads(1);
-        let stopped = run_driven(&scenario, &options, &StopAt200(dir.join("job-j1.ckpt")));
-        assert!(stopped.is_err(), "the partial run stops at its pause");
+        // The same job at queue level and at chunk level.
+        let mut chunk = Scenario::parse_str(&tiny_scenario_text()).expect("parses");
+        chunk.base.set("streaming", "paced:1").expect("valid");
+        for (granularity, text) in [
+            ("queue", tiny_scenario_text()),
+            ("chunk", chunk.to_file_string()),
+        ] {
+            let dir = temp_dir(&format!("resume-{granularity}"));
+            std::fs::create_dir_all(&dir).expect("state dir");
+            let scenario = Scenario::parse_str(&text).expect("parses");
+            let options = RunnerOptions::with_threads(1);
+            let stopped = run_driven(&scenario, &options, &StopAt200(dir.join("job-j1.ckpt")));
+            assert!(stopped.is_err(), "the partial run stops at its pause");
 
+            let server =
+                Server::start(&ServeOptions::new("127.0.0.1:0", &dir)).expect("server starts");
+            let addr = server.local_addr().to_string();
+            let mut client = Client::connect(&addr).expect("connects");
+            let job = client.submit(&text, None, None, Some(75)).expect("submits");
+            assert_eq!(job, "j1", "the job owns the planted checkpoint");
+            let (state, lines) = watch(&addr, &job);
+            assert_eq!(state, "completed", "{granularity}");
+            assert_eq!(
+                sample_secs(&lines),
+                vec![250, 300, 350, 400],
+                "{granularity}"
+            );
+            let batch = run_scenario(&scenario, &options).expect("runs").to_csv();
+            assert_eq!(
+                client.result_csv(&job).expect("result"),
+                batch,
+                "{granularity}"
+            );
+            client.drain().expect("drains");
+            server.join();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn jobs_without_an_interval_snapshot_after_the_default_gap() {
+        let dir = temp_dir("default-gap");
         let server = Server::start(&ServeOptions::new("127.0.0.1:0", &dir)).expect("server starts");
         let addr = server.local_addr().to_string();
         let mut client = Client::connect(&addr).expect("connects");
-        let job = client.submit(&text, None, None, Some(75)).expect("submits");
-        assert_eq!(job, "j1", "the job owns the planted checkpoint");
-        let (state, lines) = watch(&addr, &job);
-        assert_eq!(state, "completed");
-        assert_eq!(sample_secs(&lines), vec![250, 300, 350, 400]);
-        let batch = run_scenario(&scenario, &options).expect("runs").to_csv();
-        assert_eq!(client.result_csv(&job).expect("result"), batch);
+        let mut sc = Scenario::new("slow", scrip_core::spec::MarketSpec::new(50, 10));
+        sc.base.set("sample", "10").expect("valid");
+        sc.run.horizon_secs = 1_000_000;
+        let submitted = Instant::now();
+        let job = client
+            .submit(&sc.to_file_string(), None, None, None)
+            .expect("submits");
+        // The first snapshot lands at a sampling boundary no sooner
+        // than the gap after the job started.
+        let ckpt = dir.join(format!("job-{job}.ckpt"));
+        while !ckpt.exists() {
+            assert!(submitted.elapsed() < Duration::from_secs(60), "no snapshot");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(submitted.elapsed() >= DEFAULT_SNAPSHOT_GAP);
+        client.cancel(&job).expect("cancels");
+        assert_eq!(client.wait_terminal(&job, 60).expect("ends"), "cancelled");
         client.drain().expect("drains");
         server.join();
+        // The journal records that the job named no interval.
+        let journal = std::fs::read_to_string(dir.join("journal.log")).expect("journal");
+        assert!(
+            journal.contains(&format!("accepted {job} slow timeout=0\n")),
+            "{journal}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

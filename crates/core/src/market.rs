@@ -40,6 +40,7 @@ use scrip_topology::{Graph, NodeId, TakeId};
 use crate::credits::Ledger;
 use crate::error::CoreError;
 use crate::model::{joiner_spending_rate, spending_rates, UtilizationProfile};
+use crate::obs::{MarketView, SessionMarket, SessionModel};
 use crate::policy::{SpendingPolicy, TaxConfig, Taxation};
 use crate::pricing::{PricingConfig, PricingModel};
 
@@ -687,42 +688,6 @@ impl CreditMarket {
         }
     }
 
-    /// Serializes every mutable market field into `w` — the model half
-    /// of a [`crate::obs::Session`] checkpoint. What the configuration
-    /// alone fixes (config, churn topology, fault spec) is not written:
-    /// [`CreditMarket::read_state`] assembles it as
-    /// [`CreditMarket::build`] does. Everything else round-trips
-    /// exactly, including the pick order, so the continuation is
-    /// byte-identical.
-    pub(crate) fn write_state(&self, w: &mut impl Put) {
-        snapshot::put_rng_and_plan(w, &self.rng, self.fault_plan.as_ref());
-        self.graph.write_state(w);
-        // Registry pick order plus every per-peer column, in that order.
-        // The order matters: swap-removes made it churn-history-dependent,
-        // and peer picks and escrow sweeps iterate it.
-        w.put_u64(self.ledger.accounts() as u64);
-        for &id in self.ledger.ids() {
-            let i = id.index();
-            w.put_u64(id.raw());
-            w.put_f64(self.mu[i]);
-            w.put_u64(self.ledger.spent(id));
-            w.put_f64(self.activity[i].0);
-            w.put_u64(self.activity[i].1.as_micros());
-            w.put_u64(self.in_flight[i]);
-        }
-        self.ledger.write_state(w);
-        // Scalar counters.
-        w.put_u64(self.ledger.total_spent());
-        w.put_u64(self.denied);
-        w.put_u64(self.purchases);
-        w.put_u64(self.in_flight_total);
-        snapshot::put_fault_stats(w, &self.fault_stats);
-        Taxation::write_state(self.taxation.as_ref(), w);
-        self.pricing.write_state(w, self.ledger.ids());
-        snapshot::put_series(w, &self.gini_series);
-        w.put_bool(self.bootstrapped);
-    }
-
     /// FNV-1a digest of the complete mutable market state — a fold over
     /// the exact bytes `CreditMarket::write_state` would checkpoint
     /// (RNG streams, fault plan, graph, registry, ledger, escrow, pricing,
@@ -732,104 +697,8 @@ impl CreditMarket {
     /// `tests/fixture_guard.rs` pins it for the golden configurations.
     pub fn state_digest(&self) -> u64 {
         let mut digest = Fingerprint::default();
-        self.write_state(&mut digest);
+        SessionMarket::write_state(self, &mut digest);
         digest.value()
-    }
-
-    /// Decodes the market whose state [`CreditMarket::write_state`]
-    /// captured `events_processed` events into a run of `config` and
-    /// `seed`; nothing is drawn or built to be overwritten.
-    ///
-    /// # Errors
-    /// Returns [`CoreError::Checkpoint`] for truncated or inconsistent
-    /// snapshots: among others, an overlay id watermark below the live
-    /// count, above `config.n` plus `events_processed` or too large to
-    /// allocate, a registry that is not a permutation of the overlay's
-    /// live ids, and ledger or posted-price entries that are not the
-    /// registry's ids in pick order.
-    pub(crate) fn read_state(
-        config: MarketConfig,
-        seed: u64,
-        r: &mut Reader<'_>,
-        events_processed: u64,
-    ) -> Result<Self, CoreError> {
-        let mut market = Self::configured(config, seed)?;
-        market.rng = snapshot::take_rng_and_plan(r, &mut market.fault_plan)?;
-        // Every id below the overlay's watermark was allocated by the
-        // build (ids 0..n) or by one `Join` event since.
-        let ceiling = (market.config.n as u64).saturating_add(events_processed);
-        market.graph = Graph::read_state(r, ceiling)?;
-        let watermark = market.graph.next_raw_id();
-        // Registry pick order, with the per-peer columns filled by raw
-        // id. Every id below the watermark gets an entry; a departed
-        // id's stays zero, as on a leave. Spend goes to the ledger once
-        // it is rebuilt below.
-        let not_live = "peer registry is not a permutation of the overlay's live ids";
-        let n = r.take_count(48)?;
-        market.mu = snapshot::id_table(watermark, 0.0)?;
-        market.activity = snapshot::id_table(watermark, (0.0, SimTime::ZERO))?;
-        market.in_flight = snapshot::id_table(watermark, 0)?;
-        let mut ids = Vec::with_capacity(n);
-        let mut spends = Vec::with_capacity(n);
-        // The column sums, `None` on overflow, checked against the
-        // stored totals below.
-        let (mut spent_sum, mut in_flight_sum) = (Some(0u64), Some(0u64));
-        for _ in 0..n {
-            let id = r.take_id()?;
-            if !market.graph.has_node(id) {
-                return Err(CoreError::Checkpoint(not_live.into()));
-            }
-            let i = id.index();
-            market.mu[i] = r.take_f64()?;
-            let spent = r.take_u64()?;
-            market.activity[i] = (r.take_f64()?, SimTime::from_micros(r.take_u64()?));
-            market.in_flight[i] = r.take_u64()?;
-            spent_sum = spent_sum.and_then(|sum| sum.checked_add(spent));
-            in_flight_sum = in_flight_sum.and_then(|sum| sum.checked_add(market.in_flight[i]));
-            ids.push(id);
-            spends.push(spent);
-        }
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        if !sorted.into_iter().eq(market.graph.node_ids()) {
-            return Err(CoreError::Checkpoint(not_live.into()));
-        }
-        market.ledger = Ledger::read_state(r, &ids)?;
-        let escrow = market.ledger.escrow();
-        let total_spent = r.take_u64()?;
-        market.denied = r.take_u64()?;
-        market.purchases = r.take_u64()?;
-        market.in_flight_total = r.take_u64()?;
-        // The totals are derived state: a stored total unlike its
-        // column would underflow at the next leave, and in-flight
-        // escrow beyond the pool would let the tax sweep pay out
-        // credits that back open trades.
-        if spent_sum != Some(total_spent) {
-            return Err(CoreError::Checkpoint(format!(
-                "total spent {total_spent} is not the sum of the registry's spent column"
-            )));
-        }
-        if in_flight_sum != Some(market.in_flight_total) {
-            return Err(CoreError::Checkpoint(format!(
-                "in-flight total {} is not the sum of the registry's in-flight column",
-                market.in_flight_total
-            )));
-        }
-        if market.in_flight_total > escrow {
-            return Err(CoreError::Checkpoint(format!(
-                "in-flight total {} exceeds the escrow {escrow}",
-                market.in_flight_total
-            )));
-        }
-        for (&id, &spent) in ids.iter().zip(&spends) {
-            market.ledger.record_spend(id, spent);
-        }
-        market.fault_stats = snapshot::take_fault_stats(r)?;
-        Taxation::read_state(&mut market.taxation, r)?;
-        market.pricing = PricingModel::read_state(market.config.pricing, &ids, r)?;
-        market.gini_series = snapshot::take_series(r)?;
-        market.bootstrapped = r.take_bool()?;
-        Ok(market)
     }
 
     fn exp_delay(&mut self, rate: f64) -> SimDuration {
@@ -1375,6 +1244,201 @@ impl Model for CreditMarket {
     }
 }
 
+impl MarketView for CreditMarket {
+    fn peer_count(&self) -> usize {
+        CreditMarket::peer_count(self)
+    }
+    fn purchases(&self) -> u64 {
+        CreditMarket::purchases(self)
+    }
+    fn denied(&self) -> u64 {
+        CreditMarket::denied(self)
+    }
+    fn ledger(&self) -> &Ledger {
+        CreditMarket::ledger(self)
+    }
+    fn taxation(&self) -> Option<&Taxation> {
+        CreditMarket::taxation(self)
+    }
+    fn gini_series(&self) -> &TimeSeries {
+        CreditMarket::gini_series(self)
+    }
+    fn stall_series(&self) -> Option<&TimeSeries> {
+        None
+    }
+    fn fault_stats(&self) -> Option<&FaultStats> {
+        self.faults_enabled()
+            .then(|| CreditMarket::fault_stats(self))
+    }
+    fn in_flight_escrow(&self) -> u64 {
+        CreditMarket::in_flight_escrow(self)
+    }
+    fn state_digest(&self) -> u64 {
+        CreditMarket::state_digest(self)
+    }
+}
+
+/// The queue-level market as a [`crate::obs::Session`] runs it; its
+/// checkpoint codec lives here, beside the state it encodes.
+impl SessionMarket for CreditMarket {
+    fn build(config: &MarketConfig, seed: u64) -> Result<Self, CoreError> {
+        CreditMarket::build(config.clone(), seed)
+    }
+
+    fn bootstrap() -> MarketEvent {
+        MarketEvent::Bootstrap
+    }
+
+    fn queue_profile(&self) -> QueueProfile {
+        CreditMarket::queue_profile(self)
+    }
+
+    /// Serializes every mutable market field into `w` — the model half
+    /// of a [`crate::obs::Session`] checkpoint. What the configuration
+    /// alone fixes (config, churn topology, fault spec) is not written:
+    /// `read_state` assembles it as
+    /// [`CreditMarket::build`] does. Everything else round-trips
+    /// exactly, including the pick order, so the continuation is
+    /// byte-identical.
+    fn write_state(&self, w: &mut impl Put) {
+        snapshot::put_rng_and_plan(w, &self.rng, self.fault_plan.as_ref());
+        self.graph.write_state(w);
+        // Registry pick order plus every per-peer column, in that order.
+        // The order matters: swap-removes made it churn-history-dependent,
+        // and peer picks and escrow sweeps iterate it.
+        w.put_u64(self.ledger.accounts() as u64);
+        for &id in self.ledger.ids() {
+            let i = id.index();
+            w.put_u64(id.raw());
+            w.put_f64(self.mu[i]);
+            w.put_u64(self.ledger.spent(id));
+            w.put_f64(self.activity[i].0);
+            w.put_u64(self.activity[i].1.as_micros());
+            w.put_u64(self.in_flight[i]);
+        }
+        self.ledger.write_state(w);
+        // Scalar counters.
+        w.put_u64(self.ledger.total_spent());
+        w.put_u64(self.denied);
+        w.put_u64(self.purchases);
+        w.put_u64(self.in_flight_total);
+        snapshot::put_fault_stats(w, &self.fault_stats);
+        Taxation::write_state(self.taxation.as_ref(), w);
+        self.pricing.write_state(w, self.ledger.ids());
+        snapshot::put_series(w, &self.gini_series);
+        w.put_bool(self.bootstrapped);
+    }
+
+    /// Decodes the market whose state `write_state`
+    /// captured `events_processed` events into a run of `config` and
+    /// `seed`; nothing is drawn or built to be overwritten.
+    ///
+    /// # Errors
+    /// Returns [`CoreError::Checkpoint`] for truncated or inconsistent
+    /// snapshots: among others, an overlay id watermark below the live
+    /// count, above `config.n` plus `events_processed` or too large to
+    /// allocate, a registry that is not a permutation of the overlay's
+    /// live ids, and ledger or posted-price entries that are not the
+    /// registry's ids in pick order.
+    fn read_state(
+        config: &MarketConfig,
+        seed: u64,
+        r: &mut Reader<'_>,
+        events_processed: u64,
+    ) -> Result<Self, CoreError> {
+        let mut market = Self::configured(config.clone(), seed)?;
+        market.rng = snapshot::take_rng_and_plan(r, &mut market.fault_plan)?;
+        // Every id below the overlay's watermark was allocated by the
+        // build (ids 0..n) or by one `Join` event since.
+        let ceiling = (market.config.n as u64).saturating_add(events_processed);
+        market.graph = Graph::read_state(r, ceiling)?;
+        let watermark = market.graph.next_raw_id();
+        // Registry pick order, with the per-peer columns filled by raw
+        // id. Every id below the watermark gets an entry; a departed
+        // id's stays zero, as on a leave. Spend goes to the ledger once
+        // it is rebuilt below.
+        let not_live = "peer registry is not a permutation of the overlay's live ids";
+        let n = r.take_count(48)?;
+        market.mu = snapshot::id_table(watermark, 0.0)?;
+        market.activity = snapshot::id_table(watermark, (0.0, SimTime::ZERO))?;
+        market.in_flight = snapshot::id_table(watermark, 0)?;
+        let mut ids = Vec::with_capacity(n);
+        let mut spends = Vec::with_capacity(n);
+        // The column sums, `None` on overflow, checked against the
+        // stored totals below.
+        let (mut spent_sum, mut in_flight_sum) = (Some(0u64), Some(0u64));
+        for _ in 0..n {
+            let id = r.take_id()?;
+            if !market.graph.has_node(id) {
+                return Err(CoreError::Checkpoint(not_live.into()));
+            }
+            let i = id.index();
+            market.mu[i] = r.take_f64()?;
+            let spent = r.take_u64()?;
+            market.activity[i] = (r.take_f64()?, SimTime::from_micros(r.take_u64()?));
+            market.in_flight[i] = r.take_u64()?;
+            spent_sum = spent_sum.and_then(|sum| sum.checked_add(spent));
+            in_flight_sum = in_flight_sum.and_then(|sum| sum.checked_add(market.in_flight[i]));
+            ids.push(id);
+            spends.push(spent);
+        }
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        if !sorted.into_iter().eq(market.graph.node_ids()) {
+            return Err(CoreError::Checkpoint(not_live.into()));
+        }
+        market.ledger = Ledger::read_state(r, &ids)?;
+        let escrow = market.ledger.escrow();
+        let total_spent = r.take_u64()?;
+        market.denied = r.take_u64()?;
+        market.purchases = r.take_u64()?;
+        market.in_flight_total = r.take_u64()?;
+        // The totals are derived state: a stored total unlike its
+        // column would underflow at the next leave, and in-flight
+        // escrow beyond the pool would let the tax sweep pay out
+        // credits that back open trades.
+        if spent_sum != Some(total_spent) {
+            return Err(CoreError::Checkpoint(format!(
+                "total spent {total_spent} is not the sum of the registry's spent column"
+            )));
+        }
+        if in_flight_sum != Some(market.in_flight_total) {
+            return Err(CoreError::Checkpoint(format!(
+                "in-flight total {} is not the sum of the registry's in-flight column",
+                market.in_flight_total
+            )));
+        }
+        if market.in_flight_total > escrow {
+            return Err(CoreError::Checkpoint(format!(
+                "in-flight total {} exceeds the escrow {escrow}",
+                market.in_flight_total
+            )));
+        }
+        for (&id, &spent) in ids.iter().zip(&spends) {
+            market.ledger.record_spend(id, spent);
+        }
+        market.fault_stats = snapshot::take_fault_stats(r)?;
+        Taxation::read_state(&mut market.taxation, r)?;
+        market.pricing = PricingModel::read_state(market.config.pricing, &ids, r)?;
+        market.gini_series = snapshot::take_series(r)?;
+        market.bootstrapped = r.take_bool()?;
+        Ok(market)
+    }
+
+    #[inline]
+    fn encode(event: &MarketEvent, w: &mut impl Put) {
+        event.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<MarketEvent, CoreError> {
+        MarketEvent::decode(r)
+    }
+
+    fn into_model(self) -> SessionModel {
+        SessionModel::Queue(self)
+    }
+}
+
 /// Convenience runner: builds the market, simulates until `horizon`, and
 /// returns the finished model.
 #[doc = "\n\nPrefer [`crate::obs::Session`] for new code: it runs both market \
@@ -1746,7 +1810,7 @@ mod tests {
         let config = market.config().clone();
         let joins = market.graph().next_raw_id() - config.n as u64;
         let mut r = Reader::new(bytes);
-        let decoded = CreditMarket::read_state(config, 9, &mut r, joins)?;
+        let decoded = CreditMarket::read_state(&config, 9, &mut r, joins)?;
         r.finish()?;
         Ok(decoded)
     }

@@ -83,11 +83,11 @@
 use std::io::BufWriter;
 use std::path::Path;
 
-use scrip_des::snapshot::{self, Fingerprint, Put, Reader};
+use scrip_des::snapshot::{self, Put, Reader};
 use scrip_des::stats::TimeSeries;
 use scrip_des::{
-    FaultPlan, Model, QueueProfile, RunStats, Scheduled, Scheduler, SimDuration, SimTime,
-    Simulation, TraceError, TraceFile, TraceFrame, TraceHeader, TraceReader, TraceWriter,
+    Model, QueueProfile, RunStats, Scheduled, Scheduler, SimDuration, SimTime, Simulation,
+    TraceError, TraceFile, TraceFrame, TraceHeader, TraceReader, TraceWriter,
 };
 use scrip_streaming::{StreamEvent, StreamingSystem};
 
@@ -95,7 +95,7 @@ use crate::credits::Ledger;
 use crate::error::CoreError;
 use crate::market::{CreditMarket, FaultStats, MarketConfig, MarketEvent};
 use crate::policy::Taxation;
-use crate::protocol::{build_streaming_market, protocol_config, CreditTradePolicy};
+use crate::protocol::CreditTradePolicy;
 
 pub mod probes;
 
@@ -196,75 +196,6 @@ pub trait MarketView {
     /// writes (RNG streams, overlay, ledger, escrow, pricing, fault
     /// plan, and at chunk level every peer's protocol state).
     fn state_digest(&self) -> u64;
-}
-
-impl MarketView for CreditMarket {
-    fn peer_count(&self) -> usize {
-        CreditMarket::peer_count(self)
-    }
-    fn purchases(&self) -> u64 {
-        CreditMarket::purchases(self)
-    }
-    fn denied(&self) -> u64 {
-        CreditMarket::denied(self)
-    }
-    fn ledger(&self) -> &Ledger {
-        CreditMarket::ledger(self)
-    }
-    fn taxation(&self) -> Option<&Taxation> {
-        CreditMarket::taxation(self)
-    }
-    fn gini_series(&self) -> &TimeSeries {
-        CreditMarket::gini_series(self)
-    }
-    fn stall_series(&self) -> Option<&TimeSeries> {
-        None
-    }
-    fn fault_stats(&self) -> Option<&FaultStats> {
-        self.faults_enabled()
-            .then(|| CreditMarket::fault_stats(self))
-    }
-    fn in_flight_escrow(&self) -> u64 {
-        CreditMarket::in_flight_escrow(self)
-    }
-    fn state_digest(&self) -> u64 {
-        CreditMarket::state_digest(self)
-    }
-}
-
-impl MarketView for StreamingSystem<CreditTradePolicy> {
-    fn peer_count(&self) -> usize {
-        StreamingSystem::peer_count(self)
-    }
-    fn purchases(&self) -> u64 {
-        self.policy().settlements
-    }
-    fn denied(&self) -> u64 {
-        self.policy().denials
-    }
-    fn ledger(&self) -> &Ledger {
-        self.policy().ledger()
-    }
-    fn taxation(&self) -> Option<&Taxation> {
-        self.policy().taxation()
-    }
-    fn gini_series(&self) -> &TimeSeries {
-        self.policy().gini_series()
-    }
-    fn stall_series(&self) -> Option<&TimeSeries> {
-        Some(StreamingSystem::stall_series(self))
-    }
-    fn fault_stats(&self) -> Option<&FaultStats> {
-        self.faults_enabled()
-            .then(|| StreamingSystem::fault_stats(self))
-    }
-    // `in_flight_escrow` stays 0: the streaming layer settles on
-    // delivery, so no credits sit in trade escrow.
-    fn state_digest(&self) -> u64 {
-        let mut digest = Fingerprint::default();
-        SessionMarket::write_state(self, &mut digest);
-        digest.value()
-    }
 }
 
 /// A pluggable observer over one market run.
@@ -380,92 +311,6 @@ pub(crate) trait SessionMarket: Model + MarketView + Sized + Send + 'static {
 
     /// The finished model, as a session hands it back.
     fn into_model(self) -> SessionModel;
-}
-
-impl SessionMarket for CreditMarket {
-    fn build(config: &MarketConfig, seed: u64) -> Result<Self, CoreError> {
-        CreditMarket::build(config.clone(), seed)
-    }
-    fn bootstrap() -> MarketEvent {
-        MarketEvent::Bootstrap
-    }
-    fn queue_profile(&self) -> QueueProfile {
-        CreditMarket::queue_profile(self)
-    }
-    fn write_state(&self, w: &mut impl Put) {
-        CreditMarket::write_state(self, w);
-    }
-    fn read_state(
-        config: &MarketConfig,
-        seed: u64,
-        r: &mut Reader<'_>,
-        events_processed: u64,
-    ) -> Result<Self, CoreError> {
-        CreditMarket::read_state(config.clone(), seed, r, events_processed)
-    }
-    #[inline]
-    fn encode(event: &MarketEvent, w: &mut impl Put) {
-        event.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<MarketEvent, CoreError> {
-        MarketEvent::decode(r)
-    }
-    fn into_model(self) -> SessionModel {
-        SessionModel::Queue(self)
-    }
-}
-
-/// The chunk-level market's state is the protocol's
-/// ([`StreamingSystem::write_state`]) followed by its credit policy's
-/// ([`CreditTradePolicy`]'s ledger, spend, taxation, posted prices and
-/// counters).
-impl SessionMarket for StreamingSystem<CreditTradePolicy> {
-    fn build(config: &MarketConfig, seed: u64) -> Result<Self, CoreError> {
-        build_streaming_market(config, seed)
-    }
-    fn bootstrap() -> StreamEvent {
-        StreamEvent::Bootstrap
-    }
-    fn queue_profile(&self) -> QueueProfile {
-        StreamingSystem::queue_profile(self)
-    }
-    fn write_state(&self, w: &mut impl Put) {
-        StreamingSystem::write_state(self, w);
-        self.policy().write_state(w);
-    }
-    fn read_state(
-        config: &MarketConfig,
-        seed: u64,
-        r: &mut Reader<'_>,
-        events_processed: u64,
-    ) -> Result<Self, CoreError> {
-        let protocol = protocol_config(config)?;
-        // As the build: an all-zero spec installs no plan.
-        let plan = match config.faults {
-            Some(spec) if spec.any_faults() => {
-                Some(FaultPlan::new(spec, seed).map_err(CoreError::Config)?)
-            }
-            _ => None,
-        };
-        // Every overlay id was allocated by the build or one `Join`.
-        let ids = (config.n as u64).saturating_add(events_processed);
-        StreamingSystem::read_state(protocol, plan, r, (ids, events_processed), |r, order| {
-            CreditTradePolicy::read_state(config, r, order)
-        })
-    }
-    #[inline]
-    fn encode(event: &StreamEvent, w: &mut impl Put) {
-        event.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<StreamEvent, CoreError> {
-        Ok(StreamEvent::decode(r)?)
-    }
-    fn admits(&self, event: &StreamEvent) -> bool {
-        StreamingSystem::admits(self, event)
-    }
-    fn into_model(self) -> SessionModel {
-        SessionModel::Chunk(self)
-    }
 }
 
 /// A market's simulation as a [`Session`] drives it: the calls the
@@ -1270,8 +1115,9 @@ impl Session {
     /// call, so no event at or before the clock is still pending.
     ///
     /// # Errors
-    /// None: every session checkpoints. The `Result` keeps callers that
-    /// handle one compiling.
+    /// None at present: every session checkpoints. The signature stays
+    /// a `Result` because `perfbench`, whose source is held fixed so
+    /// that runs of two versions compare, unwraps one.
     pub fn checkpoint(&self) -> Result<Vec<u8>, CoreError> {
         let (now, events_processed) = (self.now(), self.stats().events_processed);
         let mut log = TraceWriter::new(

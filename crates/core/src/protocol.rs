@@ -19,15 +19,16 @@
 //! horizon. [`crate::obs::Session`] and the scenario engine build it the
 //! same way.
 
-use scrip_des::snapshot::{self, Put, Reader};
+use scrip_des::snapshot::{self, Fingerprint, Put, Reader};
 use scrip_des::stats::TimeSeries;
-use scrip_des::{SimRng, SimTime};
-use scrip_streaming::{StreamingConfig, StreamingSystem, TradePolicy};
+use scrip_des::{QueueProfile, SimRng, SimTime};
+use scrip_streaming::{StreamEvent, StreamingConfig, StreamingSystem, TradePolicy};
 use scrip_topology::NodeId;
 
 use crate::credits::Ledger;
 use crate::error::CoreError;
-use crate::market::MarketConfig;
+use crate::market::{FaultStats, MarketConfig};
+use crate::obs::{MarketView, SessionMarket, SessionModel};
 use crate::policy::{TaxConfig, Taxation};
 use crate::pricing::{PricingConfig, PricingModel};
 
@@ -326,6 +327,95 @@ pub fn build_streaming_market(
     match config.faults {
         Some(spec) => system.with_faults(spec, seed).map_err(CoreError::Config),
         None => Ok(system),
+    }
+}
+
+impl MarketView for StreamingSystem<CreditTradePolicy> {
+    fn peer_count(&self) -> usize {
+        StreamingSystem::peer_count(self)
+    }
+    fn purchases(&self) -> u64 {
+        self.policy().settlements
+    }
+    fn denied(&self) -> u64 {
+        self.policy().denials
+    }
+    fn ledger(&self) -> &Ledger {
+        self.policy().ledger()
+    }
+    fn taxation(&self) -> Option<&Taxation> {
+        self.policy().taxation()
+    }
+    fn gini_series(&self) -> &TimeSeries {
+        self.policy().gini_series()
+    }
+    fn stall_series(&self) -> Option<&TimeSeries> {
+        Some(StreamingSystem::stall_series(self))
+    }
+    fn fault_stats(&self) -> Option<&FaultStats> {
+        self.faults_enabled()
+            .then(|| StreamingSystem::fault_stats(self))
+    }
+    // `in_flight_escrow` stays 0: the streaming layer settles on
+    // delivery, so no credits sit in trade escrow.
+    fn state_digest(&self) -> u64 {
+        let mut digest = Fingerprint::default();
+        SessionMarket::write_state(self, &mut digest);
+        digest.value()
+    }
+}
+
+/// The chunk-level market as a [`crate::obs::Session`] runs it. Its
+/// state is the protocol's ([`StreamingSystem::write_state`]) followed
+/// by its credit policy's ([`CreditTradePolicy::write_state`]).
+impl SessionMarket for StreamingSystem<CreditTradePolicy> {
+    fn build(config: &MarketConfig, seed: u64) -> Result<Self, CoreError> {
+        build_streaming_market(config, seed)
+    }
+
+    fn bootstrap() -> StreamEvent {
+        StreamEvent::Bootstrap
+    }
+
+    fn queue_profile(&self) -> QueueProfile {
+        StreamingSystem::queue_profile(self)
+    }
+
+    fn write_state(&self, w: &mut impl Put) {
+        StreamingSystem::write_state(self, w);
+        self.policy().write_state(w);
+    }
+
+    fn read_state(
+        config: &MarketConfig,
+        seed: u64,
+        r: &mut Reader<'_>,
+        events_processed: u64,
+    ) -> Result<Self, CoreError> {
+        let protocol = protocol_config(config)?;
+        // Every overlay id was allocated by the build or one `Join`.
+        let ids = (config.n as u64).saturating_add(events_processed);
+        let faults = (config.faults, seed);
+        StreamingSystem::read_state(protocol, faults, r, (ids, events_processed), |r, order| {
+            CreditTradePolicy::read_state(config, r, order)
+        })
+    }
+
+    #[inline]
+    fn encode(event: &StreamEvent, w: &mut impl Put) {
+        event.encode(w);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<StreamEvent, CoreError> {
+        Ok(StreamEvent::decode(r)?)
+    }
+
+    fn admits(&self, event: &StreamEvent) -> bool {
+        StreamingSystem::admits(self, event)
+    }
+
+    fn into_model(self) -> SessionModel {
+        SessionModel::Chunk(self)
     }
 }
 

@@ -43,31 +43,37 @@ pub trait Put {
     fn put_raw(&mut self, bytes: &[u8]);
 
     /// Appends one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_raw(&[v]);
     }
 
     /// Appends a bool as one byte, 0 or 1.
+    #[inline]
     fn put_bool(&mut self, v: bool) {
         self.put_u8(u8::from(v));
     }
 
     /// Appends a `u32`.
+    #[inline]
     fn put_u32(&mut self, v: u32) {
         self.put_raw(&v.to_le_bytes());
     }
 
     /// Appends a `u64`.
+    #[inline]
     fn put_u64(&mut self, v: u64) {
         self.put_raw(&v.to_le_bytes());
     }
 
     /// Appends an `f64` by its bits.
+    #[inline]
     fn put_f64(&mut self, v: f64) {
         self.put_raw(&v.to_le_bytes());
     }
 
     /// Length-prefixed opaque block (probe state, nested sections).
+    #[inline]
     fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
         self.put_raw(v);
@@ -75,6 +81,7 @@ pub trait Put {
 }
 
 impl Put for Vec<u8> {
+    #[inline]
     fn put_raw(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
     }
@@ -100,6 +107,7 @@ impl Fingerprint {
 }
 
 impl Put for Fingerprint {
+    #[inline]
     fn put_raw(&mut self, bytes: &[u8]) {
         self.0 = fnv1a_fold(self.0, bytes);
     }
@@ -107,6 +115,7 @@ impl Put for Fingerprint {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+#[inline]
 fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
@@ -133,10 +142,12 @@ pub struct Reader<'a> {
 impl<'a> Reader<'a> {
     /// Wraps `data`: a state frame's payload or a nested block (e.g.
     /// per-probe state).
+    #[inline]
     pub fn new(data: &'a [u8]) -> Self {
         Reader { data, pos: 0 }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.data.len());
         let Some(end) = end else {
@@ -152,11 +163,13 @@ impl<'a> Reader<'a> {
     }
 
     /// One byte.
+    #[inline]
     pub fn take_u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take(1)?[0])
     }
 
     /// A bool byte; anything but 0 or 1 is an error.
+    #[inline]
     pub fn take_bool(&mut self) -> Result<bool, SnapshotError> {
         match self.take_u8()? {
             0 => Ok(false),
@@ -166,6 +179,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A `u32`.
+    #[inline]
     pub fn take_u32(&mut self) -> Result<u32, SnapshotError> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
@@ -173,6 +187,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A `u64`.
+    #[inline]
     pub fn take_u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
@@ -180,6 +195,7 @@ impl<'a> Reader<'a> {
     }
 
     /// An `f64` by its bits.
+    #[inline]
     pub fn take_f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),

@@ -664,7 +664,7 @@ fn read_chunk(file: &mut std::fs::File) -> Result<(Vec<u8>, bool), TraceError> {
 }
 
 /// A finished trace file decoded one bounded read at a time: the
-/// reader is fed at most [`TAIL_CHUNK`] bytes per refill through
+/// reader is fed at most 1 MiB per refill through
 /// [`TraceReader::extend`], so it holds one chunk plus the frame in
 /// progress, not the whole file. Unlike a [`TraceTailer`], a partial
 /// frame at the end of the file is the [`TraceError::Truncated`] a

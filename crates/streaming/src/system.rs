@@ -276,10 +276,7 @@ impl<T: TradePolicy> StreamingSystem<T> {
     /// # Errors
     /// Returns the message from [`FaultSpec::validate`].
     pub fn with_faults(mut self, spec: FaultSpec, root_seed: u64) -> Result<Self, String> {
-        spec.validate()?;
-        if spec.any_faults() {
-            self.fault_plan = Some(FaultPlan::new(spec, root_seed)?);
-        }
+        self.fault_plan = fault_plan(Some(spec), root_seed)?;
         Ok(self)
     }
 
@@ -395,9 +392,10 @@ impl<T: TradePolicy> StreamingSystem<T> {
     }
 
     /// Decodes a system whose protocol state [`StreamingSystem::write_state`]
-    /// captured `events_processed` events into a run of `config`, with
-    /// `fault_plan` the plan the configuration installs and `id_ceiling`
-    /// the overlay ids the run can have allocated. `policy` then decodes
+    /// captured `events_processed` events into a run of `config` with
+    /// `faults` (the fault spec and root seed [`StreamingSystem::with_faults`]
+    /// was given, if it was called) and `id_ceiling` the overlay ids the
+    /// run can have allocated. `policy` then decodes
     /// the trade policy from the bytes that follow, given the live peers
     /// in pick order.
     ///
@@ -408,12 +406,13 @@ impl<T: TradePolicy> StreamingSystem<T> {
     /// holding or fetching a chunk not yet emitted.
     pub fn read_state<E: From<SnapshotError>>(
         config: StreamingConfig,
-        mut fault_plan: Option<FaultPlan>,
+        (faults, root_seed): (Option<FaultSpec>, u64),
         r: &mut Reader<'_>,
         (id_ceiling, events_processed): (u64, u64),
         policy: impl FnOnce(&mut Reader<'_>, &[NodeId]) -> Result<T, E>,
     ) -> Result<Self, E> {
         config.validate().map_err(SnapshotError)?;
+        let mut fault_plan = fault_plan(faults, root_seed).map_err(SnapshotError)?;
         let transfer_time = Exp::new(1.0 / config.transfer_time_mean)
             .map_err(|e| SnapshotError(format!("transfer time distribution: {e}")))?;
         let rng = snapshot::take_rng_and_plan(r, &mut fault_plan)?;
@@ -899,6 +898,20 @@ impl<T: TradePolicy> Model for StreamingSystem<T> {
             StreamEvent::Sample => self.handle_sample(now, scheduler),
         }
     }
+}
+
+/// The fault plan `faults` installs under `root_seed`: none without a
+/// spec or for one that injects no faults. The build
+/// ([`StreamingSystem::with_faults`]) and the decoder
+/// ([`StreamingSystem::read_state`]) both take their plan from here.
+fn fault_plan(faults: Option<FaultSpec>, root_seed: u64) -> Result<Option<FaultPlan>, String> {
+    let Some(spec) = faults else {
+        return Ok(None);
+    };
+    spec.validate()?;
+    spec.any_faults()
+        .then(|| FaultPlan::new(spec, root_seed))
+        .transpose()
 }
 
 /// The state of `id`, if it is live.

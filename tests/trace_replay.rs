@@ -13,11 +13,10 @@ use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use scrip_core::des::{FaultSpec, SimDuration, SimTime, TraceFrame, TraceReader, TraceWriter};
-use scrip_core::market::{ChurnConfig, MarketConfig, MarketEvent};
-use scrip_core::obs::{probes, Probe, RunRecord, Session};
+use scrip_core::market::{ChurnConfig, MarketConfig};
+use scrip_core::obs::{describe_event, probes, Probe, RunRecord, Session};
 use scrip_core::policy::TaxConfig;
 use scrip_core::streaming::StreamingConfig;
-use scrip_core::topology::NodeId;
 
 /// RAII temp-file path so failed assertions don't leak trace files.
 struct TracePath(PathBuf);
@@ -145,72 +144,81 @@ proptest! {
     }
 }
 
-/// A divergence the boundary digests do not show: the recorded trace
-/// is re-encoded with one mid-run `Spend` naming another peer, every
-/// other frame (digests included) copied as recorded and each checksum
+/// A divergence the boundary digests do not show, at either
+/// granularity: the recorded trace is re-encoded with one mid-run event
+/// naming another peer (a `Spend` at queue level, a `Schedule` at chunk
+/// level: each payload is its tag byte and one peer id), every other
+/// frame (digests included) copied as recorded and each checksum
 /// re-sealed. The live run's state still matches every digest, so only
 /// the event-level check can catch it, and replay pins that frame's
 /// exact `(time, seq)`.
 #[test]
 fn replay_pins_an_event_divergence_the_digests_miss() {
-    let config = arbitrary_config(50, true, true, false, true, false);
-    let horizon = SimTime::from_secs(1_000);
-    let trace = TracePath::new("event_only");
-    record_run(&config, 7, horizon, trace.path());
+    for (chunk, kind, horizon_secs) in [(false, "Spend(", 1_000), (true, "Schedule(", 150)] {
+        let config = arbitrary_config(50, true, true, false, true, chunk);
+        let horizon = SimTime::from_secs(horizon_secs);
+        let trace = TracePath::new(if chunk {
+            "event_only_chunk"
+        } else {
+            "event_only"
+        });
+        record_run(&config, 7, horizon, trace.path());
 
-    let original = std::fs::read(trace.path()).expect("trace readable");
-    let mut reader = TraceReader::from_bytes(original.clone()).expect("trace decodes");
-    let mut writer = TraceWriter::new(Vec::new(), *reader.header());
-    let mut altered = None;
-    while let Some(frame) = reader.next_frame().expect("clean trace") {
-        match frame {
-            TraceFrame::Event {
-                time,
-                seq,
-                mut payload,
-            } => {
-                if altered.is_none() && time >= SimTime::from_secs(500) {
-                    if let Ok(MarketEvent::Spend(id)) = MarketEvent::from_trace_payload(&payload) {
-                        // A spend payload is its tag byte and the peer id.
-                        let other = NodeId::from_raw(id.raw() + 1);
-                        payload[1..].copy_from_slice(&other.raw().to_le_bytes());
-                        assert_eq!(
-                            MarketEvent::from_trace_payload(&payload).expect("decodes"),
-                            MarketEvent::Spend(other)
-                        );
-                        altered = Some((time, seq));
+        let original = std::fs::read(trace.path()).expect("trace readable");
+        let mut reader = TraceReader::from_bytes(original.clone()).expect("trace decodes");
+        let mut writer = TraceWriter::new(Vec::new(), *reader.header());
+        let mut altered = None;
+        while let Some(frame) = reader.next_frame().expect("clean trace") {
+            match frame {
+                TraceFrame::Event {
+                    time,
+                    seq,
+                    mut payload,
+                } => {
+                    let live = describe_event(&payload).expect("recorded payloads decode");
+                    if altered.is_none()
+                        && time >= SimTime::from_secs(horizon_secs / 2)
+                        && live.starts_with(kind)
+                    {
+                        let id = u64::from_le_bytes(payload[1..].try_into().expect("one id"));
+                        payload[1..].copy_from_slice(&(id + 1).to_le_bytes());
+                        let moved = describe_event(&payload).expect("still decodes");
+                        assert!(moved.starts_with(kind) && moved != live, "{moved}");
+                        altered = Some((time, seq, live));
                     }
+                    writer.event(time, seq, &payload).expect("in-memory sink");
                 }
-                writer.event(time, seq, &payload).expect("in-memory sink");
+                TraceFrame::Digest {
+                    time,
+                    events_processed,
+                    digest,
+                } => writer.digest(time, events_processed, digest),
+                TraceFrame::End {
+                    time,
+                    events_processed,
+                } => writer.end(time, events_processed),
+                TraceFrame::State { .. } => panic!("a recorded trace holds no state frames"),
             }
-            TraceFrame::Digest {
-                time,
-                events_processed,
-                digest,
-            } => writer.digest(time, events_processed, digest),
-            TraceFrame::End {
-                time,
-                events_processed,
-            } => writer.end(time, events_processed),
-            TraceFrame::State { .. } => panic!("a recorded trace holds no state frames"),
         }
-    }
-    let (time, seq) = altered.expect("a spend fires after t=500 s");
-    let rewritten = writer.into_bytes();
-    assert_eq!(rewritten.len(), original.len(), "only one payload changed");
-    assert_ne!(rewritten, original);
-    std::fs::write(trace.path(), &rewritten).expect("trace rewritable");
+        let (time, seq, live) = altered.expect("the event kind fires in the second half");
+        let rewritten = writer.into_bytes();
+        assert_eq!(rewritten.len(), original.len(), "only one payload changed");
+        assert_ne!(rewritten, original);
+        std::fs::write(trace.path(), &rewritten).expect("trace rewritable");
 
-    let mut session = Session::from_config(&config, 7).expect("builds");
-    session.replay_from(trace.path()).expect("trace attaches");
-    session.run_until(horizon);
-    let divergence = session
-        .trace_divergence()
-        .cloned()
-        .expect("replay must catch the altered spend");
-    assert_eq!((divergence.time, divergence.seq), (time, Some(seq)));
-    // The run froze before the divergent event, not at the horizon.
-    assert!(session.now() <= time);
-    let err = session.finish_trace().expect_err("reports the divergence");
-    assert!(err.to_string().contains("diverged"), "{err}");
+        let mut session = Session::from_config(&config, 7).expect("builds");
+        session.replay_from(trace.path()).expect("trace attaches");
+        session.run_until(horizon);
+        let divergence = session
+            .trace_divergence()
+            .cloned()
+            .expect("replay must catch the altered event");
+        assert_eq!((divergence.time, divergence.seq), (time, Some(seq)));
+        // The report renders the event the live run produced.
+        assert_eq!(divergence.actual, live);
+        // The run froze before the divergent event, not at the horizon.
+        assert!(session.now() <= time);
+        let err = session.finish_trace().expect_err("reports the divergence");
+        assert!(err.to_string().contains("diverged"), "{err}");
+    }
 }
