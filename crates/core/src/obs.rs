@@ -303,10 +303,10 @@ pub(crate) trait SessionMarket: Model + MarketView + Sized + Send + 'static {
     /// Decodes an event written by [`SessionMarket::encode`].
     fn decode(r: &mut Reader<'_>) -> Result<Self::Event, CoreError>;
 
-    /// Whether a decoded pending event fits the decoded state; a resume
-    /// refuses a checkpoint with one that does not.
-    fn admits(&self, _event: &Self::Event) -> bool {
-        true
+    /// Checks a checkpoint's decoded pending events against the decoded
+    /// state; a resume refuses a checkpoint whose events do not fit.
+    fn check_pending(&self, _pending: &[Scheduled<Self::Event>]) -> Result<(), String> {
+        Ok(())
     }
 
     /// The finished model, as a session hands it back.
@@ -429,12 +429,9 @@ where
     // Only a join allocates an overlay id, so the events processed
     // bound the watermark the market state may carry.
     let market = M::read_state(config, seed, r, events_processed)?;
-    if let Some(p) = pending.iter().find(|p| !market.admits(&p.event)) {
-        return Err(CoreError::Checkpoint(format!(
-            "pending event seq {} does not fit the snapshot's state",
-            p.seq
-        )));
-    }
+    market
+        .check_pending(&pending)
+        .map_err(CoreError::Checkpoint)?;
     let mut scheduler = Scheduler::with_profile(market.queue_profile());
     scheduler.restore_clock(clock);
     for scheduled in pending {

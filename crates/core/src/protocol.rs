@@ -21,7 +21,7 @@
 
 use scrip_des::snapshot::{self, Fingerprint, Put, Reader};
 use scrip_des::stats::TimeSeries;
-use scrip_des::{QueueProfile, SimRng, SimTime};
+use scrip_des::{QueueProfile, Scheduled, SimRng, SimTime};
 use scrip_streaming::{StreamEvent, StreamingConfig, StreamingSystem, TradePolicy};
 use scrip_topology::NodeId;
 
@@ -410,8 +410,8 @@ impl SessionMarket for StreamingSystem<CreditTradePolicy> {
         Ok(StreamEvent::decode(r)?)
     }
 
-    fn admits(&self, event: &StreamEvent) -> bool {
-        StreamingSystem::admits(self, event)
+    fn check_pending(&self, pending: &[Scheduled<StreamEvent>]) -> Result<(), String> {
+        StreamingSystem::check_pending(self, pending)
     }
 
     fn into_model(self) -> SessionModel {

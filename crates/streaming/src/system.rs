@@ -24,7 +24,7 @@ use scrip_des::snapshot::{self, id_table, Put, Reader, SnapshotError};
 use scrip_des::stats::TimeSeries;
 use scrip_des::{
     DeliveryOutcome, FaultPlan, FaultSpec, FaultStats, FenwickSampler, Model, QueueProfile,
-    Scheduler, SimDuration, SimRng, SimTime,
+    Scheduled, Scheduler, SimDuration, SimRng, SimTime,
 };
 use scrip_topology::churn::{AttachmentRule, ChurnTopology};
 use scrip_topology::{Graph, NodeId, PeerArena, TakeId};
@@ -470,21 +470,78 @@ impl<T: TradePolicy> StreamingSystem<T> {
         })
     }
 
-    /// Whether `event` can be pending in this state: a delivery carries
-    /// a chunk the source has emitted, and a join exists only under
-    /// churn, with its attach degree. A resumed checkpoint refuses any
-    /// other pending event.
-    pub fn admits(&self, event: &StreamEvent) -> bool {
-        match *event {
-            StreamEvent::PeerDelivery { chunk, .. } | StreamEvent::SourceDelivery { chunk, .. } => {
-                chunk < self.next_chunk
+    /// Checks a checkpoint's pending events against this state, as a
+    /// run leaves them: a delivery carries a chunk the source has
+    /// emitted, and a join exists only under churn, with its attach
+    /// degree; every live peer has one upload slot busy per delivery
+    /// in flight from it, and the source one per source delivery; and
+    /// every live peer's pending set holds exactly the chunks in flight
+    /// to it. A resumed checkpoint refuses anything else.
+    ///
+    /// # Errors
+    /// Names the first pending event, or the count, that does not fit.
+    pub fn check_pending(&self, pending: &[Scheduled<StreamEvent>]) -> Result<(), String> {
+        let mut uploads = vec![0usize; self.peers.len()];
+        let mut source_uploads = 0usize;
+        let mut in_flight = Vec::with_capacity(pending.len());
+        for p in pending {
+            let (to, chunk) = match p.event {
+                StreamEvent::PeerDelivery { to, from, chunk } => {
+                    if let Some(n) = uploads.get_mut(from.index()) {
+                        *n += 1;
+                    }
+                    (to, chunk)
+                }
+                StreamEvent::SourceDelivery { to, chunk } => {
+                    source_uploads += 1;
+                    (to, chunk)
+                }
+                StreamEvent::Join { attach_degree }
+                    if self.config.churn.map(|c| c.attach_degree) != Some(attach_degree) =>
+                {
+                    return Err(format!(
+                        "pending event seq {} is a join this configuration does not make",
+                        p.seq
+                    ));
+                }
+                _ => continue,
+            };
+            if chunk >= self.next_chunk {
+                return Err(format!(
+                    "pending event seq {} delivers chunk {chunk}, which is not yet emitted",
+                    p.seq
+                ));
             }
-            StreamEvent::Join { attach_degree } => self
-                .config
-                .churn
-                .is_some_and(|churn| churn.attach_degree == attach_degree),
-            _ => true,
+            if live(&self.peers, to).is_some() {
+                in_flight.push((to, chunk));
+            }
         }
+        if source_uploads != self.source_active_uploads {
+            return Err(format!(
+                "the source has {} uploads active but {source_uploads} deliveries in flight",
+                self.source_active_uploads
+            ));
+        }
+        let live_peers = (0..)
+            .zip(&self.peers)
+            .filter_map(|(raw, state)| Some((NodeId::from_raw(raw), state.as_ref()?)));
+        let mut expected = Vec::with_capacity(in_flight.len());
+        for (id, state) in live_peers {
+            if state.active_uploads != uploads[id.index()] {
+                return Err(format!(
+                    "peer {} has {} uploads active but {} deliveries in flight",
+                    id.raw(),
+                    state.active_uploads,
+                    uploads[id.index()]
+                ));
+            }
+            expected.extend(state.pending.iter().map(|chunk| (id, chunk)));
+        }
+        in_flight.sort_unstable();
+        if in_flight != expected {
+            return Err("the peers' pending sets are not the chunks in flight to them".into());
+        }
+        Ok(())
     }
 
     /// The range of chunks a peer currently wants: from its playback
@@ -1276,5 +1333,54 @@ mod tests {
             cap,
             "sampler scratch grew after warmup"
         );
+    }
+
+    #[test]
+    fn pending_events_must_match_upload_counts_and_pending_sets() {
+        let mut rng = SimRng::seed_from_u64(19);
+        let graph = generators::scale_free(&ScaleFreeConfig::new(40).expect("cfg"), &mut rng)
+            .expect("graph");
+        let config = StreamingConfig {
+            churn: Some(ChurnConfig::new(0.4, 100.0, 8).expect("valid")),
+            ..Default::default()
+        };
+        let system = StreamingSystem::new(graph, config, FreeTrade, rng).expect("system");
+        let mut sim = Simulation::new(system);
+        sim.schedule(SimTime::ZERO, StreamEvent::Bootstrap);
+        sim.run_until(SimTime::from_secs(120));
+        let pending = sim.scheduler().snapshot_events();
+        let mut system = sim.into_model();
+        assert_eq!(system.check_pending(&pending), Ok(()));
+        let (k, to, from, chunk) = pending
+            .iter()
+            .enumerate()
+            .find_map(|(k, p)| match p.event {
+                StreamEvent::PeerDelivery { to, from, chunk }
+                    if system.peer(to).is_some() && system.peer(from).is_some() =>
+                {
+                    Some((k, to, from, chunk))
+                }
+                _ => None,
+            })
+            .expect("a delivery in flight between live peers");
+
+        let mut fewer = pending.clone();
+        fewer.remove(k);
+        assert!(system.check_pending(&fewer).is_err());
+        // A busy upload slot with no delivery behind it.
+        live_mut(&mut system.peers, from).active_uploads += 1;
+        let err = system.check_pending(&pending).expect_err("refused");
+        assert!(err.contains("uploads active"), "{err}");
+        live_mut(&mut system.peers, from).active_uploads -= 1;
+        // A chunk in flight that its receiver no longer waits for.
+        live_mut(&mut system.peers, to).pending.remove(chunk);
+        let err = system.check_pending(&pending).expect_err("refused");
+        assert!(err.contains("pending sets"), "{err}");
+        live_mut(&mut system.peers, to).pending.insert(chunk);
+        system.source_active_uploads += 1;
+        let err = system.check_pending(&pending).expect_err("refused");
+        assert!(err.contains("the source"), "{err}");
+        system.source_active_uploads -= 1;
+        assert_eq!(system.check_pending(&pending), Ok(()));
     }
 }
