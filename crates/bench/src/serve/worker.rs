@@ -161,7 +161,7 @@ impl SampleLog {
 /// sampling boundary this long after it started or last snapshotted,
 /// so a crash costs it about this much work and a job shorter than this
 /// writes no snapshot file at all.
-pub(super) const DEFAULT_SNAPSHOT_GAP: Duration = Duration::from_secs(1);
+const DEFAULT_SNAPSHOT_GAP: Duration = Duration::from_secs(1);
 
 /// The runner hooks of one job.
 struct JobDriver<'a> {
